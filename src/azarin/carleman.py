@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_QUAD
-
 __all__ = [
     "RealMeasure", "CarlemanTransform", "carleman_bound_report",
     "spectrum_jump_scan", "JumpScanReport",
@@ -43,9 +41,8 @@ class RealMeasure:
 
 class CarlemanTransform:
 
-    def __init__(self, measure, quad=DEFAULT_QUAD, panel_nodes=16):
+    def __init__(self, measure):
         self.measure = measure
-        self.quad = quad
         from .numerics import _XGK, _WGK
         self._nodes = _XGK
         self._weights = _WGK

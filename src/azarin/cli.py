@@ -1,7 +1,6 @@
 """Batch experiment runner.
 
     azarin run <config.json | builtin-name> [--out-dir D] [--tol-override X]
-                                            [--max-window N]
     azarin list-builtins
 
 Exit status: 0 when all verdicts pass (or the operation has no pass/fail
@@ -15,20 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import builtin_config, builtin_names
 from .configio import ConfigError, validate_config
 from .numerics import DivergenceError, NumericsError
 from .runners import REGISTRY, _jsonable
-
-
-@dataclass(frozen=True)
-class RunContext:
-    out_dir: Path
-    tol_override: float = None
-    max_window: int = None
 
 
 def _format_cell(value):
@@ -54,8 +45,6 @@ def _apply_overrides(cfg, args):
         for key in list(params):
             if key.endswith("tol"):
                 params[key] = args.tol_override
-    if args.max_window is not None:
-        params["quad_max_expansions"] = args.max_window
     cfg = dict(cfg)
     cfg["params"] = params
     return cfg
@@ -83,9 +72,7 @@ def cmd_run(args):
             raise ConfigError("operation: unknown operation %r" % op)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ctx = RunContext(out_dir=out_dir, tol_override=args.tol_override,
-                         max_window=args.max_window)
-        result = REGISTRY[op](cfg, ctx)
+        result = REGISTRY[op](cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
@@ -133,8 +120,6 @@ def build_parser():
                        help="directory for emitted JSON/CSV (default azarin-out)")
     p_run.add_argument("--tol-override", type=float, default=None,
                        help="replace every *_tol parameter in the config")
-    p_run.add_argument("--max-window", type=int, default=None,
-                       help="cap the number of improper-window expansions")
     p_run.set_defaults(fn=cmd_run)
     p_list = sub.add_parser("list-builtins", help="print the builtin registry")
     p_list.set_defaults(fn=cmd_list_builtins)

@@ -1,10 +1,14 @@
 """Shared quadrature machinery.
 
 All integrals over (0, oo) are computed in log coordinates with an
-adaptive Gauss-Kronrod 7/15 rule.  Improper endpoints are handled by
-geometric window expansion (factor ``QuadControl.expansion``) with a
-Cauchy stopping criterion: expansion stops once two successive window
-increments fall below ``tol * (1 + |value|)``.
+adaptive Gauss-Kronrod 7/15 rule.  Improper endpoints are handled by one
+Cauchy window rule (``_expand_windows``): a core window grows ring by ring,
+the outer edge of each ring ``QuadControl.expansion`` times its inner edge,
+and a ring is calm when its magnitude is at most
+``tol * (1 + |total|) + abs_tol``.  An end is accepted when two rings in a
+row are calm, when the next edge would leave the float range after at least
+one calm ring, or when the window reaches a finite support edge; it is
+rejected after ``max_expansions`` rings.
 """
 
 from __future__ import annotations
@@ -192,6 +196,36 @@ def log_quad(f, t_lo, t_hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=
     )
 
 
+def _expand_windows(ring, edge, side, step, beyond, total, partials, ctrl,
+                    hard=None):
+    """Grow one end of a window by Cauchy rings; returns (accepted, total).
+
+    ``side`` is -1 at the lower end and +1 at the upper.  Each pass moves
+    ``edge`` to ``step(edge)``, adds ``ring(a, b)`` over the new ring to the
+    running ``total`` and appends the total to ``partials``.  ``beyond``
+    tells when an edge has left the float range and ``hard`` is a finite
+    support edge, if the window has one.
+    """
+    calm = 0
+    for _ in range(ctrl.max_expansions):
+        if hard is not None and (edge <= hard if side < 0 else edge >= hard):
+            return True, total
+        nxt = step(edge)
+        if beyond(nxt):
+            return calm >= 1, total
+        part = ring(nxt, edge) if side < 0 else ring(edge, nxt)
+        total += part
+        partials.append(total)
+        edge = nxt
+        if abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
+            calm += 1
+            if calm >= 2:
+                return True, total
+        else:
+            calm = 0
+    return False, total
+
+
 def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(),
                   extra_terms=None):
     """Integral of ``f`` over (lo, hi) in (0, oo); lo == 0 / hi == inf improper.
@@ -220,39 +254,15 @@ def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points
 
     total = window_value(core_lo, core_hi)
     partials = [total]
-
-    def expand(side):
-        nonlocal total
-        if side == "lo" and not improper_lo:
-            return True
-        if side == "hi" and not improper_hi:
-            return True
-        edge = core_lo if side == "lo" else core_hi
-        calm = 0
-        for _ in range(ctrl.max_expansions):
-            if side == "lo":
-                nxt = edge / ctrl.expansion
-                if nxt < 1e-300:
-                    return calm >= 1
-                ring = window_value(nxt, edge)
-            else:
-                nxt = edge * ctrl.expansion
-                if nxt > 1e300:
-                    return calm >= 1
-                ring = window_value(edge, nxt)
-            total += ring
-            partials.append(total)
-            edge = nxt
-            if abs(ring) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
-                calm += 1
-                if calm >= 2:
-                    return True
-            else:
-                calm = 0
-        return False
-
-    ok_lo = expand("lo")
-    ok_hi = expand("hi")
+    ok_lo = ok_hi = True
+    if improper_lo:
+        ok_lo, total = _expand_windows(
+            window_value, core_lo, -1, lambda t: t / ctrl.expansion,
+            lambda t: t < 1e-300, total, partials, ctrl)
+    if improper_hi:
+        ok_hi, total = _expand_windows(
+            window_value, core_hi, 1, lambda t: t * ctrl.expansion,
+            lambda t: t > 1e300, total, partials, ctrl)
     if not (ok_lo and ok_hi):
         side = "zero" if not ok_lo else "infinity"
         raise DivergenceError(
@@ -262,37 +272,21 @@ def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points
     return total
 
 
-def tail_converges(f, t0, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
-    """Cauchy test for the tail integral over (t0, oo).
+def converges(f, lo, hi, ctrl=DEFAULT_QUAD):
+    """Cauchy test for the integral of ``f`` over (lo, hi), as in improper_quad.
 
     Returns (converged, value, partials).
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            val = improper_quad(f, float(t0), None, ctrl, split_points,
-                                singular_points)
-        if not np.isfinite(val):
-            return False, None, []
-        return True, val, []
+            val = improper_quad(f, lo, hi, ctrl)
     except DivergenceError as exc:
         return False, None, exc.partials
     except QuadratureError:
         return False, None, []
-
-
-def head_converges(f, t0, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
-    """Cauchy test for the integral over (0, t0]."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = improper_quad(f, 0.0, float(t0), ctrl, split_points,
-                                singular_points)
-        if not np.isfinite(val):
-            return False, None, []
-        return True, val, []
-    except DivergenceError as exc:
-        return False, None, exc.partials
-    except QuadratureError:
+    if not np.isfinite(val):
         return False, None, []
+    return True, val, []
 
 
 def golden_section_min(fn, a, b, xtol=1e-10, max_iter=240):

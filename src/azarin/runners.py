@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman as carl
-from .configio import parse_kernel, parse_measure, parse_order
+from .configio import parse_kernel, parse_measure, parse_order, require
 from .dynamics import (convergence_trend, estimate_limit_set,
                        geometric_schedule, positive_regularity_criterion,
                        sample_trajectory, verify_regular_limit_form)
@@ -66,13 +66,18 @@ def _jsonable(value):
     return value
 
 
+def _span(given, path):
+    """(start, stop, points) of a grid given as an object."""
+    return tuple(require(given, key, path) for key in ("start", "stop", "points"))
+
+
 def _grid(params, key, default_start, default_stop, default_points):
     given = params.get(key)
     if given is None:
         return np.geomspace(default_start, default_stop, default_points)
     if isinstance(given, dict):
-        return np.geomspace(float(given["start"]), float(given["stop"]),
-                            int(given["points"]))
+        start, stop, points = _span(given, "params." + key)
+        return np.geomspace(float(start), float(stop), int(points))
     return np.asarray([float(v) for v in given], dtype=float)
 
 
@@ -101,7 +106,7 @@ def _lattice_pairs(count, ln_range):
 
 
 @operation("gamma_suite")
-def run_gamma_suite(cfg, ctx):
+def run_gamma_suite(cfg):
     order = parse_order(cfg.get("order"))
     params = cfg.get("params", {})
     tol = float(params.get("tol", 1e-6))
@@ -149,7 +154,7 @@ def run_gamma_suite(cfg, ctx):
 
 
 @operation("potter_decay_scan")
-def run_potter_decay_scan(cfg, ctx):
+def run_potter_decay_scan(cfg):
     order = parse_order(cfg.get("order"))
     params = cfg.get("params", {})
     ts = _grid(params, "t_grid", math.exp(16.0), math.exp(100.0), 3)
@@ -161,7 +166,7 @@ def run_potter_decay_scan(cfg, ctx):
 
 
 @operation("potter_check")
-def run_potter_check(cfg, ctx):
+def run_potter_check(cfg):
     order = parse_order(cfg.get("order"))
     params = cfg.get("params", {})
     pairs = params.get("pairs")
@@ -176,15 +181,16 @@ def run_potter_check(cfg, ctx):
 
 
 @operation("poisson_smoothing_check")
-def run_poisson_smoothing(cfg, ctx):
+def run_poisson_smoothing(cfg):
     order = parse_order(cfg.get("order"))
     params = cfg.get("params", {})
     quad = _quad(params)
     rows = []
     verdict = True
-    for entry in params.get("checks", [{"r": 1e4, "bound": 0.05}]):
-        r = float(entry["r"])
-        bound = float(entry["bound"])
+    for i, entry in enumerate(params.get("checks", [{"r": 1e4, "bound": 0.05}])):
+        path = "params.checks[%d]" % i
+        r = float(require(entry, "r", path))
+        bound = float(require(entry, "bound", path))
         v1 = poisson_smoothed_scale(order, r, quad)
         v = float(order.scale(r))
         defect = abs(v1 / v - 1.0)
@@ -218,12 +224,12 @@ def _schedule(params, default=(1e3, 1e6, 48)):
     if given is None:
         return geometric_schedule(*default)
     if isinstance(given, dict):
-        return geometric_schedule(given["start"], given["stop"], given["points"])
+        return geometric_schedule(*_span(given, "params.schedule"))
     return np.asarray([float(v) for v in given], dtype=float)
 
 
 @operation("limit_set_estimate")
-def run_limit_set(cfg, ctx):
+def run_limit_set(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
@@ -259,11 +265,11 @@ def run_limit_set(cfg, ctx):
 
 
 @operation("oscillating_family_check")
-def run_oscillating_family(cfg, ctx):
+def run_oscillating_family(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
-    lam0 = float(params["oscillation"])
+    lam0 = float(require(params, "oscillation", "params"))
     quad = _quad(params)
     fam = MetricFamily(quad=quad)
     schedule = _schedule(params)
@@ -288,13 +294,14 @@ def run_oscillating_family(cfg, ctx):
 
 
 @operation("periodic_family_check")
-def run_periodic_family(cfg, ctx):
+def run_periodic_family(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
     quad = _quad(params)
     fam = MetricFamily(quad=quad)
-    period = measure.tail.period if measure.tail else float(params["period"])
+    period = (measure.tail.period if measure.tail
+              else float(require(params, "period", "params")))
     tau_points = int(params.get("tau_points", 16))
     base_power = int(params.get("base_power", 36))
     taus = [period ** (k / tau_points) for k in range(tau_points)]
@@ -330,7 +337,7 @@ def run_periodic_family(cfg, ctx):
 
 
 @operation("sparse_flow_check")
-def run_sparse_flow(cfg, ctx):
+def run_sparse_flow(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
@@ -338,7 +345,7 @@ def run_sparse_flow(cfg, ctx):
     fam = MetricFamily(quad=quad)
     indices = params.get("indices", [5, 6, 7, 8, 9])
     probe = params.get("probe", {"interval": [0.5, 2.0]})
-    bump_lo, bump_hi = probe["interval"]
+    bump_lo, bump_hi = require(probe, "interval", "params.probe")
     from .measures import TestFunction
     bump = TestFunction(lo=float(bump_lo), hi=float(bump_hi))
     xs = np.sort(measure.atom_x)
@@ -368,7 +375,7 @@ def run_sparse_flow(cfg, ctx):
 
 
 @operation("class_membership")
-def run_class_membership(cfg, ctx):
+def run_class_membership(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
@@ -386,7 +393,7 @@ def run_class_membership(cfg, ctx):
 
 
 @operation("positive_regularity")
-def run_positive_regularity(cfg, ctx):
+def run_positive_regularity(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
@@ -402,7 +409,7 @@ def run_positive_regularity(cfg, ctx):
 
 
 @operation("density_estimate")
-def run_density_estimate(cfg, ctx):
+def run_density_estimate(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
@@ -421,7 +428,7 @@ def run_density_estimate(cfg, ctx):
 
 
 @operation("transform_table")
-def run_transform_table(cfg, ctx):
+def run_transform_table(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     kernel = parse_kernel(cfg.get("kernel"))
@@ -442,7 +449,7 @@ def run_transform_table(cfg, ctx):
 
 
 @operation("kernel_limit_values")
-def run_kernel_limit_values(cfg, ctx):
+def run_kernel_limit_values(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     kernel = parse_kernel(cfg.get("kernel"))
@@ -476,7 +483,7 @@ def run_kernel_limit_values(cfg, ctx):
 
 
 @operation("neutralization_check")
-def run_neutralization(cfg, ctx):
+def run_neutralization(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     kernel = parse_kernel(cfg.get("kernel"))
@@ -496,7 +503,7 @@ def run_neutralization(cfg, ctx):
 
 
 @operation("integrability_check")
-def run_integrability(cfg, ctx):
+def run_integrability(cfg):
     order = parse_order(cfg.get("order"))
     kernel = parse_kernel(cfg.get("kernel"))
     params = cfg.get("params", {})
@@ -512,7 +519,7 @@ def run_integrability(cfg, ctx):
 
 
 @operation("averaged_limit_check")
-def run_averaged_limit(cfg, ctx):
+def run_averaged_limit(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     kernel = parse_kernel(cfg.get("kernel"))
@@ -557,7 +564,7 @@ def run_averaged_limit(cfg, ctx):
 
 
 @operation("antiderivative_identity")
-def run_antiderivative_identity(cfg, ctx):
+def run_antiderivative_identity(cfg):
     measure = parse_measure(cfg.get("measure"))
     kernel = parse_kernel(cfg.get("kernel"))
     params = cfg.get("params", {})
@@ -576,7 +583,7 @@ def run_antiderivative_identity(cfg, ctx):
 
 
 @operation("stable_order_check")
-def run_stable_order(cfg, ctx):
+def run_stable_order(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     params = cfg.get("params", {})
@@ -595,7 +602,7 @@ def run_stable_order(cfg, ctx):
 
 
 @operation("order_diagnostic")
-def run_order_diagnostic(cfg, ctx):
+def run_order_diagnostic(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     kernel = parse_kernel(cfg.get("kernel"))
@@ -633,15 +640,15 @@ def run_order_diagnostic(cfg, ctx):
 
 
 @operation("mellin_symbol_table")
-def run_symbol_table(cfg, ctx):
+def run_symbol_table(cfg):
     kernel = parse_kernel(cfg.get("kernel"))
     params = cfg.get("params", {})
     quad = _quad(params)
     rho = float(params.get("rho", 1.0))
     lams = params.get("lambda_grid", {"start": -20.0, "stop": 20.0, "points": 81})
     if isinstance(lams, dict):
-        grid = np.linspace(float(lams["start"]), float(lams["stop"]),
-                           int(lams["points"]))
+        start, stop, points = _span(lams, "params.lambda_grid")
+        grid = np.linspace(float(start), float(stop), int(points))
     else:
         grid = np.asarray([float(v) for v in lams])
     table = mellin_symbol_table(kernel, rho, grid, quad)
@@ -652,7 +659,7 @@ def run_symbol_table(cfg, ctx):
 
 
 @operation("wiener_zero_scan")
-def run_zero_scan(cfg, ctx):
+def run_zero_scan(cfg):
     kernel = parse_kernel(cfg.get("kernel"))
     params = cfg.get("params", {})
     quad = _quad(params)
@@ -681,7 +688,7 @@ def run_zero_scan(cfg, ctx):
 
 
 @operation("exponential_solution_check")
-def run_exponential_solution(cfg, ctx):
+def run_exponential_solution(cfg):
     kernel = parse_kernel(cfg.get("kernel"))
     params = cfg.get("params", {})
     quad = _quad(params)
@@ -702,7 +709,7 @@ def run_exponential_solution(cfg, ctx):
 
 
 @operation("tauberian_roundtrip")
-def run_roundtrip(cfg, ctx):
+def run_roundtrip(cfg):
     order = parse_order(cfg.get("order"))
     measure = parse_measure(cfg.get("measure"))
     kernel = parse_kernel(cfg.get("kernel"))
@@ -730,7 +737,7 @@ def run_roundtrip(cfg, ctx):
 
 
 @operation("carleman_suite")
-def run_carleman(cfg, ctx):
+def run_carleman(cfg):
     params = cfg.get("params", {})
     line = params.get("line_measure", {})
     atoms = [(float(x), complex(*(w if isinstance(w, list) else [w, 0.0])))

@@ -19,7 +19,8 @@ from .dynamics import (convergence_trend, estimate_limit_set,
                        geometric_schedule, sample_trajectory,
                        verify_regular_limit_form)
 from .measures import DEFAULT_QUAD, MetricFamily, RadonMeasure, class_membership
-from .numerics import DivergenceError, golden_section_min
+from .numerics import (_WGK, _XGK, DivergenceError, _expand_windows,
+                       golden_section_min)
 from .transforms import KernelTransform, averaged_measure, integrability_report
 
 __all__ = [
@@ -39,14 +40,12 @@ class _SymbolQuadrature:
     """
 
     def __init__(self, kernel, rho, lam_max, quad=DEFAULT_QUAD):
-        from .numerics import _WGK, _XGK
-        self.quad = quad
         width = min(0.5, 2.0 * math.pi / (abs(lam_max) + 1.0) / 3.0)
         k_lo, k_hi = kernel.support
         sing_x = [math.log(s) for s in kernel.singular_points]
         bp_x = sorted({math.log(b) for b in kernel.breakpoints() if b > 0.0})
-        x_min_hard = math.log(k_lo) if k_lo > 0.0 else None
-        x_max_hard = math.log(k_hi) if not math.isinf(k_hi) else None
+        x_min_hard = math.log(k_lo) if k_lo > 0.0 else -math.inf
+        x_max_hard = math.log(k_hi)
 
         def panels(a, b):
             edges = {a, b}
@@ -67,53 +66,38 @@ class _SymbolQuadrature:
                 out.append(pts)
             return np.unique(np.concatenate(out))
 
-        def eval_panels(edges):
+        parts = []
+
+        def ring(a, b):
+            """Add the nodes of (a, b) to ``parts``; return its absolute mass."""
+            edges = panels(a, b)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
             xs = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
             ws = (half[:, None] * _WGK[None, :]).ravel()
-            t = np.exp(xs)
-            g = np.asarray(kernel(t), dtype=complex) * np.exp(rho * xs)
-            return xs, ws, g
+            g = np.asarray(kernel(np.exp(xs)), dtype=complex) * np.exp(rho * xs)
+            parts.append((xs, ws, g))
+            return float(np.sum(ws * np.abs(g)))
 
-        core_lo = max(math.log(quad.window_lo), x_min_hard if x_min_hard is not None else -math.inf)
-        core_hi = min(math.log(quad.window_hi), x_max_hard if x_max_hard is not None else math.inf)
+        core_lo = max(math.log(quad.window_lo), x_min_hard)
+        core_hi = min(math.log(quad.window_hi), x_max_hard)
         if core_hi <= core_lo:
             core_lo, core_hi = core_hi - 1.0, core_hi
-        xs, ws, g = eval_panels(panels(core_lo, core_hi))
-        parts = [(xs, ws, g)]
+        # rings are judged by absolute mass, so oscillation that cancels
+        # inside a ring cannot stop the expansion early
+        total = ring(core_lo, core_hi)
+        partials = [total]
         step = math.log(quad.expansion)
-
-        def expand(side, edge, hard):
-            calm = 0
-            for _ in range(quad.max_expansions):
-                if hard is not None and (edge <= hard if side == "lo" else edge >= hard):
-                    return True
-                nxt = edge - step if side == "lo" else edge + step
-                if hard is not None:
-                    nxt = max(nxt, hard) if side == "lo" else min(nxt, hard)
-                if abs(nxt) > 700.0:
-                    return calm >= 1
-                a, b = (nxt, edge) if side == "lo" else (edge, nxt)
-                exs, ews, eg = eval_panels(panels(a, b))
-                parts.append((exs, ews, eg))
-                ring_abs = float(np.sum(ews * np.abs(eg)))
-                total_abs = sum(float(np.sum(w * np.abs(v))) for _, w, v in parts)
-                edge = nxt
-                if ring_abs <= quad.tol * (1.0 + total_abs) + quad.abs_tol:
-                    calm += 1
-                    if calm >= 2:
-                        return True
-                else:
-                    calm = 0
-            return False
-
-        ok_lo = expand("lo", core_lo, x_min_hard)
-        ok_hi = expand("hi", core_hi, x_max_hard)
+        ok_lo, total = _expand_windows(
+            ring, core_lo, -1, lambda x: max(x - step, x_min_hard),
+            lambda x: abs(x) > 700.0, total, partials, quad, hard=x_min_hard)
+        ok_hi, total = _expand_windows(
+            ring, core_hi, 1, lambda x: min(x + step, x_max_hard),
+            lambda x: abs(x) > 700.0, total, partials, quad, hard=x_max_hard)
         if not (ok_lo and ok_hi):
             raise DivergenceError(
                 "Mellin symbol integral diverges at %s"
-                % ("zero" if not ok_lo else "infinity"))
+                % ("zero" if not ok_lo else "infinity"), partials=partials)
         self.xs = np.concatenate([p[0] for p in parts])
         self.wg = np.concatenate([p[1] * p[2] for p in parts])
 
@@ -140,9 +124,6 @@ class MellinSymbol:
     rho: float
     lambda_grid: tuple
     values: tuple
-
-    def interp_abs(self, lam):
-        return np.interp(lam, self.lambda_grid, np.abs(np.asarray(self.values)))
 
 
 def mellin_symbol_table(kernel, rho, lambdas, quad=DEFAULT_QUAD):

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .kernels import SmoothBumpKernel
 from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece
-from .numerics import DivergenceError, improper_quad, log_quad
+from .numerics import (DivergenceError, _expand_windows, converges,
+                       improper_quad, log_quad)
 from .orders import potter_factor
 
 __all__ = [
@@ -78,52 +80,29 @@ class KernelTransform:
             return self._cache[r]
         improper_lo = (u_lo == 0.0)
         improper_hi = math.isinf(u_hi)
-        if not improper_lo and not improper_hi:
-            val = self._window_term(r, u_lo, u_hi)
-        else:
-            ctrl = self.quad
-            core_lo = max(u_lo, ctrl.window_lo) if improper_lo else u_lo
-            core_hi = min(u_hi, ctrl.window_hi) if improper_hi else u_hi
-            if core_hi <= core_lo:
-                core_hi = core_lo * ctrl.expansion
-            total = self._window_term(r, core_lo, core_hi)
-            partials = [total]
-
-            def expand(side):
-                nonlocal total
-                edge = core_lo if side == "lo" else core_hi
-                calm = 0
-                for _ in range(ctrl.max_expansions):
-                    if side == "lo":
-                        nxt = edge / ctrl.expansion
-                        if nxt * r < 1e-300:
-                            return calm >= 1
-                        ring = self._window_term(r, nxt, edge)
-                    else:
-                        nxt = edge * ctrl.expansion
-                        if nxt * r > 1e300:
-                            return calm >= 1
-                        ring = self._window_term(r, edge, nxt)
-                    total += ring
-                    partials.append(total)
-                    edge = nxt
-                    if abs(ring) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
-                        calm += 1
-                        if calm >= 2:
-                            return True
-                    else:
-                        calm = 0
-                return False
-
-            ok_lo = expand("lo") if improper_lo else True
-            ok_hi = expand("hi") if improper_hi else True
-            if not (ok_lo and ok_hi):
-                raise DivergenceError(
-                    "transform integral failed the Cauchy criterion at %s"
-                    % ("zero" if not ok_lo else "infinity"), partials=partials)
-            val = total
-        self._cache[r] = val
-        return val
+        ctrl = self.quad
+        core_lo = max(u_lo, ctrl.window_lo) if improper_lo else u_lo
+        core_hi = min(u_hi, ctrl.window_hi) if improper_hi else u_hi
+        if core_hi <= core_lo:
+            core_hi = core_lo * ctrl.expansion
+        ring = partial(self._window_term, r)
+        total = ring(core_lo, core_hi)
+        partials = [total]
+        ok_lo = ok_hi = True
+        if improper_lo:
+            ok_lo, total = _expand_windows(
+                ring, core_lo, -1, lambda u: u / ctrl.expansion,
+                lambda u: u * r < 1e-300, total, partials, ctrl)
+        if improper_hi:
+            ok_hi, total = _expand_windows(
+                ring, core_hi, 1, lambda u: u * ctrl.expansion,
+                lambda u: u * r > 1e300, total, partials, ctrl)
+        if not (ok_lo and ok_hi):
+            raise DivergenceError(
+                "transform integral failed the Cauchy criterion at %s"
+                % ("zero" if not ok_lo else "infinity"), partials=partials)
+        self._cache[r] = total
+        return total
 
     def normalized(self, r):
         """Transform value divided by the comparison scale V(r)."""
@@ -446,8 +425,7 @@ def canonical_antiderivative(f, domain, quad=DEFAULT_QUAD):
     def integrand(t):
         return np.asarray(f(t))
 
-    from .numerics import tail_converges, head_converges
-    tail_ok, tail_val, _ = tail_converges(integrand, hi, quad)
+    tail_ok, tail_val, _ = converges(integrand, hi, None, quad)
     if tail_ok:
         # -int_t^oo f = S(t) - S(hi) - int_hi^oo f
         const = cum.total + tail_val
@@ -456,7 +434,7 @@ def canonical_antiderivative(f, domain, quad=DEFAULT_QUAD):
             return cum(t) - const
 
         return Antiderivative(PiecewiseFunction(fn, bps, label="tail"), "tail")
-    head_ok, head_val, partials = head_converges(integrand, lo, quad)
+    head_ok, head_val, partials = converges(integrand, 0.0, lo, quad)
     if not head_ok:
         raise DivergenceError(
             "no canonical antiderivative: both branch integrals diverge",

@@ -51,6 +51,38 @@ class TestRunErrors:
         assert run_cli(["run", path]) == 1
         assert "order.rho" in capsys.readouterr().err
 
+    def test_max_window_flag_rejected(self, tmp_path, capsys):
+        # the flag used to be accepted and then ignored
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "lattice_kernel_zeros", "--out-dir", tmp_path,
+                     "--max-window", 1])
+        assert exc.value.code == 2
+        assert "--max-window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("operation, params, path", [
+        ("oscillating_family_check", {}, "params.oscillation"),
+        ("limit_set_estimate", {"schedule": {"start": 1e3, "points": 8}},
+         "params.schedule.stop"),
+        ("transform_table", {"r_grid": {"start": 1.0, "stop": 10.0}},
+         "params.r_grid.points"),
+        ("periodic_family_check", {}, "params.period"),
+        ("sparse_flow_check", {"probe": {}}, "params.probe.interval"),
+        ("poisson_smoothing_check", {"checks": [{"r": 10.0}]},
+         "params.checks[0].bound"),
+        ("mellin_symbol_table", {"lambda_grid": {"stop": 1.0, "points": 3}},
+         "params.lambda_grid.start"),
+    ])
+    def test_missing_param_field_diagnostic(self, operation, params, path,
+                                            tmp_path, capsys):
+        cfg = {"operation": operation, "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "kernel": {"kind": "exp"}, "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: %s: missing required field" % path \
+            in capsys.readouterr().err
+
 
 class TestDecayScanConfig:
     def test_three_row_csv_matches_module_values(self, tmp_path, capsys):

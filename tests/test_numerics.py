@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from azarin.numerics import (DivergenceError, adaptive_quad,
+from azarin.numerics import (DivergenceError, QuadControl, adaptive_quad,
                              golden_section_min, improper_quad, log_quad,
                              panel_integrate)
 
@@ -58,6 +58,22 @@ def test_improper_divergence_carries_partials():
     with pytest.raises(DivergenceError) as err:
         improper_quad(lambda t: 1.0 / t, 0.0, 1.0)
     assert len(err.value.partials) > 2
+
+
+def test_float_range_exit_accepts_after_one_calm_ring():
+    # with 1e100-fold rings each end leaves the float range after two rings:
+    # exp(-t) has one calm ring per end and is accepted
+    wide = QuadControl(expansion=1e100)
+    val = improper_quad(lambda t: np.exp(-t), 0.0, None, wide)
+    assert abs(val - 1.0) < 1e-9
+
+
+def test_float_range_exit_rejects_without_a_calm_ring():
+    wide = QuadControl(expansion=1e100)
+    with pytest.raises(DivergenceError) as err:
+        improper_quad(lambda t: 1.0 / t, 1.0, None, wide)
+    # core (1, 4], then two rings of log(1e100) each before 4e300 > 1e300
+    assert len(err.value.partials) == 3
 
 
 def test_extra_terms_enter_cauchy_criterion():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
-from azarin.kernels import ExpKernel, StepKernel
+from azarin.kernels import ExpKernel, IndicatorKernel, PowerCutKernel, StepKernel
 from azarin.measures import (DensityPiece, LogPerturbFactor, RadonMeasure,
                              SelfSimilarTail)
+from azarin.numerics import DivergenceError
 from azarin.orders import ProximateOrder
 from azarin.special import lanczos_gamma
 from azarin.tauberian import (mellin_symbol, mellin_symbol_table,
@@ -45,6 +46,25 @@ class TestSymbol:
         table = mellin_symbol_table(LATTICE, 1.0, lams)
         for lam, v in zip(table.lambda_grid, table.values):
             assert abs(v - mellin_symbol(LATTICE, 1.0, lam)) < 1e-10
+
+    @pytest.mark.parametrize("lo", [0.0, 0.01])
+    def test_accepts_at_hard_support_edge(self, lo):
+        # the ring that reaches ln 10 (and ln 0.01) is not calm; a finite
+        # support edge accepts without waiting for calm rings
+        lams = np.linspace(-3.0, 3.0, 7)
+        table = mellin_symbol_table(IndicatorKernel(lo, 10.0), 1.0, lams)
+        want = (10.0 ** (1.0 + 1j * lams) - lo ** (1.0 + 1j * lams)) \
+            / (1.0 + 1j * lams)
+        assert np.max(np.abs(np.asarray(table.values) - want)) < 1e-10
+
+    def test_rings_are_calm_by_absolute_mass(self):
+        # K(t) t**(rho-1) = t**(-1 + i b) on (0, 1]: in x = ln t every ring of
+        # width ln 4 holds a whole period of e^{i b x}, so its signed integral
+        # vanishes while its absolute mass stays ln 4
+        rho = 0.5
+        b = 2.0 * math.pi / math.log(4.0)
+        with pytest.raises(DivergenceError, match="zero"):
+            mellin_symbol(PowerCutKernel(complex(-rho, b)), rho, 0.0)
 
 
 class TestZeroScan:

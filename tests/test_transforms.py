@@ -80,6 +80,31 @@ class TestTransformValue:
         with pytest.raises(DivergenceError):
             KernelTransform(LogSingularKernel(), LEB).value(2.0)
 
+    @pytest.mark.parametrize("kernel, measure, want", [
+        # measure hull (0, 0.1]: int_0^0.1 e^{-t} t^{-1/2} dt
+        (ExpKernel(),
+         RadonMeasure(pieces=[DensityPiece(lo=0.0, hi=0.1, exponent=-0.5)]),
+         math.sqrt(math.pi) * math.erf(math.sqrt(0.1))),
+        # kernel support (0, 0.1] against Lebesgue measure
+        (IndicatorKernel(0.0, 0.1), LEB, 0.1),
+    ], ids=["measure-end", "kernel-end"])
+    def test_finite_end_below_window_lo(self, kernel, measure, want):
+        # the finite end clips the window, so only zero is improper; the core
+        # then falls back to (window_lo, window_lo * expansion] = (0.25, 1]
+        # and rings grow downward from 0.25
+        tr = KernelTransform(kernel, measure)
+        seen = []
+        term = tr._window_term
+
+        def spy(r, u_lo, u_hi):
+            seen.append((u_lo, u_hi))
+            return term(r, u_lo, u_hi)
+
+        tr._window_term = spy
+        assert tr.value(1.0) == pytest.approx(want, rel=1e-9)
+        assert seen[:2] == [(0.25, 1.0), (0.0625, 0.25)]
+        assert all(u_hi <= 1.0 for _, u_hi in seen)
+
     def test_cache_hits(self):
         tr = KernelTransform(ExpKernel(), LEB)
         assert tr.value(2.0) == tr.value(2.0)

@@ -22,6 +22,7 @@ Validation failures raise ConfigError with a dotted field path.
 from __future__ import annotations
 
 import math
+import numbers
 
 from .kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                       PowerCutKernel, SmoothBumpKernel, StepKernel,
@@ -32,7 +33,7 @@ from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
                      TabulatedZero)
 
 __all__ = ["ConfigError", "parse_order", "parse_measure", "parse_kernel",
-           "parse_complex", "require", "validate_config"]
+           "parse_complex", "number", "require", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -44,9 +45,18 @@ def _fail(path, message):
 
 
 def require(cfg, key, path):
+    if not isinstance(cfg, dict):
+        _fail(path, "expected an object")
     if key not in cfg:
         _fail("%s.%s" % (path, key), "missing required field")
     return cfg[key]
+
+
+def number(value, path):
+    """``value`` as a float, or a ConfigError at ``path``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        _fail(path, "expected a number")
+    return float(value)
 
 
 def parse_complex(value, path):
@@ -221,6 +231,13 @@ def validate_config(cfg):
             if not ok:
                 raise ConfigError("params.%s: tolerance must be > 0" % key)
         if key.endswith("grid") or key == "schedule":
-            if isinstance(value, (list, tuple)) and len(value) == 0:
+            if isinstance(value, dict):
+                continue  # {start, stop, points}, checked where it is read
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError("params.%s: expected a list of numbers or a "
+                                  "{start, stop, points} object" % key)
+            if len(value) == 0:
                 raise ConfigError("params.%s: grid must be nonempty" % key)
+            for i, v in enumerate(value):
+                number(v, "params.%s[%d]" % (key, i))
     return cfg

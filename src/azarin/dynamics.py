@@ -37,17 +37,19 @@ def geometric_schedule(start, stop, points):
 
 
 def sample_trajectory(measure, order, schedule, fam=None, quad=DEFAULT_QUAD):
-    """Scaled measures mu_t along an increasing schedule with t_1 >= 1."""
+    """Scaled measures mu_t along an increasing schedule with t_1 >= 1.
+
+    The pairings of all samples come from one ``fam.flow_pairings`` call,
+    which integrates each family member along the whole schedule at once.
+    """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.size == 0 or schedule[0] < 1.0 or np.any(np.diff(schedule) <= 0):
         raise ValueError("schedule must be increasing with t >= 1")
     fam = fam or MetricFamily()
-    out = []
-    for t in schedule:
-        scaled = measure.scaled(order, t)
-        out.append(TrajectorySample(t=float(t), measure=scaled,
-                                    pairings=fam.pairings(scaled, quad)))
-    return out
+    pairings = fam.flow_pairings(measure, order, schedule, quad)
+    return [TrajectorySample(t=float(t), measure=measure.scaled(order, t),
+                             pairings=p)
+            for t, p in zip(schedule, pairings)]
 
 
 def _post_transient(samples, transient_fraction, top_decades):

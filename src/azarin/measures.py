@@ -606,6 +606,29 @@ def _dyadic_triples(count):
     return out
 
 
+# a longer run pays, in every column, for the breakpoints of all the others
+_MAX_FLOW_SPLITS = 32
+
+
+def _split_runs(scaled, f):
+    """Runs of consecutive samples that share one vector integral against f.
+
+    Every column of a shared integral is split at the breakpoints of all
+    the run's measures inside f's support, so a run ends before that union
+    (with f's interior knots) would exceed ``_MAX_FLOW_SPLITS`` points; a
+    run holds at least one sample.  Yields (slice, sorted split points).
+    """
+    lo, hi = f.support
+    start, splits = 0, set(f.knots[1:-1])
+    for i, s in enumerate(scaled):
+        pts = s.breakpoints_in(lo, hi)
+        if i > start and len(splits.union(pts)) > _MAX_FLOW_SPLITS:
+            yield slice(start, i), sorted(splits)
+            start, splits = i, set(f.knots[1:-1])
+        splits.update(pts)
+    yield slice(start, len(scaled)), sorted(splits)
+
+
 class MetricFamily:
     """The pinned countable family of dyadic trapezoid bumps.
 
@@ -637,6 +660,43 @@ class MetricFamily:
         quad = quad or self.quad
         return np.array([measure.pair(f, quad) for f in self.members],
                         dtype=complex)
+
+    def flow_pairings(self, measure, order, ts, quad=None):
+        """Pairings of mu_t = mu(t .)/V(t) for each t in ``ts``, one row per t.
+
+        Equal to pairing ``measure.scaled(order, t)`` for each t in turn,
+        but the density part of a member is one vector ``log_quad`` per run
+        of samples from ``_split_runs`` (the whole flow unless the scaled
+        measures have many breakpoints in the member's support): column j
+        integrates f(u) t_j density(t_j u)/V(t_j) with one base-density call
+        per batch.  Window checks run sample by sample, as ``pair`` does,
+        and atom sums stay per sample and member.
+        """
+        quad = quad or self.quad
+        ts = np.asarray(ts, dtype=float)
+        scaled = [measure.scaled(order, t) for t in ts]
+        for s in scaled:
+            for f in self.members:
+                s._check_window(*f.support)
+        out = np.zeros((ts.size, self.n_members), dtype=complex)
+        if measure.atom_x.size:
+            for i, s in enumerate(scaled):
+                for n, f in enumerate(self.members):
+                    xs, ws = s.atoms_in(f.lo * (1.0 - 1e-15), f.hi)
+                    if ws.size:
+                        out[i, n] = complex(np.sum(f(xs) * ws))
+        if measure.has_density():
+            gain = ts / np.asarray(order.scale(ts), dtype=float)
+            for n, f in enumerate(self.members):
+                for rows, splits in _split_runs(scaled, f):
+
+                    def integrand(u, f=f, rows=rows):
+                        dens = measure.density(np.multiply.outer(u, ts[rows]))
+                        return f(u)[:, None] * dens * gain[rows]
+
+                    out[rows, n] += log_quad(integrand, f.lo, f.hi, quad,
+                                             split_points=splits)
+        return out
 
     def distance_from_pairings(self, p1, p2):
         diff = np.abs(np.asarray(p1) - np.asarray(p2))

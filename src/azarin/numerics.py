@@ -9,6 +9,11 @@ and a ring is calm when its magnitude is at most
 row are calm, when the next edge would leave the float range after at least
 one calm ring, or when the window reaches a finite support edge; it is
 rejected after ``max_expansions`` rings.
+
+``adaptive_quad`` and ``log_quad`` accept vector integrands returning an
+(n, k) array for n nodes: the k integrals share segments, each column keeps
+its own budget ``tol * |I_j| + abs_tol``, and a segment is split while any
+column is over its share.
 """
 
 from __future__ import annotations
@@ -98,9 +103,13 @@ def _gk_eval(f, lo, hi):
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
     vals = np.asarray(f(nodes.ravel()))
-    vals = vals.reshape(nodes.shape)
+    if vals.ndim == 2:  # vector integrand: (segment, column, node)
+        vals = vals.reshape(nodes.shape + vals.shape[1:]).swapaxes(1, 2)
+        half = half[:, None]
+    else:
+        vals = vals.reshape(nodes.shape)
     i15 = half * (vals @ _WGK)
-    i7 = half * (vals[:, _G_IDX] @ _WG)
+    i7 = half * (vals[..., _G_IDX] @ _WG)
     return i15, np.abs(i15 - i7)
 
 
@@ -131,6 +140,12 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     ``split_points`` become segment boundaries; ``singular_points`` are also
     boundaries and receive a graded geometric subdivision (nodes are interior,
     so integrable endpoint singularities need no special values).
+
+    ``f`` maps n nodes to n values, or to an (n, k) array for k integrals
+    over one set of segments; then the result is an array of k values (an
+    empty interval gives a scalar 0).  Each column j has its own budget
+    ``tol * |I_j| + abs_tol``, shared over segments by length, and a
+    segment is split while any column is over its share.
     """
     a = float(a)
     b = float(b)
@@ -148,20 +163,27 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     seg_lo = edges[:-1]
     seg_hi = edges[1:]
     vals, errs = _gk_eval(f, seg_lo, seg_hi)
+    vector = vals.ndim == 2
     depth = np.zeros(seg_lo.size, dtype=int)
 
+    def result(total):
+        return total.astype(complex) if vector else complex(total)
+
     for _ in range(ctrl.max_depth):
-        total = np.sum(vals)
-        length = np.sum(seg_hi - seg_lo)
+        total = vals.sum(axis=0)
+        width = seg_hi - seg_lo
+        length = width.sum()
         budget = ctrl.tol * abs(total) + ctrl.abs_tol
-        share = budget * (seg_hi - seg_lo) / length
-        bad = (errs > share) & (depth < ctrl.max_depth)
+        if vector:
+            width = width[:, None]
+        over = errs > budget * width / length
+        bad = (over.any(axis=1) if vector else over) & (depth < ctrl.max_depth)
         if not bad.any():
-            return complex(total)
+            return result(total)
         if seg_lo.size + np.count_nonzero(bad) > ctrl.max_segments:
-            if np.sum(errs) < 100.0 * budget:
-                return complex(total)
-            raise QuadratureError("segment budget exhausted", estimate=complex(total))
+            if np.all(np.sum(errs, axis=0) < 100.0 * budget):
+                return result(total)
+            raise QuadratureError("segment budget exhausted", estimate=result(total))
         mid = 0.5 * (seg_lo[bad] + seg_hi[bad])
         new_lo = np.concatenate([seg_lo[~bad], seg_lo[bad], mid])
         new_hi = np.concatenate([seg_hi[~bad], mid, seg_hi[bad]])
@@ -174,10 +196,10 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         errs = np.concatenate([keep_errs, ref_errs])
         seg_lo, seg_hi, depth = new_lo, new_hi, new_depth
 
-    total = np.sum(vals)
-    if np.sum(errs) > 100.0 * (ctrl.tol * abs(total) + ctrl.abs_tol):
-        raise QuadratureError("max depth reached", estimate=complex(total))
-    return complex(total)
+    total = np.sum(vals, axis=0)
+    if np.any(np.sum(errs, axis=0) > 100.0 * (ctrl.tol * abs(total) + ctrl.abs_tol)):
+        raise QuadratureError("max depth reached", estimate=result(total))
+    return result(total)
 
 
 def log_quad(f, t_lo, t_hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
@@ -187,7 +209,8 @@ def log_quad(f, t_lo, t_hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=
 
     def g(xi):
         t = np.exp(xi)
-        return np.asarray(f(t)) * t
+        v = np.asarray(f(t))
+        return v * (t[:, None] if v.ndim == 2 else t)
 
     return adaptive_quad(
         g, math.log(t_lo), math.log(t_hi), ctrl,

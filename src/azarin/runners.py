@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman as carl
-from .configio import parse_kernel, parse_measure, parse_order, require
+from .configio import (ConfigError, number, parse_kernel, parse_measure,
+                       parse_order, require)
 from .dynamics import (convergence_trend, estimate_limit_set,
-                       geometric_schedule, positive_regularity_criterion,
-                       sample_trajectory, verify_regular_limit_form)
+                       positive_regularity_criterion, sample_trajectory,
+                       verify_regular_limit_form)
 from .measures import (MetricFamily, RadonMeasure, class_membership,
                        lower_density, upper_density)
 from .numerics import DEFAULT_QUAD
@@ -68,7 +69,8 @@ def _jsonable(value):
 
 def _span(given, path):
     """(start, stop, points) of a grid given as an object."""
-    return tuple(require(given, key, path) for key in ("start", "stop", "points"))
+    return tuple(number(require(given, key, path), "%s.%s" % (path, key))
+                 for key in ("start", "stop", "points"))
 
 
 def _grid(params, key, default_start, default_stop, default_points):
@@ -187,10 +189,13 @@ def run_poisson_smoothing(cfg):
     quad = _quad(params)
     rows = []
     verdict = True
-    for i, entry in enumerate(params.get("checks", [{"r": 1e4, "bound": 0.05}])):
+    checks = params.get("checks", [{"r": 1e4, "bound": 0.05}])
+    if not isinstance(checks, list):
+        raise ConfigError("params.checks: expected a list of {r, bound} objects")
+    for i, entry in enumerate(checks):
         path = "params.checks[%d]" % i
-        r = float(require(entry, "r", path))
-        bound = float(require(entry, "bound", path))
+        r = number(require(entry, "r", path), path + ".r")
+        bound = number(require(entry, "bound", path), path + ".bound")
         v1 = poisson_smoothed_scale(order, r, quad)
         v = float(order.scale(r))
         defect = abs(v1 / v - 1.0)
@@ -219,15 +224,6 @@ def _trajectory_table(samples):
     return ("trajectory.csv", ["t", "n", "re_pairing", "im_pairing"], rows)
 
 
-def _schedule(params, default=(1e3, 1e6, 48)):
-    given = params.get("schedule")
-    if given is None:
-        return geometric_schedule(*default)
-    if isinstance(given, dict):
-        return geometric_schedule(*_span(given, "params.schedule"))
-    return np.asarray([float(v) for v in given], dtype=float)
-
-
 @operation("limit_set_estimate")
 def run_limit_set(cfg):
     order = parse_order(cfg.get("order"))
@@ -235,7 +231,7 @@ def run_limit_set(cfg):
     params = cfg.get("params", {})
     quad = _quad(params)
     fam = MetricFamily(quad=quad)
-    schedule = _schedule(params)
+    schedule = _grid(params, "schedule", 1e3, 1e6, 48)
     samples = sample_trajectory(measure, order, schedule, fam, quad)
     est = estimate_limit_set(samples, fam,
                              eps_cluster=float(params.get("eps_cluster", 1e-3)))
@@ -272,7 +268,7 @@ def run_oscillating_family(cfg):
     lam0 = float(require(params, "oscillation", "params"))
     quad = _quad(params)
     fam = MetricFamily(quad=quad)
-    schedule = _schedule(params)
+    schedule = _grid(params, "schedule", 1e3, 1e6, 48)
     samples = sample_trajectory(measure, order, schedule, fam, quad)
     est = estimate_limit_set(samples, fam,
                              eps_cluster=float(params.get("eps_cluster", 1e-3)))
@@ -456,7 +452,7 @@ def run_kernel_limit_values(cfg):
     params = cfg.get("params", {})
     quad = _quad(params)
     tr = KernelTransform(kernel, measure, order, quad)
-    schedule = _schedule(params, default=(1e3, 1e9, 64))
+    schedule = _grid(params, "schedule", 1e3, 1e9, 64)
     eps = float(params.get("cluster_eps", 1e-4))
     clusters = normalized_limit_values(tr, schedule, eps=eps)
     tol = float(params.get("tol", 1e-4))
@@ -526,7 +522,7 @@ def run_averaged_limit(cfg):
     params = cfg.get("params", {})
     quad = _quad(params)
     fam = MetricFamily(quad=quad)
-    schedule = _schedule(params, default=(1e2, 1e6, 32))
+    schedule = _grid(params, "schedule", 1e2, 1e6, 32)
     hull = fam.support_hull()
     window = (schedule.min() * hull[0] / 4.0, schedule.max() * hull[1] * 4.0)
     tr = KernelTransform(kernel, measure, order, quad)
@@ -715,7 +711,7 @@ def run_roundtrip(cfg):
     kernel = parse_kernel(cfg.get("kernel"))
     params = cfg.get("params", {})
     quad = _quad(params)
-    schedule = _schedule(params, default=(1e2, 1e8, 176))
+    schedule = _grid(params, "schedule", 1e2, 1e8, 176)
     rep = tauberian_roundtrip(kernel, order, measure, schedule=schedule,
                               quad=quad,
                               ratio_tol=float(params.get("ratio_tol", 0.02)))

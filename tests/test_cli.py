@@ -84,6 +84,34 @@ class TestRunErrors:
             in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("operation, params, path, message", [
+        ("poisson_smoothing_check", {"checks": [5]}, "params.checks[0]",
+         "expected an object"),
+        ("poisson_smoothing_check", {"checks": 5}, "params.checks",
+         "expected a list of {r, bound} objects"),
+        ("poisson_smoothing_check", {"checks": [{"r": "big", "bound": 0.1}]},
+         "params.checks[0].r", "expected a number"),
+        ("transform_table", {"r_grid": 5}, "params.r_grid",
+         "expected a list of numbers or a {start, stop, points} object"),
+        ("transform_table", {"r_grid": [1.0, [2.0]]}, "params.r_grid[1]",
+         "expected a number"),
+        ("limit_set_estimate", {"schedule": 5}, "params.schedule",
+         "expected a list of numbers or a {start, stop, points} object"),
+        ("limit_set_estimate",
+         {"schedule": {"start": 1e3, "stop": None, "points": 8}},
+         "params.schedule.stop", "expected a number"),
+    ])
+    def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
+                                          tmp_path, capsys):
+        cfg = {"operation": operation, "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "kernel": {"kind": "exp"}, "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+
 class TestDecayScanConfig:
     def test_three_row_csv_matches_module_values(self, tmp_path, capsys):
         cfg = {

@@ -56,6 +56,24 @@ class TestTrajectory:
         for s in traj[1:]:
             assert fam.distance_from_pairings(s.pairings, base) == 0.0
 
+    def test_one_vector_integral_per_member(self, fam, monkeypatch):
+        # the roundtrip_regular flow: a per-sample pairing loop would take
+        # one GK batch per (sample, member), 176 * 64 of them
+        from azarin import numerics
+        batches = []
+        gk_eval = numerics._gk_eval
+
+        def counting_gk_eval(f, lo, hi):
+            batches.append(np.size(lo))
+            return gk_eval(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gk_eval", counting_gk_eval)
+        m = RadonMeasure.power_density(-0.3, factor=LogPerturbFactor("inv_log1p"))
+        traj = sample_trajectory(m, ProximateOrder(0.7),
+                                 geometric_schedule(1e2, 1e8, 176), fam)
+        assert len(traj) == 176
+        assert 0 < len(batches) <= 4 * fam.n_members
+
     def test_schedule_validation(self, fam):
         with pytest.raises(ValueError):
             sample_trajectory(periodic(), O1, [0.5, 2.0], fam)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
-                             RadonMeasure, SelfSimilarTail, TestFunction,
-                             azarin_scale, class_membership, lower_density,
-                             upper_density)
-from azarin.numerics import WindowError
-from azarin.orders import ProximateOrder
+from azarin.dynamics import geometric_schedule
+from azarin.kernels import ExpKernel
+from azarin.measures import (_MAX_FLOW_SPLITS, DensityPiece, LogFactor,
+                             LogPerturbFactor, RadonMeasure, SelfSimilarTail,
+                             TestFunction, _split_runs, azarin_scale,
+                             class_membership, lower_density, upper_density)
+from azarin.numerics import QuadControl, WindowError
+from azarin.orders import LogPowerZero, ProximateOrder
+from azarin.transforms import KernelTransform, averaged_measure
 
 O1 = ProximateOrder(1.0)
 
@@ -154,6 +158,105 @@ class TestAzarinScale:
             gaps.append(fam.distance_from_pairings(p, base))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 1e-3
+
+
+def _pairings_one_by_one(fam, measure, order, ts, quad=None):
+    return np.array([fam.pairings(measure.scaled(order, t), quad) for t in ts])
+
+
+@pytest.fixture(scope="module")
+def roundtrip_averaged(fam):
+    """The averaged measure, order and schedule of the roundtrip_regular flow."""
+    measure = RadonMeasure.power_density(-0.3, factor=LogPerturbFactor("inv_log1p"))
+    order = ProximateOrder(0.7)
+    ts = geometric_schedule(1e2, 1e8, 176)
+    lo, hi = fam.support_hull()
+    smoothed = averaged_measure(KernelTransform(ExpKernel(), measure, order),
+                                (ts.min() * lo / 4.0, ts.max() * hi * 4.0))
+    return smoothed, order.shifted(1.0), ts
+
+
+class TestFlowPairings:
+    """``MetricFamily.flow_pairings`` against pairing each mu_t in turn."""
+
+    @pytest.mark.parametrize("measure, order", [
+        (RadonMeasure.power_density(-0.5), ProximateOrder(0.5)),
+        (RadonMeasure.power_density(-0.3, factor=LogPerturbFactor("inv_log1p")),
+         ProximateOrder(0.7)),
+        (RadonMeasure.power_density(complex(-0.5, 2.0), interval=(0.0, 50.0),
+                                    factor=LogFactor()),
+         ProximateOrder(0.5, LogPowerZero(1.0, 0.5))),
+        (RadonMeasure(atoms=[(1.0, 1.0)],
+                      pieces=(DensityPiece(1.0, 1.25, coef=0.5, exponent=0.3),),
+                      tail=SelfSimilarTail(1.25, 1.0, 1.0)), O1),
+    ], ids=["power", "perturbed-power", "log-complex-order", "self-similar"])
+    def test_density_measures_agree(self, fam, measure, order):
+        ts = geometric_schedule(1.0, 1e4, 9)
+        want = _pairings_one_by_one(fam, measure, order, ts)
+        got = fam.flow_pairings(measure, order, ts)
+        assert got.shape == (ts.size, fam.n_members)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_split_runs_bound_the_shared_breakpoints(self, fam):
+        m = RadonMeasure(pieces=(DensityPiece(1.0, 1.25),),
+                         tail=SelfSimilarTail(1.25, 1.0, 1.0))
+        scaled = [m.scaled(O1, t) for t in geometric_schedule(1.0, 1e4, 9)]
+        f = TestFunction(0.25, 8.0)
+        runs = list(_split_runs(scaled, f))
+        assert len(runs) > 1
+        assert [r.start for r, _ in runs] == [0] + [r.stop for r, _ in runs[:-1]]
+        assert runs[-1][0].stop == len(scaled)
+        for rows, splits in runs:
+            own = set().union(*(s.breakpoints_in(f.lo, f.hi) for s in scaled[rows]))
+            assert set(splits) == own | set(f.knots[1:-1])
+            assert len(splits) <= _MAX_FLOW_SPLITS or rows.stop - rows.start == 1
+
+    def test_tabulated_averaged_measure_agrees(self, fam, roundtrip_averaged):
+        measure, order, ts = roundtrip_averaged
+        # at the default tolerance the one-by-one path misses this spline
+        # density by up to 2e-9 (see test_matches_scipy_on_averaged_flow),
+        # so both paths run at a tolerance where it resolves it
+        fine = QuadControl(tol=1e-12)
+        sub = ts[::10]
+        want = _pairings_one_by_one(fam, measure, order, sub, fine)
+        got = fam.flow_pairings(measure, order, sub, fine)
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    def test_matches_scipy_on_averaged_flow(self, fam, roundtrip_averaged):
+        measure, order, ts = roundtrip_averaged
+        f, t = fam.members[13], ts[160]   # support [1, 6], t = 3.06e7
+        scaled = measure.scaled(order, t)
+        knots = [math.exp(x) for x in scaled.pieces[0].log_nodes]
+        points = sorted({u for u in knots if f.lo < u < f.hi} | set(f.knots[1:-1]))
+        want, _ = quad(lambda u: (f(u) * scaled.density(np.array([u]))[0]).real,
+                       f.lo, f.hi, points=points, epsabs=0.0, epsrel=1e-13,
+                       limit=500)
+        got = fam.flow_pairings(measure, order, ts)[160, 13]
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("measure", [
+        periodic(),
+        RadonMeasure.from_atoms([(math.exp(n * n), math.exp(n * n))
+                                 for n in range(1, 5)]),
+        RadonMeasure.from_atoms([(0.5, 1.0), (3.0, -2.0j), (40.0, 0.25)]),
+    ], ids=["periodic", "sparse", "complex"])
+    def test_atom_only_measures_are_bit_equal(self, fam, measure):
+        order = ProximateOrder(0.8)
+        ts = geometric_schedule(1.0, 1e3, 11)
+        assert np.array_equal(fam.flow_pairings(measure, order, ts),
+                              _pairings_one_by_one(fam, measure, order, ts))
+
+    def test_window_error_is_the_first_one_by_one(self, fam):
+        # at t = 100 the members reaching past u = 5 leave the window, at
+        # t = 1000 also the first member: sample-major order reports t = 100
+        m = RadonMeasure.power_density(-0.5).with_window(1e-3, 500.0)
+        ts = [1.0, 10.0, 100.0, 1000.0]
+        with pytest.raises(WindowError) as want:
+            _pairings_one_by_one(fam, m, O1, ts)
+        with pytest.raises(WindowError) as got:
+            fam.flow_pairings(m, O1, ts)
+        assert str(got.value) == str(want.value)
+        assert "(1e-05, 5]" in str(got.value)
 
 
 class TestMetric:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from azarin.numerics import (DivergenceError, QuadControl, adaptive_quad,
-                             golden_section_min, improper_quad, log_quad,
-                             panel_integrate)
+from scipy.integrate import quad_vec
+
+from azarin.numerics import (DivergenceError, QuadControl, QuadratureError,
+                             adaptive_quad, golden_section_min, improper_quad,
+                             log_quad, panel_integrate)
 
 
 def test_adaptive_polynomials_exact():
@@ -35,6 +37,59 @@ def test_graded_endpoint_singularity():
     # integrable log singularity at 0
     val = adaptive_quad(lambda x: np.log(x), 0.0, 1.0, singular_points=[0.0])
     assert abs(val - (-1.0)) < 1e-8
+
+
+# a negligible absolute floor, so that each column is held to its relative budget
+FINE = QuadControl(abs_tol=1e-30)
+
+
+def _columns(*fns):
+    return lambda x: np.stack([g(x) for g in fns], axis=1)
+
+
+def _oracle(g, a, b, points=None):
+    return quad_vec(g, a, b, epsabs=0.0, epsrel=1e-13, points=points)[0]
+
+
+def _assert_columns(got, fns, a, b, points=None, rtol=1e-9):
+    assert got.shape == (len(fns),)
+    for val, g in zip(got, fns):
+        want = _oracle(g, a, b, points)
+        assert abs(val - want) <= rtol * abs(want), (val, want)
+
+
+def test_vector_integrand_smooth_columns():
+    # the second column is 1e-12 the size of the first and oscillates
+    fns = [np.exp, lambda x: 1e-12 * np.cos(40.0 * x) * np.exp(-x),
+           lambda x: np.sin(3.0 * x) + 1j * x ** 2]
+    _assert_columns(adaptive_quad(_columns(*fns), 0.0, 2.0, FINE), fns, 0.0, 2.0)
+
+
+def test_vector_integrand_kink_at_split_point():
+    fns = [lambda x: np.ones_like(x), lambda x: 1e-12 * np.abs(x - 0.3) ** 1.5,
+           lambda x: np.abs(x - 0.3)]
+    got = adaptive_quad(_columns(*fns), 0.0, 1.0, FINE, split_points=[0.3])
+    _assert_columns(got, fns, 0.0, 1.0, points=[0.3])
+
+
+def test_vector_columns_keep_their_own_budget():
+    # a kink off the split points in the small column only: a budget shared
+    # with the constant column would stop after the first batch
+    fns = [lambda x: np.ones_like(x), lambda x: 1e-12 * np.sqrt(np.abs(x - 0.3))]
+    got = adaptive_quad(_columns(*fns), 0.0, 1.0, FINE)
+    _assert_columns(got, fns, 0.0, 1.0, points=[0.3])
+
+
+def test_log_quad_vector_integrand():
+    fns = [lambda t: t ** -0.3, lambda t: 1e-12 * np.abs(np.log(t / 3.0)) * t ** 0.5]
+    got = log_quad(_columns(*fns), 0.5, 8.0, FINE, split_points=[3.0])
+    _assert_columns(got, fns, 0.5, 8.0, points=[3.0])
+
+
+def test_vector_column_that_cannot_converge_raises():
+    with pytest.raises(QuadratureError) as err:
+        adaptive_quad(_columns(np.ones_like, lambda x: 1.0 / x), 0.0, 1.0)
+    assert err.value.estimate.shape == (2,)
 
 
 def test_log_quad_power():

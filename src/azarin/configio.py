@@ -22,7 +22,6 @@ Validation failures raise ConfigError with a dotted field path.
 from __future__ import annotations
 
 import math
-import numbers
 
 from .kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                       PowerCutKernel, SmoothBumpKernel, StepKernel,
@@ -53,10 +52,11 @@ def require(cfg, key, path):
 
 
 def number(value, path):
-    """``value`` as a float, or a ConfigError at ``path``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``float(value)``, or a ConfigError at ``path``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
         _fail(path, "expected a number")
-    return float(value)
 
 
 def parse_complex(value, path):

@@ -39,17 +39,17 @@ def geometric_schedule(start, stop, points):
 def sample_trajectory(measure, order, schedule, fam=None, quad=DEFAULT_QUAD):
     """Scaled measures mu_t along an increasing schedule with t_1 >= 1.
 
-    The pairings of all samples come from one ``fam.flow_pairings`` call,
-    which integrates each family member along the whole schedule at once.
+    The samples and their pairings come from one ``fam.flow_pairings``
+    call, which integrates each family member along the whole schedule at
+    once.
     """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.size == 0 or schedule[0] < 1.0 or np.any(np.diff(schedule) <= 0):
         raise ValueError("schedule must be increasing with t >= 1")
     fam = fam or MetricFamily()
-    pairings = fam.flow_pairings(measure, order, schedule, quad)
-    return [TrajectorySample(t=float(t), measure=measure.scaled(order, t),
-                             pairings=p)
-            for t, p in zip(schedule, pairings)]
+    scaled, pairings = fam.flow_pairings(measure, order, schedule, quad)
+    return [TrajectorySample(t=float(t), measure=m, pairings=p)
+            for t, m, p in zip(schedule, scaled, pairings)]
 
 
 def _post_transient(samples, transient_fraction, top_decades):

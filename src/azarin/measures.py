@@ -8,6 +8,7 @@ piecewise without any abstract decomposition.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -451,13 +452,21 @@ class RadonMeasure:
         """(mu, f) = sum f(x_i) w_i + integral of f * density."""
         lo, hi = f.support
         self._check_window(lo, hi)
-        xs, ws = self.atoms_in(lo * (1.0 - 1e-15), hi)
-        total = complex(np.sum(f(xs) * ws)) if ws.size else 0.0 + 0.0j
+        total = self._atom_pairing(f)
         if self.has_density():
-            splits = sorted(set(self.breakpoints_in(lo, hi)) | set(f.knots[1:-1]))
             total += log_quad(lambda t: f(t) * self.density(t), lo, hi, quad,
-                              split_points=splits)
+                              split_points=self._pair_splits(f))
         return total
+
+    def _atom_pairing(self, f):
+        """sum f(x_i) w_i over the atoms in f's support."""
+        xs, ws = self.atoms_in(f.lo * (1.0 - 1e-15), f.hi)
+        return complex(np.sum(f(xs) * ws)) if ws.size else 0.0 + 0.0j
+
+    def _pair_splits(self, f):
+        """Split points of f * density: breakpoints in f's support, f's knots."""
+        lo, hi = f.support
+        return sorted(set(self.breakpoints_in(lo, hi)) | set(f.knots[1:-1]))
 
     def pair_split(self, f, xi=1.0, quad=DEFAULT_QUAD):
         """Pairings against f*chi_(0,xi] and f*chi_(xi,oo) (diagnostic)."""
@@ -469,7 +478,7 @@ class RadonMeasure:
             left += complex(np.sum(vals[xs <= xi]))
             right += complex(np.sum(vals[xs > xi]))
         if self.has_density():
-            splits = sorted(set(self.breakpoints_in(lo, hi)) | set(f.knots[1:-1]))
+            splits = self._pair_splits(f)
             if xi > lo:
                 left += log_quad(lambda t: f(t) * self.density(t), lo, min(xi, hi),
                                  quad, split_points=splits)
@@ -606,27 +615,17 @@ def _dyadic_triples(count):
     return out
 
 
-# a longer run pays, in every column, for the breakpoints of all the others
-_MAX_FLOW_SPLITS = 32
-
-
 def _split_runs(scaled, f):
-    """Runs of consecutive samples that share one vector integral against f.
+    """Runs of consecutive samples with the same split points against f.
 
-    Every column of a shared integral is split at the breakpoints of all
-    the run's measures inside f's support, so a run ends before that union
-    (with f's interior knots) would exceed ``_MAX_FLOW_SPLITS`` points; a
-    run holds at least one sample.  Yields (slice, sorted split points).
+    A run shares one vector integral, so no column is split at another
+    column's breakpoints.  Yields (slice, split points).
     """
-    lo, hi = f.support
-    start, splits = 0, set(f.knots[1:-1])
-    for i, s in enumerate(scaled):
-        pts = s.breakpoints_in(lo, hi)
-        if i > start and len(splits.union(pts)) > _MAX_FLOW_SPLITS:
-            yield slice(start, i), sorted(splits)
-            start, splits = i, set(f.knots[1:-1])
-        splits.update(pts)
-    yield slice(start, len(scaled)), sorted(splits)
+    start = 0
+    for splits, run in itertools.groupby(s._pair_splits(f) for s in scaled):
+        stop = start + sum(1 for _ in run)
+        yield slice(start, stop), splits
+        start = stop
 
 
 class MetricFamily:
@@ -662,15 +661,16 @@ class MetricFamily:
                         dtype=complex)
 
     def flow_pairings(self, measure, order, ts, quad=None):
-        """Pairings of mu_t = mu(t .)/V(t) for each t in ``ts``, one row per t.
+        """mu_t = mu(t .)/V(t) for each t in ``ts`` and their pairings.
 
-        Equal to pairing ``measure.scaled(order, t)`` for each t in turn,
-        but the density part of a member is one vector ``log_quad`` per run
-        of samples from ``_split_runs`` (the whole flow unless the scaled
-        measures have many breakpoints in the member's support): column j
-        integrates f(u) t_j density(t_j u)/V(t_j) with one base-density call
-        per batch.  Window checks run sample by sample, as ``pair`` does,
-        and atom sums stay per sample and member.
+        Returns the list of scaled measures and the ``(len(ts), n_members)``
+        array of their pairings, equal to pairing each mu_t in turn.  The
+        density part of a member is one vector ``log_quad`` per run of
+        samples with the same split points (``_split_runs``; the whole flow
+        when no scaled measure has breakpoints in the member's support):
+        column j integrates f(u) t_j density(t_j u)/V(t_j) with one
+        base-density call per batch.  Window checks run sample by sample, as ``pair``
+        does, and atom sums stay per sample and member.
         """
         quad = quad or self.quad
         ts = np.asarray(ts, dtype=float)
@@ -682,9 +682,7 @@ class MetricFamily:
         if measure.atom_x.size:
             for i, s in enumerate(scaled):
                 for n, f in enumerate(self.members):
-                    xs, ws = s.atoms_in(f.lo * (1.0 - 1e-15), f.hi)
-                    if ws.size:
-                        out[i, n] = complex(np.sum(f(xs) * ws))
+                    out[i, n] = s._atom_pairing(f)
         if measure.has_density():
             gain = ts / np.asarray(order.scale(ts), dtype=float)
             for n, f in enumerate(self.members):
@@ -696,7 +694,7 @@ class MetricFamily:
 
                     out[rows, n] += log_quad(integrand, f.lo, f.hi, quad,
                                              split_points=splits)
-        return out
+        return scaled, out
 
     def distance_from_pairings(self, p1, p2):
         diff = np.abs(np.asarray(p1) - np.asarray(p2))

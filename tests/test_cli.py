@@ -111,6 +111,17 @@ class TestRunErrors:
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
 
+    def test_numeric_strings_are_numbers(self, tmp_path):
+        # every grid entry and span field is read with float()
+        cfg = {"operation": "transform_table", "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "kernel": {"kind": "exp"}, "params": {"r_grid": ["10", "1e2"]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 0
+        rows = (tmp_path / "transform.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [10.0, 100.0]
+
 
 class TestDecayScanConfig:
     def test_three_row_csv_matches_module_values(self, tmp_path, capsys):

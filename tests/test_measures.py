@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from azarin.dynamics import geometric_schedule
 from azarin.kernels import ExpKernel
-from azarin.measures import (_MAX_FLOW_SPLITS, DensityPiece, LogFactor,
-                             LogPerturbFactor, RadonMeasure, SelfSimilarTail,
-                             TestFunction, _split_runs, azarin_scale,
-                             class_membership, lower_density, upper_density)
+from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
+                             RadonMeasure, SelfSimilarTail, TestFunction,
+                             _split_runs, azarin_scale, class_membership,
+                             lower_density, upper_density)
 from azarin.numerics import QuadControl, WindowError
 from azarin.orders import LogPowerZero, ProximateOrder
 from azarin.transforms import KernelTransform, averaged_measure
@@ -193,23 +193,28 @@ class TestFlowPairings:
     def test_density_measures_agree(self, fam, measure, order):
         ts = geometric_schedule(1.0, 1e4, 9)
         want = _pairings_one_by_one(fam, measure, order, ts)
-        got = fam.flow_pairings(measure, order, ts)
+        scaled, got = fam.flow_pairings(measure, order, ts)
+        assert [s.pieces for s in scaled] == [measure.scaled(order, t).pieces
+                                              for t in ts]
         assert got.shape == (ts.size, fam.n_members)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
-    def test_split_runs_bound_the_shared_breakpoints(self, fam):
-        m = RadonMeasure(pieces=(DensityPiece(1.0, 1.25),),
-                         tail=SelfSimilarTail(1.25, 1.0, 1.0))
-        scaled = [m.scaled(O1, t) for t in geometric_schedule(1.0, 1e4, 9)]
+    @pytest.mark.parametrize("ts, n_runs", [
+        (geometric_schedule(1.0, 1e4, 9), 9),
+        ([2.0 ** k for k in range(8)], 1),
+    ], ids=["generic", "lattice"])
+    def test_split_runs_share_only_equal_split_points(self, ts, n_runs):
+        # a period-2 flow sampled on powers of 2 repeats its breakpoints
+        m = RadonMeasure(pieces=(DensityPiece(1.0, 2.0),),
+                         tail=SelfSimilarTail(2.0, 1.0, 1.0))
+        scaled = [m.scaled(O1, t) for t in ts]
         f = TestFunction(0.25, 8.0)
         runs = list(_split_runs(scaled, f))
-        assert len(runs) > 1
+        assert len(runs) == n_runs
         assert [r.start for r, _ in runs] == [0] + [r.stop for r, _ in runs[:-1]]
         assert runs[-1][0].stop == len(scaled)
         for rows, splits in runs:
-            own = set().union(*(s.breakpoints_in(f.lo, f.hi) for s in scaled[rows]))
-            assert set(splits) == own | set(f.knots[1:-1])
-            assert len(splits) <= _MAX_FLOW_SPLITS or rows.stop - rows.start == 1
+            assert all(s._pair_splits(f) == splits for s in scaled[rows])
 
     def test_tabulated_averaged_measure_agrees(self, fam, roundtrip_averaged):
         measure, order, ts = roundtrip_averaged
@@ -219,7 +224,7 @@ class TestFlowPairings:
         fine = QuadControl(tol=1e-12)
         sub = ts[::10]
         want = _pairings_one_by_one(fam, measure, order, sub, fine)
-        got = fam.flow_pairings(measure, order, sub, fine)
+        _, got = fam.flow_pairings(measure, order, sub, fine)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
     def test_matches_scipy_on_averaged_flow(self, fam, roundtrip_averaged):
@@ -231,7 +236,7 @@ class TestFlowPairings:
         want, _ = quad(lambda u: (f(u) * scaled.density(np.array([u]))[0]).real,
                        f.lo, f.hi, points=points, epsabs=0.0, epsrel=1e-13,
                        limit=500)
-        got = fam.flow_pairings(measure, order, ts)[160, 13]
+        got = fam.flow_pairings(measure, order, ts)[1][160, 13]
         assert abs(got - want) <= 1e-10 * abs(want)
 
     @pytest.mark.parametrize("measure", [
@@ -243,7 +248,7 @@ class TestFlowPairings:
     def test_atom_only_measures_are_bit_equal(self, fam, measure):
         order = ProximateOrder(0.8)
         ts = geometric_schedule(1.0, 1e3, 11)
-        assert np.array_equal(fam.flow_pairings(measure, order, ts),
+        assert np.array_equal(fam.flow_pairings(measure, order, ts)[1],
                               _pairings_one_by_one(fam, measure, order, ts))
 
     def test_window_error_is_the_first_one_by_one(self, fam):

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .catalog import builtin_config, builtin_names
-from .configio import ConfigError, validate_config
+from .configio import ConfigError, tol_key, validate_config
 from .numerics import DivergenceError, NumericsError
 from .runners import REGISTRY, _jsonable
 
@@ -40,14 +40,11 @@ def write_csv(path, header, rows):
 
 
 def _apply_overrides(cfg, args):
-    params = dict(cfg.get("params", {}))
-    if args.tol_override is not None:
-        for key in list(params):
-            if key.endswith("tol"):
-                params[key] = args.tol_override
-    cfg = dict(cfg)
-    cfg["params"] = params
-    return cfg
+    params = cfg.get("params")
+    if args.tol_override is None or not isinstance(params, dict):
+        return cfg
+    return dict(cfg, params={key: args.tol_override if tol_key(key) else value
+                             for key, value in params.items()})
 
 
 def _load_config(source):
@@ -119,7 +116,9 @@ def build_parser():
     p_run.add_argument("--out-dir", default="azarin-out",
                        help="directory for emitted JSON/CSV (default azarin-out)")
     p_run.add_argument("--tol-override", type=float, default=None,
-                       help="replace every *_tol parameter in the config")
+                       help="replace the value of every params key ending in "
+                            "'tol' that the config sets (top level of params "
+                            "only; eps_cluster is left as it is)")
     p_run.set_defaults(fn=cmd_run)
     p_list = sub.add_parser("list-builtins", help="print the builtin registry")
     p_list.set_defaults(fn=cmd_list_builtins)

@@ -32,7 +32,7 @@ from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
                      TabulatedZero)
 
 __all__ = ["ConfigError", "parse_order", "parse_measure", "parse_kernel",
-           "parse_complex", "number", "require", "validate_config"]
+           "parse_complex", "number", "require", "tol_key", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -63,7 +63,7 @@ def parse_complex(value, path):
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(number(value[0], path), number(value[1], path))
     _fail(path, "expected a number or [re, im] pair")
 
 
@@ -213,6 +213,12 @@ def parse_kernel(cfg, path="kernel"):
     _fail(path + ".kind", "unknown kernel kind %r" % kind)
 
 
+def tol_key(key):
+    """Whether params ``key`` is a ``*tol`` tolerance: ``--tol-override``
+    rewrites these, and they (and ``eps_cluster``) must be > 0."""
+    return key.endswith("tol")
+
+
 def validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
@@ -223,21 +229,11 @@ def validate_config(cfg):
     if not isinstance(params, dict):
         raise ConfigError("params: expected an object")
     for key, value in params.items():
-        if key.endswith("tol") or key == "eps_cluster":
+        if tol_key(key) or key == "eps_cluster":
             try:
                 ok = float(value) > 0.0
             except (TypeError, ValueError):
                 ok = False
             if not ok:
                 raise ConfigError("params.%s: tolerance must be > 0" % key)
-        if key.endswith("grid") or key == "schedule":
-            if isinstance(value, dict):
-                continue  # {start, stop, points}, checked where it is read
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError("params.%s: expected a list of numbers or a "
-                                  "{start, stop, points} object" % key)
-            if len(value) == 0:
-                raise ConfigError("params.%s: grid must be nonempty" % key)
-            for i, v in enumerate(value):
-                number(v, "params.%s[%d]" % (key, i))
     return cfg

@@ -1,6 +1,7 @@
 """Operation registry binding config documents to library calls.
 
-Each runner consumes a validated config and returns a RunResult holding an
+Each registered runner takes a validated config, reads the parameters its
+signature declares (see ``operation``) and returns a RunResult holding an
 optional pass/fail verdict, a JSON-ready report and CSV tables.  Runners
 are deterministic: every grid and schedule is either spelled out in the
 config or has a fixed default; sample batches use a fixed low-discrepancy
@@ -9,32 +10,37 @@ lattice instead of random draws.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import carleman as carl
-from .configio import (ConfigError, number, parse_kernel, parse_measure,
-                       parse_order, require)
+from .configio import (ConfigError, number, parse_complex, parse_kernel,
+                       parse_measure, parse_order, require)
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
-from .measures import (MetricFamily, RadonMeasure, class_membership,
-                       lower_density, upper_density)
+from .measures import (MetricFamily, RadonMeasure, TestFunction,
+                       class_membership, lower_density, upper_density)
 from .numerics import DEFAULT_QUAD
 from .orders import (poisson_smoothed_scale, potter_bound_report,
                      potter_decay_scan, potter_factor)
 from .special import lanczos_gamma
 from .tauberian import (mellin_symbol_table, tauberian_roundtrip,
                         verify_exponential_solution, wiener_zero_scan)
-from .transforms import (KernelTransform, averaged_measure,
+from .transforms import (KernelTransform, PiecewiseFunction, averaged_measure,
                          check_antiderivative_identity, integrability_report,
                          neutralization_report, normalized_limit_values,
                          order_diagnostic, stable_order_report,
                          verify_averaged_limit_densities)
 
 REGISTRY = {}
+# runner parameters with these names take the parsed top-level descriptor
+_DESCRIPTORS = {"order": parse_order, "measure": parse_measure,
+                "kernel": parse_kernel}
 
 
 @dataclass
@@ -45,10 +51,141 @@ class RunResult:
 
 
 def operation(name):
+    """Register a runner under ``name``; the registered function takes a config.
+
+    The runner's signature declares what it reads from the config:
+    ``order``, ``measure`` and ``kernel`` are the parsed descriptors and
+    ``quad`` is the ``QuadControl`` that ``params.quad_tol`` sets.  Each
+    other parameter reads the ``params`` key of its name as its default
+    says: no default, a required number; a float, a number; an int, an
+    integer (a ``Count``, one >= 1); a str, a string; a dict, an object; a
+    ``Numbers`` or ``Grid`` marker, what the marker reads; None or a list,
+    the value as given.  Any other ``params`` key is a ConfigError.
+    """
     def deco(fn):
-        REGISTRY[name] = fn
-        return fn
+        spec = inspect.signature(fn).parameters
+        keys = {key for key in spec if key not in _DESCRIPTORS and key != "quad"}
+        if "quad" in spec:
+            keys.add("quad_tol")
+
+        @functools.wraps(fn)
+        def run(cfg):
+            return fn(**_arguments(spec, keys, cfg))
+
+        REGISTRY[name] = run
+        return run
     return deco
+
+
+def _arguments(spec, keys, cfg):
+    """The keyword arguments of a runner with parameters ``spec``."""
+    params = cfg.get("params", {})
+    for key in params:
+        if key not in keys:
+            raise ConfigError("params.%s: unknown parameter" % key)
+    args = {}
+    for key, param in spec.items():
+        path = "params." + key
+        default = param.default
+        if key in _DESCRIPTORS:
+            args[key] = _DESCRIPTORS[key](cfg.get(key))
+        elif key == "quad":
+            tol = params.get("quad_tol")
+            args[key] = (DEFAULT_QUAD if tol is None
+                         else DEFAULT_QUAD.with_tol(number(tol, "params.quad_tol")))
+        elif key not in params:
+            if default is param.empty:
+                raise ConfigError(path + ": missing required field")
+            args[key] = (default.default() if isinstance(default, Numbers)
+                         else default)
+        elif isinstance(default, Numbers):
+            args[key] = default.read(params[key], path)
+        elif default is param.empty or isinstance(default, float):
+            args[key] = number(params[key], path)
+        elif isinstance(default, int):
+            args[key] = _integer(params[key], path,
+                                 least=1 if isinstance(default, Count) else None)
+        elif isinstance(default, str) and not isinstance(params[key], str):
+            raise ConfigError(path + ": expected a string")
+        elif isinstance(default, dict) and not isinstance(params[key], dict):
+            raise ConfigError(path + ": expected an object")
+        else:
+            args[key] = params[key]
+    return args
+
+
+def _integer(value, path, least=None):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not x.is_integer() or (least is not None and x < least):
+        raise ConfigError("%s: expected an integer%s"
+                          % (path, "" if least is None else " >= %d" % least))
+    return int(x)
+
+
+def _complex(value, path):
+    # a Numbers item; looks parse_complex up at call time, so a rebinding of
+    # the module name (perfbench's tracer) reaches it
+    return parse_complex(value, path)
+
+
+class Count(int):
+    """Param marker: an integer >= 1."""
+
+
+class Numbers:
+    """Param marker: a list whose entries ``item`` reads (numbers by default),
+    of exactly ``length`` entries, or of at least one with ``nonempty``."""
+
+    def __init__(self, default=None, item=None, length=None, nonempty=False):
+        self.value = default
+        self.item = item
+        self.length = length
+        self.nonempty = nonempty
+
+    def default(self):
+        return None if self.value is None else list(self.value)
+
+    def read(self, value, path):
+        if value is None and self.value is None:
+            return None   # null reads as absent where absent means None
+        if not isinstance(value, list):
+            raise ConfigError(path + ": expected a list")
+        if self.length is not None and len(value) != self.length:
+            raise ConfigError("%s: expected a list of %d entries"
+                              % (path, self.length))
+        if self.nonempty and not value:
+            raise ConfigError(path + ": expected a nonempty list")
+        item = self.item or number
+        return [item(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+
+
+class Grid(Numbers):
+    """Param marker: a nonempty list of numbers, or ``{start, stop, points}``
+    spread by ``space``; absent, ``space(start, stop, points)`` of the
+    marker (None without them)."""
+
+    def __init__(self, start=None, stop=None, points=None, space=np.geomspace):
+        super().__init__(nonempty=True)
+        self.span = (start, stop, points)
+        self.space = space
+
+    def default(self):
+        return None if self.span[0] is None else self.space(*self.span)
+
+    def read(self, value, path):
+        if isinstance(value, dict):
+            start, stop = (number(require(value, key, path), "%s.%s" % (path, key))
+                           for key in ("start", "stop"))
+            points = _integer(require(value, "points", path), path + ".points",
+                              least=1)
+            return self.space(start, stop, points)
+        if not isinstance(value, list):
+            raise ConfigError("%s: expected a list of numbers or a "
+                              "{start, stop, points} object" % path)
+        return np.asarray(super().read(value, path), dtype=float)
 
 
 def _jsonable(value):
@@ -65,30 +202,6 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)
     return value
-
-
-def _span(given, path):
-    """(start, stop, points) of a grid given as an object."""
-    return tuple(number(require(given, key, path), "%s.%s" % (path, key))
-                 for key in ("start", "stop", "points"))
-
-
-def _grid(params, key, default_start, default_stop, default_points):
-    given = params.get(key)
-    if given is None:
-        return np.geomspace(default_start, default_stop, default_points)
-    if isinstance(given, dict):
-        start, stop, points = _span(given, "params." + key)
-        return np.geomspace(float(start), float(stop), int(points))
-    return np.asarray([float(v) for v in given], dtype=float)
-
-
-def _quad(params):
-    tol = params.get("quad_tol")
-    ctrl = DEFAULT_QUAD
-    if tol is not None:
-        ctrl = ctrl.with_tol(float(tol))
-    return ctrl
 
 
 def _lattice_pairs(count, ln_range):
@@ -108,20 +221,18 @@ def _lattice_pairs(count, ln_range):
 
 
 @operation("gamma_suite")
-def run_gamma_suite(cfg):
-    order = parse_order(cfg.get("order"))
-    params = cfg.get("params", {})
-    tol = float(params.get("tol", 1e-6))
+def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
+                    dominance_points=Count(50),
+                    decay_exponents=Numbers([16.0, 36.0, 100.0]),
+                    expected_decay=Numbers(), decay_tol=1e-3):
     at_one = potter_factor(order, 1.0)
-    pairs = _lattice_pairs(int(params.get("pairs", 100)),
-                           float(params.get("ln_range", 10.0)))
     submult_worst = 0.0
-    for t1, t2 in pairs:
+    for t1, t2 in _lattice_pairs(pairs, ln_range):
         g12 = potter_factor(order, t1 * t2)
         g1 = potter_factor(order, t1)
         g2 = potter_factor(order, t2)
         submult_worst = max(submult_worst, g12 / (g1 * g2) - 1.0)
-    ts = np.geomspace(1e-6, 1e6, int(params.get("dominance_points", 50)))
+    ts = np.geomspace(1e-6, 1e6, dominance_points)
     dominance_worst = 0.0
     for t in ts:
         dominance_worst = max(dominance_worst,
@@ -129,8 +240,7 @@ def run_gamma_suite(cfg):
     lower_ok = all(potter_factor(order, 1.0 / t) >= 0 and
                    1.0 / potter_factor(order, 1.0 / t) <= potter_factor(order, t)
                    * (1.0 + 1e-12) for t in ts[:: max(1, ts.size // 10)])
-    exponents = params.get("decay_exponents", [16.0, 36.0, 100.0])
-    scan = potter_decay_scan(order, [math.exp(e) for e in exponents])
+    scan = potter_decay_scan(order, [math.exp(e) for e in decay_exponents])
     decays = [row[1] for row in scan]
     strictly_decreasing = all(b < a for a, b in zip(decays, decays[1:]))
     report = {
@@ -141,12 +251,11 @@ def run_gamma_suite(cfg):
         "decay_rows": [list(r) for r in scan],
         "decay_strictly_decreasing": strictly_decreasing,
     }
-    expected = params.get("expected_decay")
     decay_ok = True
-    if expected is not None:
-        decay_ok = all(abs(got - want) <= float(params.get("decay_tol", 1e-3))
-                       for got, want in zip(decays, expected))
-        report["expected_decay"] = expected
+    if expected_decay is not None:
+        decay_ok = all(abs(got - want) <= decay_tol
+                       for got, want in zip(decays, expected_decay))
+        report["expected_decay"] = expected_decay
     verdict = (at_one == 1.0 and submult_worst <= tol
                and dominance_worst <= 1e-9 and strictly_decreasing
                and decay_ok and lower_ok)
@@ -156,11 +265,8 @@ def run_gamma_suite(cfg):
 
 
 @operation("potter_decay_scan")
-def run_potter_decay_scan(cfg):
-    order = parse_order(cfg.get("order"))
-    params = cfg.get("params", {})
-    ts = _grid(params, "t_grid", math.exp(16.0), math.exp(100.0), 3)
-    rows = potter_decay_scan(order, ts)
+def run_potter_decay_scan(order, t_grid=Grid(math.exp(16.0), math.exp(100.0), 3)):
+    rows = potter_decay_scan(order, t_grid)
     report = {"rows": [list(r) for r in rows]}
     return RunResult(None, report,
                      [("potter_decay.csv", ["t", "forward", "backward"],
@@ -168,28 +274,21 @@ def run_potter_decay_scan(cfg):
 
 
 @operation("potter_check")
-def run_potter_check(cfg):
-    order = parse_order(cfg.get("order"))
-    params = cfg.get("params", {})
-    pairs = params.get("pairs")
+def run_potter_check(order, pairs=Numbers(item=Numbers(length=2).read),
+                     count=Count(1000), ln_range=20.0, tol=1e-6):
     if pairs is None:
-        pairs = _lattice_pairs(int(params.get("count", 1000)),
-                               float(params.get("ln_range", 20.0)))
-    rep = potter_bound_report(order, pairs,
-                              tolerance=float(params.get("tol", 1e-6)))
+        pairs = _lattice_pairs(count, ln_range)
+    rep = potter_bound_report(order, pairs, tolerance=tol)
     report = {"max_violation": rep.max_violation, "passed": rep.passed,
               "worst_pair": rep.worst_pair}
     return RunResult(rep.passed, report)
 
 
 @operation("poisson_smoothing_check")
-def run_poisson_smoothing(cfg):
-    order = parse_order(cfg.get("order"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_poisson_smoothing(order, quad, checks=[{"r": 1e4, "bound": 0.05}],
+                          symmetry_r=37.5, symmetry_tol=1e-8):
     rows = []
     verdict = True
-    checks = params.get("checks", [{"r": 1e4, "bound": 0.05}])
     if not isinstance(checks, list):
         raise ConfigError("params.checks: expected a list of {r, bound} objects")
     for i, entry in enumerate(checks):
@@ -201,12 +300,10 @@ def run_poisson_smoothing(cfg):
         defect = abs(v1 / v - 1.0)
         rows.append([r, v1, v, defect, bound])
         verdict = verdict and defect < bound
-    sym_r = float(params.get("symmetry_r", 37.5))
-    sym_gap = abs(poisson_smoothed_scale(order, sym_r, quad)
-                  - poisson_smoothed_scale(order, 1.0 / sym_r, quad))
-    sym_tol = float(params.get("symmetry_tol", 1e-8))
-    verdict = verdict and sym_gap <= sym_tol
-    report = {"rows": rows, "symmetry_gap": sym_gap, "symmetry_tol": sym_tol}
+    sym_gap = abs(poisson_smoothed_scale(order, symmetry_r, quad)
+                  - poisson_smoothed_scale(order, 1.0 / symmetry_r, quad))
+    verdict = verdict and sym_gap <= symmetry_tol
+    report = {"rows": rows, "symmetry_gap": sym_gap, "symmetry_tol": symmetry_tol}
     return RunResult(verdict, report,
                      [("poisson_smoothing.csv",
                        ["r", "smoothed", "scale", "rel_defect", "bound"], rows)])
@@ -225,16 +322,11 @@ def _trajectory_table(samples):
 
 
 @operation("limit_set_estimate")
-def run_limit_set(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
+                  eps_cluster=1e-3, target=None):
     fam = MetricFamily(quad=quad)
-    schedule = _grid(params, "schedule", 1e3, 1e6, 48)
     samples = sample_trajectory(measure, order, schedule, fam, quad)
-    est = estimate_limit_set(samples, fam,
-                             eps_cluster=float(params.get("eps_cluster", 1e-3)))
+    est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster)
     trend = convergence_trend(samples, fam)
     report = {
         "clusters": len(est.clusters),
@@ -247,59 +339,55 @@ def run_limit_set(cfg):
                   "ratio": trend.ratio, "converged": trend.converged},
     }
     verdict = None
-    target = params.get("target")
     if target is not None:
-        exponent = complex(float(target.get("exponent", order.rho - 1.0)),
-                           float(target.get("oscillation", 0.0)))
-        coef = complex(float(target.get("coef", 1.0)))
-        nu = RadonMeasure.power_density(exponent, coef=coef)
+        if not isinstance(target, dict):
+            raise ConfigError("params.target: expected an object")
+        exponent, oscillation, coef, tol_d = (
+            number(target.get(key, value), "params.target." + key)
+            for key, value in (("exponent", order.rho - 1.0), ("oscillation", 0.0),
+                               ("coef", 1.0), ("tol_d", 1e-3)))
+        nu = RadonMeasure.power_density(complex(exponent, oscillation),
+                                        coef=complex(coef))
         target_p = fam.pairings(nu, quad)
         d = fam.distance_from_pairings(est.limit_pairings[0], target_p)
         report["target_distance"] = d
-        verdict = est.regular and d <= float(target.get("tol_d", 1e-3))
+        verdict = est.regular and d <= tol_d
     return RunResult(verdict, report, [_trajectory_table(samples)])
 
 
 @operation("oscillating_family_check")
-def run_oscillating_family(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    lam0 = float(require(params, "oscillation", "params"))
-    quad = _quad(params)
+def run_oscillating_family(order, measure, oscillation, quad,
+                           schedule=Grid(1e3, 1e6, 48), eps_cluster=1e-3,
+                           tol_d=2e-3):
     fam = MetricFamily(quad=quad)
-    schedule = _grid(params, "schedule", 1e3, 1e6, 48)
     samples = sample_trajectory(measure, order, schedule, fam, quad)
-    est = estimate_limit_set(samples, fam,
-                             eps_cluster=float(params.get("eps_cluster", 1e-3)))
-    tol = float(params.get("tol_d", 2e-3))
+    est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster)
     rows = []
     worst = 0.0
     for t_star, p in zip(est.representative_ts, est.representative_pairings):
-        # predicted member: density t*^{i lam0} u^{i lam0 + rho - 1}
-        phase = complex(np.exp(1j * lam0 * math.log(t_star)))
-        nu = RadonMeasure.power_density(complex(order.rho - 1.0, lam0),
+        # predicted member: density t*^{i osc} u^{i osc + rho - 1}
+        phase = complex(np.exp(1j * oscillation * math.log(t_star)))
+        nu = RadonMeasure.power_density(complex(order.rho - 1.0, oscillation),
                                         coef=phase)
         d = fam.distance_from_pairings(p, fam.pairings(nu, quad))
         rows.append([t_star, d])
         worst = max(worst, d)
     report = {"clusters": len(est.clusters), "max_family_distance": worst,
               "rows": rows}
-    return RunResult(worst <= tol, report,
+    return RunResult(worst <= tol_d, report,
                      [("family_match.csv", ["t", "distance"], rows)])
 
 
 @operation("periodic_family_check")
-def run_periodic_family(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_periodic_family(order, measure, quad, period=None, tau_points=Count(16),
+                        base_power=36, eps_cluster=1e-3, exact_tol=1e-12):
     fam = MetricFamily(quad=quad)
-    period = (measure.tail.period if measure.tail
-              else float(require(params, "period", "params")))
-    tau_points = int(params.get("tau_points", 16))
-    base_power = int(params.get("base_power", 36))
+    if measure.tail:
+        period = measure.tail.period
+    elif period is None:
+        raise ConfigError("params.period: missing required field")
+    else:
+        period = number(period, "params.period")
     taus = [period ** (k / tau_points) for k in range(tau_points)]
     exact_worst = 0.0
     for tau in taus:
@@ -312,8 +400,7 @@ def run_periodic_family(cfg):
     schedule = sorted(tau * period ** k for tau in taus
                       for k in range(base_power, base_power + 3))
     samples = sample_trajectory(measure, order, np.array(schedule), fam, quad)
-    eps = float(params.get("eps_cluster", 1e-3))
-    est = estimate_limit_set(samples, fam, eps_cluster=eps,
+    est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster,
                              transient_fraction=0.0, top_decades=30.0)
     match_worst = 0.0
     for tau in taus:
@@ -321,32 +408,28 @@ def run_periodic_family(cfg):
         d = min(fam.distance_from_pairings(p, q)
                 for q in est.representative_pairings)
         match_worst = max(match_worst, d)
-    exact_tol = float(params.get("exact_tol", 1e-12))
     report = {
         "exact_invariance_worst": exact_worst,
         "cluster_count": len(est.clusters),
         "family_match_worst": match_worst,
-        "eps_cluster": eps,
+        "eps_cluster": eps_cluster,
     }
-    verdict = exact_worst <= exact_tol and match_worst <= 2.0 * eps
+    verdict = exact_worst <= exact_tol and match_worst <= 2.0 * eps_cluster
     return RunResult(verdict, report, [_trajectory_table(samples)])
 
 
 @operation("sparse_flow_check")
-def run_sparse_flow(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_sparse_flow(order, measure, quad,
+                    indices=Numbers([5, 6, 7, 8, 9], item=_integer),
+                    probe={"interval": [0.5, 2.0]}, delta_tol=1e-6, null_tol=1e-8):
     fam = MetricFamily(quad=quad)
-    indices = params.get("indices", [5, 6, 7, 8, 9])
-    probe = params.get("probe", {"interval": [0.5, 2.0]})
     bump_lo, bump_hi = require(probe, "interval", "params.probe")
-    from .measures import TestFunction
     bump = TestFunction(lo=float(bump_lo), hi=float(bump_hi))
     xs = np.sort(measure.atom_x)
-    delta_tol = float(params.get("delta_tol", 1e-6))
-    null_tol = float(params.get("null_tol", 1e-8))
+    for i, n in enumerate(indices):
+        if not 1 <= n <= len(xs):
+            raise ConfigError("params.indices[%d]: expected an atom index in 1..%d"
+                              % (i, len(xs)))
     rows = []
     worst_delta = 0.0
     worst_null = 0.0
@@ -371,49 +454,34 @@ def run_sparse_flow(cfg):
 
 
 @operation("class_membership")
-def run_class_membership(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    grid = params.get("r_grid")
-    rep = class_membership(measure, order, which=params.get("which", "tail"),
-                           r_grid=None if grid is None else _grid(params, "r_grid", 1, 1e8, 120),
-                           quad=quad)
+def run_class_membership(order, measure, quad, which="tail", r_grid=Grid(),
+                         expect_bounded=None):
+    rep = class_membership(measure, order, which=which, r_grid=r_grid, quad=quad)
     report = {"sup_ratio": rep.sup_ratio, "bounded": rep.bounded,
               "decade_ratio": rep.decade_ratio}
     verdict = None
-    if "expect_bounded" in params:
-        verdict = rep.bounded == bool(params["expect_bounded"])
+    if expect_bounded is not None:
+        verdict = rep.bounded == bool(expect_bounded)
     return RunResult(verdict, report)
 
 
 @operation("positive_regularity")
-def run_positive_regularity(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    grid = _grid(params, "r_grid", 1e2, 1e7, 40)
-    rep = positive_regularity_criterion(measure, order, grid, quad=quad)
+def run_positive_regularity(order, measure, quad, r_grid=Grid(1e2, 1e7, 40),
+                            expect_regular=None):
+    rep = positive_regularity_criterion(measure, order, r_grid, quad=quad)
     report = {"branch": rep.branch, "limit": rep.limit_estimate,
               "oscillation": rep.oscillation, "regular": rep.regular}
     verdict = None
-    if "expect_regular" in params:
-        verdict = rep.regular == bool(params["expect_regular"])
+    if expect_regular is not None:
+        verdict = rep.regular == bool(expect_regular)
     return RunResult(verdict, report)
 
 
 @operation("density_estimate")
-def run_density_estimate(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    grid = _grid(params, "r_grid", 1e2, 1e7, 48)
-    alpha = float(params.get("alpha", 1.0))
-    up = upper_density(measure, order, alpha, grid, quad)
-    lo = lower_density(measure, order, alpha, grid, quad)
+def run_density_estimate(order, measure, quad, r_grid=Grid(1e2, 1e7, 48),
+                         alpha=1.0):
+    up = upper_density(measure, order, alpha, r_grid, quad)
+    lo = lower_density(measure, order, alpha, r_grid, quad)
     report = {"alpha": alpha, "upper": up.value, "lower": lo.value,
               "resolution": up.resolution}
     return RunResult(None, report)
@@ -424,16 +492,10 @@ def run_density_estimate(cfg):
 
 
 @operation("transform_table")
-def run_transform_table(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_transform_table(order, measure, kernel, quad, r_grid=Grid(1.0, 1e6, 25)):
     tr = KernelTransform(kernel, measure, order, quad)
-    grid = _grid(params, "r_grid", 1.0, 1e6, 25)
     rows = []
-    for r in grid:
+    for r in r_grid:
         v = tr.value(r)
         scale = float(order.scale(r))
         j = v / scale
@@ -445,28 +507,22 @@ def run_transform_table(cfg):
 
 
 @operation("kernel_limit_values")
-def run_kernel_limit_values(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_kernel_limit_values(order, measure, kernel, quad,
+                            schedule=Grid(1e3, 1e9, 64), cluster_eps=1e-4,
+                            tol=1e-4, tau_grid=Numbers(nonempty=True),
+                            tau_points=Count(16)):
     tr = KernelTransform(kernel, measure, order, quad)
-    schedule = _grid(params, "schedule", 1e3, 1e9, 64)
-    eps = float(params.get("cluster_eps", 1e-4))
-    clusters = normalized_limit_values(tr, schedule, eps=eps)
-    tol = float(params.get("tol", 1e-4))
-    taus = params.get("tau_grid")
+    clusters = normalized_limit_values(tr, schedule, eps=cluster_eps)
+    taus = tau_grid
     worst = None
     if taus is None and measure.tail is not None:
         period = measure.tail.period
-        npts = int(params.get("tau_points", 16))
-        taus = [period ** (k / npts) for k in range(npts)]
+        taus = [period ** (k / tau_points) for k in range(tau_points)]
     if taus is not None:
         worst = 0.0
         direct = []
         for tau in taus:
-            nu = measure.scaled(order, float(tau))
+            nu = measure.scaled(order, tau)
             val = KernelTransform(kernel, nu, quad=quad).value(1.0)
             direct.append(val)
             worst = max(worst, min(abs(val - c) for c in clusters))
@@ -479,50 +535,37 @@ def run_kernel_limit_values(cfg):
 
 
 @operation("neutralization_check")
-def run_neutralization(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    eps_grid = params.get("eps_grid", [0.5, 0.25, 0.125, 0.0625])
-    n_grid = params.get("n_grid", [2.0, 4.0, 8.0, 16.0])
-    r_grid = _grid(params, "r_grid", 1e2, 1e5, 10)
+def run_neutralization(order, measure, kernel, quad,
+                       eps_grid=Numbers([0.5, 0.25, 0.125, 0.0625], nonempty=True),
+                       n_grid=Numbers([2.0, 4.0, 8.0, 16.0], nonempty=True),
+                       r_grid=Grid(1e2, 1e5, 10), expect_pass=None):
     rep = neutralization_report(kernel, order, measure, eps_grid, n_grid,
                                 r_grid, quad)
     report = {"head_sups": list(rep.head_sups), "tail_sups": list(rep.tail_sups),
               "passed": rep.passed}
     verdict = rep.passed
-    if "expect_pass" in params:
-        verdict = rep.passed == bool(params["expect_pass"])
+    if expect_pass is not None:
+        verdict = rep.passed == bool(expect_pass)
     return RunResult(verdict, report)
 
 
 @operation("integrability_check")
-def run_integrability(cfg):
-    order = parse_order(cfg.get("order"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_integrability(order, kernel, quad, expect_converged=None):
     rep = integrability_report(kernel, order, quad)
     report = {"l1_value": rep.l1_value, "l1_converged": rep.l1_converged,
               "amalgam_value": rep.amalgam_value,
               "amalgam_converged": rep.amalgam_converged}
     verdict = None
-    if "expect_converged" in params:
-        verdict = rep.l1_converged == bool(params["expect_converged"])
+    if expect_converged is not None:
+        verdict = rep.l1_converged == bool(expect_converged)
     return RunResult(verdict, report)
 
 
 @operation("averaged_limit_check")
-def run_averaged_limit(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
+def run_averaged_limit(order, measure, kernel, quad, schedule=Grid(1e2, 1e6, 32),
+                       eps_cluster=1e-3, density_tol=0.01,
+                       expected_coefficient_rule=None, coef_tol=0.01):
     fam = MetricFamily(quad=quad)
-    schedule = _grid(params, "schedule", 1e2, 1e6, 32)
     hull = fam.support_hull()
     window = (schedule.min() * hull[0] / 4.0, schedule.max() * hull[1] * 4.0)
     tr = KernelTransform(kernel, measure, order, quad)
@@ -532,14 +575,11 @@ def run_averaged_limit(cfg):
         smoothed, shifted,
         r_grid=np.geomspace(window[0] * 4.0, window[1] / 8.0, 40), quad=quad)
     s_traj = sample_trajectory(smoothed, shifted, schedule, fam, quad)
-    s_est = estimate_limit_set(s_traj, fam,
-                               eps_cluster=float(params.get("eps_cluster", 1e-3)))
+    s_est = estimate_limit_set(s_traj, fam, eps_cluster=eps_cluster)
     mu_traj = sample_trajectory(measure, order, schedule, fam, quad)
-    mu_est = estimate_limit_set(mu_traj, fam,
-                                eps_cluster=float(params.get("eps_cluster", 1e-3)))
+    mu_est = estimate_limit_set(mu_traj, fam, eps_cluster=eps_cluster)
     densities = verify_averaged_limit_densities(
-        tr, order, s_est, mu_est, tol=float(params.get("density_tol", 0.01)),
-        quad=quad)
+        tr, order, s_est, mu_est, tol=density_tol, quad=quad)
     fit = verify_regular_limit_form(s_est, shifted, quad) if s_est.regular else None
     report = {
         "averaged_bounded": membership.bounded,
@@ -550,25 +590,20 @@ def run_averaged_limit(cfg):
     verdict = membership.bounded and densities.passed
     if fit is not None:
         report["fitted_coefficient"] = _jsonable(fit.coefficient)
-        rule = params.get("expected_coefficient_rule")
-        if rule == "gamma(rho)":
+        if expected_coefficient_rule == "gamma(rho)":
             want = lanczos_gamma(order.rho)
             err = abs(fit.coefficient / want - 1.0)
             report["coefficient_rel_error"] = err
-            verdict = verdict and err <= float(params.get("coef_tol", 0.01))
+            verdict = verdict and err <= coef_tol
     return RunResult(verdict, report)
 
 
 @operation("antiderivative_identity")
-def run_antiderivative_identity(cfg):
-    measure = parse_measure(cfg.get("measure"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    orders_list = [int(n) for n in params.get("orders", [0, 1, 2])]
-    r_samples = [float(r) for r in params.get("r_samples", [1.0, 3.0, 10.0])]
-    rep = check_antiderivative_identity(kernel, measure, orders_list, r_samples,
-                                        quad, tol=float(params.get("tol", 1e-6)))
+def run_antiderivative_identity(measure, kernel, quad,
+                                orders=Numbers([0, 1, 2], item=_integer),
+                                r_samples=Numbers([1.0, 3.0, 10.0]), tol=1e-6):
+    rep = check_antiderivative_identity(kernel, measure, orders, r_samples,
+                                        quad, tol=tol)
     rows = [[n, r, lhs.real, lhs.imag, rhs.real, rhs.imag, err]
             for n, r, lhs, rhs, err in rep.rows]
     report = {"max_rel_error": rep.max_rel_error, "passed": rep.passed}
@@ -579,42 +614,32 @@ def run_antiderivative_identity(cfg):
 
 
 @operation("stable_order_check")
-def run_stable_order(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    grid = _grid(params, "r_grid", 1e1, 1e6, 40)
-    from .transforms import PiecewiseFunction
+def run_stable_order(order, measure, quad, r_grid=Grid(1e1, 1e6, 40),
+                     expect_stable=None):
     f = PiecewiseFunction(lambda t: measure.density(t),
                           measure.breakpoints_in(0.0, math.inf))
-    rep = stable_order_report(f, order, grid, quad)
+    rep = stable_order_report(f, order, r_grid, quad)
     report = {"stable": rep.stable, "tail_max": rep.tail_max,
               "branch": rep.branch}
     verdict = None
-    if "expect_stable" in params:
-        verdict = rep.stable == bool(params["expect_stable"])
+    if expect_stable is not None:
+        verdict = rep.stable == bool(expect_stable)
     return RunResult(verdict, report)
 
 
 @operation("order_diagnostic")
-def run_order_diagnostic(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    grid = _grid(params, "r_grid", 1e2, 1e8, 16)
+def run_order_diagnostic(order, measure, kernel, quad, r_grid=Grid(1e2, 1e8, 16),
+                         hardy=None):
     tr = KernelTransform(kernel, measure, order, quad)
-    rep = order_diagnostic(tr, order, grid, quad)
+    rep = order_diagnostic(tr, order, r_grid, quad)
     report = {"final_slope": rep.final_slope,
               "slope_vanishes": rep.slope_vanishes,
               "gap_bound_ok": rep.gap_bound_ok}
     verdict = rep.passed
-    if params.get("hardy"):
+    if hardy:
         ratios = []
         counts = []
-        for r in grid:
+        for r in r_grid:
             v = float(order.scale(r))
             ratios.append(abs(tr.value(r)) / v)
             counts.append(measure.mass(measure.hull()[0] * (1 - 1e-12), r,
@@ -636,18 +661,9 @@ def run_order_diagnostic(cfg):
 
 
 @operation("mellin_symbol_table")
-def run_symbol_table(cfg):
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    rho = float(params.get("rho", 1.0))
-    lams = params.get("lambda_grid", {"start": -20.0, "stop": 20.0, "points": 81})
-    if isinstance(lams, dict):
-        start, stop, points = _span(lams, "params.lambda_grid")
-        grid = np.linspace(float(start), float(stop), int(points))
-    else:
-        grid = np.asarray([float(v) for v in lams])
-    table = mellin_symbol_table(kernel, rho, grid, quad)
+def run_symbol_table(kernel, quad, rho=1.0,
+                     lambda_grid=Grid(-20.0, 20.0, 81, space=np.linspace)):
+    table = mellin_symbol_table(kernel, rho, lambda_grid, quad)
     rows = [[lam, v.real, v.imag, abs(v)]
             for lam, v in zip(table.lambda_grid, table.values)]
     return RunResult(None, {"rho": rho, "points": len(rows)},
@@ -655,66 +671,50 @@ def run_symbol_table(cfg):
 
 
 @operation("wiener_zero_scan")
-def run_zero_scan(cfg):
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    rho = float(params.get("rho", 1.0))
-    window = params.get("window", [-20.0, 20.0])
-    rep = wiener_zero_scan(kernel, rho, window=(float(window[0]), float(window[1])),
-                           step=float(params.get("step", 0.01)),
-                           tol=float(params.get("tol", 1e-6)), quad=quad)
+def run_zero_scan(kernel, quad, rho=1.0, window=Numbers([-20.0, 20.0], length=2),
+                  step=0.01, tol=1e-6, expected_zeros=Numbers(),
+                  abscissa_tol=1e-6, expect_nonvanishing=None):
+    rep = wiener_zero_scan(kernel, rho, window=tuple(window), step=step, tol=tol,
+                           quad=quad)
     rows = [[lam, val] for lam, val in rep.zeros]
     report = {"zeros": rows, "nonvanishing": rep.nonvanishing,
               "min_abs": rep.min_abs, "max_abs": rep.max_abs}
     verdict = None
-    expected = params.get("expected_zeros")
-    if expected is not None:
-        abscissa_tol = float(params.get("abscissa_tol", 1e-6))
+    if expected_zeros is not None:
         got = sorted(lam for lam, _ in rep.zeros)
-        want = sorted(float(v) for v in expected)
+        want = sorted(expected_zeros)
         verdict = (len(got) == len(want)
                    and all(abs(a - b) <= abscissa_tol
                            for a, b in zip(got, want)))
         report["expected_zeros"] = want
-    elif "expect_nonvanishing" in params:
-        verdict = rep.nonvanishing == bool(params["expect_nonvanishing"])
+    elif expect_nonvanishing is not None:
+        verdict = rep.nonvanishing == bool(expect_nonvanishing)
     return RunResult(verdict, report,
                      [("zeros.csv", ["lambda", "abs_symbol"], rows)])
 
 
 @operation("exponential_solution_check")
-def run_exponential_solution(cfg):
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    rho = float(params.get("rho", 0.0))
-    lambdas = [float(v) for v in params.get("lambdas", [])]
-    coefs = [complex(float(c)) for c in params.get("coefficients",
-                                                   [1.0] * len(lambdas))]
-    r_samples = [float(r) for r in params.get("r_samples",
-                                              [1.0, math.e, math.e ** 2])]
-    rep = verify_exponential_solution(kernel, rho, lambdas, coefs, r_samples,
-                                      quad, tol=float(params.get("tol", 1e-6)))
+def run_exponential_solution(kernel, quad, rho=0.0, lambdas=Numbers([]),
+                             coefficients=Numbers(item=_complex),
+                             r_samples=Numbers([1.0, math.e, math.e ** 2]),
+                             tol=1e-6, expect_pass=None):
+    if coefficients is None:
+        coefficients = [complex(1.0)] * len(lambdas)
+    rep = verify_exponential_solution(kernel, rho, lambdas, coefficients,
+                                      r_samples, quad, tol=tol)
     report = {"residuals": [[r, v] for r, v in rep.residuals],
               "max_residual": rep.max_residual}
     verdict = rep.passed
-    if "expect_pass" in params:
-        verdict = rep.passed == bool(params["expect_pass"])
+    if expect_pass is not None:
+        verdict = rep.passed == bool(expect_pass)
     return RunResult(verdict, report)
 
 
 @operation("tauberian_roundtrip")
-def run_roundtrip(cfg):
-    order = parse_order(cfg.get("order"))
-    measure = parse_measure(cfg.get("measure"))
-    kernel = parse_kernel(cfg.get("kernel"))
-    params = cfg.get("params", {})
-    quad = _quad(params)
-    schedule = _grid(params, "schedule", 1e2, 1e8, 176)
+def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
+                  ratio_tol=0.02, expect_failed_stage=None):
     rep = tauberian_roundtrip(kernel, order, measure, schedule=schedule,
-                              quad=quad,
-                              ratio_tol=float(params.get("ratio_tol", 0.02)))
+                              quad=quad, ratio_tol=ratio_tol)
     report = {
         "stages": [{"name": s.name, "passed": s.passed, "detail": s.detail}
                    for s in rep.stages],
@@ -725,21 +725,22 @@ def run_roundtrip(cfg):
         "ratio_error": rep.ratio_error,
     }
     verdict = rep.passed
-    if "expect_failed_stage" in params:
+    if expect_failed_stage is not None:
         verdict = (not rep.passed
-                   and rep.failed_stage == params["expect_failed_stage"]) or \
-                  (rep.passed and params["expect_failed_stage"] == "")
+                   and rep.failed_stage == expect_failed_stage) or \
+                  (rep.passed and expect_failed_stage == "")
     return RunResult(verdict, report)
 
 
 @operation("carleman_suite")
-def run_carleman(cfg):
-    params = cfg.get("params", {})
-    line = params.get("line_measure", {})
+def run_carleman(line_measure={}, reference=None, reference_tol=1e-8,
+                 bound_constant=None, expect_bound_pass=None,
+                 jump_window=Numbers(length=2), expected_flags=Numbers(),
+                 flag_tol=0.05):
     atoms = [(float(x), complex(*(w if isinstance(w, list) else [w, 0.0])))
-             for x, w in line.get("atoms", [])]
+             for x, w in line_measure.get("atoms", [])]
     pieces = []
-    for p in line.get("pieces", []):
+    for p in line_measure.get("pieces", []):
         lo = None if p.get("lo") is None else float(p["lo"])
         hi = None if p.get("hi") is None else float(p["hi"])
         coef = p.get("coef", 1.0)
@@ -749,32 +750,29 @@ def run_carleman(cfg):
     ct = carl.CarlemanTransform(measure)
     report = {}
     verdict = True
-    if params.get("reference") == "i_over_z":
+    if reference == "i_over_z":
         zs = [complex(x, y)
               for x in np.linspace(-5.0, 5.0, 10)
               for y in (np.linspace(0.1, 5.0, 5).tolist()
                         + (-np.linspace(0.1, 5.0, 5)).tolist())]
         worst = max(abs(ct.value(z) - 1j / z) for z in zs)
         report["reference_error"] = worst
-        verdict = verdict and worst <= float(params.get("reference_tol", 1e-8))
-    bound_m = params.get("bound_constant")
-    if bound_m is not None:
-        br = carl.carleman_bound_report(ct, float(bound_m))
+        verdict = verdict and worst <= reference_tol
+    if bound_constant is not None:
+        br = carl.carleman_bound_report(
+            ct, number(bound_constant, "params.bound_constant"))
         report["bound_max_ratio"] = br.max_ratio
         report["bound_passed"] = br.passed
-        if "expect_bound_pass" in params:
-            verdict = verdict and (br.passed == bool(params["expect_bound_pass"]))
+        if expect_bound_pass is not None:
+            verdict = verdict and (br.passed == bool(expect_bound_pass))
         else:
             verdict = verdict and br.passed
-    window = params.get("jump_window")
-    if window is not None:
-        js = carl.spectrum_jump_scan(ct, (float(window[0]), float(window[1])))
+    if jump_window is not None:
+        js = carl.spectrum_jump_scan(ct, tuple(jump_window))
         report["flagged"] = list(js.flagged)
-        expected = params.get("expected_flags")
-        if expected is not None:
-            tol = float(params.get("flag_tol", 0.05))
+        if expected_flags is not None:
             ok = (len(js.flagged) >= 1 and
-                  all(any(abs(f - e) <= tol for e in expected)
+                  all(any(abs(f - e) <= flag_tol for e in expected_flags)
                       for f in js.flagged))
             report["flags_match"] = ok
             verdict = verdict and ok

@@ -100,6 +100,12 @@ class TestRunErrors:
         ("limit_set_estimate",
          {"schedule": {"start": 1e3, "stop": None, "points": 8}},
          "params.schedule.stop", "expected a number"),
+        ("limit_set_estimate", {"target": [1]}, "params.target",
+         "expected an object"),
+        ("wiener_zero_scan", {"window": 5}, "params.window", "expected a list"),
+        ("carleman_suite", {"line_measure": [1]}, "params.line_measure",
+         "expected an object"),
+        ("potter_check", {"pairs": [1, 2]}, "params.pairs[0]", "expected a list"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -110,6 +116,65 @@ class TestRunErrors:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    def test_tol_override_rewrites_only_tol_keys(self, tmp_path, capsys):
+        assert run_cli(["run", "sparse_atoms", "--out-dir", tmp_path,
+                        "--tol-override", 0.001]) == 0
+        report = json.loads((tmp_path / "sparse_atoms_report.json").read_text())
+        assert report["report"]["delta_tol"] == 0.001
+        assert report["report"]["null_tol"] == 0.001
+        # eps_cluster is a tolerance (it must be > 0) but keeps its value
+        assert run_cli(["run", "periodic_atoms", "--out-dir", tmp_path,
+                        "--tol-override", 0.5]) == 0
+        report = json.loads((tmp_path / "periodic_atoms_report.json").read_text())
+        assert report["report"]["eps_cluster"] == 0.001
+
+    def test_unknown_param_rejected(self, tmp_path, capsys):
+        cfg = builtin_config("oscillating_density")
+        cfg["params"]["eps_clustr"] = cfg["params"].pop("eps_cluster")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: params.eps_clustr: unknown parameter" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", [0, 50])
+    def test_sparse_flow_index_out_of_range(self, index, tmp_path, capsys):
+        cfg = {"operation": "sparse_flow_check", "order": {"rho": 1.0},
+               "measure": {"atoms": [[10.0, 1.0]]},
+               "params": {"indices": [1, index]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: params.indices[1]: expected an atom index in 1..1" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("operation, params, path", [
+        ("transform_table", {"r_grid": {"start": 1.0, "stop": 10.0, "points": 2.7}},
+         "params.r_grid.points"),
+        ("transform_table", {"r_grid": {"start": 1.0, "stop": 10.0, "points": -3}},
+         "params.r_grid.points"),
+        ("limit_set_estimate", {"schedule": {"start": 1e3, "stop": 1e6, "points": 0}},
+         "params.schedule.points"),
+        ("mellin_symbol_table",
+         {"lambda_grid": {"start": -1.0, "stop": 1.0, "points": "many"}},
+         "params.lambda_grid.points"),
+        ("gamma_suite", {"pairs": 0}, "params.pairs"),
+        ("gamma_suite", {"dominance_points": 2.5}, "params.dominance_points"),
+        ("potter_check", {"count": -1}, "params.count"),
+        ("periodic_family_check", {"period": 2.0, "tau_points": 0},
+         "params.tau_points"),
+    ])
+    def test_count_must_be_a_positive_integer(self, operation, params, path,
+                                              tmp_path, capsys):
+        cfg = {"operation": operation, "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "kernel": {"kind": "exp"}, "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: %s: expected an integer >= 1" % path \
+            in capsys.readouterr().err
 
     def test_numeric_strings_are_numbers(self, tmp_path):
         # every grid entry and span field is read with float()
@@ -179,6 +244,25 @@ class TestVerdictExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run_cli(["run", path, "--out-dir", tmp_path]) == 2
+
+    def test_complex_coefficients(self, tmp_path, capsys):
+        # the residual is |c| |T(r)|, so [1, 2] gives sqrt(5) times 1.0's
+        residual = {}
+        for name, coef in (("real", 1.0), ("complex", [1, 2])):
+            cfg = {
+                "operation": "exponential_solution_check",
+                "kernel": {"kind": "step_combo",
+                           "steps": [[1.0, 0.0, 1.0, 1.0], [-2.0, 0.0, 0.5, 1.0]]},
+                "params": {"rho": 0.0, "lambdas": [1.0], "coefficients": [coef],
+                           "r_samples": [1.0], "tol": 1e-6},
+            }
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(cfg))
+            assert run_cli(["run", path, "--out-dir", tmp_path]) == 2
+            doc = json.loads((tmp_path / ("%s_report.json" % name)).read_text())
+            residual[name] = doc["report"]["max_residual"]
+        assert residual["complex"] == pytest.approx(math.sqrt(5.0) * residual["real"],
+                                                    rel=1e-9)
 
     def test_expected_failure_passes(self, tmp_path, capsys):
         cfg = {

@@ -59,6 +59,21 @@ def number(value, path):
         _fail(path, "expected a number")
 
 
+def _number_field(cfg, key, path):
+    """The number in required field ``key`` of the object at ``path``."""
+    return number(require(cfg, key, path), "%s.%s" % (path, key))
+
+
+def _entries(value, path, item=None, length=None):
+    """``item(entry, path[i])`` (``number`` by default) of each entry of a
+    list, as a tuple."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        _fail(path, "expected a list" if length is None
+              else "expected a list of %d entries" % length)
+    item = item or number
+    return tuple(item(v, "%s[%d]" % (path, i)) for i, v in enumerate(value))
+
+
 def parse_complex(value, path):
     if isinstance(value, (int, float)):
         return complex(value)
@@ -70,24 +85,25 @@ def parse_complex(value, path):
 def parse_order(cfg, path="order"):
     if cfg is None:
         _fail(path, "missing order descriptor")
-    rho = float(require(cfg, "rho", path))
+    rho = _number_field(cfg, "rho", path)
     zp_cfg = cfg.get("zero_part", {"kind": "zero"})
     kind = zp_cfg.get("kind", "zero")
     if kind == "zero":
         zp = FlatZero()
     elif kind == "log_power":
-        zp = LogPowerZero(coef=float(zp_cfg.get("A", 1.0)),
-                          alpha=float(require(zp_cfg, "alpha", path + ".zero_part")))
+        zp = LogPowerZero(coef=number(zp_cfg.get("A", 1.0), path + ".zero_part.A"),
+                          alpha=_number_field(zp_cfg, "alpha", path + ".zero_part"))
     elif kind == "log_of_log_power":
-        zp = LogLogZero(alpha=float(require(zp_cfg, "alpha", path + ".zero_part")))
+        zp = LogLogZero(alpha=_number_field(zp_cfg, "alpha", path + ".zero_part"))
     elif kind == "tabulated_eta":
-        pts = require(zp_cfg, "points", path + ".zero_part")
+        p = path + ".zero_part.points"
+        pts = _entries(require(zp_cfg, "points", path + ".zero_part"), p,
+                       item=lambda v, q: _entries(v, q, length=2))
         try:
-            xs = tuple(float(p[0]) for p in pts)
-            etas = tuple(float(p[1]) for p in pts)
-            zp = TabulatedZero(xs=xs, etas=etas)
-        except (TypeError, IndexError, ValueError) as exc:
-            _fail(path + ".zero_part.points", str(exc))
+            zp = TabulatedZero(xs=tuple(x for x, _ in pts),
+                               etas=tuple(e for _, e in pts))
+        except ValueError as exc:
+            _fail(p, str(exc))
     else:
         _fail(path + ".zero_part.kind", "unknown kind %r" % kind)
     return ProximateOrder(rho=rho, zero_part=zp)
@@ -96,8 +112,8 @@ def parse_order(cfg, path="order"):
 def _parse_interval(value, path, allow_infinite=True):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         _fail(path, "expected [lo, hi]")
-    lo = float(value[0])
-    hi = math.inf if value[1] is None else float(value[1])
+    lo = number(value[0], path + "[0]")
+    hi = math.inf if value[1] is None else number(value[1], path + "[1]")
     if not allow_infinite and math.isinf(hi):
         _fail(path, "interval must be bounded")
     if hi <= lo:
@@ -115,7 +131,8 @@ def _parse_density(cfg, path):
     if kind == "power_log":
         s = parse_complex(require(cfg, "s", path), path + ".s")
         return DensityPiece(lo=lo, hi=hi, coef=coef, exponent=s,
-                            factor=LogFactor(int(cfg.get("log_power", 1))))
+                            factor=LogFactor(int(number(cfg.get("log_power", 1),
+                                                        path + ".log_power"))))
     if kind == "perturbed_power":
         s = parse_complex(require(cfg, "s", path), path + ".s")
         style = cfg.get("style", "inv_log")
@@ -127,16 +144,15 @@ def _parse_density(cfg, path):
         order = parse_order({"rho": cfg.get("rho", 0.0),
                              "zero_part": cfg.get("zero_part", {"kind": "zero"})},
                             path)
-        osc = float(cfg.get("oscillation", 0.0))
+        osc = number(cfg.get("oscillation", 0.0), path + ".oscillation")
         exponent = complex(order.rho - 1.0, osc)
         return DensityPiece(lo=lo, hi=hi, coef=coef, exponent=exponent,
                             factor=ZeroScaleFactor(order.zero_part))
     if kind == "table":
-        nodes = require(cfg, "log_nodes", path)
-        values = [parse_complex(v, path + ".values") for v in
-                  require(cfg, "values", path)]
-        return TabulatedPiece(lo=lo, hi=hi, log_nodes=tuple(map(float, nodes)),
-                              values=tuple(values))
+        nodes = _entries(require(cfg, "log_nodes", path), path + ".log_nodes")
+        values = _entries(require(cfg, "values", path), path + ".values",
+                          item=parse_complex)
+        return TabulatedPiece(lo=lo, hi=hi, log_nodes=nodes, values=values)
     _fail(path + ".kind", "unknown density kind %r" % kind)
 
 
@@ -148,7 +164,7 @@ def parse_measure(cfg, path="measure"):
         p = "%s.atoms[%d]" % (path, i)
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             _fail(p, "expected [location, weight]")
-        x = float(entry[0])
+        x = number(entry[0], p)
         if x <= 0:
             _fail(p, "location must be positive")
         atoms.append((x, parse_complex(entry[1], p)))
@@ -160,9 +176,10 @@ def parse_measure(cfg, path="measure"):
     kind = tail_cfg.get("kind", "none")
     tail = None
     if kind == "self_similar":
-        tail = SelfSimilarTail(period=float(require(tail_cfg, "T", path + ".tail")),
-                               rho=float(require(tail_cfg, "rho", path + ".tail")),
-                               base_lo=float(tail_cfg.get("base_lo", 1.0)))
+        tail = SelfSimilarTail(period=_number_field(tail_cfg, "T", path + ".tail"),
+                               rho=_number_field(tail_cfg, "rho", path + ".tail"),
+                               base_lo=number(tail_cfg.get("base_lo", 1.0),
+                                              path + ".tail.base_lo"))
     elif kind not in ("none", "formula"):
         _fail(path + ".tail.kind", "unknown tail kind %r" % kind)
     window = cfg.get("window")
@@ -191,25 +208,29 @@ def parse_kernel(cfg, path="kernel"):
             p = "%s.steps[%d]" % (path, i)
             if not isinstance(s, (list, tuple)) or len(s) not in (3, 4):
                 _fail(p, "expected [coef, lo, hi] or [coef, lo, hi, exponent]")
-            steps.append(tuple(float(v) for v in s))
+            steps.append(tuple(number(v, p) for v in s))
         return StepKernel(steps=tuple(steps))
     if kind == "power_cut":
         s = parse_complex(require(cfg, "s", path), path + ".s")
-        return PowerCutKernel(exponent=s, cut=float(cfg.get("cut", 1.0)))
+        return PowerCutKernel(exponent=s,
+                              cut=number(cfg.get("cut", 1.0), path + ".cut"))
     if kind == "log_singular":
         return LogSingularKernel()
     if kind == "smooth_bump":
         lo, hi = _parse_interval(require(cfg, "interval", path),
                                  path + ".interval", allow_infinite=False)
-        return SmoothBumpKernel(lo=lo, hi=hi, n_max=int(cfg.get("n_max", 6)))
+        return SmoothBumpKernel(lo=lo, hi=hi,
+                                n_max=int(number(cfg.get("n_max", 6), path + ".n_max")))
     if kind == "table":
-        return TableKernel(nodes=tuple(map(float, require(cfg, "nodes", path))),
-                           values=tuple(map(float, require(cfg, "values", path))))
+        return TableKernel(nodes=_entries(require(cfg, "nodes", path), path + ".nodes"),
+                           values=_entries(require(cfg, "values", path),
+                                           path + ".values"))
     if kind == "trapezoid":
         lo, hi = _parse_interval(require(cfg, "interval", path),
                                  path + ".interval", allow_infinite=False)
         ramp = cfg.get("ramp")
-        return trapezoid_kernel(lo, hi, None if ramp is None else float(ramp))
+        return trapezoid_kernel(lo, hi,
+                                None if ramp is None else number(ramp, path + ".ramp"))
     _fail(path + ".kind", "unknown kernel kind %r" % kind)
 
 

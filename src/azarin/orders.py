@@ -145,6 +145,8 @@ class TabulatedZero(ZeroPart):
     """
     xs: tuple = ()
     etas: tuple = ()
+    # read-only arrays (xs, etas, trapezoid integral of eta at each node),
+    # built once so that evaluations do not convert the tuples again
     _cum: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -157,14 +159,15 @@ class TabulatedZero(ZeroPart):
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (etas[1:] + etas[:-1]) * np.diff(xs))])
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "etas", tuple(etas))
-        object.__setattr__(self, "_cum", tuple(cum))
+        arrays = (xs.copy(), etas.copy(), cum)
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "_cum", arrays)
 
     def log_scale(self, x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        xs = np.asarray(self.xs)
-        etas = np.asarray(self.etas)
-        cum = np.asarray(self._cum)
+        xs, etas, cum = self._cum
         # trapezoid rule up to the enclosing node, linear slope beyond it
         idx = np.clip(np.searchsorted(xs, ax, side="right") - 1, 0, xs.size - 2)
         base = cum[idx] + 0.5 * (np.interp(ax, xs, etas) + etas[idx]) * (ax - xs[idx])
@@ -173,8 +176,7 @@ class TabulatedZero(ZeroPart):
     def slope(self, x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        xs = np.asarray(self.xs)
-        etas = np.asarray(self.etas)
+        xs, etas, _ = self._cum
         val = np.where(ax <= xs[-1], np.interp(ax, xs, etas), etas[-1])
         return np.sign(x) * val
 

@@ -423,8 +423,11 @@ def run_sparse_flow(order, measure, quad,
                     indices=Numbers([5, 6, 7, 8, 9], item=_integer),
                     probe={"interval": [0.5, 2.0]}, delta_tol=1e-6, null_tol=1e-8):
     fam = MetricFamily(quad=quad)
-    bump_lo, bump_hi = require(probe, "interval", "params.probe")
-    bump = TestFunction(lo=float(bump_lo), hi=float(bump_hi))
+    interval = require(probe, "interval", "params.probe")
+    if not isinstance(interval, list) or len(interval) != 2:
+        raise ConfigError("params.probe.interval: expected [lo, hi]")
+    bump = TestFunction(*(number(v, "params.probe.interval[%d]" % i)
+                          for i, v in enumerate(interval)))
     xs = np.sort(measure.atom_x)
     for i, n in enumerate(indices):
         if not 1 <= n <= len(xs):
@@ -732,22 +735,40 @@ def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
     return RunResult(verdict, report)
 
 
+def _line_measure(cfg):
+    """The ``RealMeasure`` of ``params.line_measure``: ``atoms`` are
+    ``[x, weight]`` pairs, ``pieces`` objects with optional ``lo``, ``hi``,
+    ``coef`` and ``freq``."""
+    path = "params.line_measure"
+
+    def entries(key):
+        value = cfg.get(key, [])
+        if not isinstance(value, list):
+            raise ConfigError("%s.%s: expected a list" % (path, key))
+        return [("%s.%s[%d]" % (path, key, i), v) for i, v in enumerate(value)]
+
+    atoms = []
+    for p, atom in entries("atoms"):
+        if not isinstance(atom, list) or len(atom) != 2:
+            raise ConfigError(p + ": expected [location, weight]")
+        atoms.append((number(atom[0], p), parse_complex(atom[1], p)))
+    pieces = []
+    for p, piece in entries("pieces"):
+        if not isinstance(piece, dict):
+            raise ConfigError(p + ": expected an object")
+        lo, hi = (None if piece.get(k) is None else number(piece[k], "%s.%s" % (p, k))
+                  for k in ("lo", "hi"))
+        pieces.append((lo, hi, parse_complex(piece.get("coef", 1.0), p + ".coef"),
+                       number(piece.get("freq", 0.0), p + ".freq")))
+    return carl.RealMeasure(atoms=tuple(atoms), pieces=tuple(pieces))
+
+
 @operation("carleman_suite")
 def run_carleman(line_measure={}, reference=None, reference_tol=1e-8,
                  bound_constant=None, expect_bound_pass=None,
                  jump_window=Numbers(length=2), expected_flags=Numbers(),
                  flag_tol=0.05):
-    atoms = [(float(x), complex(*(w if isinstance(w, list) else [w, 0.0])))
-             for x, w in line_measure.get("atoms", [])]
-    pieces = []
-    for p in line_measure.get("pieces", []):
-        lo = None if p.get("lo") is None else float(p["lo"])
-        hi = None if p.get("hi") is None else float(p["hi"])
-        coef = p.get("coef", 1.0)
-        coef = complex(*coef) if isinstance(coef, list) else complex(coef)
-        pieces.append((lo, hi, coef, float(p.get("freq", 0.0))))
-    measure = carl.RealMeasure(atoms=tuple(atoms), pieces=tuple(pieces))
-    ct = carl.CarlemanTransform(measure)
+    ct = carl.CarlemanTransform(_line_measure(line_measure))
     report = {}
     verdict = True
     if reference == "i_over_z":

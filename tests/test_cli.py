@@ -106,12 +106,60 @@ class TestRunErrors:
         ("carleman_suite", {"line_measure": [1]}, "params.line_measure",
          "expected an object"),
         ("potter_check", {"pairs": [1, 2]}, "params.pairs[0]", "expected a list"),
+        ("carleman_suite", {"line_measure": {"atoms": [1]}},
+         "params.line_measure.atoms[0]", "expected [location, weight]"),
+        ("carleman_suite", {"line_measure": {"atoms": [["a", 1.0]]}},
+         "params.line_measure.atoms[0]", "expected a number"),
+        ("carleman_suite", {"line_measure": {"pieces": [5]}},
+         "params.line_measure.pieces[0]", "expected an object"),
+        ("carleman_suite", {"line_measure": {"pieces": [{"freq": "fast"}]}},
+         "params.line_measure.pieces[0].freq", "expected a number"),
+        ("carleman_suite", {"line_measure": {"pieces": 5}},
+         "params.line_measure.pieces", "expected a list"),
+        ("sparse_flow_check", {"probe": {"interval": [1]}},
+         "params.probe.interval", "expected [lo, hi]"),
+        ("sparse_flow_check", {"probe": {"interval": [0.5, "wide"]}},
+         "params.probe.interval[1]", "expected a number"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
         cfg = {"operation": operation, "order": {"rho": 1.0},
                "measure": {"densities": [{"kind": "power", "s": 0.0}]},
                "kernel": {"kind": "exp"}, "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("descriptor, value, path, message", [
+        ("measure", {"atoms": [["a", 1]]}, "measure.atoms[0]", "expected a number"),
+        ("measure", {"densities": [{"kind": "power", "s": 0.0,
+                                    "interval": ["a", None]}]},
+         "measure.densities[0].interval[0]", "expected a number"),
+        ("measure", {"tail": {"kind": "self_similar", "T": "x", "rho": 1.0}},
+         "measure.tail.T", "expected a number"),
+        ("measure", {"densities": [{"kind": "table", "log_nodes": 5,
+                                    "values": [1.0]}]},
+         "measure.densities[0].log_nodes", "expected a list"),
+        ("order", {"rho": "x"}, "order.rho", "expected a number"),
+        ("order", {"rho": 1.0, "zero_part": {"kind": "log_power", "alpha": [1]}},
+         "order.zero_part.alpha", "expected a number"),
+        ("order", {"rho": 1.0, "zero_part": {"kind": "tabulated_eta",
+                                             "points": [[0.0, 0.1, 0.2]]}},
+         "order.zero_part.points[0]", "expected a list of 2 entries"),
+        ("kernel", {"kind": "power_cut", "s": -0.5, "cut": "x"}, "kernel.cut",
+         "expected a number"),
+        ("kernel", {"kind": "table", "nodes": [0.0, "b"], "values": [1.0, 0.0]},
+         "kernel.nodes[1]", "expected a number"),
+        ("kernel", {"kind": "smooth_bump", "interval": [1.0, 2.0], "n_max": "six"},
+         "kernel.n_max", "expected a number"),
+    ])
+    def test_descriptor_number_diagnostic(self, descriptor, value, path, message,
+                                          tmp_path, capsys):
+        cfg = {"operation": "transform_table", "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "kernel": {"kind": "exp"}, "params": {"r_grid": [10.0]}}
+        cfg[descriptor] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from scipy.integrate import quad_vec
+from scipy.integrate import quad, quad_vec
 
-from azarin.numerics import (DivergenceError, QuadControl, QuadratureError,
-                             adaptive_quad, golden_section_min, improper_quad,
-                             log_quad, panel_integrate)
+from azarin.numerics import (DEFAULT_QUAD, DivergenceError, QuadControl,
+                             QuadratureError, adaptive_quad, golden_section_min,
+                             improper_quad, log_quad, panel_integrate)
 
 
 def test_adaptive_polynomials_exact():
@@ -90,6 +90,38 @@ def test_vector_column_that_cannot_converge_raises():
     with pytest.raises(QuadratureError) as err:
         adaptive_quad(_columns(np.ones_like, lambda x: 1.0 / x), 0.0, 1.0)
     assert err.value.estimate.shape == (2,)
+
+
+def _scipy_quad(g, a, b, points=None):
+    return quad(lambda x: float(g(np.array([x]))[0]), a, b, points=points,
+                epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+def _log_gap(x):
+    return np.log(np.abs(x - 0.7))
+
+
+@pytest.mark.parametrize("g, a, b, singular, ctrl", [
+    (_log_gap, 0.0, 2.0, [0.7], DEFAULT_QUAD),
+    # a bisection at an x^-1/2 end shrinks its error only by sqrt(2), so
+    # 1e-10 is out of reach within the segment and depth caps
+    (lambda x: x ** -0.5, 0.0, 1.0, [0.0], QuadControl(tol=1e-8)),
+], ids=["interior-log", "endpoint-inverse-sqrt"])
+def test_singular_integrands_match_scipy(g, a, b, singular, ctrl):
+    got = adaptive_quad(g, a, b, ctrl, singular_points=singular)
+    want = _scipy_quad(g, a, b, points=[p for p in singular if a < p < b] or None)
+    assert abs(got - want) <= 10 * ctrl.tol * abs(want), (got, want)
+
+
+def test_vector_log_singular_column_beside_tiny_smooth_column():
+    # the summed test accepts the log column long before its narrowest
+    # segments meet their length share; the 1e-12 column keeps its own budget
+    fns = [_log_gap, lambda x: 1e-12 * np.exp(x)]
+    got = adaptive_quad(_columns(*fns), 0.0, 2.0, FINE, singular_points=[0.7])
+    assert got.shape == (2,)
+    for val, g in zip(got, fns):
+        want = _scipy_quad(g, 0.0, 2.0, points=[0.7])
+        assert abs(val - want) <= 10 * FINE.tol * abs(want), (val, want)
 
 
 def test_log_quad_power():

@@ -75,6 +75,27 @@ class TestTransformValue:
         want = r ** rho * (math.pi / rho) / math.tan(math.pi * rho)
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_log_singular_value_work(self, monkeypatch):
+        # the log singularity of the kernel at t = r: accepting on the summed
+        # error estimate stops refinement once the value is within its budget,
+        # where a per-segment test refines rounding noise (~1e6 nodes)
+        from azarin import numerics
+        from azarin.kernels import LogSingularKernel
+        nodes = []
+        gk_eval = numerics._gk_eval
+
+        def counting_gk_eval(f, lo, hi):
+            nodes.append(15 * np.size(lo))
+            return gk_eval(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gk_eval", counting_gk_eval)
+        rho, r = 0.7, 10.0
+        m = RadonMeasure.power_density(rho - 1.0)
+        got = KernelTransform(LogSingularKernel(), m).value(r)
+        want = r ** rho * (math.pi / rho) / math.tan(math.pi * rho)
+        assert got == pytest.approx(want, rel=1e-8)
+        assert sum(nodes) <= 20000
+
     def test_log_singular_diverges_for_lebesgue(self):
         from azarin.kernels import LogSingularKernel
         with pytest.raises(DivergenceError):

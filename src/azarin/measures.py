@@ -468,25 +468,6 @@ class RadonMeasure:
         lo, hi = f.support
         return sorted(set(self.breakpoints_in(lo, hi)) | set(f.knots[1:-1]))
 
-    def pair_split(self, f, xi=1.0, quad=DEFAULT_QUAD):
-        """Pairings against f*chi_(0,xi] and f*chi_(xi,oo) (diagnostic)."""
-        lo, hi = f.support
-        left = right = 0.0 + 0.0j
-        xs, ws = self.atoms_in(lo * (1.0 - 1e-15), hi)
-        if ws.size:
-            vals = f(xs) * ws
-            left += complex(np.sum(vals[xs <= xi]))
-            right += complex(np.sum(vals[xs > xi]))
-        if self.has_density():
-            splits = self._pair_splits(f)
-            if xi > lo:
-                left += log_quad(lambda t: f(t) * self.density(t), lo, min(xi, hi),
-                                 quad, split_points=splits)
-            if xi < hi:
-                right += log_quad(lambda t: f(t) * self.density(t), max(xi, lo), hi,
-                                  quad, split_points=splits)
-        return left, right
-
     # -- Azarin transform ----------------------------------------------------------
 
     def scaled(self, order, t):

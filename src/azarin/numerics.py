@@ -115,15 +115,6 @@ def _gk_eval(f, lo, hi):
     return i15, np.abs(i15 - i7)
 
 
-def panel_integrate(f, edges):
-    """Fixed (non-adaptive) GK15 integration over consecutive panel edges."""
-    edges = np.asarray(edges, dtype=float)
-    if edges.size < 2:
-        return 0.0 + 0.0j
-    i15, _ = _gk_eval(f, edges[:-1], edges[1:])
-    return complex(np.sum(i15))
-
-
 def _graded_edges(lo, hi, singular, levels):
     """Insert geometrically shrinking panels toward singular endpoints."""
     pts = [lo, hi]
@@ -171,7 +162,6 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     seg_hi = edges[1:]
     vals, errs = _gk_eval(f, seg_lo, seg_hi)
     vector = vals.ndim == 2
-    depth = np.zeros(seg_lo.size, dtype=int)
 
     def result(total):
         return total.astype(complex) if vector else complex(total)
@@ -186,7 +176,7 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         if vector:
             width = width[:, None]
         over = errs > budget * width / length
-        bad = (over.any(axis=1) if vector else over) & (depth < ctrl.max_depth)
+        bad = over.any(axis=1) if vector else over
         if not bad.any():
             return result(total)
         if seg_lo.size + np.count_nonzero(bad) > ctrl.max_segments:
@@ -196,14 +186,13 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         mid = 0.5 * (seg_lo[bad] + seg_hi[bad])
         new_lo = np.concatenate([seg_lo[~bad], seg_lo[bad], mid])
         new_hi = np.concatenate([seg_hi[~bad], mid, seg_hi[bad]])
-        new_depth = np.concatenate([depth[~bad], depth[bad] + 1, depth[bad] + 1])
         keep_vals = vals[~bad]
         keep_errs = errs[~bad]
         ref_vals, ref_errs = _gk_eval(f, np.concatenate([seg_lo[bad], mid]),
                                       np.concatenate([mid, seg_hi[bad]]))
         vals = np.concatenate([keep_vals, ref_vals])
         errs = np.concatenate([keep_errs, ref_errs])
-        seg_lo, seg_hi, depth = new_lo, new_hi, new_depth
+        seg_lo, seg_hi = new_lo, new_hi
 
     total = np.sum(vals, axis=0)
     if np.any(np.sum(errs, axis=0) > 100.0 * (ctrl.tol * abs(total) + ctrl.abs_tol)):

@@ -105,14 +105,6 @@ class TestPair:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 5e-3
 
-    def test_pair_split_adds_up(self):
-        m = periodic()
-        f = TestFunction(0.5, 4.0)
-        left, right = m.pair_split(f, xi=1.0)
-        assert left + right == pytest.approx(m.pair(f), rel=1e-10)
-        assert left == pytest.approx(float(f(np.array([0.5]))[0]) * 0.5
-                                     + float(f(np.array([1.0]))[0]) * 1.0)
-
 
 class TestAzarinScale:
     def test_scale_invariant_power_measure(self):

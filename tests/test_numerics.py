@@ -7,7 +7,7 @@ from scipy.integrate import quad, quad_vec
 
 from azarin.numerics import (DEFAULT_QUAD, DivergenceError, QuadControl,
                              QuadratureError, adaptive_quad, golden_section_min,
-                             improper_quad, log_quad, panel_integrate)
+                             improper_quad, log_quad)
 
 
 def test_adaptive_polynomials_exact():
@@ -173,11 +173,6 @@ def test_extra_terms_enter_cauchy_criterion():
 
     val = improper_quad(lambda t: np.zeros_like(t), 0.0, 1.0, extra_terms=extra)
     assert abs(val - np.sum(weights)) < 1e-12
-
-
-def test_panel_integrate():
-    edges = np.linspace(0.0, 1.0, 11)
-    assert abs(panel_integrate(lambda x: x * x, edges) - 1.0 / 3.0) < 1e-12
 
 
 def test_golden_section_min():

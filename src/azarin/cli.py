@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .catalog import builtin_config, builtin_names
-from .configio import ConfigError, tol_key, validate_config
+from .configio import OUTPUTS, ConfigError, tol_key, validate_config
 from .numerics import DivergenceError, NumericsError
 from .runners import REGISTRY, _jsonable
 
@@ -64,6 +64,7 @@ def cmd_run(args):
         cfg, stem = _load_config(args.config)
         cfg = _apply_overrides(cfg, args)
         validate_config(cfg)
+        outputs = OUTPUTS(cfg.get("outputs", {}), "outputs")
         op = cfg["operation"]
         if op not in REGISTRY:
             raise ConfigError("operation: unknown operation %r" % op)
@@ -77,8 +78,7 @@ def cmd_run(args):
         print("run error: %s" % exc, file=sys.stderr)
         return 1
 
-    outputs = cfg.get("outputs", {})
-    report_name = outputs.get("json", "%s_report.json" % stem)
+    report_name = outputs["json"] or "%s_report.json" % stem
     report = {
         "operation": op,
         "verdict": (None if result.verdict is None
@@ -89,7 +89,7 @@ def cmd_run(args):
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     written = [str(report_path)]
     for name, header, rows in result.tables:
-        csv_name = outputs.get("csv", name) if len(result.tables) == 1 else name
+        csv_name = outputs["csv"] or name if len(result.tables) == 1 else name
         csv_path = Path(args.out_dir) / csv_name
         write_csv(csv_path, header, rows)
         written.append(str(csv_path))

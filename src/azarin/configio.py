@@ -1,28 +1,22 @@
 """Config schema: JSON descriptors for orders, measures and kernels.
 
-Every run is driven by one JSON document:
-
-    {
-      "operation": "<registry name>",
-      "order":    {"rho": 0.5, "zero_part": {"kind": "log_power", "A": 1.0,
-                                             "alpha": 0.5}},
-      "measure":  {"atoms": [[1.0, 1.0]],
-                   "densities": [{"interval": [0, null], "kind": "power",
-                                  "s": 0.5}],
-                   "tail": {"kind": "self_similar", "T": 2, "rho": 1}},
-      "kernel":   {"kind": "exp"},
-      "params":   {...},
-      "outputs":  {"json": "...", "csv": "..."}
-    }
-
-Scalars accepting complex values may be given as a number or [re, im].
-Validation failures raise ConfigError with a dotted field path.
+Every run is driven by one JSON document with the keys ``operation``,
+``params``, ``outputs`` and the descriptors ``order``, ``measure`` and
+``kernel`` its operation reads (README "Config schema" has an example).
+Each object is declared once below, as an ``Obj`` (a closed table of
+field -> declaration, plus its constructor) or a ``Kind`` (a tagged union
+of them).  An undeclared key, like any other invalid input, is a
+ConfigError with a dotted field path.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
+import numpy as np
+
+from .carleman import RealMeasure
 from .kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                       PowerCutKernel, SmoothBumpKernel, StepKernel,
                       TableKernel, trapezoid_kernel)
@@ -32,7 +26,11 @@ from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
                      TabulatedZero)
 
 __all__ = ["ConfigError", "parse_order", "parse_measure", "parse_kernel",
-           "parse_complex", "number", "require", "tol_key", "validate_config"]
+           "parse_complex", "number", "tol_key", "validate_config", "Count",
+           "Field", "Maybe", "List", "Grid", "Interval", "Obj", "Kind"]
+
+# a signature parameter without a default: a required number
+REQUIRED = inspect.Parameter.empty
 
 
 class ConfigError(ValueError):
@@ -43,14 +41,6 @@ def _fail(path, message):
     raise ConfigError("%s: %s" % (path, message))
 
 
-def require(cfg, key, path):
-    if not isinstance(cfg, dict):
-        _fail(path, "expected an object")
-    if key not in cfg:
-        _fail("%s.%s" % (path, key), "missing required field")
-    return cfg[key]
-
-
 def number(value, path):
     """``float(value)``, or a ConfigError at ``path``."""
     try:
@@ -59,179 +49,305 @@ def number(value, path):
         _fail(path, "expected a number")
 
 
-def _number_field(cfg, key, path):
-    """The number in required field ``key`` of the object at ``path``."""
-    return number(require(cfg, key, path), "%s.%s" % (path, key))
-
-
-def _entries(value, path, item=None, length=None):
-    """``item(entry, path[i])`` (``number`` by default) of each entry of a
-    list, as a tuple."""
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        _fail(path, "expected a list" if length is None
-              else "expected a list of %d entries" % length)
-    item = item or number
-    return tuple(item(v, "%s[%d]" % (path, i)) for i, v in enumerate(value))
-
-
 def parse_complex(value, path):
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(number(value[0], path), number(value[1], path))
-    _fail(path, "expected a number or [re, im] pair")
+    try:
+        return complex(float(value))
+    except (TypeError, ValueError):
+        _fail(path, "expected a number or [re, im] pair")
+
+
+class Count(int):
+    """Declaration: an integer >= 1 (the class itself: a required one)."""
+
+
+def _integer(value, path, least=None):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not x.is_integer() or (least is not None and x < least):
+        _fail(path, "expected an integer%s"
+              % ("" if least is None else " >= %d" % least))
+    return int(x)
+
+
+def _read(decl, value, path):
+    """``value`` read as the declaration ``decl`` says.
+
+    A float, ``float`` or REQUIRED declares a number; an int or ``int``, an
+    integer (>= 1 for ``Count``); a complex or ``complex``, a complex
+    number; a str or ``str``, a string; a marker (``Field``) or a function
+    ``(value, path)``, what it reads; None, the value as given.  A type or
+    function is required, a value is the default of an absent field, and a
+    marker declares its own default.
+    """
+    kind = decl if isinstance(decl, type) else type(decl)
+    if decl is REQUIRED or kind is float:
+        return number(value, path)
+    if issubclass(kind, int):
+        return _integer(value, path, least=1 if issubclass(kind, Count) else None)
+    if kind is complex:
+        return parse_complex(value, path)
+    if kind is str:
+        if not isinstance(value, str):
+            _fail(path, "expected a string")
+        return value
+    return decl(value, path) if callable(decl) else value
+
+
+def _get(cfg, key, decl, path):
+    """Field ``key`` of the object ``cfg`` at ``path``, read as ``decl`` says."""
+    path = "%s.%s" % (path, key) if path else key
+    if key in cfg:
+        return _read(decl, cfg[key], path)
+    if isinstance(decl, Field):
+        if decl.value is None:
+            return None
+        if decl.value is not REQUIRED:
+            return decl.read(decl.value, path)
+    elif decl is not REQUIRED and not callable(decl):
+        return decl
+    _fail(path, "missing required field")
+
+
+class Field:
+    """Base of the markers: a marker reads a given value with ``read``, and
+    an absent field reads the JSON ``default`` the same way; REQUIRED makes
+    absence an error, and None makes absent and null read as None."""
+
+    def __init__(self, default=REQUIRED):
+        self.value = default
+
+    def __call__(self, value, path):
+        if value is None and self.value is None:
+            return None
+        return self.read(value, path)
+
+
+class Maybe(Field):
+    """Marker: what ``decl`` declares, or None where absent or null."""
+
+    def __init__(self, decl):
+        super().__init__(None)
+        self.decl = decl
+
+    def read(self, value, path):
+        return _read(self.decl, value, path)
+
+
+class List(Field):
+    """Marker: a list whose entries ``item`` declares (numbers by default),
+    of exactly ``length`` entries, or of at least one with ``nonempty``."""
+
+    def __init__(self, default=REQUIRED, item=float, length=None, nonempty=False):
+        super().__init__(default)
+        self.item = item
+        self.length = length
+        self.nonempty = nonempty
+
+    def read(self, value, path):
+        if not isinstance(value, (list, tuple)) \
+                or self.length not in (None, len(value)):
+            _fail(path, "expected a list" if self.length is None
+                  else "expected a list of %d entries" % self.length)
+        if self.nonempty and not value:
+            _fail(path, "expected a nonempty list")
+        return [_read(self.item, v, "%s[%d]" % (path, i))
+                for i, v in enumerate(value)]
+
+
+class Grid(List):
+    """Marker: a nonempty list of numbers, or ``{start, stop, points}``
+    spread by ``space``; absent, ``space(start, stop, points)`` of the
+    marker (None without them)."""
+
+    def __init__(self, start=None, stop=None, points=None, space=np.geomspace):
+        super().__init__(None if start is None else
+                         {"start": start, "stop": stop, "points": points},
+                         nonempty=True)
+        self.spread = Obj({"start": float, "stop": float, "points": Count},
+                          lambda start, stop, points: space(start, stop, points))
+
+    def read(self, value, path):
+        if isinstance(value, dict):
+            return self.spread(value, path)
+        if not isinstance(value, list):
+            _fail(path, "expected a list of numbers or a {start, stop, points} "
+                        "object")
+        return np.asarray(super().read(value, path), dtype=float)
+
+
+class Interval(Field):
+    """Marker: ``[lo, hi]`` with lo < hi, read as a pair; a null hi is +oo
+    unless ``bounded``."""
+
+    def __init__(self, default=REQUIRED, bounded=False):
+        super().__init__(default)
+        self.bounded = bounded
+
+    def read(self, value, path):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            _fail(path, "expected [lo, hi]")
+        lo = number(value[0], path + "[0]")
+        hi = math.inf if value[1] is None else number(value[1], path + "[1]")
+        if self.bounded and math.isinf(hi):
+            _fail(path, "interval must be bounded")
+        if hi <= lo:
+            _fail(path, "interval must be nonempty")
+        return lo, hi
+
+
+class Obj(Field):
+    """Marker: an object with the closed set of ``fields`` (name ->
+    declaration, read in order), built by ``build(**fields)`` (a dict by
+    default).  A ValueError of ``build`` is a ConfigError at the object's
+    path; so is any undeclared key, reported after the build."""
+
+    def __init__(self, fields, build=dict, default=REQUIRED):
+        super().__init__(default)
+        self.fields = fields
+        self.build = build
+
+    def read(self, value, path):
+        if not isinstance(value, dict):
+            _fail(path, "expected an object")
+        args = {key: _get(value, key, decl, path)
+                for key, decl in self.fields.items()}
+        try:
+            out = self.build(**args)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            _fail(path, str(exc))
+        for key in value:
+            if key not in self.fields:
+                _fail("%s.%s" % (path, key) if path else key, "unknown field")
+        return out
+
+
+class Kind(Field):
+    """Marker: a tagged union, an object whose ``kind`` (``default`` where
+    absent) picks the Obj of ``kinds`` that reads its other fields; an
+    absent object reads as ``{}``."""
+
+    def __init__(self, kinds, default=str):
+        super().__init__({})
+        self.kinds = kinds
+        self.default = default
+
+    def read(self, value, path):
+        if not isinstance(value, dict):
+            _fail(path, "expected an object")
+        kind = _get(value, "kind", self.default, path)
+        if kind not in self.kinds:
+            _fail(path + ".kind", "unknown kind %r" % kind)
+        return self.kinds[kind]({k: v for k, v in value.items() if k != "kind"},
+                                path)
+
+
+# A constructor below that calls an azarin function looks it up by name when
+# it runs, so a rebinding of the module name reaches it.
+
+
+def _atom(value, path):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        _fail(path, "expected [location, weight]")
+    return number(value[0], path), parse_complex(value[1], path)
+
+
+def _step(value, path):
+    if not isinstance(value, (list, tuple)) or len(value) not in (3, 4):
+        _fail(path, "expected [coef, lo, hi] or [coef, lo, hi, exponent]")
+    return tuple(number(v, path) for v in value)
+
+
+ZERO_PART = Kind({
+    "zero": Obj({}, FlatZero),
+    "log_power": Obj({"A": 1.0, "alpha": float},
+                     lambda A, alpha: LogPowerZero(A, alpha)),
+    "log_of_log_power": Obj({"alpha": float}, LogLogZero),
+    "tabulated_eta": Obj({"points": List(item=List(length=2))},
+                         lambda points: TabulatedZero(*zip(*points))),
+}, "zero")
+
+ORDER = Obj({"rho": float, "zero_part": ZERO_PART}, ProximateOrder)
+
+_SPAN = {"interval": Interval([0, None]), "coef": 1 + 0j}
+
+DENSITY = Kind({
+    "power": Obj(dict(_SPAN, s=complex),
+                 lambda interval, coef, s: DensityPiece(*interval, coef, s)),
+    "power_log": Obj(dict(_SPAN, s=complex, log_power=1),
+                     lambda interval, coef, s, log_power:
+                     DensityPiece(*interval, coef, s, LogFactor(log_power))),
+    "perturbed_power": Obj(dict(_SPAN, s=complex, style="inv_log"),
+                           lambda interval, coef, s, style:
+                           DensityPiece(*interval, coef, s, LogPerturbFactor(style))),
+    "order_scale": Obj(dict(_SPAN, rho=0.0, zero_part=ZERO_PART, oscillation=0.0),
+                       lambda interval, coef, rho, zero_part, oscillation:
+                       DensityPiece(*interval, coef, complex(rho - 1.0, oscillation),
+                                    ZeroScaleFactor(zero_part))),
+    "table": Obj({"interval": Interval([0, None]), "log_nodes": List(),
+                  "values": List(item=complex)},
+                 lambda interval, log_nodes, values:
+                 TabulatedPiece(*interval, tuple(log_nodes), tuple(values))),
+}, "power")
+
+TAIL = Kind({
+    "none": Obj({}, lambda: None),
+    "formula": Obj({}, lambda: None),   # the pieces already cover the half-line
+    "self_similar": Obj({"T": float, "rho": float, "base_lo": 1.0},
+                        lambda T, rho, base_lo: SelfSimilarTail(T, rho, base_lo)),
+}, "none")
+
+MEASURE = Obj({"atoms": List([], item=_atom), "densities": List([], item=DENSITY),
+               "tail": TAIL, "window": Interval([0, None])},
+              lambda atoms, densities, tail, window:
+              RadonMeasure(atoms, densities, tail, window))
+
+_BOUNDED = Interval(bounded=True)
+
+KERNEL = Kind({
+    "exp": Obj({}, ExpKernel),
+    "indicator": Obj({"interval": _BOUNDED}, lambda interval: IndicatorKernel(*interval)),
+    "step_combo": Obj({"steps": List(item=_step)},
+                      lambda steps: StepKernel(tuple(steps))),
+    "power_cut": Obj({"s": complex, "cut": 1.0},
+                     lambda s, cut: PowerCutKernel(s, cut)),
+    "log_singular": Obj({}, LogSingularKernel),
+    "smooth_bump": Obj({"interval": _BOUNDED, "n_max": 6},
+                       lambda interval, n_max: SmoothBumpKernel(*interval, n_max)),
+    "table": Obj({"nodes": List(), "values": List()},
+                 lambda nodes, values: TableKernel(tuple(nodes), tuple(values))),
+    "trapezoid": Obj({"interval": _BOUNDED, "ramp": Maybe(float)},
+                     lambda interval, ramp: trapezoid_kernel(*interval, ramp)),
+})
+
+# params.line_measure of carleman_suite: a measure on the real line
+LINE_MEASURE = Obj(
+    {"atoms": List([], item=_atom),
+     "pieces": List([], item=Obj({"lo": Maybe(float), "hi": Maybe(float),
+                                  "coef": 1 + 0j, "freq": 0.0},
+                                 lambda lo, hi, coef, freq: (lo, hi, coef, freq)))},
+    lambda atoms, pieces: RealMeasure(atoms=tuple(atoms), pieces=tuple(pieces)),
+    default={})
+
+# file names for the JSON report and the single CSV table (None: the default)
+OUTPUTS = Obj({"json": Maybe(str), "csv": Maybe(str)}, default={})
 
 
 def parse_order(cfg, path="order"):
-    if cfg is None:
-        _fail(path, "missing order descriptor")
-    rho = _number_field(cfg, "rho", path)
-    zp_cfg = cfg.get("zero_part", {"kind": "zero"})
-    kind = zp_cfg.get("kind", "zero")
-    if kind == "zero":
-        zp = FlatZero()
-    elif kind == "log_power":
-        zp = LogPowerZero(coef=number(zp_cfg.get("A", 1.0), path + ".zero_part.A"),
-                          alpha=_number_field(zp_cfg, "alpha", path + ".zero_part"))
-    elif kind == "log_of_log_power":
-        zp = LogLogZero(alpha=_number_field(zp_cfg, "alpha", path + ".zero_part"))
-    elif kind == "tabulated_eta":
-        p = path + ".zero_part.points"
-        pts = _entries(require(zp_cfg, "points", path + ".zero_part"), p,
-                       item=lambda v, q: _entries(v, q, length=2))
-        try:
-            zp = TabulatedZero(xs=tuple(x for x, _ in pts),
-                               etas=tuple(e for _, e in pts))
-        except ValueError as exc:
-            _fail(p, str(exc))
-    else:
-        _fail(path + ".zero_part.kind", "unknown kind %r" % kind)
-    return ProximateOrder(rho=rho, zero_part=zp)
-
-
-def _parse_interval(value, path, allow_infinite=True):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        _fail(path, "expected [lo, hi]")
-    lo = number(value[0], path + "[0]")
-    hi = math.inf if value[1] is None else number(value[1], path + "[1]")
-    if not allow_infinite and math.isinf(hi):
-        _fail(path, "interval must be bounded")
-    if hi <= lo:
-        _fail(path, "interval must be nonempty")
-    return lo, hi
-
-
-def _parse_density(cfg, path):
-    kind = cfg.get("kind", "power")
-    lo, hi = _parse_interval(cfg.get("interval", [0, None]), path + ".interval")
-    coef = parse_complex(cfg.get("coef", 1.0), path + ".coef")
-    if kind == "power":
-        s = parse_complex(require(cfg, "s", path), path + ".s")
-        return DensityPiece(lo=lo, hi=hi, coef=coef, exponent=s)
-    if kind == "power_log":
-        s = parse_complex(require(cfg, "s", path), path + ".s")
-        return DensityPiece(lo=lo, hi=hi, coef=coef, exponent=s,
-                            factor=LogFactor(int(number(cfg.get("log_power", 1),
-                                                        path + ".log_power"))))
-    if kind == "perturbed_power":
-        s = parse_complex(require(cfg, "s", path), path + ".s")
-        style = cfg.get("style", "inv_log")
-        if style not in ("inv_log", "inv_log1p"):
-            _fail(path + ".style", "unknown style %r" % style)
-        return DensityPiece(lo=lo, hi=hi, coef=coef, exponent=s,
-                            factor=LogPerturbFactor(style=style))
-    if kind == "order_scale":
-        order = parse_order({"rho": cfg.get("rho", 0.0),
-                             "zero_part": cfg.get("zero_part", {"kind": "zero"})},
-                            path)
-        osc = number(cfg.get("oscillation", 0.0), path + ".oscillation")
-        exponent = complex(order.rho - 1.0, osc)
-        return DensityPiece(lo=lo, hi=hi, coef=coef, exponent=exponent,
-                            factor=ZeroScaleFactor(order.zero_part))
-    if kind == "table":
-        nodes = _entries(require(cfg, "log_nodes", path), path + ".log_nodes")
-        values = _entries(require(cfg, "values", path), path + ".values",
-                          item=parse_complex)
-        return TabulatedPiece(lo=lo, hi=hi, log_nodes=nodes, values=values)
-    _fail(path + ".kind", "unknown density kind %r" % kind)
+    return ORDER(cfg, path)
 
 
 def parse_measure(cfg, path="measure"):
-    if cfg is None:
-        _fail(path, "missing measure descriptor")
-    atoms = []
-    for i, entry in enumerate(cfg.get("atoms", [])):
-        p = "%s.atoms[%d]" % (path, i)
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            _fail(p, "expected [location, weight]")
-        x = number(entry[0], p)
-        if x <= 0:
-            _fail(p, "location must be positive")
-        atoms.append((x, parse_complex(entry[1], p)))
-    pieces = [
-        _parse_density(d, "%s.densities[%d]" % (path, i))
-        for i, d in enumerate(cfg.get("densities", []))
-    ]
-    tail_cfg = cfg.get("tail", {"kind": "none"})
-    kind = tail_cfg.get("kind", "none")
-    tail = None
-    if kind == "self_similar":
-        tail = SelfSimilarTail(period=_number_field(tail_cfg, "T", path + ".tail"),
-                               rho=_number_field(tail_cfg, "rho", path + ".tail"),
-                               base_lo=number(tail_cfg.get("base_lo", 1.0),
-                                              path + ".tail.base_lo"))
-    elif kind not in ("none", "formula"):
-        _fail(path + ".tail.kind", "unknown tail kind %r" % kind)
-    window = cfg.get("window")
-    kw = {}
-    if window is not None:
-        kw["window"] = _parse_interval(window, path + ".window")
-    try:
-        return RadonMeasure(atoms=atoms, pieces=pieces, tail=tail, **kw)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    return MEASURE(cfg, path)
 
 
 def parse_kernel(cfg, path="kernel"):
-    if cfg is None:
-        _fail(path, "missing kernel descriptor")
-    kind = require(cfg, "kind", path)
-    if kind == "exp":
-        return ExpKernel()
-    if kind == "indicator":
-        lo, hi = _parse_interval(require(cfg, "interval", path),
-                                 path + ".interval", allow_infinite=False)
-        return IndicatorKernel(lo=lo, hi=hi)
-    if kind == "step_combo":
-        steps = []
-        for i, s in enumerate(require(cfg, "steps", path)):
-            p = "%s.steps[%d]" % (path, i)
-            if not isinstance(s, (list, tuple)) or len(s) not in (3, 4):
-                _fail(p, "expected [coef, lo, hi] or [coef, lo, hi, exponent]")
-            steps.append(tuple(number(v, p) for v in s))
-        return StepKernel(steps=tuple(steps))
-    if kind == "power_cut":
-        s = parse_complex(require(cfg, "s", path), path + ".s")
-        return PowerCutKernel(exponent=s,
-                              cut=number(cfg.get("cut", 1.0), path + ".cut"))
-    if kind == "log_singular":
-        return LogSingularKernel()
-    if kind == "smooth_bump":
-        lo, hi = _parse_interval(require(cfg, "interval", path),
-                                 path + ".interval", allow_infinite=False)
-        return SmoothBumpKernel(lo=lo, hi=hi,
-                                n_max=int(number(cfg.get("n_max", 6), path + ".n_max")))
-    if kind == "table":
-        return TableKernel(nodes=_entries(require(cfg, "nodes", path), path + ".nodes"),
-                           values=_entries(require(cfg, "values", path),
-                                           path + ".values"))
-    if kind == "trapezoid":
-        lo, hi = _parse_interval(require(cfg, "interval", path),
-                                 path + ".interval", allow_infinite=False)
-        ramp = cfg.get("ramp")
-        return trapezoid_kernel(lo, hi,
-                                None if ramp is None else number(ramp, path + ".ramp"))
-    _fail(path + ".kind", "unknown kernel kind %r" % kind)
+    return KERNEL(cfg, path)
 
 
 def tol_key(key):

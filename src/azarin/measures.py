@@ -52,13 +52,15 @@ class LogPerturbFactor:
     """Slowly decaying perturbation 1 + 1/ln(e+t) (or 1 + 1/(1+ln(e+t)))."""
     style: str = "inv_log"
 
+    def __post_init__(self):
+        if self.style not in ("inv_log", "inv_log1p"):
+            raise ValueError("unknown perturbation style %r" % self.style)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if self.style == "inv_log":
             return 1.0 + 1.0 / np.log(math.e + t)
-        if self.style == "inv_log1p":
-            return 1.0 + 1.0 / (1.0 + np.log(math.e + t))
-        raise ValueError("unknown perturbation style %r" % self.style)
+        return 1.0 + 1.0 / (1.0 + np.log(math.e + t))
 
     def descriptor(self):
         return {"kind": "log_perturb", "style": self.style}
@@ -259,13 +261,6 @@ class RadonMeasure:
                                                  coef=complex(coef),
                                                  exponent=complex(exponent),
                                                  factor=factor),))
-
-    def with_window(self, lo, hi):
-        out = RadonMeasure.__new__(RadonMeasure)
-        out.atom_x, out.atom_w = self.atom_x, self.atom_w
-        out.pieces, out.tail = self.pieces, self.tail
-        out.window = (float(lo), float(hi))
-        return out
 
     # -- algebra ---------------------------------------------------------------
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman as carl
-from .configio import (ConfigError, number, parse_complex, parse_kernel,
-                       parse_measure, parse_order, require)
+from .configio import (LINE_MEASURE, ConfigError, Count, Grid, Interval, List,
+                       Maybe, Obj, parse_kernel, parse_measure, parse_order)
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
@@ -50,142 +50,52 @@ class RunResult:
     tables: list = field(default_factory=list)   # (name, header, rows)
 
 
-def operation(name):
+def _descriptor(key, value, path):
+    # looks the parser up at call time, so a rebinding of the entry reaches it
+    return _DESCRIPTORS[key](value, path)
+
+
+def operation(name, check=None):
     """Register a runner under ``name``; the registered function takes a config.
 
     The runner's signature declares what it reads from the config:
-    ``order``, ``measure`` and ``kernel`` are the parsed descriptors and
-    ``quad`` is the ``QuadControl`` that ``params.quad_tol`` sets.  Each
-    other parameter reads the ``params`` key of its name as its default
-    says: no default, a required number; a float, a number; an int, an
-    integer (a ``Count``, one >= 1); a str, a string; a dict, an object; a
-    ``Numbers`` or ``Grid`` marker, what the marker reads; None or a list,
-    the value as given.  Any other ``params`` key is a ConfigError.
+    ``order``, ``measure`` and ``kernel`` are the parsed descriptors,
+    ``quad`` is the ``QuadControl`` that ``params.quad_tol`` sets, and each
+    other parameter is the ``params`` key of its name, which its default
+    declares (``configio._read``; no default: a required number).
+    ``check``, if given, takes the arguments and raises a ConfigError for a
+    rule between them.  Any other top-level or ``params`` key is a
+    ConfigError, reported after the declared fields are read and checked.
     """
     def deco(fn):
         spec = inspect.signature(fn).parameters
-        keys = {key for key in spec if key not in _DESCRIPTORS and key != "quad"}
+        params = {key: param.default for key, param in spec.items()
+                  if key not in _DESCRIPTORS and key != "quad"}
         if "quad" in spec:
-            keys.add("quad_tol")
+            params["quad_tol"] = DEFAULT_QUAD.tol
+        fields = {key: functools.partial(_descriptor, key)
+                  for key in spec if key in _DESCRIPTORS}
+        # validate_config reads the operation, the CLI the outputs
+        fields.update(params=Obj(params, default={}), operation=None,
+                      outputs=None)
+
+        def arguments(params, operation, outputs, **descriptors):
+            args = dict(descriptors, **params)
+            if "quad" in spec:
+                args["quad"] = DEFAULT_QUAD.with_tol(args.pop("quad_tol"))
+            if check is not None:
+                check(**args)
+            return args
+
+        config = Obj(fields, arguments)
 
         @functools.wraps(fn)
         def run(cfg):
-            return fn(**_arguments(spec, keys, cfg))
+            return fn(**config(cfg, ""))
 
         REGISTRY[name] = run
         return run
     return deco
-
-
-def _arguments(spec, keys, cfg):
-    """The keyword arguments of a runner with parameters ``spec``."""
-    params = cfg.get("params", {})
-    for key in params:
-        if key not in keys:
-            raise ConfigError("params.%s: unknown parameter" % key)
-    args = {}
-    for key, param in spec.items():
-        path = "params." + key
-        default = param.default
-        if key in _DESCRIPTORS:
-            args[key] = _DESCRIPTORS[key](cfg.get(key))
-        elif key == "quad":
-            tol = params.get("quad_tol")
-            args[key] = (DEFAULT_QUAD if tol is None
-                         else DEFAULT_QUAD.with_tol(number(tol, "params.quad_tol")))
-        elif key not in params:
-            if default is param.empty:
-                raise ConfigError(path + ": missing required field")
-            args[key] = (default.default() if isinstance(default, Numbers)
-                         else default)
-        elif isinstance(default, Numbers):
-            args[key] = default.read(params[key], path)
-        elif default is param.empty or isinstance(default, float):
-            args[key] = number(params[key], path)
-        elif isinstance(default, int):
-            args[key] = _integer(params[key], path,
-                                 least=1 if isinstance(default, Count) else None)
-        elif isinstance(default, str) and not isinstance(params[key], str):
-            raise ConfigError(path + ": expected a string")
-        elif isinstance(default, dict) and not isinstance(params[key], dict):
-            raise ConfigError(path + ": expected an object")
-        else:
-            args[key] = params[key]
-    return args
-
-
-def _integer(value, path, least=None):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not x.is_integer() or (least is not None and x < least):
-        raise ConfigError("%s: expected an integer%s"
-                          % (path, "" if least is None else " >= %d" % least))
-    return int(x)
-
-
-def _complex(value, path):
-    # a Numbers item; looks parse_complex up at call time, so a rebinding of
-    # the module name (perfbench's tracer) reaches it
-    return parse_complex(value, path)
-
-
-class Count(int):
-    """Param marker: an integer >= 1."""
-
-
-class Numbers:
-    """Param marker: a list whose entries ``item`` reads (numbers by default),
-    of exactly ``length`` entries, or of at least one with ``nonempty``."""
-
-    def __init__(self, default=None, item=None, length=None, nonempty=False):
-        self.value = default
-        self.item = item
-        self.length = length
-        self.nonempty = nonempty
-
-    def default(self):
-        return None if self.value is None else list(self.value)
-
-    def read(self, value, path):
-        if value is None and self.value is None:
-            return None   # null reads as absent where absent means None
-        if not isinstance(value, list):
-            raise ConfigError(path + ": expected a list")
-        if self.length is not None and len(value) != self.length:
-            raise ConfigError("%s: expected a list of %d entries"
-                              % (path, self.length))
-        if self.nonempty and not value:
-            raise ConfigError(path + ": expected a nonempty list")
-        item = self.item or number
-        return [item(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
-
-
-class Grid(Numbers):
-    """Param marker: a nonempty list of numbers, or ``{start, stop, points}``
-    spread by ``space``; absent, ``space(start, stop, points)`` of the
-    marker (None without them)."""
-
-    def __init__(self, start=None, stop=None, points=None, space=np.geomspace):
-        super().__init__(nonempty=True)
-        self.span = (start, stop, points)
-        self.space = space
-
-    def default(self):
-        return None if self.span[0] is None else self.space(*self.span)
-
-    def read(self, value, path):
-        if isinstance(value, dict):
-            start, stop = (number(require(value, key, path), "%s.%s" % (path, key))
-                           for key in ("start", "stop"))
-            points = _integer(require(value, "points", path), path + ".points",
-                              least=1)
-            return self.space(start, stop, points)
-        if not isinstance(value, list):
-            raise ConfigError("%s: expected a list of numbers or a "
-                              "{start, stop, points} object" % path)
-        return np.asarray(super().read(value, path), dtype=float)
 
 
 def _jsonable(value):
@@ -223,8 +133,8 @@ def _lattice_pairs(count, ln_range):
 @operation("gamma_suite")
 def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
                     dominance_points=Count(50),
-                    decay_exponents=Numbers([16.0, 36.0, 100.0]),
-                    expected_decay=Numbers(), decay_tol=1e-3):
+                    decay_exponents=List([16.0, 36.0, 100.0]),
+                    expected_decay=List(None), decay_tol=1e-3):
     at_one = potter_factor(order, 1.0)
     submult_worst = 0.0
     for t1, t2 in _lattice_pairs(pairs, ln_range):
@@ -274,7 +184,7 @@ def run_potter_decay_scan(order, t_grid=Grid(math.exp(16.0), math.exp(100.0), 3)
 
 
 @operation("potter_check")
-def run_potter_check(order, pairs=Numbers(item=Numbers(length=2).read),
+def run_potter_check(order, pairs=List(None, item=List(length=2)),
                      count=Count(1000), ln_range=20.0, tol=1e-6):
     if pairs is None:
         pairs = _lattice_pairs(count, ln_range)
@@ -285,16 +195,14 @@ def run_potter_check(order, pairs=Numbers(item=Numbers(length=2).read),
 
 
 @operation("poisson_smoothing_check")
-def run_poisson_smoothing(order, quad, checks=[{"r": 1e4, "bound": 0.05}],
+def run_poisson_smoothing(order, quad,
+                          checks=List([{"r": 1e4, "bound": 0.05}],
+                                      item=Obj({"r": float, "bound": float},
+                                               lambda r, bound: (r, bound))),
                           symmetry_r=37.5, symmetry_tol=1e-8):
     rows = []
     verdict = True
-    if not isinstance(checks, list):
-        raise ConfigError("params.checks: expected a list of {r, bound} objects")
-    for i, entry in enumerate(checks):
-        path = "params.checks[%d]" % i
-        r = number(require(entry, "r", path), path + ".r")
-        bound = number(require(entry, "bound", path), path + ".bound")
+    for r, bound in checks:
         v1 = poisson_smoothed_scale(order, r, quad)
         v = float(order.scale(r))
         defect = abs(v1 / v - 1.0)
@@ -323,7 +231,9 @@ def _trajectory_table(samples):
 
 @operation("limit_set_estimate")
 def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
-                  eps_cluster=1e-3, target=None):
+                  eps_cluster=1e-3,
+                  target=Obj({"exponent": Maybe(float), "oscillation": 0.0,
+                              "coef": 1.0, "tol_d": 1e-3}, default=None)):
     fam = MetricFamily(quad=quad)
     samples = sample_trajectory(measure, order, schedule, fam, quad)
     est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster)
@@ -340,18 +250,15 @@ def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
     }
     verdict = None
     if target is not None:
-        if not isinstance(target, dict):
-            raise ConfigError("params.target: expected an object")
-        exponent, oscillation, coef, tol_d = (
-            number(target.get(key, value), "params.target." + key)
-            for key, value in (("exponent", order.rho - 1.0), ("oscillation", 0.0),
-                               ("coef", 1.0), ("tol_d", 1e-3)))
-        nu = RadonMeasure.power_density(complex(exponent, oscillation),
-                                        coef=complex(coef))
+        exponent = target["exponent"]
+        if exponent is None:
+            exponent = order.rho - 1.0
+        nu = RadonMeasure.power_density(complex(exponent, target["oscillation"]),
+                                        coef=complex(target["coef"]))
         target_p = fam.pairings(nu, quad)
         d = fam.distance_from_pairings(est.limit_pairings[0], target_p)
         report["target_distance"] = d
-        verdict = est.regular and d <= tol_d
+        verdict = est.regular and d <= target["tol_d"]
     return RunResult(verdict, report, [_trajectory_table(samples)])
 
 
@@ -378,16 +285,18 @@ def run_oscillating_family(order, measure, oscillation, quad,
                      [("family_match.csv", ["t", "distance"], rows)])
 
 
-@operation("periodic_family_check")
-def run_periodic_family(order, measure, quad, period=None, tau_points=Count(16),
-                        base_power=36, eps_cluster=1e-3, exact_tol=1e-12):
+def _period_given(measure, period, **_):
+    if not measure.tail and period is None:
+        raise ConfigError("params.period: missing required field")
+
+
+@operation("periodic_family_check", check=_period_given)
+def run_periodic_family(order, measure, quad, period=Maybe(float),
+                        tau_points=Count(16), base_power=36, eps_cluster=1e-3,
+                        exact_tol=1e-12):
     fam = MetricFamily(quad=quad)
     if measure.tail:
         period = measure.tail.period
-    elif period is None:
-        raise ConfigError("params.period: missing required field")
-    else:
-        period = number(period, "params.period")
     taus = [period ** (k / tau_points) for k in range(tau_points)]
     exact_worst = 0.0
     for tau in taus:
@@ -420,14 +329,12 @@ def run_periodic_family(order, measure, quad, period=None, tau_points=Count(16),
 
 @operation("sparse_flow_check")
 def run_sparse_flow(order, measure, quad,
-                    indices=Numbers([5, 6, 7, 8, 9], item=_integer),
-                    probe={"interval": [0.5, 2.0]}, delta_tol=1e-6, null_tol=1e-8):
+                    indices=List([5, 6, 7, 8, 9], item=int),
+                    probe=Obj({"interval": Interval(bounded=True)},
+                              lambda interval: TestFunction(*interval),
+                              default={"interval": [0.5, 2.0]}),
+                    delta_tol=1e-6, null_tol=1e-8):
     fam = MetricFamily(quad=quad)
-    interval = require(probe, "interval", "params.probe")
-    if not isinstance(interval, list) or len(interval) != 2:
-        raise ConfigError("params.probe.interval: expected [lo, hi]")
-    bump = TestFunction(*(number(v, "params.probe.interval[%d]" % i)
-                          for i, v in enumerate(interval)))
     xs = np.sort(measure.atom_x)
     for i, n in enumerate(indices):
         if not 1 <= n <= len(xs):
@@ -439,8 +346,8 @@ def run_sparse_flow(order, measure, quad,
     for n in indices:
         r_n = float(xs[n - 1])
         at = measure.scaled(order, r_n)
-        got = at.pair(bump, quad)
-        expected = complex(bump(np.array([1.0]))[0])
+        got = at.pair(probe, quad)
+        expected = complex(probe(np.array([1.0]))[0])
         worst_delta = max(worst_delta, abs(got - expected))
         rows.append([r_n, "atom", got.real, got.imag])
         if n < len(xs):
@@ -512,7 +419,7 @@ def run_transform_table(order, measure, kernel, quad, r_grid=Grid(1.0, 1e6, 25))
 @operation("kernel_limit_values")
 def run_kernel_limit_values(order, measure, kernel, quad,
                             schedule=Grid(1e3, 1e9, 64), cluster_eps=1e-4,
-                            tol=1e-4, tau_grid=Numbers(nonempty=True),
+                            tol=1e-4, tau_grid=List(None, nonempty=True),
                             tau_points=Count(16)):
     tr = KernelTransform(kernel, measure, order, quad)
     clusters = normalized_limit_values(tr, schedule, eps=cluster_eps)
@@ -539,8 +446,8 @@ def run_kernel_limit_values(order, measure, kernel, quad,
 
 @operation("neutralization_check")
 def run_neutralization(order, measure, kernel, quad,
-                       eps_grid=Numbers([0.5, 0.25, 0.125, 0.0625], nonempty=True),
-                       n_grid=Numbers([2.0, 4.0, 8.0, 16.0], nonempty=True),
+                       eps_grid=List([0.5, 0.25, 0.125, 0.0625], nonempty=True),
+                       n_grid=List([2.0, 4.0, 8.0, 16.0], nonempty=True),
                        r_grid=Grid(1e2, 1e5, 10), expect_pass=None):
     rep = neutralization_report(kernel, order, measure, eps_grid, n_grid,
                                 r_grid, quad)
@@ -603,8 +510,8 @@ def run_averaged_limit(order, measure, kernel, quad, schedule=Grid(1e2, 1e6, 32)
 
 @operation("antiderivative_identity")
 def run_antiderivative_identity(measure, kernel, quad,
-                                orders=Numbers([0, 1, 2], item=_integer),
-                                r_samples=Numbers([1.0, 3.0, 10.0]), tol=1e-6):
+                                orders=List([0, 1, 2], item=int),
+                                r_samples=List([1.0, 3.0, 10.0]), tol=1e-6):
     rep = check_antiderivative_identity(kernel, measure, orders, r_samples,
                                         quad, tol=tol)
     rows = [[n, r, lhs.real, lhs.imag, rhs.real, rhs.imag, err]
@@ -674,8 +581,8 @@ def run_symbol_table(kernel, quad, rho=1.0,
 
 
 @operation("wiener_zero_scan")
-def run_zero_scan(kernel, quad, rho=1.0, window=Numbers([-20.0, 20.0], length=2),
-                  step=0.01, tol=1e-6, expected_zeros=Numbers(),
+def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
+                  step=0.01, tol=1e-6, expected_zeros=List(None),
                   abscissa_tol=1e-6, expect_nonvanishing=None):
     rep = wiener_zero_scan(kernel, rho, window=tuple(window), step=step, tol=tol,
                            quad=quad)
@@ -697,9 +604,9 @@ def run_zero_scan(kernel, quad, rho=1.0, window=Numbers([-20.0, 20.0], length=2)
 
 
 @operation("exponential_solution_check")
-def run_exponential_solution(kernel, quad, rho=0.0, lambdas=Numbers([]),
-                             coefficients=Numbers(item=_complex),
-                             r_samples=Numbers([1.0, math.e, math.e ** 2]),
+def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
+                             coefficients=List(None, item=complex),
+                             r_samples=List([1.0, math.e, math.e ** 2]),
                              tol=1e-6, expect_pass=None):
     if coefficients is None:
         coefficients = [complex(1.0)] * len(lambdas)
@@ -735,40 +642,12 @@ def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
     return RunResult(verdict, report)
 
 
-def _line_measure(cfg):
-    """The ``RealMeasure`` of ``params.line_measure``: ``atoms`` are
-    ``[x, weight]`` pairs, ``pieces`` objects with optional ``lo``, ``hi``,
-    ``coef`` and ``freq``."""
-    path = "params.line_measure"
-
-    def entries(key):
-        value = cfg.get(key, [])
-        if not isinstance(value, list):
-            raise ConfigError("%s.%s: expected a list" % (path, key))
-        return [("%s.%s[%d]" % (path, key, i), v) for i, v in enumerate(value)]
-
-    atoms = []
-    for p, atom in entries("atoms"):
-        if not isinstance(atom, list) or len(atom) != 2:
-            raise ConfigError(p + ": expected [location, weight]")
-        atoms.append((number(atom[0], p), parse_complex(atom[1], p)))
-    pieces = []
-    for p, piece in entries("pieces"):
-        if not isinstance(piece, dict):
-            raise ConfigError(p + ": expected an object")
-        lo, hi = (None if piece.get(k) is None else number(piece[k], "%s.%s" % (p, k))
-                  for k in ("lo", "hi"))
-        pieces.append((lo, hi, parse_complex(piece.get("coef", 1.0), p + ".coef"),
-                       number(piece.get("freq", 0.0), p + ".freq")))
-    return carl.RealMeasure(atoms=tuple(atoms), pieces=tuple(pieces))
-
-
 @operation("carleman_suite")
-def run_carleman(line_measure={}, reference=None, reference_tol=1e-8,
-                 bound_constant=None, expect_bound_pass=None,
-                 jump_window=Numbers(length=2), expected_flags=Numbers(),
+def run_carleman(line_measure=LINE_MEASURE, reference=None, reference_tol=1e-8,
+                 bound_constant=Maybe(float), expect_bound_pass=None,
+                 jump_window=List(None, length=2), expected_flags=List(None),
                  flag_tol=0.05):
-    ct = carl.CarlemanTransform(_line_measure(line_measure))
+    ct = carl.CarlemanTransform(line_measure)
     report = {}
     verdict = True
     if reference == "i_over_z":
@@ -780,8 +659,7 @@ def run_carleman(line_measure={}, reference=None, reference_tol=1e-8,
         report["reference_error"] = worst
         verdict = verdict and worst <= reference_tol
     if bound_constant is not None:
-        br = carl.carleman_bound_report(
-            ct, number(bound_constant, "params.bound_constant"))
+        br = carl.carleman_bound_report(ct, bound_constant)
         report["bound_max_ratio"] = br.max_ratio
         report["bound_passed"] = br.passed
         if expect_bound_pass is not None:

@@ -1,8 +1,11 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from azarin import configio
 from azarin.catalog import BUILTINS, builtin_config, builtin_names
 from azarin.cli import main
 
@@ -88,7 +91,7 @@ class TestRunErrors:
         ("poisson_smoothing_check", {"checks": [5]}, "params.checks[0]",
          "expected an object"),
         ("poisson_smoothing_check", {"checks": 5}, "params.checks",
-         "expected a list of {r, bound} objects"),
+         "expected a list"),
         ("poisson_smoothing_check", {"checks": [{"r": "big", "bound": 0.1}]},
          "params.checks[0].r", "expected a number"),
         ("transform_table", {"r_grid": 5}, "params.r_grid",
@@ -120,6 +123,15 @@ class TestRunErrors:
          "params.probe.interval", "expected [lo, hi]"),
         ("sparse_flow_check", {"probe": {"interval": [0.5, "wide"]}},
          "params.probe.interval[1]", "expected a number"),
+        ("limit_set_estimate", {"target": {"tol_dd": 1e-3}},
+         "params.target.tol_dd", "unknown field"),
+        ("sparse_flow_check", {"probe": {"interval": [0.5, 2.0], "intervall": 1}},
+         "params.probe.intervall", "unknown field"),
+        ("poisson_smoothing_check",
+         {"checks": [{"r": 10.0, "bound": 0.1, "rr": 1.0}]},
+         "params.checks[0].rr", "unknown field"),
+        ("carleman_suite", {"line_measure": {"pieces": [{"frq": 1.0}]}},
+         "params.line_measure.pieces[0].frq", "unknown field"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -152,7 +164,26 @@ class TestRunErrors:
         ("kernel", {"kind": "table", "nodes": [0.0, "b"], "values": [1.0, 0.0]},
          "kernel.nodes[1]", "expected a number"),
         ("kernel", {"kind": "smooth_bump", "interval": [1.0, 2.0], "n_max": "six"},
-         "kernel.n_max", "expected a number"),
+         "kernel.n_max", "expected an integer"),
+        ("kernel", {"kind": "smooth_bump", "interval": [1.0, 2.0], "n_max": 6.7},
+         "kernel.n_max", "expected an integer"),
+        ("measure", {"densities": [{"kind": "power_log", "s": -1.0,
+                                    "log_power": 1.5}]},
+         "measure.densities[0].log_power", "expected an integer"),
+        ("order", {"rho": 1.0, "zero_part": 5}, "order.zero_part",
+         "expected an object"),
+        ("measure", {"densities": [5]}, "measure.densities[0]",
+         "expected an object"),
+        ("measure", {"tail": 5}, "measure.tail", "expected an object"),
+        ("measure", {"atoms": 5}, "measure.atoms", "expected a list"),
+        ("measure", [1], "measure", "expected an object"),
+        ("kernel", {"kind": "step_combo", "steps": 5}, "kernel.steps",
+         "expected a list"),
+        ("measure", {"atomz": [[1.0, 1.0]]}, "measure.atomz", "unknown field"),
+        ("order", {"rho": 1.0, "zero_part": {"kind": "log_power", "alpha": 0.3,
+                                             "alpah": 0.3}},
+         "order.zero_part.alpah", "unknown field"),
+        ("kernel", {"kind": "exp", "scale": 2.0}, "kernel.scale", "unknown field"),
     ])
     def test_descriptor_number_diagnostic(self, descriptor, value, path, message,
                                           tmp_path, capsys):
@@ -183,8 +214,26 @@ class TestRunErrors:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
-        assert "config error: params.eps_clustr: unknown parameter" \
+        assert "config error: params.eps_clustr: unknown field" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, path, message", [
+        ("paramz", {}, "paramz", "unknown field"),
+        ("kernel", {"kind": "exp"}, "kernel", "unknown field"),
+        ("outputs", 5, "outputs", "expected an object"),
+        ("outputs", {"json": 5}, "outputs.json", "expected a string"),
+        ("outputs", {"csv": ["a"]}, "outputs.csv", "expected a string"),
+        ("outputs", {"jsn": "report.json"}, "outputs.jsn", "unknown field"),
+    ])
+    def test_top_level_diagnostic(self, key, value, path, message, tmp_path,
+                                  capsys):
+        # potter_decay_scan declares the order descriptor only
+        cfg = {"operation": "potter_decay_scan", "order": {"rho": 1.0},
+               "params": {"t_grid": [100.0]}, key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
 
     @pytest.mark.parametrize("index", [0, 50])
     def test_sparse_flow_index_out_of_range(self, index, tmp_path, capsys):
@@ -225,9 +274,9 @@ class TestRunErrors:
             in capsys.readouterr().err
 
     def test_numeric_strings_are_numbers(self, tmp_path):
-        # every grid entry and span field is read with float()
+        # every number, complex scalars included, is read with float()
         cfg = {"operation": "transform_table", "order": {"rho": 1.0},
-               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "measure": {"densities": [{"kind": "power", "s": "0.0"}]},
                "kernel": {"kind": "exp"}, "params": {"r_grid": ["10", "1e2"]}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -348,5 +397,29 @@ class TestConfigSchemaExamples:
         from azarin.configio import parse_complex
         assert parse_complex(2.0, "x") == 2.0 + 0.0j
         assert parse_complex([1.0, -3.0], "x") == 1.0 - 3.0j
+        assert parse_complex("-0.5", "x") == -0.5 + 0.0j
         with pytest.raises(Exception):
             parse_complex("nope", "x")
+
+    def test_readme_lists_every_declared_field(self):
+        # one README bullet per object or kind, "* `path`, kind `k`: fields;
+        # meaning": the fields are the quoted names before the bullet's ";"
+        tables = {"order": configio.ORDER, "order.zero_part": configio.ZERO_PART,
+                  "measure": configio.MEASURE,
+                  "measure.densities[]": configio.DENSITY,
+                  "measure.tail": configio.TAIL, "kernel": configio.KERNEL,
+                  "outputs": configio.OUTPUTS}
+        declared = {}
+        for path, decl in tables.items():
+            if isinstance(decl, configio.Kind):
+                for kind, obj in decl.kinds.items():
+                    declared[path, kind] = (list(obj.fields), kind == decl.default)
+            else:
+                declared[path, None] = (list(decl.fields), False)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        bullets = re.findall(r"^\* `([\w.\[\]]+)`(?:, kind `(\w+)`)?( \(default\))?"
+                             r": ((?:[^;\n]|\n(?![*\n]))*)", readme, flags=re.M)
+        listed = {(path, kind or None): (re.findall(r"`(\w+)`", fields),
+                                         bool(default))
+                  for path, kind, default, fields in bullets}
+        assert listed == declared

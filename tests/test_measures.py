@@ -37,7 +37,7 @@ class TestMass:
             RadonMeasure.zero().mass(2.0, 1.0)
 
     def test_window_error(self):
-        m = RadonMeasure.from_atoms([(1.0, 1.0)]).with_window(0.5, 10.0)
+        m = RadonMeasure(atoms=[(1.0, 1.0)], window=(0.5, 10.0))
         with pytest.raises(WindowError):
             m.mass(1.0, 100.0)
 
@@ -246,7 +246,8 @@ class TestFlowPairings:
     def test_window_error_is_the_first_one_by_one(self, fam):
         # at t = 100 the members reaching past u = 5 leave the window, at
         # t = 1000 also the first member: sample-major order reports t = 100
-        m = RadonMeasure.power_density(-0.5).with_window(1e-3, 500.0)
+        m = RadonMeasure(pieces=RadonMeasure.power_density(-0.5).pieces,
+                         window=(1e-3, 500.0))
         ts = [1.0, 10.0, 100.0, 1000.0]
         with pytest.raises(WindowError) as want:
             _pairings_one_by_one(fam, m, O1, ts)

@@ -74,7 +74,7 @@ def cmd_run(args):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except (NumericsError, DivergenceError, ValueError) as exc:
+    except (NumericsError, DivergenceError, ValueError, OSError) as exc:
         print("run error: %s" % exc, file=sys.stderr)
         return 1
 
@@ -86,13 +86,19 @@ def cmd_run(args):
         "report": _jsonable(result.report),
     }
     report_path = Path(args.out_dir) / report_name
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     written = [str(report_path)]
-    for name, header, rows in result.tables:
-        csv_name = outputs["csv"] or name if len(result.tables) == 1 else name
-        csv_path = Path(args.out_dir) / csv_name
-        write_csv(csv_path, header, rows)
-        written.append(str(csv_path))
+    try:
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        for name, header, rows in result.tables:
+            csv_name = outputs["csv"] or name if len(result.tables) == 1 else name
+            csv_path = Path(args.out_dir) / csv_name
+            csv_path.parent.mkdir(parents=True, exist_ok=True)
+            write_csv(csv_path, header, rows)
+            written.append(str(csv_path))
+    except OSError as exc:
+        print("run error: %s" % exc, file=sys.stderr)
+        return 1
     status = "PASS" if result.verdict in (None, True) else "FAIL"
     print("%s %s -> %s" % (op, status, ", ".join(written)))
     return 0 if result.verdict in (None, True) else 2

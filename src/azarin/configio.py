@@ -27,7 +27,7 @@ from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
 
 __all__ = ["ConfigError", "parse_order", "parse_measure", "parse_kernel",
            "parse_complex", "number", "tol_key", "validate_config", "Count",
-           "Field", "Maybe", "List", "Grid", "Interval", "Obj", "Kind"]
+           "Field", "Maybe", "Choice", "List", "Grid", "Interval", "Obj", "Kind"]
 
 # a signature parameter without a default: a required number
 REQUIRED = inspect.Parameter.empty
@@ -135,6 +135,19 @@ class Maybe(Field):
 
     def read(self, value, path):
         return _read(self.decl, value, path)
+
+
+class Choice(Field):
+    """Marker: one of the strings ``values``, or None where absent or null."""
+
+    def __init__(self, *values):
+        super().__init__(None)
+        self.values = values
+
+    def read(self, value, path):
+        if not isinstance(value, str) or value not in self.values:
+            _fail(path, "expected one of %s" % ", ".join(map(repr, self.values)))
+        return value
 
 
 class List(Field):

@@ -36,9 +36,6 @@ class Kernel:
             pts.append(hi)
         return pts
 
-    def descriptor(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ExpKernel(Kernel):
@@ -47,9 +44,6 @@ class ExpKernel(Kernel):
 
     def __call__(self, t):
         return np.exp(-np.asarray(t, dtype=float))
-
-    def descriptor(self):
-        return {"kind": "exp"}
 
 
 @dataclass(frozen=True)
@@ -65,9 +59,6 @@ class IndicatorKernel(Kernel):
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return ((t > self.lo) & (t <= self.hi)).astype(float)
-
-    def descriptor(self):
-        return {"kind": "indicator", "interval": [self.lo, self.hi]}
 
 
 @dataclass(frozen=True)
@@ -115,10 +106,6 @@ class StepKernel(Kernel):
             pts.add(hi)
         return sorted(pts)
 
-    def descriptor(self):
-        return {"kind": "step_combo",
-                "steps": [[c.real, lo, hi, e] for c, lo, hi, e in self._norm()]}
-
 
 @dataclass(frozen=True)
 class PowerCutKernel(Kernel):
@@ -138,10 +125,6 @@ class PowerCutKernel(Kernel):
         if np.all(out.imag == 0.0):
             return out.real
         return out
-
-    def descriptor(self):
-        e = complex(self.exponent)
-        return {"kind": "power_cut", "s": [e.real, e.imag], "cut": self.cut}
 
 
 @dataclass(frozen=True)
@@ -168,9 +151,6 @@ class LogSingularKernel(Kernel):
 
     def breakpoints(self):
         return [1.0]
-
-    def descriptor(self):
-        return {"kind": "log_singular"}
 
 
 def _bump_derivative_polys(n_max):
@@ -241,10 +221,6 @@ class SmoothBumpKernel(Kernel):
 
         return evaluate
 
-    def descriptor(self):
-        return {"kind": "smooth_bump", "interval": [self.lo, self.hi],
-                "n_max": self.n_max}
-
 
 @dataclass(frozen=True)
 class TableKernel(Kernel):
@@ -270,10 +246,6 @@ class TableKernel(Kernel):
 
     def breakpoints(self):
         return list(self.nodes)
-
-    def descriptor(self):
-        return {"kind": "table", "nodes": list(self.nodes),
-                "values": list(self.values)}
 
 
 def trapezoid_kernel(lo, hi, ramp=None):

@@ -8,7 +8,6 @@ piecewise without any abstract decomposition.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -25,15 +24,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# density descriptors
+# density factors and pieces
 
 
 class UnitFactor:
     def __call__(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
-
-    def descriptor(self):
-        return {"kind": "one"}
 
 
 @dataclass(frozen=True)
@@ -42,9 +38,6 @@ class LogFactor:
 
     def __call__(self, t):
         return np.log(np.asarray(t, dtype=float)) ** self.power
-
-    def descriptor(self):
-        return {"kind": "log", "power": self.power}
 
 
 @dataclass(frozen=True)
@@ -62,9 +55,6 @@ class LogPerturbFactor:
             return 1.0 + 1.0 / np.log(math.e + t)
         return 1.0 + 1.0 / (1.0 + np.log(math.e + t))
 
-    def descriptor(self):
-        return {"kind": "log_perturb", "style": self.style}
-
 
 @dataclass(frozen=True)
 class ZeroScaleFactor:
@@ -75,10 +65,6 @@ class ZeroScaleFactor:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(self.power * self.zero_part.log_scale(np.log(t)))
-
-    def descriptor(self):
-        return {"kind": "order_scale", "zero_part": self.zero_part.descriptor(),
-                "power": self.power}
 
 
 @dataclass(frozen=True)
@@ -91,10 +77,6 @@ class ProductFactor:
         for f in self.factors:
             out = out * f(t)
         return out
-
-    def descriptor(self):
-        return {"kind": "product",
-                "factors": [f.descriptor() for f in self.factors]}
 
 
 _UNIT = UnitFactor()
@@ -591,17 +573,19 @@ def _dyadic_triples(count):
     return out
 
 
-def _split_runs(scaled, f):
-    """Runs of consecutive samples with the same split points against f.
+def _split_runs(splits):
+    """Runs of consecutive columns with the same split points.
 
     A run shares one vector integral, so no column is split at another
-    column's breakpoints.  Yields (slice, split points).
+    column's breakpoints.  Returns a list of (slice, split points).
     """
+    runs = []
     start = 0
-    for splits, run in itertools.groupby(s._pair_splits(f) for s in scaled):
-        stop = start + sum(1 for _ in run)
-        yield slice(start, stop), splits
-        start = stop
+    for stop in range(1, len(splits) + 1):
+        if stop == len(splits) or splits[stop] != splits[start]:
+            runs.append((slice(start, stop), splits[start]))
+            start = stop
+    return runs
 
 
 class MetricFamily:
@@ -662,7 +646,8 @@ class MetricFamily:
         if measure.has_density():
             gain = ts / np.asarray(order.scale(ts), dtype=float)
             for n, f in enumerate(self.members):
-                for rows, splits in _split_runs(scaled, f):
+                runs = _split_runs([s._pair_splits(f) for s in scaled])
+                for rows, splits in runs:
 
                     def integrand(u, f=f, rows=rows):
                         dens = measure.density(np.multiply.outer(u, ts[rows]))

@@ -8,7 +8,9 @@ and a ring is calm when its magnitude is at most
 ``tol * (1 + |total|) + abs_tol``.  An end is accepted when two rings in a
 row are calm, when the next edge would leave the float range after at least
 one calm ring, or when the window reaches a finite support edge; it is
-rejected after ``max_expansions`` rings.
+rejected after ``max_expansions`` rings.  The rule runs on a batch of
+columns that share the rings, each with its own total and calm count
+(``_cauchy_windows`` sets up the core and both ends).
 
 ``adaptive_quad`` and ``log_quad`` accept vector integrands returning an
 (n, k) array for n nodes: the k integrals share segments and each column
@@ -217,34 +219,98 @@ def log_quad(f, t_lo, t_hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=
     )
 
 
-def _expand_windows(ring, edge, side, step, beyond, total, partials, ctrl,
+def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl,
                     hard=None):
-    """Grow one end of a window by Cauchy rings; returns (accepted, total).
+    """Grow one end of a window by Cauchy rings, for every column of a batch.
 
-    ``side`` is -1 at the lower end and +1 at the upper.  Each pass moves
-    ``edge`` to ``step(edge)``, adds ``ring(a, b)`` over the new ring to the
-    running ``total`` and appends the total to ``partials``.  ``beyond``
-    tells when an edge has left the float range and ``hard`` is a finite
-    support edge, if the window has one.
+    ``totals`` holds one running total per column and ``partials`` one list
+    of partial sums per column; both grow in place.  ``side`` is -1 at the
+    lower end and +1 at the upper.  Each pass moves ``edge`` to
+    ``step(edge)`` and adds the ring between the two edges to each live
+    column: ``ring(a, b, live)`` returns the parts of the columns listed in
+    ``live``.  A column keeps its own count of calm rings and takes no more
+    rings once it is accepted (two calm rings in a row) or rejected.
+    ``beyond(edge, j)`` tells when column j's edge has left the float range,
+    which accepts the column after at least one calm ring and rejects it
+    otherwise; ``hard`` is a finite support edge, if the window has one, and
+    reaching it accepts every live column.  Columns still live after
+    ``max_expansions`` rings are rejected.  Returns the rejected columns,
+    in order.
     """
-    calm = 0
+    calm = [0] * len(totals)
+    live = list(range(len(totals)))
+    rejected = []
     for _ in range(ctrl.max_expansions):
         if hard is not None and (edge <= hard if side < 0 else edge >= hard):
-            return True, total
+            return sorted(rejected)
         nxt = step(edge)
-        if beyond(nxt):
-            return calm >= 1, total
-        part = ring(nxt, edge) if side < 0 else ring(edge, nxt)
-        total += part
-        partials.append(total)
+        growing = []
+        for j in live:
+            if not beyond(nxt, j):
+                growing.append(j)
+            elif calm[j] < 1:
+                rejected.append(j)
+        live = growing
+        if not live:
+            break
+        parts = ring(nxt, edge, live) if side < 0 else ring(edge, nxt, live)
         edge = nxt
-        if abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
-            calm += 1
-            if calm >= 2:
-                return True, total
+        growing = []
+        for j, part in zip(live, parts):
+            total = totals[j] + part
+            totals[j] = total
+            partials[j].append(total)
+            if abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
+                calm[j] += 1
+                if calm[j] >= 2:
+                    continue
+            else:
+                calm[j] = 0
+            growing.append(j)
+        live = growing
+        if not live:
+            break
+    return sorted(rejected + live)
+
+
+def _cauchy_windows(ring, lo, hi, scales, ctrl):
+    """Columns of an integral over (lo, hi) in (0, oo) by the Cauchy window rule.
+
+    ``lo == 0`` and ``hi == inf`` are improper ends.  Column j's edge leaves
+    the float range when ``edge * scales[j]`` does; ``ring(a, b, live)``
+    returns the parts over (a, b] of the columns listed in ``live``.  The
+    core window is ``(window_lo, window_hi)`` clipped to (lo, hi); when the
+    finite end lies beyond it, the core is the one ring next to that end.
+    Returns the totals, each column's partial sums (core first, then the
+    rings at zero, then those at infinity) and a dict mapping each rejected
+    column to the end, "zero" or "infinity", that failed first.
+    """
+    improper_lo = (lo == 0.0)
+    improper_hi = math.isinf(hi)
+    core_lo = ctrl.window_lo if improper_lo else lo
+    core_hi = ctrl.window_hi if improper_hi else hi
+    if core_hi <= core_lo:
+        if improper_lo:
+            core_lo = core_hi / ctrl.expansion
+        elif improper_hi:
+            core_hi = core_lo * ctrl.expansion
         else:
-            calm = 0
-    return False, total
+            return [0.0 + 0.0j] * len(scales), [[] for _ in scales], {}
+    live = list(range(len(scales)))
+    totals = list(ring(core_lo, core_hi, live))
+    partials = [[total] for total in totals]
+    failed = {}
+    if improper_lo:
+        for j in _expand_windows(ring, core_lo, -1, lambda t: t / ctrl.expansion,
+                                 lambda t, j: t * scales[j] < 1e-300,
+                                 totals, partials, ctrl):
+            failed[j] = "zero"
+    if improper_hi:
+        for j in _expand_windows(ring, core_hi, 1, lambda t: t * ctrl.expansion,
+                                 lambda t, j: t * scales[j] > 1e300,
+                                 totals, partials, ctrl):
+            failed.setdefault(j, "infinity")
+    return totals, partials, failed
 
 
 def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(),
@@ -255,42 +321,21 @@ def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points
     (atom contributions) to each window so the Cauchy criterion sees the
     complete measure.
     """
-    improper_lo = (lo == 0.0)
-    improper_hi = (hi is None) or math.isinf(hi)
-    core_lo = ctrl.window_lo if improper_lo else float(lo)
-    core_hi = ctrl.window_hi if improper_hi else float(hi)
-    if core_hi <= core_lo:
-        if improper_lo:
-            core_lo = core_hi / ctrl.expansion
-        elif improper_hi:
-            core_hi = core_lo * ctrl.expansion
-        else:
-            return 0.0 + 0.0j
-
-    def window_value(a, b):
+    def window_value(a, b, live):
         val = log_quad(f, a, b, ctrl, split_points, singular_points)
         if extra_terms is not None:
             val += extra_terms(a, b)
-        return val
+        return (val,)
 
-    total = window_value(core_lo, core_hi)
-    partials = [total]
-    ok_lo = ok_hi = True
-    if improper_lo:
-        ok_lo, total = _expand_windows(
-            window_value, core_lo, -1, lambda t: t / ctrl.expansion,
-            lambda t: t < 1e-300, total, partials, ctrl)
-    if improper_hi:
-        ok_hi, total = _expand_windows(
-            window_value, core_hi, 1, lambda t: t * ctrl.expansion,
-            lambda t: t > 1e300, total, partials, ctrl)
-    if not (ok_lo and ok_hi):
-        side = "zero" if not ok_lo else "infinity"
+    hi = math.inf if hi is None else float(hi)
+    totals, partials, failed = _cauchy_windows(window_value, float(lo), hi,
+                                               (1.0,), ctrl)
+    if failed:
         raise DivergenceError(
-            "improper integral failed Cauchy criterion at %s" % side,
-            partials=partials,
+            "improper integral failed Cauchy criterion at %s" % failed[0],
+            partials=partials[0],
         )
-    return total
+    return totals[0]
 
 
 def converges(f, lo, hi, ctrl=DEFAULT_QUAD):

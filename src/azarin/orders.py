@@ -60,9 +60,6 @@ class ZeroPart:
         """True when h(x) is concave on x > 0, so the Potter factor is W(t)."""
         return False
 
-    def descriptor(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FlatZero(ZeroPart):
@@ -77,9 +74,6 @@ class FlatZero(ZeroPart):
     @property
     def concave_log_scale(self):
         return True
-
-    def descriptor(self):
-        return {"kind": "zero"}
 
 
 @dataclass(frozen=True)
@@ -109,9 +103,6 @@ class LogPowerZero(ZeroPart):
     def concave_log_scale(self):
         return self.coef > 0.0
 
-    def descriptor(self):
-        return {"kind": "log_power", "A": self.coef, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class LogLogZero(ZeroPart):
@@ -130,9 +121,6 @@ class LogLogZero(ZeroPart):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         return self.alpha * np.sign(x) * ax ** (self.alpha - 1.0) / (1.0 + ax ** self.alpha)
-
-    def descriptor(self):
-        return {"kind": "log_of_log_power", "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -180,10 +168,6 @@ class TabulatedZero(ZeroPart):
         val = np.where(ax <= xs[-1], np.interp(ax, xs, etas), etas[-1])
         return np.sign(x) * val
 
-    def descriptor(self):
-        return {"kind": "tabulated_eta",
-                "points": [[x, e] for x, e in zip(self.xs, self.etas)]}
-
 
 @dataclass(frozen=True)
 class ProximateOrder:
@@ -229,9 +213,6 @@ class ProximateOrder:
     def shifted(self, delta):
         return ProximateOrder(self.rho + float(delta), self.zero_part,
                               self.closed_form_potter)
-
-    def descriptor(self):
-        return {"rho": self.rho, "zero_part": self.zero_part.descriptor()}
 
 
 def _grid_supremum(zero_part, tau, grid):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman as carl
-from .configio import (LINE_MEASURE, ConfigError, Count, Grid, Interval, List,
-                       Maybe, Obj, parse_kernel, parse_measure, parse_order)
+from .configio import (LINE_MEASURE, Choice, ConfigError, Count, Grid, Interval,
+                       List, Maybe, Obj, parse_kernel, parse_measure, parse_order)
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
@@ -405,8 +405,7 @@ def run_density_estimate(order, measure, quad, r_grid=Grid(1e2, 1e7, 48),
 def run_transform_table(order, measure, kernel, quad, r_grid=Grid(1.0, 1e6, 25)):
     tr = KernelTransform(kernel, measure, order, quad)
     rows = []
-    for r in r_grid:
-        v = tr.value(r)
+    for r, v in zip(r_grid, tr.values(r_grid).tolist()):
         scale = float(order.scale(r))
         j = v / scale
         rows.append([float(r), v.real, v.imag, scale, j.real, j.imag])
@@ -474,7 +473,8 @@ def run_integrability(order, kernel, quad, expect_converged=None):
 @operation("averaged_limit_check")
 def run_averaged_limit(order, measure, kernel, quad, schedule=Grid(1e2, 1e6, 32),
                        eps_cluster=1e-3, density_tol=0.01,
-                       expected_coefficient_rule=None, coef_tol=0.01):
+                       expected_coefficient_rule=Choice("gamma(rho)"),
+                       coef_tol=0.01):
     fam = MetricFamily(quad=quad)
     hull = fam.support_hull()
     window = (schedule.min() * hull[0] / 4.0, schedule.max() * hull[1] * 4.0)
@@ -643,8 +643,9 @@ def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
 
 
 @operation("carleman_suite")
-def run_carleman(line_measure=LINE_MEASURE, reference=None, reference_tol=1e-8,
-                 bound_constant=Maybe(float), expect_bound_pass=None,
+def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
+                 reference_tol=1e-8, bound_constant=Maybe(float),
+                 expect_bound_pass=None,
                  jump_window=List(None, length=2), expected_flags=List(None),
                  flag_tol=0.05):
     ct = carl.CarlemanTransform(line_measure)

@@ -68,7 +68,7 @@ class _SymbolQuadrature:
 
         parts = []
 
-        def ring(a, b):
+        def ring(a, b, live):
             """Add the nodes of (a, b) to ``parts``; return its absolute mass."""
             edges = panels(a, b)
             mid = 0.5 * (edges[:-1] + edges[1:])
@@ -77,7 +77,7 @@ class _SymbolQuadrature:
             ws = (half[:, None] * _WGK[None, :]).ravel()
             g = np.asarray(kernel(np.exp(xs)), dtype=complex) * np.exp(rho * xs)
             parts.append((xs, ws, g))
-            return float(np.sum(ws * np.abs(g)))
+            return (float(np.sum(ws * np.abs(g))),)
 
         core_lo = max(math.log(quad.window_lo), x_min_hard)
         core_hi = min(math.log(quad.window_hi), x_max_hard)
@@ -85,19 +85,19 @@ class _SymbolQuadrature:
             core_lo, core_hi = core_hi - 1.0, core_hi
         # rings are judged by absolute mass, so oscillation that cancels
         # inside a ring cannot stop the expansion early
-        total = ring(core_lo, core_hi)
-        partials = [total]
+        totals = list(ring(core_lo, core_hi, [0]))
+        partials = [totals[:]]
         step = math.log(quad.expansion)
-        ok_lo, total = _expand_windows(
+        failed_lo = _expand_windows(
             ring, core_lo, -1, lambda x: max(x - step, x_min_hard),
-            lambda x: abs(x) > 700.0, total, partials, quad, hard=x_min_hard)
-        ok_hi, total = _expand_windows(
+            lambda x, j: abs(x) > 700.0, totals, partials, quad, hard=x_min_hard)
+        failed_hi = _expand_windows(
             ring, core_hi, 1, lambda x: min(x + step, x_max_hard),
-            lambda x: abs(x) > 700.0, total, partials, quad, hard=x_max_hard)
-        if not (ok_lo and ok_hi):
+            lambda x, j: abs(x) > 700.0, totals, partials, quad, hard=x_max_hard)
+        if failed_lo or failed_hi:
             raise DivergenceError(
                 "Mellin symbol integral diverges at %s"
-                % ("zero" if not ok_lo else "infinity"), partials=partials)
+                % ("zero" if failed_lo else "infinity"), partials=partials[0])
         self.xs = np.concatenate([p[0] for p in parts])
         self.wg = np.concatenate([p[1] * p[2] for p in parts])
 

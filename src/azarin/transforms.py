@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .kernels import SmoothBumpKernel
-from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece
-from .numerics import (DivergenceError, _expand_windows, converges,
+from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece, _split_runs
+from .numerics import (DivergenceError, _cauchy_windows, converges,
                        improper_quad, log_quad)
 from .orders import potter_factor
 
@@ -34,8 +33,15 @@ __all__ = [
 class KernelTransform:
     """Evaluator of r -> integral of K(t/r) d mu(t).
 
-    Values are cached per r; the cache is a plain dict (deterministic
-    values, so concurrent double-computation is benign).
+    ``values(rs)`` computes many r at once, in u = t/r: the r values whose
+    kernel support and measure hull clip u to the same window share its
+    core and its Cauchy rings, and in each ring one vector ``log_quad``
+    integrates the columns K(u) r_j density(r_j u) of every run of
+    consecutive r with the same measure breakpoints in u.  Atoms are summed
+    per r, and each r keeps its own Cauchy test and stops taking rings once
+    it is decided.  ``value(r)`` is ``values`` at one r, whose integrand is
+    scalar.  Values are cached per r; the cache is a plain dict
+    (deterministic values, so concurrent double-computation is benign).
     """
 
     def __init__(self, kernel, measure, order=None, quad=DEFAULT_QUAD):
@@ -45,70 +51,92 @@ class KernelTransform:
         self.quad = quad
         self._cache = {}
 
-    def _window_term(self, r, u_lo, u_hi):
-        """Transform restricted to u in (u_lo, u_hi], atoms plus densities."""
+    def _window_term(self, rs, u_lo, u_hi):
+        """Transform at each r of the list ``rs`` restricted to u in (u_lo, u_hi].
+
+        Returns a list of one value per r.  Column j integrates
+        K(u) r_j density(r_j u); a run of consecutive r with the same measure
+        breakpoints in u shares one vector ``log_quad``, and a run of one r
+        integrates a scalar.
+        """
         kernel = self.kernel
         m = self.measure
-        xs, ws = m.atoms_in(r * u_lo, r * u_hi)
-        total = complex(np.sum(kernel(xs / r) * ws)) if ws.size else 0.0 + 0.0j
-        if m.has_density():
-            splits = set(m.breakpoints_in(r * u_lo, r * u_hi))
-            splits.update(r * b for b in kernel.breakpoints()
-                          if u_lo < b < u_hi)
-            sing = [r * s for s in kernel.singular_points
-                    if u_lo <= s <= u_hi]
-            total += log_quad(lambda t: kernel(t / r) * m.density(t),
-                              r * u_lo, r * u_hi, self.quad,
-                              split_points=sorted(splits),
-                              singular_points=sing)
-        return total
+        out = [0.0 + 0.0j] * len(rs)
+        if m.atom_x.size:
+            for i, r in enumerate(rs):
+                xs, ws = m.atoms_in(r * u_lo, r * u_hi)
+                if ws.size:
+                    out[i] = complex(np.sum(kernel(xs / r) * ws))
+        if not m.has_density():
+            return out
+        k_splits = [b for b in kernel.breakpoints() if u_lo < b < u_hi]
+        sing = [s for s in kernel.singular_points if u_lo <= s <= u_hi]
+        bps = m.breakpoints_in(min(rs) * u_lo, max(rs) * u_hi)
+        m_splits = [[b / r for b in bps if r * u_lo < b < r * u_hi] for r in rs]
+        for rows, splits in _split_runs(m_splits):
+            n = rows.stop - rows.start
+            if n == 1:
+                r = rs[rows.start]
+
+                def integrand(u):
+                    return m.density(u * r) * (kernel(u) * r)
+            else:
+                r = np.array(rs[rows])
+
+                def integrand(u):
+                    return (m.density(np.multiply.outer(u, r))
+                            * (kernel(u)[:, None] * r))
+
+            parts = log_quad(integrand, u_lo, u_hi, self.quad,
+                             split_points=k_splits + splits, singular_points=sing)
+            if n == 1:
+                out[rows.start] += parts
+            else:
+                for i, part in enumerate(parts.tolist(), rows.start):
+                    out[i] += part
+        return out
+
+    def values(self, rs):
+        """Transform values at every r of ``rs``, as an array."""
+        rs = [float(r) for r in np.ravel(rs)]
+        if any(r <= 0.0 for r in rs):
+            raise ValueError("transform requires r > 0")
+        k_lo, k_hi = self.kernel.support
+        m_lo, m_hi = self.measure.hull()
+        groups = {}
+        for r in dict.fromkeys(r for r in rs if r not in self._cache):
+            # measure-hull clipping is slightly widened so boundary atoms
+            # stay inside the half-open integration windows
+            u_lo = max(k_lo, m_lo / r * (1.0 - 1e-12))
+            u_hi = min(k_hi, m_hi / r * (1.0 + 1e-12))
+            if not math.isinf(u_hi) and u_hi <= max(u_lo, 0.0):
+                self._cache[r] = 0.0 + 0.0j
+            else:
+                groups.setdefault((u_lo, u_hi), []).append(r)
+        failures = []
+        for (u_lo, u_hi), group in groups.items():
+            def ring(a, b, live, group=group):
+                return self._window_term([group[j] for j in live], a, b)
+
+            totals, partials, failed = _cauchy_windows(ring, u_lo, u_hi, group,
+                                                       self.quad)
+            for j, (r, total) in enumerate(zip(group, totals)):
+                if j in failed:
+                    failures.append((rs.index(r), failed[j], partials[j]))
+                else:
+                    self._cache[r] = complex(total)
+        if failures:
+            _, side, partials = min(failures, key=lambda f: f[0])
+            raise DivergenceError(
+                "transform integral failed the Cauchy criterion at %s" % side,
+                partials=partials)
+        return np.array([self.value(r) for r in rs], dtype=complex)
 
     def value(self, r):
         r = float(r)
-        if r <= 0.0:
-            raise ValueError("transform requires r > 0")
-        if r in self._cache:
-            return self._cache[r]
-        k_lo, k_hi = self.kernel.support
-        m_lo, m_hi = self.measure.hull()
-        # measure-hull clipping is slightly widened so boundary atoms stay
-        # inside the half-open integration windows
-        u_lo = max(k_lo, m_lo / r * (1.0 - 1e-12))
-        u_hi = min(k_hi, m_hi / r * (1.0 + 1e-12))
-        if not math.isinf(u_hi) and u_hi <= max(u_lo, 0.0):
-            self._cache[r] = 0.0 + 0.0j
-            return self._cache[r]
-        improper_lo = (u_lo == 0.0)
-        improper_hi = math.isinf(u_hi)
-        ctrl = self.quad
-        core_lo = max(u_lo, ctrl.window_lo) if improper_lo else u_lo
-        core_hi = min(u_hi, ctrl.window_hi) if improper_hi else u_hi
-        if core_hi <= core_lo:
-            core_hi = core_lo * ctrl.expansion
-        ring = partial(self._window_term, r)
-        total = ring(core_lo, core_hi)
-        partials = [total]
-        ok_lo = ok_hi = True
-        if improper_lo:
-            ok_lo, total = _expand_windows(
-                ring, core_lo, -1, lambda u: u / ctrl.expansion,
-                lambda u: u * r < 1e-300, total, partials, ctrl)
-        if improper_hi:
-            ok_hi, total = _expand_windows(
-                ring, core_hi, 1, lambda u: u * ctrl.expansion,
-                lambda u: u * r > 1e300, total, partials, ctrl)
-        if not (ok_lo and ok_hi):
-            raise DivergenceError(
-                "transform integral failed the Cauchy criterion at %s"
-                % ("zero" if not ok_lo else "infinity"), partials=partials)
-        self._cache[r] = total
-        return total
-
-    def normalized(self, r):
-        """Transform value divided by the comparison scale V(r)."""
-        if self.order is None:
-            raise ValueError("normalized values need an order")
-        return self.value(r) / float(self.order.scale(r))
+        if r not in self._cache:
+            self.values([r])
+        return self._cache[r]
 
 
 def _cluster_complex(values, eps):
@@ -130,10 +158,12 @@ def _cluster_complex(values, eps):
 
 def normalized_limit_values(transform, schedule, eps=1e-4, transient_fraction=0.2):
     """Cluster values of the normalized transform along a schedule."""
+    if transform.order is None:
+        raise ValueError("normalized values need an order")
     schedule = np.asarray(schedule, dtype=float)
-    start = int(math.ceil(transient_fraction * schedule.size))
-    vals = [transform.normalized(r) for r in schedule[start:]]
-    return _cluster_complex(vals, eps)
+    rs = schedule[int(math.ceil(transient_fraction * schedule.size)):]
+    vals = transform.values(rs) / np.asarray(transform.order.scale(rs), dtype=float)
+    return _cluster_complex(vals.tolist(), eps)
 
 
 @dataclass(frozen=True)
@@ -291,7 +321,7 @@ def averaged_measure(transform, window, points_per_decade=32):
         raise ValueError("window must be an interval in (0, oo)")
     n = max(8, int(points_per_decade * math.log10(hi / lo)) + 1)
     nodes = np.geomspace(lo, hi, n)
-    vals = np.array([transform.value(t) for t in nodes], dtype=complex)
+    vals = transform.values(nodes)
     piece = TabulatedPiece(lo=lo, hi=hi, log_nodes=tuple(np.log(nodes)),
                            values=tuple(vals))
     return RadonMeasure(pieces=(piece,), window=(lo, hi))
@@ -318,9 +348,8 @@ def verify_averaged_limit_densities(transform, order, est_s, est_mu,
                 est_mu.representatives)
     for s_rep, s_t, mu_rep in pairs:
         matched = KernelTransform(transform.kernel, mu_rep, quad=quad)
-        for u in u_samples:
+        for u, want in zip(u_samples, matched.values(u_samples).tolist()):
             got = complex(s_rep.density(np.array([u]))[0])
-            want = matched.value(u)
             err = abs(got - want) / max(abs(want), 1e-300)
             rows.append((s_t, float(u), got, want, err))
             worst = max(worst, err)

@@ -132,6 +132,11 @@ class TestRunErrors:
          "params.checks[0].rr", "unknown field"),
         ("carleman_suite", {"line_measure": {"pieces": [{"frq": 1.0}]}},
          "params.line_measure.pieces[0].frq", "unknown field"),
+        # a misspelt choice used to skip its check silently
+        ("carleman_suite", {"reference": "i_over_zz"}, "params.reference",
+         "expected one of 'i_over_z'"),
+        ("averaged_limit_check", {"expected_coefficient_rule": "gamma"},
+         "params.expected_coefficient_rule", "expected one of 'gamma(rho)'"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -234,6 +239,35 @@ class TestRunErrors:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    def test_output_directories_are_created(self, tmp_path, capsys):
+        # the report and CSV directories are created as --out-dir is
+        cfg = {"operation": "potter_decay_scan", "order": {"rho": 1.0},
+               "params": {"t_grid": [100.0]},
+               "outputs": {"json": "no/such/dir.json", "csv": "tables/decay.csv"}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli(["run", cfg_path, "--out-dir", out]) == 0
+        report = json.loads((out / "no" / "such" / "dir.json").read_text())
+        assert report["operation"] == "potter_decay_scan"
+        assert (out / "tables" / "decay.csv").read_text().startswith("t,")
+
+    @pytest.mark.parametrize("out_dir, json_name", [
+        ("blocker", "report.json"),          # --out-dir is a file
+        (".", "blocker/report.json"),        # the report's directory is a file
+    ])
+    def test_unwritable_output_is_a_run_error(self, out_dir, json_name, tmp_path,
+                                              capsys):
+        (tmp_path / "blocker").write_text("")
+        cfg = {"operation": "potter_decay_scan", "order": {"rho": 1.0},
+               "params": {"t_grid": [100.0]}, "outputs": {"json": json_name}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / out_dir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run error: ")
+        assert "blocker" in err
 
     @pytest.mark.parametrize("index", [0, 50])
     def test_sparse_flow_index_out_of_range(self, index, tmp_path, capsys):

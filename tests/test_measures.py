@@ -201,7 +201,7 @@ class TestFlowPairings:
                          tail=SelfSimilarTail(2.0, 1.0, 1.0))
         scaled = [m.scaled(O1, t) for t in ts]
         f = TestFunction(0.25, 8.0)
-        runs = list(_split_runs(scaled, f))
+        runs = _split_runs([s._pair_splits(f) for s in scaled])
         assert len(runs) == n_runs
         assert [r.start for r, _ in runs] == [0] + [r.stop for r, _ in runs[:-1]]
         assert runs[-1][0].stop == len(scaled)

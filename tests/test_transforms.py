@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
-from azarin.kernels import (ExpKernel, IndicatorKernel, PowerCutKernel,
-                            SmoothBumpKernel, trapezoid_kernel)
-from azarin.measures import (DensityPiece, RadonMeasure, SelfSimilarTail,
-                             TestFunction, ZeroScaleFactor, class_membership)
+from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
+                            PowerCutKernel, SmoothBumpKernel, trapezoid_kernel)
+from azarin.measures import (DensityPiece, LogPerturbFactor, RadonMeasure,
+                             SelfSimilarTail, TestFunction, ZeroScaleFactor,
+                             class_membership)
 from azarin.numerics import DivergenceError
 from azarin.orders import LogLogZero, ProximateOrder
 from azarin.special import lanczos_gamma
@@ -111,25 +112,151 @@ class TestTransformValue:
     ], ids=["measure-end", "kernel-end"])
     def test_finite_end_below_window_lo(self, kernel, measure, want):
         # the finite end clips the window, so only zero is improper; the core
-        # then falls back to (window_lo, window_lo * expansion] = (0.25, 1]
-        # and rings grow downward from 0.25
+        # is then the ring next to the support's end, (end / expansion, end],
+        # and rings grow downward from there
         tr = KernelTransform(kernel, measure)
         seen = []
         term = tr._window_term
 
-        def spy(r, u_lo, u_hi):
+        def spy(rs, u_lo, u_hi):
             seen.append((u_lo, u_hi))
-            return term(r, u_lo, u_hi)
+            return term(rs, u_lo, u_hi)
 
         tr._window_term = spy
         assert tr.value(1.0) == pytest.approx(want, rel=1e-9)
-        assert seen[:2] == [(0.25, 1.0), (0.0625, 0.25)]
-        assert all(u_hi <= 1.0 for _, u_hi in seen)
+        end = seen[0][1]
+        assert end == pytest.approx(0.1, rel=1e-11)
+        assert seen[:2] == [(end / 4.0, end), (end / 16.0, end / 4.0)]
+        assert all(u_hi <= end for _, u_hi in seen)
 
     def test_cache_hits(self):
         tr = KernelTransform(ExpKernel(), LEB)
         assert tr.value(2.0) == tr.value(2.0)
         assert 2.0 in tr._cache
+
+
+def _scipy_transform(kernel, measure, r, lo, hi, points=()):
+    """scipy quad of K(t/r) density(t) over (lo, hi), split at ``points``,
+    plus the atom sum: the transform at r for a measure charging (lo, hi)."""
+    from scipy.integrate import quad
+
+    def part(f, a, b):
+        return quad(lambda t: f(kernel(np.array([t / r]))[0]
+                                * measure.density(np.array([t]))[0]),
+                    a, b, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+
+    edges = [lo] + sorted(p for p in points if lo < p < hi) + [hi]
+    total = sum(complex(part(np.real, a, b), part(np.imag, a, b))
+                for a, b in zip(edges[:-1], edges[1:]))
+    xs, ws = measure.atoms_in(lo, hi)
+    return total + complex(np.sum(kernel(xs / r) * ws))
+
+
+def _self_similar():
+    # density 1 on [2^k, 1.5 2^k) and atoms 2^k at 2^k, for every k
+    return RadonMeasure(atoms=[(1.0, 1.0)], pieces=(DensityPiece(1.0, 1.5),),
+                        tail=SelfSimilarTail(2.0, 1.0, 1.0))
+
+
+class TestTransformValues:
+    """``KernelTransform.values``: many r in one vector integral per ring."""
+
+    @pytest.mark.parametrize("kernel, measure, rs, want", [
+        (ExpKernel(), RadonMeasure.power_density(-0.3),
+         np.geomspace(1e-2, 1e6, 9), lambda r: math.gamma(0.7) * r ** 0.7),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.7), [0.5, 2.0, 30.0],
+         lambda r: r ** 0.3 * (math.pi / 0.3) / math.tan(math.pi * 0.3)),
+        # finite hull (1, 10]: r = 0.5 sees none of it, the others clip it
+        (IndicatorKernel(0.0, 1.0),
+         RadonMeasure(pieces=(DensityPiece(1.0, 10.0, exponent=0.5),)),
+         [0.5, 2.0, 5.0, 20.0],
+         lambda r: (min(r, 10.0) ** 1.5 - 1.0) / 1.5 if r > 1.0 else 0.0),
+    ], ids=["exp-power", "log-singular-power", "indicator-finite-hull"])
+    def test_closed_forms(self, kernel, measure, rs, want):
+        got = KernelTransform(kernel, measure).values(rs)
+        assert got.shape == (len(rs),)
+        for r, v in zip(rs, got):
+            assert v == pytest.approx(want(r), rel=1e-8, abs=1e-300)
+
+    @pytest.mark.parametrize("measure", [
+        RadonMeasure(atoms=[(2.0, 1.5), (5.0, -0.5j)],
+                     pieces=(DensityPiece(0.0, math.inf, exponent=-0.5),)),
+        _self_similar(),
+    ], ids=["atoms-and-power", "self-similar"])
+    def test_trapezoid_matches_scipy(self, measure):
+        # the self-similar columns all have different breakpoints in u
+        k = trapezoid_kernel(1.0, 3.0)
+        rs = [1.3, 1.7, 2.9, 11.0, 37.0]
+        got = KernelTransform(k, measure).values(rs)
+        for r, v in zip(rs, got):
+            points = [r * x for x in k.breakpoints()] + list(
+                measure.breakpoints_in(r, 3.0 * r))
+            want = _scipy_transform(k, measure, r, r * (1.0 - 1e-12), 3.0 * r,
+                                    points)
+            assert v == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel, measure, rs", [
+        (ExpKernel(),
+         RadonMeasure.power_density(-0.3, factor=LogPerturbFactor("inv_log1p")),
+         np.geomspace(1e-3, 1e9, 25)),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.7), [0.5, 2.0, 30.0]),
+        (IndicatorKernel(0.0, 1.0),
+         RadonMeasure(pieces=(DensityPiece(1.0, 10.0, exponent=0.5),)),
+         [0.5, 2.0, 5.0, 20.0]),
+        (trapezoid_kernel(1.0, 3.0), _self_similar(), [1.3, 1.7, 2.9, 11.0, 37.0]),
+        (ExpKernel(),
+         RadonMeasure(atoms=[(2.0, 1.5), (5.0, -0.5j)],
+                      pieces=(DensityPiece(0.0, math.inf, exponent=-0.5),)),
+         [0.1, 1.0, 10.0]),
+    ], ids=["exp-perturbed-power", "log-singular", "indicator-finite-hull",
+            "trapezoid-self-similar", "exp-atoms"])
+    def test_matches_value_one_r_at_a_time(self, kernel, measure, rs):
+        got = KernelTransform(kernel, measure).values(rs)
+        for r, v in zip(rs, got):
+            want = KernelTransform(kernel, measure).value(r)
+            assert abs(v - want) <= 1e-9 * abs(want)
+
+    def test_fills_the_cache_and_keeps_duplicates(self):
+        tr = KernelTransform(ExpKernel(), LEB)
+        got = tr.values([2.0, 3.0, 2.0])
+        assert list(got) == [tr.value(2.0), tr.value(3.0), tr.value(2.0)]
+        assert set(tr._cache) == {2.0, 3.0}
+        with pytest.raises(ValueError):
+            tr.values([1.0, 0.0])
+
+    def test_divergence_is_the_first_failing_r(self):
+        # every column diverges at zero; the error is the first r's, as
+        # value would raise it
+        kernel = PowerCutKernel(-1.0)
+        with pytest.raises(DivergenceError) as many:
+            KernelTransform(kernel, LEB).values([3.0, 1.0])
+        with pytest.raises(DivergenceError) as one:
+            KernelTransform(kernel, LEB).value(3.0)
+        assert str(many.value) == str(one.value)
+        assert "at zero" in str(many.value)
+        assert len(many.value.partials) == len(one.value.partials) > 1
+        assert np.allclose(many.value.partials, one.value.partials, rtol=1e-12)
+
+    def test_averaged_measure_work(self, fam, monkeypatch):
+        # roundtrip_regular's averaged measure: its 319 values take ~10^4 GK
+        # batches of ~17 nodes one r at a time, and a few dozen when the r
+        # share their rings and segments
+        from azarin import numerics
+        batches = []
+        gk_eval = numerics._gk_eval
+
+        def counting_gk_eval(f, lo, hi):
+            batches.append(np.size(lo))
+            return gk_eval(f, lo, hi)
+
+        monkeypatch.setattr(numerics, "_gk_eval", counting_gk_eval)
+        measure = RadonMeasure.power_density(-0.3, factor=LogPerturbFactor("inv_log1p"))
+        ts = geometric_schedule(1e2, 1e8, 176)
+        lo, hi = fam.support_hull()
+        tr = KernelTransform(ExpKernel(), measure, ProximateOrder(0.7))
+        s = averaged_measure(tr, (ts.min() * lo / 4.0, ts.max() * hi * 4.0))
+        assert len(s.pieces[0].values) == len(tr._cache) == 319
+        assert len(batches) <= 200
 
 
 class TestNormalizedLimits:

@@ -27,8 +27,6 @@ def _format_cell(value):
         return "1" if value else "0"
     if isinstance(value, float):
         return "%.17e" % value
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

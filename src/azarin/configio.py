@@ -76,16 +76,20 @@ def _integer(value, path, least=None):
 def _read(decl, value, path):
     """``value`` read as the declaration ``decl`` says.
 
-    A float, ``float`` or REQUIRED declares a number; an int or ``int``, an
-    integer (>= 1 for ``Count``); a complex or ``complex``, a complex
-    number; a str or ``str``, a string; a marker (``Field``) or a function
-    ``(value, path)``, what it reads; None, the value as given.  A type or
-    function is required, a value is the default of an absent field, and a
-    marker declares its own default.
+    A float, ``float`` or REQUIRED declares a number; a bool or ``bool``, a
+    JSON boolean; an int or ``int``, an integer (>= 1 for ``Count``); a
+    complex or ``complex``, a complex number; a str or ``str``, a string; a
+    marker (``Field``) or a function ``(value, path)``, what it reads; None,
+    the value as given.  A type or function is required, a value is the
+    default of an absent field, and a marker declares its own default.
     """
     kind = decl if isinstance(decl, type) else type(decl)
     if decl is REQUIRED or kind is float:
         return number(value, path)
+    if kind is bool:   # ahead of int, which bool subclasses
+        if not isinstance(value, bool):
+            _fail(path, "expected true or false")
+        return value
     if issubclass(kind, int):
         return _integer(value, path, least=1 if issubclass(kind, Count) else None)
     if kind is complex:

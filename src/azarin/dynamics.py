@@ -239,11 +239,9 @@ class RegularFormFit:
     target_pairings: tuple
 
 
-def power_density_pairings(order_rho, fam, quad=DEFAULT_QUAD, oscillation=0.0):
-    """Pairings of the density t**(rho-1+i*oscillation) dt against the family."""
-    exponent = complex(order_rho - 1.0, oscillation)
-    nu = RadonMeasure.power_density(exponent)
-    return fam.pairings(nu, quad)
+def power_density_pairings(order_rho, fam, quad=DEFAULT_QUAD):
+    """Pairings of the density t**(rho-1) dt against the family."""
+    return fam.pairings(RadonMeasure.power_density(order_rho - 1.0), quad)
 
 
 def verify_regular_limit_form(est, order, quad=DEFAULT_QUAD, tol=1e-3):

@@ -58,25 +58,12 @@ class LogPerturbFactor:
 
 @dataclass(frozen=True)
 class ZeroScaleFactor:
-    """W(t)**power for the zero-part scale W of a proximate order."""
+    """The zero-part scale W(t) of a proximate order."""
     zero_part: object
-    power: float = 1.0
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(self.power * self.zero_part.log_scale(np.log(t)))
-
-
-@dataclass(frozen=True)
-class ProductFactor:
-    """Pointwise product of slow factors (used by density reweighting)."""
-    factors: tuple
-
-    def __call__(self, t):
-        out = np.ones_like(np.asarray(t, dtype=float))
-        for f in self.factors:
-            out = out * f(t)
-        return out
+        return np.exp(self.zero_part.log_scale(np.log(t)))
 
 
 _UNIT = UnitFactor()
@@ -465,26 +452,6 @@ class RadonMeasure:
                           if not math.isinf(self.window[1]) else math.inf)
         return out
 
-    def reweighted(self, factor):
-        """Measure with density multiplied by a pointwise factor (atoms too).
-
-        Used to reduce a flow under a general order to the constant-order
-        flow via the change of measure d(lambda) = factor * d(mu); intended
-        for base (unscaled) measures, where piece argument scales are 1.
-        """
-        atoms = [(x, w * complex(factor(np.array([x]))[0]))
-                 for x, w in zip(self.atom_x, self.atom_w)]
-        pieces = []
-        for p in self.pieces:
-            if not isinstance(p, DensityPiece):
-                raise ValueError("reweighting needs formula density pieces")
-            if isinstance(p.factor, UnitFactor):
-                pieces.append(replace(p, factor=factor))
-            else:
-                pieces.append(replace(p, factor=ProductFactor((p.factor, factor))))
-        return RadonMeasure(atoms=atoms, pieces=tuple(pieces), tail=self.tail,
-                            window=self.window)
-
     # -- structure ----------------------------------------------------------------
 
     def is_positive(self):
@@ -700,36 +667,32 @@ def _top_decade(r_grid, values, decades=1.0):
     return values[r >= cut]
 
 
+def _density_estimate(measure, order, alpha, r_grid, quad, pick):
+    """The top-decade ``pick`` (np.max or np.min) of the density ratios."""
+    if alpha <= -1.0:
+        raise ValueError("alpha must exceed -1")
+    ratios = _density_ratios(measure, order, alpha, r_grid, quad)
+    top = _top_decade(r_grid, ratios)
+    res = float(np.max(top) - np.min(top)) if top.size > 1 else 0.0
+    value = float(pick(top)) if top.size else 0.0
+    if alpha == 0.0:
+        value = 0.0
+    return DensityEstimate(value=value, alpha=float(alpha),
+                           samples=tuple(ratios), resolution=res)
+
+
 def upper_density(measure, order, alpha, r_grid, quad=DEFAULT_QUAD):
     """limsup estimate of (mu(r + alpha r) - mu(r)) / V(r).
 
     The limsup is approximated by the running max over the top decade of
     the grid; alpha = 0 returns 0 by convention.
     """
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
-    ratios = _density_ratios(measure, order, alpha, r_grid, quad)
-    top = _top_decade(r_grid, ratios)
-    res = float(np.max(top) - np.min(top)) if top.size > 1 else 0.0
-    value = float(np.max(top)) if top.size else 0.0
-    if alpha == 0.0:
-        value = 0.0
-    return DensityEstimate(value=value, alpha=float(alpha),
-                           samples=tuple(ratios), resolution=res)
+    return _density_estimate(measure, order, alpha, r_grid, quad, np.max)
 
 
 def lower_density(measure, order, alpha, r_grid, quad=DEFAULT_QUAD):
     """liminf estimate (running min over the top decade)."""
-    if alpha <= -1.0:
-        raise ValueError("alpha must exceed -1")
-    ratios = _density_ratios(measure, order, alpha, r_grid, quad)
-    top = _top_decade(r_grid, ratios)
-    res = float(np.max(top) - np.min(top)) if top.size > 1 else 0.0
-    value = float(np.min(top)) if top.size else 0.0
-    if alpha == 0.0:
-        value = 0.0
-    return DensityEstimate(value=value, alpha=float(alpha),
-                           samples=tuple(ratios), resolution=res)
+    return _density_estimate(measure, order, alpha, r_grid, quad, np.min)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,13 @@ adaptive Gauss-Kronrod 7/15 rule.  Improper endpoints are handled by one
 Cauchy window rule (``_expand_windows``): a core window grows ring by ring,
 the outer edge of each ring ``QuadControl.expansion`` times its inner edge,
 and a ring is calm when its magnitude is at most
-``tol * (1 + |total|) + abs_tol``.  An end is accepted when two rings in a
-row are calm, when the next edge would leave the float range after at least
-one calm ring, or when the window reaches a finite support edge; it is
-rejected after ``max_expansions`` rings.  The rule runs on a batch of
-columns that share the rings, each with its own total and calm count
-(``_cauchy_windows`` sets up the core and both ends).
+``tol * (1 + |total|) + abs_tol``.  A finite end of the integration range is
+an end of the core window and takes no rings.  An improper end is accepted
+when two rings in a row are calm, or when the next edge would leave the
+float range after at least one calm ring; it is rejected after
+``max_expansions`` rings.  The rule runs on a batch of columns that share
+the rings, each with its own total and calm count (``_cauchy_windows`` sets
+up the core and both ends).
 
 ``adaptive_quad`` and ``log_quad`` accept vector integrands returning an
 (n, k) array for n nodes: the k integrals share segments and each column
@@ -219,8 +220,7 @@ def log_quad(f, t_lo, t_hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=
     )
 
 
-def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl,
-                    hard=None):
+def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl):
     """Grow one end of a window by Cauchy rings, for every column of a batch.
 
     ``totals`` holds one running total per column and ``partials`` one list
@@ -232,17 +232,13 @@ def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl,
     rings once it is accepted (two calm rings in a row) or rejected.
     ``beyond(edge, j)`` tells when column j's edge has left the float range,
     which accepts the column after at least one calm ring and rejects it
-    otherwise; ``hard`` is a finite support edge, if the window has one, and
-    reaching it accepts every live column.  Columns still live after
-    ``max_expansions`` rings are rejected.  Returns the rejected columns,
-    in order.
+    otherwise.  Columns still live after ``max_expansions`` rings are
+    rejected.  Returns the rejected columns, in order.
     """
     calm = [0] * len(totals)
     live = list(range(len(totals)))
     rejected = []
     for _ in range(ctrl.max_expansions):
-        if hard is not None and (edge <= hard if side < 0 else edge >= hard):
-            return sorted(rejected)
         nxt = step(edge)
         growing = []
         for j in live:

@@ -29,8 +29,9 @@ from .numerics import DEFAULT_QUAD
 from .orders import (poisson_smoothed_scale, potter_bound_report,
                      potter_decay_scan, potter_factor)
 from .special import lanczos_gamma
-from .tauberian import (mellin_symbol_table, tauberian_roundtrip,
-                        verify_exponential_solution, wiener_zero_scan)
+from .tauberian import (ROUNDTRIP_STAGES, mellin_symbol_table,
+                        tauberian_roundtrip, verify_exponential_solution,
+                        wiener_zero_scan)
 from .transforms import (KernelTransform, PiecewiseFunction, averaged_measure,
                          check_antiderivative_identity, integrability_report,
                          neutralization_report, normalized_limit_values,
@@ -365,25 +366,25 @@ def run_sparse_flow(order, measure, quad,
 
 @operation("class_membership")
 def run_class_membership(order, measure, quad, which="tail", r_grid=Grid(),
-                         expect_bounded=None):
+                         expect_bounded=Maybe(bool)):
     rep = class_membership(measure, order, which=which, r_grid=r_grid, quad=quad)
     report = {"sup_ratio": rep.sup_ratio, "bounded": rep.bounded,
               "decade_ratio": rep.decade_ratio}
     verdict = None
     if expect_bounded is not None:
-        verdict = rep.bounded == bool(expect_bounded)
+        verdict = rep.bounded == expect_bounded
     return RunResult(verdict, report)
 
 
 @operation("positive_regularity")
 def run_positive_regularity(order, measure, quad, r_grid=Grid(1e2, 1e7, 40),
-                            expect_regular=None):
+                            expect_regular=Maybe(bool)):
     rep = positive_regularity_criterion(measure, order, r_grid, quad=quad)
     report = {"branch": rep.branch, "limit": rep.limit_estimate,
               "oscillation": rep.oscillation, "regular": rep.regular}
     verdict = None
     if expect_regular is not None:
-        verdict = rep.regular == bool(expect_regular)
+        verdict = rep.regular == expect_regular
     return RunResult(verdict, report)
 
 
@@ -447,26 +448,26 @@ def run_kernel_limit_values(order, measure, kernel, quad,
 def run_neutralization(order, measure, kernel, quad,
                        eps_grid=List([0.5, 0.25, 0.125, 0.0625], nonempty=True),
                        n_grid=List([2.0, 4.0, 8.0, 16.0], nonempty=True),
-                       r_grid=Grid(1e2, 1e5, 10), expect_pass=None):
+                       r_grid=Grid(1e2, 1e5, 10), expect_pass=Maybe(bool)):
     rep = neutralization_report(kernel, order, measure, eps_grid, n_grid,
                                 r_grid, quad)
     report = {"head_sups": list(rep.head_sups), "tail_sups": list(rep.tail_sups),
               "passed": rep.passed}
     verdict = rep.passed
     if expect_pass is not None:
-        verdict = rep.passed == bool(expect_pass)
+        verdict = rep.passed == expect_pass
     return RunResult(verdict, report)
 
 
 @operation("integrability_check")
-def run_integrability(order, kernel, quad, expect_converged=None):
+def run_integrability(order, kernel, quad, expect_converged=Maybe(bool)):
     rep = integrability_report(kernel, order, quad)
     report = {"l1_value": rep.l1_value, "l1_converged": rep.l1_converged,
               "amalgam_value": rep.amalgam_value,
               "amalgam_converged": rep.amalgam_converged}
     verdict = None
     if expect_converged is not None:
-        verdict = rep.l1_converged == bool(expect_converged)
+        verdict = rep.l1_converged == expect_converged
     return RunResult(verdict, report)
 
 
@@ -489,7 +490,7 @@ def run_averaged_limit(order, measure, kernel, quad, schedule=Grid(1e2, 1e6, 32)
     mu_traj = sample_trajectory(measure, order, schedule, fam, quad)
     mu_est = estimate_limit_set(mu_traj, fam, eps_cluster=eps_cluster)
     densities = verify_averaged_limit_densities(
-        tr, order, s_est, mu_est, tol=density_tol, quad=quad)
+        tr, s_est, mu_est, tol=density_tol, quad=quad)
     fit = verify_regular_limit_form(s_est, shifted, quad) if s_est.regular else None
     report = {
         "averaged_bounded": membership.bounded,
@@ -525,7 +526,7 @@ def run_antiderivative_identity(measure, kernel, quad,
 
 @operation("stable_order_check")
 def run_stable_order(order, measure, quad, r_grid=Grid(1e1, 1e6, 40),
-                     expect_stable=None):
+                     expect_stable=Maybe(bool)):
     f = PiecewiseFunction(lambda t: measure.density(t),
                           measure.breakpoints_in(0.0, math.inf))
     rep = stable_order_report(f, order, r_grid, quad)
@@ -533,15 +534,15 @@ def run_stable_order(order, measure, quad, r_grid=Grid(1e1, 1e6, 40),
               "branch": rep.branch}
     verdict = None
     if expect_stable is not None:
-        verdict = rep.stable == bool(expect_stable)
+        verdict = rep.stable == expect_stable
     return RunResult(verdict, report)
 
 
 @operation("order_diagnostic")
 def run_order_diagnostic(order, measure, kernel, quad, r_grid=Grid(1e2, 1e8, 16),
-                         hardy=None):
+                         hardy=False):
     tr = KernelTransform(kernel, measure, order, quad)
-    rep = order_diagnostic(tr, order, r_grid, quad)
+    rep = order_diagnostic(tr, r_grid, quad)
     report = {"final_slope": rep.final_slope,
               "slope_vanishes": rep.slope_vanishes,
               "gap_bound_ok": rep.gap_bound_ok}
@@ -583,7 +584,7 @@ def run_symbol_table(kernel, quad, rho=1.0,
 @operation("wiener_zero_scan")
 def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
                   step=0.01, tol=1e-6, expected_zeros=List(None),
-                  abscissa_tol=1e-6, expect_nonvanishing=None):
+                  abscissa_tol=1e-6, expect_nonvanishing=Maybe(bool)):
     rep = wiener_zero_scan(kernel, rho, window=tuple(window), step=step, tol=tol,
                            quad=quad)
     rows = [[lam, val] for lam, val in rep.zeros]
@@ -598,7 +599,7 @@ def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
                            for a, b in zip(got, want)))
         report["expected_zeros"] = want
     elif expect_nonvanishing is not None:
-        verdict = rep.nonvanishing == bool(expect_nonvanishing)
+        verdict = rep.nonvanishing == expect_nonvanishing
     return RunResult(verdict, report,
                      [("zeros.csv", ["lambda", "abs_symbol"], rows)])
 
@@ -607,7 +608,7 @@ def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
 def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
                              coefficients=List(None, item=complex),
                              r_samples=List([1.0, math.e, math.e ** 2]),
-                             tol=1e-6, expect_pass=None):
+                             tol=1e-6, expect_pass=Maybe(bool)):
     if coefficients is None:
         coefficients = [complex(1.0)] * len(lambdas)
     rep = verify_exponential_solution(kernel, rho, lambdas, coefficients,
@@ -616,13 +617,14 @@ def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
               "max_residual": rep.max_residual}
     verdict = rep.passed
     if expect_pass is not None:
-        verdict = rep.passed == bool(expect_pass)
+        verdict = rep.passed == expect_pass
     return RunResult(verdict, report)
 
 
 @operation("tauberian_roundtrip")
 def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
-                  ratio_tol=0.02, expect_failed_stage=None):
+                  ratio_tol=0.02,
+                  expect_failed_stage=Choice("", *ROUNDTRIP_STAGES)):
     rep = tauberian_roundtrip(kernel, order, measure, schedule=schedule,
                               quad=quad, ratio_tol=ratio_tol)
     report = {
@@ -645,7 +647,7 @@ def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
 @operation("carleman_suite")
 def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
                  reference_tol=1e-8, bound_constant=Maybe(float),
-                 expect_bound_pass=None,
+                 expect_bound_pass=Maybe(bool),
                  jump_window=List(None, length=2), expected_flags=List(None),
                  flag_tol=0.05):
     ct = carl.CarlemanTransform(line_measure)
@@ -664,7 +666,7 @@ def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
         report["bound_max_ratio"] = br.max_ratio
         report["bound_passed"] = br.passed
         if expect_bound_pass is not None:
-            verdict = verdict and (br.passed == bool(expect_bound_pass))
+            verdict = verdict and (br.passed == expect_bound_pass)
         else:
             verdict = verdict and br.passed
     if jump_window is not None:

@@ -19,7 +19,7 @@ from .dynamics import (convergence_trend, estimate_limit_set,
                        geometric_schedule, sample_trajectory,
                        verify_regular_limit_form)
 from .measures import DEFAULT_QUAD, MetricFamily, RadonMeasure, class_membership
-from .numerics import (_WGK, _XGK, DivergenceError, _expand_windows,
+from .numerics import (_WGK, _XGK, DivergenceError, _cauchy_windows,
                        golden_section_min)
 from .transforms import KernelTransform, averaged_measure, integrability_report
 
@@ -28,15 +28,21 @@ __all__ = [
     "verify_exponential_solution", "tauberian_roundtrip",
 ]
 
+# lambdas per exp(i lam x) block in ``_SymbolQuadrature.values``
+_CHUNK = 256
+
 
 class _SymbolQuadrature:
     """Shared node set for K(t) t**(rho-1+i lam) over (0, oo), in x = ln t.
 
     One GK15 panelization (width <= a third of the shortest oscillation
-    wavelength, graded near declared singular points, geometric Cauchy
-    windows at improper ends) serves every lambda up to ``lam_max``: the
-    kernel part g(x) = K(e^x) e^{rho x} is evaluated once and each symbol
-    value is a weighted sum of g against e^{i lam x}.
+    wavelength, graded near declared singular points) serves every lambda
+    up to ``lam_max``: the kernel part g(x) = K(e^x) e^{rho x} is evaluated
+    once and each symbol value is a weighted sum of g against e^{i lam x}.
+    The windows are the shared Cauchy windows over the kernel support, so a
+    finite support end is the end of the core window; the rings are judged
+    by absolute mass, so oscillation that cancels inside a ring cannot stop
+    the expansion early.
     """
 
     def __init__(self, kernel, rho, lam_max, quad=DEFAULT_QUAD):
@@ -44,8 +50,6 @@ class _SymbolQuadrature:
         k_lo, k_hi = kernel.support
         sing_x = [math.log(s) for s in kernel.singular_points]
         bp_x = sorted({math.log(b) for b in kernel.breakpoints() if b > 0.0})
-        x_min_hard = math.log(k_lo) if k_lo > 0.0 else -math.inf
-        x_max_hard = math.log(k_hi)
 
         def panels(a, b):
             edges = {a, b}
@@ -69,8 +73,8 @@ class _SymbolQuadrature:
         parts = []
 
         def ring(a, b, live):
-            """Add the nodes of (a, b) to ``parts``; return its absolute mass."""
-            edges = panels(a, b)
+            """Add the nodes of (ln a, ln b] to ``parts``; return its absolute mass."""
+            edges = panels(math.log(a), math.log(b))
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
             xs = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
@@ -79,37 +83,23 @@ class _SymbolQuadrature:
             parts.append((xs, ws, g))
             return (float(np.sum(ws * np.abs(g))),)
 
-        core_lo = max(math.log(quad.window_lo), x_min_hard)
-        core_hi = min(math.log(quad.window_hi), x_max_hard)
-        if core_hi <= core_lo:
-            core_lo, core_hi = core_hi - 1.0, core_hi
-        # rings are judged by absolute mass, so oscillation that cancels
-        # inside a ring cannot stop the expansion early
-        totals = list(ring(core_lo, core_hi, [0]))
-        partials = [totals[:]]
-        step = math.log(quad.expansion)
-        failed_lo = _expand_windows(
-            ring, core_lo, -1, lambda x: max(x - step, x_min_hard),
-            lambda x, j: abs(x) > 700.0, totals, partials, quad, hard=x_min_hard)
-        failed_hi = _expand_windows(
-            ring, core_hi, 1, lambda x: min(x + step, x_max_hard),
-            lambda x, j: abs(x) > 700.0, totals, partials, quad, hard=x_max_hard)
-        if failed_lo or failed_hi:
-            raise DivergenceError(
-                "Mellin symbol integral diverges at %s"
-                % ("zero" if failed_lo else "infinity"), partials=partials[0])
+        _, partials, failed = _cauchy_windows(ring, max(k_lo, 0.0), k_hi, (1.0,),
+                                              quad)
+        if failed:
+            raise DivergenceError("Mellin symbol integral diverges at %s"
+                                  % failed[0], partials=partials[0])
         self.xs = np.concatenate([p[0] for p in parts])
         self.wg = np.concatenate([p[1] * p[2] for p in parts])
 
     def value(self, lam):
         return complex(np.sum(self.wg * np.exp(1j * float(lam) * self.xs)))
 
-    def values(self, lams, chunk=256):
+    def values(self, lams):
         lams = np.asarray(lams, dtype=float)
         out = np.empty(lams.size, dtype=complex)
-        for i in range(0, lams.size, chunk):
-            block = lams[i:i + chunk]
-            out[i:i + chunk] = np.exp(1j * block[:, None] * self.xs[None, :]) @ self.wg
+        for i in range(0, lams.size, _CHUNK):
+            block = lams[i:i + _CHUNK]
+            out[i:i + _CHUNK] = np.exp(1j * block[:, None] * self.xs[None, :]) @ self.wg
         return out
 
 
@@ -217,6 +207,13 @@ class RoundtripStage:
     name: str
     passed: bool
     detail: str
+
+
+# the stages that can fail, in order: the values of ``failed_stage``
+ROUNDTRIP_STAGES = ("class-membership", "integrability", "wiener-condition",
+                    "averaged-measure", "averaged-regularity",
+                    "averaged-density-form", "measure-regularity",
+                    "measure-density-form", "constant-transfer")
 
 
 @dataclass(frozen=True)

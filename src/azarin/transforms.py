@@ -217,29 +217,18 @@ def neutralization_report(kernel, order, measure, eps_grid, n_grid, r_grid,
 
 def _restricted_value(transform, u_lo, u_hi):
     """Transform of the measure restricted to u in (u_lo, u_hi) at r = 1."""
-    kernel = transform.kernel
-    k_lo, k_hi = kernel.support
-    m_lo, m_hi = transform.measure.hull()
+    k_lo, k_hi = transform.kernel.support
     lo = max(u_lo, k_lo, 0.0)
-    hi = min(u_hi, k_hi if not math.isinf(k_hi) else m_hi)
-    if math.isinf(hi):
-        hi = None
-    if hi is not None and hi <= lo:
+    hi = min(u_hi, k_hi if not math.isinf(k_hi) else transform.measure.hull()[1])
+    if hi <= lo:
         return 0.0 + 0.0j
-
-    def integrand(t):
-        return kernel(t) * transform.measure.density(t)
-
-    def atom_terms(a, b):
-        xs, ws = transform.measure.atoms_in(a, b)
-        if not ws.size:
-            return 0.0 + 0.0j
-        return complex(np.sum(kernel(xs) * ws))
-
-    return improper_quad(integrand, lo if lo > 0 else 0.0, hi, transform.quad,
-                         split_points=kernel.breakpoints(),
-                         singular_points=kernel.singular_points,
-                         extra_terms=atom_terms)
+    totals, partials, failed = _cauchy_windows(
+        lambda a, b, live: transform._window_term([1.0], a, b), lo, hi, (1.0,),
+        transform.quad)
+    if failed:
+        raise DivergenceError("restricted transform failed the Cauchy criterion "
+                              "at %s" % failed[0], partials=partials[0])
+    return totals[0]
 
 
 @dataclass(frozen=True)
@@ -334,7 +323,7 @@ class AveragedDensityReport:
     rows: tuple
 
 
-def verify_averaged_limit_densities(transform, order, est_s, est_mu,
+def verify_averaged_limit_densities(transform, est_s, est_mu,
                                     u_samples=(0.5, 0.8, 1.0, 1.5, 2.0),
                                     tol=0.01, quad=DEFAULT_QUAD):
     """Densities of averaged-measure limits vs kernel transforms of mu-limits.
@@ -622,7 +611,7 @@ class OrderDiagnosticReport:
     passed: bool
 
 
-def order_diagnostic(transform, order, r_grid, quad=DEFAULT_QUAD, h=1e-4,
+def order_diagnostic(transform, r_grid, quad=DEFAULT_QUAD, h=1e-4,
                      slope_tol=0.05, decay_factor=0.6):
     """Numeric check that the transform itself behaves like a zero-order scale.
 

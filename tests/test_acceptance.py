@@ -179,7 +179,7 @@ def test_criterion_07_averaged_measure_limits():
                                FAM)
     mu_est = estimate_limit_set(sample_trajectory(measure, order, sched, FAM),
                                 FAM)
-    densities = verify_averaged_limit_densities(transform, order, s_est, mu_est,
+    densities = verify_averaged_limit_densities(transform, s_est, mu_est,
                                                 tol=0.01)
     fit = verify_regular_limit_form(s_est, shifted)
     gamma_ref = lanczos_gamma(0.7)

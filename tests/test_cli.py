@@ -137,6 +137,16 @@ class TestRunErrors:
          "expected one of 'i_over_z'"),
         ("averaged_limit_check", {"expected_coefficient_rule": "gamma"},
          "params.expected_coefficient_rule", "expected one of 'gamma(rho)'"),
+        # expectations used to be read as given: an unknown stage ran the
+        # whole round trip to a failing verdict
+        ("neutralization_check", {"expect_pass": 0}, "params.expect_pass",
+         "expected true or false"),
+        ("order_diagnostic", {"hardy": "yes"}, "params.hardy",
+         "expected true or false"),
+        ("tauberian_roundtrip", {"expect_failed_stage": 5},
+         "params.expect_failed_stage", "expected one of '', 'class-membership'"),
+        ("tauberian_roundtrip", {"expect_failed_stage": "wiener"},
+         "params.expect_failed_stage", "expected one of '', 'class-membership'"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -147,6 +157,19 @@ class TestRunErrors:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    def test_expectation_is_a_boolean(self, tmp_path, capsys):
+        # "no" used to be read as given, so as true: the run passed
+        cfg = {"operation": "integrability_check", "order": {"rho": 1.0},
+               "kernel": {"kind": "exp"}, "params": {"expect_converged": "no"}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 1
+        assert ("config error: params.expect_converged: expected true or false"
+                in capsys.readouterr().err)
+        cfg["params"]["expect_converged"] = False
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 2
 
     @pytest.mark.parametrize("descriptor, value, path, message", [
         ("measure", {"atoms": [["a", 1]]}, "measure.atoms[0]", "expected a number"),

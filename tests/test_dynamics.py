@@ -311,14 +311,15 @@ class TestSigmaEnvelope:
 
     def test_reweighting_reduces_to_constant_order(self, fam):
         # d(lambda) = d(mu)/W turns the general flow into the constant one:
-        # the two trajectories merge and share the extrapolated limit
+        # the two trajectories merge and share the extrapolated limit; here
+        # d(mu) = t**-0.3 W(t) dt, so d(lambda) = t**-0.3 dt
         from azarin.measures import ZeroScaleFactor
         from azarin.orders import LogLogZero
         zp = LogLogZero(2.0)
         full = ProximateOrder(0.7, zp)
         const = ProximateOrder(0.7)
         mu = RadonMeasure.power_density(-0.3, factor=ZeroScaleFactor(zp))
-        lam = mu.reweighted(ZeroScaleFactor(zp, -1.0))
+        lam = RadonMeasure.power_density(-0.3)
         gaps = []
         for t in (1e2, 1e4, 1e6):
             gaps.append(fam.distance_from_pairings(

@@ -11,9 +11,9 @@ from azarin.measures import (DensityPiece, LogPerturbFactor, RadonMeasure,
 from azarin.numerics import DivergenceError
 from azarin.orders import ProximateOrder
 from azarin.special import lanczos_gamma
-from azarin.tauberian import (mellin_symbol, mellin_symbol_table,
-                              tauberian_roundtrip, verify_exponential_solution,
-                              wiener_zero_scan)
+from azarin.tauberian import (_SymbolQuadrature, mellin_symbol,
+                              mellin_symbol_table, tauberian_roundtrip,
+                              verify_exponential_solution, wiener_zero_scan)
 
 LATTICE = StepKernel(steps=((1.0, 0.0, 1.0), (-2.0, 0.0, 0.5)))
 LAM1 = 2.0 * math.pi / math.log(2.0)
@@ -49,13 +49,24 @@ class TestSymbol:
 
     @pytest.mark.parametrize("lo", [0.0, 0.01])
     def test_accepts_at_hard_support_edge(self, lo):
-        # the ring that reaches ln 10 (and ln 0.01) is not calm; a finite
-        # support edge accepts without waiting for calm rings
+        # a finite support end is the edge of the core window, so it takes
+        # no rings: the last panel up to ln 10 (and ln 0.01) need not be calm
         lams = np.linspace(-3.0, 3.0, 7)
         table = mellin_symbol_table(IndicatorKernel(lo, 10.0), 1.0, lams)
         want = (10.0 ** (1.0 + 1j * lams) - lo ** (1.0 + 1j * lams)) \
             / (1.0 + 1j * lams)
         assert np.max(np.abs(np.asarray(table.values) - want)) < 1e-10
+
+    def test_support_above_default_core(self):
+        # the support (5, 10] is the whole core window: one GK15 set of 7
+        # panels, none of them below the support
+        lams = np.linspace(-20.0, 20.0, 81)
+        sq = _SymbolQuadrature(IndicatorKernel(5.0, 10.0), 1.0, 20.0)
+        assert sq.xs.size <= 105
+        assert math.log(5.0) < sq.xs.min() and sq.xs.max() < math.log(10.0)
+        s = 1.0 + 1j * lams
+        want = (10.0 ** s - 5.0 ** s) / s
+        assert np.max(np.abs(sq.values(lams) - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_rings_are_calm_by_absolute_mass(self):
         # K(t) t**(rho-1) = t**(-1 + i b) on (0, 1]: in x = ln t every ring of
@@ -195,5 +206,5 @@ class TestRoundtrip:
         s_est = estimate_limit_set(
             sample_trajectory(s, o.shifted(1.0), sched, fam), fam)
         mu_est = estimate_limit_set(sample_trajectory(m, o, sched, fam), fam)
-        rep = verify_averaged_limit_densities(tr, o, s_est, mu_est, tol=0.01)
+        rep = verify_averaged_limit_densities(tr, s_est, mu_est, tol=0.01)
         assert rep.passed

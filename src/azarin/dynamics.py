@@ -99,28 +99,25 @@ class LimitSetEstimate:
     family: MetricFamily
 
 
-def _extrapolate(ts, pairings, basis=None):
+def _extrapolate(ts, pairings):
     """Least-squares limit of pairings along the trajectory.
 
-    Default basis (1, 1/ln t, ..., 1/ln^3 t) removes the leading slowly
-    varying transients; the intercept is the limit estimate.  The number of
-    terms shrinks with the cluster size, down to a plain mean.
+    The basis (1, 1/ln t, ..., 1/ln^3 t) removes the leading slowly varying
+    transients; the intercept is the limit estimate.  The number of terms
+    shrinks with the cluster size, down to a plain mean.
     """
     ts = np.asarray(ts, dtype=float)
     P = np.asarray(pairings)
-    if basis is not None:
-        A = np.column_stack([f(ts) for f in basis])
+    if ts.size >= 12:
+        degree = 4
+    elif ts.size >= 6:
+        degree = 3
+    elif ts.size >= 4:
+        degree = 2
     else:
-        if ts.size >= 12:
-            degree = 4
-        elif ts.size >= 6:
-            degree = 3
-        elif ts.size >= 4:
-            degree = 2
-        else:
-            return P.mean(axis=0)
-        x = 1.0 / np.log(ts)
-        A = np.column_stack([x ** k for k in range(degree)])
+        return P.mean(axis=0)
+    x = 1.0 / np.log(ts)
+    A = np.column_stack([x ** k for k in range(degree)])
     coef, *_ = np.linalg.lstsq(A, P, rcond=None)
     return coef[0]
 

@@ -1,9 +1,9 @@
 """Borel kernels K on (0, oo) for the convolution transform.
 
-Each kernel is vectorized, declares its support, breakpoints (integration
-split points) and singular points, and tags its smoothness class.  The
-smooth bump carries exact derivative evaluators built from the polynomial
-recurrence for d^k/dx^k exp(-1/(1-x^2)).
+Each kernel is vectorized and declares its support, breakpoints
+(integration split points) and singular points.  The smooth bump carries
+exact derivative evaluators built from the polynomial recurrence for
+d^k/dx^k exp(-1/(1-x^2)).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
 
 
 class Kernel:
-    smoothness = "borel"
     support = (0.0, math.inf)
     singular_points = ()
 
@@ -40,7 +39,6 @@ class Kernel:
 @dataclass(frozen=True)
 class ExpKernel(Kernel):
     """K(t) = exp(-t)."""
-    smoothness = "c_infinity"
 
     def __call__(self, t):
         return np.exp(-np.asarray(t, dtype=float))
@@ -134,7 +132,6 @@ class LogSingularKernel(Kernel):
     Evaluated through log1p branches so the slow tail keeps full precision
     (naively 1 - 1/t rounds to 1 once t exceeds ~1e16).
     """
-    smoothness = "borel"
     singular_points = (1.0,)
 
     def __call__(self, t):
@@ -183,8 +180,6 @@ class SmoothBumpKernel(Kernel):
     n_max: int = 6
     _polys: tuple = field(default=None, compare=False, repr=False)
 
-    smoothness = "c_infinity"
-
     @property
     def support(self):
         return (self.lo, self.hi)
@@ -227,7 +222,6 @@ class TableKernel(Kernel):
     """Piecewise-linear kernel through (node, value) pairs; zero outside."""
     nodes: tuple = ()
     values: tuple = ()
-    smoothness = "continuous"
 
     def __post_init__(self):
         nodes = tuple(float(x) for x in self.nodes)

@@ -414,23 +414,56 @@ class RadonMeasure:
 
     def pair(self, f, quad=DEFAULT_QUAD):
         """(mu, f) = sum f(x_i) w_i + integral of f * density."""
-        lo, hi = f.support
-        self._check_window(lo, hi)
-        total = self._atom_pairing(f)
-        if self.has_density():
-            total += log_quad(lambda t: f(t) * self.density(t), lo, hi, quad,
-                              split_points=self._pair_splits(f))
-        return total
+        self._check_window(*f.support)
+        return self.dilation_integrals(f, [1.0], [1.0], f.lo, f.hi, quad)[0]
 
-    def _atom_pairing(self, f):
-        """sum f(x_i) w_i over the atoms in f's support."""
-        xs, ws = self.atoms_in(f.lo * (1.0 - 1e-15), f.hi)
-        return complex(np.sum(f(xs) * ws)) if ws.size else 0.0 + 0.0j
+    def dilation_integrals(self, g, scales, norms, lo, hi, quad=DEFAULT_QUAD):
+        """Integrals of g(u) over u in (lo, hi] against mu(s u)/n.
 
-    def _pair_splits(self, f):
-        """Split points of f * density: breakpoints in f's support, f's knots."""
-        lo, hi = f.support
-        return sorted(set(self.breakpoints_in(lo, hi)) | set(f.knots[1:-1]))
+        One value per scale s of ``scales`` and norm n of ``norms``: the
+        atoms x with x/s in (lo, hi] add g(x/s) w/n, and the density adds
+        the integral of g(u) (s/n) density(s u) du, split at
+        ``g.breakpoints()`` and at the measure's breakpoints in u and graded
+        at ``g.singular_points``.  A run of consecutive scales with the same
+        measure breakpoints in u shares one vector ``log_quad``, so no
+        column is split at another's breakpoints; a run of one scale
+        integrates a scalar.  Pairings, flow pairings and kernel transform
+        windows are all this integral.
+        """
+        out = [0.0 + 0.0j] * len(scales)
+        if self.atom_x.size:
+            for i, (s, n) in enumerate(zip(scales, norms)):
+                xs, ws = self.atoms_in(s * lo, s * hi)
+                if ws.size:
+                    out[i] = complex(np.sum(g(xs / s) * (ws / n)))
+        if not self.has_density():
+            return out
+        g_splits = [b for b in g.breakpoints() if lo < b < hi]
+        sing = [p for p in g.singular_points if lo <= p <= hi]
+        bps = self.breakpoints_in(min(scales) * lo, max(scales) * hi)
+        m_splits = [[b / s for b in bps if s * lo < b < s * hi] for s in scales]
+        for rows, splits in _split_runs(m_splits):
+            n = rows.stop - rows.start
+            if n == 1:
+                s = scales[rows.start]
+                gain = s / norms[rows.start]
+
+                def integrand(u):
+                    return self.density(u * s) * (g(u) * gain)
+            else:
+                s = np.asarray(scales[rows], dtype=float)
+                gain = s / np.asarray(norms[rows], dtype=float)
+
+                def integrand(u):
+                    return (self.density(np.multiply.outer(u, s))
+                            * (g(u)[:, None] * gain))
+
+            parts = log_quad(integrand, lo, hi, quad,
+                             split_points=g_splits + splits, singular_points=sing)
+            for i, part in enumerate(parts.tolist() if n > 1 else [parts],
+                                     rows.start):
+                out[i] += part
+        return out
 
     # -- Azarin transform ----------------------------------------------------------
 
@@ -492,13 +525,18 @@ def azarin_scale(measure, order, t):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Trapezoid bump: support [lo, hi], linear ramps of width ``ramp``."""
+    """Trapezoid bump: support [lo, hi], linear ramps of width ``ramp``.
+
+    It declares breakpoints (its knots) and singular points as a kernel
+    does, so a measure pairs with it and transforms by it alike.
+    """
     lo: float
     hi: float
     ramp: float = None
     amplitude: float = 1.0
 
     __test__ = False  # not a pytest collection target
+    singular_points = ()
 
     def __post_init__(self):
         if not (0.0 < self.lo < self.hi):
@@ -515,6 +553,9 @@ class TestFunction:
     @property
     def knots(self):
         return (self.lo, self.lo + self.ramp, self.hi - self.ramp, self.hi)
+
+    def breakpoints(self):
+        return list(self.knots)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -591,13 +632,11 @@ class MetricFamily:
         """mu_t = mu(t .)/V(t) for each t in ``ts`` and their pairings.
 
         Returns the list of scaled measures and the ``(len(ts), n_members)``
-        array of their pairings, equal to pairing each mu_t in turn.  The
-        density part of a member is one vector ``log_quad`` per run of
-        samples with the same split points (``_split_runs``; the whole flow
-        when no scaled measure has breakpoints in the member's support):
-        column j integrates f(u) t_j density(t_j u)/V(t_j) with one
-        base-density call per batch.  Window checks run sample by sample, as ``pair``
-        does, and atom sums stay per sample and member.
+        array of their pairings, equal to pairing each mu_t in turn.  Member
+        f's column is the dilation integral of f against the unscaled
+        measure at scales ``ts`` and norms V(ts), so consecutive samples
+        with the same breakpoints in f's support share one vector integral.
+        Window checks run sample by sample, as ``pair`` does.
         """
         quad = quad or self.quad
         ts = np.asarray(ts, dtype=float)
@@ -605,23 +644,10 @@ class MetricFamily:
         for s in scaled:
             for f in self.members:
                 s._check_window(*f.support)
+        norms = np.asarray(order.scale(ts), dtype=float)
         out = np.zeros((ts.size, self.n_members), dtype=complex)
-        if measure.atom_x.size:
-            for i, s in enumerate(scaled):
-                for n, f in enumerate(self.members):
-                    out[i, n] = s._atom_pairing(f)
-        if measure.has_density():
-            gain = ts / np.asarray(order.scale(ts), dtype=float)
-            for n, f in enumerate(self.members):
-                runs = _split_runs([s._pair_splits(f) for s in scaled])
-                for rows, splits in runs:
-
-                    def integrand(u, f=f, rows=rows):
-                        dens = measure.density(np.multiply.outer(u, ts[rows]))
-                        return f(u)[:, None] * dens * gain[rows]
-
-                    out[rows, n] += log_quad(integrand, f.lo, f.hi, quad,
-                                             split_points=splits)
+        for n, f in enumerate(self.members):
+            out[:, n] = measure.dilation_integrals(f, ts, norms, f.lo, f.hi, quad)
         return scaled, out
 
     def distance_from_pairings(self, p1, p2):

@@ -51,6 +51,11 @@ class RunResult:
     tables: list = field(default_factory=list)   # (name, header, rows)
 
 
+def _expected(got, expect, default=None):
+    """The verdict ``got == expect``, or ``default`` when nothing is expected."""
+    return default if expect is None else got == expect
+
+
 def _descriptor(key, value, path):
     # looks the parser up at call time, so a rebinding of the entry reaches it
     return _DESCRIPTORS[key](value, path)
@@ -370,10 +375,7 @@ def run_class_membership(order, measure, quad, which="tail", r_grid=Grid(),
     rep = class_membership(measure, order, which=which, r_grid=r_grid, quad=quad)
     report = {"sup_ratio": rep.sup_ratio, "bounded": rep.bounded,
               "decade_ratio": rep.decade_ratio}
-    verdict = None
-    if expect_bounded is not None:
-        verdict = rep.bounded == expect_bounded
-    return RunResult(verdict, report)
+    return RunResult(_expected(rep.bounded, expect_bounded), report)
 
 
 @operation("positive_regularity")
@@ -382,10 +384,7 @@ def run_positive_regularity(order, measure, quad, r_grid=Grid(1e2, 1e7, 40),
     rep = positive_regularity_criterion(measure, order, r_grid, quad=quad)
     report = {"branch": rep.branch, "limit": rep.limit_estimate,
               "oscillation": rep.oscillation, "regular": rep.regular}
-    verdict = None
-    if expect_regular is not None:
-        verdict = rep.regular == expect_regular
-    return RunResult(verdict, report)
+    return RunResult(_expected(rep.regular, expect_regular), report)
 
 
 @operation("density_estimate")
@@ -453,10 +452,7 @@ def run_neutralization(order, measure, kernel, quad,
                                 r_grid, quad)
     report = {"head_sups": list(rep.head_sups), "tail_sups": list(rep.tail_sups),
               "passed": rep.passed}
-    verdict = rep.passed
-    if expect_pass is not None:
-        verdict = rep.passed == expect_pass
-    return RunResult(verdict, report)
+    return RunResult(_expected(rep.passed, expect_pass, rep.passed), report)
 
 
 @operation("integrability_check")
@@ -465,10 +461,7 @@ def run_integrability(order, kernel, quad, expect_converged=Maybe(bool)):
     report = {"l1_value": rep.l1_value, "l1_converged": rep.l1_converged,
               "amalgam_value": rep.amalgam_value,
               "amalgam_converged": rep.amalgam_converged}
-    verdict = None
-    if expect_converged is not None:
-        verdict = rep.l1_converged == expect_converged
-    return RunResult(verdict, report)
+    return RunResult(_expected(rep.l1_converged, expect_converged), report)
 
 
 @operation("averaged_limit_check")
@@ -532,10 +525,7 @@ def run_stable_order(order, measure, quad, r_grid=Grid(1e1, 1e6, 40),
     rep = stable_order_report(f, order, r_grid, quad)
     report = {"stable": rep.stable, "tail_max": rep.tail_max,
               "branch": rep.branch}
-    verdict = None
-    if expect_stable is not None:
-        verdict = rep.stable == expect_stable
-    return RunResult(verdict, report)
+    return RunResult(_expected(rep.stable, expect_stable), report)
 
 
 @operation("order_diagnostic")
@@ -590,7 +580,7 @@ def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
     rows = [[lam, val] for lam, val in rep.zeros]
     report = {"zeros": rows, "nonvanishing": rep.nonvanishing,
               "min_abs": rep.min_abs, "max_abs": rep.max_abs}
-    verdict = None
+    verdict = _expected(rep.nonvanishing, expect_nonvanishing)
     if expected_zeros is not None:
         got = sorted(lam for lam, _ in rep.zeros)
         want = sorted(expected_zeros)
@@ -598,8 +588,6 @@ def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
                    and all(abs(a - b) <= abscissa_tol
                            for a, b in zip(got, want)))
         report["expected_zeros"] = want
-    elif expect_nonvanishing is not None:
-        verdict = rep.nonvanishing == expect_nonvanishing
     return RunResult(verdict, report,
                      [("zeros.csv", ["lambda", "abs_symbol"], rows)])
 
@@ -615,10 +603,7 @@ def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
                                       r_samples, quad, tol=tol)
     report = {"residuals": [[r, v] for r, v in rep.residuals],
               "max_residual": rep.max_residual}
-    verdict = rep.passed
-    if expect_pass is not None:
-        verdict = rep.passed == expect_pass
-    return RunResult(verdict, report)
+    return RunResult(_expected(rep.passed, expect_pass, rep.passed), report)
 
 
 @operation("tauberian_roundtrip")
@@ -665,10 +650,7 @@ def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
         br = carl.carleman_bound_report(ct, bound_constant)
         report["bound_max_ratio"] = br.max_ratio
         report["bound_passed"] = br.passed
-        if expect_bound_pass is not None:
-            verdict = verdict and (br.passed == expect_bound_pass)
-        else:
-            verdict = verdict and br.passed
+        verdict = verdict and _expected(br.passed, expect_bound_pass, br.passed)
     if jump_window is not None:
         js = carl.spectrum_jump_scan(ct, tuple(jump_window))
         report["flagged"] = list(js.flagged)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothBumpKernel
-from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece, _split_runs
+from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece
 from .numerics import (DivergenceError, _cauchy_windows, converges,
                        improper_quad, log_quad)
 from .orders import potter_factor
@@ -35,13 +35,13 @@ class KernelTransform:
 
     ``values(rs)`` computes many r at once, in u = t/r: the r values whose
     kernel support and measure hull clip u to the same window share its
-    core and its Cauchy rings, and in each ring one vector ``log_quad``
-    integrates the columns K(u) r_j density(r_j u) of every run of
-    consecutive r with the same measure breakpoints in u.  Atoms are summed
-    per r, and each r keeps its own Cauchy test and stops taking rings once
-    it is decided.  ``value(r)`` is ``values`` at one r, whose integrand is
-    scalar.  Values are cached per r; the cache is a plain dict
-    (deterministic values, so concurrent double-computation is benign).
+    core and its Cauchy rings, and each ring is the measure's dilation
+    integral of K at scales r (``RadonMeasure.dilation_integrals``), one
+    vector ``log_quad`` per run of consecutive r with the same measure
+    breakpoints in u.  Each r keeps its own Cauchy test and stops taking
+    rings once it is decided.  ``value(r)`` is ``values`` at one r, whose
+    integrand is scalar.  Values are cached per r; the cache is a plain
+    dict (deterministic values, so concurrent double-computation is benign).
     """
 
     def __init__(self, kernel, measure, order=None, quad=DEFAULT_QUAD):
@@ -54,47 +54,10 @@ class KernelTransform:
     def _window_term(self, rs, u_lo, u_hi):
         """Transform at each r of the list ``rs`` restricted to u in (u_lo, u_hi].
 
-        Returns a list of one value per r.  Column j integrates
-        K(u) r_j density(r_j u); a run of consecutive r with the same measure
-        breakpoints in u shares one vector ``log_quad``, and a run of one r
-        integrates a scalar.
+        The dilation integral of the kernel at scales ``rs`` and norms 1.
         """
-        kernel = self.kernel
-        m = self.measure
-        out = [0.0 + 0.0j] * len(rs)
-        if m.atom_x.size:
-            for i, r in enumerate(rs):
-                xs, ws = m.atoms_in(r * u_lo, r * u_hi)
-                if ws.size:
-                    out[i] = complex(np.sum(kernel(xs / r) * ws))
-        if not m.has_density():
-            return out
-        k_splits = [b for b in kernel.breakpoints() if u_lo < b < u_hi]
-        sing = [s for s in kernel.singular_points if u_lo <= s <= u_hi]
-        bps = m.breakpoints_in(min(rs) * u_lo, max(rs) * u_hi)
-        m_splits = [[b / r for b in bps if r * u_lo < b < r * u_hi] for r in rs]
-        for rows, splits in _split_runs(m_splits):
-            n = rows.stop - rows.start
-            if n == 1:
-                r = rs[rows.start]
-
-                def integrand(u):
-                    return m.density(u * r) * (kernel(u) * r)
-            else:
-                r = np.array(rs[rows])
-
-                def integrand(u):
-                    return (m.density(np.multiply.outer(u, r))
-                            * (kernel(u)[:, None] * r))
-
-            parts = log_quad(integrand, u_lo, u_hi, self.quad,
-                             split_points=k_splits + splits, singular_points=sing)
-            if n == 1:
-                out[rows.start] += parts
-            else:
-                for i, part in enumerate(parts.tolist(), rows.start):
-                    out[i] += part
-        return out
+        return self.measure.dilation_integrals(self.kernel, rs, [1.0] * len(rs),
+                                               u_lo, u_hi, self.quad)
 
     def values(self, rs):
         """Transform values at every r of ``rs``, as an array."""

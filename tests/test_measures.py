@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from azarin import measures
 from azarin.dynamics import geometric_schedule
 from azarin.kernels import ExpKernel
 from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
                              RadonMeasure, SelfSimilarTail, TestFunction,
-                             _split_runs, azarin_scale, class_membership,
-                             lower_density, upper_density)
-from azarin.numerics import QuadControl, WindowError
+                             azarin_scale, class_membership, lower_density,
+                             upper_density)
+from azarin.numerics import QuadControl, WindowError, log_quad
 from azarin.orders import LogPowerZero, ProximateOrder
 from azarin.transforms import KernelTransform, averaged_measure
 
@@ -195,18 +196,46 @@ class TestFlowPairings:
         (geometric_schedule(1.0, 1e4, 9), 9),
         ([2.0 ** k for k in range(8)], 1),
     ], ids=["generic", "lattice"])
-    def test_split_runs_share_only_equal_split_points(self, ts, n_runs):
+    def test_split_runs_share_only_equal_split_points(self, monkeypatch, ts, n_runs):
         # a period-2 flow sampled on powers of 2 repeats its breakpoints
         m = RadonMeasure(pieces=(DensityPiece(1.0, 2.0),),
                          tail=SelfSimilarTail(2.0, 1.0, 1.0))
-        scaled = [m.scaled(O1, t) for t in ts]
         f = TestFunction(0.25, 8.0)
-        runs = _split_runs([s._pair_splits(f) for s in scaled])
-        assert len(runs) == n_runs
-        assert [r.start for r, _ in runs] == [0] + [r.stop for r, _ in runs[:-1]]
-        assert runs[-1][0].stop == len(scaled)
-        for rows, splits in runs:
-            assert all(s._pair_splits(f) == splits for s in scaled[rows])
+        calls = []
+
+        def counting_log_quad(g, lo, hi, quad, **kw):
+            out = log_quad(g, lo, hi, quad, **kw)
+            calls.append((np.size(out), sorted(set(kw["split_points"]))))
+            return out
+
+        monkeypatch.setattr(measures, "log_quad", counting_log_quad)
+        m.dilation_integrals(f, ts, [1.0] * len(ts), f.lo, f.hi)
+        assert len(calls) == n_runs
+        assert sum(n for n, _ in calls) == len(ts)
+        start = 0
+        for n, splits in calls:
+            for t in ts[start:start + n]:
+                scaled = m.scaled(O1, t)
+                assert splits == sorted(set(scaled.breakpoints_in(f.lo, f.hi))
+                                        | set(f.knots[1:-1]))
+            start += n
+
+    @pytest.mark.parametrize("measure, order", [
+        (RadonMeasure(atoms=[(1.5, 2.0), (7.0, -0.5j), (300.0, 1.0)],
+                      pieces=(DensityPiece(0.5, 3.0, coef=1.0, exponent=-0.4),
+                              DensityPiece(3.0, math.inf, coef=0.3, exponent=0.2))),
+         ProximateOrder(0.8)),
+        (RadonMeasure(atoms=[(1.0, 1.0)],
+                      pieces=(DensityPiece(1.0, 1.25, coef=0.5, exponent=0.3),),
+                      tail=SelfSimilarTail(1.25, 1.0, 1.0)), O1),
+    ], ids=["atoms-and-breakpoint", "self-similar"])
+    def test_flow_is_transform_by_member_over_scale(self, fam, measure, order):
+        # the transform at r is V(r) (mu_r, K): a member is a kernel too
+        ts = geometric_schedule(1.0, 1e3, 11)
+        got = fam.flow_pairings(measure, order, ts)[1] * order.scale(ts)[:, None]
+        for n in range(0, fam.n_members, 3):
+            want = KernelTransform(fam.members[n], measure).values(ts)
+            assert np.all(np.abs(got[:, n] - want) <= 1e-12 * np.abs(want))
 
     def test_tabulated_averaged_measure_agrees(self, fam, roundtrip_averaged):
         measure, order, ts = roundtrip_averaged

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
-from azarin.kernels import ExpKernel, IndicatorKernel, PowerCutKernel, StepKernel
+from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
+                            PowerCutKernel, StepKernel)
 from azarin.measures import (DensityPiece, LogPerturbFactor, RadonMeasure,
                              SelfSimilarTail)
 from azarin.numerics import DivergenceError
@@ -34,6 +35,15 @@ class TestSymbol:
         lam = 3.7
         want = (1.0 - 2.0 ** (-1j * lam)) / (1.0 + 1j * lam)
         assert abs(mellin_symbol(LATTICE, 1.0, lam) - want) < 1e-10
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.7])
+    def test_log_singular_closed_form(self, rho):
+        # integral of ln|1 - 1/t| t^(s-1) dt = pi cot(pi s) / s, 0 < Re s < 1
+        lams = np.linspace(-20.0, 20.0, 161)
+        s = rho + 1j * lams
+        want = np.pi / np.tan(np.pi * s) / s
+        got = np.array(mellin_symbol_table(LogSingularKernel(), rho, lams).values)
+        assert np.max(np.abs(got - want)) <= 5e-10 * np.max(np.abs(want))
 
     @given(st.floats(min_value=0.01, max_value=25.0))
     def test_conjugate_symmetry_real_kernel(self, lam):

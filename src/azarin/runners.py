@@ -571,7 +571,15 @@ def run_symbol_table(kernel, quad, rho=1.0,
                      [("symbol.csv", ["lambda", "re", "im", "abs"], rows)])
 
 
-@operation("wiener_zero_scan")
+def _scan_grid(window, step, **_):
+    if not step > 0:
+        raise ConfigError("params.step: expected a number > 0")
+    if not (math.isfinite(window[0]) and math.isfinite(window[1])
+            and window[0] <= window[1]):
+        raise ConfigError("params.window: expected finite [lo, hi] with lo <= hi")
+
+
+@operation("wiener_zero_scan", check=_scan_grid)
 def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
                   step=0.01, tol=1e-6, expected_zeros=List(None),
                   abscissa_tol=1e-6, expect_nonvanishing=Maybe(bool)):

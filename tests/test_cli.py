@@ -147,6 +147,12 @@ class TestRunErrors:
          "params.expect_failed_stage", "expected one of '', 'class-membership'"),
         ("tauberian_roundtrip", {"expect_failed_stage": "wiener"},
          "params.expect_failed_stage", "expected one of '', 'class-membership'"),
+        # a bad grid used to end in ZeroDivisionError or a numpy traceback
+        ("wiener_zero_scan", {"step": 0}, "params.step", "expected a number > 0"),
+        ("wiener_zero_scan", {"step": -0.01}, "params.step",
+         "expected a number > 0"),
+        ("wiener_zero_scan", {"window": [20.0, -20.0]}, "params.window",
+         "expected finite [lo, hi] with lo <= hi"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):

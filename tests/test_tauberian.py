@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from azarin import tauberian
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
 from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                             PowerCutKernel, StepKernel)
@@ -16,8 +17,21 @@ from azarin.tauberian import (_SymbolQuadrature, mellin_symbol,
                               mellin_symbol_table, tauberian_roundtrip,
                               verify_exponential_solution, wiener_zero_scan)
 
-LATTICE = StepKernel(steps=((1.0, 0.0, 1.0), (-2.0, 0.0, 0.5)))
+
+def lattice(q):
+    """chi_(0,1] - q chi_(0,1/q]: symbol zeros at 2 pi k / ln q (rho = 1)."""
+    return StepKernel(steps=((1.0, 0.0, 1.0), (-float(q), 0.0, 1.0 / q)))
+
+
+LATTICE = lattice(2)
 LAM1 = 2.0 * math.pi / math.log(2.0)
+# the zero-scan grid of the lattice builtin: 4,001 lambdas 0.01 apart
+SCAN_GRID = np.linspace(-20.0, 20.0, 4001)
+
+
+def table_gap(got, want):
+    """Largest difference of two symbol tables, relative to the table max."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 class TestSymbol:
@@ -78,6 +92,40 @@ class TestSymbol:
         want = (10.0 ** s - 5.0 ** s) / s
         assert np.max(np.abs(sq.values(lams) - want)) < 1e-10 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("kernel, rho", [
+        (LogSingularKernel(), 0.5), (IndicatorKernel(5.0, 10.0), 1.0),
+        (IndicatorKernel(0.0, 10.0), 1.0), (LATTICE, 1.0), (lattice(3), 1.0),
+        (lattice(5), 1.0)], ids=["log-singular", "indicator(5,10)",
+                                 "indicator(0,10)", "lattice2", "lattice3",
+                                 "lattice5"])
+    def test_factored_table_matches_dense(self, kernel, rho):
+        # the arithmetic-grid product A @ B.T against one exp(i lam x) row
+        # per lambda (log-singular: 15,870 nodes, measured 1.0e-14); every
+        # 7th lambda meets every fine offset r mod 64 and every coarse row
+        sq = _SymbolQuadrature(kernel, rho, 20.0)
+        factored = sq.values(SCAN_GRID, step=0.01)
+        assert table_gap(factored[::7], sq.values(SCAN_GRID[::7])) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 1237])
+    def test_factored_short_and_ragged_grids(self, n):
+        # one point, one partial fine block, and a count 64 does not divide
+        sq = _SymbolQuadrature(LATTICE, 1.0, 20.0)
+        lams = np.linspace(-3.0, 17.0, n)
+        got = sq.values(lams, step=20.0 / max(n - 1, 1))
+        assert got.shape == (n,)
+        assert table_gap(got, sq.values(lams)) <= 1e-13
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # a byte cap of two rows builds the 5 coarse rows in blocks 2, 2, 1;
+        # a cap below one row builds them one at a time
+        sq = _SymbolQuadrature(LATTICE, 1.0, 20.0)
+        lams = np.linspace(-3.0, 17.0, 301)
+        dense, factored = sq.values(lams), sq.values(lams, step=20.0 / 300)
+        for cap in (1, 2 * 16 * sq.xs.size):
+            monkeypatch.setattr(tauberian, "_COARSE_BYTES", cap)
+            assert table_gap(sq.values(lams), dense) <= 1e-13
+            assert table_gap(sq.values(lams, step=20.0 / 300), factored) <= 1e-13
+
     def test_rings_are_calm_by_absolute_mass(self):
         # K(t) t**(rho-1) = t**(-1 + i b) on (0, 1]: in x = ln t every ring of
         # width ln 4 holds a whole period of e^{i b x}, so its signed integral
@@ -110,6 +158,28 @@ class TestZeroScan:
         assert abs(val) < 1e-10
         rep = wiener_zero_scan(k, 1.0, window=(-3.0, 3.0), step=0.01)
         assert any(abs(z) < 1e-6 for z, _ in rep.zeros)
+
+    def test_grid_spans_window(self):
+        # round(2 / 0.3) + 1 = 8 points from -1 to 1: spacing 2/7, not 0.3
+        rep = wiener_zero_scan(LATTICE, 1.0, window=(-1.0, 1.0), step=0.3)
+        grid = np.asarray(rep.table.lambda_grid)
+        assert grid.size == 8 and grid[0] == -1.0 and grid[-1] == 1.0
+        assert np.max(np.abs(np.diff(grid) - 2.0 / 7.0)) <= 1e-15
+        want = np.asarray(mellin_symbol_table(LATTICE, 1.0, grid).values)
+        assert table_gap(np.asarray(rep.table.values), want) <= 1e-13
+
+    def test_step_wider_than_window_gives_one_point(self):
+        rep = wiener_zero_scan(LATTICE, 1.0, window=(-1.0, 1.0), step=5.0)
+        assert rep.table.lambda_grid == (-1.0,)
+        assert abs(rep.table.values[0] - mellin_symbol(LATTICE, 1.0, -1.0)) < 1e-12
+        assert rep.zeros == ()
+
+    @pytest.mark.parametrize("window, step, match", [
+        ((-1.0, 1.0), 0.0, "step"), ((-1.0, 1.0), -0.1, "step"),
+        ((1.0, -1.0), 0.1, "window"), ((-math.inf, 1.0), 0.1, "window")])
+    def test_bad_grid_raises(self, window, step, match):
+        with pytest.raises(ValueError, match=match):
+            wiener_zero_scan(LATTICE, 1.0, window=window, step=step)
 
 
 class TestExponentialSolutions:

@@ -133,8 +133,9 @@ class TabulatedZero(ZeroPart):
     """
     xs: tuple = ()
     etas: tuple = ()
-    # read-only arrays (xs, etas, trapezoid integral of eta at each node),
-    # built once so that evaluations do not convert the tuples again
+    # read-only arrays (xs, etas, trapezoid integral of eta at each node,
+    # eta'/2 on each interval and 0 beyond the last node), built once so
+    # that evaluations do not convert the tuples again
     _cum: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -144,10 +145,13 @@ class TabulatedZero(ZeroPart):
             raise ValueError("grid must start at ln r = 0 and strictly increase")
         if etas.size != xs.size:
             raise ValueError("grid and slope arrays must have equal length")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(etas))):
+            raise ValueError("grid and slope values must be finite")
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (etas[1:] + etas[:-1]) * np.diff(xs))])
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "etas", tuple(etas))
-        arrays = (xs.copy(), etas.copy(), cum)
+        arrays = (xs.copy(), etas.copy(), cum,
+                  np.append(0.5 * np.diff(etas) / np.diff(xs), 0.0))
         for a in arrays:
             a.flags.writeable = False
         object.__setattr__(self, "_cum", arrays)
@@ -155,7 +159,7 @@ class TabulatedZero(ZeroPart):
     def log_scale(self, x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        xs, etas, cum = self._cum
+        xs, etas, cum, _ = self._cum
         # trapezoid rule up to the enclosing node, linear slope beyond it
         idx = np.clip(np.searchsorted(xs, ax, side="right") - 1, 0, xs.size - 2)
         base = cum[idx] + 0.5 * (np.interp(ax, xs, etas) + etas[idx]) * (ax - xs[idx])
@@ -164,7 +168,7 @@ class TabulatedZero(ZeroPart):
     def slope(self, x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        xs, etas, _ = self._cum
+        xs, etas, _, _ = self._cum
         val = np.where(ax <= xs[-1], np.interp(ax, xs, etas), etas[-1])
         return np.sign(x) * val
 
@@ -239,12 +243,51 @@ def _grid_supremum(zero_part, tau, grid):
     return best
 
 
+def _tabulated_supremum(zero_part, tau):
+    """sup_x h(x + tau) - h(x) for a TabulatedZero, exactly.
+
+    h(x) = H(|x|) with H quadratic between the nodes and linear beyond the
+    last, so g(x) = h(x + tau) - h(x) is quadratic between the merged knots
+    {+-x_i} and {+-x_i - tau}, and constant left of the first and right of
+    the last.  Its supremum is the largest of g at the knots and g at the
+    vertex of each concave piece whose vertex lies inside the piece.
+    """
+    xs, etas, cum, half_curv = zero_part._cum
+    knots = np.concatenate([-xs[:0:-1], xs])
+    a = np.sort(np.concatenate([knots, knots - tau]))
+    width = np.append(np.diff(a), 0.0)
+    # on [a_j, a_j + width_j] (the last one unbounded, where g is constant)
+    # h(x) and h(x + tau) each keep one piece of H and one sign of x
+    mid = a + 0.5 * width
+
+    def piece(x, interior):
+        # h, h' and h''/2 at x on the piece holding the interior point
+        i = np.searchsorted(xs, np.abs(interior), side="right") - 1
+        d = np.abs(x) - xs[i]
+        value = cum[i] + d * (etas[i] + half_curv[i] * d)
+        return (value, np.copysign(etas[i] + 2.0 * half_curv[i] * d, interior),
+                half_curv[i])
+
+    h0, dh0, c0 = piece(a, mid)
+    h1, dh1, c1 = piece(a + tau, mid + tau)
+    g = h1 - h0
+    dg = dh1 - dh0
+    fall = 2.0 * (c0 - c1)   # -g''
+    vertex = (dg > 0.0) & (dg < fall * width)
+    best = g.max()
+    if vertex.any():
+        best = max(best, (g[vertex] + 0.5 * dg[vertex] ** 2 / fall[vertex]).max())
+    return float(best)
+
+
 def potter_factor(order, t, grid=DEFAULT_GRID):
     """sup_{r>0} W(rt)/W(r) for the zero part W of the order.
 
     Uses the closed form W(t) for t >= 1 when the family has a concave
-    log-scale; otherwise a widening log-uniform grid search with
-    golden-section refinement around the grid argmax.
+    log-scale.  For a ``TabulatedZero`` the supremum is exact (its log-scale
+    is piecewise quadratic) and ``grid`` is unused.  Otherwise a widening
+    log-uniform grid search with golden-section refinement around the grid
+    argmax.
     """
     t = float(t)
     if t <= 0.0:
@@ -254,6 +297,8 @@ def potter_factor(order, t, grid=DEFAULT_GRID):
     if order.concave_zero_scale and t >= 1.0:
         return float(order.zero_scale(t))
     tau = math.log(t)
+    if isinstance(order.zero_part, TabulatedZero):
+        return math.exp(_tabulated_supremum(order.zero_part, tau))
     return float(math.exp(_grid_supremum(order.zero_part, tau, grid)))
 
 
@@ -276,23 +321,26 @@ class PotterReport:
 def potter_bound_report(order, samples, grid=DEFAULT_GRID, tolerance=1e-6):
     """Check scale(rt) <= t**rho * potter_factor(t) * scale(r) on samples.
 
-    Violations are measured relatively, in log space to dodge overflow.
+    Violations are measured relatively, in log space to dodge overflow.  A
+    pair whose product r t is 0 or not finite (out of the float range) has
+    no finite excess and raises ValueError.
     """
-    worst = 0.0
-    worst_pair = None
-    factor_cache = {}
-    for r, t in samples:
-        r = float(r)
-        t = float(t)
-        if t not in factor_cache:
-            factor_cache[t] = potter_factor(order, t, grid)
-        lhs = order.log_scale(r * t)
-        rhs = order.rho * math.log(t) + math.log(factor_cache[t]) + order.log_scale(r)
-        excess = float(lhs - rhs)
-        if excess > worst:
-            worst = excess
-            worst_pair = (r, t)
-    violation = math.expm1(worst) if worst > 0.0 else 0.0
+    r, t = np.asarray(samples, dtype=float).reshape(-1, 2).T
+    with np.errstate(over="ignore", under="ignore"):
+        rt = r * t
+    bad = np.flatnonzero(~np.isfinite(rt) | (rt == 0.0))
+    if bad.size:
+        raise ValueError("Potter bound excess is not finite at pair (r, t) = (%r, %r)"
+                         % (float(r[bad[0]]), float(t[bad[0]])))
+    ts = t.tolist()
+    log_bound = {x: order.rho * math.log(x) + math.log(potter_factor(order, x, grid))
+                 for x in dict.fromkeys(ts)}
+    excess = order.log_scale(rt) - (np.array([log_bound[x] for x in ts]) + order.log_scale(r))
+    worst, worst_pair = 0.0, None
+    if excess.size and excess.max() > 0.0:
+        k = int(np.argmax(excess))
+        worst, worst_pair = float(excess[k]), (float(r[k]), float(t[k]))
+    violation = math.expm1(worst)
     return PotterReport(max_violation=violation, worst_pair=worst_pair,
                         passed=violation <= tolerance, tolerance=tolerance)
 

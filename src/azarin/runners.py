@@ -189,7 +189,13 @@ def run_potter_decay_scan(order, t_grid=Grid(math.exp(16.0), math.exp(100.0), 3)
                        [list(r) for r in rows])])
 
 
-@operation("potter_check")
+def _positive_pairs(pairs, **_):
+    for i, pair in enumerate(pairs or ()):
+        if not all(0.0 < x < math.inf for x in pair):
+            raise ConfigError("params.pairs[%d]: expected two numbers > 0" % i)
+
+
+@operation("potter_check", check=_positive_pairs)
 def run_potter_check(order, pairs=List(None, item=List(length=2)),
                      count=Count(1000), ln_range=20.0, tol=1e-6):
     if pairs is None:

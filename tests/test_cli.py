@@ -153,6 +153,13 @@ class TestRunErrors:
          "expected a number > 0"),
         ("wiener_zero_scan", {"window": [20.0, -20.0]}, "params.window",
          "expected finite [lo, hi] with lo <= hi"),
+        # a bad pair used to end in a run error naming no path
+        ("potter_check", {"pairs": [[-1, 2]]}, "params.pairs[0]",
+         "expected two numbers > 0"),
+        ("potter_check", {"pairs": [[1, 0]]}, "params.pairs[0]",
+         "expected two numbers > 0"),
+        ("potter_check", {"pairs": [[1, 2], [3, "nan"]]}, "params.pairs[1]",
+         "expected two numbers > 0"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -268,6 +275,36 @@ class TestRunErrors:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points, message", [
+        # a NaN slope used to write "nan" rows and pass
+        ([[0, 0.4], [1, 0.2], [2, "nan"]], "grid and slope values must be finite"),
+        ([[0, 0.4], [1, 0.2], ["inf", 0.1]], "grid and slope values must be finite"),
+        ([[0, 0.4], [2, 0.2], [1, 0.1]],
+         "grid must start at ln r = 0 and strictly increase"),
+    ])
+    def test_bad_slope_table_is_a_config_error(self, points, message, tmp_path,
+                                               capsys):
+        cfg = {"operation": "potter_decay_scan",
+               "order": {"rho": 0.0, "zero_part": {"kind": "tabulated_eta",
+                                                   "points": points}},
+               "params": {"t_grid": [100.0]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        assert "config error: order.zero_part: %s" % message \
+            in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_overflowing_pair_is_a_run_error(self, tmp_path, capsys):
+        # r t overflowed, the excess was NaN and the check passed
+        cfg = {"operation": "potter_check", "order": {"rho": 1.0},
+               "params": {"pairs": [[2.0, 3.0], [1e300, 1e300]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert ("run error: Potter bound excess is not finite at pair (r, t) = "
+                "(1e+300, 1e+300)" in capsys.readouterr().err)
 
     def test_output_directories_are_created(self, tmp_path, capsys):
         # the report and CSV directories are created as --out-dir is

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from azarin.numerics import SingularPointError
-from azarin.orders import (LogLogZero, LogPowerZero, ProximateOrder,
-                           TabulatedZero, poisson_smoothed_scale,
-                           potter_bound_report, potter_decay_scan,
-                           potter_factor, potter_factor_lower)
+from azarin.orders import (GridControl, LogLogZero, LogPowerZero,
+                           ProximateOrder, TabulatedZero, _grid_supremum,
+                           poisson_smoothed_scale, potter_bound_report,
+                           potter_decay_scan, potter_factor,
+                           potter_factor_lower)
 
 LP = ProximateOrder(0.0, LogPowerZero(1.0, 0.5))
 LL = ProximateOrder(0.0, LogLogZero(2.0))
@@ -152,6 +153,82 @@ class TestPotterFactor:
         assert gaps[2] < 1e-3
 
 
+def dense_log_potter(xs, etas, tau, step=1e-4):
+    """ln sup_x W(e^(x + tau)) / W(e^x) from the slope table on a fine grid.
+
+    The grid G holds every node, its mirror image and 0, with spacing at most
+    ``step``, out past the table's end by |tau| + 1; h = ln W is the
+    trapezoid integral of the slope there, exact at G.  g is sampled at G
+    and G - tau, which hold every kink of h(x) and of h(x + tau).
+    """
+    xs = np.asarray(xs, dtype=float)
+    etas = np.asarray(etas, dtype=float)
+    ends = np.append(xs, xs[-1] + abs(tau) + 1.0)
+    half = np.concatenate([np.linspace(a, b, int(math.ceil((b - a) / step)) + 1)[:-1]
+                           for a, b in zip(ends[:-1], ends[1:])] + [ends[-1:]])
+    slope = np.where(half <= xs[-1], np.interp(half, xs, etas), etas[-1])
+    h_half = np.concatenate([[0.0], np.cumsum(0.5 * (slope[1:] + slope[:-1])
+                                              * np.diff(half))])
+    grid = np.concatenate([-half[:0:-1], half])
+    h = np.concatenate([h_half[:0:-1], h_half])
+    x = np.concatenate([grid, grid - tau])
+    x = x[(x >= grid[0]) & (x + tau <= grid[-1])]
+    return float(np.max(np.interp(x + tau, grid, h) - np.interp(x, grid, h)))
+
+
+# slope with a sharp peak at ln r = 1 and eta(0) != 0, so h = ln W has a
+# kink at 0; for small |tau| the supremum is a vertex near the peak
+KINKED = TabulatedZero(xs=(0.0, 0.5, 1.0, 1.5, 3.0),
+                       etas=(0.3, 0.3, 0.8, 0.1, 0.05))
+# ends while the slope still falls; it is frozen at 0.2 beyond ln r = 2
+MID_SLOPE = TabulatedZero(xs=(0.0, 0.7, 2.0), etas=(0.1, 0.6, 0.2))
+# the slope climbs to its frozen value: the supremum is g at +-oo
+RISING = TabulatedZero(xs=(0.0, 1.0), etas=(0.1, 0.4))
+
+
+class TestExactPotterSupremum:
+    @pytest.mark.parametrize("zero_part", [KINKED, MID_SLOPE, RISING],
+                             ids=["kinked", "mid_slope", "rising"])
+    @pytest.mark.parametrize("tau", [1e-3, -1e-3, 0.103, -0.103, "end", "-end",
+                                     "beyond", "-beyond"])
+    def test_matches_dense_grid(self, zero_part, tau):
+        end = zero_part.xs[-1]
+        tau = {"end": end, "-end": -end, "beyond": 1.7 * end,
+               "-beyond": -1.7 * end}.get(tau, tau)
+        got = math.log(potter_factor(ProximateOrder(0.0, zero_part), math.exp(tau)))
+        want = dense_log_potter(zero_part.xs, zero_part.etas, tau)
+        # the grid reads g at every kink; between them it misses a vertex
+        # and interpolates h by at most max|eta'| step^2 / 4, so it lies
+        # below the supremum up to the rounding of its ~1e5-step sum
+        assert got >= want - 1e-11
+        assert got == pytest.approx(want, abs=1e-8)
+
+    def test_matches_the_grid_search_on_the_scan_pairs(self):
+        # the 120 t of the benchmark's seed-0 Potter pairs
+        ts = np.exp(np.random.default_rng(0).uniform(-20.0, 20.0, size=(120, 2)))[:, 1]
+        order = tabulated_family()
+        for t in ts:
+            grid = _grid_supremum(order.zero_part, math.log(t), GridControl())
+            assert math.log(potter_factor(order, t)) == pytest.approx(grid, abs=1e-12)
+
+    def test_grid_families_unchanged(self):
+        # values of the grid search before the exact tabulated supremum
+        l3 = ProximateOrder(0.5, LogLogZero(3.0))
+        for t, ll, l3_want in ((math.e, 2.6180339887498945, 4.546455444684994),
+                               (0.37, 2.604601724173647, 4.510367444668448),
+                               (1e5, 134.54002002930704, 1606.1123245256088)):
+            assert potter_factor(LL, t) == ll
+            assert potter_factor(l3, t) == l3_want
+
+    @pytest.mark.parametrize("xs, etas", [
+        ((0.0, 1.0, 2.0), (0.4, 0.2, float("nan"))),
+        ((0.0, 1.0, float("inf")), (0.4, 0.2, 0.1)),
+    ])
+    def test_rejects_non_finite_tables(self, xs, etas):
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedZero(xs=xs, etas=etas)
+
+
 class TestPotterBound:
     @given(st.floats(min_value=-20.0, max_value=20.0),
            st.floats(min_value=-20.0, max_value=20.0))
@@ -165,6 +242,14 @@ class TestPotterBound:
         rep = potter_bound_report(ProximateOrder(2.0), [(2.0, 3.0), (0.1, 7.0)])
         assert rep.max_violation == 0.0
         assert rep.passed
+
+    def test_overflowing_pair_is_an_error(self):
+        # r t overflowed to inf, the excess was NaN and the report passed
+        for order in FAMILIES:
+            with pytest.raises(ValueError, match=r"\(1e\+300, 1e\+300\)"):
+                potter_bound_report(order, [(2.0, 3.0), (1e300, 1e300)])
+            with pytest.raises(ValueError, match="not finite"):
+                potter_bound_report(order, [(1e-200, 1e-200)])
 
     def test_report_families(self, rng):
         pairs = np.exp(rng.uniform(-20, 20, size=(1000, 2)))

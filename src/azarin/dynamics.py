@@ -317,21 +317,18 @@ def positive_regularity_criterion(measure, order, r_grid, ab=(1.0, math.e),
     if not measure.is_positive():
         raise ValueError("criterion applies to positive measures only")
     r_grid = np.asarray(r_grid, dtype=float)
-    vals = []
-    for r in r_grid:
-        v = float(order.scale(r))
-        if order.rho > 0:
-            branch = "head"
-            vals.append(measure.mass(1.0, r, quad).real / v)
-        elif order.rho < 0:
-            branch = "tail"
-            vals.append(measure.improper_mass(r, math.inf, quad).real / v)
-        else:
-            branch = "window"
-            a, b = ab
-            vals.append(measure.mass(a * r, b * r, quad).real
-                        / (v * math.log(b / a)))
-    vals = np.array(vals)
+    v = np.array([float(order.scale(r)) for r in r_grid])
+    if order.rho > 0:
+        branch = "head"
+        vals = np.array([measure.mass(1.0, r, quad).real for r in r_grid]) / v
+    elif order.rho < 0:
+        branch = "tail"
+        vals = np.array([measure.improper_mass(r, math.inf, quad).real
+                         for r in r_grid]) / v
+    else:
+        branch = "window"
+        a, b = ab
+        vals = measure.masses(a, b, r_grid, quad).real / (v * math.log(b / a))
     top = vals[r_grid >= r_grid.max() / 10.0]
     mean = float(np.mean(top))
     osc = float(np.max(top) - np.min(top)) / (abs(mean) + 1e-300)

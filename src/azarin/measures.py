@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import DEFAULT_QUAD, WindowError, improper_quad, log_quad
+from .numerics import (DEFAULT_QUAD, DivergenceError, WindowError, _cauchy_windows,
+                       log_quad)
 
 __all__ = [
     "UnitFactor", "LogFactor", "LogPerturbFactor", "ZeroScaleFactor",
@@ -69,6 +70,24 @@ class ZeroScaleFactor:
 _UNIT = UnitFactor()
 
 
+class _One:
+    """g = 1, the integrand of a mass as a dilation integral.
+
+    Not an indicator of (a, b]: atoms weigh g(x / s), and an indicator
+    would drop the atom at x = s b whenever x / s rounds up past b.
+    """
+    singular_points = ()
+
+    def __call__(self, u):
+        return np.ones(np.shape(u))
+
+    def breakpoints(self):
+        return []
+
+
+_ONE = _One()
+
+
 @dataclass(frozen=True)
 class DensityPiece:
     """Density coef * t**exponent * factor(arg_scale * t) on (lo, hi]."""
@@ -107,20 +126,6 @@ class DensityPiece:
             coef=self.coef * mass_factor / factor ** (self.exponent + 1.0),
             arg_scale=self.arg_scale / factor,
         )
-
-    def closed_form_mass(self, a, b):
-        """Exact integral over (a, b] for pure power pieces, else None."""
-        if not isinstance(self.factor, UnitFactor):
-            return None
-        a = max(a, self.lo)
-        b = min(b, self.hi)
-        if b <= a:
-            return 0.0 + 0.0j
-        s = self.exponent
-        if s == -1.0 + 0.0j:
-            return self.coef * (math.log(b) - math.log(a))
-        p = s + 1.0
-        return self.coef * (np.exp(p * math.log(b)) - np.exp(p * math.log(a))) / p
 
     def breakpoints(self):
         pts = [self.lo]
@@ -169,9 +174,6 @@ class TabulatedPiece:
             log_nodes=tuple(x + lf for x in self.log_nodes),
             values=tuple(v * mass_factor / factor for v in self.values),
         )
-
-    def closed_form_mass(self, a, b):
-        return None
 
     def breakpoints(self):
         return [self.lo, self.hi]
@@ -343,57 +345,48 @@ class RadonMeasure:
 
     # -- integration ------------------------------------------------------------
 
-    def mass(self, lo, hi, quad=DEFAULT_QUAD):
-        """mu((lo, hi]) with 0 < lo < hi (finite)."""
-        if not (0.0 < lo < hi < math.inf):
-            raise ValueError("mass requires a compact (lo, hi] in (0, oo)")
-        self._check_window(lo, hi)
-        xs, ws = self.atoms_in(lo, hi)
-        total = complex(np.sum(ws)) if ws.size else 0.0 + 0.0j
-        for p in self._pieces_in(lo, hi):
-            cf = p.closed_form_mass(lo, hi)
-            if cf is not None:
-                total += cf
-            else:
-                a = max(lo, p.lo)
-                b = min(hi, p.hi)
-                total += log_quad(p.density, a, b, quad,
-                                  split_points=self.breakpoints_in(a, b))
-        return total
+    def masses(self, a, b, rs, quad=DEFAULT_QUAD, absolute=False):
+        """mu((a r, b r]) for each r of ``rs``, as one dilation integral.
 
-    def abs_mass(self, lo, hi, quad=DEFAULT_QUAD):
-        """|mu|((lo, hi]) from the explicit representation."""
-        if not (0.0 < lo < hi < math.inf):
-            raise ValueError("abs_mass requires a compact (lo, hi] in (0, oo)")
+        The integral of the constant 1 over u in (a, b] at scales ``rs``, so
+        the masses share segments as pairings do.  Returns a complex array,
+        or with ``absolute`` the real array of |mu|((a r, b r]).
+        """
+        lo, hi = a * min(rs), b * max(rs)
+        if not (0.0 < a < b and 0.0 < lo and hi < math.inf):
+            raise ValueError("mass requires compact (a r, b r] in (0, oo)")
         self._check_window(lo, hi)
-        xs, ws = self.atoms_in(lo, hi)
-        total = float(np.sum(np.abs(ws))) if ws.size else 0.0
-        if self.has_density():
-            val = log_quad(self.abs_density, lo, hi, quad,
-                           split_points=self.breakpoints_in(lo, hi))
-            total += val.real
-        return total
+        out = np.array(self.dilation_integrals(_ONE, rs, [1.0] * len(rs), a, b,
+                                               quad, absolute))
+        return out.real if absolute else out
+
+    def mass(self, lo, hi, quad=DEFAULT_QUAD, absolute=False):
+        """mu((lo, hi]) with 0 < lo < hi (finite); |mu| with ``absolute``."""
+        return self.masses(lo, hi, [1.0], quad, absolute)[0].item()
 
     def improper_mass(self, lo=0.0, hi=math.inf, quad=DEFAULT_QUAD, absolute=False):
-        """mu over (lo, hi) with improper endpoints, Cauchy-window evaluated."""
-        dens = self.abs_density if absolute else self.density
+        """mu over (lo, hi) with improper endpoints, Cauchy-window evaluated.
 
-        def atom_terms(a, b):
-            xs, ws = self.atoms_in(a, b)
-            if not ws.size:
-                return 0.0 + 0.0j
-            if absolute:
-                return complex(np.sum(np.abs(ws)))
-            return complex(np.sum(ws))
-
+        Each window is a ``masses`` ring, atoms included, so the atoms enter
+        the Cauchy criterion.  Raises DivergenceError with the partial sums.
+        An end at 0 or oo moves to the hull; the lower one to half its edge,
+        so that an atom on the edge stays inside (lo, hi].
+        """
         hull = self.hull()
-        eff_lo = lo if lo > 0.0 else (hull[0] if hull[0] > 0.0 else 0.0)
-        eff_hi = hi if not math.isinf(hi) else (hull[1] if not math.isinf(hull[1]) else None)
-        if eff_lo != 0.0 and eff_hi is not None and eff_hi <= eff_lo:
+        lo = lo if lo > 0.0 else 0.5 * hull[0]
+        hi = hi if not math.isinf(hi) else hull[1]
+        if lo != 0.0 and hi <= lo:
             return 0.0 + 0.0j
-        val = improper_quad(dens, eff_lo if eff_lo > 0.0 else 0.0, eff_hi, quad,
-                            split_points=(), extra_terms=atom_terms)
-        return val
+
+        def ring(a, b, live):
+            return self.masses(a, b, [1.0], quad, absolute)
+
+        totals, partials, failed = _cauchy_windows(ring, lo, hi, (1.0,), quad)
+        if failed:
+            raise DivergenceError(
+                "improper integral failed Cauchy criterion at %s" % failed[0],
+                partials=partials[0])
+        return totals[0]
 
     def hull(self):
         """Smallest (lo, hi) outside which the measure is known to vanish."""
@@ -417,8 +410,9 @@ class RadonMeasure:
         self._check_window(*f.support)
         return self.dilation_integrals(f, [1.0], [1.0], f.lo, f.hi, quad)[0]
 
-    def dilation_integrals(self, g, scales, norms, lo, hi, quad=DEFAULT_QUAD):
-        """Integrals of g(u) over u in (lo, hi] against mu(s u)/n.
+    def dilation_integrals(self, g, scales, norms, lo, hi, quad=DEFAULT_QUAD,
+                           absolute=False):
+        """Integrals of g(u) over u in (lo, hi] against mu(s u)/n, or |mu|(s u)/n.
 
         One value per scale s of ``scales`` and norm n of ``norms``: the
         atoms x with x/s in (lo, hi] add g(x/s) w/n, and the density adds
@@ -427,19 +421,22 @@ class RadonMeasure:
         at ``g.singular_points``.  A run of consecutive scales with the same
         measure breakpoints in u shares one vector ``log_quad``, so no
         column is split at another's breakpoints; a run of one scale
-        integrates a scalar.  Pairings, flow pairings and kernel transform
-        windows are all this integral.
+        integrates a scalar.  Pairings, flow pairings, kernel transform
+        windows and masses are all this integral.  With ``absolute`` the atoms
+        weigh |w| and the density is |density|.
         """
         out = [0.0 + 0.0j] * len(scales)
         if self.atom_x.size:
             for i, (s, n) in enumerate(zip(scales, norms)):
                 xs, ws = self.atoms_in(s * lo, s * hi)
                 if ws.size:
+                    ws = np.abs(ws) if absolute else ws
                     out[i] = complex(np.sum(g(xs / s) * (ws / n)))
         if not self.has_density():
             return out
         g_splits = [b for b in g.breakpoints() if lo < b < hi]
         sing = [p for p in g.singular_points if lo <= p <= hi]
+        density = self.abs_density if absolute else self.density
         bps = self.breakpoints_in(min(scales) * lo, max(scales) * hi)
         m_splits = [[b / s for b in bps if s * lo < b < s * hi] for s in scales]
         for rows, splits in _split_runs(m_splits):
@@ -449,13 +446,13 @@ class RadonMeasure:
                 gain = s / norms[rows.start]
 
                 def integrand(u):
-                    return self.density(u * s) * (g(u) * gain)
+                    return density(u * s) * (g(u) * gain)
             else:
                 s = np.asarray(scales[rows], dtype=float)
                 gain = s / np.asarray(norms[rows], dtype=float)
 
                 def integrand(u):
-                    return (self.density(np.multiply.outer(u, s))
+                    return (density(np.multiply.outer(u, s))
                             * (g(u)[:, None] * gain))
 
             parts = log_quad(integrand, lo, hi, quad,
@@ -674,17 +671,14 @@ class DensityEstimate:
 def _density_ratios(measure, order, alpha, r_grid, quad):
     if not measure.is_real():
         raise ValueError("upper/lower densities require a real measure")
-    ratios = []
-    for r in r_grid:
-        r = float(r)
-        if alpha > 0.0:
-            m = measure.mass(r, (1.0 + alpha) * r, quad).real
-        elif alpha == 0.0:
-            m = 0.0
-        else:
-            m = -measure.mass((1.0 + alpha) * r, r, quad).real
-        ratios.append(m / float(order.scale(r)))
-    return np.array(ratios)
+    r_grid = np.asarray(r_grid, dtype=float)
+    if alpha > 0.0:
+        m = measure.masses(1.0, 1.0 + alpha, r_grid, quad).real
+    elif alpha == 0.0:
+        m = np.zeros(r_grid.size)
+    else:
+        m = -measure.masses(1.0 + alpha, 1.0, r_grid, quad).real
+    return m / np.array([float(order.scale(r)) for r in r_grid])
 
 
 def _top_decade(r_grid, values, decades=1.0):
@@ -759,10 +753,8 @@ def class_membership(measure, order, which="tail", r_grid=None, quad=DEFAULT_QUA
         lo = 1.0 if which == "tail" else 1e-6
         r_grid = np.geomspace(lo, 1e8, 120)
     r_grid = np.asarray(r_grid, dtype=float)
-    ratios = []
-    for r in r_grid:
-        ratios.append(measure.abs_mass(r, math.e * r, quad) / float(order.scale(r)))
-    ratios = np.array(ratios)
+    ratios = (measure.masses(1.0, math.e, r_grid, quad, absolute=True)
+              / np.array([float(order.scale(r)) for r in r_grid]))
     decade_ratio = _edge_growth(r_grid, ratios, "hi")
     bounded = decade_ratio <= growth_slack
     if which == "global":

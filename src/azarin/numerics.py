@@ -309,19 +309,15 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl):
     return totals, partials, failed
 
 
-def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(),
-                  extra_terms=None):
+def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
     """Integral of ``f`` over (lo, hi) in (0, oo); lo == 0 / hi == inf improper.
 
-    ``extra_terms(a, b)`` optionally adds a window-supported discrete sum
-    (atom contributions) to each window so the Cauchy criterion sees the
-    complete measure.
+    Each Cauchy window is one ``log_quad`` of ``f``.  Masses with atoms take
+    their windows from ``RadonMeasure.masses`` instead (``improper_mass``),
+    so the atoms enter the criterion there.
     """
     def window_value(a, b, live):
-        val = log_quad(f, a, b, ctrl, split_points, singular_points)
-        if extra_terms is not None:
-            val += extra_terms(a, b)
-        return (val,)
+        return (log_quad(f, a, b, ctrl, split_points, singular_points),)
 
     hi = math.inf if hi is None else float(hi)
     totals, partials, failed = _cauchy_windows(window_value, float(lo), hi,

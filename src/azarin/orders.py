@@ -280,6 +280,21 @@ def _tabulated_supremum(zero_part, tau):
     return float(best)
 
 
+def _log_potter_factor(order, t, grid):
+    """ln potter_factor(order, t), finite even where the factor overflows."""
+    t = float(t)
+    if t <= 0.0:
+        raise ValueError("potter_factor requires t > 0")
+    if t == 1.0 or isinstance(order.zero_part, FlatZero):
+        return 0.0
+    tau = math.log(t)
+    if order.concave_zero_scale and t >= 1.0:
+        return float(order.zero_part.log_scale(tau))
+    if isinstance(order.zero_part, TabulatedZero):
+        return _tabulated_supremum(order.zero_part, tau)
+    return float(_grid_supremum(order.zero_part, tau, grid))
+
+
 def potter_factor(order, t, grid=DEFAULT_GRID):
     """sup_{r>0} W(rt)/W(r) for the zero part W of the order.
 
@@ -287,19 +302,11 @@ def potter_factor(order, t, grid=DEFAULT_GRID):
     log-scale.  For a ``TabulatedZero`` the supremum is exact (its log-scale
     is piecewise quadratic) and ``grid`` is unused.  Otherwise a widening
     log-uniform grid search with golden-section refinement around the grid
-    argmax.
+    argmax.  The supremum is found in log form and exponentiated, so a
+    factor beyond the float range raises OverflowError; the Potter report
+    and the decay scan use the log and do not.
     """
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("potter_factor requires t > 0")
-    if t == 1.0 or isinstance(order.zero_part, FlatZero):
-        return 1.0
-    if order.concave_zero_scale and t >= 1.0:
-        return float(order.zero_scale(t))
-    tau = math.log(t)
-    if isinstance(order.zero_part, TabulatedZero):
-        return math.exp(_tabulated_supremum(order.zero_part, tau))
-    return float(math.exp(_grid_supremum(order.zero_part, tau, grid)))
+    return math.exp(_log_potter_factor(order, t, grid))
 
 
 def potter_factor_lower(order, t, grid=DEFAULT_GRID):
@@ -333,7 +340,7 @@ def potter_bound_report(order, samples, grid=DEFAULT_GRID, tolerance=1e-6):
         raise ValueError("Potter bound excess is not finite at pair (r, t) = (%r, %r)"
                          % (float(r[bad[0]]), float(t[bad[0]])))
     ts = t.tolist()
-    log_bound = {x: order.rho * math.log(x) + math.log(potter_factor(order, x, grid))
+    log_bound = {x: order.rho * math.log(x) + _log_potter_factor(order, x, grid)
                  for x in dict.fromkeys(ts)}
     excess = order.log_scale(rt) - (np.array([log_bound[x] for x in ts]) + order.log_scale(r))
     worst, worst_pair = 0.0, None
@@ -357,8 +364,8 @@ def potter_decay_scan(order, t_grid, grid=DEFAULT_GRID):
         if t <= math.e:
             raise ValueError("decay scan requires t > e")
         lt = math.log(t)
-        fwd = math.log(potter_factor(order, t, grid)) / lt
-        bwd = math.log(potter_factor(order, 1.0 / t, grid)) / lt
+        fwd = _log_potter_factor(order, t, grid) / lt
+        bwd = _log_potter_factor(order, 1.0 / t, grid) / lt
         rows.append((t, fwd, bwd))
     return rows
 

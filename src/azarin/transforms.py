@@ -441,7 +441,7 @@ def distribution_function(measure, quad=DEFAULT_QUAD):
             finite_tail = True
         else:
             finite_tail = True
-            tail_total = measure.abs_mass(hull[0] * 0.5, hull[1], quad)
+            tail_total = measure.mass(hull[0] * 0.5, hull[1], quad, absolute=True)
     except DivergenceError:
         finite_tail = False
         tail_total = None
@@ -600,9 +600,9 @@ def order_diagnostic(transform, r_grid, quad=DEFAULT_QUAD, h=1e-4,
     us = np.linspace(1.0, 2.0, 64)
     m_const = float(np.min(transform.kernel(us / 2.0) - transform.kernel(us)))
     gap_ok = True
-    for r in r_grid:
+    lowers = m_const * transform.measure.masses(1.0, 2.0, r_grid, quad).real
+    for r, lower in zip(r_grid, lowers):
         gap = (transform.value(2.0 * r) - transform.value(r)).real
-        lower = m_const * transform.measure.mass(r, 2.0 * r, quad).real
         if gap < lower * (1.0 - 1e-9) - 1e-9 * (1.0 + abs(gap)):
             gap_ok = False
             break

@@ -306,6 +306,29 @@ class TestRunErrors:
         assert ("run error: Potter bound excess is not finite at pair (r, t) = "
                 "(1e+300, 1e+300)" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("operation, params", [
+        ("potter_check", {"pairs": [[1.0, 1e300]]}),
+        ("potter_decay_scan", {"t_grid": [1e300]}),
+    ])
+    def test_factor_beyond_float_range_is_reported(self, operation, params,
+                                                   tmp_path, capsys):
+        # ln potter_factor(1e300) = 2 ln 1e300 ~ 1381: the factor itself
+        # overflowed math.exp and the run ended in a traceback
+        cfg = {"operation": operation,
+               "order": {"rho": 0.0, "zero_part": {"kind": "tabulated_eta",
+                                                   "points": [[0, 2.0], [1, 2.0]]}},
+               "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 0
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        if operation == "potter_check":
+            assert report["passed"] and report["max_violation"] == 0.0
+        else:
+            (t, forward, backward), = report["rows"]
+            assert forward == pytest.approx(2.0, rel=1e-12)
+            assert math.isfinite(backward)
+
     def test_output_directories_are_created(self, tmp_path, capsys):
         # the report and CSV directories are created as --out-dir is
         cfg = {"operation": "potter_decay_scan", "order": {"rho": 1.0},

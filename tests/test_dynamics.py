@@ -307,7 +307,7 @@ class TestSigmaEnvelope:
                                  transient_fraction=0.0, top_decades=30.0)
         for rep in est.representatives:
             r = 1.9
-            assert rep.abs_mass(1e-9, r) <= sigma * r * (1 + 1e-9)
+            assert rep.mass(1e-9, r, absolute=True) <= sigma * r * (1 + 1e-9)
 
     def test_reweighting_reduces_to_constant_order(self, fam):
         # d(lambda) = d(mu)/W turns the general flow into the constant one:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from azarin import measures
@@ -11,7 +12,7 @@ from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
                              RadonMeasure, SelfSimilarTail, TestFunction,
                              azarin_scale, class_membership, lower_density,
                              upper_density)
-from azarin.numerics import QuadControl, WindowError, log_quad
+from azarin.numerics import DEFAULT_QUAD, QuadControl, WindowError, log_quad
 from azarin.orders import LogPowerZero, ProximateOrder
 from azarin.transforms import KernelTransform, averaged_measure
 
@@ -36,6 +37,12 @@ class TestMass:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             RadonMeasure.zero().mass(2.0, 1.0)
+        # an end at 0 or oo would drop the density part without a word
+        m = RadonMeasure.power_density(0.0)
+        for a, b, rs in [(0.0, 2.0, [1.0]), (1.0, 1.0, [1.0]), (1.0, 2.0, [0.0, 1.0]),
+                         (1.0, 2.0, [1.0, math.inf]), (1.0, math.inf, [1.0])]:
+            with pytest.raises(ValueError):
+                m.masses(a, b, rs)
 
     def test_window_error(self):
         m = RadonMeasure(atoms=[(1.0, 1.0)], window=(0.5, 10.0))
@@ -45,7 +52,7 @@ class TestMass:
     def test_abs_mass_of_signed(self):
         m = RadonMeasure.from_atoms([(1.0, 1.0), (2.0, -3.0)])
         assert m.mass(0.5, 3.0) == pytest.approx(-2.0)
-        assert m.abs_mass(0.5, 3.0) == pytest.approx(4.0)
+        assert m.mass(0.5, 3.0, absolute=True) == pytest.approx(4.0)
 
     def test_improper_mass_decreasing_tail(self):
         # negative-order lattice: the upward tail sums to a geometric series
@@ -59,6 +66,78 @@ class TestMass:
         m = RadonMeasure(atoms=[(1.0, 1.0)], tail=SelfSimilarTail(2.0, -1.0, 1.0))
         with pytest.raises(DivergenceError):
             m.improper_mass(0.0, 1.5)   # weights blow up toward the origin
+
+    def test_improper_mass_atoms_enter_cauchy_criterion(self):
+        # atoms 2^-k with weights 4^-k: a finite list, and the same lattice
+        # extended by mu(2E) = 4 mu(E), whose window at zero is improper and
+        # is accepted by Cauchy rings that hold nothing but atoms
+        ks = np.arange(1, 40)
+        finite = RadonMeasure.from_atoms(list(zip(2.0 ** -ks, 4.0 ** -ks)))
+        assert abs(finite.improper_mass(0.0, 1.0) - np.sum(4.0 ** -ks)) < 1e-12
+        lattice = RadonMeasure(atoms=[(0.5, 0.25)],
+                               tail=SelfSimilarTail(2.0, 2.0, 0.5))
+        assert abs(lattice.improper_mass(0.0, 0.75) - 1.0 / 3.0) < 1e-12
+
+    def test_improper_mass_keeps_the_hull_edge_atoms(self):
+        # the hull's lower edge is an atom; (0, oo) must still hold it
+        m = RadonMeasure.from_atoms([(1.0, 1.0), (2.0, 3.0)])
+        assert m.improper_mass() == pytest.approx(4.0, abs=1e-15)
+        assert m.improper_mass(0.0, 1.5) == pytest.approx(1.0, abs=1e-15)
+
+
+@st.composite
+def mass_cases(draw):
+    """A signed or complex measure, a window (a, b] and scales r.
+
+    Power pieces with complex exponents start and end inside the windows;
+    some atoms sit exactly on a r or b r for a drawn r.
+    """
+    a = draw(st.sampled_from([0.5, 1.0, 1.7]))
+    b = a * draw(st.sampled_from([1.25, 2.0, math.e, 7.0]))
+    rs = sorted(draw(st.lists(st.floats(0.2, 40.0), min_size=1, max_size=5)))
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.floats(0.05, 200.0))
+        hi = draw(st.one_of(st.just(math.inf),
+                            st.floats(1.01, 30.0).map(lambda q: lo * q)))
+        pieces.append(DensityPiece(
+            lo, hi, coef=complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))),
+            exponent=complex(draw(st.floats(-1.5, 1.0)), draw(st.floats(-3.0, 3.0)))))
+    atoms = []
+    for _ in range(draw(st.integers(0, 4))):
+        edge = draw(st.sampled_from(["a", "b", None]))
+        r = draw(st.sampled_from(rs))
+        x = {"a": a * r, "b": b * r}.get(edge) or draw(st.floats(0.05, 300.0))
+        atoms.append((x, complex(draw(st.floats(-3.0, 3.0)),
+                                 draw(st.floats(-1.0, 1.0)))))
+    return RadonMeasure(atoms=atoms, pieces=tuple(pieces)), a, b, rs
+
+
+def _scipy_density_mass(measure, lo, hi, absolute):
+    points = measure.breakpoints_in(lo, hi)
+    dens = measure.abs_density if absolute else measure.density
+    parts = [quad(lambda t, part=part: part(dens(np.array([t]))[0]), lo, hi,
+                  points=points or None, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+             for part in (np.real, np.imag)]
+    return complex(*parts)
+
+
+@given(mass_cases(), st.booleans())
+def test_masses_match_scalar_mass_and_scipy(case, absolute):
+    measure, a, b, rs = case
+    ctrl = DEFAULT_QUAD
+    got = measure.masses(a, b, rs, absolute=absolute)
+    assert got.dtype == (float if absolute else complex)
+    for r, value in zip(rs, got):
+        lo, hi = a * r, b * r
+        # half-open (a r, b r]: an atom at a r is out, one at b r is in
+        inside = (measure.atom_x > lo) & (measure.atom_x <= hi)
+        w = measure.atom_w[inside]
+        atoms = np.sum(np.abs(w) if absolute else w)
+        dens = _scipy_density_mass(measure, lo, hi, absolute)
+        budget = ctrl.tol * abs(dens) + ctrl.abs_tol + 1e-15 * np.sum(np.abs(w))
+        assert abs(value - (atoms + dens)) <= budget
+        assert abs(value - measure.mass(lo, hi, absolute=absolute)) <= 2.0 * budget
 
 
 class TestPair:
@@ -92,7 +171,7 @@ class TestPair:
                              pieces=(DensityPiece(0.0, math.inf,
                                                   coef=complex(rng.normal()),
                                                   exponent=complex(rng.uniform(-1, 1))),))
-            bound = m.abs_mass(0.5, 4.0) * 1.0
+            bound = m.mass(0.5, 4.0, absolute=True) * 1.0
             assert abs(m.pair(f)) <= bound * (1 + 1e-9)
 
     def test_pairing_uniform_continuity(self):
@@ -420,6 +499,28 @@ class TestClassMembership:
             RadonMeasure.power_density(0.0, interval=(1.0, None))
         assert class_membership(m, O1, which="tail").bounded
         assert not class_membership(m, O1, which="global").bounded
+
+    def test_matches_scipy_on_averaged_measure(self, fam):
+        # the exp_average_flow builtin's averaged measure and r grid; the
+        # oracle splits (r, e r) at the spline knots, which the measure's
+        # breakpoints do not list
+        lo, hi = fam.support_hull()
+        window = (1e2 * lo / 4.0, 1e6 * hi * 4.0)
+        order = ProximateOrder(0.7)
+        smoothed = averaged_measure(
+            KernelTransform(ExpKernel(), RadonMeasure.power_density(-0.3), order),
+            window)
+        shifted = order.shifted(1.0)
+        r_grid = np.geomspace(window[0] * 4.0, window[1] / 8.0, 40)
+        rep = class_membership(smoothed, shifted, r_grid=r_grid)
+        knots = np.exp(smoothed.pieces[0].log_nodes)
+        for r, got in zip(r_grid, rep.samples):
+            points = [k for k in knots if r < k < math.e * r]
+            want, _ = quad(lambda t: abs(smoothed.density(np.array([t]))[0]),
+                           r, math.e * r, points=points, epsabs=0.0, epsrel=1e-13,
+                           limit=500)
+            want /= float(shifted.scale(r))
+            assert abs(got - want) <= 1e-10 * want
 
 
 class TestPositivityFlags:

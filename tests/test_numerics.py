@@ -163,18 +163,6 @@ def test_float_range_exit_rejects_without_a_calm_ring():
     assert len(err.value.partials) == 3
 
 
-def test_extra_terms_enter_cauchy_criterion():
-    atoms = np.array([2.0 ** -k for k in range(1, 40)])
-    weights = np.array([4.0 ** -k for k in range(1, 40)])
-
-    def extra(a, b):
-        mask = (atoms > a) & (atoms <= b)
-        return complex(np.sum(weights[mask]))
-
-    val = improper_quad(lambda t: np.zeros_like(t), 0.0, 1.0, extra_terms=extra)
-    assert abs(val - np.sum(weights)) < 1e-12
-
-
 def test_golden_section_min():
     x, v = golden_section_min(lambda x: (x - 1.3) ** 2 + 0.25, 0.0, 2.0)
     assert abs(x - 1.3) < 1e-8

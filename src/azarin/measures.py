@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import (DEFAULT_QUAD, DivergenceError, WindowError, _cauchy_windows,
-                       log_quad)
+from .numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, WindowError,
+                       _cauchy_windows, log_quad)
 
 __all__ = [
     "UnitFactor", "LogFactor", "LogPerturbFactor", "ZeroScaleFactor",
@@ -136,18 +136,30 @@ class DensityPiece:
 
 @dataclass(frozen=True)
 class TabulatedPiece:
-    """Density tabulated on a log grid with cubic interpolation in ln t."""
+    """Density tabulated on a log grid with not-a-knot cubic interpolation
+    in ln t, built on first use."""
     lo: float
     hi: float
     log_nodes: tuple
     values: tuple
     _spline: object = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        nodes = np.asarray(self.log_nodes, dtype=float)
+        values = np.asarray(self.values, dtype=complex)
+        if nodes.shape != values.shape:
+            raise ValueError("log_nodes and values must have the same length")
+        if nodes.size < 2:
+            raise ValueError("a table needs at least 2 nodes")
+        if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
+            raise ValueError("table nodes and values must be finite")
+        if not (np.diff(nodes) > 0.0).all():
+            raise ValueError("log_nodes must strictly increase")
+
     def _interp(self):
         if self._spline is None:
-            from scipy.interpolate import CubicSpline
-            spline = CubicSpline(np.asarray(self.log_nodes),
-                                 np.asarray(self.values, dtype=complex))
+            spline = CubicTable.fit(self.log_nodes,
+                                    np.asarray(self.values, dtype=complex))
             object.__setattr__(self, "_spline", spline)
         return self._spline
 

@@ -19,6 +19,9 @@ keeps its own budget ``tol * |I_j| + abs_tol``.  Refinement stops as soon as
 every column's error estimate, summed over segments, is within its budget
 (QUADPACK's global test).  Until then a segment is split while any column's
 estimate on it is over the segment's length share of that budget.
+
+``CubicTable`` is the not-a-knot cubic spline (and its antiderivative) that
+tabulated densities and cumulative integrals interpolate with.
 """
 
 from __future__ import annotations
@@ -367,3 +370,99 @@ def golden_section_min(fn, a, b, xtol=1e-10, max_iter=240):
             f2 = fn(x2)
     xm = 0.5 * (a + b)
     return xm, fn(xm)
+
+
+class CubicTable:
+    """Piecewise polynomial on increasing knots ``x``.
+
+    Row k of ``coef`` holds the coefficients, highest power first, of the
+    piece on [x_k, x_{k+1}] in the local coordinate d = t - x_k.  A point
+    takes the piece ``searchsorted(x, t, side="right") - 1`` clipped to
+    [0, n-2], as in ``scipy.interpolate.PPoly``, so the end pieces
+    extrapolate.  ``fit`` builds the not-a-knot cubic interpolant (the
+    default of scipy's ``CubicSpline``; de Boor, A Practical Guide to
+    Splines, 1978) and ``antiderivative`` its quartic integral from x_0.
+    """
+
+    def __init__(self, x, coef):
+        self.x = x
+        self.coef = coef
+
+    @classmethod
+    def fit(cls, x, y):
+        """Not-a-knot cubic through (x, y); y may be complex.
+
+        Two points give the line and three the parabola through them; from
+        four on, the slopes solve scipy's not-a-knot tridiagonal system by
+        a Thomas sweep.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        if x.size == 2:
+            s = np.array([slope[0], slope[0]])
+        elif x.size == 3:
+            curv = (slope[1] - slope[0]) / (x[2] - x[0])
+            s = np.array([slope[0] - curv * dx[0], slope[0] + curv * dx[0],
+                          slope[1] + curv * dx[1]])
+        else:
+            s = _not_a_knot_slopes(x, dx, slope)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]], axis=1)
+        return cls(x, coef)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        # searchsorted(x, t, "right") - 1 clipped to [0, n-2], in one search
+        k = np.searchsorted(self.x[1:-1], t, side="right")
+        return _horner(self.coef.take(k, axis=0), t - self.x.take(k))
+
+    def antiderivative(self):
+        """The quartic table of the integral from x_0 (0 there)."""
+        coef = np.concatenate([self.coef / np.arange(self.coef.shape[1], 0, -1),
+                               np.zeros_like(self.coef[:, :1])], axis=1)
+        coef[1:, -1] = np.cumsum(_horner(coef, np.diff(self.x)))[:-1]
+        return CubicTable(self.x, coef)
+
+
+def _horner(coef, d):
+    """Polynomials with coefficient rows ``coef`` (highest first) at ``d``."""
+    out = coef[..., 0] * d
+    for j in range(1, coef.shape[-1] - 1):   # in place: no temporaries
+        out += coef[..., j]
+        out *= d
+    out += coef[..., -1]
+    return out
+
+
+def _not_a_knot_slopes(x, dx, slope):
+    """Node slopes of the not-a-knot cubic, n >= 4: the Thomas sweep of the
+    tridiagonal system sub_i s_{i-1} + diag_i s_i + sup_i s_{i+1} = rhs_i."""
+    n = x.size
+    sub = np.zeros(n)
+    diag = np.empty(n)
+    sup = np.zeros(n)
+    rhs = np.empty(n, dtype=slope.dtype)
+    sub[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    sup[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    span = x[2] - x[0]
+    diag[0], sup[0] = dx[1], span
+    rhs[0] = ((dx[0] + 2.0 * span) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    diag[-1], sub[-1] = dx[-2], span
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * span + dx[-1]) * dx[-2] * slope[-1]) / span
+    ups, outs = [], []
+    up = out = 0.0
+    for a, b, c, r in zip(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()):
+        pivot = b - a * up
+        up = c / pivot
+        out = (r - a * out) / pivot
+        ups.append(up)
+        outs.append(out)
+    s = [out]
+    for up, out in zip(ups[-2::-1], outs[-2::-1]):
+        s.append(out - up * s[-1])
+    return np.array(s[::-1], dtype=slope.dtype)

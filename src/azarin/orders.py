@@ -26,7 +26,8 @@ from .numerics import (DEFAULT_QUAD, SingularPointError,
 __all__ = [
     "GridControl", "ZeroPart", "FlatZero", "LogPowerZero", "LogLogZero",
     "TabulatedZero", "ProximateOrder", "potter_factor", "potter_factor_lower",
-    "potter_bound_report", "potter_decay_scan", "poisson_smoothed_scale",
+    "log_potter_factor", "potter_bound_report", "potter_decay_scan",
+    "poisson_smoothed_scale",
 ]
 
 
@@ -285,10 +286,15 @@ def _log_potter_factor(order, t, grid):
     t = float(t)
     if t <= 0.0:
         raise ValueError("potter_factor requires t > 0")
-    if t == 1.0 or isinstance(order.zero_part, FlatZero):
+    return log_potter_factor(order, math.log(t), grid)
+
+
+def log_potter_factor(order, tau, grid=DEFAULT_GRID):
+    """ln potter_factor(order, e**tau), finite where e**tau or the factor is not."""
+    tau = float(tau)
+    if tau == 0.0 or isinstance(order.zero_part, FlatZero):
         return 0.0
-    tau = math.log(t)
-    if order.concave_zero_scale and t >= 1.0:
+    if order.concave_zero_scale and tau >= 0.0:
         return float(order.zero_part.log_scale(tau))
     if isinstance(order.zero_part, TabulatedZero):
         return _tabulated_supremum(order.zero_part, tau)

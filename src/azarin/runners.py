@@ -26,8 +26,8 @@ from .dynamics import (convergence_trend, estimate_limit_set,
 from .measures import (MetricFamily, RadonMeasure, TestFunction,
                        class_membership, lower_density, upper_density)
 from .numerics import DEFAULT_QUAD
-from .orders import (poisson_smoothed_scale, potter_bound_report,
-                     potter_decay_scan, potter_factor)
+from .orders import (log_potter_factor, poisson_smoothed_scale,
+                     potter_bound_report, potter_decay_scan, potter_factor)
 from .special import lanczos_gamma
 from .tauberian import (ROUNDTRIP_STAGES, mellin_symbol_table,
                         tauberian_roundtrip, verify_exponential_solution,
@@ -144,10 +144,11 @@ def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
     at_one = potter_factor(order, 1.0)
     submult_worst = 0.0
     for t1, t2 in _lattice_pairs(pairs, ln_range):
-        g12 = potter_factor(order, t1 * t2)
-        g1 = potter_factor(order, t1)
-        g2 = potter_factor(order, t2)
-        submult_worst = max(submult_worst, g12 / (g1 * g2) - 1.0)
+        # gamma(t1 t2) / (gamma(t1) gamma(t2)) - 1 in log form: no overflow
+        l1, l2 = math.log(t1), math.log(t2)
+        excess = math.expm1(log_potter_factor(order, l1 + l2)
+                            - log_potter_factor(order, l1) - log_potter_factor(order, l2))
+        submult_worst = max(submult_worst, excess)
     ts = np.geomspace(1e-6, 1e6, dominance_points)
     dominance_worst = 0.0
     for t in ts:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import SmoothBumpKernel
 from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece
-from .numerics import (DivergenceError, _cauchy_windows, converges,
+from .numerics import (CubicTable, DivergenceError, _cauchy_windows, converges,
                        improper_quad, log_quad)
 from .orders import potter_factor
 
@@ -339,7 +339,6 @@ class _Cumulative:
     """
 
     def __init__(self, fn, lo, hi, breakpoints, points_per_panel=512):
-        from scipy.interpolate import CubicSpline
         edges = [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
         resolution = getattr(fn, "resolution", None)
         self.edges = edges
@@ -358,8 +357,7 @@ class _Cumulative:
             else:
                 xs = np.linspace(a, b, points_per_panel)
             ys = np.asarray(fn(xs), dtype=complex)
-            spline = CubicSpline(xs, ys)
-            anti = spline.antiderivative()
+            anti = CubicTable.fit(xs, ys).antiderivative()
             self.splines.append(anti)
             self.offsets.append(acc)
             acc = acc + anti(b)
@@ -434,17 +432,12 @@ def distribution_function(measure, quad=DEFAULT_QUAD):
     mu((0, t]); this pins the start of the antiderivative chain.
     """
     hull = measure.hull()
-    try:
-        if math.isinf(hull[1]):
-            tail_total = measure.improper_mass(max(hull[0], 1e-6), math.inf,
-                                               quad, absolute=True)
-            finite_tail = True
-        else:
-            finite_tail = True
-            tail_total = measure.mass(hull[0] * 0.5, hull[1], quad, absolute=True)
-    except DivergenceError:
-        finite_tail = False
-        tail_total = None
+    finite_tail = True
+    if math.isinf(hull[1]):
+        try:   # a convergence probe: the value is not used
+            measure.improper_mass(max(hull[0], 1e-6), math.inf, quad, absolute=True)
+        except DivergenceError:
+            finite_tail = False
 
     bps = sorted({float(x) for x in measure.atom_x}
                  | set(measure.breakpoints_in(0.0, math.inf)))

@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import azarin
 from azarin import configio
 from azarin.catalog import BUILTINS, builtin_config, builtin_names
 from azarin.cli import main
@@ -296,6 +300,26 @@ class TestRunErrors:
             in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("log_nodes, values, message", [
+        # each of these used to pass parsing and fail in the first evaluation
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0], "log_nodes must strictly increase"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0], "log_nodes and values must have the same length"),
+        ([0.0], [1.0], "a table needs at least 2 nodes"),
+        ([0.0, 1.0, 2.0], [1.0, "nan", 3.0], "table nodes and values must be finite"),
+    ])
+    def test_bad_density_table_is_a_config_error(self, log_nodes, values, message,
+                                                 tmp_path, capsys):
+        cfg = {"operation": "transform_table", "order": {"rho": 1.0},
+               "kernel": {"kind": "exp"},
+               "measure": {"densities": [{"kind": "table", "interval": [1.0, 5.0],
+                                          "log_nodes": log_nodes, "values": values}]},
+               "params": {"r_grid": [1.0]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        assert "config error: measure.densities[0]: %s" % message \
+            in capsys.readouterr().err
+
     def test_overflowing_pair_is_a_run_error(self, tmp_path, capsys):
         # r t overflowed, the excess was NaN and the check passed
         cfg = {"operation": "potter_check", "order": {"rho": 1.0},
@@ -328,6 +352,19 @@ class TestRunErrors:
             (t, forward, backward), = report["rows"]
             assert forward == pytest.approx(2.0, rel=1e-12)
             assert math.isfinite(backward)
+
+    def test_gamma_suite_factor_beyond_float_range(self, tmp_path, capsys):
+        # ln gamma(t1 t2) reaches 1200: the linear quotient overflowed math.exp
+        cfg = {"operation": "gamma_suite",
+               "order": {"rho": 0.0, "zero_part": {"kind": "tabulated_eta",
+                                                   "points": [[0, 2.0], [1, 2.0]]}},
+               "params": {"ln_range": 300, "decay_exponents": [16.0]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 0
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        assert 0.0 <= report["submultiplicativity_excess"] <= 1e-12
+        assert all(math.isfinite(x) for row in report["decay_rows"] for x in row)
 
     def test_output_directories_are_created(self, tmp_path, capsys):
         # the report and CSV directories are created as --out-dir is
@@ -450,6 +487,31 @@ class TestBuiltinsRoundTrip:
         cfg = builtin_config("sparse_atoms")
         cfg["params"]["indices"] = []
         assert builtin_config("sparse_atoms")["params"]["indices"]
+
+
+class TestRunPathImports:
+    def test_runs_load_no_scipy(self, tmp_path):
+        # scipy is a test dependency only; a run must not import it
+        cfg = {"operation": "stable_order_check", "order": {"rho": 0.5},
+               "measure": {"densities": [{"kind": "power", "s": 0.5}]},
+               "params": {"expect_stable": True}}
+        cfg_path = tmp_path / "stable.json"
+        cfg_path.write_text(json.dumps(cfg))
+        script = ("import json, sys\n"
+                  "from azarin.cli import main\n"
+                  "codes = [main(['run', name, '--out-dir', sys.argv[1]])\n"
+                  "         for name in ('roundtrip_regular', sys.argv[2])]\n"
+                  "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+                  "                                if m.split('.')[0] == 'scipy')]))\n")
+        path = [str(Path(azarin.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"),
+                               str(cfg_path)], capture_output=True, text=True,
+                              env=env, check=True, timeout=300)
+        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert scipy_modules == []
 
 
 class TestVerdictExitCodes:

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from azarin import measures
 from azarin.dynamics import geometric_schedule
-from azarin.kernels import ExpKernel
+from azarin.kernels import ExpKernel, IndicatorKernel, LogSingularKernel
 from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
                              RadonMeasure, SelfSimilarTail, TestFunction,
                              azarin_scale, class_membership, lower_density,
@@ -138,6 +138,113 @@ def test_masses_match_scalar_mass_and_scipy(case, absolute):
         budget = ctrl.tol * abs(dens) + ctrl.abs_tol + 1e-15 * np.sum(np.abs(w))
         assert abs(value - (atoms + dens)) <= budget
         assert abs(value - measure.mass(lo, hi, absolute=absolute)) <= 2.0 * budget
+
+
+_KERNELS = {
+    "test_function": lambda lo, hi: TestFunction(lo, hi, ramp=(hi - lo) / 3.0),
+    "exp": lambda lo, hi: ExpKernel(),
+    "log_singular": lambda lo, hi: LogSingularKernel(),
+    "indicator": lambda lo, hi: IndicatorKernel(lo * 1.5, hi * 0.75),
+}
+
+
+@st.composite
+def dilation_cases(draw, self_similar):
+    """A measure (atoms, complex power pieces, with ``self_similar`` a tail
+    of period 1.25, 2 or 3), a g over (lo, hi] and sorted scales with a
+    duplicate and scales that put s lo or s hi exactly on an atom or a
+    piece end.
+
+    Locations are multiples of 1/16 and lo, hi powers of 2, so the scale
+    x / lo is exact and s lo lands on x exactly.
+    """
+    period = draw(st.sampled_from([1.25, 2.0, 3.0])) if self_similar else None
+    top = 512 if period is None else int(16 * period)
+    loc = st.integers(4 if period is None else 16, top).map(lambda m: m / 16.0)
+    atoms = draw(st.lists(loc.filter(lambda x: period is None or x < period),
+                          max_size=5, unique=True))
+    weight = st.tuples(st.integers(-16, 16), st.integers(-16, 16)).map(
+        lambda p: complex(p[0], p[1]) / 8.0)
+    pieces = []
+    for _ in range(draw(st.integers(0 if atoms else 1, 3))):
+        a, b = sorted(draw(st.lists(loc, min_size=2, max_size=2, unique=True)))
+        pieces.append(DensityPiece(a, b, coef=draw(weight) + 0.5,
+                                   exponent=complex(draw(st.floats(-0.9, 1.0)),
+                                                    draw(st.floats(-3.0, 3.0)))))
+    tail = None if period is None else \
+        SelfSimilarTail(period, draw(st.sampled_from([0.5, 1.0, 1.5])), 1.0)
+    measure = RadonMeasure(atoms=[(x, draw(weight)) for x in atoms],
+                           pieces=tuple(pieces), tail=tail)
+    kind = draw(st.sampled_from(sorted(_KERNELS)))
+    lo = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    hi = draw(st.sampled_from([2.0, 4.0]))
+    # points on which s lo or s hi may land: atoms and piece ends, with
+    # their self-similar images
+    images = [1.0] if period is None else [period ** k for k in range(-2, 4)]
+    marks = sorted({x * f for x in list(atoms) + [e for p in pieces for e in (p.lo, p.hi)]
+                    for f in images})
+    scales = draw(st.lists(st.integers(4, 32).map(lambda m: m / 8.0),
+                           min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        scales.append(draw(st.sampled_from(marks)) / draw(st.sampled_from([lo, hi])))
+    scales.append(draw(st.sampled_from(scales)))   # a duplicate
+    norms = [1.0 + 0.25 * draw(st.integers(0, 4)) for _ in scales]
+    return measure, kind, _KERNELS[kind](lo, hi), lo, hi, sorted(scales), norms
+
+
+def _oracle_density(measure, t):
+    """The density at t by hand: each self-similar image of each piece."""
+    out = 0.0j
+    tail = measure.tail
+    ks = [0] if tail is None else range(
+        math.floor(math.log(t) / math.log(tail.period)) - 1,
+        math.floor(math.log(t) / math.log(tail.period)) + 2)
+    for k in ks:
+        f = 1.0 if tail is None else tail.period ** k
+        gain = 1.0 if tail is None else tail.period ** ((tail.rho - 1.0) * k)
+        for p in measure.pieces:
+            if p.lo * f < t <= p.hi * f:
+                out += gain * p.coef * (t / f) ** p.exponent
+    return out
+
+
+def _oracle_dilation(measure, g, s, n, lo, hi, absolute):
+    """(atoms, density) parts of the dilation integral at scale s, norm n:
+    a direct atom sum over the half-open (lo, hi] and scipy ``quad`` split
+    at every breakpoint of g and of the measure."""
+    tail = measure.tail
+    ks = [0] if tail is None else range(-40, 40)
+    atoms, ends = 0.0j, set()
+    for k in ks:
+        f = 1.0 if tail is None else tail.period ** k
+        mass = 1.0 if tail is None else tail.period ** (tail.rho * k)
+        for x, w in zip(measure.atom_x.tolist(), measure.atom_w.tolist()):
+            if lo < x * f / s <= hi:
+                w = abs(w) if absolute else w
+                atoms += complex(g(np.array([x * f / s]))[0]) * mass * w / n
+        ends |= {e * f / s for p in measure.pieces for e in (p.lo, p.hi)}
+    cuts = sorted({lo, hi} | {b for b in list(g.breakpoints()) + list(g.singular_points)
+                              if lo < b < hi} | {e for e in ends if lo < e < hi})
+
+    def integrand(u):
+        d = _oracle_density(measure, s * u)
+        return complex(g(np.array([u]))[0]) * (s / n) * (abs(d) if absolute else d)
+
+    dens = sum(quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12, limit=200,
+                    complex_func=True)[0] for a, b in zip(cuts, cuts[1:]))
+    return atoms, complex(dens)
+
+
+@pytest.mark.parametrize("self_similar", [False, True])
+@given(data=st.data(), absolute=st.booleans())
+def test_dilation_integrals_match_scipy(self_similar, data, absolute):
+    measure, kind, g, lo, hi, scales, norms = data.draw(dilation_cases(self_similar))
+    ctrl = DEFAULT_QUAD
+    got = measure.dilation_integrals(g, scales, norms, lo, hi, ctrl, absolute)
+    for s, n, value in zip(scales, norms, got):
+        atoms, dens = _oracle_dilation(measure, g, s, n, lo, hi, absolute)
+        budget = ctrl.tol * abs(dens) + ctrl.abs_tol + 1e-14 * abs(atoms)
+        assert abs(value - (atoms + dens)) <= budget, (kind, s)
 
 
 class TestPair:

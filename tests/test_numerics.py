@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from scipy.integrate import quad, quad_vec
+from scipy.interpolate import CubicSpline
 
-from azarin.numerics import (DEFAULT_QUAD, DivergenceError, QuadControl,
+from azarin.numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, QuadControl,
                              QuadratureError, adaptive_quad, golden_section_min,
                              improper_quad, log_quad)
 
@@ -167,3 +168,26 @@ def test_golden_section_min():
     x, v = golden_section_min(lambda x: (x - 1.3) ** 2 + 0.25, 0.0, 2.0)
     assert abs(x - 1.3) < 1e-8
     assert abs(v - 0.25) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 319])
+@pytest.mark.parametrize("grid", ["uniform-log", "non-uniform"])
+def test_cubic_table_matches_scipy_cubic_spline(n, grid):
+    rng = np.random.default_rng(n)
+    if grid == "uniform-log":
+        x = np.log(np.geomspace(1e-3, 1e7, n))
+    else:
+        x = np.cumsum(rng.uniform(0.2, 1.0, n))
+    y = np.exp(1.3j * x) * (1.0 + x * x) ** 0.25 + 0.1 * rng.normal(size=n)
+    table, spline = CubicTable.fit(x, y), CubicSpline(x, y)
+    # the knots, points inside and points up to one end interval beyond
+    h0, h1 = x[1] - x[0], x[-1] - x[-2]
+    t = np.concatenate([x, rng.uniform(x[0], x[-1], 400),
+                        x[0] - h0 * np.array([1.0, 0.5]), x[-1] + h1 * np.array([0.5, 1.0])])
+    assert table.coef.shape == (n - 1, 4)
+    want = spline(t)
+    assert np.max(np.abs(table(t) - want)) <= 1e-14 * np.max(np.abs(want))
+    want = spline.antiderivative()(t)
+    got = table.antiderivative()(t)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -424,6 +424,14 @@ class TestCanonicalAntiderivative:
         assert G0(np.array([1.0]))[0] == pytest.approx(-3.0)
         assert G0(np.array([2.5]))[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_distribution_function_from_origin(self):
+        # a hull starting at 0 made an unused mass probe over (0, 5] raise
+        F0 = distribution_function(RadonMeasure.power_density(0.5, interval=(0.0, 5.0)))
+        assert F0.label == "neg-tail-mass"
+        t = np.array([0.5, 1.0, 2.5, 4.0])
+        want = -(2.0 / 3.0) * (5.0 ** 1.5 - t ** 1.5)
+        assert np.all(np.abs(F0(t) - want) <= 1e-9 * np.abs(want))
+
     def test_chain_depth(self):
         mu = RadonMeasure.from_atoms([(2.0, 1.0)])
         chain = antiderivative_chain(mu, 2, (0.5, 20.0))

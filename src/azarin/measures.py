@@ -367,8 +367,12 @@ class RadonMeasure:
         lo, hi = a * min(rs), b * max(rs)
         if not (0.0 < a < b and 0.0 < lo and hi < math.inf):
             raise ValueError("mass requires compact (a r, b r] in (0, oo)")
-        self._check_window(lo, hi)
-        out = np.array(self.dilation_integrals(_ONE, rs, [1.0] * len(rs), a, b,
+        return self._masses([a, b], rs, quad, absolute)[0]
+
+    def _masses(self, edges, rs, quad, absolute):
+        """The masses of each window of ``edges`` at each r: an (m, len(rs)) array."""
+        self._check_window(edges[0] * min(rs), edges[-1] * max(rs))
+        out = np.array(self.dilation_integrals(_ONE, rs, [1.0] * len(rs), edges,
                                                quad, absolute))
         return out.real if absolute else out
 
@@ -379,8 +383,8 @@ class RadonMeasure:
     def improper_mass(self, lo=0.0, hi=math.inf, quad=DEFAULT_QUAD, absolute=False):
         """mu over (lo, hi) with improper endpoints, Cauchy-window evaluated.
 
-        Each window is a ``masses`` ring, atoms included, so the atoms enter
-        the Cauchy criterion.  Raises DivergenceError with the partial sums.
+        Each block of Cauchy rings is one mass integral over its windows,
+        atoms included, so the atoms enter the Cauchy criterion.  Raises DivergenceError with the partial sums.
         An end at 0 or oo moves to the hull; the lower one to half its edge,
         so that an atom on the edge stays inside (lo, hi].
         """
@@ -390,10 +394,10 @@ class RadonMeasure:
         if lo != 0.0 and hi <= lo:
             return 0.0 + 0.0j
 
-        def ring(a, b, live):
-            return self.masses(a, b, [1.0], quad, absolute)
+        def ring(edges, live):
+            return self._masses(edges, [1.0], quad, absolute)
 
-        totals, partials, failed = _cauchy_windows(ring, lo, hi, (1.0,), quad)
+        totals, partials, failed, _ = _cauchy_windows(ring, lo, hi, (1.0,), quad)
         if failed:
             raise DivergenceError(
                 "improper integral failed Cauchy criterion at %s" % failed[0],
@@ -420,30 +424,37 @@ class RadonMeasure:
     def pair(self, f, quad=DEFAULT_QUAD):
         """(mu, f) = sum f(x_i) w_i + integral of f * density."""
         self._check_window(*f.support)
-        return self.dilation_integrals(f, [1.0], [1.0], f.lo, f.hi, quad)[0]
+        return self.dilation_integrals(f, [1.0], [1.0], [f.lo, f.hi], quad)[0][0]
 
-    def dilation_integrals(self, g, scales, norms, lo, hi, quad=DEFAULT_QUAD,
+    def dilation_integrals(self, g, scales, norms, edges, quad=DEFAULT_QUAD,
                            absolute=False):
-        """Integrals of g(u) over u in (lo, hi] against mu(s u)/n, or |mu|(s u)/n.
+        """Integrals of g(u) over each window (a, b] of the ascending ``edges``
+        against mu(s u)/n, or |mu|(s u)/n: one row per window, one value per
+        scale s of ``scales`` and norm n of ``norms``.
 
-        One value per scale s of ``scales`` and norm n of ``norms``: the
-        atoms x with x/s in (lo, hi] add g(x/s) w/n, and the density adds
-        the integral of g(u) (s/n) density(s u) du, split at
-        ``g.breakpoints()`` and at the measure's breakpoints in u and graded
-        at ``g.singular_points``.  A run of consecutive scales with the same
-        measure breakpoints in u shares one vector ``log_quad``, so no
-        column is split at another's breakpoints; a run of one scale
-        integrates a scalar.  Pairings, flow pairings, kernel transform
-        windows and masses are all this integral.  With ``absolute`` the atoms
-        weigh |w| and the density is |density|.
+        The atoms x with x/s in (a, b] add g(x/s) w/n; they are found by one
+        ``atoms_in`` per scale over the whole edge list and binned by window.
+        The density adds the integral of g(u) (s/n) density(s u) du, split
+        at ``g.breakpoints()`` and at the measure's breakpoints in u and
+        graded at ``g.singular_points``.  A run of consecutive scales with
+        the same measure breakpoints in u shares one vector ``log_quad`` over
+        all windows, so no column is split at another's breakpoints; a run
+        of one scale integrates a scalar.  Pairings, flow pairings, kernel
+        transform windows and masses are all this integral.  With
+        ``absolute`` the atoms weigh |w| and the density is |density|.
         """
-        out = [0.0 + 0.0j] * len(scales)
+        lo, hi = edges[0], edges[-1]
+        out = [[0.0 + 0.0j] * len(scales) for _ in edges[1:]]
         if self.atom_x.size:
             for i, (s, n) in enumerate(zip(scales, norms)):
                 xs, ws = self.atoms_in(s * lo, s * hi)
                 if ws.size:
                     ws = np.abs(ws) if absolute else ws
-                    out[i] = complex(np.sum(g(xs / s) * (ws / n)))
+                    terms = g(xs / s) * (ws / n)
+                    cuts = np.searchsorted(xs, np.multiply(s, edges), side="right")
+                    for row, start, stop in zip(out, cuts[:-1], cuts[1:]):
+                        if stop > start:
+                            row[i] = complex(np.sum(terms[start:stop]))
         if not self.has_density():
             return out
         g_splits = [b for b in g.breakpoints() if lo < b < hi]
@@ -467,11 +478,12 @@ class RadonMeasure:
                     return (density(np.multiply.outer(u, s))
                             * (g(u)[:, None] * gain))
 
-            parts = log_quad(integrand, lo, hi, quad,
+            parts = log_quad(integrand, edges, quad,
                              split_points=g_splits + splits, singular_points=sing)
-            for i, part in enumerate(parts.tolist() if n > 1 else [parts],
-                                     rows.start):
-                out[i] += part
+            for row, part in zip(out, parts):
+                for i, value in enumerate(part.tolist() if n > 1 else [part],
+                                          rows.start):
+                    row[i] += value
         return out
 
     # -- Azarin transform ----------------------------------------------------------
@@ -656,7 +668,7 @@ class MetricFamily:
         norms = np.asarray(order.scale(ts), dtype=float)
         out = np.zeros((ts.size, self.n_members), dtype=complex)
         for n, f in enumerate(self.members):
-            out[:, n] = measure.dilation_integrals(f, ts, norms, f.lo, f.hi, quad)
+            out[:, n] = measure.dilation_integrals(f, ts, norms, [f.lo, f.hi], quad)[0]
         return scaled, out
 
     def distance_from_pairings(self, p1, p2):

@@ -11,11 +11,16 @@ when two rings in a row are calm, or when the next edge would leave the
 float range after at least one calm ring; it is rejected after
 ``max_expansions`` rings.  The rule runs on a batch of columns that share
 the rings, each with its own total and calm count (``_cauchy_windows`` sets
-up the core and both ends).
+up the core and both ends).  Rings are fetched in doubling blocks of up to
+``_RING_BLOCK`` rings and consumed one at a time, so the totals and partial
+sums are those of one ring at a time; the rest of a block is discarded.
 
 ``adaptive_quad`` and ``log_quad`` accept vector integrands returning an
 (n, k) array for n nodes: the k integrals share segments and each column
-keeps its own budget ``tol * |I_j| + abs_tol``.  Refinement stops as soon as
+keeps its own budget ``tol * |I_j| + abs_tol``.  ``log_quad`` integrates
+over each window of an edge list; the windows with no split or singular
+point share one vector integral, each mapped onto [0, 1] in ln t, so a
+block of Cauchy rings is one ``adaptive_quad`` call.  Refinement stops as soon as
 every column's error estimate, summed over segments, is within its budget
 (QUADPACK's global test).  Until then a segment is split while any column's
 estimate on it is over the segment's length share of that budget.
@@ -77,6 +82,9 @@ class QuadControl:
 
 
 DEFAULT_QUAD = QuadControl()
+
+# the most Cauchy rings that ``_expand_windows`` fetches in one block
+_RING_BLOCK = 16
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
 _XGK = np.array([
@@ -206,21 +214,59 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     return result(total)
 
 
-def log_quad(f, t_lo, t_hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
-    """Integrate f over [t_lo, t_hi] subset of (0, oo) in log coordinates."""
-    if not (t_lo > 0.0 and t_hi > t_lo):
-        return 0.0 + 0.0j
-
-    def g(xi):
-        t = np.exp(xi)
+def _log_integrand(f):
+    """f(t) t as a function of x = ln t, for a scalar or a vector f."""
+    def g(x):
+        t = np.exp(x)
         v = np.asarray(f(t))
         return v * (t[:, None] if v.ndim == 2 else t)
 
-    return adaptive_quad(
-        g, math.log(t_lo), math.log(t_hi), ctrl,
-        split_points=[math.log(p) for p in split_points if t_lo < p < t_hi],
-        singular_points=[math.log(p) for p in singular_points if t_lo <= p <= t_hi],
-    )
+    return g
+
+
+def log_quad(f, edges, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
+    """Integrals of f over the windows (t_0, t_1], ..., (t_{m-1}, t_m] of an
+    ascending edge list in (0, oo), in log coordinates: a list of m values.
+
+    A window with a split point inside it or a singular point in its
+    closure is integrated alone.  The other windows share one
+    ``adaptive_quad``: each is mapped affinely in ln t onto [0, 1] and is
+    its own column (one per column of a vector ``f``), with its own budget.
+    A lone window keeps its own ln t coordinates, so the edge list
+    ``[lo, hi]`` gives the integral over (lo, hi] bit for bit.
+    """
+    out = [0.0 + 0.0j] * (len(edges) - 1)
+    alone, shared = [], []
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        if lo > 0.0 and hi > lo:
+            splits = [math.log(p) for p in split_points if lo < p < hi]
+            sing = [math.log(p) for p in singular_points if lo <= p <= hi]
+            (alone if splits or sing else shared).append((i, splits, sing))
+    if len(shared) == 1:
+        alone, shared = alone + shared, []
+    for i, splits, sing in alone:
+        out[i] = adaptive_quad(_log_integrand(f), math.log(edges[i]),
+                               math.log(edges[i + 1]), ctrl,
+                               split_points=splits, singular_points=sing)
+    if shared:
+        shared = [i for i, _, _ in shared]
+        x_lo = np.log([edges[i] for i in shared])
+        width = np.log([edges[i + 1] for i in shared]) - x_lo
+        vector = False
+
+        def g(xi):
+            nonlocal vector
+            t = np.exp(x_lo + np.multiply.outer(xi, width))   # (node, window)
+            jac = (t * width).ravel()
+            v = np.asarray(f(t.ravel()))
+            vector = v.ndim == 2
+            v = v * (jac[:, None] if vector else jac)
+            return v.reshape(xi.size, -1)
+
+        cols = adaptive_quad(g, 0.0, 1.0, ctrl).reshape(len(shared), -1)
+        for i, col in zip(shared, cols):
+            out[i] = col if vector else complex(col[0])
+    return out
 
 
 def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl):
@@ -228,20 +274,27 @@ def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl):
 
     ``totals`` holds one running total per column and ``partials`` one list
     of partial sums per column; both grow in place.  ``side`` is -1 at the
-    lower end and +1 at the upper.  Each pass moves ``edge`` to
-    ``step(edge)`` and adds the ring between the two edges to each live
-    column: ``ring(a, b, live)`` returns the parts of the columns listed in
-    ``live``.  A column keeps its own count of calm rings and takes no more
-    rings once it is accepted (two calm rings in a row) or rejected.
-    ``beyond(edge, j)`` tells when column j's edge has left the float range,
-    which accepts the column after at least one calm ring and rejects it
-    otherwise.  Columns still live after ``max_expansions`` rings are
-    rejected.  Returns the rejected columns, in order.
+    lower end and +1 at the upper.  Rings are fetched in blocks of 1, 2, 4,
+    ... up to ``_RING_BLOCK`` rings, each edge ``step`` of the one before:
+    ``ring(edges, live)`` gets the ascending edges of a block and returns one
+    row per ring, the parts of the columns listed in ``live``.  A block
+    never reaches an edge at which a live column has left the float range
+    (``beyond(edge, j)``) and never holds more rings than ``max_expansions``
+    leaves.  The parts are consumed one ring at a time, outward: a column
+    keeps its own count of calm rings and takes no more rings once it is
+    accepted (two calm rings in a row) or rejected; what is left of a block
+    when no column is live is discarded.  A column whose next edge is
+    beyond is accepted after at least one calm ring and rejected otherwise.
+    Columns still live after ``max_expansions`` rings are rejected.  Returns
+    the rejected columns, in order, and each column's last edge.
     """
     calm = [0] * len(totals)
+    reach = [edge] * len(totals)
     live = list(range(len(totals)))
     rejected = []
-    for _ in range(ctrl.max_expansions):
+    left = ctrl.max_expansions
+    size = 1
+    while live and left > 0:
         nxt = step(edge)
         growing = []
         for j in live:
@@ -252,37 +305,54 @@ def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl):
         live = growing
         if not live:
             break
-        parts = ring(nxt, edge, live) if side < 0 else ring(edge, nxt, live)
-        edge = nxt
-        growing = []
-        for j, part in zip(live, parts):
-            total = totals[j] + part
-            totals[j] = total
-            partials[j].append(total)
-            if abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
-                calm[j] += 1
-                if calm[j] >= 2:
-                    continue
-            else:
-                calm[j] = 0
-            growing.append(j)
-        live = growing
-        if not live:
-            break
-    return sorted(rejected + live)
+        edges = [edge, nxt]
+        while len(edges) <= min(size, left):
+            nxt = step(edges[-1])
+            if any(beyond(nxt, j) for j in live):
+                break
+            edges.append(nxt)
+        size = min(2 * size, _RING_BLOCK)
+        left -= len(edges) - 1
+        if side < 0:
+            rows = ring(edges[::-1], live)[::-1]
+        else:
+            rows = ring(edges, live)
+        col = {j: i for i, j in enumerate(live)}
+        for outer, row in zip(edges[1:], rows):
+            growing = []
+            for j in live:
+                part = row[col[j]]
+                total = totals[j] + part
+                totals[j] = total
+                partials[j].append(total)
+                reach[j] = outer
+                if abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
+                    calm[j] += 1
+                    if calm[j] >= 2:
+                        continue
+                else:
+                    calm[j] = 0
+                growing.append(j)
+            live = growing
+            if not live:
+                break
+        edge = edges[-1]
+    return sorted(rejected + live), reach
 
 
 def _cauchy_windows(ring, lo, hi, scales, ctrl):
     """Columns of an integral over (lo, hi) in (0, oo) by the Cauchy window rule.
 
     ``lo == 0`` and ``hi == inf`` are improper ends.  Column j's edge leaves
-    the float range when ``edge * scales[j]`` does; ``ring(a, b, live)``
-    returns the parts over (a, b] of the columns listed in ``live``.  The
-    core window is ``(window_lo, window_hi)`` clipped to (lo, hi); when the
-    finite end lies beyond it, the core is the one ring next to that end.
-    Returns the totals, each column's partial sums (core first, then the
-    rings at zero, then those at infinity) and a dict mapping each rejected
-    column to the end, "zero" or "infinity", that failed first.
+    the float range when ``edge * scales[j]`` does; ``ring(edges, live)``
+    returns, for each window of the ascending edge list ``edges``, a row of
+    the parts of the columns listed in ``live``.  The core window is
+    ``(window_lo, window_hi)`` clipped to (lo, hi); when the finite end lies
+    beyond it, the core is the one ring next to that end.  Returns the
+    totals, each column's partial sums (core first, then the rings at zero,
+    then those at infinity), a dict mapping each rejected column to the
+    end, "zero" or "infinity", that failed first, and each column's window
+    (a, b): the core and the rings the column took.
     """
     improper_lo = (lo == 0.0)
     improper_hi = math.isinf(hi)
@@ -294,37 +364,43 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl):
         elif improper_hi:
             core_hi = core_lo * ctrl.expansion
         else:
-            return [0.0 + 0.0j] * len(scales), [[] for _ in scales], {}
+            return ([0.0 + 0.0j] * len(scales), [[] for _ in scales], {},
+                    [(lo, hi)] * len(scales))
     live = list(range(len(scales)))
-    totals = list(ring(core_lo, core_hi, live))
+    totals = list(ring([core_lo, core_hi], live)[0])
     partials = [[total] for total in totals]
+    reach_lo = reach_hi = None
     failed = {}
     if improper_lo:
-        for j in _expand_windows(ring, core_lo, -1, lambda t: t / ctrl.expansion,
-                                 lambda t, j: t * scales[j] < 1e-300,
-                                 totals, partials, ctrl):
+        rejected, reach_lo = _expand_windows(
+            ring, core_lo, -1, lambda t: t / ctrl.expansion,
+            lambda t, j: t * scales[j] < 1e-300, totals, partials, ctrl)
+        for j in rejected:
             failed[j] = "zero"
     if improper_hi:
-        for j in _expand_windows(ring, core_hi, 1, lambda t: t * ctrl.expansion,
-                                 lambda t, j: t * scales[j] > 1e300,
-                                 totals, partials, ctrl):
+        rejected, reach_hi = _expand_windows(
+            ring, core_hi, 1, lambda t: t * ctrl.expansion,
+            lambda t, j: t * scales[j] > 1e300, totals, partials, ctrl)
+        for j in rejected:
             failed.setdefault(j, "infinity")
-    return totals, partials, failed
+    windows = [(reach_lo[j] if improper_lo else core_lo,
+                reach_hi[j] if improper_hi else core_hi) for j in range(len(scales))]
+    return totals, partials, failed, windows
 
 
 def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
     """Integral of ``f`` over (lo, hi) in (0, oo); lo == 0 / hi == inf improper.
 
-    Each Cauchy window is one ``log_quad`` of ``f``.  Masses with atoms take
-    their windows from ``RadonMeasure.masses`` instead (``improper_mass``),
-    so the atoms enter the criterion there.
+    Each block of Cauchy windows is one ``log_quad`` of ``f``.  Masses with
+    atoms take their windows from ``RadonMeasure.masses`` instead
+    (``improper_mass``), so the atoms enter the criterion there.
     """
-    def window_value(a, b, live):
-        return (log_quad(f, a, b, ctrl, split_points, singular_points),)
+    def window_values(edges, live):
+        return [(v,) for v in log_quad(f, edges, ctrl, split_points, singular_points)]
 
     hi = math.inf if hi is None else float(hi)
-    totals, partials, failed = _cauchy_windows(window_value, float(lo), hi,
-                                               (1.0,), ctrl)
+    totals, partials, failed, _ = _cauchy_windows(window_values, float(lo), hi,
+                                                  (1.0,), ctrl)
     if failed:
         raise DivergenceError(
             "improper integral failed Cauchy criterion at %s" % failed[0],

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,15 +121,14 @@ def _jsonable(value):
     return value
 
 
-def _lattice_pairs(count, ln_range):
-    """Deterministic low-discrepancy (r, t) pairs, log-uniform."""
+def _lattice_logs(count, ln_range):
+    """Deterministic low-discrepancy (ln r, ln t) pairs in [-ln_range, ln_range]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     pairs = []
     for i in range(1, count + 1):
         u = (i * phi) % 1.0
         v = (i * i * phi) % 1.0
-        pairs.append((math.exp((2.0 * u - 1.0) * ln_range),
-                      math.exp((2.0 * v - 1.0) * ln_range)))
+        pairs.append(((2.0 * u - 1.0) * ln_range, (2.0 * v - 1.0) * ln_range))
     return pairs
 
 
@@ -143,9 +143,8 @@ def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
                     expected_decay=List(None), decay_tol=1e-3):
     at_one = potter_factor(order, 1.0)
     submult_worst = 0.0
-    for t1, t2 in _lattice_pairs(pairs, ln_range):
+    for l1, l2 in _lattice_logs(pairs, ln_range):
         # gamma(t1 t2) / (gamma(t1) gamma(t2)) - 1 in log form: no overflow
-        l1, l2 = math.log(t1), math.log(t2)
         excess = math.expm1(log_potter_factor(order, l1 + l2)
                             - log_potter_factor(order, l1) - log_potter_factor(order, l2))
         submult_worst = max(submult_worst, excess)
@@ -190,17 +189,24 @@ def run_potter_decay_scan(order, t_grid=Grid(math.exp(16.0), math.exp(100.0), 3)
                        [list(r) for r in rows])])
 
 
-def _positive_pairs(pairs, **_):
+# the largest |ln_range| whose lattice pairs r, t and products r t are floats
+_MAX_PAIR_LN = 0.5 * math.log(sys.float_info.max)
+
+
+def _potter_pairs(pairs, ln_range, **_):
+    if pairs is None and not abs(ln_range) <= _MAX_PAIR_LN:
+        raise ConfigError("params.ln_range: expected a number of size at most %.4f, "
+                          "so that r, t and r t are finite" % _MAX_PAIR_LN)
     for i, pair in enumerate(pairs or ()):
         if not all(0.0 < x < math.inf for x in pair):
             raise ConfigError("params.pairs[%d]: expected two numbers > 0" % i)
 
 
-@operation("potter_check", check=_positive_pairs)
+@operation("potter_check", check=_potter_pairs)
 def run_potter_check(order, pairs=List(None, item=List(length=2)),
                      count=Count(1000), ln_range=20.0, tol=1e-6):
     if pairs is None:
-        pairs = _lattice_pairs(count, ln_range)
+        pairs = [(math.exp(a), math.exp(b)) for a, b in _lattice_logs(count, ln_range)]
     rep = potter_bound_report(order, pairs, tolerance=tol)
     report = {"max_violation": rep.max_violation, "passed": rep.passed,
               "worst_pair": rep.worst_pair}

@@ -85,24 +85,35 @@ class _SymbolQuadrature:
                 out.append(pts)
             return np.unique(np.concatenate(out))
 
-        parts = []
+        fetched = {}
 
-        def ring(a, b, live):
-            """Add the nodes of (ln a, ln b] to ``parts``; return its absolute mass."""
-            edges = panels(math.log(a), math.log(b))
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            xs = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
-            ws = (half[:, None] * _WGK[None, :]).ravel()
-            g = np.asarray(kernel(np.exp(xs)), dtype=complex) * np.exp(rho * xs)
-            parts.append((xs, ws, g))
-            return (float(np.sum(ws * np.abs(g))),)
+        def ring(edges, live):
+            """Keep the nodes of each ring (ln a, ln b] in ``fetched``; return
+            the rings' absolute masses."""
+            rows = []
+            for a, b in zip(edges[:-1], edges[1:]):
+                x = panels(math.log(a), math.log(b))
+                mid = 0.5 * (x[:-1] + x[1:])
+                half = 0.5 * (x[1:] - x[:-1])
+                xs = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
+                ws = (half[:, None] * _WGK[None, :]).ravel()
+                g = np.asarray(kernel(np.exp(xs)), dtype=complex) * np.exp(rho * xs)
+                fetched[a, b] = (xs, ws, g)
+                rows.append((float(np.sum(ws * np.abs(g))),))
+            return rows
 
-        _, partials, failed = _cauchy_windows(ring, max(k_lo, 0.0), k_hi, (1.0,),
-                                              quad)
+        _, partials, failed, windows = _cauchy_windows(
+            ring, max(k_lo, 0.0), k_hi, (1.0,), quad)
         if failed:
             raise DivergenceError("Mellin symbol integral diverges at %s"
                                   % failed[0], partials=partials[0])
+        # the core, then the rings taken at zero and at infinity, outward;
+        # the rest of the last block at each end is not part of the integral
+        (lo, hi), (core, *rings) = windows[0], fetched
+        parts = [fetched[core]]
+        parts += [fetched[w] for w in sorted(rings, reverse=True)
+                  if lo <= w[0] and w[1] <= core[0]]
+        parts += [fetched[w] for w in sorted(rings) if core[1] <= w[0] and w[1] <= hi]
         self.xs = np.concatenate([p[0] for p in parts])
         self.wg = np.concatenate([p[1] * p[2] for p in parts])
 

@@ -35,13 +35,15 @@ class KernelTransform:
 
     ``values(rs)`` computes many r at once, in u = t/r: the r values whose
     kernel support and measure hull clip u to the same window share its
-    core and its Cauchy rings, and each ring is the measure's dilation
-    integral of K at scales r (``RadonMeasure.dilation_integrals``), one
-    vector ``log_quad`` per run of consecutive r with the same measure
-    breakpoints in u.  Each r keeps its own Cauchy test and stops taking
-    rings once it is decided.  ``value(r)`` is ``values`` at one r, whose
-    integrand is scalar.  Values are cached per r; the cache is a plain
-    dict (deterministic values, so concurrent double-computation is benign).
+    core and its Cauchy rings.  The rings come in blocks, and each block is
+    the measure's dilation integral of K at scales r over the block's
+    edges (``RadonMeasure.dilation_integrals``), one vector ``log_quad`` per
+    run of consecutive r with the same measure breakpoints in u, whose
+    columns are the (ring, r) pairs.  Each r keeps its own Cauchy test and
+    stops taking rings once it is decided.  ``value(r)`` is ``values`` at one
+    r, whose integrand is scalar.  Values are cached per r; the cache is a
+    plain dict (deterministic values, so concurrent double-computation is
+    benign).
     """
 
     def __init__(self, kernel, measure, order=None, quad=DEFAULT_QUAD):
@@ -51,13 +53,14 @@ class KernelTransform:
         self.quad = quad
         self._cache = {}
 
-    def _window_term(self, rs, u_lo, u_hi):
-        """Transform at each r of the list ``rs`` restricted to u in (u_lo, u_hi].
+    def _window_term(self, rs, edges):
+        """Transform at each r of the list ``rs`` restricted to u in each
+        window (a, b] of the ascending ``edges``: one row per window.
 
         The dilation integral of the kernel at scales ``rs`` and norms 1.
         """
         return self.measure.dilation_integrals(self.kernel, rs, [1.0] * len(rs),
-                                               u_lo, u_hi, self.quad)
+                                               edges, self.quad)
 
     def values(self, rs):
         """Transform values at every r of ``rs``, as an array."""
@@ -78,11 +81,11 @@ class KernelTransform:
                 groups.setdefault((u_lo, u_hi), []).append(r)
         failures = []
         for (u_lo, u_hi), group in groups.items():
-            def ring(a, b, live, group=group):
-                return self._window_term([group[j] for j in live], a, b)
+            def ring(edges, live, group=group):
+                return self._window_term([group[j] for j in live], edges)
 
-            totals, partials, failed = _cauchy_windows(ring, u_lo, u_hi, group,
-                                                       self.quad)
+            totals, partials, failed, _ = _cauchy_windows(ring, u_lo, u_hi, group,
+                                                          self.quad)
             for j, (r, total) in enumerate(zip(group, totals)):
                 if j in failed:
                     failures.append((rs.index(r), failed[j], partials[j]))
@@ -185,8 +188,8 @@ def _restricted_value(transform, u_lo, u_hi):
     hi = min(u_hi, k_hi if not math.isinf(k_hi) else transform.measure.hull()[1])
     if hi <= lo:
         return 0.0 + 0.0j
-    totals, partials, failed = _cauchy_windows(
-        lambda a, b, live: transform._window_term([1.0], a, b), lo, hi, (1.0,),
+    totals, partials, failed, _ = _cauchy_windows(
+        lambda edges, live: transform._window_term([1.0], edges), lo, hi, (1.0,),
         transform.quad)
     if failed:
         raise DivergenceError("restricted transform failed the Cauchy criterion "
@@ -519,8 +522,8 @@ def check_antiderivative_identity(kernel, measure, orders, r_samples,
         for r in r_samples:
             lhs = (-1.0) ** (n + 1) * r ** (n + 1) * tr.value(r)
             splits = [b for b in F.breakpoints if r * lo < b < r * hi]
-            rhs = log_quad(lambda t: deriv(t / r) * F(t), r * lo, r * hi,
-                           quad, split_points=splits)
+            rhs, = log_quad(lambda t: deriv(t / r) * F(t), [r * lo, r * hi],
+                            quad, split_points=splits)
             scale = max(abs(lhs), abs(rhs), 1e-12)
             err = abs(lhs - rhs) / scale
             rows.append((n, r, lhs, rhs, err))

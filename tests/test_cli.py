@@ -366,6 +366,36 @@ class TestRunErrors:
         assert 0.0 <= report["submultiplicativity_excess"] <= 1e-12
         assert all(math.isfinite(x) for row in report["decay_rows"] for x in row)
 
+    @pytest.mark.parametrize("order", [
+        {"rho": 0.5},
+        {"rho": 0.0, "zero_part": {"kind": "tabulated_eta",
+                                   "points": [[0, 2.0], [1, 2.0]]}},
+    ], ids=["power", "tabulated"])
+    def test_gamma_suite_ln_range_beyond_float_range(self, order, tmp_path, capsys):
+        # exp(ln_range) overflows past ~709.8; the suite needs only the logs
+        def run(ln_range):
+            cfg = {"operation": "gamma_suite", "order": order,
+                   "params": {"ln_range": ln_range, "decay_exponents": [16.0, 36.0]}}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            code = run_cli(["run", cfg_path, "--out-dir", tmp_path])
+            return code, json.loads((tmp_path / "cfg_report.json").read_text())
+
+        code, got = run(800)
+        want_code, want = run(10)
+        assert code == want_code and got["verdict"] == want["verdict"]
+        assert got["report"]["submultiplicativity_excess"] == 0.0
+
+    def test_potter_check_ln_range_beyond_float_range(self, tmp_path, capsys):
+        # r t of two lattice pairs leaves the float range once ln_range
+        # passes half of ln(max float)
+        cfg = {"operation": "potter_check", "order": {"rho": 0.5},
+               "params": {"ln_range": 800}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: params.ln_range: " in capsys.readouterr().err
+
     def test_output_directories_are_created(self, tmp_path, capsys):
         # the report and CSV directories are created as --out-dir is
         cfg = {"operation": "potter_decay_scan", "order": {"rho": 1.0},

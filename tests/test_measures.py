@@ -240,7 +240,7 @@ def _oracle_dilation(measure, g, s, n, lo, hi, absolute):
 def test_dilation_integrals_match_scipy(self_similar, data, absolute):
     measure, kind, g, lo, hi, scales, norms = data.draw(dilation_cases(self_similar))
     ctrl = DEFAULT_QUAD
-    got = measure.dilation_integrals(g, scales, norms, lo, hi, ctrl, absolute)
+    got, = measure.dilation_integrals(g, scales, norms, [lo, hi], ctrl, absolute)
     for s, n, value in zip(scales, norms, got):
         atoms, dens = _oracle_dilation(measure, g, s, n, lo, hi, absolute)
         budget = ctrl.tol * abs(dens) + ctrl.abs_tol + 1e-14 * abs(atoms)
@@ -389,13 +389,13 @@ class TestFlowPairings:
         f = TestFunction(0.25, 8.0)
         calls = []
 
-        def counting_log_quad(g, lo, hi, quad, **kw):
-            out = log_quad(g, lo, hi, quad, **kw)
-            calls.append((np.size(out), sorted(set(kw["split_points"]))))
+        def counting_log_quad(g, edges, quad, **kw):
+            out = log_quad(g, edges, quad, **kw)
+            calls.append((np.size(out[0]), sorted(set(kw["split_points"]))))
             return out
 
         monkeypatch.setattr(measures, "log_quad", counting_log_quad)
-        m.dilation_integrals(f, ts, [1.0] * len(ts), f.lo, f.hi)
+        m.dilation_integrals(f, ts, [1.0] * len(ts), [f.lo, f.hi])
         assert len(calls) == n_runs
         assert sum(n for n, _ in calls) == len(ts)
         start = 0

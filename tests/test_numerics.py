@@ -83,7 +83,7 @@ def test_vector_columns_keep_their_own_budget():
 
 def test_log_quad_vector_integrand():
     fns = [lambda t: t ** -0.3, lambda t: 1e-12 * np.abs(np.log(t / 3.0)) * t ** 0.5]
-    got = log_quad(_columns(*fns), 0.5, 8.0, FINE, split_points=[3.0])
+    got, = log_quad(_columns(*fns), [0.5, 8.0], FINE, split_points=[3.0])
     _assert_columns(got, fns, 0.5, 8.0, points=[3.0])
 
 
@@ -126,7 +126,7 @@ def test_vector_log_singular_column_beside_tiny_smooth_column():
 
 
 def test_log_quad_power():
-    val = log_quad(lambda t: t ** 1.5, 0.5, 8.0)
+    val, = log_quad(lambda t: t ** 1.5, [0.5, 8.0])
     want = (8.0 ** 2.5 - 0.5 ** 2.5) / 2.5
     assert abs(val - want) < 1e-9 * want
 
@@ -162,6 +162,28 @@ def test_float_range_exit_rejects_without_a_calm_ring():
         improper_quad(lambda t: 1.0 / t, 1.0, None, wide)
     # core (1, 4], then two rings of log(1e100) each before 4e300 > 1e300
     assert len(err.value.partials) == 3
+
+
+# 1e30-fold rings: 4e30, ..., 4e270 lie in the float range and 4e300 does not,
+# so the blocks of 1, 2 and 4 rings are followed by one cut to 2 rings
+FAR = QuadControl(expansion=1e30)
+
+
+def test_float_range_exit_cuts_a_block_and_rejects():
+    with pytest.raises(DivergenceError) as err:
+        improper_quad(lambda t: 1.0 / t, 1.0, None, FAR)
+    want = math.log(4.0) + math.log(1e30) * np.arange(10)
+    assert np.allclose(err.value.partials, want, rtol=1e-12, atol=0.0)
+
+
+def test_float_range_exit_accepts_after_one_calm_ring_in_a_block():
+    # the ring (4e210, 4e240] holds the split point 1e220 and is integrated
+    # alone; (4e240, 4e270] is the one calm ring before the float range ends
+    def f(t):
+        return np.where(t < 1e220, 1.0 / t, 0.0)
+
+    assert improper_quad(f, 1.0, None, FAR, split_points=[1e220]) == \
+        pytest.approx(math.log(1e220), rel=1e-12)
 
 
 def test_golden_section_min():

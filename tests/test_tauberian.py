@@ -126,6 +126,20 @@ class TestSymbol:
             assert table_gap(sq.values(lams), dense) <= 1e-13
             assert table_gap(sq.values(lams, step=20.0 / 300), factored) <= 1e-13
 
+    @pytest.mark.parametrize("kernel, rho", [
+        (LATTICE, 1.0), (ExpKernel(), 0.5), (LogSingularKernel(), 0.3),
+    ], ids=["lattice", "exp", "log-singular"])
+    def test_ring_blocks_keep_the_nodes_of_one_ring_at_a_time(self, kernel, rho,
+                                                              monkeypatch):
+        # the nodes of the rings a block fetched past the accepted end are
+        # dropped: the node set is that of blocks of one ring, bit for bit
+        from azarin import numerics
+        blocks = _SymbolQuadrature(kernel, rho, 20.0)
+        monkeypatch.setattr(numerics, "_RING_BLOCK", 1)
+        single = _SymbolQuadrature(kernel, rho, 20.0)
+        assert np.array_equal(blocks.xs, single.xs)
+        assert np.array_equal(blocks.wg, single.wg)
+
     def test_rings_are_calm_by_absolute_mass(self):
         # K(t) t**(rho-1) = t**(-1 + i b) on (0, 1]: in x = ln t every ring of
         # width ln 4 holds a whole period of e^{i b x}, so its signed integral

@@ -9,7 +9,7 @@ from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
 from azarin.measures import (DensityPiece, LogPerturbFactor, RadonMeasure,
                              SelfSimilarTail, TestFunction, ZeroScaleFactor,
                              class_membership)
-from azarin.numerics import DivergenceError
+from azarin.numerics import DivergenceError, _cauchy_windows
 from azarin.orders import LogLogZero, ProximateOrder
 from azarin.special import lanczos_gamma
 from azarin.transforms import (KernelTransform, PiecewiseFunction,
@@ -118,9 +118,9 @@ class TestTransformValue:
         seen = []
         term = tr._window_term
 
-        def spy(rs, u_lo, u_hi):
-            seen.append((u_lo, u_hi))
-            return term(rs, u_lo, u_hi)
+        def spy(rs, edges):
+            seen.extend(zip(edges[:-1], edges[1:]))
+            return term(rs, edges)
 
         tr._window_term = spy
         assert tr.value(1.0) == pytest.approx(want, rel=1e-9)
@@ -257,6 +257,122 @@ class TestTransformValues:
         s = averaged_measure(tr, (ts.min() * lo / 4.0, ts.max() * hi * 4.0))
         assert len(s.pieces[0].values) == len(tr._cache) == 319
         assert len(batches) <= 200
+
+
+def _one_ring_at_a_time(tr, r):
+    """The Cauchy window rule for the transform at one r, each ring one
+    two-edge window term: (total, partial sums, failed end or None)."""
+    ctrl = tr.quad
+    u_lo = max(tr.kernel.support[0], tr.measure.hull()[0] / r * (1.0 - 1e-12))
+    u_hi = min(tr.kernel.support[1], tr.measure.hull()[1] / r * (1.0 + 1e-12))
+    core_lo = ctrl.window_lo if u_lo == 0.0 else u_lo
+    core_hi = ctrl.window_hi if math.isinf(u_hi) else u_hi
+
+    def ring(a, b):
+        return tr._window_term([r], [a, b])[0][0]
+
+    total = ring(core_lo, core_hi)
+    partials = [total]
+    failed = None
+    for improper, edge, step, beyond, end in (
+            (u_lo == 0.0, core_lo, lambda t: t / ctrl.expansion,
+             lambda t: t * r < 1e-300, "zero"),
+            (math.isinf(u_hi), core_hi, lambda t: t * ctrl.expansion,
+             lambda t: t * r > 1e300, "infinity")):
+        if not improper:
+            continue
+        calm, accepted = 0, False
+        for _ in range(ctrl.max_expansions):
+            nxt = step(edge)
+            if beyond(nxt):
+                accepted = calm >= 1
+                break
+            part = ring(min(edge, nxt), max(edge, nxt))
+            edge = nxt
+            total += part
+            partials.append(total)
+            calm_ring = abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol
+            calm = calm + 1 if calm_ring else 0
+            if calm >= 2:
+                accepted = True
+                break
+        if not accepted and failed is None:
+            failed = end
+    return total, partials, failed
+
+
+# at r = 1 the atom at 1/64 lies on the edge between the rings (1/256, 1/64]
+# and (1/64, 1/16] inside one block, and the atom at 16 on the edge between
+# the blocks (4, 16] and (16, 256]
+ATOMS_AND_BREAKPOINTS = RadonMeasure(
+    atoms=[(1.0 / 64.0, 3.0), (0.3, 1.0), (2.0, 0.5j), (16.0, 2.0), (50.0, -1.0)],
+    pieces=(DensityPiece(0.0, 1.5, exponent=-0.3),
+            DensityPiece(1.5, math.inf, coef=2.0, exponent=-0.6)))
+
+
+class TestRingBlocks:
+    """Rings fetched in blocks and integrated as one vector integral per
+    block give the totals, ring counts and partial sums of the rule run one
+    two-edge ring at a time."""
+
+    @staticmethod
+    def _blocks(tr, rs):
+        # the rings of ``KernelTransform.values`` for one group of r
+        def ring(edges, live):
+            return tr._window_term([rs[j] for j in live], edges)
+
+        return _cauchy_windows(ring, 0.0, math.inf, rs, tr.quad)
+
+    @pytest.mark.parametrize("kernel, measure, rs", [
+        (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8]),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8]),
+        (ExpKernel(), ATOMS_AND_BREAKPOINTS, [0.1, 1.0, 1e4]),
+        # the first column leaves the float range at zero inside a block: it
+        # is cut there and the column is rejected, the second one goes on
+        (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-294, 1.0]),
+    ], ids=["exp", "log-singular", "atoms-and-breakpoints", "float-range"])
+    def test_blocks_match_one_ring_at_a_time(self, kernel, measure, rs):
+        tr = KernelTransform(kernel, measure)
+        totals, partials, failed, _ = self._blocks(tr, rs)
+        for j, r in enumerate(rs):
+            total, want, end = _one_ring_at_a_time(tr, r)
+            assert failed.get(j) == end
+            assert len(partials[j]) == len(want) > 3
+            assert abs(totals[j] - total) <= 1e-13 * abs(total)
+            assert np.allclose(partials[j], want, rtol=1e-13, atol=0.0)
+            if end is None:
+                value = KernelTransform(kernel, measure).value(r)
+                assert abs(value - total) <= 1e-13 * abs(total)
+
+    def test_divergence_partials_match(self):
+        tr = KernelTransform(PowerCutKernel(-1.0), LEB)
+        with pytest.raises(DivergenceError) as err:
+            tr.value(1.0)
+        total, want, end = _one_ring_at_a_time(tr, 1.0)
+        assert end == "zero" and "at zero" in str(err.value)
+        assert len(err.value.partials) == len(want) == 1 + tr.quad.max_expansions
+        assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
+
+    def test_log_table_work(self, monkeypatch):
+        # the seed-0 log-singular table of the benchmark: 2,073
+        # adaptive_quad calls when each ring was its own integral
+        from azarin import numerics
+        calls = []
+        adaptive_quad = numerics.adaptive_quad
+
+        def counting_adaptive_quad(*args, **kwargs):
+            calls.append(1)
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "adaptive_quad", counting_adaptive_quad)
+        rho = 0.7
+        tr = KernelTransform(LogSingularKernel(), RadonMeasure.power_density(rho - 1.0))
+        grid = [10.0 ** (-2.0 + 0.4 * k) for k in range(25)]
+        got = [tr.value(r) for r in grid]
+        want = (math.pi / rho) / math.tan(math.pi * rho)
+        assert all(abs(v / r ** rho - want) <= 1e-8 * abs(want)
+                   for r, v in zip(grid, got))
+        assert len(calls) <= 2073 // 4
 
 
 class TestNormalizedLimits:

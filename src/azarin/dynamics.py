@@ -122,6 +122,9 @@ def _extrapolate(ts, pairings):
     return coef[0]
 
 
+_DIST_ROWS = 8
+
+
 def estimate_limit_set(samples, fam=None, eps_cluster=1e-3,
                        transient_fraction=0.2, top_decades=2.0,
                        zero_threshold=1e-8):
@@ -138,11 +141,12 @@ def estimate_limit_set(samples, fam=None, eps_cluster=1e-3,
         raise ValueError("no post-transient samples left")
     kept = [samples[i] for i in idx]
     P = np.array([s.pairings for s in kept])
-    n = len(kept)
-    dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = fam.distance_from_pairings(P[i], P[j])
+    # distance_from_pairings of every pair, broadcast over blocks of rows
+    # so that the (rows, samples, members) temporaries stay small
+    dist = np.empty((len(kept), len(kept)))
+    for i in range(0, len(kept), _DIST_ROWS):
+        diff = np.abs(P[i:i + _DIST_ROWS, None] - P[None, :])
+        dist[i:i + _DIST_ROWS] = np.sum(fam.weights * diff / (1.0 + diff), axis=-1)
     clusters = _single_linkage(dist, eps_cluster)
     reps, rep_ts, rep_pairings, limits, zero_flags = [], [], [], [], []
     for group in clusters:

@@ -125,6 +125,17 @@ class TestLimitSetRecovery:
                     for q in est.representative_pairings)
             assert d <= 2e-3
 
+    def test_distances_are_distance_from_pairings_bit_for_bit(self, fam):
+        # 48 samples: six blocks of rows, the last one short
+        m = RadonMeasure.power_density(complex(-0.5, 3.0))
+        traj = sample_trajectory(m, ProximateOrder(0.5),
+                                 geometric_schedule(1e3, 1e6, 48), fam)
+        est = estimate_limit_set(traj, fam, transient_fraction=0.0,
+                                 top_decades=100.0)
+        want = np.array([[fam.distance_from_pairings(a.pairings, b.pairings)
+                          for b in est.samples] for a in est.samples])
+        assert np.array_equal(est.distances, want)
+
     def test_sparse_two_clusters_with_zero(self, fam):
         traj = sample_trajectory(sparse(), O1, sparse_schedule(), fam)
         est = estimate_limit_set(traj, fam, transient_fraction=0.0,

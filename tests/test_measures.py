@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy.integrate import quad
+from hypothesis import assume, given, strategies as st
+from scipy.integrate import fixed_quad, quad
+from scipy.interpolate import CubicSpline
 
-from azarin import measures
+from azarin import measures, numerics
 from azarin.dynamics import geometric_schedule
 from azarin.kernels import ExpKernel, IndicatorKernel, LogSingularKernel
 from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
-                             RadonMeasure, SelfSimilarTail, TestFunction,
-                             azarin_scale, class_membership, lower_density,
-                             upper_density)
-from azarin.numerics import DEFAULT_QUAD, QuadControl, WindowError, log_quad
+                             RadonMeasure, SelfSimilarTail, TabulatedPiece,
+                             TestFunction, azarin_scale, class_membership,
+                             lower_density, upper_density)
+from azarin.numerics import DEFAULT_QUAD, WindowError, log_quad
 from azarin.orders import LogPowerZero, ProximateOrder
 from azarin.transforms import KernelTransform, averaged_measure
 
@@ -142,21 +143,51 @@ def test_masses_match_scalar_mass_and_scipy(case, absolute):
 
 _KERNELS = {
     "test_function": lambda lo, hi: TestFunction(lo, hi, ramp=(hi - lo) / 3.0),
+    "one": lambda lo, hi: measures._ONE,
     "exp": lambda lo, hi: ExpKernel(),
     "log_singular": lambda lo, hi: LogSingularKernel(),
     "indicator": lambda lo, hi: IndicatorKernel(lo * 1.5, hi * 0.75),
 }
 
 
-@st.composite
-def dilation_cases(draw, self_similar):
-    """A measure (atoms, complex power pieces, with ``self_similar`` a tail
-    of period 1.25, 2 or 3), a g over (lo, hi] and sorted scales with a
-    duplicate and scales that put s lo or s hi exactly on an atom or a
-    piece end.
+def _table(draw, scales, g):
+    """A TabulatedPiece over 2-9 knots 0.1-0.6 apart in ln t, its values
+    amp * e^{k x} (1 + w) with k of either sign (growing or decaying along
+    the table) and a wiggle w, so that the cubic's third derivative jumps
+    at the knots.  Sometimes a knot is log(s b) for a kink b of g and a
+    scale s, so that the kink lies exactly on it; its interval (lo, hi]
+    may reach past the end knots, where the end cubics extrapolate."""
+    x = np.cumsum([draw(st.floats(-1.0, 1.5))]
+                  + draw(st.lists(st.floats(0.1, 0.6), min_size=1, max_size=8)))
+    kinks = g.breakpoints()
+    if kinks and draw(st.booleans()):
+        s, b = draw(st.sampled_from(scales)), draw(st.sampled_from(kinks))
+        knot = np.log(np.array([s * b]))[0]
+        if np.all(np.abs(x - knot) > 0.05):
+            x = np.sort(np.append(x, knot))
+    k = complex(draw(st.floats(-2.5, 2.5)), draw(st.floats(-2.0, 2.0)))
+    amp = complex(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
+    wiggle = draw(st.lists(st.floats(-0.3, 0.3), min_size=x.size, max_size=x.size))
+    values = [amp * np.exp(k * xi) * (1.0 + w) for xi, w in zip(x, wiggle)]
+    lo = math.exp(x[0]) * draw(st.sampled_from([1.0, 0.8, 1.05]))
+    hi = math.exp(x[-1]) * draw(st.sampled_from([1.0, 1.25, 0.97]))
+    return TabulatedPiece(lo, hi, tuple(x.tolist()), tuple(values))
 
-    Locations are multiples of 1/16 and lo, hi powers of 2, so the scale
-    x / lo is exact and s lo lands on x exactly.
+
+@st.composite
+def dilation_cases(draw, self_similar, absolute, tables=False):
+    """A measure (atoms, complex power pieces, with ``self_similar`` a tail
+    of period 1.25, 2 or 3), a g over the windows of ``edges`` and sorted
+    scales with a duplicate and scales that put s lo or s hi exactly on an
+    atom or a piece end.
+
+    Locations are multiples of 1/16 and lo, hi and the inner edges powers
+    of 2, so the scale x / lo is exact and s lo lands on x exactly.  With
+    no tail, no ``absolute`` and a piecewise-linear g (a test function, or
+    g = 1 over several windows as ``masses`` takes it), up to two
+    ``TabulatedPiece``s join, and the window (lo, 1.25 lo] may be narrower
+    than a knot interval.  With ``tables`` there is at least one table and
+    g is one of those two.
     """
     period = draw(st.sampled_from([1.25, 2.0, 3.0])) if self_similar else None
     top = 512 if period is None else int(16 * period)
@@ -165,19 +196,26 @@ def dilation_cases(draw, self_similar):
                           max_size=5, unique=True))
     weight = st.tuples(st.integers(-16, 16), st.integers(-16, 16)).map(
         lambda p: complex(p[0], p[1]) / 8.0)
+    kind = draw(st.sampled_from(["one", "test_function"] if tables else sorted(_KERNELS)))
+    n_tables = 0
+    if not self_similar and not absolute and kind in ("one", "test_function"):
+        n_tables = draw(st.integers(1 if tables else 0, 2))
     pieces = []
-    for _ in range(draw(st.integers(0 if atoms else 1, 3))):
+    for _ in range(draw(st.integers(0 if atoms or n_tables else 1, 3))):
         a, b = sorted(draw(st.lists(loc, min_size=2, max_size=2, unique=True)))
         pieces.append(DensityPiece(a, b, coef=draw(weight) + 0.5,
                                    exponent=complex(draw(st.floats(-0.9, 1.0)),
                                                     draw(st.floats(-3.0, 3.0)))))
     tail = None if period is None else \
         SelfSimilarTail(period, draw(st.sampled_from([0.5, 1.0, 1.5])), 1.0)
-    measure = RadonMeasure(atoms=[(x, draw(weight)) for x in atoms],
-                           pieces=tuple(pieces), tail=tail)
-    kind = draw(st.sampled_from(sorted(_KERNELS)))
     lo = draw(st.sampled_from([0.25, 0.5, 1.0]))
-    hi = draw(st.sampled_from([2.0, 4.0]))
+    hi = draw(st.sampled_from([2.0, 4.0] + ([1.25 * lo] if n_tables else [])))
+    edges = [lo, hi]
+    if kind == "one" and hi > 2.0 * lo:
+        inner = [lo * 2.0 ** k for k in range(1, int(math.log2(hi / lo)))]
+        edges = [lo] + draw(st.lists(st.sampled_from(inner), min_size=1, unique=True)
+                            .map(sorted)) + [hi]
+    g = _KERNELS[kind](lo, hi)
     # points on which s lo or s hi may land: atoms and piece ends, with
     # their self-similar images
     images = [1.0] if period is None else [period ** k for k in range(-2, 4)]
@@ -185,15 +223,25 @@ def dilation_cases(draw, self_similar):
                     for f in images})
     scales = draw(st.lists(st.integers(4, 32).map(lambda m: m / 8.0),
                            min_size=1, max_size=3))
-    for _ in range(draw(st.integers(0, 3))):
-        scales.append(draw(st.sampled_from(marks)) / draw(st.sampled_from([lo, hi])))
+    ends = [e for e in (lo, hi) if math.frexp(e)[0] == 0.5]   # s e lands exactly
+    for _ in range(draw(st.integers(0, 3)) if marks else 0):
+        scales.append(draw(st.sampled_from(marks)) / draw(st.sampled_from(ends)))
     scales.append(draw(st.sampled_from(scales)))   # a duplicate
+    scales = sorted(scales)
+    # an atom on a singular point of g has no finite pairing
+    assume(all(abs(x * f - s * p) > 1e-9 * s for x in atoms for s in scales
+               for p in g.singular_points
+               for f in ([1.0] if period is None else [period ** k for k in range(-40, 40)])))
+    pieces += [_table(draw, scales, g) for _ in range(n_tables)]
+    measure = RadonMeasure(atoms=[(x, draw(weight)) for x in atoms],
+                           pieces=tuple(pieces), tail=tail)
     norms = [1.0 + 0.25 * draw(st.integers(0, 4)) for _ in scales]
-    return measure, kind, _KERNELS[kind](lo, hi), lo, hi, sorted(scales), norms
+    return measure, kind, g, edges, scales, norms
 
 
 def _oracle_density(measure, t):
-    """The density at t by hand: each self-similar image of each piece."""
+    """The power density at t by hand: each self-similar image of each
+    ``DensityPiece``."""
     out = 0.0j
     tail = measure.tail
     ks = [0] if tail is None else range(
@@ -203,15 +251,37 @@ def _oracle_density(measure, t):
         f = 1.0 if tail is None else tail.period ** k
         gain = 1.0 if tail is None else tail.period ** ((tail.rho - 1.0) * k)
         for p in measure.pieces:
-            if p.lo * f < t <= p.hi * f:
+            if isinstance(p, DensityPiece) and p.lo * f < t <= p.hi * f:
                 out += gain * p.coef * (t / f) ** p.exponent
     return out
 
 
+def _oracle_table(p, g, s, n, lo, hi):
+    """The dilation integral of a ``TabulatedPiece`` over (lo, hi] and the
+    integral of its modulus: scipy's not-a-knot ``CubicSpline`` through the
+    table, with 40-point Gauss-Legendre ``fixed_quad`` between consecutive
+    points of the window, g's kinks, the piece's ends and the knots, all in
+    u = t / s, where the integrand is smooth."""
+    spline = CubicSpline(p.log_nodes, p.values)
+    cuts = [u for u in [lo, hi] + list(g.breakpoints())
+            + [p.lo / s, p.hi / s] + [math.exp(x) / s for x in p.log_nodes]
+            if lo <= u <= hi and p.lo / s <= u <= p.hi / s]
+    cuts = sorted(set(cuts))
+
+    def integrand(u):
+        return g(u) * (s / n) * spline(np.log(s * u))
+
+    value = sum(fixed_quad(integrand, a, b, n=40)[0] for a, b in zip(cuts, cuts[1:]))
+    size = sum(fixed_quad(lambda u: np.abs(integrand(u)), a, b, n=40)[0]
+               for a, b in zip(cuts, cuts[1:]))
+    return complex(value), size
+
+
 def _oracle_dilation(measure, g, s, n, lo, hi, absolute):
-    """(atoms, density) parts of the dilation integral at scale s, norm n:
-    a direct atom sum over the half-open (lo, hi] and scipy ``quad`` split
-    at every breakpoint of g and of the measure."""
+    """(atoms, power density, tables, tables' modulus) parts of the dilation
+    integral over (lo, hi] at scale s, norm n: a direct atom sum over the
+    half-open (lo, hi], scipy ``quad`` of the power pieces split at every
+    breakpoint of g and of the measure, and ``_oracle_table`` per table."""
     tail = measure.tail
     ks = [0] if tail is None else range(-40, 40)
     atoms, ends = 0.0j, set()
@@ -232,19 +302,37 @@ def _oracle_dilation(measure, g, s, n, lo, hi, absolute):
 
     dens = sum(quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12, limit=200,
                     complex_func=True)[0] for a, b in zip(cuts, cuts[1:]))
-    return atoms, complex(dens)
+    tables = [_oracle_table(p, g, s, n, lo, hi) for p in measure.pieces
+              if isinstance(p, TabulatedPiece)]
+    return (atoms, complex(dens), sum(v for v, _ in tables),
+            sum(size for _, size in tables))
+
+
+def _assert_matches_oracle(case, absolute):
+    """Tables are paired exactly, so they are held at 1e-12 relative; the
+    power pieces, atoms and kernels at the quadrature budget."""
+    measure, kind, g, edges, scales, norms = case
+    ctrl = DEFAULT_QUAD
+    got = measure.dilation_integrals(g, scales, norms, edges, ctrl, absolute)
+    for lo, hi, row in zip(edges, edges[1:], got):
+        for s, n, value in zip(scales, norms, row):
+            atoms, dens, tab, size = _oracle_dilation(measure, g, s, n, lo, hi,
+                                                      absolute)
+            budget = (ctrl.tol * abs(dens) + ctrl.abs_tol + 1e-14 * abs(atoms)
+                      + 1e-12 * abs(tab) + 1e-14 * size)
+            assert abs(value - (atoms + dens + tab)) <= budget, (kind, s, lo, hi)
 
 
 @pytest.mark.parametrize("self_similar", [False, True])
-@given(data=st.data(), absolute=st.booleans())
-def test_dilation_integrals_match_scipy(self_similar, data, absolute):
-    measure, kind, g, lo, hi, scales, norms = data.draw(dilation_cases(self_similar))
-    ctrl = DEFAULT_QUAD
-    got, = measure.dilation_integrals(g, scales, norms, [lo, hi], ctrl, absolute)
-    for s, n, value in zip(scales, norms, got):
-        atoms, dens = _oracle_dilation(measure, g, s, n, lo, hi, absolute)
-        budget = ctrl.tol * abs(dens) + ctrl.abs_tol + 1e-14 * abs(atoms)
-        assert abs(value - (atoms + dens)) <= budget, (kind, s)
+@given(data=st.data())
+def test_dilation_integrals_match_scipy(self_similar, data):
+    absolute = data.draw(st.booleans())
+    _assert_matches_oracle(data.draw(dilation_cases(self_similar, absolute)), absolute)
+
+
+@given(data=st.data())
+def test_tabulated_dilation_integrals_match_scipy(data):
+    _assert_matches_oracle(data.draw(dilation_cases(False, False, tables=True)), False)
 
 
 class TestPair:
@@ -343,6 +431,16 @@ def _pairings_one_by_one(fam, measure, order, ts, quad=None):
     return np.array([fam.pairings(measure.scaled(order, t), quad) for t in ts])
 
 
+def _knot_split_pairing(scaled, f):
+    """scipy ``quad`` of f against a scaled averaged measure, split at the
+    spline knots and f's kinks."""
+    knots = [math.exp(x) for x in scaled.pieces[0].log_nodes]
+    points = sorted({u for u in knots if f.lo < u < f.hi} | set(f.knots[1:-1]))
+    want, _ = quad(lambda u: (f(u) * scaled.density(np.array([u]))[0]).real,
+                   f.lo, f.hi, points=points, epsabs=0.0, epsrel=1e-13, limit=500)
+    return want
+
+
 @pytest.fixture(scope="module")
 def roundtrip_averaged(fam):
     """The averaged measure, order and schedule of the roundtrip_regular flow."""
@@ -424,27 +522,42 @@ class TestFlowPairings:
             assert np.all(np.abs(got[:, n] - want) <= 1e-12 * np.abs(want))
 
     def test_tabulated_averaged_measure_agrees(self, fam, roundtrip_averaged):
+        # both paths pair the spline exactly, knot interval by knot interval
         measure, order, ts = roundtrip_averaged
-        # at the default tolerance the one-by-one path misses this spline
-        # density by up to 2e-9 (see test_matches_scipy_on_averaged_flow),
-        # so both paths run at a tolerance where it resolves it
-        fine = QuadControl(tol=1e-12)
         sub = ts[::10]
-        want = _pairings_one_by_one(fam, measure, order, sub, fine)
-        _, got = fam.flow_pairings(measure, order, sub, fine)
-        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+        want = _pairings_one_by_one(fam, measure, order, sub)
+        _, got = fam.flow_pairings(measure, order, sub)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_matches_scipy_on_averaged_flow(self, fam, roundtrip_averaged):
         measure, order, ts = roundtrip_averaged
         f, t = fam.members[13], ts[160]   # support [1, 6], t = 3.06e7
-        scaled = measure.scaled(order, t)
-        knots = [math.exp(x) for x in scaled.pieces[0].log_nodes]
-        points = sorted({u for u in knots if f.lo < u < f.hi} | set(f.knots[1:-1]))
-        want, _ = quad(lambda u: (f(u) * scaled.density(np.array([u]))[0]).real,
-                       f.lo, f.hi, points=points, epsabs=0.0, epsrel=1e-13,
-                       limit=500)
+        want = _knot_split_pairing(measure.scaled(order, t), f)
         got = fam.flow_pairings(measure, order, ts)[1][160, 13]
         assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_pair_meets_knot_split_scipy_on_averaged_measure(self, fam,
+                                                             roundtrip_averaged):
+        # GK segments that straddle the spline knots missed this by 1.9e-9
+        measure, order, ts = roundtrip_averaged
+        f = fam.members[13]
+        scaled = measure.scaled(order, ts[160])
+        want = _knot_split_pairing(scaled, f)
+        assert abs(scaled.pair(f) - want) <= 1e-12 * abs(want)
+
+    def test_tabulated_flow_takes_no_gk_batch(self, fam, roundtrip_averaged,
+                                              monkeypatch):
+        measure, order, ts = roundtrip_averaged
+        calls = []
+
+        def counting_gk_eval(f, lo, hi):
+            calls.append(np.size(lo))
+            return gk_eval(f, lo, hi)
+
+        gk_eval = numerics._gk_eval
+        monkeypatch.setattr(numerics, "_gk_eval", counting_gk_eval)
+        fam.flow_pairings(measure, order, ts)
+        assert calls == []
 
     @pytest.mark.parametrize("measure", [
         periodic(),

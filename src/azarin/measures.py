@@ -99,15 +99,9 @@ class DensityPiece:
     factor: object = _UNIT
     arg_scale: float = 1.0
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        mask = (t > self.lo) & (t <= self.hi)
-        out = np.zeros(t.shape, dtype=complex)
-        if mask.any():
-            ts = t[mask]
-            out[mask] = (self.coef * np.exp(self.exponent * np.log(ts))
-                         * self.factor(self.arg_scale * ts))
-        return out
+    def at(self, t):
+        """The formula at each t, inside (lo, hi] or not."""
+        return self.coef * np.exp(self.exponent * np.log(t)) * self.factor(self.arg_scale * t)
 
     def scaled(self, t, scale_value):
         return replace(
@@ -117,22 +111,6 @@ class DensityPiece:
             coef=self.coef * t ** (self.exponent + 1.0) / scale_value,
             arg_scale=self.arg_scale * t,
         )
-
-    def dilated(self, factor, mass_factor):
-        """Image under E -> factor*E carrying mass_factor (self-similar step)."""
-        return replace(
-            self,
-            lo=self.lo * factor,
-            hi=self.hi * factor if not math.isinf(self.hi) else math.inf,
-            coef=self.coef * mass_factor / factor ** (self.exponent + 1.0),
-            arg_scale=self.arg_scale / factor,
-        )
-
-    def breakpoints(self):
-        pts = [self.lo]
-        if not math.isinf(self.hi):
-            pts.append(self.hi)
-        return pts
 
 
 @dataclass(frozen=True)
@@ -176,13 +154,9 @@ class TabulatedPiece:
             object.__setattr__(self, "_spline", spline)
         return self._spline
 
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        mask = (t > self.lo) & (t <= self.hi)
-        out = np.zeros(t.shape, dtype=complex)
-        if mask.any():
-            out[mask] = self._interp()(np.log(t[mask]))
-        return out
+    def at(self, t):
+        """The cubic at each t, inside (lo, hi] or not."""
+        return self._interp()(np.log(t))
 
     def _moment_table(self):
         """(x, q, whole): the knots, the Q_1 and Q_2 coefficient rows of each
@@ -260,17 +234,6 @@ class TabulatedPiece:
             values=tuple(v * t / scale_value for v in self.values),
         )
 
-    def dilated(self, factor, mass_factor):
-        lf = math.log(factor)
-        return TabulatedPiece(
-            lo=self.lo * factor, hi=self.hi * factor,
-            log_nodes=tuple(x + lf for x in self.log_nodes),
-            values=tuple(v * mass_factor / factor for v in self.values),
-        )
-
-    def breakpoints(self):
-        return [self.lo, self.hi]
-
 
 def _exp_moments(q, da, db):
     """E_c = e^{-c x_a} int_{x_a}^{x_b} P(x) e^{c x} dx for the rows c = 1, 2
@@ -287,10 +250,26 @@ def _exp_moments(q, da, db):
 
 @dataclass(frozen=True)
 class SelfSimilarTail:
-    """Extension rule mu(T E) = T**rho mu(E) from a base window [base_lo, T*base_lo)."""
+    """Extension rule mu(T E) = T**rho mu(E) from a base window [base_lo, T*base_lo).
+
+    The base atoms lie in that window and the base pieces (lo, hi] inside
+    [base_lo, T*base_lo]; no image is built.  Image k of an atom x is x T^k
+    with weight T^{k rho}, of a piece (lo, hi] is (lo T^k, hi T^k] with
+    density T^{k (rho - 1)} times the piece at t / T^k.  Each T^k of an
+    image edge is a ``powers`` entry, so an edge is the same product
+    wherever it is formed.  T and rho must be finite, T > 1, base_lo > 0.
+    """
     period: float
     rho: float
     base_lo: float = 1.0
+
+    def __post_init__(self):
+        if not 1.0 < self.period < math.inf:
+            raise ValueError("self-similar period T must be finite and > 1")
+        if not 0.0 < self.base_lo < math.inf:
+            raise ValueError("self-similar base_lo must be finite and > 0")
+        if not math.isfinite(self.rho):
+            raise ValueError("self-similar rho must be finite")
 
     def image_range(self, lo, hi):
         """Indices k with T^k * base window intersecting (lo, hi]."""
@@ -298,6 +277,10 @@ class SelfSimilarTail:
         k_lo = math.floor((math.log(lo) - math.log(self.base_lo * self.period)) / lt)
         k_hi = math.ceil((math.log(hi) - math.log(self.base_lo)) / lt)
         return range(k_lo, k_hi + 1)
+
+    def powers(self, ks, exponent=1.0):
+        """T**(exponent k) for each k of ``ks``, by Python's float power."""
+        return np.array([self.period ** (exponent * float(k)) for k in ks])
 
 
 class RadonMeasure:
@@ -318,6 +301,10 @@ class RadonMeasure:
             if self.atom_x.size and not (np.all(self.atom_x >= tail.base_lo)
                                          and np.all(self.atom_x < hi)):
                 raise ValueError("self-similar base atoms must lie in the base window")
+            # a scaled piece's ends and its scaled window are rounded apart
+            if not all(p.lo >= tail.base_lo * (1.0 - 1e-12)
+                       and p.hi <= hi * (1.0 + 1e-12) for p in self.pieces):
+                raise ValueError("self-similar base pieces must lie in the base window")
             self.window = (0.0, math.inf)
 
     # -- construction helpers -------------------------------------------------
@@ -396,55 +383,51 @@ class RadonMeasure:
             i = np.searchsorted(self.atom_x, lo, side="right")
             j = np.searchsorted(self.atom_x, hi, side="right")
             return self.atom_x[i:j], self.atom_w[i:j]
-        if self.atom_x.size == 0:
-            return np.empty(0), np.empty(0, dtype=complex)
-        xs, ws = [], []
-        T, rho = self.tail.period, self.tail.rho
-        for k in self.tail.image_range(lo, hi):
-            pos = self.atom_x * T ** float(k)
-            wts = self.atom_w * T ** (rho * float(k))
-            mask = (pos > lo) & (pos <= hi)
-            xs.append(pos[mask])
-            ws.append(wts[mask])
-        xs = np.concatenate(xs) if xs else np.empty(0)
-        ws = np.concatenate(ws) if ws else np.empty(0, dtype=complex)
+        ks = self.tail.image_range(lo, hi)
+        xs = np.multiply.outer(self.tail.powers(ks), self.atom_x).ravel()
+        ws = np.multiply.outer(self.tail.powers(ks, self.tail.rho), self.atom_w).ravel()
+        inside = (xs > lo) & (xs <= hi)
+        xs, ws = xs[inside], ws[inside]
         order = np.argsort(xs, kind="stable")
         return xs[order], ws[order]
 
-    def _tail_pieces(self, lo, hi):
-        T, rho = self.tail.period, self.tail.rho
-        out = []
-        for k in self.tail.image_range(lo, hi):
-            factor = T ** float(k)
-            mass_factor = T ** (rho * float(k))
-            for p in self.pieces:
-                out.append(p.dilated(factor, mass_factor))
-        return out
-
-    def _pieces_in(self, lo, hi):
-        if self.tail is None:
-            return [p for p in self.pieces if p.lo < hi and p.hi > lo]
-        return [p for p in self._tail_pieces(lo, hi) if p.lo < hi and p.hi > lo]
-
     def density(self, t):
+        """The density at each t: the sum over the pieces (lo, hi] that hold t.
+
+        Under a self-similar tail, t in image k of a base piece,
+        lo T^k < t <= hi T^k, takes T^{k (rho - 1)} times the piece at
+        t / T^k.  Each t tries k = floor(ln(t / base_lo) / ln T) and both
+        its neighbours, so that rounding in the log drops no point; the
+        edge products decide which image holds it.
+        """
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=complex)
-        lo = float(t.min()) if t.size else 1.0
-        hi = float(t.max()) if t.size else 1.0
-        for p in self._pieces_in(lo * 0.999999, hi * 1.000001):
-            out += p.density(t)
-        return out
+        tail, u, f = self.tail, t, 1.0
+        if tail is not None:
+            ks, which = np.unique(np.floor(np.log(t / tail.base_lo) / math.log(tail.period)),
+                                  return_inverse=True)
+            ks = np.add.outer([-1.0, 0.0, 1.0], ks)
+            which = which.reshape(t.shape)
+            f = tail.powers(ks.ravel()).reshape(ks.shape)[:, which]
+            u = t / f
+        out = np.zeros(u.shape, dtype=complex)
+        for p in self.pieces:
+            inside = (t > p.lo * f) & (t <= p.hi * f)
+            if inside.any():
+                out[inside] += p.at(u[inside])
+        if tail is None:
+            return out
+        return np.sum(np.power(tail.period, (tail.rho - 1.0) * ks)[:, which] * out, axis=0)
 
     def abs_density(self, t):
         return np.abs(self.density(t))
 
     def breakpoints_in(self, lo, hi):
-        pts = set()
-        for p in self._pieces_in(lo, hi):
-            for x in p.breakpoints():
-                if lo < x < hi:
-                    pts.add(float(x))
-        return sorted(pts)
+        """The piece ends in (lo, hi), self-similar images included, sorted."""
+        ends = [e for p in self.pieces for e in (p.lo, p.hi)]
+        if self.tail is not None:
+            ends = [e * f for f in self.tail.powers(self.tail.image_range(lo, hi)).tolist()
+                    for e in ends]
+        return sorted({e for e in ends if lo < e < hi})
 
     def has_density(self):
         return bool(self.pieces)
@@ -542,8 +525,11 @@ class RadonMeasure:
         tail exactly, knot interval by knot interval and vectorized over
         scales (``TabulatedPiece.linear_integrals``), without quadrature.
         The rest of the density then takes the path above, split only at
-        its own breakpoints.  Kernels, ``absolute`` and self-similar tables
-        keep the quadrature, whose GK segments may straddle spline knots.
+        its own breakpoints.  Kernels, ``absolute`` and tables under a
+        self-similar tail keep the quadrature, whose GK segments may
+        straddle spline knots.  A self-similar measure gives its atoms,
+        density and breakpoints from the base window (``atoms_in``,
+        ``density``, ``breakpoints_in``), building no image.
         """
         lo, hi = edges[0], edges[-1]
         out = [[0.0 + 0.0j] * len(scales) for _ in edges[1:]]

@@ -320,6 +320,46 @@ class TestRunErrors:
         assert "config error: measure.densities[0]: %s" % message \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail, interval, path, message", [
+        # T = 1 ended in a ZeroDivisionError traceback
+        ({"T": 1}, [1, 2], "measure.tail",
+         "self-similar period T must be finite and > 1"),
+        # T = 0.5 ran to PASS with an empty base window
+        ({"T": 0.5}, [1, 2], "measure.tail",
+         "self-similar period T must be finite and > 1"),
+        ({"T": "inf"}, [1, 2], "measure.tail",
+         "self-similar period T must be finite and > 1"),
+        # base_lo = 0 was a "math domain error" run error
+        ({"T": 2, "base_lo": 0}, [1, 2], "measure.tail",
+         "self-similar base_lo must be finite and > 0"),
+        ({"T": 2, "base_lo": "nan"}, [1, 2], "measure.tail",
+         "self-similar base_lo must be finite and > 0"),
+        ({"T": 2, "rho": "nan"}, [1, 2], "measure.tail",
+         "self-similar rho must be finite"),
+        # a piece past the base window was counted once per image that
+        # the evaluation happened to build
+        ({"T": 2}, [1, 8], "measure",
+         "self-similar base pieces must lie in the base window"),
+        ({"T": 2}, [1, None], "measure",
+         "self-similar base pieces must lie in the base window"),
+        ({"T": 2}, [0.5, 2], "measure",
+         "self-similar base pieces must lie in the base window"),
+    ], ids=["T-1", "T-half", "T-inf", "base_lo-0", "base_lo-nan", "rho-nan",
+            "piece-past-window", "piece-to-infinity", "piece-below-window"])
+    def test_bad_self_similar_tail_is_a_config_error(self, tail, interval, path,
+                                                     message, tmp_path, capsys):
+        cfg = {"operation": "transform_table", "order": {"rho": 1.0},
+               "kernel": {"kind": "exp"},
+               "measure": {"densities": [{"kind": "power", "interval": interval,
+                                          "s": 0.0}],
+                           "tail": dict({"kind": "self_similar", "rho": 1}, **tail)},
+               "params": {"r_grid": [10.0]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_overflowing_pair_is_a_run_error(self, tmp_path, capsys):
         # r t overflowed, the excess was NaN and the check passed
         cfg = {"operation": "potter_check", "order": {"rho": 1.0},
@@ -593,7 +633,7 @@ class TestConfigSchemaExamples:
     def test_documented_measure_descriptor(self):
         from azarin.configio import parse_measure
         m = parse_measure({"atoms": [[1.0, 1.0]],
-                           "densities": [{"interval": [0, None],
+                           "densities": [{"interval": [1, 2],
                                           "kind": "power", "s": 0.5}],
                            "tail": {"kind": "self_similar", "T": 2, "rho": 1}})
         assert m.tail is not None

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -150,16 +151,29 @@ _KERNELS = {
 }
 
 
-def _table(draw, scales, g):
+def _table(draw, scales, g, period=None):
     """A TabulatedPiece over 2-9 knots 0.1-0.6 apart in ln t, its values
     amp * e^{k x} (1 + w) with k of either sign (growing or decaying along
     the table) and a wiggle w, so that the cubic's third derivative jumps
     at the knots.  Sometimes a knot is log(s b) for a kink b of g and a
     scale s, so that the kink lies exactly on it; its interval (lo, hi]
-    may reach past the end knots, where the end cubics extrapolate."""
-    x = np.cumsum([draw(st.floats(-1.0, 1.5))]
-                  + draw(st.lists(st.floats(0.1, 0.6), min_size=1, max_size=8)))
-    kinks = g.breakpoints()
+    may reach past the end knots, where the end cubics extrapolate.
+
+    With a ``period``, 2-7 knots run in ln t from a to b, a between -0.2
+    and 0.3 and b between 0.7 and 1.2 times ln period, and (lo, hi] is the
+    part of the base window [1, period] of a self-similar tail between the
+    end knots."""
+    if period is None:
+        x = np.cumsum([draw(st.floats(-1.0, 1.5))]
+                      + draw(st.lists(st.floats(0.1, 0.6), min_size=1, max_size=8)))
+        kinks = g.breakpoints()
+    else:
+        span = math.log(period)
+        a, b = draw(st.floats(-0.2, 0.3)) * span, draw(st.floats(0.7, 1.2)) * span
+        gaps = np.cumsum([0.0] + draw(st.lists(st.floats(0.2, 1.0), min_size=1,
+                                               max_size=6)))
+        x = a + (b - a) * gaps / gaps[-1]
+        kinks = []
     if kinks and draw(st.booleans()):
         s, b = draw(st.sampled_from(scales)), draw(st.sampled_from(kinks))
         knot = np.log(np.array([s * b]))[0]
@@ -169,6 +183,9 @@ def _table(draw, scales, g):
     amp = complex(draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0)))
     wiggle = draw(st.lists(st.floats(-0.3, 0.3), min_size=x.size, max_size=x.size))
     values = [amp * np.exp(k * xi) * (1.0 + w) for xi, w in zip(x, wiggle)]
+    if period is not None:
+        lo, hi = max(1.0, math.exp(x[0])), min(period, math.exp(x[-1]))
+        return TabulatedPiece(lo, hi, tuple(x.tolist()), tuple(values))
     lo = math.exp(x[0]) * draw(st.sampled_from([1.0, 0.8, 1.05]))
     hi = math.exp(x[-1]) * draw(st.sampled_from([1.0, 1.25, 0.97]))
     return TabulatedPiece(lo, hi, tuple(x.tolist()), tuple(values))
@@ -187,7 +204,9 @@ def dilation_cases(draw, self_similar, absolute, tables=False):
     g = 1 over several windows as ``masses`` takes it), up to two
     ``TabulatedPiece``s join, and the window (lo, 1.25 lo] may be narrower
     than a knot interval.  With ``tables`` there is at least one table and
-    g is one of those two.
+    g is one of those two.  With a tail, up to one table inside the base
+    window joins for any g and ``absolute``; it takes the quadrature, and
+    the oracle evaluates its images with scipy's spline.
     """
     period = draw(st.sampled_from([1.25, 2.0, 3.0])) if self_similar else None
     top = 512 if period is None else int(16 * period)
@@ -198,7 +217,9 @@ def dilation_cases(draw, self_similar, absolute, tables=False):
         lambda p: complex(p[0], p[1]) / 8.0)
     kind = draw(st.sampled_from(["one", "test_function"] if tables else sorted(_KERNELS)))
     n_tables = 0
-    if not self_similar and not absolute and kind in ("one", "test_function"):
+    if self_similar:
+        n_tables = draw(st.integers(0, 1))
+    elif not absolute and kind in ("one", "test_function"):
         n_tables = draw(st.integers(1 if tables else 0, 2))
     pieces = []
     for _ in range(draw(st.integers(0 if atoms or n_tables else 1, 3))):
@@ -232,27 +253,41 @@ def dilation_cases(draw, self_similar, absolute, tables=False):
     assume(all(abs(x * f - s * p) > 1e-9 * s for x in atoms for s in scales
                for p in g.singular_points
                for f in ([1.0] if period is None else [period ** k for k in range(-40, 40)])))
-    pieces += [_table(draw, scales, g) for _ in range(n_tables)]
+    pieces += [_table(draw, scales, g, period) for _ in range(n_tables)]
     measure = RadonMeasure(atoms=[(x, draw(weight)) for x in atoms],
                            pieces=tuple(pieces), tail=tail)
     norms = [1.0 + 0.25 * draw(st.integers(0, 4)) for _ in scales]
     return measure, kind, g, edges, scales, norms
 
 
+@functools.lru_cache(maxsize=16)
+def _scipy_spline(log_nodes, values):
+    return CubicSpline(log_nodes, values)
+
+
 def _oracle_density(measure, t):
-    """The power density at t by hand: each self-similar image of each
-    ``DensityPiece``."""
+    """The density at t by hand: each self-similar image of each piece.  The
+    image k of (lo, hi] is (lo T^k, hi T^k], both products formed by
+    Python's float power; it carries T^{k (rho - 1)} times the piece at
+    t / T^k, a ``DensityPiece`` by its power formula and a
+    ``TabulatedPiece`` by scipy's not-a-knot ``CubicSpline`` in ln t."""
     out = 0.0j
     tail = measure.tail
-    ks = [0] if tail is None else range(
-        math.floor(math.log(t) / math.log(tail.period)) - 1,
-        math.floor(math.log(t) / math.log(tail.period)) + 2)
+    ks = [0]
+    if tail is not None:
+        k = math.floor(math.log(t / tail.base_lo) / math.log(tail.period))
+        ks = range(k - 2, k + 3)
     for k in ks:
         f = 1.0 if tail is None else tail.period ** k
         gain = 1.0 if tail is None else tail.period ** ((tail.rho - 1.0) * k)
         for p in measure.pieces:
-            if isinstance(p, DensityPiece) and p.lo * f < t <= p.hi * f:
+            if not p.lo * f < t <= p.hi * f:
+                continue
+            if isinstance(p, DensityPiece):
                 out += gain * p.coef * (t / f) ** p.exponent
+            else:
+                spline = _scipy_spline(p.log_nodes, p.values)
+                out += gain * complex(spline(math.log(t / f)))
     return out
 
 
@@ -278,11 +313,14 @@ def _oracle_table(p, g, s, n, lo, hi):
 
 
 def _oracle_dilation(measure, g, s, n, lo, hi, absolute):
-    """(atoms, power density, tables, tables' modulus) parts of the dilation
+    """(atoms, density, tables, tables' modulus) parts of the dilation
     integral over (lo, hi] at scale s, norm n: a direct atom sum over the
-    half-open (lo, hi], scipy ``quad`` of the power pieces split at every
-    breakpoint of g and of the measure, and ``_oracle_table`` per table."""
+    half-open (lo, hi], scipy ``quad`` of ``_oracle_density`` split at every
+    breakpoint of g and of the measure, and ``_oracle_table`` per table of
+    a tail-free measure (under a tail the tables are in the density)."""
     tail = measure.tail
+    dense = measure if tail is not None else RadonMeasure(
+        pieces=[p for p in measure.pieces if isinstance(p, DensityPiece)])
     ks = [0] if tail is None else range(-40, 40)
     atoms, ends = 0.0j, set()
     for k in ks:
@@ -297,13 +335,13 @@ def _oracle_dilation(measure, g, s, n, lo, hi, absolute):
                               if lo < b < hi} | {e for e in ends if lo < e < hi})
 
     def integrand(u):
-        d = _oracle_density(measure, s * u)
+        d = _oracle_density(dense, s * u)
         return complex(g(np.array([u]))[0]) * (s / n) * (abs(d) if absolute else d)
 
     dens = sum(quad(integrand, a, b, epsabs=1e-14, epsrel=1e-12, limit=200,
                     complex_func=True)[0] for a, b in zip(cuts, cuts[1:]))
     tables = [_oracle_table(p, g, s, n, lo, hi) for p in measure.pieces
-              if isinstance(p, TabulatedPiece)]
+              if isinstance(p, TabulatedPiece) and tail is None]
     return (atoms, complex(dens), sum(v for v, _ in tables),
             sum(size for _, size in tables))
 
@@ -333,6 +371,94 @@ def test_dilation_integrals_match_scipy(self_similar, data):
 @given(data=st.data())
 def test_tabulated_dilation_integrals_match_scipy(data):
     _assert_matches_oracle(data.draw(dilation_cases(False, False, tables=True)), False)
+
+
+def _edge_measures():
+    """Self-similar measures with T = 2 and T = 1.25, base_lo 1 and scaled."""
+    two = RadonMeasure(atoms=[(1.0, 1.0), (1.5, 2.0 - 1.0j)],
+                       pieces=(DensityPiece(1.0, 1.5, coef=0.5, exponent=0.3),
+                               DensityPiece(1.25, 2.0, coef=1.0 - 0.5j,
+                                            exponent=complex(-0.4, 2.0))),
+                       tail=SelfSimilarTail(2.0, 1.5, 1.0))
+    fine = RadonMeasure(atoms=[(1.0, 1.0), (1.1, 0.5)],
+                        pieces=(DensityPiece(1.0, 1.25, coef=0.5, exponent=0.3),
+                                DensityPiece(1.0, 1.1, coef=2.0,
+                                             exponent=complex(-0.5, 1.0))),
+                        tail=SelfSimilarTail(1.25, 1.0, 1.0))
+    return [two, fine, two.scaled(O1, 3.7), fine.scaled(O1, 100.0 * math.pi)]
+
+
+def _edge_windows(measure):
+    """Windows over many periods and windows whose ends are image edges."""
+    T, base = measure.tail.period, measure.tail.base_lo
+    x, (p, q) = measure.atom_x, measure.pieces
+    return [(1e-3, 1e8), (base, base * T), (base * T ** -3, base * T ** 4),
+            (x[1] * T ** 2, x[0] * T ** 9), (p.hi * T ** -2, q.lo * T ** 3),
+            (q.hi * T ** 5, p.lo * T ** 7)]
+
+
+@pytest.mark.parametrize("measure", _edge_measures(),
+                         ids=["T2", "T1.25", "T2-scaled", "T1.25-scaled"])
+class TestSelfSimilarImages:
+    """The image-edge rule of a self-similar measure: image k of a base
+    piece (lo, hi] is (lo T^k, hi T^k], of an atom x is x T^k, each product
+    formed by Python's float power."""
+
+    def test_density(self, measure):
+        T, base = measure.tail.period, measure.tail.base_lo
+        ends = [base] + [e for p in measure.pieces for e in (p.lo, p.hi)]
+        edges = [e * T ** k for e in ends for k in range(-80, 120)]
+        edges = np.array([t for t in edges if 1e-3 <= t <= 1e8])
+        ts = np.concatenate([edges, np.geomspace(1e-3, 1e8, 2001)])
+        got = measure.density(ts)
+        want = np.array([_oracle_density(measure, t) for t in ts])
+        assert np.array_equal(got == 0, want == 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        # a point alone falls in the same image as in the array
+        alone = np.array([measure.density(edges[i:i + 1])[0] for i in range(edges.size)])
+        assert np.array_equal(alone == 0, got[:edges.size] == 0)
+        assert np.all(np.abs(alone - got[:edges.size]) <= 1e-13 * np.abs(got[:edges.size]))
+
+    def test_breakpoints(self, measure):
+        T = measure.tail.period
+        ends = {e for p in measure.pieces for e in (p.lo, p.hi)}
+        images = {e * T ** k for e in ends for k in range(-150, 150)}
+        for lo, hi in _edge_windows(measure):
+            assert measure.breakpoints_in(lo, hi) == sorted(x for x in images
+                                                            if lo < x < hi)
+
+    def test_atoms(self, measure):
+        T, rho = measure.tail.period, measure.tail.rho
+        images = sorted(((x * T ** k, w * T ** (rho * k)) for k in range(-150, 150)
+                         for x, w in zip(measure.atom_x.tolist(),
+                                         measure.atom_w.tolist())),
+                        key=lambda a: a[0])
+        for lo, hi in _edge_windows(measure):
+            want = [(x, w) for x, w in images if lo < x <= hi]
+            xs, ws = measure.atoms_in(lo, hi)
+            assert xs.tolist() == [x for x, _ in want]
+            want_w = np.array([w for _, w in want], dtype=complex)
+            assert np.all(np.abs(ws - want_w) <= 1e-13 * np.abs(want_w))
+
+
+class TestBaseWindow:
+    @pytest.mark.parametrize("piece", [
+        DensityPiece(1.0, 8.0), DensityPiece(1.0, math.inf), DensityPiece(0.5, 2.0),
+        DensityPiece(0.0, 1.5), TabulatedPiece(1.5, 3.0, (0.0, 1.0), (1.0, 2.0))])
+    def test_pieces_past_the_base_window_are_rejected(self, piece):
+        # (1, 8] under T = 2 gave density 2 at t = 5 alone and 3, the sum
+        # over its images k = 0, 1, 2, next to t = 0.6
+        with pytest.raises(ValueError, match="base pieces must lie in the base window"):
+            RadonMeasure(pieces=(piece,), tail=SelfSimilarTail(2.0, 1.0, 1.0))
+
+    def test_scaled_images_are_accepted(self):
+        # 1.25 / t and (1 / t) * 1.25 differ in the last bit for 30 of these t
+        m = RadonMeasure(atoms=[(1.0, 1.0)],
+                         pieces=(DensityPiece(1.0, 1.25, coef=0.5, exponent=0.3),),
+                         tail=SelfSimilarTail(1.25, 1.0, 1.0))
+        for t in geometric_schedule(1e2, 1e8, 176):
+            scaled = m.scaled(O1, t)
+            assert scaled.scaled(O1, 3.7).pieces[0].hi == scaled.pieces[0].hi / 3.7
 
 
 class TestPair:

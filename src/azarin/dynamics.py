@@ -324,11 +324,12 @@ def positive_regularity_criterion(measure, order, r_grid, ab=(1.0, math.e),
     v = np.array([float(order.scale(r)) for r in r_grid])
     if order.rho > 0:
         branch = "head"
-        vals = np.array([measure.mass(1.0, r, quad).real for r in r_grid]) / v
+        vals = measure.cumulative_masses(1.0, r_grid, quad).real / v
     elif order.rho < 0:
         branch = "tail"
-        vals = np.array([measure.improper_mass(r, math.inf, quad).real
-                         for r in r_grid]) / v
+        r_max = r_grid.max()
+        vals = (measure.improper_mass(r_max, math.inf, quad)
+                - measure.cumulative_masses(r_max, r_grid, quad)).real / v
     else:
         branch = "window"
         a, b = ab

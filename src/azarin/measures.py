@@ -273,6 +273,9 @@ class SelfSimilarTail:
 
     def image_range(self, lo, hi):
         """Indices k with T^k * base window intersecting (lo, hi]."""
+        if not (0.0 < lo and hi < math.inf):
+            raise ValueError("a self-similar measure has infinitely many images "
+                             "on the unbounded range (%g, %g]" % (lo, hi))
         lt = math.log(self.period)
         k_lo = math.floor((math.log(lo) - math.log(self.base_lo * self.period)) / lt)
         k_hi = math.ceil((math.log(hi) - math.log(self.base_lo)) / lt)
@@ -452,6 +455,24 @@ class RadonMeasure:
         out = np.array(self.dilation_integrals(_ONE, rs, [1.0] * len(rs), edges,
                                                quad, absolute))
         return out.real if absolute else out
+
+    def cumulative_masses(self, c, ts, quad=DEFAULT_QUAD):
+        """mu((c, t]) at each t of ``ts`` above c, -mu((t, c]) below, 0 at c.
+
+        One ``_masses`` over the sorted distinct edges of ``ts`` and c; the
+        window masses are summed outward from c on each side, so no value
+        is a difference of running sums.  Returns a complex array of the
+        shape of ``ts``; c and every t must lie in (0, oo).
+        """
+        ts = np.asarray(ts, dtype=float)
+        edges, where = np.unique(np.append(ts, c), return_inverse=True)
+        if not (0.0 < edges[0] and edges[-1] < math.inf):
+            raise ValueError("cumulative masses require c and t in (0, oo)")
+        w = (self._masses(edges.tolist(), [1.0], quad, False)[:, 0] if edges.size > 1
+             else np.zeros(0, dtype=complex))
+        k = where[-1]
+        out = np.concatenate([-np.cumsum(w[:k][::-1])[::-1], [0.0], np.cumsum(w[k:])])
+        return out[where[:-1]].reshape(ts.shape)
 
     def mass(self, lo, hi, quad=DEFAULT_QUAD, absolute=False):
         """mu((lo, hi]) with 0 < lo < hi (finite); |mu| with ``absolute``."""

@@ -446,39 +446,13 @@ def distribution_function(measure, quad=DEFAULT_QUAD):
                  | set(measure.breakpoints_in(0.0, math.inf)))
 
     if finite_tail:
-        ref = max(hull[0] * 0.5, 1e-12)
-        if math.isinf(hull[1]):
-            total = measure.improper_mass(ref, math.inf, quad)
-        else:
-            total = measure.mass(ref, hull[1] * 2.0, quad)
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            out = np.empty(t.shape, dtype=complex)
-            flat = out.ravel()
-            for i, x in enumerate(t.ravel()):
-                if x > ref:
-                    got = measure.mass(ref, x, quad)
-                elif 0.0 < x < ref:
-                    got = -measure.mass(x, ref, quad)
-                else:
-                    got = 0.0
-                flat[i] = -(total - got)
-            return out
-
-        return PiecewiseFunction(fn, bps, label="neg-tail-mass")
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape, dtype=complex)
-        flat = out.ravel()
-        lo_ref = hull[0]
-        for i, x in enumerate(t.ravel()):
-            flat[i] = 0.0 if x <= lo_ref else \
-                measure.mass(lo_ref * (1 - 1e-15), x, quad)
-        return out
-
-    return PiecewiseFunction(fn, bps, label="head-mass")
+        ref, label = max(hull[0] * 0.5, 1e-12), "neg-tail-mass"
+        offset = -measure.improper_mass(ref, math.inf, quad)
+    else:
+        # just below the hull, so that an atom on its lower edge counts
+        ref, label, offset = hull[0] * (1 - 1e-15), "head-mass", 0.0
+    return PiecewiseFunction(lambda t: offset + measure.cumulative_masses(ref, t, quad),
+                             bps, label=label)
 
 
 def antiderivative_chain(measure, depth, domain, quad=DEFAULT_QUAD):

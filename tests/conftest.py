@@ -18,3 +18,18 @@ def fam():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def dilation_calls(monkeypatch):
+    """A list that gains one entry per ``RadonMeasure.dilation_integrals`` call."""
+    from azarin.measures import RadonMeasure
+    calls = []
+    inner = RadonMeasure.dilation_integrals
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        return inner(self, *args, **kw)
+
+    monkeypatch.setattr(RadonMeasure, "dilation_integrals", counted)
+    return calls

@@ -360,6 +360,21 @@ class TestRunErrors:
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_stable_order_of_self_similar_tail_is_a_config_error(self, tmp_path,
+                                                                 capsys):
+        # its breakpoints over (0, oo) ended in "run error: math domain error"
+        cfg = {"operation": "stable_order_check", "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "interval": [1, 2],
+                                          "s": 0.0}],
+                           "tail": {"kind": "self_similar", "T": 2, "rho": 1}}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: measure.tail: " in err
+        assert "math domain error" not in err
+        assert not list((tmp_path / "out").iterdir())
+
     def test_overflowing_pair_is_a_run_error(self, tmp_path, capsys):
         # r t overflowed, the excess was NaN and the check passed
         cfg = {"operation": "potter_check", "order": {"rho": 1.0},

@@ -248,9 +248,10 @@ class TestEnvelope:
 
 
 class TestPositiveRegularity:
-    def test_positive_order_branch(self):
+    def test_positive_order_branch(self, dilation_calls):
         m = RadonMeasure.power_density(0.0)
         rep = positive_regularity_criterion(m, O1, np.geomspace(1e2, 1e6, 20))
+        assert len(dilation_calls) == 1   # one mass integral for the grid
         assert rep.branch == "head"
         assert rep.regular
         assert rep.limit_estimate == pytest.approx(1.0, rel=1e-3)
@@ -276,6 +277,9 @@ class TestPositiveRegularity:
         assert rep.branch == "tail"
         assert rep.regular
         assert rep.limit_estimate == pytest.approx(2.0, rel=1e-6)
+        # mu((r, oo)) / V(r) = 2 at every r; the Cauchy rings of
+        # mu((r_max, oo)) stop at an absolute error of ~1e-10
+        assert np.allclose(rep.samples, 2.0, rtol=5e-8, atol=0.0)
 
     def test_signed_measure_rejected(self):
         m = RadonMeasure.from_atoms([(1.0, -1.0)])

@@ -87,6 +87,84 @@ class TestMass:
         assert m.improper_mass(0.0, 1.5) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestCumulativeMasses:
+    """mu((c, t]) above c, -mu((t, c]) below, 0 at c, for each t."""
+
+    def _budget(self, measure, t, c, ctrl=DEFAULT_QUAD):
+        lo, hi = sorted((t, c))
+        size = measure.mass(lo, hi, absolute=True) if hi > lo else 0.0
+        return ctrl.tol * size + ctrl.abs_tol
+
+    def test_power_density_closed_form(self):
+        m = RadonMeasure.power_density(-0.5)   # mu((a, b]) = 2 (sqrt b - sqrt a)
+        c = 2.0
+        ts = np.array([0.01, 0.5, 1.0, 2.0, 3.0, 10.0, 1e4])
+        got = m.cumulative_masses(c, ts)
+        want = 2.0 * (np.sqrt(ts) - math.sqrt(c))
+        assert got.dtype == complex and got.shape == ts.shape
+        for t, g, w in zip(ts, got, want):
+            assert abs(g - w) <= self._budget(m, t, c)
+
+    def test_atoms_on_a_point_and_on_c(self):
+        # half-open windows: an atom on c counts only below it, one on t
+        # counts above c
+        m = RadonMeasure.from_atoms([(2.0, 1.0), (3.0, 5.0), (0.5, 1j)])
+        got = m.cumulative_masses(2.0, [0.5, 1.0, 2.0, 3.0, 4.0])
+        assert got.tolist() == [-1.0, -1.0, 0.0, 5.0, 5.0]
+
+    def test_points_around_c_in_any_order(self):
+        m = RadonMeasure(atoms=[(1.5, 2.0), (4.0, -1.0 + 1.0j)],
+                         pieces=(DensityPiece(1.0, 5.0, coef=1.0, exponent=1.0),))
+
+        def head(x):   # mu((0, x]) in closed form
+            atoms = np.sum(m.atom_w[m.atom_x <= x])
+            return atoms + (min(max(x, 1.0), 5.0) ** 2 - 1.0) / 2.0
+
+        c = 2.5
+        ts = np.array([4.0, 2.5, 1.2, 4.0, 0.5, 6.0, 2.5, 1.5])
+        got = m.cumulative_masses(c, ts)
+        for t, g in zip(ts, got):
+            assert abs(g - (head(t) - head(c))) <= 2.0 * self._budget(m, t, c)
+            one = m.mass(c, t) if t > c else -m.mass(t, c) if t < c else 0.0
+            assert abs(g - one) <= 2.0 * self._budget(m, t, c)
+        assert got[1] == got[6] == 0.0
+        assert got[0] == got[3]
+        # a 2-D ts is the same edges, so the same values in its shape
+        square = m.cumulative_masses(c, ts.reshape(2, 4))
+        assert square.shape == (2, 4)
+        assert np.array_equal(square, got.reshape(2, 4))
+
+    def test_period_two_self_similar_against_mass(self):
+        m = RadonMeasure(atoms=[(1.0, 1.0), (1.5, 2.0 - 1.0j)],
+                         pieces=(DensityPiece(1.0, 1.5, coef=0.5, exponent=0.3),
+                                 DensityPiece(1.25, 2.0, coef=1.0 - 0.5j,
+                                              exponent=complex(-0.4, 2.0))),
+                         tail=SelfSimilarTail(2.0, 1.5, 1.0))
+        c = 3.0
+        ts = np.concatenate([np.geomspace(0.01, 300.0, 11),
+                             [0.75, 1.5, 3.0, 6.0, 2.5 * 2.0 ** 6]])
+        got = m.cumulative_masses(c, ts)
+        for t, g in zip(ts, got):
+            one = m.mass(c, t) if t > c else -m.mass(t, c) if t < c else 0.0
+            assert abs(g - one) <= 2.0 * self._budget(m, t, c)
+
+    def test_a_lone_c_makes_no_call(self, dilation_calls):
+        m = RadonMeasure.from_atoms([(2.0, 1.0)])
+        assert m.cumulative_masses(2.0, 2.0).shape == ()
+        assert m.cumulative_masses(2.0, [2.0, 2.0]).tolist() == [0.0, 0.0]
+        assert m.cumulative_masses(2.0, []).shape == (0,)
+        assert dilation_calls == []
+        m.cumulative_masses(2.0, [1.0, 3.0, 2.0, 5.0])
+        assert len(dilation_calls) == 1
+
+    @pytest.mark.parametrize("c, ts", [(0.0, [1.0]), (1.0, [0.0]), (1.0, [-1.0]),
+                                       (1.0, [math.inf]), (math.inf, [1.0]),
+                                       (1.0, [math.nan])])
+    def test_ends_outside_the_half_line_are_rejected(self, c, ts):
+        with pytest.raises(ValueError):
+            RadonMeasure.power_density(0.0).cumulative_masses(c, ts)
+
+
 @st.composite
 def mass_cases(draw):
     """A signed or complex measure, a window (a, b] and scales r.

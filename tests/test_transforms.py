@@ -540,6 +540,31 @@ class TestCanonicalAntiderivative:
         assert G0(np.array([1.0]))[0] == pytest.approx(-3.0)
         assert G0(np.array([2.5]))[0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_distribution_function_keeps_the_hull_edge_atom(self):
+        # the head branch returned 0 at hull[0] and dropped the atom there
+        mu = RadonMeasure(atoms=[(1.0, 1.0)],
+                          pieces=(DensityPiece(1.0, math.inf, coef=1.0,
+                                               exponent=1.0),))
+        F0 = distribution_function(mu)
+        assert F0.label == "head-mass"
+        assert F0(np.array([0.5, 1.0]))[1] == 1.0
+        assert F0(np.array([0.5]))[0] == 0.0
+        assert F0(np.array([2.0]))[0] == pytest.approx(1.0 + 1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("measure", [
+        RadonMeasure(atoms=[(2.0, 1.0)],
+                     pieces=(DensityPiece(1.0, math.inf, coef=1.0, exponent=1.0),)),
+        RadonMeasure(atoms=[(2.0, 1.0)],
+                     pieces=(DensityPiece(1.0, math.inf, coef=1.0, exponent=-2.0),)),
+    ], ids=["head-mass", "neg-tail-mass"])
+    def test_distribution_function_is_one_mass_integral(self, measure,
+                                                         dilation_calls):
+        F0 = distribution_function(measure)
+        dilation_calls.clear()
+        t = np.geomspace(0.5, 100.0, 512)
+        F0(t)
+        assert len(dilation_calls) == 1
+
     def test_distribution_function_from_origin(self):
         # a hull starting at 0 made an unused mass probe over (0, 5] raise
         F0 = distribution_function(RadonMeasure.power_density(0.5, interval=(0.0, 5.0)))

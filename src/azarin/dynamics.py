@@ -27,9 +27,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrajectorySample:
+    """The flow at scale t: the pairings of mu_t and the unscaled measure.
+
+    ``measure`` builds mu_t = mu(t .)/V(t) each time it is read; the flow
+    itself needs only the pairings.
+    """
     t: float
-    measure: RadonMeasure
     pairings: np.ndarray
+    base: RadonMeasure
+    order: object
+
+    @property
+    def measure(self):
+        return self.base.scaled(self.order, self.t)
 
 
 def geometric_schedule(start, stop, points):
@@ -37,19 +47,19 @@ def geometric_schedule(start, stop, points):
 
 
 def sample_trajectory(measure, order, schedule, fam=None, quad=DEFAULT_QUAD):
-    """Scaled measures mu_t along an increasing schedule with t_1 >= 1.
+    """The flow along an increasing schedule with t_1 >= 1, one sample per t.
 
-    The samples and their pairings come from one ``fam.flow_pairings``
-    call, which integrates each family member along the whole schedule at
-    once.
+    The pairings come from one ``fam.flow_pairings`` call, which integrates
+    each family member along the whole schedule at once; no mu_t is built
+    until a sample's ``measure`` is read.
     """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.size == 0 or schedule[0] < 1.0 or np.any(np.diff(schedule) <= 0):
         raise ValueError("schedule must be increasing with t >= 1")
     fam = fam or MetricFamily()
-    scaled, pairings = fam.flow_pairings(measure, order, schedule, quad)
-    return [TrajectorySample(t=float(t), measure=m, pairings=p)
-            for t, m, p in zip(schedule, scaled, pairings)]
+    pairings = fam.flow_pairings(measure, order, schedule, quad)
+    return [TrajectorySample(t=float(t), pairings=p, base=measure, order=order)
+            for t, p in zip(schedule, pairings)]
 
 
 def _post_transient(samples, transient_fraction, top_decades):
@@ -222,9 +232,7 @@ def check_flow_invariance(est, order, t_list, quad=DEFAULT_QUAD):
     targets = [np.asarray(p) for p in est.representative_pairings]
     targets.append(np.zeros(fam.n_members, dtype=complex))
     for rep, t0 in zip(est.representatives, est.representative_ts):
-        for t in t_list:
-            moved = rep.scaled(order, t)
-            p = fam.pairings(moved, quad)
+        for t, p in zip(t_list, fam.flow_pairings(rep, order, t_list, quad)):
             dmin = min(fam.distance_from_pairings(p, q) for q in targets)
             details.append((t0, float(t), dmin))
             worst = max(worst, dmin)

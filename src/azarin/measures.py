@@ -462,9 +462,15 @@ class RadonMeasure:
         One ``_masses`` over the sorted distinct edges of ``ts`` and c; the
         window masses are summed outward from c on each side, so no value
         is a difference of running sums.  Returns a complex array of the
-        shape of ``ts``; c and every t must lie in (0, oo).
+        shape of ``ts``; every t must lie in (0, oo), and c too, or c = 0
+        for mu((0, t]): one ``improper_mass`` up to the least t plus the
+        window masses from there.
         """
         ts = np.asarray(ts, dtype=float)
+        if c == 0.0 and ts.size and ts.min() > 0.0:
+            c = float(ts.min())
+            rest = self.cumulative_masses(c, ts, quad)
+            return self.improper_mass(0.0, c, quad) + rest
         edges, where = np.unique(np.append(ts, c), return_inverse=True)
         if not (0.0 < edges[0] and edges[-1] < math.inf):
             raise ValueError("cumulative masses require c and t in (0, oo)")
@@ -773,32 +779,31 @@ class MetricFamily:
                         dtype=complex)
 
     def flow_pairings(self, measure, order, ts, quad=None):
-        """mu_t = mu(t .)/V(t) for each t in ``ts`` and their pairings.
+        """Pairings of mu_t = mu(t .)/V(t) at each t in ``ts``, no mu_t built.
 
-        Returns the list of scaled measures and the ``(len(ts), n_members)``
-        array of their pairings, equal to pairing each mu_t in turn.  Member
-        f's column is the dilation integral of f against the unscaled
-        measure at scales ``ts`` and norms V(ts), so consecutive samples
-        with the same breakpoints in f's support share one vector integral.
-        The window check is one test over all samples and members; the
-        first failing pair in sample-major order raises through
-        ``_check_window``, as pairing sample by sample would.
+        Returns the ``(len(ts), n_members)`` array, equal to pairing each
+        mu_t in turn.  Member f's column is the dilation integral of f
+        against the unscaled measure at scales ``ts`` and norms V(ts), so
+        consecutive samples with the same breakpoints in f's support share
+        one vector integral.  The window check is one test over all samples
+        and members; the first failing pair in sample-major order raises
+        through the ``_check_window`` of its mu_t, as pairing sample by
+        sample would.
         """
         quad = quad or self.quad
         ts = np.asarray(ts, dtype=float)
-        scaled = [measure.scaled(order, t) for t in ts]
-        if measure.tail is None and scaled:
+        norms = np.asarray(order.scale(ts), dtype=float)
+        if measure.tail is None and ts.size:
             lo, hi = np.array([f.support for f in self.members]).T
-            window = np.array([s.window for s in scaled])
+            window = np.array(measure.window) / ts[:, None]
             bad = (lo < window[:, :1]) | (hi > window[:, 1:])
             if bad.any():
                 i, n = divmod(int(np.argmax(bad)), self.n_members)
-                scaled[i]._check_window(*self.members[n].support)
-        norms = np.asarray(order.scale(ts), dtype=float)
+                measure.scaled(order, ts[i])._check_window(*self.members[n].support)
         out = np.zeros((ts.size, self.n_members), dtype=complex)
         for n, f in enumerate(self.members):
             out[:, n] = measure.dilation_integrals(f, ts, norms, [f.lo, f.hi], quad)[0]
-        return scaled, out
+        return out
 
     def distance_from_pairings(self, p1, p2):
         diff = np.abs(np.asarray(p1) - np.asarray(p2))

@@ -179,13 +179,6 @@ class ProximateOrder:
     """rho(r) = rho + rho_hat(r); evaluators for the scale r**rho(r)."""
     rho: float = 0.0
     zero_part: ZeroPart = FlatZero()
-    closed_form_potter: bool = None
-
-    @property
-    def concave_zero_scale(self):
-        if self.closed_form_potter is not None:
-            return self.closed_form_potter
-        return self.zero_part.concave_log_scale
 
     def log_scale(self, r):
         r = np.asarray(r, dtype=float)
@@ -216,8 +209,7 @@ class ProximateOrder:
         return self.rho + self.zero_part.slope(np.log(r))
 
     def shifted(self, delta):
-        return ProximateOrder(self.rho + float(delta), self.zero_part,
-                              self.closed_form_potter)
+        return ProximateOrder(self.rho + float(delta), self.zero_part)
 
 
 def _grid_supremum(zero_part, tau, grid):
@@ -294,7 +286,7 @@ def log_potter_factor(order, tau, grid=DEFAULT_GRID):
     tau = float(tau)
     if tau == 0.0 or isinstance(order.zero_part, FlatZero):
         return 0.0
-    if order.concave_zero_scale and tau >= 0.0:
+    if order.zero_part.concave_log_scale and tau >= 0.0:
         return float(order.zero_part.log_scale(tau))
     if isinstance(order.zero_part, TabulatedZero):
         return _tabulated_supremum(order.zero_part, tau)

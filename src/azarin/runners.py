@@ -317,25 +317,18 @@ def run_periodic_family(order, measure, quad, period=Maybe(float),
     if measure.tail:
         period = measure.tail.period
     taus = [period ** (k / tau_points) for k in range(tau_points)]
-    exact_worst = 0.0
-    for tau in taus:
-        t = tau * period ** base_power
-        a = measure.scaled(order, t)
-        b = measure.scaled(order, t * period)
-        exact_worst = max(exact_worst,
-                          fam.distance_from_pairings(fam.pairings(a, quad),
-                                                     fam.pairings(b, quad)))
+    ts = [tau * period ** base_power for tau in taus]
+    exact_worst = max(fam.distance_from_pairings(a, b) for a, b in zip(
+        fam.flow_pairings(measure, order, ts, quad),
+        fam.flow_pairings(measure, order, [t * period for t in ts], quad)))
     schedule = sorted(tau * period ** k for tau in taus
                       for k in range(base_power, base_power + 3))
     samples = sample_trajectory(measure, order, np.array(schedule), fam, quad)
     est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster,
                              transient_fraction=0.0, top_decades=30.0)
-    match_worst = 0.0
-    for tau in taus:
-        p = fam.pairings(measure.scaled(order, tau), quad)
-        d = min(fam.distance_from_pairings(p, q)
-                for q in est.representative_pairings)
-        match_worst = max(match_worst, d)
+    match_worst = max(min(fam.distance_from_pairings(p, q)
+                          for q in est.representative_pairings)
+                      for p in fam.flow_pairings(measure, order, taus, quad))
     report = {
         "exact_invariance_worst": exact_worst,
         "cluster_count": len(est.clusters),
@@ -359,6 +352,9 @@ def run_sparse_flow(order, measure, quad,
         if not 1 <= n <= len(xs):
             raise ConfigError("params.indices[%d]: expected an atom index in 1..%d"
                               % (i, len(xs)))
+    mids = [math.sqrt(float(xs[n - 1]) * float(xs[n])) for n in indices if n < len(xs)]
+    gap_pairings = np.abs(fam.flow_pairings(measure, order, mids, quad))
+    gaps = zip(mids, gap_pairings.max(axis=1, initial=0.0).tolist())
     rows = []
     worst_delta = 0.0
     worst_null = 0.0
@@ -370,9 +366,7 @@ def run_sparse_flow(order, measure, quad,
         worst_delta = max(worst_delta, abs(got - expected))
         rows.append([r_n, "atom", got.real, got.imag])
         if n < len(xs):
-            mid = math.sqrt(r_n * float(xs[n]))
-            there = measure.scaled(order, mid)
-            pmax = float(np.max(np.abs(fam.pairings(there, quad))))
+            mid, pmax = next(gaps)
             worst_null = max(worst_null, pmax)
             rows.append([mid, "gap", pmax, 0.0])
     report = {"max_delta_error": worst_delta, "max_gap_pairing": worst_null,

@@ -379,19 +379,6 @@ class _Cumulative:
         return out
 
 
-@dataclass
-class Antiderivative:
-    fn: PiecewiseFunction
-    branch: str    # "tail" for -int_t^oo, "origin" for int_0^t
-
-    def __call__(self, t):
-        return self.fn(t)
-
-    @property
-    def breakpoints(self):
-        return self.fn.breakpoints
-
-
 def canonical_antiderivative(f, domain, quad=DEFAULT_QUAD):
     """F = -int_t^oo f when the tail converges, else int_0^t f.
 
@@ -399,6 +386,8 @@ def canonical_antiderivative(f, domain, quad=DEFAULT_QUAD):
     tail diverges and the head integral over (0, t0] also diverges there is
     no canonical antiderivative and a DivergenceError is raised.
     ``domain = (lo, hi)`` bounds the range over which F will be evaluated.
+    F is a ``PiecewiseFunction`` whose label is its branch, "tail" or
+    "origin".
     """
     lo, hi = float(domain[0]), float(domain[1])
     bps = [b for b in getattr(f, "breakpoints", ()) if lo < b < hi]
@@ -415,7 +404,7 @@ def canonical_antiderivative(f, domain, quad=DEFAULT_QUAD):
         def fn(t):
             return cum(t) - const
 
-        return Antiderivative(PiecewiseFunction(fn, bps, label="tail"), "tail")
+        return PiecewiseFunction(fn, bps, label="tail")
     head_ok, head_val, partials = converges(integrand, 0.0, lo, quad)
     if not head_ok:
         raise DivergenceError(
@@ -425,7 +414,7 @@ def canonical_antiderivative(f, domain, quad=DEFAULT_QUAD):
     def fn(t):
         return cum(t) + head_val
 
-    return Antiderivative(PiecewiseFunction(fn, bps, label="origin"), "origin")
+    return PiecewiseFunction(fn, bps, label="origin")
 
 
 def distribution_function(measure, quad=DEFAULT_QUAD):
@@ -459,7 +448,7 @@ def antiderivative_chain(measure, depth, domain, quad=DEFAULT_QUAD):
     """[F_0, ..., F_depth]: F_0 from the measure, then canonical steps."""
     chain = [distribution_function(measure, quad)]
     for _ in range(depth):
-        chain.append(canonical_antiderivative(chain[-1], domain, quad).fn)
+        chain.append(canonical_antiderivative(chain[-1], domain, quad))
     return chain
 
 
@@ -532,7 +521,7 @@ def stable_order_report(f, order, r_grid, quad=DEFAULT_QUAD, floor_factor=10.0):
     floor = floor_factor * quad.tol
     stable = tail_max > floor and tail_max >= 0.5 * prev_max
     return StableOrderReport(tail_max=tail_max, prev_max=prev_max, stable=stable,
-                             samples=tuple(ratios), branch=F.branch)
+                             samples=tuple(ratios), branch=F.label)
 
 
 @dataclass(frozen=True)

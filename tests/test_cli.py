@@ -375,6 +375,21 @@ class TestRunErrors:
         assert "math domain error" not in err
         assert not list((tmp_path / "out").iterdir())
 
+    def test_hardy_counts_of_a_density_from_origin(self, tmp_path, capsys):
+        # the counts mu((0, r]) took their reference point at hull()[0] = 0
+        # and ended in "run error: cumulative masses require c and t in (0, oo)"
+        cfg = {"operation": "order_diagnostic", "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0,
+                                          "interval": [0, None]}]},
+               "kernel": {"kind": "exp"}, "params": {"hardy": True}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) in (0, 2)
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        assert len(report["count_over_scale"]) == 16
+        for ratio in report["count_over_scale"]:
+            assert abs(ratio - 1.0) <= 1e-9
+
     def test_overflowing_pair_is_a_run_error(self, tmp_path, capsys):
         # r t overflowed, the excess was NaN and the check passed
         cfg = {"operation": "potter_check", "order": {"rho": 1.0},

@@ -74,6 +74,25 @@ class TestTrajectory:
         assert len(traj) == 176
         assert 0 < len(batches) <= 4 * fam.n_members
 
+    def test_only_representatives_are_built(self, fam, monkeypatch):
+        # the flow is pairings only; mu_t is built once per cluster, for its
+        # representative, where 176 + clusters were built before
+        calls = []
+        scaled = RadonMeasure.scaled
+
+        def counted(self, order, t):
+            calls.append(t)
+            return scaled(self, order, t)
+
+        monkeypatch.setattr(RadonMeasure, "scaled", counted)
+        m, order = RadonMeasure.power_density(complex(-0.5, 3.0)), ProximateOrder(0.5)
+        traj = sample_trajectory(m, order, geometric_schedule(1e2, 1e8, 176), fam)
+        est = estimate_limit_set(traj, fam, eps_cluster=1e-3)
+        assert len(traj) == 176 and len(est.clusters) > 1
+        assert calls == est.representative_ts
+        for rep, t in zip(est.representatives, est.representative_ts):
+            assert rep.pieces == scaled(m, order, t).pieces
+
     def test_schedule_validation(self, fam):
         with pytest.raises(ValueError):
             sample_trajectory(periodic(), O1, [0.5, 2.0], fam)

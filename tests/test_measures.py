@@ -8,7 +8,7 @@ from scipy.integrate import fixed_quad, quad
 from scipy.interpolate import CubicSpline
 
 from azarin import measures, numerics
-from azarin.dynamics import geometric_schedule
+from azarin.dynamics import geometric_schedule, sample_trajectory
 from azarin.kernels import ExpKernel, IndicatorKernel, LogSingularKernel
 from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
                              RadonMeasure, SelfSimilarTail, TabulatedPiece,
@@ -157,7 +157,18 @@ class TestCumulativeMasses:
         m.cumulative_masses(2.0, [1.0, 3.0, 2.0, 5.0])
         assert len(dilation_calls) == 1
 
-    @pytest.mark.parametrize("c, ts", [(0.0, [1.0]), (1.0, [0.0]), (1.0, [-1.0]),
+    def test_c_at_zero_is_the_mass_from_the_origin(self):
+        # mu((0, t]): the improper mass up to the least t, then the windows
+        m = RadonMeasure(atoms=[(0.5, 2.0)],
+                         pieces=(DensityPiece(0.0, 3.0, coef=1.0, exponent=-0.5),))
+        ts = np.array([4.0, 0.25, 0.5, 1.0, 3.0])
+        want = 2.0 * np.sqrt(np.minimum(ts, 3.0)) + 2.0 * (ts >= 0.5)
+        got = m.cumulative_masses(0.0, ts)
+        assert got.shape == ts.shape
+        assert np.all(np.abs(got - want) <= 1e-9 * want)
+
+    # c = 0 is the origin (mu((0, t]) above), so its case rejects t = 0
+    @pytest.mark.parametrize("c, ts", [(0.0, [0.0]), (1.0, [0.0]), (1.0, [-1.0]),
                                        (1.0, [math.inf]), (math.inf, [1.0]),
                                        (1.0, [math.nan])])
     def test_ends_outside_the_half_line_are_rejected(self, c, ts):
@@ -674,9 +685,10 @@ class TestFlowPairings:
     def test_density_measures_agree(self, fam, measure, order):
         ts = geometric_schedule(1.0, 1e4, 9)
         want = _pairings_one_by_one(fam, measure, order, ts)
-        scaled, got = fam.flow_pairings(measure, order, ts)
-        assert [s.pieces for s in scaled] == [measure.scaled(order, t).pieces
-                                              for t in ts]
+        got = fam.flow_pairings(measure, order, ts)
+        traj = sample_trajectory(measure, order, ts, fam)
+        assert [s.measure.pieces for s in traj] == [measure.scaled(order, t).pieces
+                                                    for t in ts]
         assert got.shape == (ts.size, fam.n_members)
         assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
@@ -720,7 +732,7 @@ class TestFlowPairings:
     def test_flow_is_transform_by_member_over_scale(self, fam, measure, order):
         # the transform at r is V(r) (mu_r, K): a member is a kernel too
         ts = geometric_schedule(1.0, 1e3, 11)
-        got = fam.flow_pairings(measure, order, ts)[1] * order.scale(ts)[:, None]
+        got = fam.flow_pairings(measure, order, ts) * order.scale(ts)[:, None]
         for n in range(0, fam.n_members, 3):
             want = KernelTransform(fam.members[n], measure).values(ts)
             assert np.all(np.abs(got[:, n] - want) <= 1e-12 * np.abs(want))
@@ -730,14 +742,14 @@ class TestFlowPairings:
         measure, order, ts = roundtrip_averaged
         sub = ts[::10]
         want = _pairings_one_by_one(fam, measure, order, sub)
-        _, got = fam.flow_pairings(measure, order, sub)
+        got = fam.flow_pairings(measure, order, sub)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     def test_matches_scipy_on_averaged_flow(self, fam, roundtrip_averaged):
         measure, order, ts = roundtrip_averaged
         f, t = fam.members[13], ts[160]   # support [1, 6], t = 3.06e7
         want = _knot_split_pairing(measure.scaled(order, t), f)
-        got = fam.flow_pairings(measure, order, ts)[1][160, 13]
+        got = fam.flow_pairings(measure, order, ts)[160, 13]
         assert abs(got - want) <= 1e-10 * abs(want)
 
     def test_pair_meets_knot_split_scipy_on_averaged_measure(self, fam,
@@ -772,7 +784,7 @@ class TestFlowPairings:
     def test_atom_only_measures_are_bit_equal(self, fam, measure):
         order = ProximateOrder(0.8)
         ts = geometric_schedule(1.0, 1e3, 11)
-        assert np.array_equal(fam.flow_pairings(measure, order, ts)[1],
+        assert np.array_equal(fam.flow_pairings(measure, order, ts),
                               _pairings_one_by_one(fam, measure, order, ts))
 
     def test_window_error_is_the_first_one_by_one(self, fam):

@@ -512,13 +512,13 @@ class TestCanonicalAntiderivative:
     def test_constant_goes_origin(self):
         F = canonical_antiderivative(PiecewiseFunction(lambda t: np.ones_like(t)),
                                      (0.5, 100.0))
-        assert F.branch == "origin"
+        assert F.label == "origin"
         assert F(np.array([7.0]))[0] == pytest.approx(7.0, rel=1e-9)
 
     def test_exponential_goes_tail(self):
         F = canonical_antiderivative(PiecewiseFunction(lambda t: np.exp(-t)),
                                      (0.5, 60.0))
-        assert F.branch == "tail"
+        assert F.label == "tail"
         assert F(np.array([2.0]))[0] == pytest.approx(-math.exp(-2.0), rel=1e-8)
 
     def test_inverse_has_no_canonical(self):
@@ -572,6 +572,14 @@ class TestCanonicalAntiderivative:
         t = np.array([0.5, 1.0, 2.5, 4.0])
         want = -(2.0 / 3.0) * (5.0 ** 1.5 - t ** 1.5)
         assert np.all(np.abs(F0(t) - want) <= 1e-9 * np.abs(want))
+
+    def test_distribution_function_of_a_density_from_origin(self):
+        # the head branch's reference point hull()[0] is 0 here, which the
+        # cumulative masses rejected
+        F0 = distribution_function(RadonMeasure.power_density(0.0, interval=(0.0, None)))
+        assert F0.label == "head-mass"
+        t = np.array([1e-3, 0.5, 1.0, 3.0, 100.0])
+        assert np.all(np.abs(F0(t) - t) <= 1e-10)
 
     def test_chain_depth(self):
         mu = RadonMeasure.from_atoms([(2.0, 1.0)])

@@ -26,7 +26,7 @@ from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
                      TabulatedZero)
 
 __all__ = ["ConfigError", "parse_order", "parse_measure", "parse_kernel",
-           "parse_complex", "number", "tol_key", "validate_config", "Count",
+           "parse_complex", "number", "positive", "tol_key", "validate_config", "Count",
            "Field", "Maybe", "Choice", "List", "Grid", "Interval", "Obj", "Kind"]
 
 # a signature parameter without a default: a required number
@@ -47,6 +47,12 @@ def number(value, path):
         return float(value)
     except (TypeError, ValueError):
         _fail(path, "expected a number")
+
+
+def positive(value, path):
+    """``number(value)`` when it is finite and > 0, or a ConfigError at ``path``."""
+    x = number(value, path)
+    return x if 0.0 < x < math.inf else _fail(path, "expected a finite number > 0")
 
 
 def parse_complex(value, path):
@@ -176,15 +182,16 @@ class List(Field):
 
 
 class Grid(List):
-    """Marker: a nonempty list of numbers, or ``{start, stop, points}``
-    spread by ``space``; absent, ``space(start, stop, points)`` of the
-    marker (None without them)."""
+    """Marker: a nonempty list of numbers (each read as ``item``), or
+    ``{start, stop, points}`` spread by ``space``, its ends read as ``item``;
+    absent, ``space(start, stop, points)`` of the marker (None without them)."""
 
-    def __init__(self, start=None, stop=None, points=None, space=np.geomspace):
+    def __init__(self, start=None, stop=None, points=None, space=np.geomspace,
+                 item=float):
         super().__init__(None if start is None else
                          {"start": start, "stop": stop, "points": points},
-                         nonempty=True)
-        self.spread = Obj({"start": float, "stop": float, "points": Count},
+                         item=item, nonempty=True)
+        self.spread = Obj({"start": item, "stop": item, "points": Count},
                           lambda start, stop, points: space(start, stop, points))
 
     def read(self, value, path):

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import carleman as carl
 from .configio import (LINE_MEASURE, Choice, ConfigError, Count, Grid, Interval,
-                       List, Maybe, Obj, parse_kernel, parse_measure, parse_order)
+                       List, Maybe, Obj, parse_kernel, parse_measure, parse_order,
+                       positive)
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
@@ -422,10 +423,17 @@ def run_transform_table(order, measure, kernel, quad, r_grid=Grid(1.0, 1e6, 25))
                        rows)])
 
 
-@operation("kernel_limit_values")
+def _past_transient(schedule, **_):
+    # normalized_limit_values drops the first 20% of the schedule
+    if math.ceil(0.2 * len(schedule)) >= len(schedule):
+        raise ConfigError("params.schedule: expected a sample past the transient")
+
+
+@operation("kernel_limit_values", check=_past_transient)
 def run_kernel_limit_values(order, measure, kernel, quad,
-                            schedule=Grid(1e3, 1e9, 64), cluster_eps=1e-4,
-                            tol=1e-4, tau_grid=List(None, nonempty=True),
+                            schedule=Grid(1e3, 1e9, 64, item=positive),
+                            cluster_eps=1e-4, tol=1e-4,
+                            tau_grid=List(None, item=positive, nonempty=True),
                             tau_points=Count(16)):
     tr = KernelTransform(kernel, measure, order, quad)
     clusters = normalized_limit_values(tr, schedule, eps=cluster_eps)
@@ -435,15 +443,10 @@ def run_kernel_limit_values(order, measure, kernel, quad,
         period = measure.tail.period
         taus = [period ** (k / tau_points) for k in range(tau_points)]
     if taus is not None:
-        worst = 0.0
-        direct = []
-        for tau in taus:
-            nu = measure.scaled(order, tau)
-            val = KernelTransform(kernel, nu, quad=quad).value(1.0)
-            direct.append(val)
-            worst = max(worst, min(abs(val - c) for c in clusters))
-        for c in clusters:
-            worst = max(worst, min(abs(v - c) for v in direct))
+        # the transform of mu_tau at 1
+        direct = tr.integrals(taus, order.scale(taus)).tolist()
+        worst = max(max(min(abs(v - c) for c in clusters) for v in direct),
+                    max(min(abs(v - c) for v in direct) for c in clusters))
     report = {"cluster_values": [ _jsonable(c) for c in clusters],
               "match_error": worst}
     verdict = None if worst is None else worst <= tol
@@ -452,9 +455,12 @@ def run_kernel_limit_values(order, measure, kernel, quad,
 
 @operation("neutralization_check")
 def run_neutralization(order, measure, kernel, quad,
-                       eps_grid=List([0.5, 0.25, 0.125, 0.0625], nonempty=True),
-                       n_grid=List([2.0, 4.0, 8.0, 16.0], nonempty=True),
-                       r_grid=Grid(1e2, 1e5, 10), expect_pass=Maybe(bool)):
+                       eps_grid=List([0.5, 0.25, 0.125, 0.0625], item=positive,
+                                     nonempty=True),
+                       n_grid=List([2.0, 4.0, 8.0, 16.0], item=positive,
+                                   nonempty=True),
+                       r_grid=Grid(1e2, 1e5, 10, item=positive),
+                       expect_pass=Maybe(bool)):
     rep = neutralization_report(kernel, order, measure, eps_grid, n_grid,
                                 r_grid, quad)
     report = {"head_sups": list(rep.head_sups), "tail_sups": list(rep.tail_sups),
@@ -489,8 +495,8 @@ def run_averaged_limit(order, measure, kernel, quad, schedule=Grid(1e2, 1e6, 32)
     s_est = estimate_limit_set(s_traj, fam, eps_cluster=eps_cluster)
     mu_traj = sample_trajectory(measure, order, schedule, fam, quad)
     mu_est = estimate_limit_set(mu_traj, fam, eps_cluster=eps_cluster)
-    densities = verify_averaged_limit_densities(
-        tr, s_est, mu_est, tol=density_tol, quad=quad)
+    densities = verify_averaged_limit_densities(tr, s_est, mu_est,
+                                                tol=density_tol)
     fit = verify_regular_limit_form(s_est, shifted, quad) if s_est.regular else None
     report = {
         "averaged_bounded": membership.bounded,

@@ -33,17 +33,17 @@ __all__ = [
 class KernelTransform:
     """Evaluator of r -> integral of K(t/r) d mu(t).
 
-    ``values(rs)`` computes many r at once, in u = t/r: the r values whose
-    kernel support and measure hull clip u to the same window share its
-    core and its Cauchy rings.  The rings come in blocks, and each block is
-    the measure's dilation integral of K at scales r over the block's
-    edges (``RadonMeasure.dilation_integrals``), one vector ``log_quad`` per
-    run of consecutive r with the same measure breakpoints in u, whose
-    columns are the (ring, r) pairs.  Each r keeps its own Cauchy test and
-    stops taking rings once it is decided.  ``value(r)`` is ``values`` at one
-    r, whose integrand is scalar.  Values are cached per r; the cache is a
-    plain dict (deterministic values, so concurrent double-computation is
-    benign).
+    ``integrals(rs, norms, u_window)`` computes many r at once, in u = t/r:
+    the integral of K(u) over u in the window against mu(r u)/n, at n = V(r)
+    the transform of mu_r = mu(r .)/V(r) at 1.  The r values whose kernel
+    support, measure hull and window clip u to the same window share its
+    core and its Cauchy rings.  Each block of rings is the measure's
+    dilation integral of K at scales r and norms n over the block's edges
+    (``RadonMeasure.dilation_integrals``), whose columns are the (ring, r)
+    pairs.  Each r keeps its own Cauchy test and stops taking rings once it
+    is decided.  ``values(rs)`` is the norm-1 case over (0, oo), cached per
+    r in a plain dict (deterministic values, so concurrent double
+    computation is benign); ``value(r)`` is ``values`` at one r.
     """
 
     def __init__(self, kernel, measure, order=None, quad=DEFAULT_QUAD):
@@ -53,49 +53,55 @@ class KernelTransform:
         self.quad = quad
         self._cache = {}
 
-    def _window_term(self, rs, edges):
-        """Transform at each r of the list ``rs`` restricted to u in each
-        window (a, b] of the ascending ``edges``: one row per window.
+    def _window_term(self, rs, edges, norms):
+        """The dilation integral of the kernel at scales ``rs`` and norms
+        ``norms`` over each window (a, b] of the ascending ``edges``."""
+        return self.measure.dilation_integrals(self.kernel, rs, norms, edges, self.quad)
 
-        The dilation integral of the kernel at scales ``rs`` and norms 1.
+    def integrals(self, rs, norms, u_window=(0.0, math.inf)):
+        """Integral of K(u) over u in ``u_window`` against mu(r u)/n for every
+        r of ``rs`` and n of ``norms`` (broadcast against ``rs``), as an array.
+
+        A divergent column raises the DivergenceError of the first failing r
+        in the order given, with that column's partial sums.
         """
-        return self.measure.dilation_integrals(self.kernel, rs, [1.0] * len(rs),
-                                               edges, self.quad)
-
-    def values(self, rs):
-        """Transform values at every r of ``rs``, as an array."""
         rs = [float(r) for r in np.ravel(rs)]
+        norms = np.broadcast_to(np.asarray(norms, dtype=float), (len(rs),)).tolist()
         if any(r <= 0.0 for r in rs):
             raise ValueError("transform requires r > 0")
         k_lo, k_hi = self.kernel.support
         m_lo, m_hi = self.measure.hull()
         groups = {}
-        for r in dict.fromkeys(r for r in rs if r not in self._cache):
+        for i, r in enumerate(rs):
             # measure-hull clipping is slightly widened so boundary atoms
             # stay inside the half-open integration windows
-            u_lo = max(k_lo, m_lo / r * (1.0 - 1e-12))
-            u_hi = min(k_hi, m_hi / r * (1.0 + 1e-12))
-            if not math.isinf(u_hi) and u_hi <= max(u_lo, 0.0):
-                self._cache[r] = 0.0 + 0.0j
-            else:
-                groups.setdefault((u_lo, u_hi), []).append(r)
+            u_lo = max(k_lo, m_lo / r * (1.0 - 1e-12), u_window[0])
+            u_hi = min(k_hi, m_hi / r * (1.0 + 1e-12), u_window[1])
+            if math.isinf(u_hi) or u_hi > max(u_lo, 0.0):
+                groups.setdefault((u_lo, u_hi), []).append(i)
+        out = np.zeros(len(rs), dtype=complex)
         failures = []
         for (u_lo, u_hi), group in groups.items():
             def ring(edges, live, group=group):
-                return self._window_term([group[j] for j in live], edges)
+                cols = [group[j] for j in live]
+                return self._window_term([rs[i] for i in cols], edges,
+                                         [norms[i] for i in cols])
 
-            totals, partials, failed, _ = _cauchy_windows(ring, u_lo, u_hi, group,
-                                                          self.quad)
-            for j, (r, total) in enumerate(zip(group, totals)):
-                if j in failed:
-                    failures.append((rs.index(r), failed[j], partials[j]))
-                else:
-                    self._cache[r] = complex(total)
+            totals, partials, failed, _ = _cauchy_windows(
+                ring, u_lo, u_hi, [rs[i] for i in group], self.quad)
+            out[group] = totals
+            failures.extend((group[j], side, partials[j]) for j, side in failed.items())
         if failures:
             _, side, partials = min(failures, key=lambda f: f[0])
-            raise DivergenceError(
-                "transform integral failed the Cauchy criterion at %s" % side,
-                partials=partials)
+            raise DivergenceError("transform integral failed the Cauchy criterion "
+                                  "at %s" % side, partials=partials)
+        return out
+
+    def values(self, rs):
+        """Transform values at every r of ``rs``, as an array."""
+        rs = [float(r) for r in np.ravel(rs)]
+        new = list(dict.fromkeys(r for r in rs if r not in self._cache))
+        self._cache.update(zip(new, self.integrals(new, 1.0).tolist()))
         return np.array([self.value(r) for r in rs], dtype=complex)
 
     def value(self, r):
@@ -152,49 +158,29 @@ def neutralization_report(kernel, order, measure, eps_grid, n_grid, r_grid,
     For each cutoff the report records sup over the top r-decade of
     |integral of K d mu_r| over (0, eps] resp. (N, oo); the condition holds
     iff these sups decrease (within ``slack``) as eps -> 0 resp. N -> oo.
-    Divergent entries are recorded as inf and fail the check.
+    Each cutoff is one ``KernelTransform.integrals`` call over the top
+    decade at norms V(r).  Divergent entries are recorded as inf and fail
+    the check.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     top = r_grid[r_grid >= r_grid.max() / 10.0]
+    transform = KernelTransform(kernel, measure, quad=quad)
+    norms = order.scale(top)
 
-    def window_sup(cut, side):
-        worst = 0.0
-        for r in top:
-            scaled = measure.scaled(order, r)
-            tr = KernelTransform(kernel, scaled, quad=quad)
-            try:
-                if side == "head":
-                    val = _restricted_value(tr, 0.0, cut)
-                else:
-                    val = _restricted_value(tr, cut, math.inf)
-            except DivergenceError:
-                return math.inf
-            worst = max(worst, abs(val))
-        return worst
+    def window_sup(u_window):
+        try:
+            vals = transform.integrals(top, norms, u_window)
+        except DivergenceError:
+            return math.inf
+        return float(np.max(np.abs(vals), initial=0.0))
 
-    head = tuple(window_sup(e, "head") for e in sorted(eps_grid, reverse=True))
-    tail = tuple(window_sup(n, "tail") for n in sorted(n_grid))
+    head = tuple(window_sup((0.0, e)) for e in sorted(eps_grid, reverse=True))
+    tail = tuple(window_sup((n, math.inf)) for n in sorted(n_grid))
     head_ok = all(map(math.isfinite, head)) and _monotone_decreasing(head, slack)
     tail_ok = all(map(math.isfinite, tail)) and _monotone_decreasing(tail, slack)
     return NeutralizationReport(head_sups=head, tail_sups=tail,
                                 head_passed=head_ok, tail_passed=tail_ok,
                                 passed=head_ok and tail_ok)
-
-
-def _restricted_value(transform, u_lo, u_hi):
-    """Transform of the measure restricted to u in (u_lo, u_hi) at r = 1."""
-    k_lo, k_hi = transform.kernel.support
-    lo = max(u_lo, k_lo, 0.0)
-    hi = min(u_hi, k_hi if not math.isinf(k_hi) else transform.measure.hull()[1])
-    if hi <= lo:
-        return 0.0 + 0.0j
-    totals, partials, failed, _ = _cauchy_windows(
-        lambda edges, live: transform._window_term([1.0], edges), lo, hi, (1.0,),
-        transform.quad)
-    if failed:
-        raise DivergenceError("restricted transform failed the Cauchy criterion "
-                              "at %s" % failed[0], partials=partials[0])
-    return totals[0]
 
 
 @dataclass(frozen=True)
@@ -291,23 +277,23 @@ class AveragedDensityReport:
 
 def verify_averaged_limit_densities(transform, est_s, est_mu,
                                     u_samples=(0.5, 0.8, 1.0, 1.5, 2.0),
-                                    tol=0.01, quad=DEFAULT_QUAD):
+                                    tol=0.01):
     """Densities of averaged-measure limits vs kernel transforms of mu-limits.
 
-    Cluster matching is by medoid schedule position: the k-th averaged
-    cluster is compared against the k-th mu cluster (both sorted by t).
+    ``transform`` is the transform of mu with its order.  Cluster matching
+    is by medoid schedule position: the k-th averaged cluster is compared
+    against the k-th mu cluster (both sorted by t), whose representative
+    mu_t has the transform ``transform.integrals(t u, V(t))`` at u.
     """
+    us = np.asarray(u_samples, dtype=float)
     rows = []
-    worst = 0.0
-    pairs = zip(est_s.representatives, est_s.representative_ts,
-                est_mu.representatives)
-    for s_rep, s_t, mu_rep in pairs:
-        matched = KernelTransform(transform.kernel, mu_rep, quad=quad)
-        for u, want in zip(u_samples, matched.values(u_samples).tolist()):
+    for s_rep, s_t, mu_t in zip(est_s.representatives, est_s.representative_ts,
+                                est_mu.representative_ts):
+        wants = transform.integrals(mu_t * us, transform.order.scale(mu_t))
+        for u, want in zip(us.tolist(), wants.tolist()):
             got = complex(s_rep.density(np.array([u]))[0])
-            err = abs(got - want) / max(abs(want), 1e-300)
-            rows.append((s_t, float(u), got, want, err))
-            worst = max(worst, err)
+            rows.append((s_t, u, got, want, abs(got - want) / max(abs(want), 1e-300)))
+    worst = max((row[-1] for row in rows), default=0.0)
     return AveragedDensityReport(max_rel_error=worst, passed=worst <= tol,
                                  rows=tuple(rows))
 

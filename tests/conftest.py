@@ -20,16 +20,27 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
-def dilation_calls(monkeypatch):
-    """A list that gains one entry per ``RadonMeasure.dilation_integrals`` call."""
+def _counted(monkeypatch, name):
+    """A list that gains one entry per call of ``RadonMeasure.<name>``."""
     from azarin.measures import RadonMeasure
     calls = []
-    inner = RadonMeasure.dilation_integrals
+    inner = getattr(RadonMeasure, name)
 
     def counted(self, *args, **kw):
         calls.append(args)
         return inner(self, *args, **kw)
 
-    monkeypatch.setattr(RadonMeasure, "dilation_integrals", counted)
+    monkeypatch.setattr(RadonMeasure, name, counted)
     return calls
+
+
+@pytest.fixture
+def dilation_calls(monkeypatch):
+    """A list that gains one entry per ``RadonMeasure.dilation_integrals`` call."""
+    return _counted(monkeypatch, "dilation_integrals")
+
+
+@pytest.fixture
+def scaled_calls(monkeypatch):
+    """A list that gains one entry per ``RadonMeasure.scaled`` call."""
+    return _counted(monkeypatch, "scaled")

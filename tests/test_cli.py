@@ -164,6 +164,25 @@ class TestRunErrors:
          "expected two numbers > 0"),
         ("potter_check", {"pairs": [[1, 2], [3, "nan"]]}, "params.pairs[1]",
          "expected two numbers > 0"),
+        # a cutoff or scale <= 0 used to pass (an empty window has sup 0, an
+        # all-negative grid an empty top decade) or end in a run error
+        ("neutralization_check", {"eps_grid": [0.5, -1]}, "params.eps_grid[1]",
+         "expected a finite number > 0"),
+        ("neutralization_check", {"n_grid": [0.0, 2.0]}, "params.n_grid[0]",
+         "expected a finite number > 0"),
+        ("neutralization_check", {"r_grid": [-5]}, "params.r_grid[0]",
+         "expected a finite number > 0"),
+        ("kernel_limit_values", {"tau_grid": [1.0, -2.0]}, "params.tau_grid[1]",
+         "expected a finite number > 0"),
+        ("kernel_limit_values", {"schedule": [-1e3, 1e4]}, "params.schedule[0]",
+         "expected a finite number > 0"),
+        ("kernel_limit_values", {"schedule": {"start": 0.0, "stop": 1e4, "points": 4}},
+         "params.schedule.start", "expected a finite number > 0"),
+        ("neutralization_check", {"r_grid": [1e2, "inf"]}, "params.r_grid[1]",
+         "expected a finite number > 0"),
+        # one sample is all transient: min() of no cluster values
+        ("kernel_limit_values", {"schedule": [1e9]}, "params.schedule",
+         "expected a sample past the transient"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):

@@ -118,9 +118,9 @@ class TestTransformValue:
         seen = []
         term = tr._window_term
 
-        def spy(rs, edges):
+        def spy(rs, edges, norms):
             seen.extend(zip(edges[:-1], edges[1:]))
-            return term(rs, edges)
+            return term(rs, edges, norms)
 
         tr._window_term = spy
         assert tr.value(1.0) == pytest.approx(want, rel=1e-9)
@@ -269,7 +269,7 @@ def _one_ring_at_a_time(tr, r):
     core_hi = ctrl.window_hi if math.isinf(u_hi) else u_hi
 
     def ring(a, b):
-        return tr._window_term([r], [a, b])[0][0]
+        return tr._window_term([r], [a, b], [1.0])[0][0]
 
     total = ring(core_lo, core_hi)
     partials = [total]
@@ -319,7 +319,7 @@ class TestRingBlocks:
     def _blocks(tr, rs):
         # the rings of ``KernelTransform.values`` for one group of r
         def ring(edges, live):
-            return tr._window_term([rs[j] for j in live], edges)
+            return tr._window_term([rs[j] for j in live], edges, [1.0] * len(live))
 
         return _cauchy_windows(ring, 0.0, math.inf, rs, tr.quad)
 
@@ -373,6 +373,148 @@ class TestRingBlocks:
         assert all(abs(v / r ** rho - want) <= 1e-8 * abs(want)
                    for r, v in zip(grid, got))
         assert len(calls) <= 2073 // 4
+
+
+def _scaled_reference(kernel, measure, order, r, u_window):
+    """(total, partial sums, failed end or None) of the integral of K over
+    ``u_window`` against mu_r, by the Cauchy window rule on the transform of
+    the scaled measure mu_r = ``measure.scaled(order, r)`` at 1, each ring
+    one window term of it.  The window is clipped to the kernel support and
+    to the hull of mu_r, widened by 1e-12."""
+    ref = KernelTransform(kernel, measure.scaled(order, r))
+    hull = ref.measure.hull()
+    lo = max(kernel.support[0], hull[0] * (1.0 - 1e-12), u_window[0])
+    hi = min(kernel.support[1], hull[1] * (1.0 + 1e-12), u_window[1])
+    if not math.isinf(hi) and hi <= max(lo, 0.0):
+        return 0.0, [], None
+
+    def ring(edges, live):
+        return ref._window_term([1.0], edges, [1.0])
+
+    totals, partials, failed, _ = _cauchy_windows(ring, lo, hi, [1.0], ref.quad)
+    return totals[0], partials[0], failed.get(0)
+
+
+# atoms at 2 and 16 with breakpoints at 1.5 and 6: at r = 4 the atom at 2
+# sits on the edge u = 1/2, at r = 8 on u = 1/4, and the one at 16 on u = 2
+EDGE_ATOMS = RadonMeasure(
+    atoms=[(2.0, 1.0), (16.0, -0.5j), (0.3, 0.25)],
+    pieces=(DensityPiece(0.0, 1.5, exponent=-0.5),
+            DensityPiece(1.5, 6.0, coef=2.0, exponent=0.3),
+            DensityPiece(6.0, math.inf, coef=0.5, exponent=-1.2)))
+# hull (1, oo): the r with 1/r past a head cutoff see none of it
+ABOVE_ZERO = RadonMeasure(atoms=[(1.0, 2.0)],
+                          pieces=(DensityPiece(1.0, math.inf, exponent=-1.5),))
+
+
+class TestIntegrals:
+    """``KernelTransform.integrals`` at scales r and norms V(r) against the
+    transform of each scaled measure mu_r at 1."""
+
+    @pytest.mark.parametrize("kernel, measure, order, rs, u_window", [
+        (ExpKernel(), EDGE_ATOMS, ProximateOrder(0.5), [4.0, 8.0, 1.0, 0.5],
+         (0.0, 0.5)),
+        (ExpKernel(), EDGE_ATOMS, ProximateOrder(0.5), [4.0, 8.0, 1.0, 0.5],
+         (0.5, math.inf)),
+        (ExpKernel(), EDGE_ATOMS, ProximateOrder(0.5), [8.0, 1.0], (0.25, 2.0)),
+        (ExpKernel(), ABOVE_ZERO, ProximateOrder(0.5), [2.0, 8.0, 64.0],
+         (0.0, 0.25)),
+        (ExpKernel(), ABOVE_ZERO, ProximateOrder(0.5), [2.0, 8.0, 64.0],
+         (2.0, math.inf)),
+        (ExpKernel(), _self_similar(), O1, [1.3, 5.0, 37.0], (0.0, 0.125)),
+        (ExpKernel(), _self_similar(), O1, [1.3, 5.0, 37.0], (4.0, math.inf)),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.7), ProximateOrder(0.5),
+         [0.5, 2.0, 30.0], (0.0, 0.5)),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.7), ProximateOrder(0.5),
+         [0.5, 2.0, 30.0], (0.5, math.inf)),
+    ], ids=["edge-atoms-head", "edge-atoms-tail", "edge-atoms-both-ends",
+            "above-zero-head", "above-zero-tail", "self-similar-head",
+            "self-similar-tail", "log-singular-head", "log-singular-tail"])
+    def test_matches_scaled_measures(self, kernel, measure, order, rs, u_window):
+        tr = KernelTransform(kernel, measure)
+        got = tr.integrals(rs, order.scale(rs), u_window)
+        assert got.shape == (len(rs),)
+        for r, v in zip(rs, got):
+            want, _, failed = _scaled_reference(kernel, measure, order, r, u_window)
+            assert failed is None
+            assert abs(v - want) <= 1e-12 * abs(want)
+
+    def test_edge_atoms_go_to_the_head(self):
+        # atoms only: the windows are exact sums, so the atom at u = 1/2
+        # counts in (0, 1/2] and not in (1/2, oo)
+        m = RadonMeasure.from_atoms([(2.0, 1.0), (16.0, 3.0)])
+        tr = KernelTransform(IndicatorKernel(0.0, 8.0), m)
+        assert tr.integrals([4.0], 2.0, (0.0, 0.5))[0] == 0.5
+        assert tr.integrals([4.0], 2.0, (0.5, math.inf))[0] == 1.5
+        assert tr.integrals([4.0], 2.0)[0] == tr.value(4.0) / 2.0 == 2.0
+
+    def test_norm_one_is_values(self):
+        kernel, measure = LogSingularKernel(), RadonMeasure.power_density(-0.7)
+        rs = [0.5, 2.0, 30.0]
+        got = KernelTransform(kernel, measure).integrals(rs, 1.0)
+        assert got.tolist() == KernelTransform(kernel, measure).values(rs).tolist()
+
+    def test_divergence_is_the_first_failing_r(self):
+        # every column diverges at zero; the partial sums are those of the
+        # first r given, which differ between the r as V(r) = r^(1/2)
+        kernel, order = PowerCutKernel(-1.0), ProximateOrder(0.5)
+        rs = [3.0, 1.0, 7.0]
+        tr = KernelTransform(kernel, LEB)
+        with pytest.raises(DivergenceError) as err:
+            tr.integrals(rs, order.scale(rs), (0.0, 0.5))
+        _, want, failed = _scaled_reference(kernel, LEB, order, rs[0], (0.0, 0.5))
+        _, other, _ = _scaled_reference(kernel, LEB, order, rs[1], (0.0, 0.5))
+        assert failed == "zero" and "at zero" in str(err.value)
+        assert len(err.value.partials) == len(want) == 1 + tr.quad.max_expansions
+        assert np.allclose(err.value.partials, want, rtol=1e-12, atol=0.0)
+        assert not np.allclose(err.value.partials, other, rtol=1e-3, atol=0.0)
+
+
+class TestNoScaledMeasures:
+    """The transforms of mu_r come from scales and norms: no mu_r is built."""
+
+    def test_neutralization_report(self, scaled_calls, monkeypatch):
+        calls = []
+        integrals = KernelTransform.integrals
+
+        def counted(self, *args):
+            calls.append(args[2])
+            return integrals(self, *args)
+
+        monkeypatch.setattr(KernelTransform, "integrals", counted)
+        eps_grid, n_grid = [0.5, 0.25, 0.125], [2.0, 4.0]
+        rep = neutralization_report(ExpKernel(), O1, EDGE_ATOMS, eps_grid, n_grid,
+                                    np.geomspace(10, 1e4, 6))
+        assert len(rep.head_sups) == 3 and len(rep.tail_sups) == 2
+        assert scaled_calls == []
+        assert calls == [(0.0, e) for e in eps_grid] + [(n, math.inf) for n in n_grid]
+
+    def test_kernel_limit_values(self, scaled_calls):
+        from azarin.catalog import builtin_config
+        from azarin.runners import REGISTRY
+        cfg = builtin_config("periodic_kernel_limits")
+        result = REGISTRY["kernel_limit_values"](cfg)
+        assert result.verdict
+        assert scaled_calls == []
+
+    def test_averaged_limit_densities(self, fam, scaled_calls):
+        # the mu clusters enter by their times only: no representative is read
+        import dataclasses
+        o = ProximateOrder(0.7)
+        tr = KernelTransform(ExpKernel(), RadonMeasure.power_density(-0.3), o)
+        sched = geometric_schedule(1e2, 1e4, 12)
+        hull = fam.support_hull()
+        s = averaged_measure(tr, (sched.min() * hull[0] / 4.0,
+                                  sched.max() * hull[1] * 4.0))
+        s_est = estimate_limit_set(sample_trajectory(s, o.shifted(1.0), sched, fam),
+                                   fam)
+        mu_est = estimate_limit_set(sample_trajectory(tr.measure, o, sched, fam), fam)
+        mu_est = dataclasses.replace(mu_est, representatives=[])
+        scaled_calls.clear()
+        rep = verify_averaged_limit_densities(tr, s_est, mu_est)
+        assert scaled_calls == []
+        assert len(rep.rows) == 5 * len(s_est.clusters) > 0
+        assert rep.passed
 
 
 class TestNormalizedLimits:

@@ -447,12 +447,12 @@ class RadonMeasure:
         lo, hi = a * min(rs), b * max(rs)
         if not (0.0 < a < b and 0.0 < lo and hi < math.inf):
             raise ValueError("mass requires compact (a r, b r] in (0, oo)")
-        return self._masses([a, b], rs, quad, absolute)[0]
+        return self._masses([(a, b)], rs, quad, absolute)[0]
 
-    def _masses(self, edges, rs, quad, absolute):
-        """The masses of each window of ``edges`` at each r: an (m, len(rs)) array."""
-        self._check_window(edges[0] * min(rs), edges[-1] * max(rs))
-        out = np.array(self.dilation_integrals(_ONE, rs, [1.0] * len(rs), edges,
+    def _masses(self, windows, rs, quad, absolute):
+        """The masses of each window (a, b] at each r: an (m, len(rs)) array."""
+        self._check_window(min(windows)[0] * min(rs), max(b for _, b in windows) * max(rs))
+        out = np.array(self.dilation_integrals(_ONE, rs, [1.0] * len(rs), windows,
                                                quad, absolute))
         return out.real if absolute else out
 
@@ -474,8 +474,8 @@ class RadonMeasure:
         edges, where = np.unique(np.append(ts, c), return_inverse=True)
         if not (0.0 < edges[0] and edges[-1] < math.inf):
             raise ValueError("cumulative masses require c and t in (0, oo)")
-        w = (self._masses(edges.tolist(), [1.0], quad, False)[:, 0] if edges.size > 1
-             else np.zeros(0, dtype=complex))
+        w = (self._masses(list(zip(edges.tolist(), edges[1:].tolist())), [1.0], quad,
+                          False)[:, 0] if edges.size > 1 else np.zeros(0, dtype=complex))
         k = where[-1]
         out = np.concatenate([-np.cumsum(w[:k][::-1])[::-1], [0.0], np.cumsum(w[k:])])
         return out[where[:-1]].reshape(ts.shape)
@@ -487,7 +487,7 @@ class RadonMeasure:
     def improper_mass(self, lo=0.0, hi=math.inf, quad=DEFAULT_QUAD, absolute=False):
         """mu over (lo, hi) with improper endpoints, Cauchy-window evaluated.
 
-        Each block of Cauchy rings is one mass integral over its windows,
+        Each step of Cauchy rings is one mass integral over its windows,
         atoms included, so the atoms enter the Cauchy criterion.  Raises DivergenceError with the partial sums.
         An end at 0 or oo moves to the hull; the lower one to half its edge,
         so that an atom on the edge stays inside (lo, hi].
@@ -498,8 +498,8 @@ class RadonMeasure:
         if lo != 0.0 and hi <= lo:
             return 0.0 + 0.0j
 
-        def ring(edges, live):
-            return self._masses(edges, [1.0], quad, absolute)
+        def ring(windows, live):
+            return self._masses(windows, [1.0], quad, absolute)
 
         totals, partials, failed, _ = _cauchy_windows(ring, lo, hi, (1.0,), quad)
         if failed:
@@ -528,16 +528,16 @@ class RadonMeasure:
     def pair(self, f, quad=DEFAULT_QUAD):
         """(mu, f) = sum f(x_i) w_i + integral of f * density."""
         self._check_window(*f.support)
-        return self.dilation_integrals(f, [1.0], [1.0], [f.lo, f.hi], quad)[0][0]
+        return self.dilation_integrals(f, [1.0], [1.0], [(f.lo, f.hi)], quad)[0][0]
 
-    def dilation_integrals(self, g, scales, norms, edges, quad=DEFAULT_QUAD,
+    def dilation_integrals(self, g, scales, norms, windows, quad=DEFAULT_QUAD,
                            absolute=False):
-        """Integrals of g(u) over each window (a, b] of the ascending ``edges``
-        against mu(s u)/n, or |mu|(s u)/n: one row per window, one value per
-        scale s of ``scales`` and norm n of ``norms``.
+        """Integrals of g(u) over each window (a, b] of ``windows`` (pairs
+        that need not touch) against mu(s u)/n, or |mu|(s u)/n: one row per
+        window, one value per scale s of ``scales`` and norm n of ``norms``.
 
         The atoms x with x/s in (a, b] add g(x/s) w/n; they are found by one
-        ``atoms_in`` per scale over the whole edge list and binned by window.
+        ``atoms_in`` per scale over the hull of the windows and binned by window.
         The density adds the integral of g(u) (s/n) density(s u) du, split
         at ``g.breakpoints()`` and at the measure's breakpoints in u and
         graded at ``g.singular_points``.  A run of consecutive scales with
@@ -558,16 +558,16 @@ class RadonMeasure:
         density and breakpoints from the base window (``atoms_in``,
         ``density``, ``breakpoints_in``), building no image.
         """
-        lo, hi = edges[0], edges[-1]
-        out = [[0.0 + 0.0j] * len(scales) for _ in edges[1:]]
+        lo, hi = min(windows)[0], max(b for _, b in windows)
+        out = [[0.0 + 0.0j] * len(scales) for _ in windows]
         if self.atom_x.size:
             for i, (s, n) in enumerate(zip(scales, norms)):
                 xs, ws = self.atoms_in(s * lo, s * hi)
                 if ws.size:
                     ws = np.abs(ws) if absolute else ws
                     terms = g(xs / s) * (ws / n)
-                    cuts = np.searchsorted(xs, np.multiply(s, edges), side="right")
-                    for row, start, stop in zip(out, cuts[:-1], cuts[1:]):
+                    cuts = np.searchsorted(xs, np.multiply(s, windows), side="right")
+                    for row, (start, stop) in zip(out, cuts):
                         if stop > start:
                             row[i] = complex(np.sum(terms[start:stop]))
         g_splits = [b for b in g.breakpoints() if lo < b < hi]
@@ -575,9 +575,13 @@ class RadonMeasure:
         if self.tail is None and not absolute and getattr(g, "piecewise_linear", False):
             tables = [p for p in self.pieces if isinstance(p, TabulatedPiece)]
             if tables:
-                u = np.array(sorted(set(edges) | set(g_splits)), dtype=float)
-                rows = np.searchsorted(edges, u[:-1], side="right") - 1
-                parts = np.zeros((len(out), len(scales)), dtype=complex)
+                u = np.array(sorted({x for w in windows for x in w} | set(g_splits)))
+                # each piece [u_k, u_k+1] to its window, or to a spare row
+                w = np.array(windows)
+                k = np.argsort(w[:, 0])
+                k = k[np.searchsorted(w[k, 0], u[:-1], side="right") - 1]
+                rows = np.where(u[1:] <= w[k, 1], k, len(out))
+                parts = np.zeros((len(out) + 1, len(scales)), dtype=complex)
                 for p in tables:
                     np.add.at(parts, rows, p.linear_integrals(u, g(u), scales, norms))
                 for row, part in zip(out, parts.tolist()):
@@ -606,7 +610,7 @@ class RadonMeasure:
                     return (density(np.multiply.outer(u, s))
                             * (g(u)[:, None] * gain))
 
-            parts = log_quad(integrand, edges, quad,
+            parts = log_quad(integrand, windows, quad,
                              split_points=g_splits + splits, singular_points=sing)
             for row, part in zip(out, parts):
                 for i, value in enumerate(part.tolist() if n > 1 else [part],
@@ -802,7 +806,7 @@ class MetricFamily:
                 measure.scaled(order, ts[i])._check_window(*self.members[n].support)
         out = np.zeros((ts.size, self.n_members), dtype=complex)
         for n, f in enumerate(self.members):
-            out[:, n] = measure.dilation_integrals(f, ts, norms, [f.lo, f.hi], quad)[0]
+            out[:, n] = measure.dilation_integrals(f, ts, norms, [(f.lo, f.hi)], quad)[0]
         return out
 
     def distance_from_pairings(self, p1, p2):

@@ -2,7 +2,7 @@
 
 All integrals over (0, oo) are computed in log coordinates with an
 adaptive Gauss-Kronrod 7/15 rule.  Improper endpoints are handled by one
-Cauchy window rule (``_expand_windows``): a core window grows ring by ring,
+Cauchy window rule (``_cauchy_windows``): a core window grows ring by ring,
 the outer edge of each ring ``QuadControl.expansion`` times its inner edge,
 and a ring is calm when its magnitude is at most
 ``tol * (1 + |total|) + abs_tol``.  A finite end of the integration range is
@@ -10,20 +10,22 @@ an end of the core window and takes no rings.  An improper end is accepted
 when two rings in a row are calm, or when the next edge would leave the
 float range after at least one calm ring; it is rejected after
 ``max_expansions`` rings.  The rule runs on a batch of columns that share
-the rings, each with its own total and calm count (``_cauchy_windows`` sets
-up the core and both ends).  Rings are fetched in doubling blocks of up to
-``_RING_BLOCK`` rings and consumed one at a time, so the totals and partial
-sums are those of one ring at a time; the rest of a block is discarded.
+the rings, each with its own total and calm count.  Each end fetches its
+rings in doubling blocks of up to ``_RING_BLOCK`` rings; for one column
+both ends advance together, one call per step.  The rings are consumed one
+at a time, zero end first, so the totals and partial sums are those of one
+ring at a time; the rest of a block is discarded.
 
 ``adaptive_quad`` and ``log_quad`` accept vector integrands returning an
 (n, k) array for n nodes: the k integrals share segments and each column
 keeps its own budget ``tol * |I_j| + abs_tol``.  ``log_quad`` integrates
-over each window of an edge list; the windows with no split or singular
-point share one vector integral, each mapped onto [0, 1] in ln t, so a
-block of Cauchy rings is one ``adaptive_quad`` call.  Refinement stops as soon as
-every column's error estimate, summed over segments, is within its budget
-(QUADPACK's global test).  Until then a segment is split while any column's
-estimate on it is over the segment's length share of that budget.
+over each of a list of windows (a, b); the windows with no split or
+singular point share one vector integral, each mapped onto [0, 1] in ln t,
+so a step of Cauchy rings is one ``adaptive_quad`` call.  Refinement stops
+as soon as every column's error estimate, summed over segments, is within
+its budget (QUADPACK's global test).  Until then a segment is split while
+any column's estimate on it is over the segment's length share of that
+budget.
 
 ``CubicTable`` is the not-a-knot cubic spline (and its antiderivative) that
 tabulated densities and cumulative integrals interpolate with.
@@ -83,7 +85,7 @@ class QuadControl:
 
 DEFAULT_QUAD = QuadControl()
 
-# the most Cauchy rings that ``_expand_windows`` fetches in one block
+# the most Cauchy rings that an ``_End`` fetches in one block
 _RING_BLOCK = 16
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
@@ -224,20 +226,20 @@ def _log_integrand(f):
     return g
 
 
-def log_quad(f, edges, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
-    """Integrals of f over the windows (t_0, t_1], ..., (t_{m-1}, t_m] of an
-    ascending edge list in (0, oo), in log coordinates: a list of m values.
+def log_quad(f, windows, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
+    """Integrals of f over each window (a, b] of ``windows`` (pairs in
+    (0, oo) that need not touch), in log coordinates: one value per window.
 
     A window with a split point inside it or a singular point in its
     closure is integrated alone.  The other windows share one
     ``adaptive_quad``: each is mapped affinely in ln t onto [0, 1] and is
     its own column (one per column of a vector ``f``), with its own budget.
-    A lone window keeps its own ln t coordinates, so the edge list
-    ``[lo, hi]`` gives the integral over (lo, hi] bit for bit.
+    A lone window keeps its own ln t coordinates, so ``[(lo, hi)]`` gives
+    the integral over (lo, hi] bit for bit.
     """
-    out = [0.0 + 0.0j] * (len(edges) - 1)
+    out = [0.0 + 0.0j] * len(windows)
     alone, shared = [], []
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+    for i, (lo, hi) in enumerate(windows):
         if lo > 0.0 and hi > lo:
             splits = [math.log(p) for p in split_points if lo < p < hi]
             sing = [math.log(p) for p in singular_points if lo <= p <= hi]
@@ -245,13 +247,13 @@ def log_quad(f, edges, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
     if len(shared) == 1:
         alone, shared = alone + shared, []
     for i, splits, sing in alone:
-        out[i] = adaptive_quad(_log_integrand(f), math.log(edges[i]),
-                               math.log(edges[i + 1]), ctrl,
+        lo, hi = windows[i]
+        out[i] = adaptive_quad(_log_integrand(f), math.log(lo), math.log(hi), ctrl,
                                split_points=splits, singular_points=sing)
     if shared:
         shared = [i for i, _, _ in shared]
-        x_lo = np.log([edges[i] for i in shared])
-        width = np.log([edges[i + 1] for i in shared]) - x_lo
+        x_lo, x_hi = np.log([windows[i] for i in shared]).T
+        width = x_hi - x_lo
         vector = False
 
         def g(xi):
@@ -269,90 +271,92 @@ def log_quad(f, edges, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
     return out
 
 
-def _expand_windows(ring, edge, side, step, beyond, totals, partials, ctrl):
-    """Grow one end of a window by Cauchy rings, for every column of a batch.
+class _End:
+    """One improper end of the Cauchy window rule for a batch of columns.
 
-    ``totals`` holds one running total per column and ``partials`` one list
-    of partial sums per column; both grow in place.  ``side`` is -1 at the
-    lower end and +1 at the upper.  Rings are fetched in blocks of 1, 2, 4,
-    ... up to ``_RING_BLOCK`` rings, each edge ``step`` of the one before:
-    ``ring(edges, live)`` gets the ascending edges of a block and returns one
-    row per ring, the parts of the columns listed in ``live``.  A block
-    never reaches an edge at which a live column has left the float range
-    (``beyond(edge, j)``) and never holds more rings than ``max_expansions``
-    leaves.  The parts are consumed one ring at a time, outward: a column
-    keeps its own count of calm rings and takes no more rings once it is
-    accepted (two calm rings in a row) or rejected; what is left of a block
-    when no column is live is discarded.  A column whose next edge is
-    beyond is accepted after at least one calm ring and rejected otherwise.
-    Columns still live after ``max_expansions`` rings are rejected.  Returns
-    the rejected columns, in order, and each column's last edge.
-    """
-    calm = [0] * len(totals)
-    reach = [edge] * len(totals)
-    live = list(range(len(totals)))
-    rejected = []
-    left = ctrl.max_expansions
-    size = 1
-    while live and left > 0:
-        nxt = step(edge)
-        growing = []
-        for j in live:
-            if not beyond(nxt, j):
-                growing.append(j)
-            elif calm[j] < 1:
-                rejected.append(j)
-        live = growing
-        if not live:
-            break
-        edges = [edge, nxt]
-        while len(edges) <= min(size, left):
-            nxt = step(edges[-1])
-            if any(beyond(nxt, j) for j in live):
+    Ring k runs from edge k-1 to edge k, each edge ``step`` of the one
+    before; ``edges`` holds one edge past the rings fetched.  Column j has
+    left the float range at edge t when ``out(t * scales[j])``.  ``parts[j]``
+    holds the parts of the rings fetched for column j and ``state[j]`` its
+    base (the total its first ring adds to), partial sums, calm rings in a
+    row and verdict: True (accepted), False (rejected) or None (it needs
+    the next ring)."""
+
+    def __init__(self, edge, step, out, scales, ctrl):
+        self.edges, self.step, self.out, self.ctrl = [edge, step(edge)], step, out, ctrl
+        self.scales, self.size, self.open = scales, 1, list(range(len(scales)))
+        self.parts = [[] for _ in scales]
+        self.state = [(None, [], 0, None)] * len(scales)
+
+    def judge(self, base, settled):
+        """Consume each open column's new parts from ``base(j)`` (all again
+        when the base moved), one ring at a time, outward: two calm rings in
+        a row accept it; a next edge beyond the float range accepts it after
+        a calm ring and rejects it otherwise, as ``max_expansions`` rings
+        do.  A decided column closes once ``settled(j)``.  Returns whether a
+        column needs a ring."""
+        tol, abs_tol, most = self.ctrl.tol, self.ctrl.abs_tol, self.ctrl.max_expansions
+        edges, scales = self.edges, self.scales
+        for j in self.open:
+            b = base(j)
+            start, sums, calm, verdict = self.state[j]
+            if start != b:
+                sums, calm, verdict = [], 0, None
+            total = sums[-1] if sums else b
+            for part in self.parts[j][len(sums):] if verdict is None else ():
+                total = total + part
+                sums.append(total)
+                calm = calm + 1 if abs(part) <= tol * (1.0 + abs(total)) + abs_tol else 0
+                if calm >= 2:
+                    verdict = True
+                    break
+            k = len(sums)
+            if verdict is None and (k >= most or self.out(edges[k + 1] * scales[j])):
+                verdict = k < most and calm >= 1
+            self.state[j] = (b, sums, calm, verdict)
+        self.open = [j for j in self.open if self.state[j][3] is None or not settled(j)]
+        return any(self.state[j][3] is None for j in self.open)
+
+    def plan(self):
+        """The next block's rings (a, b), outward, and the open columns not
+        beyond its first edge to fetch them for: 1, 2, 4, ... up to
+        ``_RING_BLOCK`` rings that never reach an edge beyond one of those
+        columns nor take the end past ``max_expansions`` rings."""
+        live = [j for j in self.open if not self.out(self.edges[-1] * self.scales[j])]
+        scales = [self.scales[j] for j in live] or [1.0]
+        least, most = min(scales), max(scales)   # out is monotone in the scale
+        rings = []
+        for _ in range(min(self.size, self.ctrl.max_expansions + 2 - len(self.edges))
+                       if live else 0):
+            edge, nxt = self.edges[-2:]
+            if rings and (self.out(nxt * least) or self.out(nxt * most)):
                 break
-            edges.append(nxt)
-        size = min(2 * size, _RING_BLOCK)
-        left -= len(edges) - 1
-        if side < 0:
-            rows = ring(edges[::-1], live)[::-1]
-        else:
-            rows = ring(edges, live)
-        col = {j: i for i, j in enumerate(live)}
-        for outer, row in zip(edges[1:], rows):
-            growing = []
-            for j in live:
-                part = row[col[j]]
-                total = totals[j] + part
-                totals[j] = total
-                partials[j].append(total)
-                reach[j] = outer
-                if abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol:
-                    calm[j] += 1
-                    if calm[j] >= 2:
-                        continue
-                else:
-                    calm[j] = 0
-                growing.append(j)
-            live = growing
-            if not live:
-                break
-        edge = edges[-1]
-    return sorted(rejected + live), reach
+            rings.append((nxt, edge) if nxt < edge else (edge, nxt))
+            self.edges.append(self.step(nxt))
+        self.size = min(2 * self.size, _RING_BLOCK)
+        return rings, live
 
 
 def _cauchy_windows(ring, lo, hi, scales, ctrl):
     """Columns of an integral over (lo, hi) in (0, oo) by the Cauchy window rule.
 
-    ``lo == 0`` and ``hi == inf`` are improper ends.  Column j's edge leaves
-    the float range when ``edge * scales[j]`` does; ``ring(edges, live)``
-    returns, for each window of the ascending edge list ``edges``, a row of
-    the parts of the columns listed in ``live``.  The core window is
-    ``(window_lo, window_hi)`` clipped to (lo, hi); when the finite end lies
-    beyond it, the core is the one ring next to that end.  Returns the
+    ``lo == 0`` and ``hi == inf`` are improper ends (``_End``); column j's
+    edge leaves the float range when ``edge * scales[j]`` does.  The core
+    window is ``(window_lo, window_hi)`` clipped to (lo, hi); when the
+    finite end lies beyond it, the core is the one ring next to that end.
+    ``ring(windows, live)`` returns for each window (a, b) of ``windows``,
+    which need not touch, a row of the parts of the columns listed in
+    ``live``.  For one column both ends advance together: each step is one
+    call on the core (first step) and the next block of each end that
+    needs one.  The infinity end adds to the total after the zero end, so
+    while the zero end is undecided the infinity rows are judged on the
+    total so far, and replayed once it is decided.  A wider batch, whose
+    vector integrals would refine each end's rings for the other's, takes
+    one call per block and finishes the zero end first.  Returns the
     totals, each column's partial sums (core first, then the rings at zero,
     then those at infinity), a dict mapping each rejected column to the
     end, "zero" or "infinity", that failed first, and each column's window
-    (a, b): the core and the rings the column took.
+    (a, b): the core and the rings it took.
     """
     improper_lo = (lo == 0.0)
     improper_hi = math.isinf(hi)
@@ -366,37 +370,68 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl):
         else:
             return ([0.0 + 0.0j] * len(scales), [[] for _ in scales], {},
                     [(lo, hi)] * len(scales))
-    live = list(range(len(scales)))
-    totals = list(ring([core_lo, core_hi], live)[0])
-    partials = [[total] for total in totals]
-    reach_lo = reach_hi = None
-    failed = {}
-    if improper_lo:
-        rejected, reach_lo = _expand_windows(
-            ring, core_lo, -1, lambda t: t / ctrl.expansion,
-            lambda t, j: t * scales[j] < 1e-300, totals, partials, ctrl)
-        for j in rejected:
-            failed[j] = "zero"
-    if improper_hi:
-        rejected, reach_hi = _expand_windows(
-            ring, core_hi, 1, lambda t: t * ctrl.expansion,
-            lambda t, j: t * scales[j] > 1e300, totals, partials, ctrl)
-        for j in rejected:
-            failed.setdefault(j, "infinity")
-    windows = [(reach_lo[j] if improper_lo else core_lo,
-                reach_hi[j] if improper_hi else core_hi) for j in range(len(scales))]
-    return totals, partials, failed, windows
+    n = len(scales)
+    zero = improper_lo and _End(core_lo, lambda t: t / ctrl.expansion,
+                                lambda x: x < 1e-300, scales, ctrl)
+    inf = improper_hi and _End(core_hi, lambda t: t * ctrl.expansion,
+                               lambda x: x > 1e300, scales, ctrl)
+
+    def settled(j):
+        return not zero or zero.state[j][3] is not None
+
+    def after_zero(j):
+        return (zero.state[j][1] or [core[j]])[-1] if zero else core[j]
+
+    core, windows, blocks = None, [(core_lo, core_hi)], [(None, 0, 1, range(n))]
+    wanting = [end for end in (zero, inf) if end][:1 if n > 1 else 2]
+    while True:
+        for end in wanting:
+            rings, cols = end.plan()
+            if rings:
+                blocks.append((end, len(windows), len(rings), cols))
+                windows += rings
+        if not windows:
+            break
+        calls = [(windows, list(range(n)), blocks)] if n == 1 else [
+            (windows[at:at + count], list(cols), [(end, 0, count, cols)])
+            for end, at, count, cols in blocks]
+        for windows, live, step in calls:   # every block of a call is for all of live
+            rows = ring(windows, live)
+            for end, at, count, cols in step:
+                if end is None:
+                    core = list(rows[0])
+                for j, parts in zip(cols, zip(*rows[at:at + count])) if end else ():
+                    end.parts[j].extend(parts)
+        wanting = []
+        for end, base in ((zero, core.__getitem__), (inf, after_zero)):
+            if end and (n == 1 or not wanting) and end.judge(base, settled):
+                wanting.append(end)
+        windows, blocks = [], []
+
+    partials, failed, reach = [], {}, []
+    for j in range(n):
+        sums, window = [core[j]], [core_lo, core_hi]
+        for side, end, name in ((0, zero, "zero"), (1, inf, "infinity")):
+            if end:
+                _, taken, _, verdict = end.state[j]
+                sums += taken
+                window[side] = end.edges[len(taken)]
+                if not verdict:
+                    failed.setdefault(j, name)
+        partials.append(sums)
+        reach.append(tuple(window))
+    return [sums[-1] for sums in partials], partials, failed, reach
 
 
 def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
     """Integral of ``f`` over (lo, hi) in (0, oo); lo == 0 / hi == inf improper.
 
-    Each block of Cauchy windows is one ``log_quad`` of ``f``.  Masses with
+    Each step of Cauchy windows is one ``log_quad`` of ``f``.  Masses with
     atoms take their windows from ``RadonMeasure.masses`` instead
     (``improper_mass``), so the atoms enter the criterion there.
     """
-    def window_values(edges, live):
-        return [(v,) for v in log_quad(f, edges, ctrl, split_points, singular_points)]
+    def window_values(windows, live):
+        return [(v,) for v in log_quad(f, windows, ctrl, split_points, singular_points)]
 
     hi = math.inf if hi is None else float(hi)
     totals, partials, failed, _ = _cauchy_windows(window_values, float(lo), hi,

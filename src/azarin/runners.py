@@ -410,7 +410,8 @@ def run_density_estimate(order, measure, quad, r_grid=Grid(1e2, 1e7, 48),
 
 
 @operation("transform_table")
-def run_transform_table(order, measure, kernel, quad, r_grid=Grid(1.0, 1e6, 25)):
+def run_transform_table(order, measure, kernel, quad,
+                        r_grid=Grid(1.0, 1e6, 25, item=positive)):
     tr = KernelTransform(kernel, measure, order, quad)
     rows = []
     for r, v in zip(r_grid, tr.values(r_grid).tolist()):
@@ -477,8 +478,14 @@ def run_integrability(order, kernel, quad, expect_converged=Maybe(bool)):
     return RunResult(_expected(rep.l1_converged, expect_converged), report)
 
 
-@operation("averaged_limit_check")
-def run_averaged_limit(order, measure, kernel, quad, schedule=Grid(1e2, 1e6, 32),
+def _ten_samples(schedule, **_):
+    if len(schedule) < 10:   # estimate_limit_set needs 10 trajectory samples
+        raise ConfigError("params.schedule: expected at least 10 samples")
+
+
+@operation("averaged_limit_check", check=_ten_samples)
+def run_averaged_limit(order, measure, kernel, quad,
+                       schedule=Grid(1e2, 1e6, 32, item=positive),
                        eps_cluster=1e-3, density_tol=0.01,
                        expected_coefficient_rule=Choice("gamma(rho)"),
                        coef_tol=0.01):
@@ -548,7 +555,8 @@ def run_stable_order(order, measure, quad, r_grid=Grid(1e1, 1e6, 40),
 
 
 @operation("order_diagnostic")
-def run_order_diagnostic(order, measure, kernel, quad, r_grid=Grid(1e2, 1e8, 16),
+def run_order_diagnostic(order, measure, kernel, quad,
+                         r_grid=Grid(1e2, 1e8, 16, item=positive),
                          hardy=False):
     tr = KernelTransform(kernel, measure, order, quad)
     rep = order_diagnostic(tr, r_grid, quad)

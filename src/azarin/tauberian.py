@@ -87,11 +87,11 @@ class _SymbolQuadrature:
 
         fetched = {}
 
-        def ring(edges, live):
+        def ring(windows, live):
             """Keep the nodes of each ring (ln a, ln b] in ``fetched``; return
             the rings' absolute masses."""
             rows = []
-            for a, b in zip(edges[:-1], edges[1:]):
+            for a, b in windows:
                 x = panels(math.log(a), math.log(b))
                 mid = 0.5 * (x[:-1] + x[1:])
                 half = 0.5 * (x[1:] - x[:-1])

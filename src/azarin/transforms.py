@@ -37,8 +37,8 @@ class KernelTransform:
     the integral of K(u) over u in the window against mu(r u)/n, at n = V(r)
     the transform of mu_r = mu(r .)/V(r) at 1.  The r values whose kernel
     support, measure hull and window clip u to the same window share its
-    core and its Cauchy rings.  Each block of rings is the measure's
-    dilation integral of K at scales r and norms n over the block's edges
+    core and its Cauchy rings.  Each fetch of rings is the measure's
+    dilation integral of K at scales r and norms n over its windows
     (``RadonMeasure.dilation_integrals``), whose columns are the (ring, r)
     pairs.  Each r keeps its own Cauchy test and stops taking rings once it
     is decided.  ``values(rs)`` is the norm-1 case over (0, oo), cached per
@@ -53,10 +53,10 @@ class KernelTransform:
         self.quad = quad
         self._cache = {}
 
-    def _window_term(self, rs, edges, norms):
+    def _window_term(self, rs, windows, norms):
         """The dilation integral of the kernel at scales ``rs`` and norms
-        ``norms`` over each window (a, b] of the ascending ``edges``."""
-        return self.measure.dilation_integrals(self.kernel, rs, norms, edges, self.quad)
+        ``norms`` over each window (a, b] of ``windows``."""
+        return self.measure.dilation_integrals(self.kernel, rs, norms, windows, self.quad)
 
     def integrals(self, rs, norms, u_window=(0.0, math.inf)):
         """Integral of K(u) over u in ``u_window`` against mu(r u)/n for every
@@ -71,20 +71,20 @@ class KernelTransform:
             raise ValueError("transform requires r > 0")
         k_lo, k_hi = self.kernel.support
         m_lo, m_hi = self.measure.hull()
+        # widen the hull clip at an end atom, to keep it in the half-open windows
+        at_lo, at_hi = (m in self.measure.atom_x for m in (m_lo, m_hi))
         groups = {}
         for i, r in enumerate(rs):
-            # measure-hull clipping is slightly widened so boundary atoms
-            # stay inside the half-open integration windows
-            u_lo = max(k_lo, m_lo / r * (1.0 - 1e-12), u_window[0])
-            u_hi = min(k_hi, m_hi / r * (1.0 + 1e-12), u_window[1])
+            u_lo = max(k_lo, m_lo / r * (1.0 - 1e-12 * at_lo), u_window[0])
+            u_hi = min(k_hi, m_hi / r * (1.0 + 1e-12 * at_hi), u_window[1])
             if math.isinf(u_hi) or u_hi > max(u_lo, 0.0):
                 groups.setdefault((u_lo, u_hi), []).append(i)
         out = np.zeros(len(rs), dtype=complex)
         failures = []
         for (u_lo, u_hi), group in groups.items():
-            def ring(edges, live, group=group):
+            def ring(windows, live, group=group):
                 cols = [group[j] for j in live]
-                return self._window_term([rs[i] for i in cols], edges,
+                return self._window_term([rs[i] for i in cols], windows,
                                          [norms[i] for i in cols])
 
             totals, partials, failed, _ = _cauchy_windows(
@@ -471,7 +471,7 @@ def check_antiderivative_identity(kernel, measure, orders, r_samples,
         for r in r_samples:
             lhs = (-1.0) ** (n + 1) * r ** (n + 1) * tr.value(r)
             splits = [b for b in F.breakpoints if r * lo < b < r * hi]
-            rhs, = log_quad(lambda t: deriv(t / r) * F(t), [r * lo, r * hi],
+            rhs, = log_quad(lambda t: deriv(t / r) * F(t), [(r * lo, r * hi)],
                             quad, split_points=splits)
             scale = max(abs(lhs), abs(rhs), 1e-12)
             err = abs(lhs - rhs) / scale

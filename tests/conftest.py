@@ -20,27 +20,35 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def _counted(monkeypatch, name):
-    """A list that gains one entry per call of ``RadonMeasure.<name>``."""
-    from azarin.measures import RadonMeasure
+def _counted(monkeypatch, owner, name):
+    """A list that gains one entry per call of ``owner.<name>``."""
     calls = []
-    inner = getattr(RadonMeasure, name)
+    inner = getattr(owner, name)
 
-    def counted(self, *args, **kw):
+    def counted(*args, **kw):
         calls.append(args)
-        return inner(self, *args, **kw)
+        return inner(*args, **kw)
 
-    monkeypatch.setattr(RadonMeasure, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 @pytest.fixture
 def dilation_calls(monkeypatch):
     """A list that gains one entry per ``RadonMeasure.dilation_integrals`` call."""
-    return _counted(monkeypatch, "dilation_integrals")
+    from azarin.measures import RadonMeasure
+    return _counted(monkeypatch, RadonMeasure, "dilation_integrals")
 
 
 @pytest.fixture
 def scaled_calls(monkeypatch):
     """A list that gains one entry per ``RadonMeasure.scaled`` call."""
-    return _counted(monkeypatch, "scaled")
+    from azarin.measures import RadonMeasure
+    return _counted(monkeypatch, RadonMeasure, "scaled")
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """A list that gains one entry per ``numerics.adaptive_quad`` call."""
+    from azarin import numerics
+    return _counted(monkeypatch, numerics, "adaptive_quad")

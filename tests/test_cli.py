@@ -183,6 +183,15 @@ class TestRunErrors:
         # one sample is all transient: min() of no cluster values
         ("kernel_limit_values", {"schedule": [1e9]}, "params.schedule",
          "expected a sample past the transient"),
+        # a scale <= 0 or a short schedule used to end in a run error
+        ("order_diagnostic", {"r_grid": [-1.0, 10.0]}, "params.r_grid[0]",
+         "expected a finite number > 0"),
+        ("transform_table", {"r_grid": [10.0, 0.0]}, "params.r_grid[1]",
+         "expected a finite number > 0"),
+        ("averaged_limit_check", {"schedule": [1e2, 1e3, 1e4]}, "params.schedule",
+         "expected at least 10 samples"),
+        ("averaged_limit_check", {"schedule": [-1e2] + [1e3] * 10}, "params.schedule[0]",
+         "expected a finite number > 0"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):

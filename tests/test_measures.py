@@ -440,7 +440,8 @@ def _assert_matches_oracle(case, absolute):
     power pieces, atoms and kernels at the quadrature budget."""
     measure, kind, g, edges, scales, norms = case
     ctrl = DEFAULT_QUAD
-    got = measure.dilation_integrals(g, scales, norms, edges, ctrl, absolute)
+    got = measure.dilation_integrals(g, scales, norms, list(zip(edges, edges[1:])),
+                                     ctrl, absolute)
     for lo, hi, row in zip(edges, edges[1:], got):
         for s, n, value in zip(scales, norms, row):
             atoms, dens, tab, size = _oracle_dilation(measure, g, s, n, lo, hi,
@@ -703,13 +704,13 @@ class TestFlowPairings:
         f = TestFunction(0.25, 8.0)
         calls = []
 
-        def counting_log_quad(g, edges, quad, **kw):
-            out = log_quad(g, edges, quad, **kw)
+        def counting_log_quad(g, windows, quad, **kw):
+            out = log_quad(g, windows, quad, **kw)
             calls.append((np.size(out[0]), sorted(set(kw["split_points"]))))
             return out
 
         monkeypatch.setattr(measures, "log_quad", counting_log_quad)
-        m.dilation_integrals(f, ts, [1.0] * len(ts), [f.lo, f.hi])
+        m.dilation_integrals(f, ts, [1.0] * len(ts), [(f.lo, f.hi)])
         assert len(calls) == n_runs
         assert sum(n for n, _ in calls) == len(ts)
         start = 0

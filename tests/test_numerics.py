@@ -7,8 +7,8 @@ from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
 from azarin.numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, QuadControl,
-                             QuadratureError, adaptive_quad, golden_section_min,
-                             improper_quad, log_quad)
+                             QuadratureError, _cauchy_windows, adaptive_quad,
+                             golden_section_min, improper_quad, log_quad)
 
 
 def test_adaptive_polynomials_exact():
@@ -83,7 +83,7 @@ def test_vector_columns_keep_their_own_budget():
 
 def test_log_quad_vector_integrand():
     fns = [lambda t: t ** -0.3, lambda t: 1e-12 * np.abs(np.log(t / 3.0)) * t ** 0.5]
-    got, = log_quad(_columns(*fns), [0.5, 8.0], FINE, split_points=[3.0])
+    got, = log_quad(_columns(*fns), [(0.5, 8.0)], FINE, split_points=[3.0])
     _assert_columns(got, fns, 0.5, 8.0, points=[3.0])
 
 
@@ -126,7 +126,7 @@ def test_vector_log_singular_column_beside_tiny_smooth_column():
 
 
 def test_log_quad_power():
-    val, = log_quad(lambda t: t ** 1.5, [0.5, 8.0])
+    val, = log_quad(lambda t: t ** 1.5, [(0.5, 8.0)])
     want = (8.0 ** 2.5 - 0.5 ** 2.5) / 2.5
     assert abs(val - want) < 1e-9 * want
 
@@ -140,6 +140,70 @@ def test_improper_both_ends():
     # integral of t^{-1/2} e^{-t} = Gamma(1/2)
     val = improper_quad(lambda t: np.exp(-t) / np.sqrt(t), 0.0, None)
     assert abs(val - math.sqrt(math.pi)) < 1e-8
+
+
+# Column 0's zero end takes a large ring (16) in its last block, so its
+# infinity rings are calm on every total before that block (about 1.5) but
+# not on the final one (1.2): its infinity end stops after two calm rings
+# and takes more once the zero end is decided.  Column 1's infinity end
+# takes 44 rings.
+_LATE = DEFAULT_QUAD.tol * 2.35
+
+
+def _synthetic_part(j, window):
+    a, b = window
+    if window == (DEFAULT_QUAD.window_lo, DEFAULT_QUAD.window_hi):
+        return (2.0, 1.0)[j]
+    if b <= DEFAULT_QUAD.window_lo:   # zero ring k
+        k = round(math.log(DEFAULT_QUAD.window_lo / b, 4.0)) + 1
+        zero = -0.5 if k == 1 else -1e-9 if k < 16 else -0.3 if k == 16 else 0.0
+        return (zero, 0.3 ** k)[j]
+    k = round(math.log(a / DEFAULT_QUAD.window_hi, 4.0)) + 1
+    return (_LATE if k <= 3 else 0.0, 0.6 ** k)[j]
+
+
+def _synthetic_one_ring_at_a_time(j, ctrl=DEFAULT_QUAD):
+    """(total, partial sums, failed end or None) of column j, each ring
+    taken alone, the zero end first."""
+    total = _synthetic_part(j, (ctrl.window_lo, ctrl.window_hi))
+    partials, failed = [total], None
+    for end, edge, step in (("zero", ctrl.window_lo, lambda t: t / ctrl.expansion),
+                            ("infinity", ctrl.window_hi, lambda t: t * ctrl.expansion)):
+        calm = 0
+        for _ in range(ctrl.max_expansions):
+            nxt = step(edge)
+            part = _synthetic_part(j, (min(edge, nxt), max(edge, nxt)))
+            edge = nxt
+            total += part
+            partials.append(total)
+            calm_ring = abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol
+            calm = calm + 1 if calm_ring else 0
+            if calm >= 2:
+                break
+        else:
+            failed = failed or end
+    return total, partials, failed
+
+
+@pytest.mark.parametrize("columns", [[0], [0, 1]], ids=["alone", "with-a-long-end"])
+def test_cauchy_windows_replay_the_infinity_end(columns):
+    calls = []
+
+    def ring(windows, live):
+        calls.append(windows)
+        return [[_synthetic_part(columns[j], w) for j in live] for w in windows]
+
+    totals, partials, failed, _ = _cauchy_windows(ring, 0.0, math.inf,
+                                                  [1.0] * len(columns), DEFAULT_QUAD)
+    for j, c in enumerate(columns):
+        total, want, end = _synthetic_one_ring_at_a_time(c)
+        assert (totals[j], partials[j], failed.get(j)) == (total, want, end)
+    assert len(partials[0]) == 1 + 18 + 5
+    if columns == [0]:
+        # steps with infinity windows: the first two, then the one after
+        # the zero end's last block
+        at_infinity = [any(a >= DEFAULT_QUAD.window_hi for a, _ in w) for w in calls]
+        assert at_infinity == [True, True, False, False, False, True]
 
 
 def test_improper_divergence_carries_partials():

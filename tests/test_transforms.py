@@ -118,9 +118,9 @@ class TestTransformValue:
         seen = []
         term = tr._window_term
 
-        def spy(rs, edges, norms):
-            seen.extend(zip(edges[:-1], edges[1:]))
-            return term(rs, edges, norms)
+        def spy(rs, windows, norms):
+            seen.extend(windows)
+            return term(rs, windows, norms)
 
         tr._window_term = spy
         assert tr.value(1.0) == pytest.approx(want, rel=1e-9)
@@ -269,7 +269,7 @@ def _one_ring_at_a_time(tr, r):
     core_hi = ctrl.window_hi if math.isinf(u_hi) else u_hi
 
     def ring(a, b):
-        return tr._window_term([r], [a, b], [1.0])[0][0]
+        return tr._window_term([r], [(a, b)], [1.0])[0][0]
 
     total = ring(core_lo, core_hi)
     partials = [total]
@@ -310,6 +310,12 @@ ATOMS_AND_BREAKPOINTS = RadonMeasure(
             DensityPiece(1.5, math.inf, coef=2.0, exponent=-0.6)))
 
 
+# density t**-0.3 below 1 and t**-1.5 above: the zero end of a large r
+# first crosses the steep piece, so its ring count grows with r
+TWO_POWERS = RadonMeasure(pieces=(DensityPiece(0.0, 1.0, exponent=-0.3),
+                                  DensityPiece(1.0, math.inf, exponent=-1.5)))
+
+
 class TestRingBlocks:
     """Rings fetched in blocks and integrated as one vector integral per
     block give the totals, ring counts and partial sums of the rule run one
@@ -318,8 +324,8 @@ class TestRingBlocks:
     @staticmethod
     def _blocks(tr, rs):
         # the rings of ``KernelTransform.values`` for one group of r
-        def ring(edges, live):
-            return tr._window_term([rs[j] for j in live], edges, [1.0] * len(live))
+        def ring(windows, live):
+            return tr._window_term([rs[j] for j in live], windows, [1.0] * len(live))
 
         return _cauchy_windows(ring, 0.0, math.inf, rs, tr.quad)
 
@@ -330,7 +336,12 @@ class TestRingBlocks:
         # the first column leaves the float range at zero inside a block: it
         # is cut there and the column is rejected, the second one goes on
         (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-294, 1.0]),
-    ], ids=["exp", "log-singular", "atoms-and-breakpoints", "float-range"])
+        # the first column leaves the float range at the first ring at
+        # infinity but takes 29 rings at zero, while the second takes 56 at
+        # infinity, which overflow at the first scale: no call holds both
+        (LogSingularKernel(), RadonMeasure.power_density(-0.3), [1e299, 1.0]),
+    ], ids=["exp", "log-singular", "atoms-and-breakpoints", "float-range",
+            "float-range-at-one-end"])
     def test_blocks_match_one_ring_at_a_time(self, kernel, measure, rs):
         tr = KernelTransform(kernel, measure)
         totals, partials, failed, _ = self._blocks(tr, rs)
@@ -353,18 +364,47 @@ class TestRingBlocks:
         assert len(err.value.partials) == len(want) == 1 + tr.quad.max_expansions
         assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
 
-    def test_log_table_work(self, monkeypatch):
+    @pytest.mark.parametrize("rs", [[1e-3, 1e6]])
+    def test_ends_finishing_in_different_blocks(self, rs):
+        # one ring at a time, r = 1e-3 takes 24 rings at zero (block 5) and
+        # 14 at infinity (block 4), r = 1e6 takes 35 (block 6) and 7 (block 3)
+        tr = KernelTransform(LogSingularKernel(), TWO_POWERS)
+        totals, partials, failed, _ = self._blocks(tr, rs)
+        assert failed == {}
+        for j, r in enumerate(rs):
+            total, want, end = _one_ring_at_a_time(tr, r)
+            assert end is None
+            assert len(partials[j]) == len(want)
+            assert abs(totals[j] - total) <= 1e-13 * abs(total)
+            assert np.allclose(partials[j], want, rtol=1e-13, atol=0.0)
+
+    def test_divergence_at_infinity_partials_match(self):
+        # accepted at zero, rejected at infinity: the partial sums run through
+        # the core, the rings taken at zero, then the rings at infinity
+        tr = KernelTransform(LogSingularKernel(), LEB)
+        with pytest.raises(DivergenceError) as err:
+            tr.value(1.0)
+        total, want, end = _one_ring_at_a_time(tr, 1.0)
+        assert end == "infinity" and "at infinity" in str(err.value)
+        assert len(err.value.partials) == len(want) > 3 + tr.quad.max_expansions
+        assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
+
+    def test_divergence_at_both_ends_reports_zero(self):
+        measure = RadonMeasure(pieces=(DensityPiece(0.0, 1.0, exponent=-1.0),
+                                       DensityPiece(1.0, math.inf, exponent=0.5)))
+        tr = KernelTransform(LogSingularKernel(), measure)
+        with pytest.raises(DivergenceError) as err:
+            tr.value(1.0)
+        total, want, end = _one_ring_at_a_time(tr, 1.0)
+        assert end == "zero" and "at zero" in str(err.value)
+        assert self._blocks(tr, [1.0])[2] == {0: "zero"}
+        assert len(err.value.partials) == len(want) == 1 + 2 * tr.quad.max_expansions
+        assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
+
+    def test_log_table_work(self, quad_calls):
         # the seed-0 log-singular table of the benchmark: 2,073
-        # adaptive_quad calls when each ring was its own integral
-        from azarin import numerics
-        calls = []
-        adaptive_quad = numerics.adaptive_quad
-
-        def counting_adaptive_quad(*args, **kwargs):
-            calls.append(1)
-            return adaptive_quad(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "adaptive_quad", counting_adaptive_quad)
+        # adaptive_quad calls when each ring was its own integral, 325 when
+        # the ends took their blocks one after the other
         rho = 0.7
         tr = KernelTransform(LogSingularKernel(), RadonMeasure.power_density(rho - 1.0))
         grid = [10.0 ** (-2.0 + 0.4 * k) for k in range(25)]
@@ -372,7 +412,25 @@ class TestRingBlocks:
         want = (math.pi / rho) / math.tan(math.pi * rho)
         assert all(abs(v / r ** rho - want) <= 1e-8 * abs(want)
                    for r, v in zip(grid, got))
-        assert len(calls) <= 2073 // 4
+        assert len(quad_calls) <= 200
+
+    def test_exp_table_work(self, quad_calls):
+        # the seed-0 exp table of the benchmark: 360 adaptive_quad calls
+        # when the ends took their blocks one after the other
+        rho = 0.7
+        tr = KernelTransform(ExpKernel(), RadonMeasure.power_density(rho - 1.0))
+        grid = [10.0 ** (-2.0 + 0.25 * k) for k in range(40)]
+        got = [tr.value(r) for r in grid]
+        assert all(abs(v / r ** rho - math.gamma(rho)) <= 1e-8 * math.gamma(rho)
+                   for r, v in zip(grid, got))
+        assert len(quad_calls) <= 200
+
+    def test_laplace_builtin_work(self, quad_calls, tmp_path):
+        # 163 adaptive_quad calls when the clip at the density end of the
+        # hull (1, oo) was widened, so that the core held a sliver
+        from azarin.cli import main
+        assert main(["run", "laplace_vs_counting", "--out-dir", str(tmp_path)]) == 0
+        assert len(quad_calls) <= 130
 
 
 def _scaled_reference(kernel, measure, order, r, u_window):
@@ -388,8 +446,8 @@ def _scaled_reference(kernel, measure, order, r, u_window):
     if not math.isinf(hi) and hi <= max(lo, 0.0):
         return 0.0, [], None
 
-    def ring(edges, live):
-        return ref._window_term([1.0], edges, [1.0])
+    def ring(windows, live):
+        return ref._window_term([1.0], windows, [1.0])
 
     totals, partials, failed, _ = _cauchy_windows(ring, lo, hi, [1.0], ref.quad)
     return totals[0], partials[0], failed.get(0)

@@ -10,11 +10,12 @@ an end of the core window and takes no rings.  An improper end is accepted
 when two rings in a row are calm, or when the next edge would leave the
 float range after at least one calm ring; it is rejected after
 ``max_expansions`` rings.  The rule runs on a batch of columns that share
-the rings, each with its own total and calm count.  Each end fetches its
-rings in doubling blocks of up to ``_RING_BLOCK`` rings; for one column
-both ends advance together, one call per step.  The rings are consumed one
-at a time, zero end first, so the totals and partial sums are those of one
-ring at a time; the rest of a block is discarded.
+the rings, each with its own total and calm count.  For one column both
+ends advance together, one call per step, each fetching a block of
+``_RING_BLOCK`` rings; a batch of columns fetches doubling blocks, 1, 2,
+4, ... rings.  The rings are consumed one at a time, zero end first, so
+the totals and partial sums are those of one ring at a time; the rest of a
+block is discarded.
 
 ``adaptive_quad`` and ``log_quad`` accept vector integrands returning an
 (n, k) array for n nodes: the k integrals share segments and each column
@@ -25,7 +26,8 @@ so a step of Cauchy rings is one ``adaptive_quad`` call.  Refinement stops
 as soon as every column's error estimate, summed over segments, is within
 its budget (QUADPACK's global test).  Until then a segment is split while
 any column's estimate on it is over the segment's length share of that
-budget.
+budget: into graded panels toward a singular point it ends on, and into
+halves otherwise.
 
 ``CubicTable`` is the not-a-knot cubic spline (and its antiderivative) that
 tabulated densities and cumulative integrals interpolate with.
@@ -85,7 +87,8 @@ class QuadControl:
 
 DEFAULT_QUAD = QuadControl()
 
-# the most Cauchy rings that an ``_End`` fetches in one block
+# the Cauchy rings that each end of one column fetches per step, and the
+# most that the doubling blocks of a batch of columns reach
 _RING_BLOCK = 16
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
@@ -148,7 +151,12 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
 
     ``split_points`` become segment boundaries; ``singular_points`` are also
     boundaries and receive a graded geometric subdivision (nodes are interior,
-    so integrable endpoint singularities need no special values).
+    so integrable endpoint singularities need no special values).  A
+    segment that ends on a singular point is refined into the same graded
+    panels (``graded_levels`` of them, halving toward the point), so each
+    pass shrinks its end panel 2**(levels - 1)-fold where bisection would
+    halve it; every other segment is bisected.  ``max_segments`` caps the
+    segments held after a pass.
 
     ``f`` maps n nodes to n values, or to an (n, k) array for k integrals
     over one set of segments; then the result is an array of k values (an
@@ -169,10 +177,13 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
                       | {float(p) for p in singular_points if a < p < b})
     edges = [a] + interior + [b]
     sing = sorted({float(p) for p in singular_points if a <= p <= b})
+
+    def graded(lo, hi):
+        return _graded_edges(lo, hi, [s for s in sing if s in (lo, hi)], ctrl.graded_levels)
+
     pts = set()
     for lo, hi in zip(edges[:-1], edges[1:]):
-        pts.update(_graded_edges(lo, hi, [s for s in sing if s in (lo, hi)],
-                                 ctrl.graded_levels))
+        pts.update(graded(lo, hi))
     edges = np.array(sorted(set(edges) | pts))
     seg_lo = edges[:-1]
     seg_hi = edges[1:]
@@ -195,20 +206,25 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         bad = over.any(axis=1) if vector else over
         if not bad.any():
             return result(total)
-        if seg_lo.size + np.count_nonzero(bad) > ctrl.max_segments:
+        # a segment on a singular point takes graded panels toward it, the
+        # others their two halves
+        grade = (bad & (np.isin(seg_lo, sing) | np.isin(seg_hi, sing)) if sing
+                 else np.zeros_like(bad))
+        halve = bad & ~grade
+        mid = 0.5 * (seg_lo[halve] + seg_hi[halve])
+        panels = [np.array(sorted(set(graded(lo, hi))))
+                  for lo, hi in zip(seg_lo[grade].tolist(), seg_hi[grade].tolist())]
+        ref_lo = np.concatenate([seg_lo[halve], mid] + [p[:-1] for p in panels])
+        ref_hi = np.concatenate([mid, seg_hi[halve]] + [p[1:] for p in panels])
+        if seg_lo.size - np.count_nonzero(bad) + ref_lo.size > ctrl.max_segments:
             if np.all(np.sum(errs, axis=0) < 100.0 * budget):
                 return result(total)
             raise QuadratureError("segment budget exhausted", estimate=result(total))
-        mid = 0.5 * (seg_lo[bad] + seg_hi[bad])
-        new_lo = np.concatenate([seg_lo[~bad], seg_lo[bad], mid])
-        new_hi = np.concatenate([seg_hi[~bad], mid, seg_hi[bad]])
-        keep_vals = vals[~bad]
-        keep_errs = errs[~bad]
-        ref_vals, ref_errs = _gk_eval(f, np.concatenate([seg_lo[bad], mid]),
-                                      np.concatenate([mid, seg_hi[bad]]))
-        vals = np.concatenate([keep_vals, ref_vals])
-        errs = np.concatenate([keep_errs, ref_errs])
-        seg_lo, seg_hi = new_lo, new_hi
+        ref_vals, ref_errs = _gk_eval(f, ref_lo, ref_hi)
+        vals = np.concatenate([vals[~bad], ref_vals])
+        errs = np.concatenate([errs[~bad], ref_errs])
+        seg_lo = np.concatenate([seg_lo[~bad], ref_lo])
+        seg_hi = np.concatenate([seg_hi[~bad], ref_hi])
 
     total = np.sum(vals, axis=0)
     if np.any(np.sum(errs, axis=0) > 100.0 * (ctrl.tol * abs(total) + ctrl.abs_tol)):
@@ -282,9 +298,10 @@ class _End:
     row and verdict: True (accepted), False (rejected) or None (it needs
     the next ring)."""
 
-    def __init__(self, edge, step, out, scales, ctrl):
+    def __init__(self, edge, step, out, scales, ctrl, block):
         self.edges, self.step, self.out, self.ctrl = [edge, step(edge)], step, out, ctrl
-        self.scales, self.size, self.open = scales, 1, list(range(len(scales)))
+        self.scales, self.open, self.block = scales, list(range(len(scales))), block
+        self.size = block if len(scales) == 1 else 1
         self.parts = [[] for _ in scales]
         self.state = [(None, [], 0, None)] * len(scales)
 
@@ -319,9 +336,10 @@ class _End:
 
     def plan(self):
         """The next block's rings (a, b), outward, and the open columns not
-        beyond its first edge to fetch them for: 1, 2, 4, ... up to
-        ``_RING_BLOCK`` rings that never reach an edge beyond one of those
-        columns nor take the end past ``max_expansions`` rings."""
+        beyond its first edge to fetch them for: ``block`` rings for one
+        column, 1, 2, 4, ... up to ``block`` for a batch, that never reach
+        an edge beyond one of those columns nor take the end past
+        ``max_expansions`` rings."""
         live = [j for j in self.open if not self.out(self.edges[-1] * self.scales[j])]
         scales = [self.scales[j] for j in live] or [1.0]
         least, most = min(scales), max(scales)   # out is monotone in the scale
@@ -333,11 +351,11 @@ class _End:
                 break
             rings.append((nxt, edge) if nxt < edge else (edge, nxt))
             self.edges.append(self.step(nxt))
-        self.size = min(2 * self.size, _RING_BLOCK)
+        self.size = min(2 * self.size, self.block)
         return rings, live
 
 
-def _cauchy_windows(ring, lo, hi, scales, ctrl):
+def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
     """Columns of an integral over (lo, hi) in (0, oo) by the Cauchy window rule.
 
     ``lo == 0`` and ``hi == inf`` are improper ends (``_End``); column j's
@@ -347,12 +365,15 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl):
     ``ring(windows, live)`` returns for each window (a, b) of ``windows``,
     which need not touch, a row of the parts of the columns listed in
     ``live``.  For one column both ends advance together: each step is one
-    call on the core (first step) and the next block of each end that
-    needs one.  The infinity end adds to the total after the zero end, so
-    while the zero end is undecided the infinity rows are judged on the
-    total so far, and replayed once it is decided.  A wider batch, whose
-    vector integrals would refine each end's rings for the other's, takes
-    one call per block and finishes the zero end first.  Returns the
+    call on the core (first step) and the next ``block`` rings of each end
+    that needs them.  The infinity end adds to the total after the zero
+    end, so while the zero end is undecided the infinity rows are judged on
+    the total so far, and replayed once it is decided.  A wider batch, whose
+    vector integrals would refine each end's rings for the other's and
+    whose every fetched ring costs one column per scale, takes one call per
+    block of 1, 2, 4, ... up to ``block`` rings and finishes the zero end
+    first.  A ring callback with no adaptive integral to batch passes
+    ``block=1``, so that it fetches no ring it discards.  Returns the
     totals, each column's partial sums (core first, then the rings at zero,
     then those at infinity), a dict mapping each rejected column to the
     end, "zero" or "infinity", that failed first, and each column's window
@@ -372,9 +393,9 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl):
                     [(lo, hi)] * len(scales))
     n = len(scales)
     zero = improper_lo and _End(core_lo, lambda t: t / ctrl.expansion,
-                                lambda x: x < 1e-300, scales, ctrl)
+                                lambda x: x < 1e-300, scales, ctrl, block)
     inf = improper_hi and _End(core_hi, lambda t: t * ctrl.expansion,
-                               lambda x: x > 1e300, scales, ctrl)
+                               lambda x: x > 1e300, scales, ctrl, block)
 
     def settled(j):
         return not zero or zero.state[j][3] is not None

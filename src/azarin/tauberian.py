@@ -103,12 +103,13 @@ class _SymbolQuadrature:
             return rows
 
         _, partials, failed, windows = _cauchy_windows(
-            ring, max(k_lo, 0.0), k_hi, (1.0,), quad)
+            ring, max(k_lo, 0.0), k_hi, (1.0,), quad, block=1)
         if failed:
             raise DivergenceError("Mellin symbol integral diverges at %s"
                                   % failed[0], partials=partials[0])
-        # the core, then the rings taken at zero and at infinity, outward;
-        # the rest of the last block at each end is not part of the integral
+        # the core, then the rings taken at zero and at infinity, outward; an
+        # infinity ring fetched while the zero end was open may lie past the
+        # accepted end and is not part of the integral
         (lo, hi), (core, *rings) = windows[0], fetched
         parts = [fetched[core]]
         parts += [fetched[w] for w in sorted(rings, reverse=True)

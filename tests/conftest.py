@@ -52,3 +52,11 @@ def quad_calls(monkeypatch):
     """A list that gains one entry per ``numerics.adaptive_quad`` call."""
     from azarin import numerics
     return _counted(monkeypatch, numerics, "adaptive_quad")
+
+
+@pytest.fixture
+def gk_batches(monkeypatch):
+    """A list that gains one entry ``(f, lo, hi)`` per ``numerics._gk_eval``
+    call: one GK batch of ``len(lo)`` segments."""
+    from azarin import numerics
+    return _counted(monkeypatch, numerics, "_gk_eval")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
@@ -102,16 +103,36 @@ def _log_gap(x):
     return np.log(np.abs(x - 0.7))
 
 
-@pytest.mark.parametrize("g, a, b, singular, ctrl", [
-    (_log_gap, 0.0, 2.0, [0.7], DEFAULT_QUAD),
-    # a bisection at an x^-1/2 end shrinks its error only by sqrt(2), so
-    # 1e-10 is out of reach within the segment and depth caps
-    (lambda x: x ** -0.5, 0.0, 1.0, [0.0], QuadControl(tol=1e-8)),
+def _gk_nodes(batches):
+    return sum(15 * len(lo) for _, lo, _ in batches)
+
+
+@pytest.mark.parametrize("g, a, b, singular", [
+    (_log_gap, 0.0, 2.0, [0.7]),
+    (lambda x: x ** -0.5, 0.0, 1.0, [0.0]),
 ], ids=["interior-log", "endpoint-inverse-sqrt"])
-def test_singular_integrands_match_scipy(g, a, b, singular, ctrl):
-    got = adaptive_quad(g, a, b, ctrl, singular_points=singular)
+def test_singular_integrands_match_scipy(g, a, b, singular, gk_batches):
+    got = adaptive_quad(g, a, b, DEFAULT_QUAD, singular_points=singular)
+    assert _gk_nodes(gk_batches) < 5000
     want = _scipy_quad(g, a, b, points=[p for p in singular if a < p < b] or None)
-    assert abs(got - want) <= 10 * ctrl.tol * abs(want), (got, want)
+    assert abs(got - want) <= 10 * DEFAULT_QUAD.tol * abs(want), (got, want)
+
+
+def test_segment_cap_counts_graded_panels(gk_batches):
+    # each split of the x^-1/2 end segment adds 17 graded panels: the cap
+    # stops the refinement before the segments held would pass it, in the
+    # second pass, where bisection would take a pass per segment
+    cap = 60
+    with pytest.raises(QuadratureError):
+        adaptive_quad(lambda x: x ** -0.5, 0.0, 1.0, QuadControl(max_segments=cap),
+                      singular_points=[0.0])
+    held = set()
+    for _, lo, hi in gk_batches:
+        children = list(zip(lo.tolist(), hi.tolist()))
+        held = {(a, b) for a, b in held
+                if not any(a <= c < b for c, _ in children)} | set(children)
+        assert len(held) <= cap
+    assert len(gk_batches) == 2
 
 
 def test_vector_log_singular_column_beside_tiny_smooth_column():
@@ -142,41 +163,56 @@ def test_improper_both_ends():
     assert abs(val - math.sqrt(math.pi)) < 1e-8
 
 
-# Column 0's zero end takes a large ring (16) in its last block, so its
-# infinity rings are calm on every total before that block (about 1.5) but
-# not on the final one (1.2): its infinity end stops after two calm rings
-# and takes more once the zero end is decided.  Column 1's infinity end
-# takes 44 rings.
+# Column 0's zero end takes a large ring (16) in its first block, so its
+# infinity rings are judged on the final total (1.2) from the first step.
+# Column 1's infinity end takes 44 rings.  Column 2's zero end takes its
+# large ring (20) in its second block, so its infinity rings are calm on
+# every total before that (about 1.5) but not on the final one: its
+# infinity end stops after two calm rings, and once the zero end is
+# decided it takes 20 rings, more than its first block holds.
 _LATE = DEFAULT_QUAD.tol * 2.35
 
 
-def _synthetic_part(j, window):
+def _ring_index(window, ctrl=DEFAULT_QUAD):
+    """("zero" or "infinity", k) of ring k of the default windows, or None
+    for the core."""
     a, b = window
-    if window == (DEFAULT_QUAD.window_lo, DEFAULT_QUAD.window_hi):
-        return (2.0, 1.0)[j]
-    if b <= DEFAULT_QUAD.window_lo:   # zero ring k
-        k = round(math.log(DEFAULT_QUAD.window_lo / b, 4.0)) + 1
-        zero = -0.5 if k == 1 else -1e-9 if k < 16 else -0.3 if k == 16 else 0.0
-        return (zero, 0.3 ** k)[j]
-    k = round(math.log(a / DEFAULT_QUAD.window_hi, 4.0)) + 1
-    return (_LATE if k <= 3 else 0.0, 0.6 ** k)[j]
+    if window == (ctrl.window_lo, ctrl.window_hi):
+        return None
+    if b <= ctrl.window_lo:
+        return "zero", round(math.log(ctrl.window_lo / b, ctrl.expansion)) + 1
+    return "infinity", round(math.log(a / ctrl.window_hi, ctrl.expansion)) + 1
 
 
-def _synthetic_one_ring_at_a_time(j, ctrl=DEFAULT_QUAD):
-    """(total, partial sums, failed end or None) of column j, each ring
-    taken alone, the zero end first."""
-    total = _synthetic_part(j, (ctrl.window_lo, ctrl.window_hi))
+def _synthetic_part(j, window):
+    ring = _ring_index(window)
+    if ring is None:
+        return (2.0, 1.0, 2.0)[j]
+    end, k = ring
+    if j == 1:
+        return 0.3 ** k if end == "zero" else 0.6 ** k
+    if end == "infinity":
+        return _LATE if k <= (3, None, 18)[j] else 0.0
+    late = (16, None, 20)[j]
+    return -0.5 if k == 1 else -1e-9 if k < late else -0.3 if k == late else 0.0
+
+
+def _one_ring_at_a_time(part, ctrl=DEFAULT_QUAD):
+    """(total, partial sums, failed end or None) of the column whose part
+    on a window is ``part(window)``, each ring taken alone, the zero end
+    first."""
+    total = part((ctrl.window_lo, ctrl.window_hi))
     partials, failed = [total], None
     for end, edge, step in (("zero", ctrl.window_lo, lambda t: t / ctrl.expansion),
                             ("infinity", ctrl.window_hi, lambda t: t * ctrl.expansion)):
         calm = 0
         for _ in range(ctrl.max_expansions):
             nxt = step(edge)
-            part = _synthetic_part(j, (min(edge, nxt), max(edge, nxt)))
+            part_k = part((min(edge, nxt), max(edge, nxt)))
             edge = nxt
-            total += part
+            total += part_k
             partials.append(total)
-            calm_ring = abs(part) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol
+            calm_ring = abs(part_k) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol
             calm = calm + 1 if calm_ring else 0
             if calm >= 2:
                 break
@@ -185,25 +221,81 @@ def _synthetic_one_ring_at_a_time(j, ctrl=DEFAULT_QUAD):
     return total, partials, failed
 
 
-@pytest.mark.parametrize("columns", [[0], [0, 1]], ids=["alone", "with-a-long-end"])
-def test_cauchy_windows_replay_the_infinity_end(columns):
+def _synthetic_windows(columns, scales=None, block=None):
+    """``_cauchy_windows`` over (0, oo) of the synthetic ``columns``, each a
+    function of the window; returns its result and the windows of each call."""
     calls = []
 
     def ring(windows, live):
         calls.append(windows)
-        return [[_synthetic_part(columns[j], w) for j in live] for w in windows]
+        return [[columns[j](w) for j in live] for w in windows]
 
-    totals, partials, failed, _ = _cauchy_windows(ring, 0.0, math.inf,
-                                                  [1.0] * len(columns), DEFAULT_QUAD)
+    extra = {} if block is None else {"block": block}
+    out = _cauchy_windows(ring, 0.0, math.inf, scales or [1.0] * len(columns),
+                          DEFAULT_QUAD, **extra)
+    return out, calls
+
+
+def _at_infinity(calls):
+    return [any(a >= DEFAULT_QUAD.window_hi for a, _ in w) for w in calls]
+
+
+@pytest.mark.parametrize("columns", [[0], [0, 1]], ids=["alone", "with-a-long-end"])
+def test_cauchy_windows_replay_the_infinity_end(columns):
+    parts = [lambda w, c=c: _synthetic_part(c, w) for c in columns]
+    (totals, partials, failed, _), calls = _synthetic_windows(parts)
     for j, c in enumerate(columns):
-        total, want, end = _synthetic_one_ring_at_a_time(c)
+        total, want, end = _one_ring_at_a_time(parts[j])
         assert (totals[j], partials[j], failed.get(j)) == (total, want, end)
     assert len(partials[0]) == 1 + 18 + 5
     if columns == [0]:
-        # steps with infinity windows: the first two, then the one after
-        # the zero end's last block
-        at_infinity = [any(a >= DEFAULT_QUAD.window_hi for a, _ in w) for w in calls]
-        assert at_infinity == [True, True, False, False, False, True]
+        # steps with infinity windows: the first, whose 16 rings hold the end
+        assert _at_infinity(calls) == [True, False]
+
+
+def test_cauchy_windows_refetch_the_replayed_infinity_end():
+    def part(window):
+        return _synthetic_part(2, window)
+
+    (totals, partials, failed, _), calls = _synthetic_windows([part])
+    total, want, end = _one_ring_at_a_time(part)
+    assert (totals[0], partials[0], failed.get(0)) == (total, want, end)
+    assert len(partials[0]) == 1 + 22 + 20
+    # the infinity end's first block, none while the zero end takes its
+    # second, then the rings past 16 that the replay needs
+    assert _at_infinity(calls) == [True, False, True]
+
+
+def _law_part(law):
+    """The part of a synthetic column on a window: ``core`` on the core,
+    ``amp q**k cos(omega k)`` on ring k of each end."""
+    core, ends = law
+
+    def part(window):
+        ring = _ring_index(window)
+        if ring is None:
+            return core
+        amp, q, omega = ends[ring[0] == "infinity"]
+        return amp * q ** ring[1] * math.cos(omega * ring[1])
+
+    return part
+
+
+_END_LAW = st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 1.05),
+                     st.sampled_from([0.0, 0.0, 1.0, math.pi, 2.5]))
+
+
+@given(st.lists(st.tuples(st.tuples(st.floats(-3.0, 3.0), st.tuples(_END_LAW, _END_LAW)),
+                          st.sampled_from([1.0, 1.0, 1e-280, 1e280])),
+                min_size=1, max_size=3))
+def test_cauchy_windows_blocks_agree(columns):
+    # geometric (omega 0) and oscillating rings, some columns leaving the
+    # float range at one end: one ring, two rings and full blocks per fetch
+    # give the same totals, partial sums, failed ends and windows
+    parts = [_law_part(law) for law, _ in columns]
+    scales = [scale for _, scale in columns]
+    runs = [_synthetic_windows(parts, scales, block)[0] for block in (1, 2, 16)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_improper_divergence_carries_partials():

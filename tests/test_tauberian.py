@@ -131,14 +131,38 @@ class TestSymbol:
     ], ids=["lattice", "exp", "log-singular"])
     def test_ring_blocks_keep_the_nodes_of_one_ring_at_a_time(self, kernel, rho,
                                                               monkeypatch):
-        # the nodes of the rings a block fetched past the accepted end are
-        # dropped: the node set is that of blocks of one ring, bit for bit
+        # fetched in blocks of 16 rings, the nodes of the rings past the
+        # accepted end are dropped: the node set is that of one ring at a
+        # time, bit for bit
         from azarin import numerics
-        blocks = _SymbolQuadrature(kernel, rho, 20.0)
-        monkeypatch.setattr(numerics, "_RING_BLOCK", 1)
         single = _SymbolQuadrature(kernel, rho, 20.0)
+        monkeypatch.setattr(tauberian, "_cauchy_windows",
+                            lambda *args, block: numerics._cauchy_windows(*args))
+        blocks = _SymbolQuadrature(kernel, rho, 20.0)
         assert np.array_equal(blocks.xs, single.xs)
         assert np.array_equal(blocks.wg, single.wg)
+
+    @pytest.mark.parametrize("kernel, rho, lam_max", [
+        (LATTICE, 1.0, 20.0), (ExpKernel(), 0.7, 30.0),
+    ], ids=["lattice", "exp"])
+    def test_ring_fetches_only_the_rings_taken(self, kernel, rho, lam_max, monkeypatch):
+        # the symbol's rings are fixed panels with no adaptive integral to
+        # batch: it fetches one ring per end and step, and none is discarded
+        from azarin import numerics
+        asked, taken = [], []
+
+        def windows(ring, *args, **kw):
+            def spy(ws, live):
+                asked.extend(ws)
+                return ring(ws, live)
+
+            out = numerics._cauchy_windows(spy, *args, **kw)
+            taken.extend(out[1][0])
+            return out
+
+        monkeypatch.setattr(tauberian, "_cauchy_windows", windows)
+        _SymbolQuadrature(kernel, rho, lam_max)
+        assert len(asked) == len(taken) > 3
 
     def test_rings_are_calm_by_absolute_mass(self):
         # K(t) t**(rho-1) = t**(-1 + i b) on (0, 1]: in x = ln t every ring of

@@ -542,10 +542,12 @@ class RadonMeasure:
         at ``g.breakpoints()`` and at the measure's breakpoints in u and
         graded at ``g.singular_points``.  A run of consecutive scales with
         the same measure breakpoints in u shares one vector ``log_quad`` over
-        all windows, so no column is split at another's breakpoints; a run
-        of one scale integrates a scalar.  Pairings, flow pairings, kernel
-        transform windows and masses are all this integral.  With
-        ``absolute`` the atoms weigh |w| and the density is |density|.
+        all windows: the run's scales share each window's segments, so no
+        column is split at another's breakpoints, and each window keeps its
+        own, so none is refined for another; a run of one scale integrates
+        a scalar.  Pairings, flow pairings, kernel transform windows and
+        masses are all this integral.  With ``absolute`` the atoms weigh |w|
+        and the density is |density|.
 
         A g that declares ``piecewise_linear`` (a ``TestFunction``, or g = 1
         behind ``masses``) pairs the ``TabulatedPiece``s of a measure with no
@@ -612,9 +614,8 @@ class RadonMeasure:
 
             parts = log_quad(integrand, windows, quad,
                              split_points=g_splits + splits, singular_points=sing)
-            for row, part in zip(out, parts):
-                for i, value in enumerate(part.tolist() if n > 1 else [part],
-                                          rows.start):
+            for row, part in zip(out, parts.reshape(len(windows), n).tolist()):
+                for i, value in enumerate(part, rows.start):
                     row[i] += value
         return out
 

@@ -17,15 +17,18 @@ ends advance together, one call per step, each fetching a block of
 the totals and partial sums are those of one ring at a time; the rest of a
 block is discarded.
 
-``adaptive_quad`` and ``log_quad`` accept vector integrands returning an
-(n, k) array for n nodes: the k integrals share segments and each column
-keeps its own budget ``tol * |I_j| + abs_tol``.  ``log_quad`` integrates
-over each of a list of windows (a, b); the windows with no split or
-singular point share one vector integral, each mapped onto [0, 1] in ln t,
-so a step of Cauchy rings is one ``adaptive_quad`` call.  Refinement stops
-as soon as every column's error estimate, summed over segments, is within
-its budget (QUADPACK's global test).  Until then a segment is split while
-any column's estimate on it is over the segment's length share of that
+``adaptive_quad`` integrates over an array of intervals at once, and
+accepts vector integrands returning an (n, k) array for n nodes: the k
+integrals of an interval share its segments and each keeps its own budget
+``tol * |I_j| + abs_tol``.  Every interval keeps its own segments, as in
+QUADPACK's ``qag``; the intervals only share each pass's batch of nodes.
+``log_quad`` integrates over each of a list of windows (a, b) in ln t, each
+window one interval, so a step of Cauchy rings is one ``adaptive_quad``
+call and a window's value does not depend on the other windows of the
+call.  An interval's refinement stops as soon as each of its integrals'
+error estimates, summed over its segments, is within its budget
+(QUADPACK's global test).  Until then a segment is split while any of its
+integrals' estimate on it is over the segment's length share of that
 budget: into graded panels toward a singular point it ends on, and into
 halves otherwise.
 
@@ -147,144 +150,134 @@ def _graded_edges(lo, hi, singular, levels):
 
 
 def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
-    """Adaptive GK7/15 integral of a vectorized (possibly complex) ``f``.
+    """Adaptive GK7/15 integrals of a vectorized (possibly complex) ``f``
+    over the intervals [a, b] of arrays (or scalars) ``a``, ``b`` of one
+    shape.
 
-    ``split_points`` become segment boundaries; ``singular_points`` are also
-    boundaries and receive a graded geometric subdivision (nodes are interior,
-    so integrable endpoint singularities need no special values).  A
-    segment that ends on a singular point is refined into the same graded
-    panels (``graded_levels`` of them, halving toward the point), so each
-    pass shrinks its end panel 2**(levels - 1)-fold where bisection would
-    halve it; every other segment is bisected.  ``max_segments`` caps the
-    segments held after a pass.
+    Each interval keeps its own segments: the ``split_points`` inside it
+    become segment boundaries, and the ``singular_points`` in its closure
+    are also boundaries and receive a graded geometric subdivision (nodes
+    are interior, so integrable endpoint singularities need no special
+    values).  A segment that ends on a singular point is refined into the
+    same graded panels (``graded_levels`` of them, halving toward the
+    point), so each pass shrinks its end panel 2**(levels - 1)-fold where
+    bisection would halve it; every other segment is bisected.  All
+    intervals share one ``f`` call per pass on the flat array of their
+    nodes, and ``max_segments`` caps the segments each holds after a pass.
 
     ``f`` maps n nodes to n values, or to an (n, k) array for k integrals
-    over one set of segments; then the result is an array of k values (an
-    empty interval gives a scalar 0).  Each column j has its own budget
-    ``tol * |I_j| + abs_tol``.  The result is accepted once every column's
-    summed error estimate ``sum |I15 - I7|`` is within its budget; until
-    then each pass splits the segments on which any column's estimate is
-    over the segment's length share of the budget.  Accepting on the sum
-    matters next to an interior singularity, where the estimates of the
-    narrowest segments are rounding noise that no split can shrink below
-    their share.
+    over one set of segments; the result has the shape of ``a`` followed by
+    that of one value (an empty interval gives 0).  Each integral has its
+    own budget ``tol * |I| + abs_tol``.  An interval is accepted once the
+    summed error estimate ``sum |I15 - I7|`` of each of its integrals is
+    within its budget (QUADPACK's global test); until then each pass splits
+    its segments on which any of its integrals' estimate is over the
+    segment's length share of the budget.  Accepting on the sum matters
+    next to an interior singularity, where the estimates of the narrowest
+    segments are rounding noise that no split can shrink below their
+    share.  An interval still over budget at ``max_depth`` passes or
+    ``max_segments`` segments raises ``QuadratureError`` with the current
+    estimate.
     """
-    a = float(a)
-    b = float(b)
-    if not b > a:
-        return 0.0 + 0.0j
-    interior = sorted({float(p) for p in split_points if a < p < b}
-                      | {float(p) for p in singular_points if a < p < b})
-    edges = [a] + interior + [b]
-    sing = sorted({float(p) for p in singular_points if a <= p <= b})
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape, count = a.shape, a.size
+    sing = sorted({float(p) for p in singular_points})
+    cuts = sorted({float(p) for p in split_points} | set(sing))
 
-    def graded(lo, hi):
-        return _graded_edges(lo, hi, [s for s in sing if s in (lo, hi)], ctrl.graded_levels)
+    def graded(x, y):
+        return _graded_edges(x, y, [s for s in sing if s in (x, y)], ctrl.graded_levels)
 
-    pts = set()
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pts.update(graded(lo, hi))
-    edges = np.array(sorted(set(edges) | pts))
-    seg_lo = edges[:-1]
-    seg_hi = edges[1:]
+    seg_lo, seg_hi, grp = [], [], []
+    for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+        if not y > x:
+            continue
+        edges = [x] + [p for p in cuts if x < p < y] + [y]
+        if any(x <= p <= y for p in sing):
+            pts = set(edges)
+            for u, v in zip(edges[:-1], edges[1:]):
+                pts.update(graded(u, v))
+            edges = sorted(pts)
+        seg_lo += edges[:-1]
+        seg_hi += edges[1:]
+        grp += [i] * (len(edges) - 1)
+    if not grp:
+        return np.zeros(shape, dtype=complex)[()]
+    seg_lo, seg_hi, grp = np.array(seg_lo), np.array(seg_hi), np.array(grp)
     vals, errs = _gk_eval(f, seg_lo, seg_hi)
-    vector = vals.ndim == 2
+    tail = vals.shape[1:]   # the shape of one value
+    k = errs[0].size
 
-    def result(total):
-        return total.astype(complex) if vector else complex(total)
+    def rows(vals, errs):
+        """A row per segment: its values as (real, imaginary) pairs, then its
+        error estimates."""
+        vals = vals.astype(complex, copy=False).reshape(len(vals), k)
+        return np.concatenate([vals.view(float), errs.reshape(len(errs), k)], axis=1)
 
-    for _ in range(ctrl.max_depth):
-        total = vals.sum(axis=0)
-        width = seg_hi - seg_lo
-        length = width.sum()
-        budget = ctrl.tol * abs(total) + ctrl.abs_tol
-        if np.all(errs.sum(axis=0) <= budget):
-            return result(total)
-        if vector:
-            width = width[:, None]
-        over = errs > budget * width / length
-        bad = over.any(axis=1) if vector else over
+    def result(totals):
+        return totals.reshape(shape + tail)[()]
+
+    data = rows(vals, errs)
+    for depth in range(ctrl.max_depth + 1):
+        # each interval's sums over its segments, added in their order;
+        # numpy's sum over the rows of one interval adds in the same order
+        # and is several times faster than bincount on wide rows
+        sums = (data.sum(axis=0, keepdims=True) if count == 1 else
+                np.bincount((grp[:, None] * (3 * k) + np.arange(3 * k)).ravel(),
+                            data.ravel(), 3 * k * count).reshape(count, 3 * k))
+        totals = np.ascontiguousarray(sums[:, :2 * k]).view(complex)
+        budget = ctrl.tol * abs(totals) + ctrl.abs_tol
+        over = sums[:, 2 * k:] > budget
+        if not over.any():
+            return result(totals)
+        share = budget[grp] * ((seg_hi - seg_lo) / (b - a).ravel()[grp])[:, None]
+        bad = over.any(axis=1)[grp] & (data[:, 2 * k:] > share).any(axis=1)
         if not bad.any():
-            return result(total)
+            return result(totals)
+        if depth == ctrl.max_depth:
+            raise QuadratureError("max depth reached", estimate=result(totals))
         # a segment on a singular point takes graded panels toward it, the
         # others their two halves
         grade = (bad & (np.isin(seg_lo, sing) | np.isin(seg_hi, sing)) if sing
                  else np.zeros_like(bad))
-        halve = bad & ~grade
+        halve, keep = bad & ~grade, ~bad
         mid = 0.5 * (seg_lo[halve] + seg_hi[halve])
-        panels = [np.array(sorted(set(graded(lo, hi))))
-                  for lo, hi in zip(seg_lo[grade].tolist(), seg_hi[grade].tolist())]
+        panels = [np.array(sorted(set(graded(x, y))))
+                  for x, y in zip(seg_lo[grade].tolist(), seg_hi[grade].tolist())]
         ref_lo = np.concatenate([seg_lo[halve], mid] + [p[:-1] for p in panels])
         ref_hi = np.concatenate([mid, seg_hi[halve]] + [p[1:] for p in panels])
-        if seg_lo.size - np.count_nonzero(bad) + ref_lo.size > ctrl.max_segments:
-            if np.all(np.sum(errs, axis=0) < 100.0 * budget):
-                return result(total)
-            raise QuadratureError("segment budget exhausted", estimate=result(total))
-        ref_vals, ref_errs = _gk_eval(f, ref_lo, ref_hi)
-        vals = np.concatenate([vals[~bad], ref_vals])
-        errs = np.concatenate([errs[~bad], ref_errs])
-        seg_lo = np.concatenate([seg_lo[~bad], ref_lo])
-        seg_hi = np.concatenate([seg_hi[~bad], ref_hi])
-
-    total = np.sum(vals, axis=0)
-    if np.any(np.sum(errs, axis=0) > 100.0 * (ctrl.tol * abs(total) + ctrl.abs_tol)):
-        raise QuadratureError("max depth reached", estimate=result(total))
-    return result(total)
+        grp = np.concatenate([grp[keep], grp[halve], grp[halve]]
+                             + [np.full(p.size - 1, i)
+                                for p, i in zip(panels, grp[grade].tolist())])
+        if np.bincount(grp).max() > ctrl.max_segments:
+            raise QuadratureError("segment budget exhausted", estimate=result(totals))
+        data = np.concatenate([data[keep], rows(*_gk_eval(f, ref_lo, ref_hi))])
+        seg_lo = np.concatenate([seg_lo[keep], ref_lo])
+        seg_hi = np.concatenate([seg_hi[keep], ref_hi])
 
 
-def _log_integrand(f):
-    """f(t) t as a function of x = ln t, for a scalar or a vector f."""
+def log_quad(f, windows, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
+    """Integrals of f over each window (a, b] of ``windows`` (pairs with
+    0 < a < b < oo that need not touch), in log coordinates: one value per
+    window, or one row per window for a vector ``f``.
+
+    One ``adaptive_quad`` over the windows in ln t, each window its own
+    interval with the split and singular points that lie in it, so a
+    window's segments, and so its value, do not depend on the other
+    windows of the call.  Improper ends belong to the Cauchy window rule
+    (``_cauchy_windows``); a window outside (0, oo) raises ``ValueError``.
+    """
+    if not all(0.0 < x < y < math.inf for x, y in windows):
+        raise ValueError("log_quad windows must satisfy 0 < a < b < oo")
+
     def g(x):
         t = np.exp(x)
         v = np.asarray(f(t))
         return v * (t[:, None] if v.ndim == 2 else t)
 
-    return g
-
-
-def log_quad(f, windows, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
-    """Integrals of f over each window (a, b] of ``windows`` (pairs in
-    (0, oo) that need not touch), in log coordinates: one value per window.
-
-    A window with a split point inside it or a singular point in its
-    closure is integrated alone.  The other windows share one
-    ``adaptive_quad``: each is mapped affinely in ln t onto [0, 1] and is
-    its own column (one per column of a vector ``f``), with its own budget.
-    A lone window keeps its own ln t coordinates, so ``[(lo, hi)]`` gives
-    the integral over (lo, hi] bit for bit.
-    """
-    out = [0.0 + 0.0j] * len(windows)
-    alone, shared = [], []
-    for i, (lo, hi) in enumerate(windows):
-        if lo > 0.0 and hi > lo:
-            splits = [math.log(p) for p in split_points if lo < p < hi]
-            sing = [math.log(p) for p in singular_points if lo <= p <= hi]
-            (alone if splits or sing else shared).append((i, splits, sing))
-    if len(shared) == 1:
-        alone, shared = alone + shared, []
-    for i, splits, sing in alone:
-        lo, hi = windows[i]
-        out[i] = adaptive_quad(_log_integrand(f), math.log(lo), math.log(hi), ctrl,
-                               split_points=splits, singular_points=sing)
-    if shared:
-        shared = [i for i, _, _ in shared]
-        x_lo, x_hi = np.log([windows[i] for i in shared]).T
-        width = x_hi - x_lo
-        vector = False
-
-        def g(xi):
-            nonlocal vector
-            t = np.exp(x_lo + np.multiply.outer(xi, width))   # (node, window)
-            jac = (t * width).ravel()
-            v = np.asarray(f(t.ravel()))
-            vector = v.ndim == 2
-            v = v * (jac[:, None] if vector else jac)
-            return v.reshape(xi.size, -1)
-
-        cols = adaptive_quad(g, 0.0, 1.0, ctrl).reshape(len(shared), -1)
-        for i, col in zip(shared, cols):
-            out[i] = col if vector else complex(col[0])
-    return out
+    return adaptive_quad(g, [math.log(x) for x, _ in windows],
+                         [math.log(y) for _, y in windows], ctrl,
+                         [math.log(p) for p in split_points if p > 0.0],
+                         [math.log(p) for p in singular_points if p > 0.0])
 
 
 class _End:
@@ -369,10 +362,12 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
     that needs them.  The infinity end adds to the total after the zero
     end, so while the zero end is undecided the infinity rows are judged on
     the total so far, and replayed once it is decided.  A wider batch, whose
-    vector integrals would refine each end's rings for the other's and
-    whose every fetched ring costs one column per scale, takes one call per
+    every fetched ring costs one column per scale, takes one call per
     block of 1, 2, 4, ... up to ``block`` rings and finishes the zero end
-    first.  A ring callback with no adaptive integral to batch passes
+    first: each end fetches for its own live columns, those whose edges
+    are still inside the float range, and one call over the union of both
+    ends' live columns would take rings beyond the float range for some of
+    them.  A ring callback with no adaptive integral to batch passes
     ``block=1``, so that it fetches no ring it discards.  Returns the
     totals, each column's partial sums (core first, then the rings at zero,
     then those at infinity), a dict mapping each rejected column to the
@@ -452,7 +447,7 @@ def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points
     (``improper_mass``), so the atoms enter the criterion there.
     """
     def window_values(windows, live):
-        return [(v,) for v in log_quad(f, windows, ctrl, split_points, singular_points)]
+        return [(v,) for v in log_quad(f, windows, ctrl, split_points, singular_points).tolist()]
 
     hi = math.inf if hi is None else float(hi)
     totals, partials, failed, _ = _cauchy_windows(window_values, float(lo), hi,

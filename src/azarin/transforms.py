@@ -451,7 +451,9 @@ def check_antiderivative_identity(kernel, measure, orders, r_samples,
 
     For n in ``orders`` and each r sample, compares
     (-1)**(n+1) r**(n+1) * transform(r) against the integral of
-    K^(n+1)(t/r) F_n(t) dt; requires the measure to vanish on (0, 1].
+    K^(n+1)(t/r) F_n(t) dt over the scaled kernel support, clipped below at
+    the lower end of the chain's domain; requires the measure to vanish on
+    (0, 1].
     """
     if not isinstance(kernel, SmoothBumpKernel):
         raise ValueError("identity check requires a smooth bump kernel")
@@ -471,8 +473,8 @@ def check_antiderivative_identity(kernel, measure, orders, r_samples,
         for r in r_samples:
             lhs = (-1.0) ** (n + 1) * r ** (n + 1) * tr.value(r)
             splits = [b for b in F.breakpoints if r * lo < b < r * hi]
-            rhs, = log_quad(lambda t: deriv(t / r) * F(t), [(r * lo, r * hi)],
-                            quad, split_points=splits)
+            rhs, = log_quad(lambda t: deriv(t / r) * F(t),
+                            [(max(r * lo, domain[0]), r * hi)], quad, split_points=splits)
             scale = max(abs(lhs), abs(rhs), 1e-12)
             err = abs(lhs - rhs) / scale
             rows.append((n, r, lhs, rhs, err))

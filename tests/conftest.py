@@ -60,3 +60,20 @@ def gk_batches(monkeypatch):
     call: one GK batch of ``len(lo)`` segments."""
     from azarin import numerics
     return _counted(monkeypatch, numerics, "_gk_eval")
+
+
+@pytest.fixture
+def gk_cells(monkeypatch):
+    """A list that gains one entry per ``numerics._gk_eval`` call: its
+    node-columns, ``15 * I15.size`` (the nodes times the values at each)."""
+    from azarin import numerics
+    cells = []
+    inner = numerics._gk_eval
+
+    def counted(f, lo, hi):
+        i15, err = inner(f, lo, hi)
+        cells.append(15 * i15.size)
+        return i15, err
+
+    monkeypatch.setattr(numerics, "_gk_eval", counted)
+    return cells

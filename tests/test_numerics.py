@@ -152,6 +152,70 @@ def test_log_quad_power():
     assert abs(val - want) < 1e-9 * want
 
 
+@pytest.mark.parametrize("call", [
+    lambda: adaptive_quad(lambda x: x ** -0.5, 0.0, 1.0, QuadControl(max_segments=80),
+                          singular_points=[0.0]),
+    lambda: adaptive_quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, QuadControl(max_depth=11)),
+], ids=["segment-cap", "max-depth"])
+def test_over_budget_exits_raise(call):
+    # both were accepted while within 100 times the budget: 4.8e-10 and
+    # 1.1e-9 relative error against a 1e-10 tolerance
+    with pytest.raises(QuadratureError) as err:
+        call()
+    assert err.value.estimate is not None and np.isfinite(err.value.estimate)
+
+
+@pytest.mark.parametrize("window", [(0.0, 1.0), (1.0, math.inf), (-1.0, 1.0),
+                                    (2.0, 1.0), (1.0, 1.0), (math.nan, 1.0)])
+def test_log_quad_rejects_windows_outside_the_positive_axis(window):
+    with pytest.raises(ValueError):
+        log_quad(lambda t: t, [(0.5, 1.0), window])
+
+
+def _kinked(t):
+    # smooth in the first window, a kink at 2.5 in the second, an endpoint
+    # log singularity at 8 in the third
+    return np.sqrt(np.abs(t - 2.5)) + np.log(np.abs(8.0 - t)) + 1j * t ** 0.3
+
+
+_WINDOWS = [(0.5, 1.5), (1.5, 4.0), (4.0, 8.0)]
+
+
+def test_log_quad_is_one_adaptive_quad(quad_calls):
+    vals = log_quad(_kinked, _WINDOWS, split_points=[2.5], singular_points=[8.0])
+    assert len(quad_calls) == 1
+    assert vals.shape == (3,)
+
+
+def test_log_quad_windows_keep_their_own_segments(gk_batches):
+    def segments(windows):
+        del gk_batches[:]
+        vals = log_quad(_kinked, windows, singular_points=[8.0])
+        return vals, sorted((a, b) for _, lo, hi in gk_batches
+                            for a, b in zip(lo.tolist(), hi.tolist()))
+
+    together, segs = segments(_WINDOWS)
+    alone = [segments([w]) for w in _WINDOWS]
+    assert segs == sorted(s for _, part in alone for s in part)
+    for val, (want, _) in zip(together, alone):
+        assert abs(val - want[0]) <= 1e-15 * abs(want[0])
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_array_intervals_match_scalar_calls(vector):
+    f = (_columns(np.cos, lambda x: np.abs(x - 0.5) + 1j * x) if vector
+         else lambda x: np.exp(1j * x) * np.abs(x - 0.5))
+    a = np.array([[0.0, 1.0], [2.0, 5.0]])
+    b = np.array([[1.0, 3.0], [2.0, 4.0]])   # the last two are empty
+    got = adaptive_quad(f, a, b, FINE, split_points=[0.5], singular_points=[3.0])
+    assert got.shape == a.shape + ((2,) if vector else ())
+    for idx in np.ndindex(a.shape):
+        want = adaptive_quad(f, a[idx], b[idx], FINE, split_points=[0.5],
+                             singular_points=[3.0])
+        assert np.all(np.abs(got[idx] - want) <= 1e-15 * np.abs(want))
+    assert np.all(got[1] == 0.0)
+
+
 def test_improper_exponential():
     val = improper_quad(lambda t: np.exp(-t), 0.0, None)
     assert abs(val - 1.0) < 1e-9

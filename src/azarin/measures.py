@@ -91,7 +91,8 @@ _ONE = _One()
 
 @dataclass(frozen=True)
 class DensityPiece:
-    """Density coef * t**exponent * factor(arg_scale * t) on (lo, hi]."""
+    """Density coef * t**exponent * factor(arg_scale * t) on (lo, hi]: float64
+    values when coef and exponent are real (``is_real``), complex otherwise."""
     lo: float
     hi: float  # math.inf allowed
     coef: complex = 1.0 + 0.0j
@@ -99,9 +100,14 @@ class DensityPiece:
     factor: object = _UNIT
     arg_scale: float = 1.0
 
+    def is_real(self):
+        return not (self.coef.imag or self.exponent.imag)
+
     def at(self, t):
         """The formula at each t, inside (lo, hi] or not."""
-        return self.coef * np.exp(self.exponent * np.log(t)) * self.factor(self.arg_scale * t)
+        real = self.is_real()
+        c, s = (self.coef.real, self.exponent.real) if real else (self.coef, self.exponent)
+        return c * np.exp(s * np.log(t)) * self.factor(self.arg_scale * t)
 
     def scaled(self, t, scale_value):
         return replace(
@@ -401,7 +407,8 @@ class RadonMeasure:
         lo T^k < t <= hi T^k, takes T^{k (rho - 1)} times the piece at
         t / T^k.  Each t tries k = floor(ln(t / base_lo) / ln T) and both
         its neighbours, so that rounding in the log drops no point; the
-        edge products decide which image holds it.
+        edge products decide which image holds it.  Float64 when every piece
+        is a real ``DensityPiece`` (complex only in ``adaptive_quad``'s sums).
         """
         t = np.asarray(t, dtype=float)
         tail, u, f = self.tail, t, 1.0
@@ -412,10 +419,13 @@ class RadonMeasure:
             which = which.reshape(t.shape)
             f = tail.powers(ks.ravel()).reshape(ks.shape)[:, which]
             u = t / f
-        out = np.zeros(u.shape, dtype=complex)
+        real = all(isinstance(p, DensityPiece) and p.is_real() for p in self.pieces)
+        out = np.zeros(u.shape, dtype=float if real else complex)
         for p in self.pieces:
             inside = (t > p.lo * f) & (t <= p.hi * f)
-            if inside.any():
+            if inside.all():
+                out += p.at(u)
+            elif inside.any():
                 out[inside] += p.at(u[inside])
         if tail is None:
             return out
@@ -595,8 +605,9 @@ class RadonMeasure:
         sing = [p for p in g.singular_points if lo <= p <= hi]
         density = rest.abs_density if absolute else rest.density
         bps = rest.breakpoints_in(min(scales) * lo, max(scales) * hi)
-        m_splits = [[b / s for b in bps if s * lo < b < s * hi] for s in scales]
-        for rows, splits in _split_runs(m_splits):
+        runs = (_split_runs([[b / s for b in bps if s * lo < b < s * hi] for s in scales])
+                if bps else [(slice(0, len(scales)), [])])
+        for rows, splits in runs:
             n = rows.stop - rows.start
             if n == 1:
                 s = scales[rows.start]
@@ -642,31 +653,20 @@ class RadonMeasure:
     # -- structure ----------------------------------------------------------------
 
     def is_positive(self):
-        if np.any(np.abs(self.atom_w.imag) > 0) or np.any(self.atom_w.real < 0):
+        if not self.is_real() or np.any(self.atom_w.real < 0):
             return False
         for p in self.pieces:
             if isinstance(p, DensityPiece):
-                if p.exponent.imag != 0.0 or p.coef.imag != 0.0 or p.coef.real < 0.0:
+                if p.coef.real < 0.0 or isinstance(p.factor, LogFactor) and p.lo < 1.0:
                     return False
-                if isinstance(p.factor, LogFactor):
-                    if p.lo < 1.0:
-                        return False
-            else:
-                vals = np.asarray(p.values, dtype=complex)
-                if np.any(np.abs(vals.imag) > 1e-300) or np.any(vals.real < 0.0):
-                    return False
+            elif np.any(np.real(p.values) < 0.0):
+                return False
         return True
 
     def is_real(self):
-        if np.any(np.abs(self.atom_w.imag) > 0):
-            return False
-        for p in self.pieces:
-            if isinstance(p, DensityPiece):
-                if p.exponent.imag != 0.0 or p.coef.imag != 0.0:
-                    return False
-            elif np.any(np.abs(np.asarray(p.values, dtype=complex).imag) > 1e-300):
-                return False
-        return True
+        return not np.any(np.abs(self.atom_w.imag) > 0) and all(
+            p.is_real() if isinstance(p, DensityPiece)
+            else not np.any(np.abs(np.imag(p.values)) > 1e-300) for p in self.pieces)
 
 
 def azarin_scale(measure, order, t):
@@ -770,6 +770,8 @@ class MetricFamily:
             for j, p, q in _dyadic_triples(self.n_members)
         )
         self.weights = 0.5 ** np.arange(1, self.n_members + 1)
+        first = {}   # member n pairs as member _first[n], the first equal one
+        self._first = [first.setdefault(f, n) for n, f in enumerate(self.members)]
 
     @property
     def tail_bound(self):
@@ -790,10 +792,10 @@ class MetricFamily:
         mu_t in turn.  Member f's column is the dilation integral of f
         against the unscaled measure at scales ``ts`` and norms V(ts), so
         consecutive samples with the same breakpoints in f's support share
-        one vector integral.  The window check is one test over all samples
-        and members; the first failing pair in sample-major order raises
-        through the ``_check_window`` of its mu_t, as pairing sample by
-        sample would.
+        one vector integral; a member equal to an earlier one copies its
+        column.  The window check is one test over all samples and members;
+        the first failing pair in sample-major order raises through the
+        ``_check_window`` of its mu_t, as pairing sample by sample would.
         """
         quad = quad or self.quad
         ts = np.asarray(ts, dtype=float)
@@ -806,8 +808,9 @@ class MetricFamily:
                 i, n = divmod(int(np.argmax(bad)), self.n_members)
                 measure.scaled(order, ts[i])._check_window(*self.members[n].support)
         out = np.zeros((ts.size, self.n_members), dtype=complex)
-        for n, f in enumerate(self.members):
-            out[:, n] = measure.dilation_integrals(f, ts, norms, [(f.lo, f.hi)], quad)[0]
+        for n, (f, m) in enumerate(zip(self.members, self._first)):
+            out[:, n] = (out[:, m] if m < n else
+                         measure.dilation_integrals(f, ts, norms, [(f.lo, f.hi)], quad)[0])
         return out
 
     def distance_from_pairings(self, p1, p2):

@@ -286,15 +286,15 @@ class _End:
     Ring k runs from edge k-1 to edge k, each edge ``step`` of the one
     before; ``edges`` holds one edge past the rings fetched.  Column j has
     left the float range at edge t when ``out(t * scales[j])``.  ``parts[j]``
-    holds the parts of the rings fetched for column j and ``state[j]`` its
-    base (the total its first ring adds to), partial sums, calm rings in a
-    row and verdict: True (accepted), False (rejected) or None (it needs
-    the next ring)."""
+    holds the parts fetched for column j and not yet judged (with ``replay``,
+    for a base that may move, all of them), ``state[j]`` its base (the total
+    its first ring adds to), partial sums, calm rings in a row and verdict:
+    True (accepted), False (rejected) or None (it needs the next ring)."""
 
-    def __init__(self, edge, step, out, scales, ctrl, block):
+    def __init__(self, edge, step, out, scales, ctrl, block, replay=False):
         self.edges, self.step, self.out, self.ctrl = [edge, step(edge)], step, out, ctrl
         self.scales, self.open, self.block = scales, list(range(len(scales))), block
-        self.size = block if len(scales) == 1 else 1
+        self.size, self.replay = (block if len(scales) == 1 else 1), replay
         self.parts = [[] for _ in scales]
         self.state = [(None, [], 0, None)] * len(scales)
 
@@ -313,7 +313,10 @@ class _End:
             if start != b:
                 sums, calm, verdict = [], 0, None
             total = sums[-1] if sums else b
-            for part in self.parts[j][len(sums):] if verdict is None else ():
+            parts = self.parts[j][len(sums):] if self.replay else self.parts[j]
+            if not self.replay:
+                self.parts[j] = []
+            for part in parts if verdict is None else ():
                 total = total + part
                 sums.append(total)
                 calm = calm + 1 if abs(part) <= tol * (1.0 + abs(total)) + abs_tol else 0
@@ -390,7 +393,8 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
     zero = improper_lo and _End(core_lo, lambda t: t / ctrl.expansion,
                                 lambda x: x < 1e-300, scales, ctrl, block)
     inf = improper_hi and _End(core_hi, lambda t: t * ctrl.expansion,
-                               lambda x: x > 1e300, scales, ctrl, block)
+                               lambda x: x > 1e300, scales, ctrl, block,
+                               replay=n == 1 and improper_lo)
 
     def settled(j):
         return not zero or zero.state[j][3] is not None

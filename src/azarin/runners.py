@@ -25,6 +25,7 @@ from .configio import (LINE_MEASURE, Choice, ConfigError, Count, Grid, Interval,
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
+from .kernels import SmoothBumpKernel
 from .measures import (MetricFamily, RadonMeasure, TestFunction,
                        class_membership, lower_density, upper_density)
 from .numerics import DEFAULT_QUAD
@@ -522,7 +523,14 @@ def run_averaged_limit(order, measure, kernel, quad,
     return RunResult(verdict, report)
 
 
-@operation("antiderivative_identity")
+def _bump_off_unit_interval(measure, kernel, **_):
+    if not isinstance(kernel, SmoothBumpKernel):
+        raise ConfigError("kernel.kind: the identity check needs a smooth_bump kernel")
+    if measure.hull()[0] < 1.0 and not measure.is_trivial():
+        raise ConfigError("measure: the identity check needs no mass on (0, 1]")
+
+
+@operation("antiderivative_identity", check=_bump_off_unit_interval)
 def run_antiderivative_identity(measure, kernel, quad,
                                 orders=List([0, 1, 2], item=int),
                                 r_samples=List([1.0, 3.0, 10.0]), tol=1e-6):

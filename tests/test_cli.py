@@ -403,6 +403,28 @@ class TestRunErrors:
         assert "math domain error" not in err
         assert not list((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("measure, kernel, path", [
+        ({"densities": [{"kind": "power", "s": 0.0, "interval": [1, 5]}]},
+         {"kind": "exp"}, "kernel.kind"),
+        ({"atoms": [[0.5, 1.0]],
+          "densities": [{"kind": "power", "s": 0.0, "interval": [1, 5]}]},
+         {"kind": "smooth_bump", "interval": [1, 2]}, "measure"),
+        ({"densities": [{"kind": "power", "s": 0.0, "interval": [1, 2]}],
+          "tail": {"kind": "self_similar", "T": 2, "rho": 1}},
+         {"kind": "smooth_bump", "interval": [1, 2]}, "measure"),
+    ], ids=["exp-kernel", "atom-below-1", "self-similar"])
+    def test_antiderivative_identity_inputs_are_config_errors(self, measure, kernel,
+                                                              path, tmp_path, capsys):
+        # these ended in a bare "run error:" from the library's ValueError
+        cfg = {"operation": "antiderivative_identity", "measure": measure,
+               "kernel": kernel}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: %s: the identity check needs " % path in err
+        assert "run error" not in err
+
     def test_hardy_counts_of_a_density_from_origin(self, tmp_path, capsys):
         # the counts mu((0, r]) took their reference point at hull()[0] = 0
         # and ended in "run error: cumulative masses require c and t in (0, oo)"

@@ -487,6 +487,46 @@ def _edge_windows(measure):
             (q.hi * T ** 5, p.lo * T ** 7)]
 
 
+class TestDensityDtype:
+    """A real density is float64; a complex piece keeps it complex."""
+    t = np.geomspace(1e-3, 1e6, 2001)
+
+    def test_real_power_density(self):
+        factor, s = LogPerturbFactor(), -0.3
+        got = RadonMeasure.power_density(s, factor=factor).density(self.t)
+        assert got.dtype == np.float64
+        ulp = np.spacing(got)
+        # the complex formula, as it was evaluated before
+        old = np.exp(complex(s) * np.log(self.t)) * factor(self.t)
+        assert np.all(np.abs(got - old.real) <= 2 * ulp)
+        # e^{s ln t} carries the rounding of ln t, |s ln t| ulp
+        want = self.t ** s * factor(self.t)
+        assert np.all(np.abs(got - want) <= (2 + np.abs(s * np.log(self.t))) * ulp)
+
+    def test_complex_exponent_density_is_unchanged(self):
+        p = DensityPiece(0.0, math.inf, coef=1.0 + 0.0j, exponent=complex(-0.5, 3.0))
+        got = RadonMeasure(pieces=(p,)).density(self.t)
+        want = p.coef * np.exp(p.exponent * np.log(self.t)) * p.factor(p.arg_scale * self.t)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("third", [
+        DensityPiece(2.0, 40.0, coef=-0.7, exponent=0.5, factor=LogFactor()),
+        DensityPiece(2.0, 40.0, coef=0.5j, exponent=complex(0.1, 2.0)),
+    ], ids=["real", "complex"])
+    def test_whole_array_piece_matches_masked_sum(self, third):
+        pieces = (DensityPiece(0.0, math.inf, coef=1.5, exponent=-0.4,
+                               factor=LogPerturbFactor()),
+                  DensityPiece(1.0, 3.0, coef=0.3, exponent=0.2), third)
+        want = np.zeros(self.t.shape, dtype=np.result_type(*[p.coef for p in pieces]))
+        for p in pieces:
+            inside = (self.t > p.lo) & (self.t <= p.hi)
+            want[inside] += p.at(self.t[inside])
+        got = RadonMeasure(pieces=pieces).density(self.t)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("measure", _edge_measures(),
                          ids=["T2", "T1.25", "T2-scaled", "T1.25-scaled"])
 class TestSelfSimilarImages:
@@ -737,6 +777,16 @@ class TestFlowPairings:
         for n in range(0, fam.n_members, 3):
             want = KernelTransform(fam.members[n], measure).values(ts)
             assert np.all(np.abs(got[:, n] - want) <= 1e-12 * np.abs(want))
+
+    def test_equal_members_copy_their_columns(self, fam, quad_calls):
+        pairs = [(n, fam.members.index(f)) for n, f in enumerate(fam.members)]
+        dups = [(n, m) for n, m in pairs if m < n]
+        assert dups == [(17, 0), (29, 2), (39, 1), (45, 6), (59, 5)]
+        measure, ts = RadonMeasure.power_density(-0.3), geometric_schedule(1.0, 1e4, 9)
+        got = fam.flow_pairings(measure, ProximateOrder(0.7), ts)
+        assert len(quad_calls) <= fam.n_members - len(dups)
+        for n, m in dups:
+            assert np.array_equal(got[:, n], got[:, m])
 
     def test_tabulated_averaged_measure_agrees(self, fam, roundtrip_averaged):
         # both paths pair the spline exactly, knot interval by knot interval

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
+from azarin import numerics
 from azarin.numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, QuadControl,
                              QuadratureError, _cauchy_windows, adaptive_quad,
                              golden_section_min, improper_quad, log_quad)
@@ -328,6 +329,27 @@ def test_cauchy_windows_refetch_the_replayed_infinity_end():
     # the infinity end's first block, none while the zero end takes its
     # second, then the rings past 16 that the replay needs
     assert _at_infinity(calls) == [True, False, True]
+
+
+@pytest.mark.parametrize("columns", [[2], [0, 1]], ids=["alone", "batch"])
+def test_cauchy_windows_keep_only_parts_a_replay_needs(columns, monkeypatch):
+    # only a single column's infinity end is judged on a base that moves
+    ends = []
+
+    def end(*args, **kw):
+        ends.append(inner(*args, **kw))
+        return ends[-1]
+
+    inner = numerics._End
+    monkeypatch.setattr(numerics, "_End", end)
+    parts = [lambda w, c=c: _synthetic_part(c, w) for c in columns]
+    _synthetic_windows(parts)
+    zero, inf = ends
+    assert zero.parts == [[]] * len(columns)
+    if columns == [2]:
+        assert len(inf.parts[0]) == len(inf.edges) - 2 >= 20
+    else:
+        assert inf.parts == [[]] * len(columns)
 
 
 def _law_part(law):

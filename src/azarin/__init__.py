@@ -14,8 +14,8 @@ from .dynamics import (LimitSetEstimate, convergence_trend, estimate_limit_set,
 from .kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                       PowerCutKernel, SmoothBumpKernel, StepKernel,
                       TableKernel, trapezoid_kernel)
-from .measures import (MetricFamily, RadonMeasure, TestFunction, azarin_scale,
-                       class_membership, lower_density, upper_density)
+from .measures import (MetricFamily, RadonMeasure, azarin_scale, class_membership,
+                       lower_density, upper_density)
 from .numerics import (DivergenceError, QuadControl, SingularPointError,
                        WindowError)
 from .orders import (FlatZero, GridControl, LogLogZero, LogPowerZero,
@@ -40,7 +40,7 @@ __all__ = [
     "sample_trajectory", "verify_regular_limit_form",
     "ExpKernel", "IndicatorKernel", "LogSingularKernel", "PowerCutKernel",
     "SmoothBumpKernel", "StepKernel", "TableKernel", "trapezoid_kernel",
-    "MetricFamily", "RadonMeasure", "TestFunction", "azarin_scale",
+    "MetricFamily", "RadonMeasure", "azarin_scale",
     "class_membership", "lower_density", "upper_density",
     "DivergenceError", "QuadControl", "SingularPointError", "WindowError",
     "FlatZero", "GridControl", "LogLogZero", "LogPowerZero", "ProximateOrder",

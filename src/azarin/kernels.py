@@ -22,6 +22,7 @@ __all__ = [
 class Kernel:
     support = (0.0, math.inf)
     singular_points = ()
+    piecewise_linear = False   # continuous and linear between breakpoints
 
     def __call__(self, t):
         raise NotImplementedError
@@ -219,7 +220,9 @@ class SmoothBumpKernel(Kernel):
 
 @dataclass(frozen=True)
 class TableKernel(Kernel):
-    """Piecewise-linear kernel through (node, value) pairs; zero outside."""
+    """Piecewise-linear kernel through (node, value) pairs; zero outside.
+    Continuous (zero at both end nodes, as a trapezoid) it is
+    ``piecewise_linear``: a measure pairs its tables with it exactly."""
     nodes: tuple = ()
     values: tuple = ()
 
@@ -234,6 +237,10 @@ class TableKernel(Kernel):
     def support(self):
         return (self.nodes[0], self.nodes[-1])
 
+    @property
+    def piecewise_linear(self):
+        return self.values[0] == 0.0 == self.values[-1]
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.interp(t, self.nodes, self.values, left=0.0, right=0.0)
@@ -243,7 +250,8 @@ class TableKernel(Kernel):
 
 
 def trapezoid_kernel(lo, hi, ramp=None):
-    """Convenience: trapezoid bump as a TableKernel."""
+    """The trapezoid bump on [lo, hi] with linear ramps of width ``ramp`` (a
+    quarter of the support by default), as a continuous TableKernel."""
     ramp = ramp if ramp is not None else (hi - lo) / 4.0
     return TableKernel(nodes=(lo, lo + ramp, hi - ramp, hi),
                        values=(0.0, 1.0, 1.0, 0.0))

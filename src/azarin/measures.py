@@ -13,13 +13,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .kernels import Kernel, trapezoid_kernel
 from .numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, WindowError,
                        _cauchy_windows, _horner, log_quad)
 
 __all__ = [
     "UnitFactor", "LogFactor", "LogPerturbFactor", "ZeroScaleFactor",
     "DensityPiece", "TabulatedPiece", "SelfSimilarTail", "RadonMeasure",
-    "TestFunction", "MetricFamily", "azarin_scale", "upper_density",
+    "MetricFamily", "azarin_scale", "upper_density",
     "lower_density", "class_membership", "DensityEstimate",
 ]
 
@@ -70,20 +71,16 @@ class ZeroScaleFactor:
 _UNIT = UnitFactor()
 
 
-class _One:
+class _One(Kernel):
     """g = 1, the integrand of a mass as a dilation integral.
 
     Not an indicator of (a, b]: atoms weigh g(x / s), and an indicator
     would drop the atom at x = s b whenever x / s rounds up past b.
     """
-    singular_points = ()
     piecewise_linear = True
 
     def __call__(self, u):
         return np.ones(np.shape(u))
-
-    def breakpoints(self):
-        return []
 
 
 _ONE = _One()
@@ -538,13 +535,15 @@ class RadonMeasure:
     def pair(self, f, quad=DEFAULT_QUAD):
         """(mu, f) = sum f(x_i) w_i + integral of f * density."""
         self._check_window(*f.support)
-        return self.dilation_integrals(f, [1.0], [1.0], [(f.lo, f.hi)], quad)[0][0]
+        return self.dilation_integrals(f, [1.0], [1.0], [f.support], quad)[0][0]
 
     def dilation_integrals(self, g, scales, norms, windows, quad=DEFAULT_QUAD,
                            absolute=False):
-        """Integrals of g(u) over each window (a, b] of ``windows`` (pairs
-        that need not touch) against mu(s u)/n, or |mu|(s u)/n: one row per
-        window, one value per scale s of ``scales`` and norm n of ``norms``.
+        """Integrals of the kernel g(u) over each window (a, b] of ``windows``
+        (pairs that need not touch) against mu(s u)/n, or |mu|(s u)/n: one
+        row per window, one value per scale s of ``scales`` and norm n of
+        ``norms``, the lists of one array that adds the atoms, the tables
+        and then the rest of the density.
 
         The atoms x with x/s in (a, b] add g(x/s) w/n; they are found by one
         ``atoms_in`` per scale over the hull of the windows and binned by window.
@@ -559,19 +558,19 @@ class RadonMeasure:
         masses are all this integral.  With ``absolute`` the atoms weigh |w|
         and the density is |density|.
 
-        A g that declares ``piecewise_linear`` (a ``TestFunction``, or g = 1
-        behind ``masses``) pairs the ``TabulatedPiece``s of a measure with no
-        tail exactly, knot interval by knot interval and vectorized over
-        scales (``TabulatedPiece.linear_integrals``), without quadrature.
-        The rest of the density then takes the path above, split only at
-        its own breakpoints.  Kernels, ``absolute`` and tables under a
-        self-similar tail keep the quadrature, whose GK segments may
-        straddle spline knots.  A self-similar measure gives its atoms,
-        density and breakpoints from the base window (``atoms_in``,
-        ``density``, ``breakpoints_in``), building no image.
+        A ``piecewise_linear`` g (a continuous ``TableKernel`` such as a
+        trapezoid, or g = 1 behind ``masses``) pairs the ``TabulatedPiece``s
+        of a measure with no tail exactly, knot interval by knot interval
+        and vectorized over scales (``TabulatedPiece.linear_integrals``),
+        without quadrature.  The rest of the density then takes the path
+        above, split only at its own breakpoints.  Other kernels, ``absolute``
+        and tables under a self-similar tail keep the quadrature, whose GK
+        segments may straddle spline knots.  A self-similar measure gives
+        its atoms, density and breakpoints from the base window
+        (``atoms_in``, ``density``, ``breakpoints_in``), building no image.
         """
         lo, hi = min(windows)[0], max(b for _, b in windows)
-        out = [[0.0 + 0.0j] * len(scales) for _ in windows]
+        out = np.zeros((len(windows), len(scales)), dtype=complex)
         if self.atom_x.size:
             for i, (s, n) in enumerate(zip(scales, norms)):
                 xs, ws = self.atoms_in(s * lo, s * hi)
@@ -579,12 +578,12 @@ class RadonMeasure:
                     ws = np.abs(ws) if absolute else ws
                     terms = g(xs / s) * (ws / n)
                     cuts = np.searchsorted(xs, np.multiply(s, windows), side="right")
-                    for row, (start, stop) in zip(out, cuts):
+                    for row, (start, stop) in enumerate(cuts.tolist()):
                         if stop > start:
-                            row[i] = complex(np.sum(terms[start:stop]))
+                            out[row, i] = np.sum(terms[start:stop])
         g_splits = [b for b in g.breakpoints() if lo < b < hi]
         rest = self
-        if self.tail is None and not absolute and getattr(g, "piecewise_linear", False):
+        if self.tail is None and not absolute and g.piecewise_linear:
             tables = [p for p in self.pieces if isinstance(p, TabulatedPiece)]
             if tables:
                 u = np.array(sorted({x for w in windows for x in w} | set(g_splits)))
@@ -596,28 +595,27 @@ class RadonMeasure:
                 parts = np.zeros((len(out) + 1, len(scales)), dtype=complex)
                 for p in tables:
                     np.add.at(parts, rows, p.linear_integrals(u, g(u), scales, norms))
-                for row, part in zip(out, parts.tolist()):
-                    row[:] = [a + b for a, b in zip(row, part)]
+                out += parts[:-1]
                 rest = RadonMeasure(pieces=[p for p in self.pieces
                                             if not isinstance(p, TabulatedPiece)])
         if not rest.has_density():
-            return out
+            return out.tolist()
         sing = [p for p in g.singular_points if lo <= p <= hi]
         density = rest.abs_density if absolute else rest.density
         bps = rest.breakpoints_in(min(scales) * lo, max(scales) * hi)
         runs = (_split_runs([[b / s for b in bps if s * lo < b < s * hi] for s in scales])
                 if bps else [(slice(0, len(scales)), [])])
-        for rows, splits in runs:
-            n = rows.stop - rows.start
+        for cols, splits in runs:
+            n = cols.stop - cols.start
             if n == 1:
-                s = scales[rows.start]
-                gain = s / norms[rows.start]
+                s = scales[cols.start]
+                gain = s / norms[cols.start]
 
                 def integrand(u):
                     return density(u * s) * (g(u) * gain)
             else:
-                s = np.asarray(scales[rows], dtype=float)
-                gain = s / np.asarray(norms[rows], dtype=float)
+                s = np.asarray(scales[cols], dtype=float)
+                gain = s / np.asarray(norms[cols], dtype=float)
 
                 def integrand(u):
                     return (density(np.multiply.outer(u, s))
@@ -625,10 +623,8 @@ class RadonMeasure:
 
             parts = log_quad(integrand, windows, quad,
                              split_points=g_splits + splits, singular_points=sing)
-            for row, part in zip(out, parts.reshape(len(windows), n).tolist()):
-                for i, value in enumerate(part, rows.start):
-                    row[i] += value
-        return out
+            out[:, cols] += parts.reshape(len(windows), n)
+        return out.tolist()
 
     # -- Azarin transform ----------------------------------------------------------
 
@@ -674,49 +670,7 @@ def azarin_scale(measure, order, t):
 
 
 # ---------------------------------------------------------------------------
-# test functions and the metric
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Trapezoid bump: support [lo, hi], linear ramps of width ``ramp``.
-
-    It declares breakpoints (its knots) and singular points as a kernel
-    does, so a measure pairs with it and transforms by it alike.
-    """
-    lo: float
-    hi: float
-    ramp: float = None
-    amplitude: float = 1.0
-
-    __test__ = False  # not a pytest collection target
-    singular_points = ()
-    piecewise_linear = True
-
-    def __post_init__(self):
-        if not (0.0 < self.lo < self.hi):
-            raise ValueError("support must be a compact interval in (0, oo)")
-        ramp = self.ramp if self.ramp is not None else (self.hi - self.lo) / 4.0
-        if not (0.0 < ramp <= (self.hi - self.lo) / 2.0):
-            raise ValueError("ramp width must fit in the support")
-        object.__setattr__(self, "ramp", float(ramp))
-
-    @property
-    def support(self):
-        return (self.lo, self.hi)
-
-    @property
-    def knots(self):
-        return (self.lo, self.lo + self.ramp, self.hi - self.ramp, self.hi)
-
-    def breakpoints(self):
-        return list(self.knots)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        k = self.knots
-        return np.interp(x, k, [0.0, self.amplitude, self.amplitude, 0.0],
-                         left=0.0, right=0.0)
+# the metric family of test functions
 
 
 def _dyadic_triples(count):
@@ -754,7 +708,8 @@ def _split_runs(splits):
 class MetricFamily:
     """The pinned countable family of dyadic trapezoid bumps.
 
-    Member n (1-based) carries weight 2**-n in the metric
+    Member n (1-based), ``trapezoid_kernel(p 2**-j, q 2**-j)`` for the n-th
+    triple (j, p, q) of ``_dyadic_triples``, carries weight 2**-n in the metric
 
         d(mu1, mu2) = sum_n |(mu1-mu2)(phi_n)| / (2**n (1 + |...|)),
 
@@ -766,7 +721,7 @@ class MetricFamily:
         self.n_members = int(n_members)
         self.quad = quad
         self.members = tuple(
-            TestFunction(lo=p * 2.0 ** -j, hi=q * 2.0 ** -j)
+            trapezoid_kernel(p * 2.0 ** -j, q * 2.0 ** -j)
             for j, p, q in _dyadic_triples(self.n_members)
         )
         self.weights = 0.5 ** np.arange(1, self.n_members + 1)
@@ -778,7 +733,7 @@ class MetricFamily:
         return 2.0 ** -self.n_members
 
     def support_hull(self):
-        return (min(f.lo for f in self.members), max(f.hi for f in self.members))
+        return (min(f.support[0] for f in self.members), max(f.support[1] for f in self.members))
 
     def pairings(self, measure, quad=None):
         quad = quad or self.quad
@@ -810,7 +765,7 @@ class MetricFamily:
         out = np.zeros((ts.size, self.n_members), dtype=complex)
         for n, (f, m) in enumerate(zip(self.members, self._first)):
             out[:, n] = (out[:, m] if m < n else
-                         measure.dilation_integrals(f, ts, norms, [(f.lo, f.hi)], quad)[0])
+                         measure.dilation_integrals(f, ts, norms, [f.support], quad)[0])
         return out
 
     def distance_from_pairings(self, p1, p2):

@@ -137,18 +137,6 @@ def _gk_eval(f, lo, hi):
     return i15, np.abs(i15 - i7)
 
 
-def _graded_edges(lo, hi, singular, levels):
-    """Insert geometrically shrinking panels toward singular endpoints."""
-    pts = [lo, hi]
-    length = hi - lo
-    for s in singular:
-        if abs(s - lo) < 1e-300 * max(1.0, abs(lo)) or s == lo:
-            pts.extend(lo + length * 0.5 ** k for k in range(1, levels))
-        elif s == hi or abs(s - hi) < 1e-300 * max(1.0, abs(hi)):
-            pts.extend(hi - length * 0.5 ** k for k in range(1, levels))
-    return pts
-
-
 def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
     """Adaptive GK7/15 integrals of a vectorized (possibly complex) ``f``
     over the intervals [a, b] of arrays (or scalars) ``a``, ``b`` of one
@@ -185,7 +173,14 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     cuts = sorted({float(p) for p in split_points} | set(sing))
 
     def graded(x, y):
-        return _graded_edges(x, y, [s for s in sing if s in (x, y)], ctrl.graded_levels)
+        """x, y and the panel ends halving toward each of them in ``sing``."""
+        halves = [(y - x) * 0.5 ** k for k in range(1, ctrl.graded_levels)]
+        pts = [x, y]
+        if x in sing:
+            pts += [x + h for h in halves]
+        if y in sing:
+            pts += [y - h for h in halves]
+        return pts
 
     seg_lo, seg_hi, grp = [], [], []
     for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):

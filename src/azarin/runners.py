@@ -25,9 +25,9 @@ from .configio import (LINE_MEASURE, Choice, ConfigError, Count, Grid, Interval,
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
-from .kernels import SmoothBumpKernel
-from .measures import (MetricFamily, RadonMeasure, TestFunction,
-                       class_membership, lower_density, upper_density)
+from .kernels import SmoothBumpKernel, trapezoid_kernel
+from .measures import (MetricFamily, RadonMeasure, class_membership,
+                       lower_density, upper_density)
 from .numerics import DEFAULT_QUAD
 from .orders import (log_potter_factor, poisson_smoothed_scale,
                      potter_bound_report, potter_decay_scan, potter_factor)
@@ -341,11 +341,17 @@ def run_periodic_family(order, measure, quad, period=Maybe(float),
     return RunResult(verdict, report, [_trajectory_table(samples)])
 
 
+def _probe(interval):
+    """The sparse-flow probe: a trapezoid bump on a compact interval in (0, oo)."""
+    if interval[0] <= 0.0:
+        raise ValueError("support must be a compact interval in (0, oo)")
+    return trapezoid_kernel(*interval)
+
+
 @operation("sparse_flow_check")
 def run_sparse_flow(order, measure, quad,
                     indices=List([5, 6, 7, 8, 9], item=int),
-                    probe=Obj({"interval": Interval(bounded=True)},
-                              lambda interval: TestFunction(*interval),
+                    probe=Obj({"interval": Interval(bounded=True)}, _probe,
                               default={"interval": [0.5, 2.0]}),
                     delta_tol=1e-6, null_tol=1e-8):
     fam = MetricFamily(quad=quad)

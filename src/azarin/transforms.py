@@ -324,7 +324,9 @@ class _Cumulative:
 
     Panels split at declared breakpoints; within a panel the nodes are
     linear for short spans and geometric across wide ones, so both
-    polynomial kinks and power-law growth interpolate accurately.
+    polynomial kinks and power-law growth interpolate accurately.  A panel's
+    last node is one ulp inside it, so that a jump at its end (an atom of a
+    distribution) is sampled at its left limit, out of the panel's cubic.
     """
 
     def __init__(self, fn, lo, hi, breakpoints, points_per_panel=512):
@@ -345,6 +347,7 @@ class _Cumulative:
                 xs = np.geomspace(a, b, n)
             else:
                 xs = np.linspace(a, b, points_per_panel)
+            xs[-1] = np.nextafter(b, a)
             ys = np.asarray(fn(xs), dtype=complex)
             anti = CubicTable.fit(xs, ys).antiderivative()
             self.splines.append(anti)

@@ -15,8 +15,7 @@ from azarin.dynamics import (estimate_limit_set, geometric_schedule,
                              sample_trajectory, verify_regular_limit_form)
 from azarin.kernels import ExpKernel, SmoothBumpKernel, StepKernel, trapezoid_kernel
 from azarin.measures import (DensityPiece, LogPerturbFactor, MetricFamily,
-                             RadonMeasure, SelfSimilarTail, TestFunction,
-                             class_membership)
+                             RadonMeasure, SelfSimilarTail, class_membership)
 from azarin.orders import (LogLogZero, LogPowerZero, ProximateOrder,
                            TabulatedZero, poisson_smoothed_scale, potter_factor,
                            potter_decay_scan)
@@ -132,7 +131,7 @@ def test_criterion_05_sparse_flow():
     order = ProximateOrder(1.0)
     measure = RadonMeasure(atoms=[(math.exp(n * n), math.exp(n * n))
                                   for n in range(1, 13)])
-    bump = TestFunction(0.5, 2.0)
+    bump = trapezoid_kernel(0.5, 2.0)
     delta_err = 0.0
     gap_max = 0.0
     for n in range(5, 10):

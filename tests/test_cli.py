@@ -192,6 +192,11 @@ class TestRunErrors:
          "expected at least 10 samples"),
         ("averaged_limit_check", {"schedule": [-1e2] + [1e3] * 10}, "params.schedule[0]",
          "expected a finite number > 0"),
+        # a trapezoid kernel takes a support from 0; the probe must not
+        ("sparse_flow_check", {"probe": {"interval": [0.0, 2.0]}}, "params.probe",
+         "support must be a compact interval in (0, oo)"),
+        ("sparse_flow_check", {"probe": {"interval": [-1.0, 2.0]}}, "params.probe",
+         "support must be a compact interval in (0, oo)"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):

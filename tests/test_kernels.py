@@ -54,6 +54,14 @@ def test_table_kernel_is_trapezoid():
     assert k(np.array([3.5]))[0] == 0.0
 
 
+def test_table_kernel_is_piecewise_linear_when_continuous():
+    assert trapezoid_kernel(1.0, 3.0).piecewise_linear
+    assert TableKernel((0.0, 1.0), (0.0, 0.0)).piecewise_linear
+    assert not TableKernel((1.0, 2.0), (1.0, 1.0)).piecewise_linear
+    assert not TableKernel((1.0, 2.0), (0.0, 1.0)).piecewise_linear
+    assert not ExpKernel().piecewise_linear
+
+
 class TestSmoothBump:
     def test_peak_and_support(self):
         k = SmoothBumpKernel(1.0, 2.0)

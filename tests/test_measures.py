@@ -9,11 +9,12 @@ from scipy.interpolate import CubicSpline
 
 from azarin import measures, numerics
 from azarin.dynamics import geometric_schedule, sample_trajectory
-from azarin.kernels import ExpKernel, IndicatorKernel, LogSingularKernel
+from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
+                            trapezoid_kernel)
 from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
                              RadonMeasure, SelfSimilarTail, TabulatedPiece,
-                             TestFunction, azarin_scale, class_membership,
-                             lower_density, upper_density)
+                             azarin_scale, class_membership, lower_density,
+                             upper_density)
 from azarin.numerics import DEFAULT_QUAD, WindowError, log_quad
 from azarin.orders import LogPowerZero, ProximateOrder
 from azarin.transforms import KernelTransform, averaged_measure
@@ -232,7 +233,7 @@ def test_masses_match_scalar_mass_and_scipy(case, absolute):
 
 
 _KERNELS = {
-    "test_function": lambda lo, hi: TestFunction(lo, hi, ramp=(hi - lo) / 3.0),
+    "test_function": lambda lo, hi: trapezoid_kernel(lo, hi, (hi - lo) / 3.0),
     "one": lambda lo, hi: measures._ONE,
     "exp": lambda lo, hi: ExpKernel(),
     "log_singular": lambda lo, hi: LogSingularKernel(),
@@ -593,27 +594,23 @@ class TestBaseWindow:
 
 class TestPair:
     def test_trapezoid_area(self):
-        f = TestFunction(1.0, 3.0, ramp=0.5)
+        f = trapezoid_kernel(1.0, 3.0, 0.5)
         leb = RadonMeasure.power_density(0.0)
         assert leb.pair(f) == pytest.approx(1.5, rel=1e-10)
 
     def test_atom_on_plateau(self):
-        f = TestFunction(1.0, 3.0, ramp=0.5)
+        f = trapezoid_kernel(1.0, 3.0, 0.5)
         assert RadonMeasure.from_atoms([(2.0, 5.0)]).pair(f) == pytest.approx(5.0)
 
-    def test_zero_amplitude(self):
-        f = TestFunction(1.0, 3.0, ramp=0.5, amplitude=0.0)
-        assert RadonMeasure.power_density(0.0).pair(f) == 0.0
-
     def test_linearity_in_measure(self):
-        f = TestFunction(0.5, 4.0)
+        f = trapezoid_kernel(0.5, 4.0)
         a = RadonMeasure.power_density(0.3, coef=2.0)
         b = RadonMeasure.from_atoms([(1.3, 1.0 - 2.0j)])
         lhs = (a + b).pair(f)
         assert lhs == pytest.approx(a.pair(f) + b.pair(f), rel=1e-11)
 
     def test_total_variation_bound(self, rng):
-        f = TestFunction(0.5, 4.0)
+        f = trapezoid_kernel(0.5, 4.0)
         for _ in range(10):
             atoms = [(float(x), complex(w0, w1)) for x, w0, w1 in
                      zip(rng.uniform(0.6, 3.5, 3), rng.normal(size=3),
@@ -628,10 +625,10 @@ class TestPair:
     def test_pairing_uniform_continuity(self):
         # ramp sequence converging uniformly to a sharper trapezoid
         m = RadonMeasure.power_density(-0.5)
-        target = TestFunction(1.0, 3.0, ramp=0.25)
+        target = trapezoid_kernel(1.0, 3.0, 0.25)
         gaps = []
         for ramp in (0.4, 0.3, 0.26, 0.251):
-            approx = TestFunction(1.0, 3.0, ramp=ramp)
+            approx = trapezoid_kernel(1.0, 3.0, ramp)
             gaps.append(abs(m.pair(approx) - m.pair(target)))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 5e-3
@@ -642,7 +639,7 @@ class TestAzarinScale:
         # density x^{rho-1} with V = r^rho is a fixed point of the flow
         o = ProximateOrder(1.5)
         m = RadonMeasure.power_density(0.5)
-        f = TestFunction(0.5, 4.0)
+        f = trapezoid_kernel(0.5, 4.0)
         for t in (3.0, 41.7):
             assert m.scaled(o, t).pair(f) == pytest.approx(m.pair(f), rel=1e-11)
 
@@ -691,9 +688,10 @@ def _knot_split_pairing(scaled, f):
     """scipy ``quad`` of f against a scaled averaged measure, split at the
     spline knots and f's kinks."""
     knots = [math.exp(x) for x in scaled.pieces[0].log_nodes]
-    points = sorted({u for u in knots if f.lo < u < f.hi} | set(f.knots[1:-1]))
+    lo, hi = f.support
+    points = sorted({u for u in knots if lo < u < hi} | set(f.nodes[1:-1]))
     want, _ = quad(lambda u: (f(u) * scaled.density(np.array([u]))[0]).real,
-                   f.lo, f.hi, points=points, epsabs=0.0, epsrel=1e-13, limit=500)
+                   lo, hi, points=points, epsabs=0.0, epsrel=1e-13, limit=500)
     return want
 
 
@@ -741,7 +739,7 @@ class TestFlowPairings:
         # a period-2 flow sampled on powers of 2 repeats its breakpoints
         m = RadonMeasure(pieces=(DensityPiece(1.0, 2.0),),
                          tail=SelfSimilarTail(2.0, 1.0, 1.0))
-        f = TestFunction(0.25, 8.0)
+        f = trapezoid_kernel(0.25, 8.0)
         calls = []
 
         def counting_log_quad(g, windows, quad, **kw):
@@ -750,15 +748,15 @@ class TestFlowPairings:
             return out
 
         monkeypatch.setattr(measures, "log_quad", counting_log_quad)
-        m.dilation_integrals(f, ts, [1.0] * len(ts), [(f.lo, f.hi)])
+        m.dilation_integrals(f, ts, [1.0] * len(ts), [f.support])
         assert len(calls) == n_runs
         assert sum(n for n, _ in calls) == len(ts)
         start = 0
         for n, splits in calls:
             for t in ts[start:start + n]:
                 scaled = m.scaled(O1, t)
-                assert splits == sorted(set(scaled.breakpoints_in(f.lo, f.hi))
-                                        | set(f.knots[1:-1]))
+                assert splits == sorted(set(scaled.breakpoints_in(*f.support))
+                                        | set(f.nodes[1:-1]))
             start += n
 
     @pytest.mark.parametrize("measure, order", [
@@ -896,11 +894,11 @@ class TestMetric:
     def test_family_is_dyadic_trapezoids(self, fam):
         assert len(fam.members) == 64
         first = fam.members[0]
-        assert (first.lo, first.hi) == (1.0, 2.0)
-        assert first.ramp == pytest.approx(0.25)
+        assert first.support == (1.0, 2.0)
+        assert first.nodes[1] - first.nodes[0] == pytest.approx(0.25)
         for f in fam.members:
             # endpoints are dyadic rationals p 2^-j
-            for v in (f.lo, f.hi):
+            for v in f.support:
                 scaled = v * 2.0 ** 10
                 assert scaled == int(scaled)
 

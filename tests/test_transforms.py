@@ -5,9 +5,10 @@ import pytest
 
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
 from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
-                            PowerCutKernel, SmoothBumpKernel, trapezoid_kernel)
+                            PowerCutKernel, SmoothBumpKernel, TableKernel,
+                            trapezoid_kernel)
 from azarin.measures import (DensityPiece, LogPerturbFactor, RadonMeasure,
-                             SelfSimilarTail, TestFunction, ZeroScaleFactor,
+                             SelfSimilarTail, TabulatedPiece, ZeroScaleFactor,
                              class_membership)
 from azarin.numerics import DivergenceError, _cauchy_windows
 from azarin.orders import LogLogZero, ProximateOrder
@@ -55,10 +56,9 @@ class TestTransformValue:
         # transform at r equals V(r) * pairing of the kernel against mu_r
         m = periodic()
         k = trapezoid_kernel(1.0, 3.0)
-        f = TestFunction(1.0, 3.0)
         r = 1.77 * 2.0 ** 20
         lhs = KernelTransform(k, m, O1).value(r)
-        rhs = float(O1.scale(r)) * m.scaled(O1, r).pair(f)
+        rhs = float(O1.scale(r)) * m.scaled(O1, r).pair(k)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_divergence_carries_partials(self):
@@ -818,6 +818,19 @@ class TestIdentity:
         assert rep.passed
         assert rep.max_rel_error <= 1e-13
 
+    @pytest.mark.parametrize("lo, rs", [
+        (1.0, [1.5]), (0.0, [1.0, 1.5, 3.0, 10.0]), (0.5, [1.0, 1.5, 3.0, 10.0]),
+    ])
+    def test_atom_inside_the_scaled_window(self, lo, rs):
+        # the atom at 2 lies inside (r lo, 2 r] for r = 1.5 (and r = 1 when
+        # lo < 1); F_0 jumps there, at the right end of its panel (1, 2]
+        mu = RadonMeasure(atoms=[(2.0, 1.0)],
+                          pieces=(DensityPiece(1.0, math.inf, coef=1.0,
+                                               exponent=1.0),))
+        rep = check_antiderivative_identity(SmoothBumpKernel(lo, 2.0), mu,
+                                            [0, 1, 2], rs)
+        assert rep.max_rel_error <= 1e-12
+
     def test_zero_measure(self):
         rep = check_antiderivative_identity(SmoothBumpKernel(1.0, 2.0),
                                             RadonMeasure.zero(), [0, 1], [2.0])
@@ -833,6 +846,46 @@ class TestIdentity:
             check_antiderivative_identity(SmoothBumpKernel(1.0, 2.0),
                                           RadonMeasure.from_atoms([(0.5, 1.0)]),
                                           [0], [1.0])
+
+
+class TestTableKernelClosedForm:
+    """A continuous TableKernel pairs a tail-free table in closed form; a
+    discontinuous one keeps the quadrature."""
+    x = np.linspace(math.log(0.5), math.log(40.0), 23)
+    measure = RadonMeasure(pieces=(TabulatedPiece(
+        0.5, 40.0, tuple(x),
+        tuple(np.exp(-0.4 * x) * (1.0 + 0.5j * np.sin(2.0 * x)) + 0.3 * np.cos(5.0 * x))),))
+
+    def _scipy(self, kernel, s, a, b):
+        """scipy quad of K(t/s) density(t) over t in (s a, s b] clipped to the
+        table, split at the spline knots and at s times the kernel nodes:
+        the dilation integral of K over (a, b] at scale s and norm 1."""
+        from scipy.integrate import quad
+        lo, hi = max(s * a, 0.5), min(s * b, 40.0)
+        cuts = np.exp(self.x).tolist() + [s * n for n in kernel.nodes]
+        edges = [lo] + sorted(t for t in cuts if lo < t < hi) + [hi]
+
+        def part(f, a, b):
+            return quad(lambda t: f(kernel(np.array([t / s]))[0]
+                                    * self.measure.density(np.array([t]))[0]),
+                        a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+        return sum(complex(part(np.real, a, b), part(np.imag, a, b))
+                   for a, b in zip(edges[:-1], edges[1:]))
+
+    @pytest.mark.parametrize("r", [1.0, 2.3, 7.0])
+    def test_trapezoid_transform_is_exact(self, r):
+        k = trapezoid_kernel(1.0, 3.0)
+        want = self._scipy(k, r, 1.0, 3.0)
+        assert abs(KernelTransform(k, self.measure).value(r) - want) <= 1e-13 * abs(want)
+
+    def test_discontinuous_kernel_keeps_the_quadrature(self):
+        # g jumps at both ends of its support, inside the window (0.5, 3]
+        step = TableKernel((1.0, 2.0), (1.0, 1.0))
+        rs = [1.0, 2.3, 7.0]
+        got, = self.measure.dilation_integrals(step, rs, [1.0] * 3, [(0.5, 3.0)])
+        for r, v in zip(rs, got):
+            assert v == pytest.approx(self._scipy(step, r, 0.5, 3.0), rel=1e-9)
 
 
 class TestStableOrder:

@@ -1,7 +1,8 @@
 """Borel kernels K on (0, oo) for the convolution transform.
 
 Each kernel is vectorized and declares its support, breakpoints
-(integration split points) and singular points.  The smooth bump carries
+(integration split points) and singular points; it checks when it is
+built that its support [lo, hi] has 0 <= lo < hi.  The smooth bump carries
 exact derivative evaluators built from the polynomial recurrence for
 d^k/dx^k exp(-1/(1-x^2)).
 """
@@ -37,6 +38,12 @@ class Kernel:
         return pts
 
 
+def _check_support(lo, hi):
+    """Check a support [lo, hi] in [0, oo): 0 <= lo < hi, or a ValueError."""
+    if not 0.0 <= lo < hi:
+        raise ValueError("support [%g, %g] must satisfy 0 <= lo < hi" % (lo, hi))
+
+
 @dataclass(frozen=True)
 class ExpKernel(Kernel):
     """K(t) = exp(-t)."""
@@ -50,6 +57,9 @@ class IndicatorKernel(Kernel):
     """Indicator of (lo, hi]."""
     lo: float = 0.0
     hi: float = 1.0
+
+    def __post_init__(self):
+        _check_support(self.lo, self.hi)
 
     @property
     def support(self):
@@ -69,6 +79,12 @@ class StepKernel(Kernel):
     the rho = 0 and rho = 1 formulations of the transform).
     """
     steps: tuple = ()  # entries (coef, lo, hi) or (coef, lo, hi, exponent)
+
+    def __post_init__(self):
+        if not self.steps:
+            raise ValueError("a step combination needs at least one step")
+        for _, lo, hi, _ in self._norm():
+            _check_support(lo, hi)
 
     def _norm(self):
         out = []
@@ -111,6 +127,9 @@ class PowerCutKernel(Kernel):
     """K(t) = t**exponent on (0, cut], zero beyond."""
     exponent: complex = 0.0
     cut: float = 1.0
+
+    def __post_init__(self):
+        _check_support(0.0, self.cut)
 
     @property
     def support(self):
@@ -181,6 +200,11 @@ class SmoothBumpKernel(Kernel):
     n_max: int = 6
     _polys: tuple = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        _check_support(self.lo, self.hi)
+        if not self.n_max >= 0:
+            raise ValueError("n_max must be >= 0")
+
     @property
     def support(self):
         return (self.lo, self.hi)
@@ -230,6 +254,9 @@ class TableKernel(Kernel):
         nodes = tuple(float(x) for x in self.nodes)
         if len(nodes) < 2 or any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise ValueError("nodes must strictly increase")
+        if len(self.values) != len(nodes):
+            raise ValueError("nodes and values must have the same length")
+        _check_support(nodes[0], nodes[-1])
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 

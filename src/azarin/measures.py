@@ -179,25 +179,24 @@ class TabulatedPiece:
             object.__setattr__(self, "_moments", (spline.x, q, whole))
         return self._moments
 
-    def linear_integrals(self, u, gu, scales, norms):
-        """Integrals over each [u_j, u_{j+1}] of the ascending array ``u`` of
-        the g that is linear between its values ``gu`` at ``u``, against
-        this density at s u times s/n, for each scale s and norm n: a
-        (len(u) - 1, len(scales)) array.
+    def linear_integrals(self, u, scales, norms, linear=True):
+        """The integrals (C0, C1) over each [u_j, u_{j+1}] of the ascending
+        array ``u`` of 1 and u - u_j against this density at s u times s/n,
+        for each scale s and norm n: two (len(u) - 1, len(scales)) arrays,
+        so a g linear on the piece, g(u_j) + beta (u - u_j), integrates to
+        g(u_j) C0 + beta C1.  Without ``linear`` (a constant g) C1 is None.
 
-        In x = ln(s u) a linear piece of g is alpha + beta e^x / s.  Each
-        knot interval that a piece meets inside (lo, hi], clipped to
-        [x_a, x_b], adds (e^{x_a}/n) (g(u_a) E_1 + beta u_a (E_2 - E_1)),
-        u_a = e^{x_a}/s, with the moments E_c of ``_exp_moments``.  Whole
-        knot intervals take E_c from the table.  Each piece sums its own
-        intervals; no value is a difference of running sums, which would
-        cancel where the density decays along the table.
+        In x = ln(s u) the piece's u is e^x / s.  Each knot interval that a
+        piece meets inside (lo, hi], clipped to [x_a, x_b], adds
+        e^{x_a} E_1 / n to C0 and e^{x_a} ((u_a - u_j) E_1 + u_a (E_2 - E_1)) / n
+        to C1, u_a = e^{x_a}/s, with the moments E_c of ``_exp_moments``.
+        Whole knot intervals take E_c from the table.  Each piece sums its
+        own intervals; no value is a difference of running sums, which
+        would cancel where the density decays along the table.
         """
         x, q, whole = self._moment_table()
         s = np.asarray(scales, dtype=float)
-        beta = np.diff(gu) / np.diff(u)
-        moments = 2 if beta.any() else 1   # a constant g needs no E_2
-        q, whole = q[:moments], whole[:moments]
+        q, whole = (q, whole) if linear else (q[:1], whole[:1])   # a constant g needs no E_2
         ln_lo = math.log(self.lo) if self.lo > 0.0 else -math.inf
         xs = np.log(np.multiply.outer(u, s))             # (piece end, scale)
         xa = np.maximum(xs[:-1], ln_lo).ravel()
@@ -220,14 +219,13 @@ class TabulatedPiece:
                                  np.where(last, xb[cell], x[k + 1])[cut] - x[kc])
         piece, col = np.divmod(cell, s.size)
         ta = np.exp(left)
-        ua = ta / s[col]
-        value = (gu[piece] + beta[piece] * (ua - u[piece])) * e[0]
-        if moments == 2:
-            value += beta[piece] * ua * (e[1] - e[0])
-        value *= ta
-        total = (np.bincount(cell, value.real, count.size)
-                 + 1j * np.bincount(cell, value.imag, count.size))
-        return total.reshape(u.size - 1, s.size) / np.asarray(norms, dtype=float)
+        terms = [ta * e[0]]
+        if linear:
+            ua = ta / s[col]
+            terms.append(ta * ((ua - u[piece]) * e[0] + ua * (e[1] - e[0])))
+        sums = [(np.bincount(cell, v.real, count.size) + 1j * np.bincount(cell, v.imag, count.size))
+                .reshape(u.size - 1, s.size) / np.asarray(norms, dtype=float) for v in terms]
+        return sums[0], sums[1] if linear else None
 
     def scaled(self, t, scale_value):
         lt = math.log(t)
@@ -439,8 +437,12 @@ class RadonMeasure:
                     for e in ends]
         return sorted({e for e in ends if lo < e < hi})
 
-    def has_density(self):
-        return bool(self.pieces)
+    def _split_tables(self):
+        """The ``TabulatedPiece``s of a measure with no tail, and the rest."""
+        table = [self.tail is None and isinstance(p, TabulatedPiece) for p in self.pieces]
+        rest = RadonMeasure.__new__(RadonMeasure)
+        rest.__dict__.update(vars(self), pieces=tuple(p for p, t in zip(self.pieces, table) if not t))
+        return [p for p, t in zip(self.pieces, table) if t], rest
 
     # -- integration ------------------------------------------------------------
 
@@ -560,9 +562,8 @@ class RadonMeasure:
 
         A ``piecewise_linear`` g (a continuous ``TableKernel`` such as a
         trapezoid, or g = 1 behind ``masses``) pairs the ``TabulatedPiece``s
-        of a measure with no tail exactly, knot interval by knot interval
-        and vectorized over scales (``TabulatedPiece.linear_integrals``),
-        without quadrature.  The rest of the density then takes the path
+        of a measure with no tail exactly: a piece of g adds g(u_j) C0 + beta C1
+        (``TabulatedPiece.linear_integrals``).  The rest of the density then takes the path
         above, split only at its own breakpoints.  Other kernels, ``absolute``
         and tables under a self-similar tail keep the quadrature, whose GK
         segments may straddle spline knots.  A self-similar measure gives
@@ -582,23 +583,22 @@ class RadonMeasure:
                         if stop > start:
                             out[row, i] = np.sum(terms[start:stop])
         g_splits = [b for b in g.breakpoints() if lo < b < hi]
-        rest = self
-        if self.tail is None and not absolute and g.piecewise_linear:
-            tables = [p for p in self.pieces if isinstance(p, TabulatedPiece)]
-            if tables:
-                u = np.array(sorted({x for w in windows for x in w} | set(g_splits)))
-                # each piece [u_k, u_k+1] to its window, or to a spare row
-                w = np.array(windows)
-                k = np.argsort(w[:, 0])
-                k = k[np.searchsorted(w[k, 0], u[:-1], side="right") - 1]
-                rows = np.where(u[1:] <= w[k, 1], k, len(out))
-                parts = np.zeros((len(out) + 1, len(scales)), dtype=complex)
-                for p in tables:
-                    np.add.at(parts, rows, p.linear_integrals(u, g(u), scales, norms))
-                out += parts[:-1]
-                rest = RadonMeasure(pieces=[p for p in self.pieces
-                                            if not isinstance(p, TabulatedPiece)])
-        if not rest.has_density():
+        tables, rest = self._split_tables() if g.piecewise_linear and not absolute else ((), self)
+        if tables:
+            u = np.array(sorted({x for w in windows for x in w} | set(g_splits)))
+            gu = g(u)
+            beta = (np.diff(gu) / np.diff(u))[:, None]
+            # each piece [u_k, u_k+1] to its window, or to a spare row
+            w = np.array(windows)
+            k = np.argsort(w[:, 0])
+            k = k[np.searchsorted(w[k, 0], u[:-1], side="right") - 1]
+            rows = np.where(u[1:] <= w[k, 1], k, len(out))
+            parts = np.zeros((len(out) + 1, len(scales)), dtype=complex)
+            for p in tables:
+                c0, c1 = p.linear_integrals(u, scales, norms, beta.any())
+                np.add.at(parts, rows, gu[:-1, None] * c0 + (0.0 if c1 is None else beta * c1))
+            out += parts[:-1]
+        if not rest.pieces:
             return out.tolist()
         sing = [p for p in g.singular_points if lo <= p <= hi]
         density = rest.abs_density if absolute else rest.density
@@ -727,6 +727,10 @@ class MetricFamily:
         self.weights = 0.5 ** np.arange(1, self.n_members + 1)
         first = {}   # member n pairs as member _first[n], the first equal one
         self._first = [first.setdefault(f, n) for n, f in enumerate(self.members)]
+        # member n is _g[n, a] + _b[n, a] (u - u_a) on union knot interval a
+        u = self._knots = np.unique([f.nodes for f in self.members])
+        g = np.array([f(u) for f in self.members])
+        self._g, self._b = g[:, :-1], np.diff(g) / np.diff(u)
 
     @property
     def tail_bound(self):
@@ -748,9 +752,12 @@ class MetricFamily:
         against the unscaled measure at scales ``ts`` and norms V(ts), so
         consecutive samples with the same breakpoints in f's support share
         one vector integral; a member equal to an earlier one copies its
-        column.  The window check is one test over all samples and members;
-        the first failing pair in sample-major order raises through the
-        ``_check_window`` of its mu_t, as pairing sample by sample would.
+        column.  Tables of a measure with no tail pair all members at once:
+        ``(G @ C0 + B @ C1).T``, G and B the members' values and slopes on the
+        union knots, C0 and C1 one ``linear_integrals`` there.  The window
+        check is one test over all samples and members; the first failing
+        pair in sample-major order raises through the ``_check_window`` of
+        its mu_t, as pairing sample by sample would.
         """
         quad = quad or self.quad
         ts = np.asarray(ts, dtype=float)
@@ -762,11 +769,14 @@ class MetricFamily:
             if bad.any():
                 i, n = divmod(int(np.argmax(bad)), self.n_members)
                 measure.scaled(order, ts[i])._check_window(*self.members[n].support)
+        tables, rest = measure._split_tables()
         out = np.zeros((ts.size, self.n_members), dtype=complex)
-        for n, (f, m) in enumerate(zip(self.members, self._first)):
-            out[:, n] = (out[:, m] if m < n else
-                         measure.dilation_integrals(f, ts, norms, [f.support], quad)[0])
-        return out
+        for n in sorted(set(self._first)) if not rest.is_trivial() else ():
+            f = self.members[n]
+            out[:, n] = rest.dilation_integrals(f, ts, norms, [f.support], quad)[0]
+        for c0, c1 in (p.linear_integrals(self._knots, ts, norms) for p in tables):
+            out += (self._g @ c0 + self._b @ c1).T
+        return out[:, self._first]
 
     def distance_from_pairings(self, p1, p2):
         diff = np.abs(np.asarray(p1) - np.asarray(p2))

@@ -41,6 +41,13 @@ def dilation_calls(monkeypatch):
 
 
 @pytest.fixture
+def moments_calls(monkeypatch):
+    """A list that gains one entry per ``TabulatedPiece.linear_integrals`` call."""
+    from azarin.measures import TabulatedPiece
+    return _counted(monkeypatch, TabulatedPiece, "linear_integrals")
+
+
+@pytest.fixture
 def scaled_calls(monkeypatch):
     """A list that gains one entry per ``RadonMeasure.scaled`` call."""
     from azarin.measures import RadonMeasure

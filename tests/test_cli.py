@@ -353,6 +353,41 @@ class TestRunErrors:
         assert "config error: measure.densities[0]: %s" % message \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kernel, message", [
+        # a support below 0 ran to PASS, integrating only the part on u > 0
+        ({"kind": "trapezoid", "interval": [-1, 2]},
+         "support [-1, 2] must satisfy 0 <= lo < hi"),
+        ({"kind": "indicator", "interval": [-1, 2]},
+         "support [-1, 2] must satisfy 0 <= lo < hi"),
+        ({"kind": "smooth_bump", "interval": [-1, 2]},
+         "support [-1, 2] must satisfy 0 <= lo < hi"),
+        ({"kind": "table", "nodes": [-1, 0.5, 2], "values": [0, 1, 0]},
+         "support [-1, 2] must satisfy 0 <= lo < hi"),
+        ({"kind": "step_combo", "steps": [[1, -1, 1]]},
+         "support [-1, 1] must satisfy 0 <= lo < hi"),
+        # support (0, -1]: every transform value was 0
+        ({"kind": "power_cut", "s": -0.5, "cut": -1},
+         "support [0, -1] must satisfy 0 <= lo < hi"),
+        # these ended in a "run error:" with numpy's message and no path
+        ({"kind": "table", "nodes": [0.5, 1, 2], "values": [0, 1]},
+         "nodes and values must have the same length"),
+        ({"kind": "smooth_bump", "interval": [1, 2], "n_max": -1},
+         "n_max must be >= 0"),
+        ({"kind": "step_combo", "steps": []},
+         "a step combination needs at least one step"),
+    ], ids=["trapezoid-below-0", "indicator-below-0", "smooth_bump-below-0",
+            "table-below-0", "step_combo-below-0", "power_cut-negative-cut",
+            "table-lengths", "smooth_bump-n_max", "step_combo-empty"])
+    def test_bad_kernel_is_a_config_error(self, kernel, message, tmp_path, capsys):
+        cfg = {"operation": "transform_table", "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "kernel": kernel, "params": {"r_grid": [1.0]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        assert "config error: kernel: %s" % message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("tail, interval, path, message", [
         # T = 1 ended in a ZeroDivisionError traceback
         ({"T": 1}, [1, 2], "measure.tail",

@@ -237,7 +237,7 @@ _KERNELS = {
     "one": lambda lo, hi: measures._ONE,
     "exp": lambda lo, hi: ExpKernel(),
     "log_singular": lambda lo, hi: LogSingularKernel(),
-    "indicator": lambda lo, hi: IndicatorKernel(lo * 1.5, hi * 0.75),
+    "indicator": lambda lo, hi: IndicatorKernel((3.0 * lo + hi) / 4.0, (lo + 3.0 * hi) / 4.0),
 }
 
 
@@ -809,6 +809,42 @@ class TestFlowPairings:
         scaled = measure.scaled(order, ts[160])
         want = _knot_split_pairing(scaled, f)
         assert abs(scaled.pair(f) - want) <= 1e-12 * abs(want)
+
+    def test_union_knot_pass_meets_one_by_one_on_a_mixed_measure(self, fam):
+        # the narrow table's (3.3, 7.1] clips the union knot intervals of
+        # every member whose support holds it at small t
+        def table(lo, hi, x, k):
+            x = np.asarray(x)
+            values = np.exp(k * x) * (1.0 + 0.2 * np.sin(3.0 * x))
+            return TabulatedPiece(lo, hi, tuple(x.tolist()), tuple(values.tolist()))
+
+        m = RadonMeasure(
+            atoms=[(0.75, 1.0 + 2.0j), (2.5, -0.5j), (40.0, 0.25 - 1.0j)],
+            pieces=(table(0.01, 1e4, np.linspace(math.log(0.01), math.log(1e4), 41),
+                          complex(-0.3, 0.7)),
+                    table(3.3, 7.1, [1.1, 1.4, 1.6, 1.8, 2.1], complex(0.4, -1.0)),
+                    DensityPiece(0.5, 50.0, coef=0.7 - 0.2j, exponent=0.3)))
+        order, ts = ProximateOrder(0.6), geometric_schedule(1.0, 1e3, 11)
+        want = _pairings_one_by_one(fam, m, order, ts)
+        got = fam.flow_pairings(m, order, ts)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_union_knot_pass_meets_per_member_sums(self, fam, roundtrip_averaged):
+        # each member's dilation integral sums linear_integrals on its own knots
+        measure, order, ts = roundtrip_averaged
+        norms = order.scale(ts)
+        want = np.array([measure.dilation_integrals(f, ts, norms, [f.support])[0]
+                         for f in fam.members]).T
+        got = fam.flow_pairings(measure, order, ts)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_tabulated_flow_takes_one_moments_pass(self, fam, roundtrip_averaged,
+                                                   moments_calls, dilation_calls):
+        # one pass per table on the union knots, not one per distinct member
+        measure, order, ts = roundtrip_averaged
+        fam.flow_pairings(measure, order, ts)
+        assert len(moments_calls) == len(measure.pieces) == 1
+        assert dilation_calls == []
 
     def test_tabulated_flow_takes_no_gk_batch(self, fam, roundtrip_averaged,
                                               monkeypatch):

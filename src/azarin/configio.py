@@ -27,7 +27,8 @@ from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
 
 __all__ = ["ConfigError", "parse_order", "parse_measure", "parse_kernel",
            "parse_complex", "number", "positive", "tol_key", "validate_config", "Count",
-           "Field", "Maybe", "Choice", "List", "Grid", "Interval", "Obj", "Kind"]
+           "Field", "Maybe", "Unchecked", "Choice", "List", "Grid", "Interval", "Obj",
+           "Kind"]
 
 # a signature parameter without a default: a required number
 REQUIRED = inspect.Parameter.empty
@@ -41,27 +42,35 @@ def _fail(path, message):
     raise ConfigError("%s: %s" % (path, message))
 
 
-def number(value, path):
-    """``float(value)``, or a ConfigError at ``path``."""
+def _float(value, path):
+    """``float(value)``, NaN and infinities included, or a ConfigError at ``path``."""
     try:
         return float(value)
     except (TypeError, ValueError):
         _fail(path, "expected a number")
 
 
+def number(value, path):
+    """``float(value)`` when it is finite, or a ConfigError at ``path``."""
+    x = _float(value, path)
+    return x if math.isfinite(x) else _fail(path, "expected a finite number")
+
+
 def positive(value, path):
-    """``number(value)`` when it is finite and > 0, or a ConfigError at ``path``."""
-    x = number(value, path)
+    """``float(value)`` when it is finite and > 0, or a ConfigError at ``path``."""
+    x = _float(value, path)
     return x if 0.0 < x < math.inf else _fail(path, "expected a finite number > 0")
 
 
-def parse_complex(value, path):
+def parse_complex(value, path, part=number):
+    """A number or an [re, im] pair, each part read by ``part``."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(number(value[0], path), number(value[1], path))
+        return complex(part(value[0], path), part(value[1], path))
     try:
-        return complex(float(value))
+        x = float(value)
     except (TypeError, ValueError):
         _fail(path, "expected a number or [re, im] pair")
+    return complex(part(x, path))
 
 
 class Count(int):
@@ -82,12 +91,13 @@ def _integer(value, path, least=None):
 def _read(decl, value, path):
     """``value`` read as the declaration ``decl`` says.
 
-    A float, ``float`` or REQUIRED declares a number; a bool or ``bool``, a
-    JSON boolean; an int or ``int``, an integer (>= 1 for ``Count``); a
-    complex or ``complex``, a complex number; a str or ``str``, a string; a
-    marker (``Field``) or a function ``(value, path)``, what it reads; None,
-    the value as given.  A type or function is required, a value is the
-    default of an absent field, and a marker declares its own default.
+    A float, ``float`` or REQUIRED declares a finite number; a bool or
+    ``bool``, a JSON boolean; an int or ``int``, an integer (>= 1 for
+    ``Count``); a complex or ``complex``, a finite complex number; a str or
+    ``str``, a string; a marker (``Field``) or a function ``(value, path)``,
+    what it reads; None, the value as given.  A type or function is
+    required, a value is the default of an absent field, and a marker
+    declares its own default.
     """
     kind = decl if isinstance(decl, type) else type(decl)
     if decl is REQUIRED or kind is float:
@@ -145,6 +155,20 @@ class Maybe(Field):
 
     def read(self, value, path):
         return _read(self.decl, value, path)
+
+
+class Unchecked(Field):
+    """Marker: a number (with ``complex``, or an [re, im] pair) read as
+    given, NaN and infinities included, for a constructor or check that
+    rejects them with its own message."""
+
+    def __init__(self, default=REQUIRED, kind=float):
+        super().__init__(default)
+        self.kind = kind
+
+    def read(self, value, path):
+        return (parse_complex(value, path, _float) if self.kind is complex
+                else _float(value, path))
 
 
 class Choice(Field):
@@ -292,7 +316,7 @@ ZERO_PART = Kind({
     "log_power": Obj({"A": 1.0, "alpha": float},
                      lambda A, alpha: LogPowerZero(A, alpha)),
     "log_of_log_power": Obj({"alpha": float}, LogLogZero),
-    "tabulated_eta": Obj({"points": List(item=List(length=2))},
+    "tabulated_eta": Obj({"points": List(item=List(length=2, item=Unchecked()))},
                          lambda points: TabulatedZero(*zip(*points))),
 }, "zero")
 
@@ -313,8 +337,8 @@ DENSITY = Kind({
                        lambda interval, coef, rho, zero_part, oscillation:
                        DensityPiece(*interval, coef, complex(rho - 1.0, oscillation),
                                     ZeroScaleFactor(zero_part))),
-    "table": Obj({"interval": Interval([0, None]), "log_nodes": List(),
-                  "values": List(item=complex)},
+    "table": Obj({"interval": Interval([0, None]), "log_nodes": List(item=Unchecked()),
+                  "values": List(item=Unchecked(kind=complex))},
                  lambda interval, log_nodes, values:
                  TabulatedPiece(*interval, tuple(log_nodes), tuple(values))),
 }, "power")
@@ -322,7 +346,8 @@ DENSITY = Kind({
 TAIL = Kind({
     "none": Obj({}, lambda: None),
     "formula": Obj({}, lambda: None),   # the pieces already cover the half-line
-    "self_similar": Obj({"T": float, "rho": float, "base_lo": 1.0},
+    "self_similar": Obj({"T": Unchecked(), "rho": Unchecked(),
+                         "base_lo": Unchecked(1.0)},
                         lambda T, rho, base_lo: SelfSimilarTail(T, rho, base_lo)),
 }, "none")
 
@@ -376,7 +401,7 @@ def parse_kernel(cfg, path="kernel"):
 
 def tol_key(key):
     """Whether params ``key`` is a ``*tol`` tolerance: ``--tol-override``
-    rewrites these, and they (and ``eps_cluster``) must be > 0."""
+    rewrites these, and they (and ``eps_cluster``) must be finite and > 0."""
     return key.endswith("tol")
 
 
@@ -392,9 +417,9 @@ def validate_config(cfg):
     for key, value in params.items():
         if tol_key(key) or key == "eps_cluster":
             try:
-                ok = float(value) > 0.0
+                ok = 0.0 < float(value) < math.inf
             except (TypeError, ValueError):
                 ok = False
             if not ok:
-                raise ConfigError("params.%s: tolerance must be > 0" % key)
+                raise ConfigError("params.%s: tolerance must be finite and > 0" % key)
     return cfg

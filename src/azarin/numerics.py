@@ -24,9 +24,9 @@ integrals of an interval share its segments and each keeps its own budget
 QUADPACK's ``qag``; the intervals only share each pass's batch of nodes.
 ``log_quad`` integrates over each of a list of windows (a, b) in ln t, each
 window one interval, so a step of Cauchy rings is one ``adaptive_quad``
-call and a window's value does not depend on the other windows of the
-call.  An interval's refinement stops as soon as each of its integrals'
-error estimates, summed over its segments, is within its budget
+call and a window's value depends on the other windows of the call only
+in rounding.  An interval's refinement stops as soon as each of its
+integrals' error estimates, summed over its segments, is within its budget
 (QUADPACK's global test).  Until then a segment is split while any of its
 integrals' estimate on it is over the segment's length share of that
 budget: into graded panels toward a singular point it ends on, and into
@@ -39,6 +39,7 @@ tabulated densities and cumulative integrals interpolate with.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,6 +153,10 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     bisection would halve it; every other segment is bisected.  All
     intervals share one ``f`` call per pass on the flat array of their
     nodes, and ``max_segments`` caps the segments each holds after a pass.
+    Outside ``f`` the cost is bookkeeping: only an interval that holds a
+    split point, or a singular point in its closure, takes per-interval
+    Python at set-up (any other is one segment), and a pass is a fixed
+    number of numpy calls, with graded panels only for singular points.
 
     ``f`` maps n nodes to n values, or to an (n, k) array for k integrals
     over one set of segments; the result has the shape of ``a`` followed by
@@ -186,7 +191,14 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
         if not y > x:
             continue
-        edges = [x] + [p for p in cuts if x < p < y] + [y]
+        # one segment: no cut inside and no singular point in the closure
+        inside = cuts and cuts[bisect_right(cuts, x):bisect_left(cuts, y)]
+        if not inside and (not sing or bisect_left(sing, x) == bisect_right(sing, y)):
+            seg_lo.append(x)
+            seg_hi.append(y)
+            grp.append(i)
+            continue
+        edges = [x] + inside + [y]
         if any(x <= p <= y for p in sing):
             pts = set(edges)
             for u, v in zip(edges[:-1], edges[1:]):
@@ -232,18 +244,20 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
             raise QuadratureError("max depth reached", estimate=result(totals))
         # a segment on a singular point takes graded panels toward it, the
         # others their two halves
-        grade = (bad & (np.isin(seg_lo, sing) | np.isin(seg_hi, sing)) if sing
-                 else np.zeros_like(bad))
-        halve, keep = bad & ~grade, ~bad
-        mid = 0.5 * (seg_lo[halve] + seg_hi[halve])
-        panels = [np.array(sorted(set(graded(x, y))))
-                  for x, y in zip(seg_lo[grade].tolist(), seg_hi[grade].tolist())]
-        ref_lo = np.concatenate([seg_lo[halve], mid] + [p[:-1] for p in panels])
-        ref_hi = np.concatenate([mid, seg_hi[halve]] + [p[1:] for p in panels])
-        grp = np.concatenate([grp[keep], grp[halve], grp[halve]]
-                             + [np.full(p.size - 1, i)
-                                for p, i in zip(panels, grp[grade].tolist())])
-        if np.bincount(grp).max() > ctrl.max_segments:
+        halve, keep = bad, ~bad
+        for point in sing:
+            halve = halve & (seg_lo != point) & (seg_hi != point)
+        ends = np.flatnonzero(bad & ~halve).tolist() if sing else []
+        panels = [np.array(sorted(set(graded(seg_lo.item(j), seg_hi.item(j)))))
+                  for j in ends]
+        lo, hi, twin = seg_lo[halve], seg_hi[halve], grp[halve]
+        mid = 0.5 * (lo + hi)
+        ref_lo = np.concatenate([lo, mid] + [p[:-1] for p in panels])
+        ref_hi = np.concatenate([mid, hi] + [p[1:] for p in panels])
+        grp = np.concatenate([grp[keep], twin, twin] + [np.full(p.size - 1, grp.item(j))
+                                                        for p, j in zip(panels, ends)])
+        # no interval holds more segments than all of them together
+        if grp.size > ctrl.max_segments and np.bincount(grp).max() > ctrl.max_segments:
             raise QuadratureError("segment budget exhausted", estimate=result(totals))
         data = np.concatenate([data[keep], rows(*_gk_eval(f, ref_lo, ref_hi))])
         seg_lo = np.concatenate([seg_lo[keep], ref_lo])
@@ -257,8 +271,8 @@ def log_quad(f, windows, ctrl=DEFAULT_QUAD, split_points=(), singular_points=())
 
     One ``adaptive_quad`` over the windows in ln t, each window its own
     interval with the split and singular points that lie in it, so a
-    window's segments, and so its value, do not depend on the other
-    windows of the call.  Improper ends belong to the Cauchy window rule
+    window's segments, and its value up to rounding, do not depend on the
+    other windows.  Improper ends belong to the Cauchy window rule
     (``_cauchy_windows``); a window outside (0, oo) raises ``ValueError``.
     """
     if not all(0.0 < x < y < math.inf for x, y in windows):

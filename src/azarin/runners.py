@@ -20,8 +20,8 @@ import numpy as np
 
 from . import carleman as carl
 from .configio import (LINE_MEASURE, Choice, ConfigError, Count, Grid, Interval,
-                       List, Maybe, Obj, parse_kernel, parse_measure, parse_order,
-                       positive)
+                       List, Maybe, Obj, Unchecked, parse_kernel, parse_measure,
+                       parse_order, positive)
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
@@ -205,7 +205,7 @@ def _potter_pairs(pairs, ln_range, **_):
 
 
 @operation("potter_check", check=_potter_pairs)
-def run_potter_check(order, pairs=List(None, item=List(length=2)),
+def run_potter_check(order, pairs=List(None, item=List(length=2, item=Unchecked())),
                      count=Count(1000), ln_range=20.0, tol=1e-6):
     if pairs is None:
         pairs = [(math.exp(a), math.exp(b)) for a, b in _lattice_logs(count, ln_range)]

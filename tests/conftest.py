@@ -20,13 +20,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def _counted(monkeypatch, owner, name):
-    """A list that gains one entry per call of ``owner.<name>``."""
+def _counted(monkeypatch, owner, name, record=lambda *args: args):
+    """A list that gains one entry ``record(*args)`` per call of ``owner.<name>``."""
     calls = []
     inner = getattr(owner, name)
 
     def counted(*args, **kw):
-        calls.append(args)
+        calls.append(record(*args))
         return inner(*args, **kw)
 
     monkeypatch.setattr(owner, name, counted)
@@ -67,6 +67,15 @@ def gk_batches(monkeypatch):
     call: one GK batch of ``len(lo)`` segments."""
     from azarin import numerics
     return _counted(monkeypatch, numerics, "_gk_eval")
+
+
+@pytest.fixture
+def gk_segments(monkeypatch):
+    """A list that gains one entry ``(lo, hi)`` per ``numerics._gk_eval``
+    call: the lists of the low and high ends of its segments, in order."""
+    from azarin import numerics
+    return _counted(monkeypatch, numerics, "_gk_eval",
+                    lambda f, lo, hi: (lo.tolist(), hi.tolist()))
 
 
 @pytest.fixture

@@ -262,6 +262,26 @@ class TestRunErrors:
                                              "alpah": 0.3}},
          "order.zero_part.alpah", "unknown field"),
         ("kernel", {"kind": "exp", "scale": 2.0}, "kernel.scale", "unknown field"),
+        # non-finite numbers used to run: every row past r = 1 was nan
+        ("order", {"rho": math.nan}, "order.rho", "expected a finite number"),
+        # every value was nan
+        ("measure", {"atoms": [[1.0, math.nan]]}, "measure.atoms[0]",
+         "expected a finite number"),
+        # every value was 0
+        ("measure", {"atoms": [[math.inf, 1.0]]}, "measure.atoms[0]",
+         "expected a finite number"),
+        ("measure", {"densities": [{"kind": "power", "s": 0.0,
+                                    "interval": [math.nan, 2.0]}]},
+         "measure.densities[0].interval[0]", "expected a finite number"),
+        # an open end is null, not infinity
+        ("measure", {"densities": [{"kind": "power", "s": 0.0,
+                                    "interval": [1.0, math.inf]}]},
+         "measure.densities[0].interval[1]", "expected a finite number"),
+        # these ended in a run error: the Cauchy criterion failed at zero
+        ("measure", {"densities": [{"kind": "power", "s": math.nan}]},
+         "measure.densities[0].s", "expected a finite number"),
+        ("measure", {"densities": [{"kind": "power", "s": 0.0, "coef": math.nan}]},
+         "measure.densities[0].coef", "expected a finite number"),
     ])
     def test_descriptor_number_diagnostic(self, descriptor, value, path, message,
                                           tmp_path, capsys):
@@ -285,6 +305,13 @@ class TestRunErrors:
                         "--tol-override", 0.5]) == 0
         report = json.loads((tmp_path / "periodic_atoms_report.json").read_text())
         assert report["report"]["eps_cluster"] == 0.001
+
+    def test_infinite_tol_override_is_a_config_error(self, tmp_path, capsys):
+        # validate_config checked > 0 only, so the run passed
+        assert run_cli(["run", "roundtrip_regular", "--out-dir", tmp_path,
+                        "--tol-override", math.inf]) == 1
+        assert ("config error: params.ratio_tol: tolerance must be finite and > 0"
+                in capsys.readouterr().err)
 
     def test_unknown_param_rejected(self, tmp_path, capsys):
         cfg = builtin_config("oscillating_density")

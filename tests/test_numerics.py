@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
@@ -215,6 +215,59 @@ def test_array_intervals_match_scalar_calls(vector):
                              singular_points=[3.0])
         assert np.all(np.abs(got[idx] - want) <= 1e-15 * np.abs(want))
     assert np.all(got[1] == 0.0)
+
+
+def _first_segments(a, b, cuts, sing, levels=DEFAULT_QUAD.graded_levels):
+    """The first pass's segments of ``adaptive_quad``, interval by interval:
+    an interval's ends and the cuts and singular points strictly inside it,
+    and with a singular point in its closure, the graded panels halving
+    toward each singular point that ends one of those pieces."""
+    lo, hi = [], []
+    for x, y in zip(a, b):
+        if not y > x:
+            continue
+        edges = sorted({x, y} | {p for p in cuts + sing if x < p < y})
+        if any(x <= p <= y for p in sing):
+            pts = set(edges)
+            for u, v in zip(edges[:-1], edges[1:]):
+                halves = [(v - u) * 0.5 ** k for k in range(1, levels)]
+                pts.update([u + h for h in halves] if u in sing else [])
+                pts.update([v - h for h in halves] if v in sing else [])
+            edges = sorted(pts)
+        lo += edges[:-1]
+        hi += edges[1:]
+    return lo, hi
+
+
+_QUARTERS = [k / 4.0 for k in range(-8, 9)]
+_POINTS = st.lists(st.one_of(st.sampled_from(_QUARTERS), st.floats(-2.5, 2.5)),
+                   max_size=4)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_array_set_up_is_per_interval(data, gk_segments):
+    # interval ends are drawn from a grid and from the cuts and singular
+    # points, so that these fall inside, on an end and outside of
+    # intervals, some of them empty or reversed.  A GK batch's
+    # matrix-vector product may round a segment by its place in the batch,
+    # so a value agrees with its one-interval call to rounding, not bit for
+    # bit.
+    cuts, sing = data.draw(_POINTS), data.draw(_POINTS)
+    end = st.sampled_from(_QUARTERS + cuts + sing)
+    bounds = data.draw(st.lists(st.tuples(end, end), min_size=1, max_size=40))
+    a, b = (list(ends) for ends in zip(*bounds))
+
+    def f(x):
+        return np.cos(8.0 * x) + 1j * x ** 2
+
+    del gk_segments[:]
+    got = adaptive_quad(f, a, b, split_points=cuts, singular_points=sing)
+    if gk_segments:
+        assert gk_segments[0] == _first_segments(a, b, cuts, sing)
+    for i, (x, y) in enumerate(bounds):
+        want = adaptive_quad(f, x, y, split_points=cuts, singular_points=sing)
+        assert abs(got[i] - want) <= 1e-14 * abs(want), (i, got[i], want)
 
 
 def test_improper_exponential():

@@ -141,7 +141,7 @@ def _gk_eval(f, lo, hi):
 def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
     """Adaptive GK7/15 integrals of a vectorized (possibly complex) ``f``
     over the intervals [a, b] of arrays (or scalars) ``a``, ``b`` of one
-    shape.
+    shape; lists of floats are read as they are, with no array round trip.
 
     Each interval keeps its own segments: the ``split_points`` inside it
     become segment boundaries, and the ``singular_points`` in its closure
@@ -172,8 +172,12 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     ``max_segments`` segments raises ``QuadratureError`` with the current
     estimate.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    shape, count = a.shape, a.size
+    if isinstance(a, list):   # ``log_quad``'s window ends
+        shape = (len(a),)
+    else:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        shape, a, b = a.shape, a.ravel().tolist(), b.ravel().tolist()
+    count = len(a)
     sing = sorted({float(p) for p in singular_points})
     cuts = sorted({float(p) for p in split_points} | set(sing))
 
@@ -187,8 +191,8 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
             pts += [y - h for h in halves]
         return pts
 
-    seg_lo, seg_hi, grp = [], [], []
-    for i, (x, y) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+    seg_lo, seg_hi, grp, plain = [], [], [], 0
+    for i, (x, y) in enumerate(zip(a, b)):
         if not y > x:
             continue
         # one segment: no cut inside and no singular point in the closure
@@ -197,6 +201,7 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
             seg_lo.append(x)
             seg_hi.append(y)
             grp.append(i)
+            plain += 1
             continue
         edges = [x] + inside + [y]
         if any(x <= p <= y for p in sing):
@@ -209,7 +214,11 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         grp += [i] * (len(edges) - 1)
     if not grp:
         return np.zeros(shape, dtype=complex)[()]
-    seg_lo, seg_hi, grp = np.array(seg_lo), np.array(seg_hi), np.array(grp)
+    seg_lo, seg_hi = np.array(seg_lo, dtype=float), np.array(seg_hi, dtype=float)
+    if plain == count:   # every interval is one segment
+        grp, span = np.arange(count), seg_hi - seg_lo
+    else:
+        grp, span = np.array(grp), np.subtract(b, a, dtype=float)
     vals, errs = _gk_eval(f, seg_lo, seg_hi)
     tail = vals.shape[1:]   # the shape of one value
     k = errs[0].size
@@ -236,7 +245,7 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         over = sums[:, 2 * k:] > budget
         if not over.any():
             return result(totals)
-        share = budget[grp] * ((seg_hi - seg_lo) / (b - a).ravel()[grp])[:, None]
+        share = budget[grp] * ((seg_hi - seg_lo) / span[grp])[:, None]
         bad = over.any(axis=1)[grp] & (data[:, 2 * k:] > share).any(axis=1)
         if not bad.any():
             return result(totals)

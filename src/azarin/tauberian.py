@@ -28,11 +28,12 @@ __all__ = [
     "verify_exponential_solution", "tauberian_roundtrip",
 ]
 
-# lambdas per fine block R of an arithmetic grid in ``_SymbolQuadrature.values``
-_GRID_BLOCK = 64
-# bytes of coarse exp(i lam x) rows that ``_SymbolQuadrature.values`` builds
-# at once; more rows are built and multiplied block by block
+# bytes of exp(i lam x) rows that ``_SymbolQuadrature.values`` builds at
+# once on an arbitrary grid; more rows are built and multiplied block by block
 _COARSE_BYTES = 16 * 2 ** 20
+# largest |lam - c| max|x| on which ``_SymbolQuadrature.near`` sums the
+# moment series about c: its terms reach e^reach times the symbol's scale
+_SERIES_REACH = 2.0
 # halvings of the panels next to a singular point of the kernel: GK15 on
 # the last panel leaves the error of the ln|1 - 1/t| symbol (2e-8 of its
 # table max after 18 halvings, 2e-10 after 30)
@@ -51,13 +52,17 @@ class _SymbolQuadrature:
     by absolute mass, so oscillation that cancels inside a ring cannot stop
     the expansion early.
 
-    A table on an arithmetic grid lam_k = lam_0 + k d, k = c R + r with
-    R = ``_GRID_BLOCK``, is the product A @ B.T of the coarse rows
-    A[c, m] = e^{i lam_{cR} x_m} and the weighted fine rows
-    B[r, m] = w_m g(x_m) e^{i r d x_m}: (K/R + R) N exponentials instead of
-    K N, and no recurrence whose error grows along the grid.  An arbitrary
-    grid takes the dense product, every lambda a coarse row and B the
-    weights alone.
+    A table on an arithmetic grid lam_k = lam_0 + k d of K lambdas splits
+    k = (c M + j) F + f with F = M ~ K^(1/3): mid row j of the table is the
+    product A @ (E_j B).T of the coarse rows A[c, m] = e^{i lam_{cMF} x_m},
+    the mid row E_j[m] = e^{i j F d x_m} and the weighted fine rows
+    B[f, m] = w_m g(x_m) e^{i f d x_m}.  That is (C + M + F) N exponentials
+    instead of K N, no recurrence whose error grows along the grid, and
+    three K^(1/3) x N arrays held at a time.  An arbitrary grid takes the
+    dense product, one exponential row per lambda against the weights.
+
+    ``near`` gives |symbol| on a short bracket from one exponential pass:
+    the moments of the weights about the bracket's midpoint.
     """
 
     def __init__(self, kernel, rho, lam_max, quad=DEFAULT_QUAD):
@@ -124,18 +129,56 @@ class _SymbolQuadrature:
     def values(self, lams, step=None):
         """The symbol at each of ``lams``; with ``step``, lams[k] = lams[0] + k step."""
         lams = np.asarray(lams, dtype=float)
-        if step is None:
-            coarse, fine = lams, np.zeros(1)
-        else:
-            coarse = lams[::_GRID_BLOCK]
-            fine = step * np.arange(min(_GRID_BLOCK, lams.size))
-        b = self.wg * np.exp(1j * fine[:, None] * self.xs[None, :])
+        if step is not None:
+            return self._grid_values(lams, step)
+        w = self.wg[:, None]
         rows = max(1, _COARSE_BYTES // (16 * self.xs.size))
-        out = np.empty((coarse.size, fine.size), dtype=complex)
-        for i in range(0, coarse.size, rows):
-            a = np.exp(1j * coarse[i:i + rows, None] * self.xs[None, :])
-            out[i:i + rows] = a @ b.T
+        out = np.empty((lams.size, 1), dtype=complex)
+        for i in range(0, lams.size, rows):
+            out[i:i + rows] = np.exp(1j * lams[i:i + rows, None] * self.xs[None, :]) @ w
+        return out.ravel()
+
+    def _grid_values(self, lams, step):
+        """The three-level table on the arithmetic grid ``lams``."""
+        f = m = max(1, round(lams.size ** (1.0 / 3.0)))
+        x = self.xs[None, :]
+        a = np.exp(1j * lams[::m * f, None] * x)
+        b = self.wg * np.exp(1j * (step * np.arange(f))[:, None] * x)
+        out = np.empty((a.shape[0], m, f), dtype=complex)
+        for j, mid in enumerate(step * np.arange(0, m * f, f)):
+            out[:, j] = a @ (np.exp(1j * mid * self.xs) * b).T
         return out.ravel()[:lams.size]
+
+    def near(self, lo, hi):
+        """lam -> |symbol(lam)| for golden-section search on [lo, hi].
+
+        About the midpoint c the symbol is sum_k m_k (i (lam - c))^k with
+        moments m_k = sum w g e^{i c x} x^k / k!, taken until
+        reach^k / k! < 1e-18 for reach = (hi - lo) / 2 max|x|, and summed by
+        Horner: one exponential pass where each ``value`` takes one.  Past
+        ``_SERIES_REACH`` the terms cancel by up to e^reach, and the exact
+        ``value`` is used.
+        """
+        c = 0.5 * (lo + hi)
+        reach = 0.5 * (hi - lo) * float(np.max(np.abs(self.xs)))
+        if not reach <= _SERIES_REACH:
+            return lambda lam: abs(self.value(lam))
+        term = self.wg * np.exp(1j * c * self.xs)
+        moments, bound, k = [], 1.0, 0
+        while bound >= 1e-18:
+            moments.append(complex(np.sum(term)))
+            k += 1
+            bound *= reach / k
+            term = term * (self.xs / k)
+        moments.reverse()
+
+        def magnitude(lam):
+            z, s = 1j * (lam - c), 0j
+            for m in moments:
+                s = s * z + m
+            return abs(s)
+
+        return magnitude
 
 
 def mellin_symbol(kernel, rho, lam, quad=DEFAULT_QUAD):
@@ -169,16 +212,27 @@ class ZeroScanReport:
     table: MellinSymbol
 
 
+def _local_minima(mags):
+    """Indices i of the interior grid points with mags[i] at most both
+    neighbours, skipping flat triples (all three equal)."""
+    mid, left, right = mags[1:-1], mags[:-2], mags[2:]
+    dip = (mid <= left) & (mid <= right) & ~((mid == left) & (mid == right))
+    return np.flatnonzero(dip) + 1
+
+
 def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
                      quad=DEFAULT_QUAD, refine_xtol=1e-8):
     """Locate real zeros of the Mellin symbol on a window.
 
-    Candidates are bracketed local minima of |symbol| on the grid; each is
-    refined by golden section and classified as a zero when the refined
-    value is negligible against the local symbol scale (max of |symbol|
-    within one unit).  The verdict is nonvanishing iff no zeros are found
-    in the window (honest for exponentially decaying symbols, for which a
-    global min/max ratio would misfire).
+    The table on the grid is the three-level product of
+    ``_SymbolQuadrature``.  Candidates are the local minima of |symbol| on
+    the grid, bracketed by their neighbours; golden section on the bracket's
+    moment series (``_SymbolQuadrature.near``) finds each minimizer, where
+    one exact ``value`` gives the refined |symbol|.  A candidate is a zero
+    when that value is negligible against the local symbol scale (max of
+    |symbol| within one unit).  The verdict is nonvanishing iff no zeros
+    are found in the window (honest for exponentially decaying symbols, for
+    which a global min/max ratio would misfire).
 
     The grid has ``round((hi - lo) / step) + 1`` points spanning the window
     exactly, so its spacing is ``(hi - lo) / (n - 1)``, not ``step``: step
@@ -199,17 +253,13 @@ def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
     vals = sq.values(lams, step=(hi - lo) / max(n - 1, 1))
     table = MellinSymbol(kernel=kernel, rho=float(rho),
                          lambda_grid=tuple(lams), values=tuple(vals))
-    mags = np.abs(np.asarray(table.values))
+    mags = np.abs(vals)
     max_abs = float(mags.max())
     zeros = []
-    for i in range(1, n - 1):
-        if not (mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]):
-            continue
-        if mags[i] == mags[i - 1] and mags[i] == mags[i + 1]:
-            continue
-        a, b = lams[i - 1], lams[i + 1]
-        lam_star, val = golden_section_min(
-            lambda x: abs(sq.value(x)), a, b, xtol=refine_xtol)
+    for i in _local_minima(mags).tolist():
+        a, b = float(lams[i - 1]), float(lams[i + 1])
+        lam_star, _ = golden_section_min(sq.near(a, b), a, b, xtol=refine_xtol)
+        val = abs(sq.value(lam_star))
         local = mags[max(0, i - int(1.0 / step)): i + int(1.0 / step) + 1]
         local_scale = float(local.max()) if local.size else max_abs
         if val <= tol * max(local_scale, 1e-300):

@@ -99,16 +99,18 @@ class TestSymbol:
                                  "indicator(0,10)", "lattice2", "lattice3",
                                  "lattice5"])
     def test_factored_table_matches_dense(self, kernel, rho):
-        # the arithmetic-grid product A @ B.T against one exp(i lam x) row
-        # per lambda (log-singular: 15,870 nodes, measured 1.0e-14); every
-        # 7th lambda meets every fine offset r mod 64 and every coarse row
+        # the three-level grid table against one exp(i lam x) row per lambda
+        # (log-singular: 15,870 nodes); every 7th of the 4,001 lambdas meets
+        # each of the 16 fine offsets, 16 mid rows and 16 coarse rows
         sq = _SymbolQuadrature(kernel, rho, 20.0)
         factored = sq.values(SCAN_GRID, step=0.01)
         assert table_gap(factored[::7], sq.values(SCAN_GRID[::7])) <= 1e-13
 
-    @pytest.mark.parametrize("n", [1, 2, 1237])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 1237, 4001, 4097])
     def test_factored_short_and_ragged_grids(self, n):
-        # one point, one partial fine block, and a count 64 does not divide
+        # F = M = round(n^(1/3)) fine offsets and mid rows: one point, partial
+        # and exact cubes (64 = 4^3, 4097 = 16^3 + 1), and counts F M does
+        # not divide, whose last coarse row runs past the grid
         sq = _SymbolQuadrature(LATTICE, 1.0, 20.0)
         lams = np.linspace(-3.0, 17.0, n)
         got = sq.values(lams, step=20.0 / max(n - 1, 1))
@@ -116,8 +118,8 @@ class TestSymbol:
         assert table_gap(got, sq.values(lams)) <= 1e-13
 
     def test_row_blocks_match_one_block(self, monkeypatch):
-        # a byte cap of two rows builds the 5 coarse rows in blocks 2, 2, 1;
-        # a cap below one row builds them one at a time
+        # a byte cap of two rows builds the 301 dense rows two at a time, a
+        # cap below one row one at a time; the grid table takes no cap
         sq = _SymbolQuadrature(LATTICE, 1.0, 20.0)
         lams = np.linspace(-3.0, 17.0, 301)
         dense, factored = sq.values(lams), sq.values(lams, step=20.0 / 300)
@@ -172,6 +174,110 @@ class TestSymbol:
         b = 2.0 * math.pi / math.log(4.0)
         with pytest.raises(DivergenceError, match="zero"):
             mellin_symbol(PowerCutKernel(complex(-rho, b)), rho, 0.0)
+
+
+def scan_brackets(kernel, rho):
+    """The symbol quadrature of the builtin scan grid and its candidate
+    brackets (lambda_{i-1}, lambda_{i+1})."""
+    sq = _SymbolQuadrature(kernel, rho, 20.0)
+    mags = np.abs(sq.values(SCAN_GRID, step=0.01))
+    return sq, [(float(SCAN_GRID[i - 1]), float(SCAN_GRID[i + 1]))
+                for i in tauberian._local_minima(mags)]
+
+
+def count_calls(monkeypatch, name):
+    """A list that gains one entry per ``_SymbolQuadrature.<name>`` call."""
+    calls, inner = [], getattr(_SymbolQuadrature, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(_SymbolQuadrature, name, spy)
+    return calls
+
+
+# the zero rows of the lattice scans on (-20, 20) with step 0.01, as golden
+# section on exact ``value`` calls gave them
+PINNED_ZEROS = {
+    2: ((-18.129440565762103, 5.904998565099655e-11),
+        (-9.064720284541988, 6.748120424612429e-11),
+        (-2.053029245964731e-09, 1.423125833536575e-09),
+        (9.064720284541988, 6.748120424612429e-11),
+        (18.129440565762103, 5.904998565099655e-11)),
+    3: ((-17.15760520375497, 3.342235148900566e-11),
+        (-11.438403470377114, 8.215642038309629e-11),
+        (-5.719201735430885, 1.2709701805872709e-10),
+        (-2.053029245964731e-09, 2.2554948942853805e-09),
+        (5.719201735430886, 1.2709722430826644e-10),
+        (11.438403470377114, 8.215642038309629e-11),
+        (17.15760520375497, 3.342235148900566e-11)),
+    5: ((-19.519812657365318, 7.727487654841514e-11),
+        (-15.615850125407595, 1.2793977969733565e-10),
+        (-11.711887593150347, 2.5219190610106786e-10),
+        (-7.807925063730313, 8.477002524915285e-11),
+        (-3.9039625314730633, 7.832616526576216e-11),
+        (-2.053029245964731e-09, 3.3042551454358825e-09),
+        (3.9039625314730633, 7.832616526576216e-11),
+        (7.807925063730314, 8.47704236005264e-11),
+        (11.711887593150347, 2.5219190610106786e-10),
+        (15.615850125407597, 1.2793961461107624e-10),
+        (19.519812657365314, 7.727513588038822e-11)),
+}
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("kernel, rho, count", [
+        (LATTICE, 1.0, 5), (lattice(3), 1.0, 7), (lattice(5), 1.0, 11),
+        (ExpKernel(), 0.7, 46), (LogSingularKernel(), 0.5, 1),
+        (LogSingularKernel(), 0.7, 1),
+    ], ids=["lattice2", "lattice3", "lattice5", "exp", "log-singular-0.5",
+            "log-singular-0.7"])
+    def test_moment_series_matches_value(self, kernel, rho, count):
+        # the exp kernel's candidates are dips of its decaying symbol into
+        # the quadrature error (|symbol| <= 4e-11 at |lam| >= 16); measured
+        # gaps are at most 2e-16 of sum |w g|
+        sq, brackets = scan_brackets(kernel, rho)
+        assert len(brackets) == count
+        scale = np.sum(np.abs(sq.wg))
+        for a, b in brackets:
+            near = sq.near(a, b)
+            for lam in np.linspace(a, b, 9).tolist():
+                assert abs(near(lam) - abs(sq.value(lam))) <= 1e-14 * scale
+
+    def test_wide_bracket_takes_exact_value(self, monkeypatch):
+        # max |x| = 25 on the lattice: a bracket 0.2 wide reaches 2.5, past
+        # the series' cancellation bound, and each point is one ``value``
+        sq = _SymbolQuadrature(LATTICE, 1.0, 20.0)
+        assert 0.1 * np.max(np.abs(sq.xs)) > tauberian._SERIES_REACH
+        calls = count_calls(monkeypatch, "value")
+        near = sq.near(LAM1 - 0.1, LAM1 + 0.1)
+        for lam in np.linspace(LAM1 - 0.1, LAM1 + 0.1, 5).tolist():
+            assert near(lam) == abs(sq.value(lam))
+        assert len(calls) == 10
+
+    def test_one_value_pass_per_candidate(self, monkeypatch):
+        # golden section refines on the moment series: the only full-node
+        # ``value`` pass of a candidate is its reported |symbol|
+        values = count_calls(monkeypatch, "value")
+        brackets = count_calls(monkeypatch, "near")
+        rep = wiener_zero_scan(LATTICE, 1.0, window=(-20.0, 20.0), step=0.01)
+        assert len(brackets) == len(rep.zeros) == 5
+        assert len(values) <= len(brackets)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_lattice_zero_rows_pinned(self, q):
+        rep = wiener_zero_scan(lattice(q), 1.0, window=(-20.0, 20.0), step=0.01)
+        assert repr(rep.zeros) == repr(PINNED_ZEROS[q])
+
+    @given(st.lists(st.integers(0, 3), max_size=40))
+    def test_local_minima_match_the_pointwise_rule(self, ints):
+        # small integers make flat triples and equal neighbours common
+        mags = np.array(ints, dtype=float)
+        want = [i for i in range(1, mags.size - 1)
+                if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1]
+                and not (mags[i] == mags[i - 1] and mags[i] == mags[i + 1])]
+        assert tauberian._local_minima(mags).tolist() == want
 
 
 class TestZeroScan:

@@ -134,9 +134,11 @@ class TabulatedZero(ZeroPart):
     """
     xs: tuple = ()
     etas: tuple = ()
-    # read-only arrays (xs, etas, trapezoid integral of eta at each node,
-    # eta'/2 on each interval and 0 beyond the last node), built once so
-    # that evaluations do not convert the tuples again
+    # read-only arrays built once: xs, etas, the trapezoid integral of eta
+    # at each node, the K signed knots k_j = +-x_i, h and h' at each k_j on
+    # the piece right of it, and one row per signed piece [k_j, k_(j+1)),
+    # j = -1 .. K-1: |base|, cum, eta, h''/2 (0 beyond the last node), sign
+    # and k_(j+1) (inf for j = K-1)
     _cum: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -149,10 +151,16 @@ class TabulatedZero(ZeroPart):
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(etas))):
             raise ValueError("grid and slope values must be finite")
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (etas[1:] + etas[:-1]) * np.diff(xs))])
+        half_curv = np.append(0.5 * np.diff(etas) / np.diff(xs), 0.0)
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "etas", tuple(etas))
-        arrays = (xs.copy(), etas.copy(), cum,
-                  np.append(0.5 * np.diff(etas) / np.diff(xs), 0.0))
+        knots = np.concatenate([-xs[:0:-1], xs])
+        i = np.concatenate([np.arange(xs.size - 1, -1, -1), np.arange(xs.size)])
+        pieces = np.column_stack([xs[i], cum[i], etas[i], half_curv[i],
+                                  np.repeat([-1.0, 1.0], xs.size),
+                                  np.append(knots, np.inf)])
+        arrays = (xs.copy(), etas.copy(), cum, knots,
+                  *_on_pieces(knots, pieces[1:].T)[:2], pieces)
         for a in arrays:
             a.flags.writeable = False
         object.__setattr__(self, "_cum", arrays)
@@ -160,7 +168,7 @@ class TabulatedZero(ZeroPart):
     def log_scale(self, x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        xs, etas, cum, _ = self._cum
+        xs, etas, cum = self._cum[:3]
         # trapezoid rule up to the enclosing node, linear slope beyond it
         idx = np.clip(np.searchsorted(xs, ax, side="right") - 1, 0, xs.size - 2)
         base = cum[idx] + 0.5 * (np.interp(ax, xs, etas) + etas[idx]) * (ax - xs[idx])
@@ -169,7 +177,7 @@ class TabulatedZero(ZeroPart):
     def slope(self, x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        xs, etas, _, _ = self._cum
+        xs, etas = self._cum[:2]
         val = np.where(ax <= xs[-1], np.interp(ax, xs, etas), etas[-1])
         return np.sign(x) * val
 
@@ -236,6 +244,13 @@ def _grid_supremum(zero_part, tau, grid):
     return best
 
 
+def _on_pieces(x, rows):
+    """h, h' and h''/2 at x on signed pieces, given as the columns of ``rows``."""
+    base, cum, eta, half_curv, sign = rows[:5]
+    d = np.abs(x) - base
+    return cum + d * (eta + half_curv * d), sign * (eta + 2.0 * half_curv * d), half_curv
+
+
 def _tabulated_supremum(zero_part, tau):
     """sup_x h(x + tau) - h(x) for a TabulatedZero, exactly.
 
@@ -244,29 +259,27 @@ def _tabulated_supremum(zero_part, tau):
     {+-x_i} and {+-x_i - tau}, and constant left of the first and right of
     the last.  Its supremum is the largest of g at the knots and g at the
     vertex of each concave piece whose vertex lies inside the piece.
+
+    A merged piece starts at a signed knot k_j, where the knot tables give
+    h(x), or at k_j - tau, where h(x + tau) lies on the signed piece right
+    of k_j.  One search of the knots for every k_j +- tau finds the other
+    term's piece and the merged piece's end, so nothing is sorted.
     """
-    xs, etas, cum, half_curv = zero_part._cum
-    knots = np.concatenate([-xs[:0:-1], xs])
-    a = np.sort(np.concatenate([knots, knots - tau]))
-    width = np.append(np.diff(a), 0.0)
-    # on [a_j, a_j + width_j] (the last one unbounded, where g is constant)
-    # h(x) and h(x + tau) each keep one piece of H and one sign of x
-    mid = a + 0.5 * width
-
-    def piece(x, interior):
-        # h, h' and h''/2 at x on the piece holding the interior point
-        i = np.searchsorted(xs, np.abs(interior), side="right") - 1
-        d = np.abs(x) - xs[i]
-        value = cum[i] + d * (etas[i] + half_curv[i] * d)
-        return (value, np.copysign(etas[i] + 2.0 * half_curv[i] * d, interior),
-                half_curv[i])
-
-    h0, dh0, c0 = piece(a, mid)
-    h1, dh1, c1 = piece(a + tau, mid + tau)
-    g = h1 - h0
-    dg = dh1 - dh0
-    fall = 2.0 * (c0 - c1)   # -g''
-    vertex = (dg > 0.0) & (dg < fall * width)
+    knots, h_knot, dh_knot, pieces = zero_part._cum[3:]
+    n = knots.size
+    probe = np.concatenate([knots + tau, knots - tau])
+    rows = np.take(pieces, np.searchsorted(knots, probe, side="right"), axis=0).T
+    h, dh, c = _on_pieces(probe, rows)
+    shifted = probe[n:]
+    h_own, dh_own, c_own = _on_pieces(shifted + tau, pieces[1:].T)   # at the rounded x + tau
+    g = np.concatenate([h[:n] - h_knot, h_own - h[n:]])
+    dg = np.concatenate([dh[:n] - dh_knot, dh_own - dh[n:]])
+    fall = 2.0 * np.concatenate([c_own - c[:n], c[n:] - c_own])   # -g''
+    end = pieces[1:, 5]
+    width = np.concatenate([np.minimum(end, rows[5, :n] - tau) - knots,
+                            np.minimum(rows[5, n:], end - tau) - shifted])
+    with np.errstate(invalid="ignore"):   # the unbounded last piece: 0 * inf
+        vertex = (dg > 0.0) & (dg < fall * width)
     best = g.max()
     if vertex.any():
         best = max(best, (g[vertex] + 0.5 * dg[vertex] ** 2 / fall[vertex]).max())
@@ -297,12 +310,13 @@ def potter_factor(order, t, grid=DEFAULT_GRID):
     """sup_{r>0} W(rt)/W(r) for the zero part W of the order.
 
     Uses the closed form W(t) for t >= 1 when the family has a concave
-    log-scale.  For a ``TabulatedZero`` the supremum is exact (its log-scale
-    is piecewise quadratic) and ``grid`` is unused.  Otherwise a widening
-    log-uniform grid search with golden-section refinement around the grid
-    argmax.  The supremum is found in log form and exponentiated, so a
-    factor beyond the float range raises OverflowError; the Potter report
-    and the decay scan use the log and do not.
+    log-scale.  For a ``TabulatedZero`` the supremum is exact and ``grid``
+    is unused: ln W(e^x) is piecewise quadratic, and its slope
+    sign(x) eta_hat(|x|) keeps the sign of the table eta_hat.  Otherwise a
+    widening log-uniform grid search with golden-section refinement around
+    the grid argmax.  The supremum is found in log form and exponentiated,
+    so a factor beyond the float range raises OverflowError; the Potter
+    report and the decay scan use the log and do not.
     """
     return math.exp(_log_potter_factor(order, t, grid))
 

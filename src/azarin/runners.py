@@ -151,13 +151,13 @@ def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
                             - log_potter_factor(order, l1) - log_potter_factor(order, l2))
         submult_worst = max(submult_worst, excess)
     ts = np.geomspace(1e-6, 1e6, dominance_points)
+    upper = [potter_factor(order, t) for t in ts]
     dominance_worst = 0.0
-    for t in ts:
-        dominance_worst = max(dominance_worst,
-                              float(order.zero_scale(t)) - potter_factor(order, t))
-    lower_ok = all(potter_factor(order, 1.0 / t) >= 0 and
-                   1.0 / potter_factor(order, 1.0 / t) <= potter_factor(order, t)
-                   * (1.0 + 1e-12) for t in ts[:: max(1, ts.size // 10)])
+    for t, factor in zip(ts, upper):
+        dominance_worst = max(dominance_worst, float(order.zero_scale(t)) - factor)
+    every = max(1, ts.size // 10)
+    lower_ok = all(1.0 / potter_factor(order, 1.0 / t) <= factor * (1.0 + 1e-12)
+                   for t, factor in zip(ts[::every], upper[::every]))
     scan = potter_decay_scan(order, [math.exp(e) for e in decay_exponents])
     decays = [row[1] for row in scan]
     strictly_decreasing = all(b < a for a, b in zip(decays, decays[1:]))

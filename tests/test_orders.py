@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from azarin.catalog import _slow_drift_eta
 from azarin.numerics import SingularPointError
 from azarin.orders import (GridControl, LogLogZero, LogPowerZero,
                            ProximateOrder, TabulatedZero, _grid_supremum,
-                           poisson_smoothed_scale, potter_bound_report,
-                           potter_decay_scan, potter_factor,
-                           potter_factor_lower)
+                           log_potter_factor, poisson_smoothed_scale,
+                           potter_bound_report, potter_decay_scan,
+                           potter_factor, potter_factor_lower)
 
 LP = ProximateOrder(0.0, LogPowerZero(1.0, 0.5))
 LL = ProximateOrder(0.0, LogLogZero(2.0))
@@ -184,6 +185,44 @@ KINKED = TabulatedZero(xs=(0.0, 0.5, 1.0, 1.5, 3.0),
 MID_SLOPE = TabulatedZero(xs=(0.0, 0.7, 2.0), etas=(0.1, 0.6, 0.2))
 # the slope climbs to its frozen value: the supremum is g at +-oo
 RISING = TabulatedZero(xs=(0.0, 1.0), etas=(0.1, 0.4))
+# slopes of both signs: W rises and falls, and h' = sign(x) eta(|x|) takes
+# either sign on either side of 0
+_MIXED_XS = np.linspace(0.0, 10.0, 41)
+MIXED = TabulatedZero(xs=tuple(_MIXED_XS),
+                      etas=tuple(0.3 * np.sin(2.0 * _MIXED_XS) * np.exp(-_MIXED_XS / 4.0)))
+# the builtin regular_density order, whose slope is negative past ln r = 1
+REGULAR = TabulatedZero(*zip(*_slow_drift_eta()))
+
+# ln potter_factor at the taus of test_edges_keep_their_values, pinned by
+# repr from a sort of the merged knots: multiples of the first node spacing
+# (merged knots that coincide), +-end and past it, +-1e-13 and +-1e300
+EDGE_VALUES = {
+    "family": (0.020339248314692592, 0.020339248314692596, 0.06091645345859779,
+               0.14083423065094322, 2.3997891971179013, 2.3997891971179013,
+               2.4097728517776495, 2.4097728517776495, 4.0703551640319846e-14,
+               4.070355164031986e-14, 4.9918273298741734e+296, 4.9918273298741734e+296),
+    "kinked": (0.32708333333333334, 0.32708333333333334, 0.65, 0.7875000000000001,
+               0.7625000000000001, 0.7625000000000001, 0.8375000000000001,
+               0.8375000000000001, 8.004708007547588e-14, 8.004708007547379e-14,
+               5e+298, 5e+298),
+    "mid_slope": (0.36731182795698925, 0.3673118279569892, 0.7919999999999999,
+                  1.3519999999999999, 0.772, 0.772, 0.9720000000000001, 0.972,
+                  6.003531005660784e-14, 6.003531005660534e-14, 2e+299, 2e+299),
+    "rising": (0.4, 0.4, 1.2000000000000002, 2.8000000000000003, 0.4, 0.4,
+               0.6000000000000001, 0.6000000000000001, 3.999578446212276e-14,
+               3.9995784462121264e-14, 4e+299, 4e+299),
+}
+
+
+@st.composite
+def signed_tables(draw):
+    # node spacing >= 0.3 and |eta| <= 0.5 keep |eta'| <= 10/3, so the
+    # dense grid's step of 1e-4 misses a vertex by at most 8.4e-9
+    n = draw(st.integers(2, 30))
+    steps = draw(st.lists(st.floats(0.3, 1.0), min_size=n - 1, max_size=n - 1))
+    etas = draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n))
+    return TabulatedZero(xs=tuple(np.concatenate([[0.0], np.cumsum(steps)])),
+                         etas=tuple(etas))
 
 
 class TestExactPotterSupremum:
@@ -227,6 +266,43 @@ class TestExactPotterSupremum:
     def test_rejects_non_finite_tables(self, xs, etas):
         with pytest.raises(ValueError, match="finite"):
             TabulatedZero(xs=xs, etas=etas)
+
+    @pytest.mark.parametrize("zero_part, tau", [
+        *((MIXED, tau) for tau in (-2.0, -0.7, 0.5, 1.3, 3.0)),
+        *((REGULAR, tau) for tau in (10.0, -10.0, 1.5, -0.3)),
+    ], ids=["mixed-2", "mixed-0.7", "mixed0.5", "mixed1.3", "mixed3",
+            "regular10", "regular-10", "regular1.5", "regular-0.3"])
+    def test_negative_slopes(self, zero_part, tau):
+        # h' must keep the sign of the slope table: read as |eta| it moved
+        # the supremum by up to 3e-3 here, below and above the true one
+        got = log_potter_factor(ProximateOrder(0.0, zero_part), tau)
+        assert got == pytest.approx(_grid_supremum(zero_part, tau, GridControl()), abs=1e-12)
+        want = dense_log_potter(zero_part.xs, zero_part.etas, tau)
+        assert got >= want - 1e-11
+        assert got == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("name, zero_part", [
+        ("family", tabulated_family().zero_part), ("kinked", KINKED),
+        ("mid_slope", MID_SLOPE), ("rising", RISING)])
+    def test_edges_keep_their_values(self, name, zero_part):
+        step, end = zero_part.xs[1], zero_part.xs[-1]
+        taus = [m * step for m in (1, -1, 3, -7)] + [f * end for f in (1.0, -1.0, 1.5, -1.5)]
+        order = ProximateOrder(0.0, zero_part)
+        for tau, want in zip(taus + [1e-13, -1e-13, 1e300, -1e300], EDGE_VALUES[name]):
+            assert log_potter_factor(order, tau) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=20)
+    @given(signed_tables(), st.floats(-50.0, 50.0))
+    def test_signed_tables_against_both_searches(self, zero_part, tau):
+        got = log_potter_factor(ProximateOrder(0.0, zero_part), tau)
+        assert got >= _grid_supremum(zero_part, tau, GridControl()) - 1e-12
+        assert got == pytest.approx(dense_log_potter(zero_part.xs, zero_part.etas, tau),
+                                    abs=1e-8)
+
+    def test_tables_are_read_only(self):
+        # the frozen dataclass shares these arrays with every copy of it
+        for zero_part in (KINKED, RISING, MIXED):
+            assert all(not a.flags.writeable for a in zero_part._cum)
 
 
 class TestPotterBound:

@@ -18,10 +18,9 @@ from .measures import (MetricFamily, RadonMeasure, azarin_scale, class_membershi
                        lower_density, upper_density)
 from .numerics import (DivergenceError, QuadControl, SingularPointError,
                        WindowError)
-from .orders import (FlatZero, GridControl, LogLogZero, LogPowerZero,
-                     ProximateOrder, TabulatedZero, poisson_smoothed_scale,
-                     potter_bound_report, potter_decay_scan, potter_factor,
-                     potter_factor_lower)
+from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
+                     TabulatedZero, poisson_smoothed_scale, potter_bound_report,
+                     potter_decay_scan, potter_factor, potter_factor_lower)
 from .special import lanczos_gamma
 from .tauberian import (mellin_symbol, mellin_symbol_table, tauberian_roundtrip,
                         verify_exponential_solution, wiener_zero_scan)
@@ -43,7 +42,7 @@ __all__ = [
     "MetricFamily", "RadonMeasure", "azarin_scale",
     "class_membership", "lower_density", "upper_density",
     "DivergenceError", "QuadControl", "SingularPointError", "WindowError",
-    "FlatZero", "GridControl", "LogLogZero", "LogPowerZero", "ProximateOrder",
+    "FlatZero", "LogLogZero", "LogPowerZero", "ProximateOrder",
     "TabulatedZero", "poisson_smoothed_scale", "potter_bound_report",
     "potter_decay_scan", "potter_factor", "potter_factor_lower",
     "lanczos_gamma",

@@ -20,6 +20,8 @@ __all__ = [
     "spectrum_jump_scan", "JumpScanReport",
 ]
 
+_JUMP_HEIGHTS = (0.16, 0.08, 0.04, 0.02, 0.01)
+
 
 @dataclass(frozen=True)
 class RealMeasure:
@@ -86,18 +88,14 @@ class CarlemanBoundReport:
     worst_point: complex
 
 
-def carleman_bound_report(ct, bound_constant, x_grid=None, y_grid=None,
-                          slack=1e-6):
-    """Check |G(z)| <= M (1 + 1/|y|) over a grid off the real axis."""
-    if x_grid is None:
-        x_grid = np.linspace(-50.0, 50.0, 41)
-    if y_grid is None:
-        y_grid = np.concatenate([np.geomspace(0.05, 10.0, 12),
-                                 -np.geomspace(0.05, 10.0, 12)])
+def carleman_bound_report(ct, bound_constant):
+    """Check |G(z)| <= M (1 + 1/|y|), within 1e-6, over a grid off the real axis."""
+    heights = np.geomspace(0.05, 10.0, 12)
+    ys = np.concatenate([heights, -heights])
     worst = 0.0
     worst_pt = complex(0.0, 1.0)
-    for x in x_grid:
-        for y in y_grid:
+    for x in np.linspace(-50.0, 50.0, 41):
+        for y in ys:
             z = complex(float(x), float(y))
             val = abs(ct.value(z))
             cap = bound_constant * (1.0 + 1.0 / abs(y))
@@ -105,7 +103,7 @@ def carleman_bound_report(ct, bound_constant, x_grid=None, y_grid=None,
             if ratio > worst:
                 worst = ratio
                 worst_pt = z
-    return CarlemanBoundReport(max_ratio=worst, passed=worst <= 1.0 + slack,
+    return CarlemanBoundReport(max_ratio=worst, passed=worst <= 1.0 + 1e-6,
                                worst_point=worst_pt)
 
 
@@ -116,30 +114,27 @@ class JumpScanReport:
     heights: tuple
 
 
-def spectrum_jump_scan(ct, x_window, step=0.05,
-                       heights=(0.16, 0.08, 0.04, 0.02, 0.01),
-                       noise_floor=1e-6):
+def spectrum_jump_scan(ct, x_window):
     """Boundary-jump diagnostic for the spectrum.
 
-    For each x on the grid the jump |G_plus(x+ih) - G_minus(x-ih)| is
-    tracked along the decreasing height ladder; x is flagged when the jump
-    fails to decay (grows from the largest to the smallest height) and
-    sits above the noise floor.
+    For each x on the grid of step 0.05 the jump
+    |G_plus(x+ih) - G_minus(x-ih)| is tracked down the heights
+    ``_JUMP_HEIGHTS``; x is flagged when the jump fails to decay (grows
+    from the largest to the smallest height) and sits above 1e-6.
     """
     lo, hi = x_window
-    n = int(round((hi - lo) / step)) + 1
+    n = int(round((hi - lo) / 0.05)) + 1
     xs = np.linspace(lo, hi, n)
-    heights = tuple(sorted(heights, reverse=True))
     rows = []
     flagged = []
     for x in xs:
         jumps = []
-        for h in heights:
+        for h in _JUMP_HEIGHTS:
             up = ct.value(complex(x, h))
             dn = ct.value(complex(x, -h))
             jumps.append(abs(up - dn))
         rows.append((float(x), tuple(jumps)))
-        if jumps[-1] > max(noise_floor, jumps[0]):
+        if jumps[-1] > max(1e-6, jumps[0]):
             flagged.append(float(x))
     return JumpScanReport(flagged=tuple(flagged), rows=tuple(rows),
-                          heights=heights)
+                          heights=_JUMP_HEIGHTS)

@@ -13,15 +13,15 @@ import math
 _TWO_PI_OVER_LN2 = 2.0 * math.pi / math.log(2.0)
 
 
-def _slow_drift_eta(span=60.0, points=2401):
-    """Tabulated slope of the symmetric scale exp(ln(1 + x/(1+x^2))).
+def _slow_drift_eta():
+    """Tabulated slope of the symmetric scale exp(ln(1 + x/(1+x^2))) on [0, 60].
 
     The scale behaves like 1 + 1/ln r at infinity, matching the slowly
     decaying density perturbation used by the regular-density scenario.
     """
     out = []
-    for k in range(points):
-        x = span * k / (points - 1)
+    for k in range(2401):
+        x = 60.0 * k / 2400
         out.append([x, (1.0 - x * x) / ((1.0 + x * x) * (1.0 + x + x * x))])
     return out
 

@@ -28,7 +28,7 @@ from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
 __all__ = ["ConfigError", "parse_order", "parse_measure", "parse_kernel",
            "parse_complex", "number", "positive", "tol_key", "validate_config", "Count",
            "Field", "Maybe", "Unchecked", "Choice", "List", "Grid", "Interval", "Obj",
-           "Kind"]
+           "Kind", "Range", "Window"]
 
 # a signature parameter without a default: a required number
 REQUIRED = inspect.Parameter.empty
@@ -157,6 +157,18 @@ class Maybe(Field):
         return _read(self.decl, value, path)
 
 
+class Range(Field):
+    """Marker: a finite number x with lo < x <= hi, ``text`` in a message."""
+
+    def __init__(self, lo, hi, text, default=REQUIRED):
+        super().__init__(default)
+        self.lo, self.hi, self.text = lo, hi, text
+
+    def read(self, value, path):
+        x = number(value, path)
+        return x if self.lo < x <= self.hi else _fail(path, "expected " + self.text)
+
+
 class Unchecked(Field):
     """Marker: a number (with ``complex``, or an [re, im] pair) read as
     given, NaN and infinities included, for a constructor or check that
@@ -225,6 +237,18 @@ class Grid(List):
             _fail(path, "expected a list of numbers or a {start, stop, points} "
                         "object")
         return np.asarray(super().read(value, path), dtype=float)
+
+
+class Window(List):
+    """Marker: ``[lo, hi]``, two finite numbers with lo <= hi, read as a pair."""
+
+    def __init__(self, default=REQUIRED):
+        super().__init__(default, length=2)
+
+    def read(self, value, path):
+        lo, hi = super().read(value, path)
+        return (lo, hi) if lo <= hi else _fail(path, "expected finite [lo, hi] "
+                                                     "with lo <= hi")
 
 
 class Interval(Field):

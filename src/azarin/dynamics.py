@@ -24,6 +24,8 @@ __all__ = [
     "positive_regularity_criterion", "sigma_envelope_bound", "geometric_schedule",
 ]
 
+_TREND_FLOOR = 1e-7
+
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -46,7 +48,7 @@ def geometric_schedule(start, stop, points):
     return np.geomspace(float(start), float(stop), int(points))
 
 
-def sample_trajectory(measure, order, schedule, fam=None, quad=DEFAULT_QUAD):
+def sample_trajectory(measure, order, schedule, fam, quad=DEFAULT_QUAD):
     """The flow along an increasing schedule with t_1 >= 1, one sample per t.
 
     The pairings come from one ``fam.flow_pairings`` call, which integrates
@@ -56,7 +58,6 @@ def sample_trajectory(measure, order, schedule, fam=None, quad=DEFAULT_QUAD):
     schedule = np.asarray(schedule, dtype=float)
     if schedule.size == 0 or schedule[0] < 1.0 or np.any(np.diff(schedule) <= 0):
         raise ValueError("schedule must be increasing with t >= 1")
-    fam = fam or MetricFamily()
     pairings = fam.flow_pairings(measure, order, schedule, quad)
     return [TrajectorySample(t=float(t), pairings=p, base=measure, order=order)
             for t, p in zip(schedule, pairings)]
@@ -135,15 +136,13 @@ def _extrapolate(ts, pairings):
 _DIST_ROWS = 8
 
 
-def estimate_limit_set(samples, fam=None, eps_cluster=1e-3,
-                       transient_fraction=0.2, top_decades=2.0,
-                       zero_threshold=1e-8):
+def estimate_limit_set(samples, fam, eps_cluster=1e-3,
+                       transient_fraction=0.2, top_decades=2.0):
     """Cluster the post-transient trajectory; regular iff one cluster.
 
     The transient cutoff keeps samples in the top ``top_decades`` decades of
     the schedule and past the first ``transient_fraction`` of indices.
     """
-    fam = fam or MetricFamily()
     if len(samples) < 10:
         raise ValueError("need at least 10 trajectory samples")
     idx = _post_transient(samples, transient_fraction, top_decades)
@@ -167,7 +166,7 @@ def estimate_limit_set(samples, fam=None, eps_cluster=1e-3,
         rep_pairings.append(P[medoid])
         lim = _extrapolate([kept[i].t for i in group], P[group])
         limits.append(lim)
-        zero_flags.append(bool(np.max(np.abs(lim)) <= zero_threshold))
+        zero_flags.append(bool(np.max(np.abs(lim)) <= 1e-8))
     return LimitSetEstimate(
         samples=kept, clusters=clusters, representatives=reps,
         representative_ts=rep_ts, representative_pairings=rep_pairings,
@@ -187,17 +186,15 @@ class TrendReport:
     steps: tuple
 
 
-def convergence_trend(samples, fam=None, decay_ratio=0.25, floor=1e-7,
-                      skip_fraction=0.1):
+def convergence_trend(samples, fam):
     """Net-convergence probe: successive distances d(mu_{t_k}, mu_{t_{k+1}}).
 
     The trajectory converges (hence the limit set is a single measure) iff
-    the step sizes die out: either the tail maximum falls below ``floor`` or
-    it is at most ``decay_ratio`` times the head maximum.  A persistent
-    plateau marks genuine oscillation in the flow.
+    the step sizes die out: either the tail maximum falls below
+    ``_TREND_FLOOR`` or it is at most a quarter of the head maximum.  A
+    persistent plateau marks genuine oscillation in the flow.
     """
-    fam = fam or MetricFamily()
-    start = int(len(samples) * skip_fraction)
+    start = int(len(samples) * 0.1)
     kept = samples[start:]
     steps = np.array([
         fam.distance_from_pairings(a.pairings, b.pairings)
@@ -207,9 +204,9 @@ def convergence_trend(samples, fam=None, decay_ratio=0.25, floor=1e-7,
     head = float(steps[:third].max())
     tail = float(steps[-third:].max())
     ratio = tail / head if head > 0 else 0.0
-    converged = tail <= max(floor, decay_ratio * head)
+    converged = tail <= max(_TREND_FLOOR, 0.25 * head)
     return TrendReport(head=head, tail=tail, ratio=ratio, converged=converged,
-                       floor=floor, steps=tuple(steps))
+                       floor=_TREND_FLOOR, steps=tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -248,21 +245,16 @@ class RegularFormFit:
     target_pairings: tuple
 
 
-def power_density_pairings(order_rho, fam, quad=DEFAULT_QUAD):
-    """Pairings of the density t**(rho-1) dt against the family."""
-    return fam.pairings(RadonMeasure.power_density(order_rho - 1.0), quad)
-
-
-def verify_regular_limit_form(est, order, quad=DEFAULT_QUAD, tol=1e-3):
+def verify_regular_limit_form(est, order, quad=DEFAULT_QUAD):
     """Fit the single-cluster limit against c * t**(rho-1) dt.
 
     Least squares over the pairing vectors; the relative misfit must stay
-    below ``tol``.
+    below 1e-3.
     """
     if not est.regular:
         raise ValueError("limit-set estimate is not regular")
     fam = est.family
-    g = power_density_pairings(order.rho, fam, quad)
+    g = fam.pairings(RadonMeasure.power_density(order.rho - 1.0), quad)
     p = np.asarray(est.limit_pairings[0])
     denom = np.vdot(g, g).real
     c = complex(np.vdot(g, p) / denom)
@@ -270,7 +262,7 @@ def verify_regular_limit_form(est, order, quad=DEFAULT_QUAD, tol=1e-3):
     scale = float(np.linalg.norm(p))
     residual = misfit / scale if scale > 0 else misfit
     return RegularFormFit(coefficient=c, residual=residual,
-                          passed=residual <= tol, target_pairings=tuple(g))
+                          passed=residual <= 1e-3, target_pairings=tuple(g))
 
 
 @dataclass(frozen=True)
@@ -318,13 +310,12 @@ class RegularityReport:
     samples: tuple
 
 
-def positive_regularity_criterion(measure, order, r_grid, ab=(1.0, math.e),
-                                  quad=DEFAULT_QUAD, osc_tol=0.01):
+def positive_regularity_criterion(measure, order, r_grid, quad=DEFAULT_QUAD):
     """Limit criterion for positive measures, branched on the sign of rho.
 
     rho > 0: mu((1, R])/V(R); rho < 0: mu([R, oo))/V(R); rho = 0:
-    mu((aR, bR])/V(R) normalized by ln(b/a).  The verdict is regular iff
-    the top-decade oscillation of the ratio stays within ``osc_tol``.
+    mu((R, eR])/V(R).  The verdict is regular iff the top-decade
+    oscillation of the ratio stays within 0.01.
     """
     if not measure.is_positive():
         raise ValueError("criterion applies to positive measures only")
@@ -340,13 +331,12 @@ def positive_regularity_criterion(measure, order, r_grid, ab=(1.0, math.e),
                 - measure.cumulative_masses(r_max, r_grid, quad)).real / v
     else:
         branch = "window"
-        a, b = ab
-        vals = measure.masses(a, b, r_grid, quad).real / (v * math.log(b / a))
+        vals = measure.masses(1.0, math.e, r_grid, quad).real / v
     top = vals[r_grid >= r_grid.max() / 10.0]
     mean = float(np.mean(top))
     osc = float(np.max(top) - np.min(top)) / (abs(mean) + 1e-300)
     return RegularityReport(branch=branch, limit_estimate=mean, oscillation=osc,
-                            regular=osc <= osc_tol, samples=tuple(vals))
+                            regular=osc <= 0.01, samples=tuple(vals))
 
 
 def sigma_envelope_bound(n1_of_alpha, rho, q_grid):

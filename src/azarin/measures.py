@@ -24,6 +24,8 @@ __all__ = [
     "lower_density", "class_membership", "DensityEstimate",
 ]
 
+_GROWTH_SLACK = 1.10
+
 
 # ---------------------------------------------------------------------------
 # density factors and pieces
@@ -713,12 +715,12 @@ class MetricFamily:
 
         d(mu1, mu2) = sum_n |(mu1-mu2)(phi_n)| / (2**n (1 + |...|)),
 
-    truncated at ``n_members``; the discarded tail is bounded by
+    truncated at ``n_members`` = 64; the discarded tail is bounded by
     2**-n_members, far below every tolerance used here.
     """
 
-    def __init__(self, n_members=64, quad=DEFAULT_QUAD):
-        self.n_members = int(n_members)
+    def __init__(self, quad=DEFAULT_QUAD):
+        self.n_members = 64
         self.quad = quad
         self.members = tuple(
             trapezoid_kernel(p * 2.0 ** -j, q * 2.0 ** -j)
@@ -812,18 +814,13 @@ def _density_ratios(measure, order, alpha, r_grid, quad):
     return m / np.array([float(order.scale(r)) for r in r_grid])
 
 
-def _top_decade(r_grid, values, decades=1.0):
-    r = np.asarray(r_grid, dtype=float)
-    cut = r.max() / 10.0 ** decades
-    return values[r >= cut]
-
-
 def _density_estimate(measure, order, alpha, r_grid, quad, pick):
     """The top-decade ``pick`` (np.max or np.min) of the density ratios."""
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
     ratios = _density_ratios(measure, order, alpha, r_grid, quad)
-    top = _top_decade(r_grid, ratios)
+    r = np.asarray(r_grid, dtype=float)
+    top = ratios[r >= r.max() / 10.0]
     res = float(np.max(top) - np.min(top)) if top.size > 1 else 0.0
     value = float(pick(top)) if top.size else 0.0
     if alpha == 0.0:
@@ -871,14 +868,13 @@ def _edge_growth(r_grid, ratios, edge):
     return outer_max / inner_max
 
 
-def class_membership(measure, order, which="tail", r_grid=None, quad=DEFAULT_QUAD,
-                     growth_slack=1.10):
+def class_membership(measure, order, which="tail", r_grid=None, quad=DEFAULT_QUAD):
     """Estimate sup |mu|([r, e r]) / V(r) and decide boundedness.
 
     ``which`` = "tail" checks r >= 1 (the class controlled at infinity);
     ``which`` = "global" extends the grid to small r and requires a flat
     trend at both ends.  The verdict is bounded iff the edge decade's sup
-    does not grow against its neighbour by more than ``growth_slack``.
+    does not grow against its neighbour by more than ``_GROWTH_SLACK``.
     """
     if r_grid is None:
         lo = 1.0 if which == "tail" else 1e-6
@@ -887,10 +883,10 @@ def class_membership(measure, order, which="tail", r_grid=None, quad=DEFAULT_QUA
     ratios = (measure.masses(1.0, math.e, r_grid, quad, absolute=True)
               / np.array([float(order.scale(r)) for r in r_grid]))
     decade_ratio = _edge_growth(r_grid, ratios, "hi")
-    bounded = decade_ratio <= growth_slack
+    bounded = decade_ratio <= _GROWTH_SLACK
     if which == "global":
         low_ratio = _edge_growth(r_grid, ratios, "lo")
-        bounded = bounded and low_ratio <= growth_slack
+        bounded = bounded and low_ratio <= _GROWTH_SLACK
         decade_ratio = max(decade_ratio, low_ratio)
     return MembershipReport(sup_ratio=float(np.max(ratios)), bounded=bounded,
                             decade_ratio=decade_ratio, samples=tuple(ratios))

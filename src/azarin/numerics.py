@@ -499,14 +499,14 @@ def converges(f, lo, hi, ctrl=DEFAULT_QUAD):
     return True, val, []
 
 
-def golden_section_min(fn, a, b, xtol=1e-10, max_iter=240):
+def golden_section_min(fn, a, b, xtol=1e-10):
     """Golden-section minimum of a scalar function on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1 = fn(x1)
     f2 = fn(x2)
-    for _ in range(max_iter):
+    for _ in range(240):
         if b - a < xtol:
             break
         if f1 <= f2:

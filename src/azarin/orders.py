@@ -24,30 +24,15 @@ from .numerics import (DEFAULT_QUAD, SingularPointError,
                        golden_section_min, improper_quad)
 
 __all__ = [
-    "GridControl", "ZeroPart", "FlatZero", "LogPowerZero", "LogLogZero",
+    "ZeroPart", "FlatZero", "LogPowerZero", "LogLogZero",
     "TabulatedZero", "ProximateOrder", "potter_factor", "potter_factor_lower",
     "log_potter_factor", "potter_bound_report", "potter_decay_scan",
     "poisson_smoothed_scale",
 ]
 
 
-@dataclass(frozen=True)
-class GridControl:
-    """Search grid for the Potter-factor supremum (log-uniform in r)."""
-    ln_lo: float = -40.0
-    ln_hi: float = 40.0
-    points: int = 4001
-    max_widenings: int = 5
-    refine_xtol: float = 1e-9
-
-
-DEFAULT_GRID = GridControl()
-
-
 class ZeroPart:
     """Zero proximate order, represented through h(x) = ln W(e^x)."""
-
-    symmetric = True
 
     def log_scale(self, x):
         raise NotImplementedError
@@ -220,16 +205,21 @@ class ProximateOrder:
         return ProximateOrder(self.rho + float(delta), self.zero_part)
 
 
-def _grid_supremum(zero_part, tau, grid):
+# the Potter grid search: _GRID_POINTS values of ln r in +-_GRID_HALF_WIDTH
+_GRID_HALF_WIDTH = 40.0
+_GRID_POINTS = 4001
+
+
+def _grid_supremum(zero_part, tau):
     h = zero_part.log_scale
-    lo, hi = grid.ln_lo, grid.ln_hi
-    for _ in range(grid.max_widenings + 1):
-        xs = np.linspace(lo, hi, grid.points)
+    lo, hi = -_GRID_HALF_WIDTH, _GRID_HALF_WIDTH
+    edge_points = max(2, _GRID_POINTS // 50)
+    for _ in range(6):   # the grid, then up to five widenings
+        xs = np.linspace(lo, hi, _GRID_POINTS)
         g = h(xs + tau) - h(xs)
         k = int(np.argmax(g))
         best = g[k]
-        edge = max(g[:  max(2, grid.points // 50)].max(),
-                   g[-max(2, grid.points // 50):].max())
+        edge = max(g[:edge_points].max(), g[-edge_points:].max())
         if edge < best - 1e-9 * (1.0 + abs(best)) or lo < -5e5:
             break
         lo *= 2.0
@@ -239,7 +229,7 @@ def _grid_supremum(zero_part, tau, grid):
     if b > a:
         _, neg = golden_section_min(lambda x: -(h(np.array([x + tau]))[0]
                                                 - h(np.array([x]))[0]),
-                                    a, b, xtol=grid.refine_xtol)
+                                    a, b, xtol=1e-9)
         best = max(best, -neg)
     return best
 
@@ -286,15 +276,15 @@ def _tabulated_supremum(zero_part, tau):
     return float(best)
 
 
-def _log_potter_factor(order, t, grid):
+def _log_potter_factor(order, t):
     """ln potter_factor(order, t), finite even where the factor overflows."""
     t = float(t)
     if t <= 0.0:
         raise ValueError("potter_factor requires t > 0")
-    return log_potter_factor(order, math.log(t), grid)
+    return log_potter_factor(order, math.log(t))
 
 
-def log_potter_factor(order, tau, grid=DEFAULT_GRID):
+def log_potter_factor(order, tau):
     """ln potter_factor(order, e**tau), finite where e**tau or the factor is not."""
     tau = float(tau)
     if tau == 0.0 or isinstance(order.zero_part, FlatZero):
@@ -303,30 +293,30 @@ def log_potter_factor(order, tau, grid=DEFAULT_GRID):
         return float(order.zero_part.log_scale(tau))
     if isinstance(order.zero_part, TabulatedZero):
         return _tabulated_supremum(order.zero_part, tau)
-    return float(_grid_supremum(order.zero_part, tau, grid))
+    return float(_grid_supremum(order.zero_part, tau))
 
 
-def potter_factor(order, t, grid=DEFAULT_GRID):
+def potter_factor(order, t):
     """sup_{r>0} W(rt)/W(r) for the zero part W of the order.
 
     Uses the closed form W(t) for t >= 1 when the family has a concave
-    log-scale.  For a ``TabulatedZero`` the supremum is exact and ``grid``
-    is unused: ln W(e^x) is piecewise quadratic, and its slope
-    sign(x) eta_hat(|x|) keeps the sign of the table eta_hat.  Otherwise a
-    widening log-uniform grid search with golden-section refinement around
-    the grid argmax.  The supremum is found in log form and exponentiated,
+    log-scale.  For a ``TabulatedZero`` the supremum is exact: ln W(e^x)
+    is piecewise quadratic, and its slope sign(x) eta_hat(|x|) keeps the
+    sign of the table eta_hat.  Otherwise a widening log-uniform grid
+    search (``_grid_supremum``) with golden-section refinement around the
+    grid argmax.  The supremum is found in log form and exponentiated,
     so a factor beyond the float range raises OverflowError; the Potter
     report and the decay scan use the log and do not.
     """
-    return math.exp(_log_potter_factor(order, t, grid))
+    return math.exp(_log_potter_factor(order, t))
 
 
-def potter_factor_lower(order, t, grid=DEFAULT_GRID):
+def potter_factor_lower(order, t):
     """inf_{r>0} W(rt)/W(r) = 1 / potter_factor(1/t)."""
     t = float(t)
     if t <= 0.0:
         raise ValueError("potter_factor_lower requires t > 0")
-    return 1.0 / potter_factor(order, 1.0 / t, grid)
+    return 1.0 / potter_factor(order, 1.0 / t)
 
 
 @dataclass(frozen=True)
@@ -337,7 +327,7 @@ class PotterReport:
     tolerance: float
 
 
-def potter_bound_report(order, samples, grid=DEFAULT_GRID, tolerance=1e-6):
+def potter_bound_report(order, samples, tolerance=1e-6):
     """Check scale(rt) <= t**rho * potter_factor(t) * scale(r) on samples.
 
     Violations are measured relatively, in log space to dodge overflow.  A
@@ -352,7 +342,7 @@ def potter_bound_report(order, samples, grid=DEFAULT_GRID, tolerance=1e-6):
         raise ValueError("Potter bound excess is not finite at pair (r, t) = (%r, %r)"
                          % (float(r[bad[0]]), float(t[bad[0]])))
     ts = t.tolist()
-    log_bound = {x: order.rho * math.log(x) + _log_potter_factor(order, x, grid)
+    log_bound = {x: order.rho * math.log(x) + _log_potter_factor(order, x)
                  for x in dict.fromkeys(ts)}
     excess = order.log_scale(rt) - (np.array([log_bound[x] for x in ts]) + order.log_scale(r))
     worst, worst_pair = 0.0, None
@@ -364,7 +354,7 @@ def potter_bound_report(order, samples, grid=DEFAULT_GRID, tolerance=1e-6):
                         passed=violation <= tolerance, tolerance=tolerance)
 
 
-def potter_decay_scan(order, t_grid, grid=DEFAULT_GRID):
+def potter_decay_scan(order, t_grid):
     """Rows (t, ln gamma(t)/ln t, ln gamma(1/t)/ln t) over a t grid with t > e.
 
     Both rows tend to zero as t grows; for the concave families the forward
@@ -376,8 +366,8 @@ def potter_decay_scan(order, t_grid, grid=DEFAULT_GRID):
         if t <= math.e:
             raise ValueError("decay scan requires t > e")
         lt = math.log(t)
-        fwd = _log_potter_factor(order, t, grid) / lt
-        bwd = _log_potter_factor(order, 1.0 / t, grid) / lt
+        fwd = _log_potter_factor(order, t) / lt
+        bwd = _log_potter_factor(order, 1.0 / t) / lt
         rows.append((t, fwd, bwd))
     return rows
 

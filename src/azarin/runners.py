@@ -20,8 +20,8 @@ import numpy as np
 
 from . import carleman as carl
 from .configio import (LINE_MEASURE, Choice, ConfigError, Count, Grid, Interval,
-                       List, Maybe, Obj, Unchecked, parse_kernel, parse_measure,
-                       parse_order, positive)
+                       List, Maybe, Obj, Range, Unchecked, Window, parse_kernel,
+                       parse_measure, parse_order, positive)
 from .dynamics import (convergence_trend, estimate_limit_set,
                        positive_regularity_criterion, sample_trajectory,
                        verify_regular_limit_form)
@@ -35,11 +35,11 @@ from .special import lanczos_gamma
 from .tauberian import (ROUNDTRIP_STAGES, mellin_symbol_table,
                         tauberian_roundtrip, verify_exponential_solution,
                         wiener_zero_scan)
-from .transforms import (KernelTransform, PiecewiseFunction, averaged_measure,
-                         check_antiderivative_identity, integrability_report,
-                         neutralization_report, normalized_limit_values,
-                         order_diagnostic, stable_order_report,
-                         verify_averaged_limit_densities)
+from .transforms import (TRANSIENT_FRACTION, KernelTransform, PiecewiseFunction,
+                         averaged_measure, check_antiderivative_identity,
+                         integrability_report, neutralization_report,
+                         normalized_limit_values, order_diagnostic,
+                         stable_order_report, verify_averaged_limit_densities)
 
 REGISTRY = {}
 # runner parameters with these names take the parsed top-level descriptor
@@ -110,7 +110,7 @@ def operation(name, check=None):
 def _jsonable(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
@@ -137,11 +137,18 @@ def _lattice_logs(count, ln_range):
 # ---------------------------------------------------------------------------
 # order-side operations
 
+# the largest x whose e**x is a float, and the largest |ln_range| whose
+# lattice pairs r, t and products r t are floats
+_MAX_LN = math.log(sys.float_info.max)
+_MAX_PAIR_LN = 0.5 * _MAX_LN
+
 
 @operation("gamma_suite")
 def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
                     dominance_points=Count(50),
-                    decay_exponents=List([16.0, 36.0, 100.0]),
+                    decay_exponents=List([16.0, 36.0, 100.0], item=Range(
+                        1.0, _MAX_LN, "a number > 1 and at most %.4f, so that "
+                        "e**x is a float > e" % _MAX_LN)),
                     expected_decay=List(None), decay_tol=1e-3):
     at_one = potter_factor(order, 1.0)
     submult_worst = 0.0
@@ -183,16 +190,13 @@ def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
 
 
 @operation("potter_decay_scan")
-def run_potter_decay_scan(order, t_grid=Grid(math.exp(16.0), math.exp(100.0), 3)):
+def run_potter_decay_scan(order, t_grid=Grid(math.exp(16.0), math.exp(100.0), 3,
+                                             item=Range(math.e, math.inf, "a number > e"))):
     rows = potter_decay_scan(order, t_grid)
     report = {"rows": [list(r) for r in rows]}
     return RunResult(None, report,
                      [("potter_decay.csv", ["t", "forward", "backward"],
                        [list(r) for r in rows])])
-
-
-# the largest |ln_range| whose lattice pairs r, t and products r t are floats
-_MAX_PAIR_LN = 0.5 * math.log(sys.float_info.max)
 
 
 def _potter_pairs(pairs, ln_range, **_):
@@ -404,7 +408,7 @@ def run_positive_regularity(order, measure, quad, r_grid=Grid(1e2, 1e7, 40),
 
 @operation("density_estimate")
 def run_density_estimate(order, measure, quad, r_grid=Grid(1e2, 1e7, 48),
-                         alpha=1.0):
+                         alpha=Range(-1.0, math.inf, "a number > -1", 1.0)):
     up = upper_density(measure, order, alpha, r_grid, quad)
     lo = lower_density(measure, order, alpha, r_grid, quad)
     report = {"alpha": alpha, "upper": up.value, "lower": lo.value,
@@ -432,8 +436,8 @@ def run_transform_table(order, measure, kernel, quad,
 
 
 def _past_transient(schedule, **_):
-    # normalized_limit_values drops the first 20% of the schedule
-    if math.ceil(0.2 * len(schedule)) >= len(schedule):
+    # normalized_limit_values drops the first TRANSIENT_FRACTION of the schedule
+    if math.ceil(TRANSIENT_FRACTION * len(schedule)) >= len(schedule):
         raise ConfigError("params.schedule: expected a sample past the transient")
 
 
@@ -609,19 +613,12 @@ def run_symbol_table(kernel, quad, rho=1.0,
                      [("symbol.csv", ["lambda", "re", "im", "abs"], rows)])
 
 
-def _scan_grid(window, step, **_):
-    if not step > 0:
-        raise ConfigError("params.step: expected a number > 0")
-    if not (math.isfinite(window[0]) and math.isfinite(window[1])
-            and window[0] <= window[1]):
-        raise ConfigError("params.window: expected finite [lo, hi] with lo <= hi")
-
-
-@operation("wiener_zero_scan", check=_scan_grid)
-def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
-                  step=0.01, tol=1e-6, expected_zeros=List(None),
-                  abscissa_tol=1e-6, expect_nonvanishing=Maybe(bool)):
-    rep = wiener_zero_scan(kernel, rho, window=tuple(window), step=step, tol=tol,
+@operation("wiener_zero_scan")
+def run_zero_scan(kernel, quad, rho=1.0, window=Window([-20.0, 20.0]),
+                  step=Range(0.0, math.inf, "a number > 0", 0.01), tol=1e-6,
+                  expected_zeros=List(None), abscissa_tol=1e-6,
+                  expect_nonvanishing=Maybe(bool)):
+    rep = wiener_zero_scan(kernel, rho, window=window, step=step, tol=tol,
                            quad=quad)
     rows = [[lam, val] for lam, val in rep.zeros]
     report = {"zeros": rows, "nonvanishing": rep.nonvanishing,
@@ -638,7 +635,13 @@ def run_zero_scan(kernel, quad, rho=1.0, window=List([-20.0, 20.0], length=2),
                      [("zeros.csv", ["lambda", "abs_symbol"], rows)])
 
 
-@operation("exponential_solution_check")
+def _coefficient_per_lambda(lambdas, coefficients, **_):
+    if coefficients is not None and len(coefficients) != len(lambdas):
+        raise ConfigError("params.coefficients: expected %d entries, one per lambda"
+                          % len(lambdas))
+
+
+@operation("exponential_solution_check", check=_coefficient_per_lambda)
 def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
                              coefficients=List(None, item=complex),
                              r_samples=List([1.0, math.e, math.e ** 2]),
@@ -677,9 +680,9 @@ def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
 
 @operation("carleman_suite")
 def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
-                 reference_tol=1e-8, bound_constant=Maybe(float),
+                 reference_tol=1e-8, bound_constant=Maybe(positive),
                  expect_bound_pass=Maybe(bool),
-                 jump_window=List(None, length=2), expected_flags=List(None),
+                 jump_window=Window(None), expected_flags=List(None),
                  flag_tol=0.05):
     ct = carl.CarlemanTransform(line_measure)
     report = {}
@@ -698,7 +701,7 @@ def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
         report["bound_passed"] = br.passed
         verdict = verdict and _expected(br.passed, expect_bound_pass, br.passed)
     if jump_window is not None:
-        js = carl.spectrum_jump_scan(ct, tuple(jump_window))
+        js = carl.spectrum_jump_scan(ct, jump_window)
         report["flagged"] = list(js.flagged)
         if expected_flags is not None:
             ok = (len(js.flagged) >= 1 and

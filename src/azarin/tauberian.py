@@ -28,6 +28,7 @@ __all__ = [
     "verify_exponential_solution", "tauberian_roundtrip",
 ]
 
+_EPS_CLUSTER = 1e-3
 # bytes of exp(i lam x) rows that ``_SymbolQuadrature.values`` builds at
 # once on an arbitrary grid; more rows are built and multiplied block by block
 _COARSE_BYTES = 16 * 2 ** 20
@@ -221,7 +222,7 @@ def _local_minima(mags):
 
 
 def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
-                     quad=DEFAULT_QUAD, refine_xtol=1e-8):
+                     quad=DEFAULT_QUAD):
     """Locate real zeros of the Mellin symbol on a window.
 
     The table on the grid is the three-level product of
@@ -258,7 +259,7 @@ def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
     zeros = []
     for i in _local_minima(mags).tolist():
         a, b = float(lams[i - 1]), float(lams[i + 1])
-        lam_star, _ = golden_section_min(sq.near(a, b), a, b, xtol=refine_xtol)
+        lam_star, _ = golden_section_min(sq.near(a, b), a, b, xtol=1e-8)
         val = abs(sq.value(lam_star))
         local = mags[max(0, i - int(1.0 / step)): i + int(1.0 / step) + 1]
         local_scale = float(local.max()) if local.size else max_abs
@@ -324,9 +325,8 @@ class RoundtripReport:
     failed_stage: str
 
 
-def tauberian_roundtrip(kernel, order, measure, schedule=None, fam=None,
-                        quad=DEFAULT_QUAD, eps_cluster=1e-3, ratio_tol=0.02,
-                        scan_window=(-8.0, 8.0), scan_step=0.02):
+def tauberian_roundtrip(kernel, order, measure, schedule=None,
+                        quad=DEFAULT_QUAD, ratio_tol=0.02):
     """End-to-end regularity transfer check.
 
     Stage (i) builds the averaged measure (density = transform values) and
@@ -337,7 +337,7 @@ def tauberian_roundtrip(kernel, order, measure, schedule=None, fam=None,
     and the density-form fit.  Returns a structured report naming the
     first failed stage.
     """
-    fam = fam or MetricFamily()
+    fam = MetricFamily()
     if schedule is None:
         schedule = geometric_schedule(1e2, 1e8, 176)
     schedule = np.asarray(schedule, dtype=float)
@@ -364,8 +364,8 @@ def tauberian_roundtrip(kernel, order, measure, schedule=None, fam=None,
     stages.append(RoundtripStage("integrability", True,
                                  "L1 %.6g" % integ.l1_value))
 
-    scan = wiener_zero_scan(kernel, order.rho, window=scan_window,
-                            step=scan_step, quad=quad)
+    scan = wiener_zero_scan(kernel, order.rho, window=(-8.0, 8.0), step=0.02,
+                            quad=quad)
     if not scan.nonvanishing:
         return fail("wiener-condition",
                     "symbol zeros at %s" % (scan.zeros,))
@@ -383,7 +383,7 @@ def tauberian_roundtrip(kernel, order, measure, schedule=None, fam=None,
     shifted = order.shifted(1.0)
     s_traj = sample_trajectory(smoothed, shifted, schedule, fam, quad)
     s_trend = convergence_trend(s_traj, fam)
-    s_est = estimate_limit_set(s_traj, fam, eps_cluster=eps_cluster)
+    s_est = estimate_limit_set(s_traj, fam, eps_cluster=_EPS_CLUSTER)
     if not (s_trend.converged and s_est.regular):
         return fail("averaged-regularity",
                     "trend ratio %.3g, clusters %d"
@@ -397,7 +397,7 @@ def tauberian_roundtrip(kernel, order, measure, schedule=None, fam=None,
 
     mu_traj = sample_trajectory(measure, order, schedule, fam, quad)
     mu_trend = convergence_trend(mu_traj, fam)
-    mu_est = estimate_limit_set(mu_traj, fam, eps_cluster=eps_cluster)
+    mu_est = estimate_limit_set(mu_traj, fam, eps_cluster=_EPS_CLUSTER)
     if not (mu_trend.converged and mu_est.regular):
         return fail("measure-regularity",
                     "trend ratio %.3g, clusters %d"

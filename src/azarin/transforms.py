@@ -29,6 +29,10 @@ __all__ = [
     "stable_order_report", "order_diagnostic",
 ]
 
+TRANSIENT_FRACTION = 0.2
+_PANEL_POINTS = 512
+_LOG_STEP = 1e-4
+
 
 class KernelTransform:
     """Evaluator of r -> integral of K(t/r) d mu(t).
@@ -128,12 +132,12 @@ def _cluster_complex(values, eps):
     return clusters
 
 
-def normalized_limit_values(transform, schedule, eps=1e-4, transient_fraction=0.2):
+def normalized_limit_values(transform, schedule, eps=1e-4):
     """Cluster values of the normalized transform along a schedule."""
     if transform.order is None:
         raise ValueError("normalized values need an order")
     schedule = np.asarray(schedule, dtype=float)
-    rs = schedule[int(math.ceil(transient_fraction * schedule.size)):]
+    rs = schedule[int(math.ceil(TRANSIENT_FRACTION * schedule.size)):]
     vals = transform.values(rs) / np.asarray(transform.order.scale(rs), dtype=float)
     return _cluster_complex(vals.tolist(), eps)
 
@@ -147,17 +151,17 @@ class NeutralizationReport:
     passed: bool
 
 
-def _monotone_decreasing(seq, slack):
-    return all(b <= a * (1.0 + slack) + 1e-300 for a, b in zip(seq, seq[1:]))
+def _monotone_decreasing(seq):
+    return all(b <= a * 1.10 + 1e-300 for a, b in zip(seq, seq[1:]))
 
 
 def neutralization_report(kernel, order, measure, eps_grid, n_grid, r_grid,
-                          quad=DEFAULT_QUAD, slack=0.10):
+                          quad=DEFAULT_QUAD):
     """Neutralization of zero and infinity for the triple (K, order, mu).
 
     For each cutoff the report records sup over the top r-decade of
     |integral of K d mu_r| over (0, eps] resp. (N, oo); the condition holds
-    iff these sups decrease (within ``slack``) as eps -> 0 resp. N -> oo.
+    iff these sups decrease (within 10%) as eps -> 0 resp. N -> oo.
     Each cutoff is one ``KernelTransform.integrals`` call over the top
     decade at norms V(r).  Divergent entries are recorded as inf and fail
     the check.
@@ -176,8 +180,8 @@ def neutralization_report(kernel, order, measure, eps_grid, n_grid, r_grid,
 
     head = tuple(window_sup((0.0, e)) for e in sorted(eps_grid, reverse=True))
     tail = tuple(window_sup((n, math.inf)) for n in sorted(n_grid))
-    head_ok = all(map(math.isfinite, head)) and _monotone_decreasing(head, slack)
-    tail_ok = all(map(math.isfinite, tail)) and _monotone_decreasing(tail, slack)
+    head_ok = all(map(math.isfinite, head)) and _monotone_decreasing(head)
+    tail_ok = all(map(math.isfinite, tail)) and _monotone_decreasing(tail)
     return NeutralizationReport(head_sups=head, tail_sups=tail,
                                 head_passed=head_ok, tail_passed=tail_ok,
                                 passed=head_ok and tail_ok)
@@ -192,8 +196,7 @@ class IntegrabilityReport:
     passed: bool
 
 
-def integrability_report(kernel, order, quad=DEFAULT_QUAD, amalgam_span=40,
-                         sup_samples=48):
+def integrability_report(kernel, order, quad=DEFAULT_QUAD):
     """L1 norm of t**(rho-1) * gamma(t) * |K(t)| plus the amalgam series.
 
     The amalgam series sums e**(n rho) * gamma(e**n) * K_n where K_n is the
@@ -226,7 +229,7 @@ def integrability_report(kernel, order, quad=DEFAULT_QUAD, amalgam_span=40,
     converged = False
     prev_increment = math.inf
     k_lo, k_hi = kernel.support
-    for n in range(0, amalgam_span):
+    for n in range(0, 40):
         increment = 0.0
         for sign in ((1,) if n == 0 else (1, -1)):
             m = sign * n
@@ -237,7 +240,7 @@ def integrability_report(kernel, order, quad=DEFAULT_QUAD, amalgam_span=40,
                 return IntegrabilityReport(l1, l1_ok, math.inf, False, False)
             ts = np.geomspace(max(a, k_lo) * (1 + 1e-12),
                               min(b, k_hi if not math.isinf(k_hi) else b),
-                              sup_samples)
+                              48)
             kn = float(np.max(np.abs(kernel(ts))))
             increment += math.exp(m * rho) * gamma_at(math.exp(m)) * kn
         total += increment
@@ -251,7 +254,7 @@ def integrability_report(kernel, order, quad=DEFAULT_QUAD, amalgam_span=40,
                                passed=l1_ok)
 
 
-def averaged_measure(transform, window, points_per_decade=32):
+def averaged_measure(transform, window):
     """The measure with density = transform values, tabulated on a log grid.
 
     This is the smoothing of mu by the kernel; its natural comparison order
@@ -260,7 +263,7 @@ def averaged_measure(transform, window, points_per_decade=32):
     lo, hi = window
     if not (0.0 < lo < hi):
         raise ValueError("window must be an interval in (0, oo)")
-    n = max(8, int(points_per_decade * math.log10(hi / lo)) + 1)
+    n = max(8, int(32 * math.log10(hi / lo)) + 1)
     nodes = np.geomspace(lo, hi, n)
     vals = transform.values(nodes)
     piece = TabulatedPiece(lo=lo, hi=hi, log_nodes=tuple(np.log(nodes)),
@@ -275,9 +278,7 @@ class AveragedDensityReport:
     rows: tuple
 
 
-def verify_averaged_limit_densities(transform, est_s, est_mu,
-                                    u_samples=(0.5, 0.8, 1.0, 1.5, 2.0),
-                                    tol=0.01):
+def verify_averaged_limit_densities(transform, est_s, est_mu, tol=0.01):
     """Densities of averaged-measure limits vs kernel transforms of mu-limits.
 
     ``transform`` is the transform of mu with its order.  Cluster matching
@@ -285,7 +286,7 @@ def verify_averaged_limit_densities(transform, est_s, est_mu,
     against the k-th mu cluster (both sorted by t), whose representative
     mu_t has the transform ``transform.integrals(t u, V(t))`` at u.
     """
-    us = np.asarray(u_samples, dtype=float)
+    us = np.array([0.5, 0.8, 1.0, 1.5, 2.0])
     rows = []
     for s_rep, s_t, mu_t in zip(est_s.representatives, est_s.representative_ts,
                                 est_mu.representative_ts):
@@ -329,7 +330,7 @@ class _Cumulative:
     distribution) is sampled at its left limit, out of the panel's cubic.
     """
 
-    def __init__(self, fn, lo, hi, breakpoints, points_per_panel=512):
+    def __init__(self, fn, lo, hi, breakpoints):
         edges = [lo] + [b for b in breakpoints if lo < b < hi] + [hi]
         resolution = getattr(fn, "resolution", None)
         self.edges = edges
@@ -338,15 +339,15 @@ class _Cumulative:
         acc = 0.0 + 0.0j
         for a, b in zip(edges[:-1], edges[1:]):
             if resolution is not None:
-                n = min(262145, max(points_per_panel,
+                n = min(262145, max(_PANEL_POINTS,
                                     int((b - a) / resolution) + 2))
                 xs = np.linspace(a, b, n)
             elif a > 0.0 and b / a > 50.0:
-                n = max(points_per_panel,
+                n = max(_PANEL_POINTS,
                         min(8192, int(384 * math.log10(b / a)) + 1))
                 xs = np.geomspace(a, b, n)
             else:
-                xs = np.linspace(a, b, points_per_panel)
+                xs = np.linspace(a, b, _PANEL_POINTS)
             xs[-1] = np.nextafter(b, a)
             ys = np.asarray(fn(xs), dtype=complex)
             anti = CubicTable.fit(xs, ys).antiderivative()
@@ -495,12 +496,12 @@ class StableOrderReport:
     branch: str
 
 
-def stable_order_report(f, order, r_grid, quad=DEFAULT_QUAD, floor_factor=10.0):
+def stable_order_report(f, order, r_grid, quad=DEFAULT_QUAD):
     """Stability of the order under integration: limsup |F(r)|/(r V(r)) > 0.
 
     F is the canonical antiderivative of f; verdict stable iff the
-    top-decade running max of the ratio stays above the numeric floor and
-    does not keep collapsing decade over decade.
+    top-decade running max of the ratio stays above the numeric floor
+    (10 ``quad.tol``) and does not keep collapsing decade over decade.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     F = canonical_antiderivative(f, (min(r_grid) * 1e-3, max(r_grid) * 1.1), quad)
@@ -509,7 +510,7 @@ def stable_order_report(f, order, r_grid, quad=DEFAULT_QUAD, floor_factor=10.0):
     prev = ratios[(r_grid >= r_grid.max() / 100.0) & (r_grid < r_grid.max() / 10.0)]
     tail_max = float(top.max()) if top.size else 0.0
     prev_max = float(prev.max()) if prev.size else tail_max
-    floor = floor_factor * quad.tol
+    floor = 10.0 * quad.tol
     stable = tail_max > floor and tail_max >= 0.5 * prev_max
     return StableOrderReport(tail_max=tail_max, prev_max=prev_max, stable=stable,
                              samples=tuple(ratios), branch=F.label)
@@ -524,13 +525,12 @@ class OrderDiagnosticReport:
     passed: bool
 
 
-def order_diagnostic(transform, r_grid, quad=DEFAULT_QUAD, h=1e-4,
-                     slope_tol=0.05, decay_factor=0.6):
+def order_diagnostic(transform, r_grid, quad=DEFAULT_QUAD):
     """Numeric check that the transform itself behaves like a zero-order scale.
 
     Reports r Psi'(r)/Psi(r) by central differences in ln r; the slope
-    "vanishes" when its top-decade value either sits below ``slope_tol``
-    outright or has decayed to at most ``decay_factor`` of the head value
+    "vanishes" when its top-decade value either sits below 0.05 outright
+    or has decayed to at most 0.6 of the head value
     (slowly varying scales approach zero at logarithmic speed only).  Also
     checks the monotone gap bound value(2r) - value(r) >= m * mu([r, 2r])
     with m = min over [1,2] of K(u/2) - K(u).
@@ -538,15 +538,15 @@ def order_diagnostic(transform, r_grid, quad=DEFAULT_QUAD, h=1e-4,
     r_grid = np.asarray(r_grid, dtype=float)
     slopes = []
     for r in r_grid:
-        up = transform.value(r * math.exp(h))
-        dn = transform.value(r * math.exp(-h))
+        up = transform.value(r * math.exp(_LOG_STEP))
+        dn = transform.value(r * math.exp(-_LOG_STEP))
         mid = transform.value(r)
-        slopes.append(abs((up - dn) / (2.0 * h)) / max(abs(mid), 1e-300))
+        slopes.append(abs((up - dn) / (2.0 * _LOG_STEP)) / max(abs(mid), 1e-300))
     slopes = np.array(slopes)
     top = slopes[r_grid >= r_grid.max() / 10.0]
     head = slopes[r_grid <= r_grid.min() * 10.0]
     final = float(np.max(top))
-    vanishes = final <= max(slope_tol, decay_factor * float(np.max(head)))
+    vanishes = final <= max(0.05, 0.6 * float(np.max(head)))
     us = np.linspace(1.0, 2.0, 64)
     m_const = float(np.min(transform.kernel(us / 2.0) - transform.kernel(us)))
     gap_ok = True

@@ -197,6 +197,27 @@ class TestRunErrors:
          "support must be a compact interval in (0, oo)"),
         ("sparse_flow_check", {"probe": {"interval": [-1.0, 2.0]}}, "params.probe",
          "support must be a compact interval in (0, oo)"),
+        # a bound constant <= 0 used to pass: a negative cap, or 0 / 0
+        ("carleman_suite", {"bound_constant": -1.0}, "params.bound_constant",
+         "expected a finite number > 0"),
+        ("carleman_suite", {"bound_constant": 0.0}, "params.bound_constant",
+         "expected a finite number > 0"),
+        # a reversed window used to end in numpy's negative sample count
+        ("carleman_suite", {"jump_window": [5, -5]}, "params.jump_window",
+         "expected finite [lo, hi] with lo <= hi"),
+        # zip used to drop the lambdas past the last coefficient
+        ("exponential_solution_check", {"lambdas": [1, 2], "coefficients": [1]},
+         "params.coefficients", "expected 2 entries, one per lambda"),
+        # out-of-range values used to end in a run error naming no field, or
+        # (an exponent past the float range) in an OverflowError traceback
+        ("density_estimate", {"alpha": -2}, "params.alpha",
+         "expected a number > -1"),
+        ("gamma_suite", {"decay_exponents": [0.5]}, "params.decay_exponents[0]",
+         "expected a number > 1 and at most 709.7827"),
+        ("gamma_suite", {"decay_exponents": [16, 1000]}, "params.decay_exponents[1]",
+         "expected a number > 1 and at most 709.7827"),
+        ("potter_decay_scan", {"t_grid": [2.0]}, "params.t_grid[0]",
+         "expected a number > e"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -207,6 +228,33 @@ class TestRunErrors:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    def test_one_point_jump_window(self, tmp_path, capsys):
+        # lo == hi scans the one point lo; only lo > hi is rejected
+        cfg = {"operation": "carleman_suite",
+               "params": {"line_measure": {"atoms": [[0.5, 1.0]]},
+                          "jump_window": [0.5, 0.5]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        assert report["flagged"] == [0.5]
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"operation": "carleman_suite",
+          "params": {"line_measure": {"pieces": [{}]}, "bound_constant": 1.0}},
+         "bound_passed"),
+        ({"operation": "antiderivative_identity",
+          "measure": {"densities": [{"kind": "power", "s": 0.0, "interval": [2, None]}]},
+          "kernel": {"kind": "smooth_bump", "interval": [1, 2]}}, "passed"),
+    ], ids=["carleman_bound", "antiderivative_identity"])
+    def test_numpy_bool_is_written(self, cfg, key, tmp_path, capsys):
+        # a numpy bool in the report ended the run in a TypeError traceback
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 0
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        assert report[key] is True
 
     def test_expectation_is_a_boolean(self, tmp_path, capsys):
         # "no" used to be read as given, so as true: the run passed

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from azarin.catalog import _slow_drift_eta
 from azarin.numerics import SingularPointError
-from azarin.orders import (GridControl, LogLogZero, LogPowerZero,
-                           ProximateOrder, TabulatedZero, _grid_supremum,
-                           log_potter_factor, poisson_smoothed_scale,
-                           potter_bound_report, potter_decay_scan,
-                           potter_factor, potter_factor_lower)
+from azarin import orders
+from azarin.orders import (LogLogZero, LogPowerZero, ProximateOrder,
+                           TabulatedZero, _grid_supremum, log_potter_factor,
+                           poisson_smoothed_scale, potter_bound_report,
+                           potter_decay_scan, potter_factor, potter_factor_lower)
 
 LP = ProximateOrder(0.0, LogPowerZero(1.0, 0.5))
 LL = ProximateOrder(0.0, LogLogZero(2.0))
@@ -121,10 +121,11 @@ class TestPotterFactor:
         assert got == pytest.approx((1.0 + 2.618033988749895) / 1.381966011250105,
                                     rel=1e-6)
 
-    def test_grid_sup_stabilizes_when_widened(self):
-        from azarin.orders import GridControl
-        a = potter_factor(LL, math.e, GridControl(ln_lo=-40, ln_hi=40))
-        b = potter_factor(LL, math.e, GridControl(ln_lo=-80, ln_hi=80))
+    def test_grid_sup_stabilizes_when_widened(self, monkeypatch):
+        monkeypatch.setattr(orders, "_GRID_HALF_WIDTH", 40.0)
+        a = potter_factor(LL, math.e)
+        monkeypatch.setattr(orders, "_GRID_HALF_WIDTH", 80.0)
+        b = potter_factor(LL, math.e)
         assert a == pytest.approx(b, rel=1e-8)
 
     def test_dominates_scale(self):
@@ -247,7 +248,7 @@ class TestExactPotterSupremum:
         ts = np.exp(np.random.default_rng(0).uniform(-20.0, 20.0, size=(120, 2)))[:, 1]
         order = tabulated_family()
         for t in ts:
-            grid = _grid_supremum(order.zero_part, math.log(t), GridControl())
+            grid = _grid_supremum(order.zero_part, math.log(t))
             assert math.log(potter_factor(order, t)) == pytest.approx(grid, abs=1e-12)
 
     def test_grid_families_unchanged(self):
@@ -276,7 +277,7 @@ class TestExactPotterSupremum:
         # h' must keep the sign of the slope table: read as |eta| it moved
         # the supremum by up to 3e-3 here, below and above the true one
         got = log_potter_factor(ProximateOrder(0.0, zero_part), tau)
-        assert got == pytest.approx(_grid_supremum(zero_part, tau, GridControl()), abs=1e-12)
+        assert got == pytest.approx(_grid_supremum(zero_part, tau), abs=1e-12)
         want = dense_log_potter(zero_part.xs, zero_part.etas, tau)
         assert got >= want - 1e-11
         assert got == pytest.approx(want, abs=1e-8)
@@ -295,7 +296,7 @@ class TestExactPotterSupremum:
     @given(signed_tables(), st.floats(-50.0, 50.0))
     def test_signed_tables_against_both_searches(self, zero_part, tau):
         got = log_potter_factor(ProximateOrder(0.0, zero_part), tau)
-        assert got >= _grid_supremum(zero_part, tau, GridControl()) - 1e-12
+        assert got >= _grid_supremum(zero_part, tau) - 1e-12
         assert got == pytest.approx(dense_log_potter(zero_part.xs, zero_part.etas, tau),
                                     abs=1e-8)
 

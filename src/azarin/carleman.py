@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class CarlemanTransform:
         return total if sign > 0 else -total
 
 
-@dataclass(frozen=True)
-class CarlemanBoundReport:
+class CarlemanBoundReport(NamedTuple):
     max_ratio: float
     passed: bool
     worst_point: complex
@@ -107,8 +107,7 @@ def carleman_bound_report(ct, bound_constant):
                                worst_point=worst_pt)
 
 
-@dataclass(frozen=True)
-class JumpScanReport:
+class JumpScanReport(NamedTuple):
     flagged: tuple
     rows: tuple
     heights: tuple

@@ -11,7 +11,7 @@ sharper test for slowly mixing transients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ __all__ = [
 _TREND_FLOOR = 1e-7
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     """The flow at scale t: the pairings of mu_t and the unscaled measure.
 
     ``measure`` builds mu_t = mu(t .)/V(t) each time it is read; the flow
@@ -95,8 +94,7 @@ def _single_linkage(dist, eps):
     return sorted(groups.values(), key=lambda g: min(g))
 
 
-@dataclass
-class LimitSetEstimate:
+class LimitSetEstimate(NamedTuple):
     samples: list
     clusters: list
     representatives: list
@@ -176,8 +174,7 @@ def estimate_limit_set(samples, fam, eps_cluster=1e-3,
     )
 
 
-@dataclass(frozen=True)
-class TrendReport:
+class TrendReport(NamedTuple):
     head: float
     tail: float
     ratio: float
@@ -209,8 +206,7 @@ def convergence_trend(samples, fam):
                        floor=_TREND_FLOOR, steps=tuple(steps))
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     max_excess: float
     passed: bool
     details: tuple
@@ -237,8 +233,7 @@ def check_flow_invariance(est, order, t_list, quad=DEFAULT_QUAD):
                             details=tuple(details))
 
 
-@dataclass(frozen=True)
-class RegularFormFit:
+class RegularFormFit(NamedTuple):
     coefficient: complex
     residual: float
     passed: bool
@@ -265,8 +260,7 @@ def verify_regular_limit_form(est, order, quad=DEFAULT_QUAD):
                           passed=residual <= 1e-3, target_pairings=tuple(g))
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
+class EnvelopeReport(NamedTuple):
     max_upper_excess: float
     min_lower_slack: float
     passed: bool
@@ -301,8 +295,7 @@ def verify_density_envelope(est, order, upper, lower, intervals, tol,
                           passed=passed, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     branch: str
     limit_estimate: float
     oscillation: float

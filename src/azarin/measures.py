@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .kernels import Kernel, trapezoid_kernel
 from .numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, WindowError,
-                       _cauchy_windows, _horner, log_quad)
+                       _cauchy_windows, _horner, _sorted_unique, log_quad)
 
 __all__ = [
     "UnitFactor", "LogFactor", "LogPerturbFactor", "ZeroScaleFactor",
@@ -730,13 +731,9 @@ class MetricFamily:
         first = {}   # member n pairs as member _first[n], the first equal one
         self._first = [first.setdefault(f, n) for n, f in enumerate(self.members)]
         # member n is _g[n, a] + _b[n, a] (u - u_a) on union knot interval a
-        u = self._knots = np.unique([f.nodes for f in self.members])
+        u = self._knots = _sorted_unique([f.nodes for f in self.members])
         g = np.array([f(u) for f in self.members])
         self._g, self._b = g[:, :-1], np.diff(g) / np.diff(u)
-
-    @property
-    def tail_bound(self):
-        return 2.0 ** -self.n_members
 
     def support_hull(self):
         return (min(f.support[0] for f in self.members), max(f.support[1] for f in self.members))
@@ -793,8 +790,7 @@ class MetricFamily:
 # densities and membership
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(NamedTuple):
     value: float
     alpha: float
     samples: tuple
@@ -843,8 +839,7 @@ def lower_density(measure, order, alpha, r_grid, quad=DEFAULT_QUAD):
     return _density_estimate(measure, order, alpha, r_grid, quad, np.min)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     sup_ratio: float
     bounded: bool
     decade_ratio: float

@@ -120,6 +120,15 @@ _WG = np.array([
 _G_IDX = np.arange(1, 15, 2)
 
 
+def _sorted_unique(x):
+    """The sorted distinct values of ``x`` (with no NaN), bit for bit those
+    of ``np.unique(x)``.  np.unique takes a hash path that imports numpy.ma
+    on its first call in a process, a cost of every cold start; this is its
+    sorting path."""
+    x = np.sort(np.ravel(x))
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _gk_eval(f, lo, hi):
     """Gauss-Kronrod 7/15 on a batch of segments; returns (I15, err)."""
     lo = np.asarray(lo, dtype=float)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -319,8 +320,7 @@ def potter_factor_lower(order, t):
     return 1.0 / potter_factor(order, 1.0 / t)
 
 
-@dataclass(frozen=True)
-class PotterReport:
+class PotterReport(NamedTuple):
     max_violation: float
     worst_pair: tuple
     passed: bool

@@ -14,7 +14,7 @@ import functools
 import inspect
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,11 +47,10 @@ _DESCRIPTORS = {"order": parse_order, "measure": parse_measure,
                 "kernel": parse_kernel}
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     verdict: object            # True / False / None (no pass-fail semantics)
     report: dict
-    tables: list = field(default_factory=list)   # (name, header, rows)
+    tables: tuple = ()         # (name, header, rows)
 
 
 def _expected(got, expect, default=None):
@@ -678,7 +677,16 @@ def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
     return RunResult(verdict, report)
 
 
-@operation("carleman_suite")
+def _expectations_checked(bound_constant, expect_bound_pass, jump_window,
+                          expected_flags, **_):
+    # an expectation without the check that it judges would be ignored
+    if expect_bound_pass is not None and bound_constant is None:
+        raise ConfigError("params.expect_bound_pass: needs params.bound_constant")
+    if expected_flags is not None and jump_window is None:
+        raise ConfigError("params.expected_flags: needs params.jump_window")
+
+
+@operation("carleman_suite", check=_expectations_checked)
 def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
                  reference_tol=1e-8, bound_constant=Maybe(positive),
                  expect_bound_pass=Maybe(bool),

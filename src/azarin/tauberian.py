@@ -11,7 +11,7 @@ round-trip harness verifies end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .dynamics import (convergence_trend, estimate_limit_set,
                        verify_regular_limit_form)
 from .measures import DEFAULT_QUAD, MetricFamily, RadonMeasure, class_membership
 from .numerics import (_WGK, _XGK, DivergenceError, _cauchy_windows,
-                       golden_section_min)
+                       _sorted_unique, golden_section_min)
 from .transforms import KernelTransform, averaged_measure, integrability_report
 
 __all__ = [
@@ -89,7 +89,7 @@ class _SymbolQuadrature:
                 n = max(1, int(math.ceil((hi - lo) / width)))
                 pts = np.linspace(lo, hi, n + 1)
                 out.append(pts)
-            return np.unique(np.concatenate(out))
+            return _sorted_unique(np.concatenate(out))
 
         fetched = {}
 
@@ -187,8 +187,7 @@ def mellin_symbol(kernel, rho, lam, quad=DEFAULT_QUAD):
     return _SymbolQuadrature(kernel, float(rho), abs(float(lam)), quad).value(lam)
 
 
-@dataclass(frozen=True)
-class MellinSymbol:
+class MellinSymbol(NamedTuple):
     kernel: object
     rho: float
     lambda_grid: tuple
@@ -204,8 +203,7 @@ def mellin_symbol_table(kernel, rho, lambdas, quad=DEFAULT_QUAD):
                         lambda_grid=tuple(lambdas), values=tuple(vals))
 
 
-@dataclass(frozen=True)
-class ZeroScanReport:
+class ZeroScanReport(NamedTuple):
     zeros: tuple
     nonvanishing: bool
     min_abs: float
@@ -270,8 +268,7 @@ def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
                           table=table)
 
 
-@dataclass(frozen=True)
-class ExponentialSolutionReport:
+class ExponentialSolutionReport(NamedTuple):
     residuals: tuple
     max_residual: float
     passed: bool
@@ -300,8 +297,7 @@ def verify_exponential_solution(kernel, rho, lambdas, coefficients, r_samples,
                                      max_residual=worst, passed=worst <= tol)
 
 
-@dataclass(frozen=True)
-class RoundtripStage:
+class RoundtripStage(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -314,8 +310,7 @@ ROUNDTRIP_STAGES = ("class-membership", "integrability", "wiener-condition",
                     "measure-density-form", "constant-transfer")
 
 
-@dataclass(frozen=True)
-class RoundtripReport:
+class RoundtripReport(NamedTuple):
     stages: tuple
     averaged_coefficient: complex
     measure_coefficient: complex

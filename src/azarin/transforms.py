@@ -11,7 +11,7 @@ the canonical antiderivative chain and the growth diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +142,7 @@ def normalized_limit_values(transform, schedule, eps=1e-4):
     return _cluster_complex(vals.tolist(), eps)
 
 
-@dataclass(frozen=True)
-class NeutralizationReport:
+class NeutralizationReport(NamedTuple):
     head_sups: tuple
     tail_sups: tuple
     head_passed: bool
@@ -187,8 +186,7 @@ def neutralization_report(kernel, order, measure, eps_grid, n_grid, r_grid,
                                 passed=head_ok and tail_ok)
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(NamedTuple):
     l1_value: float
     l1_converged: bool
     amalgam_value: float
@@ -271,8 +269,7 @@ def averaged_measure(transform, window):
     return RadonMeasure(pieces=(piece,), window=(lo, hi))
 
 
-@dataclass(frozen=True)
-class AveragedDensityReport:
+class AveragedDensityReport(NamedTuple):
     max_rel_error: float
     passed: bool
     rows: tuple
@@ -442,8 +439,7 @@ def antiderivative_chain(measure, depth, domain, quad=DEFAULT_QUAD):
     return chain
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     rows: tuple
     max_rel_error: float
     passed: bool
@@ -487,8 +483,7 @@ def check_antiderivative_identity(kernel, measure, orders, r_samples,
                           passed=worst <= tol)
 
 
-@dataclass(frozen=True)
-class StableOrderReport:
+class StableOrderReport(NamedTuple):
     tail_max: float
     prev_max: float
     stable: bool
@@ -516,8 +511,7 @@ def stable_order_report(f, order, r_grid, quad=DEFAULT_QUAD):
                              samples=tuple(ratios), branch=F.label)
 
 
-@dataclass(frozen=True)
-class OrderDiagnosticReport:
+class OrderDiagnosticReport(NamedTuple):
     log_slopes: tuple
     final_slope: float
     slope_vanishes: bool

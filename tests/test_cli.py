@@ -240,6 +240,39 @@ class TestRunErrors:
         report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
         assert report["flagged"] == [0.5]
 
+    @pytest.mark.parametrize("params, path, message", [
+        ({"expect_bound_pass": False}, "params.expect_bound_pass",
+         "needs params.bound_constant"),
+        ({"expected_flags": [3.0]}, "params.expected_flags",
+         "needs params.jump_window"),
+        ({"expect_bound_pass": False, "expected_flags": [3.0]},
+         "params.expect_bound_pass", "needs params.bound_constant"),
+        ({"bound_constant": 1.0, "expected_flags": [3.0]},
+         "params.expected_flags", "needs params.jump_window"),
+    ])
+    def test_expectation_without_its_check(self, params, path, message,
+                                           tmp_path, capsys):
+        # each expectation was ignored: PASS, exit 0, with nothing checked
+        cfg = {"operation": "carleman_suite",
+               "params": dict(line_measure={"atoms": [[0.5, 1.0]]}, **params)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    def test_expectations_with_their_checks(self, tmp_path, capsys):
+        cfg = {"operation": "carleman_suite",
+               "params": {"line_measure": {"atoms": [[0.5, 1.0]]},
+                          "bound_constant": 1.0, "expect_bound_pass": False,
+                          "jump_window": [0.5, 0.5], "expected_flags": [0.5]}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == 2
+        out = json.loads((tmp_path / "cfg_report.json").read_text())
+        assert out["verdict"] == "FAIL"
+        assert out["report"]["bound_passed"] is True
+        assert out["report"]["flags_match"] is True
+
     @pytest.mark.parametrize("cfg, key", [
         ({"operation": "carleman_suite",
           "params": {"line_measure": {"pieces": [{}]}, "bound_constant": 1.0}},
@@ -754,7 +787,54 @@ class TestBuiltinsRoundTrip:
         assert builtin_config("sparse_atoms")["params"]["indices"]
 
 
+def _python(script, *args):
+    """The last stdout line of ``script`` run by a fresh interpreter, as JSON."""
+    path = [str(Path(azarin.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, check=True,
+                          timeout=300)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# the plain result records, by module: NamedTuples, whose classes cost a
+# fraction of a dataclass's to build at import
+RECORDS = {
+    "carleman": ["CarlemanBoundReport", "JumpScanReport"],
+    "dynamics": ["TrajectorySample", "LimitSetEstimate", "TrendReport",
+                 "InvarianceReport", "RegularFormFit", "EnvelopeReport",
+                 "RegularityReport"],
+    "measures": ["DensityEstimate", "MembershipReport"],
+    "orders": ["PotterReport"],
+    "runners": ["RunResult"],
+    "tauberian": ["MellinSymbol", "ZeroScanReport", "ExponentialSolutionReport",
+                  "RoundtripStage", "RoundtripReport"],
+    "transforms": ["NeutralizationReport", "IntegrabilityReport",
+                   "AveragedDensityReport", "IdentityReport", "StableOrderReport",
+                   "OrderDiagnosticReport"],
+}
+
+
 class TestRunPathImports:
+    def test_cold_start_builds_no_record_dataclass_and_no_masked_arrays(self):
+        # np.unique's hash path imports numpy.ma on its first call
+        script = ("import dataclasses, importlib, json, sys\n"
+                  "import azarin.cli\n"
+                  "from azarin.kernels import ExpKernel\n"
+                  "from azarin.measures import MetricFamily\n"
+                  "from azarin.tauberian import wiener_zero_scan\n"
+                  "MetricFamily()\n"
+                  "wiener_zero_scan(ExpKernel(), 0.5, window=(-2.0, 2.0), step=0.1)\n"
+                  "records = json.loads(sys.argv[1])\n"
+                  "print(json.dumps(['numpy.ma' in sys.modules, sorted(\n"
+                  "    name for mod, names in records.items() for name in names\n"
+                  "    if dataclasses.is_dataclass(getattr(\n"
+                  "        importlib.import_module('azarin.' + mod), name)))]))\n")
+        masked, dataclass_records = _python(script, json.dumps(RECORDS))
+        assert not masked
+        assert dataclass_records == []
+
     def test_runs_load_no_scipy(self, tmp_path):
         # scipy is a test dependency only; a run must not import it
         cfg = {"operation": "stable_order_check", "order": {"rho": 0.5},
@@ -768,13 +848,7 @@ class TestRunPathImports:
                   "         for name in ('roundtrip_regular', sys.argv[2])]\n"
                   "print(json.dumps([codes, sorted(m for m in sys.modules\n"
                   "                                if m.split('.')[0] == 'scipy')]))\n")
-        path = [str(Path(azarin.__file__).resolve().parents[1]),
-                os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out"),
-                               str(cfg_path)], capture_output=True, text=True,
-                              env=env, check=True, timeout=300)
-        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        codes, scipy_modules = _python(script, tmp_path / "out", cfg_path)
         assert codes == [0, 0]
         assert scipy_modules == []
 

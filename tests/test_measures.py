@@ -924,8 +924,9 @@ class TestMetric:
         huge = RadonMeasure.from_atoms([(1.5, 1e9)])
         assert fam.distance(huge, RadonMeasure.zero()) < 1.0
 
-    def test_tail_bound(self, fam):
-        assert fam.tail_bound == 2.0 ** -64
+    def test_knots_are_np_unique(self, fam):
+        want = np.unique([f.nodes for f in fam.members])
+        assert fam._knots.tobytes() == want.tobytes()
 
     def test_family_is_dyadic_trapezoids(self, fam):
         assert len(fam.members) == 64

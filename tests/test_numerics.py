@@ -13,6 +13,15 @@ from azarin.numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, QuadCont
                              golden_section_min, improper_quad, log_quad)
 
 
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)))
+def test_sorted_unique_is_np_unique(xs):
+    # drawn from a small pool, so that values repeat
+    got = numerics._sorted_unique(np.array(xs))
+    want = np.unique(np.array(xs))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_adaptive_polynomials_exact():
     val = adaptive_quad(lambda x: x ** 3 - 2 * x + 1, -1.0, 2.0)
     assert abs(val - (15.0 / 4.0 - 3.0 + 3.0)) < 1e-12

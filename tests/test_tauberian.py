@@ -34,6 +34,23 @@ def table_gap(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("kernel", [lattice(2), lattice(3), lattice(5), ExpKernel()],
+                         ids=["step2", "step3", "step5", "exp"])
+def test_panel_nodes_are_np_unique(kernel, monkeypatch):
+    # the zero scans' node sets: sorted distinct values, bit for bit np.unique's
+    same = []
+    inner = tauberian._sorted_unique
+
+    def checked(x):
+        got = inner(x)
+        same.append(got.tobytes() == np.unique(x).tobytes())
+        return got
+
+    monkeypatch.setattr(tauberian, "_sorted_unique", checked)
+    _SymbolQuadrature(kernel, 1.0, 20.0)
+    assert same and all(same)
+
+
 class TestSymbol:
     def test_exp_at_zero(self):
         assert mellin_symbol(ExpKernel(), 1.0, 0.0) == pytest.approx(1.0, rel=1e-9)

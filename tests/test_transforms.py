@@ -567,7 +567,6 @@ class TestNoScaledMeasures:
 
     def test_averaged_limit_densities(self, fam, scaled_calls):
         # the mu clusters enter by their times only: no representative is read
-        import dataclasses
         o = ProximateOrder(0.7)
         tr = KernelTransform(ExpKernel(), RadonMeasure.power_density(-0.3), o)
         sched = geometric_schedule(1e2, 1e4, 12)
@@ -577,7 +576,7 @@ class TestNoScaledMeasures:
         s_est = estimate_limit_set(sample_trajectory(s, o.shifted(1.0), sched, fam),
                                    fam)
         mu_est = estimate_limit_set(sample_trajectory(tr.measure, o, sched, fam), fam)
-        mu_est = dataclasses.replace(mu_est, representatives=[])
+        mu_est = mu_est._replace(representatives=[])
         scaled_calls.clear()
         rep = verify_averaged_limit_densities(tr, s_est, mu_est)
         assert scaled_calls == []

@@ -720,9 +720,8 @@ class MetricFamily:
     2**-n_members, far below every tolerance used here.
     """
 
-    def __init__(self, quad=DEFAULT_QUAD):
+    def __init__(self):
         self.n_members = 64
-        self.quad = quad
         self.members = tuple(
             trapezoid_kernel(p * 2.0 ** -j, q * 2.0 ** -j)
             for j, p, q in _dyadic_triples(self.n_members)
@@ -738,12 +737,11 @@ class MetricFamily:
     def support_hull(self):
         return (min(f.support[0] for f in self.members), max(f.support[1] for f in self.members))
 
-    def pairings(self, measure, quad=None):
-        quad = quad or self.quad
+    def pairings(self, measure, quad=DEFAULT_QUAD):
         return np.array([measure.pair(f, quad) for f in self.members],
                         dtype=complex)
 
-    def flow_pairings(self, measure, order, ts, quad=None):
+    def flow_pairings(self, measure, order, ts, quad=DEFAULT_QUAD):
         """Pairings of mu_t = mu(t .)/V(t) at each t in ``ts``, no mu_t built.
 
         Returns the ``(len(ts), n_members)`` array, equal to pairing each
@@ -758,7 +756,6 @@ class MetricFamily:
         pair in sample-major order raises through the ``_check_window`` of
         its mu_t, as pairing sample by sample would.
         """
-        quad = quad or self.quad
         ts = np.asarray(ts, dtype=float)
         norms = np.asarray(order.scale(ts), dtype=float)
         if measure.tail is None and ts.size:
@@ -781,7 +778,7 @@ class MetricFamily:
         diff = np.abs(np.asarray(p1) - np.asarray(p2))
         return float(np.sum(self.weights * diff / (1.0 + diff)))
 
-    def distance(self, m1, m2, quad=None):
+    def distance(self, m1, m2, quad=DEFAULT_QUAD):
         return self.distance_from_pairings(self.pairings(m1, quad),
                                            self.pairings(m2, quad))
 

@@ -3,13 +3,13 @@
 All integrals over (0, oo) are computed in log coordinates with an
 adaptive Gauss-Kronrod 7/15 rule.  Improper endpoints are handled by one
 Cauchy window rule (``_cauchy_windows``): a core window grows ring by ring,
-the outer edge of each ring ``QuadControl.expansion`` times its inner edge,
+the outer edge of each ring ``_EXPANSION`` times its inner edge,
 and a ring is calm when its magnitude is at most
 ``tol * (1 + |total|) + abs_tol``.  A finite end of the integration range is
 an end of the core window and takes no rings.  An improper end is accepted
 when two rings in a row are calm, or when the next edge would leave the
 float range after at least one calm ring; it is rejected after
-``max_expansions`` rings.  The rule runs on a batch of columns that share
+``_MAX_EXPANSIONS`` rings.  The rule runs on a batch of columns that share
 the rings, each with its own total and calm count.  For one column both
 ends advance together, one call per step, each fetching a block of
 ``_RING_BLOCK`` rings; a batch of columns fetches doubling blocks, 1, 2,
@@ -75,21 +75,23 @@ class WindowError(NumericsError):
 
 @dataclass(frozen=True)
 class QuadControl:
+    """The error budget ``tol * |I| + abs_tol`` of every integral."""
     tol: float = 1e-10          # relative tolerance
     abs_tol: float = 1e-13
-    max_depth: int = 42
-    max_segments: int = 40000
-    window_lo: float = 0.25     # initial window for improper integrals
-    window_hi: float = 4.0
-    expansion: float = 4.0
-    max_expansions: int = 96    # slow geometric ring decay needs headroom
-    graded_levels: int = 18     # geometric panels toward singular endpoints
 
     def with_tol(self, tol):
         return replace(self, tol=float(tol))
 
 
 DEFAULT_QUAD = QuadControl()
+
+_MAX_DEPTH = 42             # adaptive_quad's passes and segments per interval
+_MAX_SEGMENTS = 40000
+_GRADED_PANELS = 18         # geometric panels toward singular endpoints
+_WINDOW_LO = 0.25           # initial window for improper integrals
+_WINDOW_HI = 4.0
+_EXPANSION = 4.0            # a Cauchy ring's outer edge over its inner edge
+_MAX_EXPANSIONS = 96        # slow geometric ring decay needs headroom
 
 # the Cauchy rings that each end of one column fetches per step, and the
 # most that the doubling blocks of a batch of columns reach
@@ -157,11 +159,11 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     are also boundaries and receive a graded geometric subdivision (nodes
     are interior, so integrable endpoint singularities need no special
     values).  A segment that ends on a singular point is refined into the
-    same graded panels (``graded_levels`` of them, halving toward the
-    point), so each pass shrinks its end panel 2**(levels - 1)-fold where
-    bisection would halve it; every other segment is bisected.  All
+    same graded panels (``_GRADED_PANELS`` of them, halving toward the
+    point), so each pass shrinks its end panel 2**(_GRADED_PANELS - 1)-fold
+    where bisection would halve it; every other segment is bisected.  All
     intervals share one ``f`` call per pass on the flat array of their
-    nodes, and ``max_segments`` caps the segments each holds after a pass.
+    nodes, and ``_MAX_SEGMENTS`` caps the segments each holds after a pass.
     Outside ``f`` the cost is bookkeeping: only an interval that holds a
     split point, or a singular point in its closure, takes per-interval
     Python at set-up (any other is one segment), and a pass is a fixed
@@ -177,8 +179,8 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
     segment's length share of the budget.  Accepting on the sum matters
     next to an interior singularity, where the estimates of the narrowest
     segments are rounding noise that no split can shrink below their
-    share.  An interval still over budget at ``max_depth`` passes or
-    ``max_segments`` segments raises ``QuadratureError`` with the current
+    share.  An interval still over budget at ``_MAX_DEPTH`` passes or
+    ``_MAX_SEGMENTS`` segments raises ``QuadratureError`` with the current
     estimate.
     """
     if isinstance(a, list):   # ``log_quad``'s window ends
@@ -192,7 +194,7 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
 
     def graded(x, y):
         """x, y and the panel ends halving toward each of them in ``sing``."""
-        halves = [(y - x) * 0.5 ** k for k in range(1, ctrl.graded_levels)]
+        halves = [(y - x) * 0.5 ** k for k in range(1, _GRADED_PANELS)]
         pts = [x, y]
         if x in sing:
             pts += [x + h for h in halves]
@@ -242,7 +244,7 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         return totals.reshape(shape + tail)[()]
 
     data = rows(vals, errs)
-    for depth in range(ctrl.max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         # each interval's sums over its segments, added in their order;
         # numpy's sum over the rows of one interval adds in the same order
         # and is several times faster than bincount on wide rows
@@ -258,7 +260,7 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         bad = over.any(axis=1)[grp] & (data[:, 2 * k:] > share).any(axis=1)
         if not bad.any():
             return result(totals)
-        if depth == ctrl.max_depth:
+        if depth == _MAX_DEPTH:
             raise QuadratureError("max depth reached", estimate=result(totals))
         # a segment on a singular point takes graded panels toward it, the
         # others their two halves
@@ -275,7 +277,7 @@ def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=(
         grp = np.concatenate([grp[keep], twin, twin] + [np.full(p.size - 1, grp.item(j))
                                                         for p, j in zip(panels, ends)])
         # no interval holds more segments than all of them together
-        if grp.size > ctrl.max_segments and np.bincount(grp).max() > ctrl.max_segments:
+        if grp.size > _MAX_SEGMENTS and np.bincount(grp).max() > _MAX_SEGMENTS:
             raise QuadratureError("segment budget exhausted", estimate=result(totals))
         data = np.concatenate([data[keep], rows(*_gk_eval(f, ref_lo, ref_hi))])
         seg_lo = np.concatenate([seg_lo[keep], ref_lo])
@@ -329,10 +331,10 @@ class _End:
         """Consume each open column's new parts from ``base(j)`` (all again
         when the base moved), one ring at a time, outward: two calm rings in
         a row accept it; a next edge beyond the float range accepts it after
-        a calm ring and rejects it otherwise, as ``max_expansions`` rings
+        a calm ring and rejects it otherwise, as ``_MAX_EXPANSIONS`` rings
         do.  A decided column closes once ``settled(j)``.  Returns whether a
         column needs a ring."""
-        tol, abs_tol, most = self.ctrl.tol, self.ctrl.abs_tol, self.ctrl.max_expansions
+        tol, abs_tol, most = self.ctrl.tol, self.ctrl.abs_tol, _MAX_EXPANSIONS
         edges, scales = self.edges, self.scales
         for j in self.open:
             b = base(j)
@@ -362,12 +364,12 @@ class _End:
         beyond its first edge to fetch them for: ``block`` rings for one
         column, 1, 2, 4, ... up to ``block`` for a batch, that never reach
         an edge beyond one of those columns nor take the end past
-        ``max_expansions`` rings."""
+        ``_MAX_EXPANSIONS`` rings."""
         live = [j for j in self.open if not self.out(self.edges[-1] * self.scales[j])]
         scales = [self.scales[j] for j in live] or [1.0]
         least, most = min(scales), max(scales)   # out is monotone in the scale
         rings = []
-        for _ in range(min(self.size, self.ctrl.max_expansions + 2 - len(self.edges))
+        for _ in range(min(self.size, _MAX_EXPANSIONS + 2 - len(self.edges))
                        if live else 0):
             edge, nxt = self.edges[-2:]
             if rings and (self.out(nxt * least) or self.out(nxt * most)):
@@ -383,7 +385,7 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
 
     ``lo == 0`` and ``hi == inf`` are improper ends (``_End``); column j's
     edge leaves the float range when ``edge * scales[j]`` does.  The core
-    window is ``(window_lo, window_hi)`` clipped to (lo, hi); when the
+    window is ``(_WINDOW_LO, _WINDOW_HI)`` clipped to (lo, hi); when the
     finite end lies beyond it, the core is the one ring next to that end.
     ``ring(windows, live)`` returns for each window (a, b) of ``windows``,
     which need not touch, a row of the parts of the columns listed in
@@ -406,20 +408,20 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
     """
     improper_lo = (lo == 0.0)
     improper_hi = math.isinf(hi)
-    core_lo = ctrl.window_lo if improper_lo else lo
-    core_hi = ctrl.window_hi if improper_hi else hi
+    core_lo = _WINDOW_LO if improper_lo else lo
+    core_hi = _WINDOW_HI if improper_hi else hi
     if core_hi <= core_lo:
         if improper_lo:
-            core_lo = core_hi / ctrl.expansion
+            core_lo = core_hi / _EXPANSION
         elif improper_hi:
-            core_hi = core_lo * ctrl.expansion
+            core_hi = core_lo * _EXPANSION
         else:
             return ([0.0 + 0.0j] * len(scales), [[] for _ in scales], {},
                     [(lo, hi)] * len(scales))
     n = len(scales)
-    zero = improper_lo and _End(core_lo, lambda t: t / ctrl.expansion,
+    zero = improper_lo and _End(core_lo, lambda t: t / _EXPANSION,
                                 lambda x: x < 1e-300, scales, ctrl, block)
-    inf = improper_hi and _End(core_hi, lambda t: t * ctrl.expansion,
+    inf = improper_hi and _End(core_hi, lambda t: t * _EXPANSION,
                                lambda x: x > 1e300, scales, ctrl, block,
                                replay=n == 1 and improper_lo)
 

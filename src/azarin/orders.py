@@ -44,7 +44,8 @@ class ZeroPart:
 
     @property
     def concave_log_scale(self):
-        """True when h(x) is concave on x > 0, so the Potter factor is W(t)."""
+        """True when h(x) is nondecreasing and concave on x > 0, so the Potter
+        factor is W(t)."""
         return False
 
 
@@ -290,7 +291,7 @@ def log_potter_factor(order, tau):
     tau = float(tau)
     if tau == 0.0 or isinstance(order.zero_part, FlatZero):
         return 0.0
-    if order.zero_part.concave_log_scale and tau >= 0.0:
+    if order.zero_part.concave_log_scale:
         return float(order.zero_part.log_scale(tau))
     if isinstance(order.zero_part, TabulatedZero):
         return _tabulated_supremum(order.zero_part, tau)
@@ -300,12 +301,14 @@ def log_potter_factor(order, tau):
 def potter_factor(order, t):
     """sup_{r>0} W(rt)/W(r) for the zero part W of the order.
 
-    Uses the closed form W(t) for t >= 1 when the family has a concave
-    log-scale.  For a ``TabulatedZero`` the supremum is exact: ln W(e^x)
-    is piecewise quadratic, and its slope sign(x) eta_hat(|x|) keeps the
-    sign of the table eta_hat.  Otherwise a widening log-uniform grid
-    search (``_grid_supremum``) with golden-section refinement around the
-    grid argmax.  The supremum is found in log form and exponentiated,
+    Uses the closed form W(t) for every t when the family has a concave
+    log-scale: for h(x) = ln W(e^x) even, nondecreasing and concave on
+    [0, oo) with h(0) = 0, h(x + tau) <= h(|x| + |tau|) <= h(x) + h(|tau|),
+    with equality at x = 0.  For a ``TabulatedZero`` the supremum is exact:
+    ln W(e^x) is piecewise quadratic, and its slope sign(x) eta_hat(|x|)
+    keeps the sign of the table eta_hat.  Otherwise a widening log-uniform
+    grid search (``_grid_supremum``) with golden-section refinement around
+    the grid argmax.  The supremum is found in log form and exponentiated,
     so a factor beyond the float range raises OverflowError; the Potter
     report and the decay scan use the log and do not.
     """

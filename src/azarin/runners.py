@@ -30,7 +30,8 @@ from .measures import (MetricFamily, RadonMeasure, class_membership,
                        lower_density, upper_density)
 from .numerics import DEFAULT_QUAD
 from .orders import (log_potter_factor, poisson_smoothed_scale,
-                     potter_bound_report, potter_decay_scan, potter_factor)
+                     potter_bound_report, potter_decay_scan, potter_factor,
+                     potter_factor_lower)
 from .special import lanczos_gamma
 from .tauberian import (ROUNDTRIP_STAGES, mellin_symbol_table,
                         tauberian_roundtrip, verify_exponential_solution,
@@ -142,7 +143,13 @@ _MAX_LN = math.log(sys.float_info.max)
 _MAX_PAIR_LN = 0.5 * _MAX_LN
 
 
-@operation("gamma_suite")
+def _decay_per_exponent(decay_exponents, expected_decay, **_):
+    if expected_decay is not None and len(expected_decay) != len(decay_exponents):
+        raise ConfigError("params.expected_decay: expected %d entries, one per "
+                          "decay exponent" % len(decay_exponents))
+
+
+@operation("gamma_suite", check=_decay_per_exponent)
 def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
                     dominance_points=Count(50),
                     decay_exponents=List([16.0, 36.0, 100.0], item=Range(
@@ -162,7 +169,7 @@ def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
     for t, factor in zip(ts, upper):
         dominance_worst = max(dominance_worst, float(order.zero_scale(t)) - factor)
     every = max(1, ts.size // 10)
-    lower_ok = all(1.0 / potter_factor(order, 1.0 / t) <= factor * (1.0 + 1e-12)
+    lower_ok = all(potter_factor_lower(order, t) <= factor * (1.0 + 1e-12)
                    for t, factor in zip(ts[::every], upper[::every]))
     scan = potter_decay_scan(order, [math.exp(e) for e in decay_exponents])
     decays = [row[1] for row in scan]
@@ -258,7 +265,7 @@ def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
                   eps_cluster=1e-3,
                   target=Obj({"exponent": Maybe(float), "oscillation": 0.0,
                               "coef": 1.0, "tol_d": 1e-3}, default=None)):
-    fam = MetricFamily(quad=quad)
+    fam = MetricFamily()
     samples = sample_trajectory(measure, order, schedule, fam, quad)
     est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster)
     trend = convergence_trend(samples, fam)
@@ -290,7 +297,7 @@ def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
 def run_oscillating_family(order, measure, oscillation, quad,
                            schedule=Grid(1e3, 1e6, 48), eps_cluster=1e-3,
                            tol_d=2e-3):
-    fam = MetricFamily(quad=quad)
+    fam = MetricFamily()
     samples = sample_trajectory(measure, order, schedule, fam, quad)
     est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster)
     rows = []
@@ -312,13 +319,17 @@ def run_oscillating_family(order, measure, oscillation, quad,
 def _period_given(measure, period, **_):
     if not measure.tail and period is None:
         raise ConfigError("params.period: missing required field")
+    if measure.tail and period is not None:
+        raise ConfigError("params.period: the measure's self-similar tail sets "
+                          "the period; give none")
 
 
 @operation("periodic_family_check", check=_period_given)
-def run_periodic_family(order, measure, quad, period=Maybe(float),
+def run_periodic_family(order, measure, quad,
+                        period=Maybe(Range(1.0, math.inf, "a number > 1")),
                         tau_points=Count(16), base_power=36, eps_cluster=1e-3,
                         exact_tol=1e-12):
-    fam = MetricFamily(quad=quad)
+    fam = MetricFamily()
     if measure.tail:
         period = measure.tail.period
     taus = [period ** (k / tau_points) for k in range(tau_points)]
@@ -357,7 +368,7 @@ def run_sparse_flow(order, measure, quad,
                     probe=Obj({"interval": Interval(bounded=True)}, _probe,
                               default={"interval": [0.5, 2.0]}),
                     delta_tol=1e-6, null_tol=1e-8):
-    fam = MetricFamily(quad=quad)
+    fam = MetricFamily()
     xs = np.sort(measure.atom_x)
     for i, n in enumerate(indices):
         if not 1 <= n <= len(xs):
@@ -388,9 +399,10 @@ def run_sparse_flow(order, measure, quad,
 
 
 @operation("class_membership")
-def run_class_membership(order, measure, quad, which="tail", r_grid=Grid(),
-                         expect_bounded=Maybe(bool)):
-    rep = class_membership(measure, order, which=which, r_grid=r_grid, quad=quad)
+def run_class_membership(order, measure, quad, which=Choice("tail", "global"),
+                         r_grid=Grid(), expect_bounded=Maybe(bool)):
+    rep = class_membership(measure, order, which=which or "tail", r_grid=r_grid,
+                           quad=quad)
     report = {"sup_ratio": rep.sup_ratio, "bounded": rep.bounded,
               "decade_ratio": rep.decade_ratio}
     return RunResult(_expected(rep.bounded, expect_bounded), report)
@@ -443,7 +455,8 @@ def _past_transient(schedule, **_):
 @operation("kernel_limit_values", check=_past_transient)
 def run_kernel_limit_values(order, measure, kernel, quad,
                             schedule=Grid(1e3, 1e9, 64, item=positive),
-                            cluster_eps=1e-4, tol=1e-4,
+                            cluster_eps=Range(0.0, math.inf, "a finite number > 0",
+                                              1e-4), tol=1e-4,
                             tau_grid=List(None, item=positive, nonempty=True),
                             tau_points=Count(16)):
     tr = KernelTransform(kernel, measure, order, quad)
@@ -499,7 +512,7 @@ def run_averaged_limit(order, measure, kernel, quad,
                        eps_cluster=1e-3, density_tol=0.01,
                        expected_coefficient_rule=Choice("gamma(rho)"),
                        coef_tol=0.01):
-    fam = MetricFamily(quad=quad)
+    fam = MetricFamily()
     hull = fam.support_hull()
     window = (schedule.min() * hull[0] / 4.0, schedule.max() * hull[1] * 4.0)
     tr = KernelTransform(kernel, measure, order, quad)
@@ -532,17 +545,22 @@ def run_averaged_limit(order, measure, kernel, quad,
     return RunResult(verdict, report)
 
 
-def _bump_off_unit_interval(measure, kernel, **_):
+def _bump_off_unit_interval(measure, kernel, orders, **_):
     if not isinstance(kernel, SmoothBumpKernel):
         raise ConfigError("kernel.kind: the identity check needs a smooth_bump kernel")
     if measure.hull()[0] < 1.0 and not measure.is_trivial():
         raise ConfigError("measure: the identity check needs no mass on (0, 1]")
+    for i, n in enumerate(orders):   # order n takes the derivative n + 1
+        if not 0 <= n < kernel.n_max:
+            raise ConfigError("params.orders[%d]: expected an integer >= 0 and "
+                              "below kernel.n_max = %d" % (i, kernel.n_max))
 
 
 @operation("antiderivative_identity", check=_bump_off_unit_interval)
 def run_antiderivative_identity(measure, kernel, quad,
-                                orders=List([0, 1, 2], item=int),
-                                r_samples=List([1.0, 3.0, 10.0]), tol=1e-6):
+                                orders=List([0, 1, 2], item=int, nonempty=True),
+                                r_samples=List([1.0, 3.0, 10.0], item=positive,
+                                               nonempty=True), tol=1e-6):
     rep = check_antiderivative_identity(kernel, measure, orders, r_samples,
                                         quad, tol=tol)
     rows = [[n, r, lhs.real, lhs.imag, rhs.real, rhs.imag, err]
@@ -576,7 +594,7 @@ def run_order_diagnostic(order, measure, kernel, quad,
                          r_grid=Grid(1e2, 1e8, 16, item=positive),
                          hardy=False):
     tr = KernelTransform(kernel, measure, order, quad)
-    rep = order_diagnostic(tr, r_grid, quad)
+    rep = order_diagnostic(tr, r_grid)
     report = {"final_slope": rep.final_slope,
               "slope_vanishes": rep.slope_vanishes,
               "gap_bound_ok": rep.gap_bound_ok}

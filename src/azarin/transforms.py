@@ -519,7 +519,7 @@ class OrderDiagnosticReport(NamedTuple):
     passed: bool
 
 
-def order_diagnostic(transform, r_grid, quad=DEFAULT_QUAD):
+def order_diagnostic(transform, r_grid):
     """Numeric check that the transform itself behaves like a zero-order scale.
 
     Reports r Psi'(r)/Psi(r) by central differences in ln r; the slope
@@ -544,7 +544,7 @@ def order_diagnostic(transform, r_grid, quad=DEFAULT_QUAD):
     us = np.linspace(1.0, 2.0, 64)
     m_const = float(np.min(transform.kernel(us / 2.0) - transform.kernel(us)))
     gap_ok = True
-    lowers = m_const * transform.measure.masses(1.0, 2.0, r_grid, quad).real
+    lowers = m_const * transform.measure.masses(1.0, 2.0, r_grid, transform.quad).real
     for r, lower in zip(r_grid, lowers):
         gap = (transform.value(2.0 * r) - transform.value(r)).real
         if gap < lower * (1.0 - 1e-9) - 1e-9 * (1.0 + abs(gap)):

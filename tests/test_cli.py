@@ -218,6 +218,22 @@ class TestRunErrors:
          "expected a number > 1 and at most 709.7827"),
         ("potter_decay_scan", {"t_grid": [2.0]}, "params.t_grid[0]",
          "expected a number > e"),
+        # a period <= 1 ended in a TypeError traceback (complex taus) or in a
+        # run error naming no field
+        ("periodic_family_check", {"period": -2}, "params.period",
+         "expected a number > 1"),
+        ("periodic_family_check", {"period": 0}, "params.period",
+         "expected a number > 1"),
+        ("periodic_family_check", {"period": 1}, "params.period",
+         "expected a number > 1"),
+        # accepted but never checked: a misspelt choice ran as "tail", a
+        # short expected_decay compared a prefix, a cluster radius <= 0 ran
+        ("class_membership", {"which": "glbal"}, "params.which",
+         "expected one of 'tail', 'global'"),
+        ("gamma_suite", {"expected_decay": [0.1]}, "params.expected_decay",
+         "expected 3 entries, one per decay exponent"),
+        ("kernel_limit_values", {"cluster_eps": -1}, "params.cluster_eps",
+         "expected a finite number > 0"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -572,6 +588,52 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert "config error: %s: the identity check needs " % path in err
         assert "run error" not in err
+
+    @pytest.mark.parametrize("params, path, message", [
+        ({"orders": [-2]}, "params.orders[0]",
+         "expected an integer >= 0 and below kernel.n_max = 6"),
+        ({"orders": [0, 9]}, "params.orders[1]",
+         "expected an integer >= 0 and below kernel.n_max = 6"),
+        ({"orders": []}, "params.orders", "expected a nonempty list"),
+        ({"r_samples": []}, "params.r_samples", "expected a nonempty list"),
+        ({"r_samples": [1.0, -1]}, "params.r_samples[1]",
+         "expected a finite number > 0"),
+    ])
+    def test_antiderivative_identity_params_are_config_errors(self, params, path,
+                                                              message, tmp_path, capsys):
+        # these ended in an IndexError traceback or a run error naming no field
+        cfg = {"operation": "antiderivative_identity",
+               "measure": {"densities": [{"kind": "power", "s": 0.0,
+                                          "interval": [2, None]}]},
+               "kernel": {"kind": "smooth_bump", "interval": [1, 2]}, "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: %s: %s" % (path, message) in err
+
+    def test_period_beside_a_self_similar_tail(self, tmp_path, capsys):
+        # the tail's period silently replaced the one given
+        cfg = {"operation": "periodic_family_check", "order": {"rho": 1.0},
+               "measure": {"atoms": [[1.0, 1.0]],
+                           "tail": {"kind": "self_similar", "T": 2, "rho": 1}},
+               "params": {"period": 3.0}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 1
+        assert ("config error: params.period: the measure's self-similar tail "
+                "sets the period" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("which", [None, "tail", "global"])
+    def test_class_membership_choices_run(self, which, tmp_path):
+        cfg = {"operation": "class_membership", "order": {"rho": 1.0},
+               "measure": {"densities": [{"kind": "power", "s": 0.0}]},
+               "params": {"r_grid": {"start": 1e-4, "stop": 1e4, "points": 9}}}
+        if which is not None:
+            cfg["params"]["which"] = which
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == 0
 
     def test_hardy_counts_of_a_density_from_origin(self, tmp_path, capsys):
         # the counts mu((0, r]) took their reference point at hull()[0] = 0

@@ -680,7 +680,7 @@ class TestAzarinScale:
         assert gaps[-1] < 1e-3
 
 
-def _pairings_one_by_one(fam, measure, order, ts, quad=None):
+def _pairings_one_by_one(fam, measure, order, ts, quad=DEFAULT_QUAD):
     return np.array([fam.pairings(measure.scaled(order, t), quad) for t in ts])
 
 

@@ -128,14 +128,14 @@ def test_singular_integrands_match_scipy(g, a, b, singular, gk_batches):
     assert abs(got - want) <= 10 * DEFAULT_QUAD.tol * abs(want), (got, want)
 
 
-def test_segment_cap_counts_graded_panels(gk_batches):
+def test_segment_cap_counts_graded_panels(gk_batches, monkeypatch):
     # each split of the x^-1/2 end segment adds 17 graded panels: the cap
     # stops the refinement before the segments held would pass it, in the
     # second pass, where bisection would take a pass per segment
     cap = 60
+    monkeypatch.setattr(numerics, "_MAX_SEGMENTS", cap)
     with pytest.raises(QuadratureError):
-        adaptive_quad(lambda x: x ** -0.5, 0.0, 1.0, QuadControl(max_segments=cap),
-                      singular_points=[0.0])
+        adaptive_quad(lambda x: x ** -0.5, 0.0, 1.0, singular_points=[0.0])
     held = set()
     for _, lo, hi in gk_batches:
         children = list(zip(lo.tolist(), hi.tolist()))
@@ -162,16 +162,16 @@ def test_log_quad_power():
     assert abs(val - want) < 1e-9 * want
 
 
-@pytest.mark.parametrize("call", [
-    lambda: adaptive_quad(lambda x: x ** -0.5, 0.0, 1.0, QuadControl(max_segments=80),
-                          singular_points=[0.0]),
-    lambda: adaptive_quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, QuadControl(max_depth=11)),
+@pytest.mark.parametrize("cap, value, f, singular", [
+    ("_MAX_SEGMENTS", 80, lambda x: x ** -0.5, [0.0]),
+    ("_MAX_DEPTH", 11, lambda x: np.abs(x - 0.3), []),
 ], ids=["segment-cap", "max-depth"])
-def test_over_budget_exits_raise(call):
+def test_over_budget_exits_raise(cap, value, f, singular, monkeypatch):
     # both were accepted while within 100 times the budget: 4.8e-10 and
     # 1.1e-9 relative error against a 1e-10 tolerance
+    monkeypatch.setattr(numerics, cap, value)
     with pytest.raises(QuadratureError) as err:
-        call()
+        adaptive_quad(f, 0.0, 1.0, singular_points=singular)
     assert err.value.estimate is not None and np.isfinite(err.value.estimate)
 
 
@@ -226,7 +226,7 @@ def test_array_intervals_match_scalar_calls(vector):
     assert np.all(got[1] == 0.0)
 
 
-def _first_segments(a, b, cuts, sing, levels=DEFAULT_QUAD.graded_levels):
+def _first_segments(a, b, cuts, sing, levels=numerics._GRADED_PANELS):
     """The first pass's segments of ``adaptive_quad``, interval by interval:
     an interval's ends and the cuts and singular points strictly inside it,
     and with a singular point in its closure, the graded panels halving
@@ -300,15 +300,18 @@ def test_improper_both_ends():
 _LATE = DEFAULT_QUAD.tol * 2.35
 
 
-def _ring_index(window, ctrl=DEFAULT_QUAD):
-    """("zero" or "infinity", k) of ring k of the default windows, or None
-    for the core."""
+_LO, _HI, _STEP = numerics._WINDOW_LO, numerics._WINDOW_HI, numerics._EXPANSION
+
+
+def _ring_index(window):
+    """("zero" or "infinity", k) of ring k of the windows, or None for the
+    core."""
     a, b = window
-    if window == (ctrl.window_lo, ctrl.window_hi):
+    if window == (_LO, _HI):
         return None
-    if b <= ctrl.window_lo:
-        return "zero", round(math.log(ctrl.window_lo / b, ctrl.expansion)) + 1
-    return "infinity", round(math.log(a / ctrl.window_hi, ctrl.expansion)) + 1
+    if b <= _LO:
+        return "zero", round(math.log(_LO / b, _STEP)) + 1
+    return "infinity", round(math.log(a / _HI, _STEP)) + 1
 
 
 def _synthetic_part(j, window):
@@ -328,12 +331,12 @@ def _one_ring_at_a_time(part, ctrl=DEFAULT_QUAD):
     """(total, partial sums, failed end or None) of the column whose part
     on a window is ``part(window)``, each ring taken alone, the zero end
     first."""
-    total = part((ctrl.window_lo, ctrl.window_hi))
+    total = part((_LO, _HI))
     partials, failed = [total], None
-    for end, edge, step in (("zero", ctrl.window_lo, lambda t: t / ctrl.expansion),
-                            ("infinity", ctrl.window_hi, lambda t: t * ctrl.expansion)):
+    for end, edge, step in (("zero", _LO, lambda t: t / _STEP),
+                            ("infinity", _HI, lambda t: t * _STEP)):
         calm = 0
-        for _ in range(ctrl.max_expansions):
+        for _ in range(numerics._MAX_EXPANSIONS):
             nxt = step(edge)
             part_k = part((min(edge, nxt), max(edge, nxt)))
             edge = nxt
@@ -364,7 +367,7 @@ def _synthetic_windows(columns, scales=None, block=None):
 
 
 def _at_infinity(calls):
-    return [any(a >= DEFAULT_QUAD.window_hi for a, _ in w) for w in calls]
+    return [any(a >= _HI for a, _ in w) for w in calls]
 
 
 @pytest.mark.parametrize("columns", [[0], [0, 1]], ids=["alone", "with-a-long-end"])
@@ -452,41 +455,46 @@ def test_improper_divergence_carries_partials():
     assert len(err.value.partials) > 2
 
 
-def test_float_range_exit_accepts_after_one_calm_ring():
+@pytest.fixture
+def wide(monkeypatch):
+    monkeypatch.setattr(numerics, "_EXPANSION", 1e100)
+
+
+def test_float_range_exit_accepts_after_one_calm_ring(wide):
     # with 1e100-fold rings each end leaves the float range after two rings:
     # exp(-t) has one calm ring per end and is accepted
-    wide = QuadControl(expansion=1e100)
-    val = improper_quad(lambda t: np.exp(-t), 0.0, None, wide)
+    val = improper_quad(lambda t: np.exp(-t), 0.0, None)
     assert abs(val - 1.0) < 1e-9
 
 
-def test_float_range_exit_rejects_without_a_calm_ring():
-    wide = QuadControl(expansion=1e100)
+def test_float_range_exit_rejects_without_a_calm_ring(wide):
     with pytest.raises(DivergenceError) as err:
-        improper_quad(lambda t: 1.0 / t, 1.0, None, wide)
+        improper_quad(lambda t: 1.0 / t, 1.0, None)
     # core (1, 4], then two rings of log(1e100) each before 4e300 > 1e300
     assert len(err.value.partials) == 3
 
 
-# 1e30-fold rings: 4e30, ..., 4e270 lie in the float range and 4e300 does not,
-# so the blocks of 1, 2 and 4 rings are followed by one cut to 2 rings
-FAR = QuadControl(expansion=1e30)
+@pytest.fixture
+def far(monkeypatch):
+    # 1e30-fold rings: 4e30, ..., 4e270 lie in the float range and 4e300 does
+    # not, so the blocks of 1, 2 and 4 rings are followed by one cut to 2 rings
+    monkeypatch.setattr(numerics, "_EXPANSION", 1e30)
 
 
-def test_float_range_exit_cuts_a_block_and_rejects():
+def test_float_range_exit_cuts_a_block_and_rejects(far):
     with pytest.raises(DivergenceError) as err:
-        improper_quad(lambda t: 1.0 / t, 1.0, None, FAR)
+        improper_quad(lambda t: 1.0 / t, 1.0, None)
     want = math.log(4.0) + math.log(1e30) * np.arange(10)
     assert np.allclose(err.value.partials, want, rtol=1e-12, atol=0.0)
 
 
-def test_float_range_exit_accepts_after_one_calm_ring_in_a_block():
+def test_float_range_exit_accepts_after_one_calm_ring_in_a_block(far):
     # the ring (4e210, 4e240] holds the split point 1e220 and is integrated
     # alone; (4e240, 4e270] is the one calm ring before the float range ends
     def f(t):
         return np.where(t < 1e220, 1.0 / t, 0.0)
 
-    assert improper_quad(f, 1.0, None, FAR, split_points=[1e220]) == \
+    assert improper_quad(f, 1.0, None, split_points=[1e220]) == \
         pytest.approx(math.log(1e220), rel=1e-12)
 
 

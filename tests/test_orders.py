@@ -110,6 +110,20 @@ class TestPotterFactor:
         t = math.exp(9.0)
         assert potter_factor(LP, t) == pytest.approx(math.exp(3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("t", [0.5, 1e-3, 1e-8, 3.7e-20])
+    def test_concave_closed_form_below_one(self, t, monkeypatch):
+        # h(x + tau) <= h(|x| + |tau|) <= h(x) + h(|tau|) for h even, concave
+        # and nondecreasing on [0, oo): the supremum h(|tau|) for t < 1 too,
+        # the value of the grid search bit for bit, with no search
+        want = _grid_supremum(LP.zero_part, math.log(t))
+
+        def no_search(*args):
+            raise AssertionError("the concave case searched a grid")
+
+        monkeypatch.setattr(orders, "_grid_supremum", no_search)
+        assert log_potter_factor(LP, math.log(t)) == want
+        assert potter_factor(LP, t) == math.exp(want)
+
     def test_lower_factor_through_reciprocal(self):
         t = math.exp(9.0)
         assert potter_factor_lower(LP, t) == pytest.approx(math.exp(-3.0), rel=1e-6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from azarin import numerics
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
 from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                             PowerCutKernel, SmoothBumpKernel, TableKernel,
@@ -80,7 +81,6 @@ class TestTransformValue:
         # the log singularity of the kernel at t = r: accepting on the summed
         # error estimate stops refinement once the value is within its budget,
         # where a per-segment test refines rounding noise (~1e6 nodes)
-        from azarin import numerics
         from azarin.kernels import LogSingularKernel
         nodes = []
         gk_eval = numerics._gk_eval
@@ -241,7 +241,6 @@ class TestTransformValues:
         # roundtrip_regular's averaged measure: its 319 values take ~10^4 GK
         # batches of ~17 nodes one r at a time, and a few dozen when the r
         # share their rings and segments
-        from azarin import numerics
         batches = []
         gk_eval = numerics._gk_eval
 
@@ -265,8 +264,8 @@ def _one_ring_at_a_time(tr, r):
     ctrl = tr.quad
     u_lo = max(tr.kernel.support[0], tr.measure.hull()[0] / r * (1.0 - 1e-12))
     u_hi = min(tr.kernel.support[1], tr.measure.hull()[1] / r * (1.0 + 1e-12))
-    core_lo = ctrl.window_lo if u_lo == 0.0 else u_lo
-    core_hi = ctrl.window_hi if math.isinf(u_hi) else u_hi
+    core_lo = numerics._WINDOW_LO if u_lo == 0.0 else u_lo
+    core_hi = numerics._WINDOW_HI if math.isinf(u_hi) else u_hi
 
     def ring(a, b):
         return tr._window_term([r], [(a, b)], [1.0])[0][0]
@@ -275,14 +274,14 @@ def _one_ring_at_a_time(tr, r):
     partials = [total]
     failed = None
     for improper, edge, step, beyond, end in (
-            (u_lo == 0.0, core_lo, lambda t: t / ctrl.expansion,
+            (u_lo == 0.0, core_lo, lambda t: t / numerics._EXPANSION,
              lambda t: t * r < 1e-300, "zero"),
-            (math.isinf(u_hi), core_hi, lambda t: t * ctrl.expansion,
+            (math.isinf(u_hi), core_hi, lambda t: t * numerics._EXPANSION,
              lambda t: t * r > 1e300, "infinity")):
         if not improper:
             continue
         calm, accepted = 0, False
-        for _ in range(ctrl.max_expansions):
+        for _ in range(numerics._MAX_EXPANSIONS):
             nxt = step(edge)
             if beyond(nxt):
                 accepted = calm >= 1
@@ -361,7 +360,7 @@ class TestRingBlocks:
             tr.value(1.0)
         total, want, end = _one_ring_at_a_time(tr, 1.0)
         assert end == "zero" and "at zero" in str(err.value)
-        assert len(err.value.partials) == len(want) == 1 + tr.quad.max_expansions
+        assert len(err.value.partials) == len(want) == 1 + numerics._MAX_EXPANSIONS
         assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("rs", [[1e-3, 1e6]])
@@ -386,7 +385,7 @@ class TestRingBlocks:
             tr.value(1.0)
         total, want, end = _one_ring_at_a_time(tr, 1.0)
         assert end == "infinity" and "at infinity" in str(err.value)
-        assert len(err.value.partials) == len(want) > 3 + tr.quad.max_expansions
+        assert len(err.value.partials) == len(want) > 3 + numerics._MAX_EXPANSIONS
         assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
 
     def test_divergence_at_both_ends_reports_zero(self):
@@ -398,7 +397,7 @@ class TestRingBlocks:
         total, want, end = _one_ring_at_a_time(tr, 1.0)
         assert end == "zero" and "at zero" in str(err.value)
         assert self._blocks(tr, [1.0])[2] == {0: "zero"}
-        assert len(err.value.partials) == len(want) == 1 + 2 * tr.quad.max_expansions
+        assert len(err.value.partials) == len(want) == 1 + 2 * numerics._MAX_EXPANSIONS
         assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
 
     def test_log_table_work(self, quad_calls, gk_batches):
@@ -533,7 +532,7 @@ class TestIntegrals:
         _, want, failed = _scaled_reference(kernel, LEB, order, rs[0], (0.0, 0.5))
         _, other, _ = _scaled_reference(kernel, LEB, order, rs[1], (0.0, 0.5))
         assert failed == "zero" and "at zero" in str(err.value)
-        assert len(err.value.partials) == len(want) == 1 + tr.quad.max_expansions
+        assert len(err.value.partials) == len(want) == 1 + numerics._MAX_EXPANSIONS
         assert np.allclose(err.value.partials, want, rtol=1e-12, atol=0.0)
         assert not np.allclose(err.value.partials, other, rtol=1e-3, atol=0.0)
 

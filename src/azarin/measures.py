@@ -9,6 +9,7 @@ piecewise without any abstract decomposition.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 _GROWTH_SLACK = 1.10
+_UNION_ENTRIES = 1536     # the most entries that one linear_integrals run forms
 
 
 # ---------------------------------------------------------------------------
@@ -195,39 +197,52 @@ class TabulatedPiece:
         to C1, u_a = e^{x_a}/s, with the moments E_c of ``_exp_moments``.
         Whole knot intervals take E_c from the table.  Each piece sums its
         own intervals; no value is a difference of running sums, which
-        would cancel where the density decays along the table.
+        would cancel where the density decays along the table.  The
+        (piece, scale, knot interval) entries are formed for one run of
+        consecutive scales at a time, of at most ``_UNION_ENTRIES`` entries
+        or of one scale, so the temporaries stay bounded; each (piece, scale)
+        sums its own entries in the same order whatever the runs.
         """
         x, q, whole = self._moment_table()
         s = np.asarray(scales, dtype=float)
         q, whole = (q, whole) if linear else (q[:1], whole[:1])   # a constant g needs no E_2
         ln_lo = math.log(self.lo) if self.lo > 0.0 else -math.inf
         xs = np.log(np.multiply.outer(u, s))             # (piece end, scale)
-        xa = np.maximum(xs[:-1], ln_lo).ravel()
-        xb = np.minimum(xs[1:], math.log(self.hi)).ravel()
+        xa = np.maximum(xs[:-1], ln_lo)
+        xb = np.minimum(xs[1:], math.log(self.hi))
         # the knot intervals that hold [xa, xb]: xa's as CubicTable picks
         # it, xb's from the left, so that an end on a knot adds no interval
         ka = np.searchsorted(x[1:-1], xa, side="right")
         kb = np.searchsorted(x[1:-1], xb, side="left")
-        count = np.where(xb > xa, kb - ka + 1, 0)
-        # one entry per (piece, scale, knot interval), grouped by (piece, scale)
-        cell = np.repeat(np.arange(count.size), count)
-        k = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count) + ka[cell]
-        first = k == ka[cell]
-        last = k == kb[cell]
-        left = np.where(first, xa[cell], x[k])
-        cut = first | last
-        e = whole[:, k]
-        kc = k[cut]
-        e[:, cut] = _exp_moments(q[:, kc], left[cut] - x[kc],
-                                 np.where(last, xb[cell], x[k + 1])[cut] - x[kc])
-        piece, col = np.divmod(cell, s.size)
-        ta = np.exp(left)
-        terms = [ta * e[0]]
-        if linear:
-            ua = ta / s[col]
-            terms.append(ta * ((ua - u[piece]) * e[0] + ua * (e[1] - e[0])))
-        sums = [(np.bincount(cell, v.real, count.size) + 1j * np.bincount(cell, v.imag, count.size))
-                .reshape(u.size - 1, s.size) / np.asarray(norms, dtype=float) for v in terms]
+        counts = np.where(xb > xa, kb - ka + 1, 0)
+        before = [0] + np.cumsum(counts.sum(axis=0)).tolist()   # entries of earlier scales
+        sums = np.empty((len(q), u.size - 1, s.size), dtype=complex)
+        start = 0
+        while start < s.size:
+            stop = max(start + 1, bisect_right(before, before[start] + _UNION_ENTRIES) - 1)
+            a, b, ia, ib, count = (v[:, start:stop].ravel() for v in (xa, xb, ka, kb, counts))
+            # one entry per (piece, scale, knot interval), grouped by (piece, scale)
+            cell = np.repeat(np.arange(count.size), count)
+            k = np.arange(cell.size) - np.repeat(np.cumsum(count) - count, count) + ia[cell]
+            first = k == ia[cell]
+            last = k == ib[cell]
+            left = np.where(first, a[cell], x[k])
+            cut = first | last
+            e = whole[:, k]
+            kc = k[cut]
+            e[:, cut] = _exp_moments(q[:, kc], left[cut] - x[kc],
+                                     np.where(last, b[cell], x[k + 1])[cut] - x[kc])
+            piece, col = np.divmod(cell, stop - start)
+            ta = np.exp(left)
+            terms = [ta * e[0]]
+            if linear:
+                ua = ta / s[start:stop][col]
+                terms.append(ta * ((ua - u[piece]) * e[0] + ua * (e[1] - e[0])))
+            for row, v in zip(sums, terms):
+                row[:, start:stop] = (np.bincount(cell, v.real, count.size) + 1j
+                                      * np.bincount(cell, v.imag, count.size)).reshape(u.size - 1, -1)
+            start = stop
+        sums /= np.asarray(norms, dtype=float)
         return sums[0], sums[1] if linear else None
 
     def scaled(self, t, scale_value):
@@ -751,7 +766,9 @@ class MetricFamily:
         one vector integral; a member equal to an earlier one copies its
         column.  Tables of a measure with no tail pair all members at once:
         ``(G @ C0 + B @ C1).T``, G and B the members' values and slopes on the
-        union knots, C0 and C1 one ``linear_integrals`` there.  The window
+        union knots, C0 and C1 one ``linear_integrals`` there, bounded in
+        memory by its runs of scales; the products are one over all scales,
+        since BLAS rounds a row by its place in the batch.  The window
         check is one test over all samples and members; the first failing
         pair in sample-major order raises through the ``_check_window`` of
         its mu_t, as pairing sample by sample would.

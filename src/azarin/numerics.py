@@ -13,9 +13,10 @@ float range after at least one calm ring; it is rejected after
 the rings, each with its own total and calm count.  For one column both
 ends advance together, one call per step, each fetching a block of
 ``_RING_BLOCK`` rings; a batch of columns fetches doubling blocks, 1, 2,
-4, ... rings.  The rings are consumed one at a time, zero end first, so
-the totals and partial sums are those of one ring at a time; the rest of a
-block is discarded.
+4, ... rings, each of at most ``_RING_CELLS`` (ring, column) cells or one
+ring.  The rings are consumed one at a time, zero end first, so the totals
+and partial sums are those of one ring at a time, whatever the blocks; the
+rest of a block is discarded.
 
 ``adaptive_quad`` integrates over an array of intervals at once, and
 accepts vector integrands returning an (n, k) array for n nodes: the k
@@ -94,8 +95,11 @@ _EXPANSION = 4.0            # a Cauchy ring's outer edge over its inner edge
 _MAX_EXPANSIONS = 96        # slow geometric ring decay needs headroom
 
 # the Cauchy rings that each end of one column fetches per step, and the
-# most that the doubling blocks of a batch of columns reach
+# most that the doubling blocks of a batch of columns reach; a block holds
+# at most _RING_CELLS (ring, column) cells or one ring, which bounds the
+# temporaries of a wide batch and leaves one column's blocks whole
 _RING_BLOCK = 16
+_RING_CELLS = 2048
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
 _XGK = np.array([
@@ -362,15 +366,16 @@ class _End:
     def plan(self):
         """The next block's rings (a, b), outward, and the open columns not
         beyond its first edge to fetch them for: ``block`` rings for one
-        column, 1, 2, 4, ... up to ``block`` for a batch, that never reach
+        column, 1, 2, 4, ... up to ``block`` for a batch, and no more than
+        ``_RING_CELLS`` cells of those columns or one ring, that never reach
         an edge beyond one of those columns nor take the end past
         ``_MAX_EXPANSIONS`` rings."""
         live = [j for j in self.open if not self.out(self.edges[-1] * self.scales[j])]
         scales = [self.scales[j] for j in live] or [1.0]
         least, most = min(scales), max(scales)   # out is monotone in the scale
         rings = []
-        for _ in range(min(self.size, _MAX_EXPANSIONS + 2 - len(self.edges))
-                       if live else 0):
+        for _ in range(min(self.size, _MAX_EXPANSIONS + 2 - len(self.edges),
+                           _RING_CELLS // len(live) or 1) if live else 0):
             edge, nxt = self.edges[-2:]
             if rings and (self.out(nxt * least) or self.out(nxt * most)):
                 break
@@ -394,17 +399,18 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
     that needs them.  The infinity end adds to the total after the zero
     end, so while the zero end is undecided the infinity rows are judged on
     the total so far, and replayed once it is decided.  A wider batch, whose
-    every fetched ring costs one column per scale, takes one call per
-    block of 1, 2, 4, ... up to ``block`` rings and finishes the zero end
-    first: each end fetches for its own live columns, those whose edges
-    are still inside the float range, and one call over the union of both
-    ends' live columns would take rings beyond the float range for some of
-    them.  A ring callback with no adaptive integral to batch passes
-    ``block=1``, so that it fetches no ring it discards.  Returns the
-    totals, each column's partial sums (core first, then the rings at zero,
-    then those at infinity), a dict mapping each rejected column to the
-    end, "zero" or "infinity", that failed first, and each column's window
-    (a, b): the core and the rings it took.
+    every fetched ring costs one column per scale, takes one call per block
+    of 1, 2, 4, ... up to ``block`` rings, and up to ``_RING_CELLS`` cells
+    of its live columns or one ring, and finishes the zero end first: each
+    end fetches for its own live columns, those whose edges are still
+    inside the float range, and one call over the union of both ends' live
+    columns would take rings beyond the float range for some of them.  A
+    ring callback with no adaptive integral to batch passes ``block=1``, so
+    that it fetches no ring it discards.  Returns the totals, each column's
+    partial sums (core first, then the rings at zero, then those at
+    infinity), a dict mapping each rejected column to the end, "zero" or
+    "infinity", that failed first, and each column's window (a, b): the
+    core and the rings it took.
     """
     improper_lo = (lo == 0.0)
     improper_hi = math.isinf(hi)

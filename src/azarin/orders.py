@@ -243,6 +243,15 @@ def _on_pieces(x, rows):
     return cum + d * (eta + half_curv * d), sign * (eta + 2.0 * half_curv * d), half_curv
 
 
+def _right_of(knots, y):
+    """``np.searchsorted(knots, [y, knots - tau], side="right")`` for the
+    symmetric signed knots and y = knots + tau, with one search: knots - tau
+    is -y reversed, so its search is n less the left search of y, reversed
+    (where the right search r is 0, knots[r - 1] > y)."""
+    r = np.searchsorted(knots, y, side="right")
+    return np.concatenate([r, (knots.size - r + (knots[r - 1] == y))[::-1]])
+
+
 def _tabulated_supremum(zero_part, tau):
     """sup_x h(x + tau) - h(x) for a TabulatedZero, exactly.
 
@@ -260,7 +269,7 @@ def _tabulated_supremum(zero_part, tau):
     knots, h_knot, dh_knot, pieces = zero_part._cum[3:]
     n = knots.size
     probe = np.concatenate([knots + tau, knots - tau])
-    rows = np.take(pieces, np.searchsorted(knots, probe, side="right"), axis=0).T
+    rows = np.take(pieces, _right_of(knots, probe[:n]), axis=0).T
     h, dh, c = _on_pieces(probe, rows)
     shifted = probe[n:]
     h_own, dh_own, c_own = _on_pieces(shifted + tau, pieces[1:].T)   # at the rounded x + tau

@@ -64,6 +64,16 @@ def _descriptor(key, value, path):
     return _DESCRIPTORS[key](value, path)
 
 
+def _needs(**pairs):
+    """A check: each params key of ``pairs`` that is given needs the key it
+    maps to, without which it would be ignored."""
+    def check(**args):
+        for key, other in pairs.items():
+            if args[key] is not None and args[other] is None:
+                raise ConfigError("params.%s: needs params.%s" % (key, other))
+    return check
+
+
 def operation(name, check=None):
     """Register a runner under ``name``; the registered function takes a config.
 
@@ -630,10 +640,10 @@ def run_symbol_table(kernel, quad, rho=1.0,
                      [("symbol.csv", ["lambda", "re", "im", "abs"], rows)])
 
 
-@operation("wiener_zero_scan")
+@operation("wiener_zero_scan", check=_needs(abscissa_tol="expected_zeros"))
 def run_zero_scan(kernel, quad, rho=1.0, window=Window([-20.0, 20.0]),
                   step=Range(0.0, math.inf, "a number > 0", 0.01), tol=1e-6,
-                  expected_zeros=List(None), abscissa_tol=1e-6,
+                  expected_zeros=List(None), abscissa_tol=Maybe(float),
                   expect_nonvanishing=Maybe(bool)):
     rep = wiener_zero_scan(kernel, rho, window=window, step=step, tol=tol,
                            quad=quad)
@@ -644,6 +654,7 @@ def run_zero_scan(kernel, quad, rho=1.0, window=Window([-20.0, 20.0]),
     if expected_zeros is not None:
         got = sorted(lam for lam, _ in rep.zeros)
         want = sorted(expected_zeros)
+        abscissa_tol = 1e-6 if abscissa_tol is None else abscissa_tol
         verdict = (len(got) == len(want)
                    and all(abs(a - b) <= abscissa_tol
                            for a, b in zip(got, want)))
@@ -695,21 +706,14 @@ def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
     return RunResult(verdict, report)
 
 
-def _expectations_checked(bound_constant, expect_bound_pass, jump_window,
-                          expected_flags, **_):
-    # an expectation without the check that it judges would be ignored
-    if expect_bound_pass is not None and bound_constant is None:
-        raise ConfigError("params.expect_bound_pass: needs params.bound_constant")
-    if expected_flags is not None and jump_window is None:
-        raise ConfigError("params.expected_flags: needs params.jump_window")
-
-
-@operation("carleman_suite", check=_expectations_checked)
+@operation("carleman_suite", check=_needs(expect_bound_pass="bound_constant",
+                                          expected_flags="jump_window",
+                                          flag_tol="expected_flags"))
 def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
                  reference_tol=1e-8, bound_constant=Maybe(positive),
                  expect_bound_pass=Maybe(bool),
                  jump_window=Window(None), expected_flags=List(None),
-                 flag_tol=0.05):
+                 flag_tol=Maybe(float)):
     ct = carl.CarlemanTransform(line_measure)
     report = {}
     verdict = True
@@ -730,6 +734,7 @@ def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
         js = carl.spectrum_jump_scan(ct, jump_window)
         report["flagged"] = list(js.flagged)
         if expected_flags is not None:
+            flag_tol = 0.05 if flag_tol is None else flag_tol
             ok = (len(js.flagged) >= 1 and
                   all(any(abs(f - e) <= flag_tol for e in expected_flags)
                       for f in js.flagged))

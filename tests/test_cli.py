@@ -234,6 +234,9 @@ class TestRunErrors:
          "expected 3 entries, one per decay exponent"),
         ("kernel_limit_values", {"cluster_eps": -1}, "params.cluster_eps",
          "expected a finite number > 0"),
+        # a tolerance with no expectation to apply it to was ignored
+        ("wiener_zero_scan", {"abscissa_tol": 1e-3}, "params.abscissa_tol",
+         "needs params.expected_zeros"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -265,6 +268,9 @@ class TestRunErrors:
          "params.expect_bound_pass", "needs params.bound_constant"),
         ({"bound_constant": 1.0, "expected_flags": [3.0]},
          "params.expected_flags", "needs params.jump_window"),
+        ({"flag_tol": 0.1}, "params.flag_tol", "needs params.expected_flags"),
+        ({"jump_window": [0.5, 0.5], "flag_tol": 0.1}, "params.flag_tol",
+         "needs params.expected_flags"),
     ])
     def test_expectation_without_its_check(self, params, path, message,
                                            tmp_path, capsys):
@@ -288,6 +294,20 @@ class TestRunErrors:
         assert out["verdict"] == "FAIL"
         assert out["report"]["bound_passed"] is True
         assert out["report"]["flags_match"] is True
+
+    @pytest.mark.parametrize("flag_tol, match", [(None, True), (0.01, False)],
+                             ids=["default", "set"])
+    def test_flag_tol_defaults_where_flags_are_expected(self, flag_tol, match, tmp_path):
+        # the one flag 0.5 lies 0.04 from the expected 0.54: within 0.05
+        params = {"line_measure": {"atoms": [[0.5, 1.0]]},
+                  "jump_window": [0.5, 0.5], "expected_flags": [0.54]}
+        if flag_tol is not None:
+            params["flag_tol"] = flag_tol
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"operation": "carleman_suite", "params": params}))
+        assert run_cli(["run", path, "--out-dir", tmp_path]) == (0 if match else 2)
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        assert report["flags_match"] is match
 
     @pytest.mark.parametrize("cfg, key", [
         ({"operation": "carleman_suite",

@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -695,16 +697,30 @@ def _knot_split_pairing(scaled, f):
     return want
 
 
+def _roundtrip_transform():
+    """A fresh transform whose values the roundtrip_regular flow averages."""
+    measure = RadonMeasure.power_density(-0.3, factor=LogPerturbFactor("inv_log1p"))
+    return KernelTransform(ExpKernel(), measure, ProximateOrder(0.7))
+
+
 @pytest.fixture(scope="module")
 def roundtrip_averaged(fam):
     """The averaged measure, order and schedule of the roundtrip_regular flow."""
-    measure = RadonMeasure.power_density(-0.3, factor=LogPerturbFactor("inv_log1p"))
-    order = ProximateOrder(0.7)
+    transform = _roundtrip_transform()
     ts = geometric_schedule(1e2, 1e8, 176)
     lo, hi = fam.support_hull()
-    smoothed = averaged_measure(KernelTransform(ExpKernel(), measure, order),
-                                (ts.min() * lo / 4.0, ts.max() * hi * 4.0))
-    return smoothed, order.shifted(1.0), ts
+    smoothed = averaged_measure(transform, (ts.min() * lo / 4.0, ts.max() * hi * 4.0))
+    return smoothed, transform.order.shifted(1.0), ts
+
+
+def _traced_peak(call):
+    """The peak of the memory that ``call()`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFlowPairings:
@@ -837,6 +853,40 @@ class TestFlowPairings:
                          for f in fam.members]).T
         got = fam.flow_pairings(measure, order, ts)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("linear, norms", [(True, "array"), (False, "scalar")])
+    def test_scale_runs_are_bit_identical(self, monkeypatch, linear, norms):
+        # runs of one scale, of a few and of all: each (piece, scale) sums
+        # the same entries in the same order; at 1e-4 and 1e5 every piece
+        # misses the table (cells of no entry)
+        x = np.linspace(math.log(0.5), math.log(400.0), 33)
+        values = np.exp(complex(-0.3, 0.8) * x) * (1.0 + 0.2 * np.sin(2.0 * x))
+        table = TabulatedPiece(0.5, 400.0, tuple(x.tolist()), tuple(values.tolist()))
+        u = np.array([0.25, 0.5, 1.0, 2.5, 4.0, 6.0])
+        scales = np.concatenate([geometric_schedule(0.1, 20.0, 12), [1e-4, 1e5],
+                                 geometric_schedule(30.0, 300.0, 11)])
+        n = np.linspace(1.0, 3.0, scales.size) if norms == "array" else 2.5
+        runs = []
+        for entries in (1, 40, sys.maxsize):
+            monkeypatch.setattr(measures, "_UNION_ENTRIES", entries)
+            runs.append(table.linear_integrals(u, scales, n, linear))
+        assert not runs[0][0][:, 12:14].any() and runs[0][0][:, 14].all()
+        for c0, c1 in runs:
+            assert c0.tobytes() == runs[-1][0].tobytes()
+            assert (c1 is None) if not linear else c1.tobytes() == runs[-1][1].tobytes()
+
+    def test_union_knot_pass_is_bounded_in_memory(self, fam, roundtrip_averaged):
+        # all 28k (piece, scale, knot interval) entries at once held 7.9 MiB
+        measure, order, ts = roundtrip_averaged
+        fam.flow_pairings(measure, order, ts)   # builds the moment table
+        assert _traced_peak(lambda: fam.flow_pairings(measure, order, ts)) <= 2 * 2 ** 20
+
+    def test_wide_transform_batch_is_bounded_in_memory(self, roundtrip_averaged):
+        # the averaged measure's 319 values; 16 rings x 319 columns held 3.6 MiB
+        piece = roundtrip_averaged[0].pieces[0]
+        rs = np.geomspace(piece.lo, piece.hi, len(piece.log_nodes))
+        assert rs.size == 319
+        assert _traced_peak(lambda: _roundtrip_transform().values(rs)) <= 2 * 2 ** 20
 
     def test_tabulated_flow_takes_one_moments_pass(self, fam, roundtrip_averaged,
                                                    moments_calls, dilation_calls):

@@ -353,11 +353,12 @@ def _one_ring_at_a_time(part, ctrl=DEFAULT_QUAD):
 
 def _synthetic_windows(columns, scales=None, block=None):
     """``_cauchy_windows`` over (0, oo) of the synthetic ``columns``, each a
-    function of the window; returns its result and the windows of each call."""
+    function of the window; returns its result and the windows and live
+    columns of each call."""
     calls = []
 
     def ring(windows, live):
-        calls.append(windows)
+        calls.append((windows, live))
         return [[columns[j](w) for j in live] for w in windows]
 
     extra = {} if block is None else {"block": block}
@@ -367,7 +368,7 @@ def _synthetic_windows(columns, scales=None, block=None):
 
 
 def _at_infinity(calls):
-    return [any(a >= _HI for a, _ in w) for w in calls]
+    return [any(a >= _HI for a, _ in w) for w, _ in calls]
 
 
 @pytest.mark.parametrize("columns", [[0], [0, 1]], ids=["alone", "with-a-long-end"])
@@ -447,6 +448,20 @@ def test_cauchy_windows_blocks_agree(columns):
     scales = [scale for _, scale in columns]
     runs = [_synthetic_windows(parts, scales, block)[0] for block in (1, 2, 16)]
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("cells", [1, 3])
+@pytest.mark.parametrize("columns", [[2], [0, 1, 2]], ids=["alone", "batch"])
+def test_ring_cells_cap_a_batch_and_keep_its_sums(columns, cells, monkeypatch):
+    # the rings are judged one at a time, so smaller blocks change nothing
+    parts = [lambda w, c=c: _synthetic_part(c, w) for c in columns]
+    want, wide = _synthetic_windows(parts)
+    monkeypatch.setattr(numerics, "_RING_CELLS", cells)
+    got, calls = _synthetic_windows(parts)
+    assert got == want
+    if len(columns) > 1:
+        assert max(len(w) * len(live) for w, live in wide) > 3
+        assert all(len(w) * len(live) <= max(cells, len(live)) for w, live in calls)
 
 
 def test_improper_divergence_carries_partials():

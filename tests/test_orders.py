@@ -314,6 +314,24 @@ class TestExactPotterSupremum:
         assert got == pytest.approx(dense_log_potter(zero_part.xs, zero_part.etas, tau),
                                     abs=1e-8)
 
+    @pytest.mark.parametrize("zero_part", [tabulated_family().zero_part, KINKED, MIXED, REGULAR],
+                             ids=["family", "kinked", "mixed", "regular"])
+    def test_one_search_finds_both_shifted_halves(self, zero_part):
+        # knot differences put knots + tau and knots - tau on knots (ties)
+        knots = zero_part._cum[3]
+        rng = np.random.default_rng(knots.size)
+        i, j = rng.integers(0, knots.size, (2, 40))
+        end = knots[-1]
+        taus = [0.0, -0.0, 1e-13, 3.0 * end, -3.0 * end,
+                *rng.uniform(-2.5 * end, 2.5 * end, 40), *(knots[i] - knots[j])]
+        ties = 0
+        for tau in taus:
+            probe = np.concatenate([knots + tau, knots - tau])
+            want = np.searchsorted(knots, probe, side="right")
+            assert np.array_equal(orders._right_of(knots, probe[:knots.size]), want)
+            ties += np.isin(probe[knots.size:], knots).any()
+        assert ties >= 40
+
     def test_tables_are_read_only(self):
         # the frozen dataclass shares these arrays with every copy of it
         for zero_part in (KINKED, RISING, MIXED):

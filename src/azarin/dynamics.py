@@ -73,25 +73,20 @@ def _post_transient(samples, transient_fraction, top_decades):
 
 
 def _single_linkage(dist, eps):
-    n = dist.shape[0]
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i, j] <= eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: min(g))
+    """The clusters of single linkage at ``eps``: the connected components
+    of the graph dist <= eps of a symmetric ``dist``, each in index order,
+    ordered by least index."""
+    link = dist <= eps
+    free = np.ones(len(dist), dtype=bool)
+    clusters = []
+    while free.any():
+        group = front = np.arange(len(dist)) == np.argmax(free)
+        while front.any():
+            free &= ~front
+            front = link[front].any(axis=0) & free
+            group = group | front
+        clusters.append(np.flatnonzero(group).tolist())
+    return clusters
 
 
 class LimitSetEstimate(NamedTuple):
@@ -148,12 +143,14 @@ def estimate_limit_set(samples, fam, eps_cluster=1e-3,
         raise ValueError("no post-transient samples left")
     kept = [samples[i] for i in idx]
     P = np.array([s.pairings for s in kept])
-    # distance_from_pairings of every pair, broadcast over blocks of rows
-    # so that the (rows, samples, members) temporaries stay small
+    # the upper triangle in blocks of rows, so that the (rows, samples,
+    # members) temporaries stay small, mirrored: d(a, b) and d(b, a) agree
+    # bit for bit
     dist = np.empty((len(kept), len(kept)))
     for i in range(0, len(kept), _DIST_ROWS):
-        diff = np.abs(P[i:i + _DIST_ROWS, None] - P[None, :])
-        dist[i:i + _DIST_ROWS] = np.sum(fam.weights * diff / (1.0 + diff), axis=-1)
+        block = fam.distance_from_pairings(P[i:i + _DIST_ROWS, None], P[None, i:])
+        dist[i:i + _DIST_ROWS, i:] = block
+        dist[i:, i:i + _DIST_ROWS] = block.T
     clusters = _single_linkage(dist, eps_cluster)
     reps, rep_ts, rep_pairings, limits, zero_flags = [], [], [], [], []
     for group in clusters:
@@ -191,12 +188,8 @@ def convergence_trend(samples, fam):
     ``_TREND_FLOOR`` or it is at most a quarter of the head maximum.  A
     persistent plateau marks genuine oscillation in the flow.
     """
-    start = int(len(samples) * 0.1)
-    kept = samples[start:]
-    steps = np.array([
-        fam.distance_from_pairings(a.pairings, b.pairings)
-        for a, b in zip(kept[:-1], kept[1:])
-    ])
+    P = np.array([s.pairings for s in samples[int(len(samples) * 0.1):]])
+    steps = fam.distance_from_pairings(P[:-1], P[1:])
     third = max(1, steps.size // 3)
     head = float(steps[:third].max())
     tail = float(steps[-third:].max())
@@ -221,14 +214,12 @@ def check_flow_invariance(est, order, t_list, quad=DEFAULT_QUAD):
     """
     fam = est.family
     details = []
-    worst = 0.0
-    targets = [np.asarray(p) for p in est.representative_pairings]
-    targets.append(np.zeros(fam.n_members, dtype=complex))
+    targets = np.array([*est.representative_pairings, np.zeros(fam.n_members)])
     for rep, t0 in zip(est.representatives, est.representative_ts):
-        for t, p in zip(t_list, fam.flow_pairings(rep, order, t_list, quad)):
-            dmin = min(fam.distance_from_pairings(p, q) for q in targets)
-            details.append((t0, float(t), dmin))
-            worst = max(worst, dmin)
+        flow = fam.flow_pairings(rep, order, t_list, quad)
+        dmin = fam.distance_from_pairings(flow[:, None], targets).min(axis=1)
+        details += [(t0, float(t), d) for t, d in zip(t_list, dmin.tolist())]
+    worst = max((d for *_, d in details), default=0.0)
     return InvarianceReport(max_excess=worst, passed=worst <= 2.0 * est.eps_cluster,
                             details=tuple(details))
 

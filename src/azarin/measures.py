@@ -792,8 +792,12 @@ class MetricFamily:
         return out[:, self._first]
 
     def distance_from_pairings(self, p1, p2):
+        """The metric between pairing vectors along the last axis, broadcast
+        over the leading axes: a float for two vectors, an array otherwise.
+        Each value has the bits of the two vectors' own call."""
         diff = np.abs(np.asarray(p1) - np.asarray(p2))
-        return float(np.sum(self.weights * diff / (1.0 + diff)))
+        d = np.sum(self.weights * diff / (1.0 + diff), axis=-1)
+        return float(d) if d.ndim == 0 else d
 
     def distance(self, m1, m2, quad=DEFAULT_QUAD):
         return self.distance_from_pairings(self.pairings(m1, quad),

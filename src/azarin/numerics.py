@@ -298,19 +298,27 @@ def log_quad(f, windows, ctrl=DEFAULT_QUAD, split_points=(), singular_points=())
     window's segments, and its value up to rounding, do not depend on the
     other windows.  Improper ends belong to the Cauchy window rule
     (``_cauchy_windows``); a window outside (0, oo) raises ``ValueError``.
+    Graded panels at a singular point p narrow below the float spacing of
+    t, so a node x != ln p can give t = e^x == p, where f may be infinite;
+    such a node is evaluated one float to its own side of p.
     """
     if not all(0.0 < x < y < math.inf for x, y in windows):
         raise ValueError("log_quad windows must satisfy 0 < a < b < oo")
+    sing = [(p, math.log(p)) for p in singular_points if p > 0.0]
 
     def g(x):
         t = np.exp(x)
+        for p, ln_p in sing:
+            on = t == p
+            if on.any():
+                t[on] = np.nextafter(p, np.where(x[on] > ln_p, math.inf, 0.0))
         v = np.asarray(f(t))
         return v * (t[:, None] if v.ndim == 2 else t)
 
     return adaptive_quad(g, [math.log(x) for x, _ in windows],
                          [math.log(y) for _, y in windows], ctrl,
                          [math.log(p) for p in split_points if p > 0.0],
-                         [math.log(p) for p in singular_points if p > 0.0])
+                         [ln_p for _, ln_p in sing])
 
 
 class _End:

@@ -310,16 +310,15 @@ def run_oscillating_family(order, measure, oscillation, quad,
     fam = MetricFamily()
     samples = sample_trajectory(measure, order, schedule, fam, quad)
     est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster)
-    rows = []
-    worst = 0.0
-    for t_star, p in zip(est.representative_ts, est.representative_pairings):
-        # predicted member: density t*^{i osc} u^{i osc + rho - 1}
-        phase = complex(np.exp(1j * oscillation * math.log(t_star)))
-        nu = RadonMeasure.power_density(complex(order.rho - 1.0, oscillation),
-                                        coef=phase)
-        d = fam.distance_from_pairings(p, fam.pairings(nu, quad))
-        rows.append([t_star, d])
-        worst = max(worst, d)
+    # predicted members: the densities t*^{i osc} u^{i osc + rho - 1}, paired
+    # by linearity as phase multiples of one base density's pairings
+    base = fam.pairings(RadonMeasure.power_density(
+        complex(order.rho - 1.0, oscillation)), quad)
+    phases = np.exp(1j * oscillation * np.log(est.representative_ts))
+    dists = fam.distance_from_pairings(np.array(est.representative_pairings),
+                                       phases[:, None] * base).tolist()
+    rows = [[t, d] for t, d in zip(est.representative_ts, dists)]
+    worst = max(dists)
     report = {"clusters": len(est.clusters), "max_family_distance": worst,
               "rows": rows}
     return RunResult(worst <= tol_d, report,
@@ -344,17 +343,17 @@ def run_periodic_family(order, measure, quad,
         period = measure.tail.period
     taus = [period ** (k / tau_points) for k in range(tau_points)]
     ts = [tau * period ** base_power for tau in taus]
-    exact_worst = max(fam.distance_from_pairings(a, b) for a, b in zip(
+    exact_worst = float(fam.distance_from_pairings(
         fam.flow_pairings(measure, order, ts, quad),
-        fam.flow_pairings(measure, order, [t * period for t in ts], quad)))
+        fam.flow_pairings(measure, order, [t * period for t in ts], quad)).max())
     schedule = sorted(tau * period ** k for tau in taus
                       for k in range(base_power, base_power + 3))
     samples = sample_trajectory(measure, order, np.array(schedule), fam, quad)
     est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster,
                              transient_fraction=0.0, top_decades=30.0)
-    match_worst = max(min(fam.distance_from_pairings(p, q)
-                          for q in est.representative_pairings)
-                      for p in fam.flow_pairings(measure, order, taus, quad))
+    match_worst = float(fam.distance_from_pairings(
+        fam.flow_pairings(measure, order, taus, quad)[:, None],
+        np.array(est.representative_pairings)).min(axis=1).max())
     report = {
         "exact_invariance_worst": exact_worst,
         "cluster_count": len(est.clusters),

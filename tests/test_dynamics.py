@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from azarin.dynamics import (check_flow_invariance, convergence_trend,
+from azarin.dynamics import (_single_linkage, check_flow_invariance, convergence_trend,
                              estimate_limit_set, geometric_schedule,
                              positive_regularity_criterion, sample_trajectory,
                              sigma_envelope_bound, verify_density_envelope,
@@ -154,6 +155,31 @@ class TestLimitSetRecovery:
         want = np.array([[fam.distance_from_pairings(a.pairings, b.pairings)
                           for b in est.samples] for a in est.samples])
         assert np.array_equal(est.distances, want)
+
+    def test_broadcast_distances_are_scalar_calls_bit_for_bit(self, fam, rng):
+        # pairings over many decades of size, so that every term of the
+        # metric, 1/(1 + |diff|) included, takes its own rounding
+        def pairings(*shape):
+            size = 10.0 ** rng.uniform(-12, 3, shape + (fam.n_members,))
+            return size * np.exp(2j * np.pi * rng.uniform(size=size.shape))
+
+        a, b = pairings(5), pairings(7)
+        d = fam.distance_from_pairings(a[:, None], b[None])
+        want = [[fam.distance_from_pairings(p, q) for q in b] for p in a]
+        assert d.shape == (5, 7)
+        assert d.tobytes() == np.array(want).tobytes()
+        rows = fam.distance_from_pairings(a, b[:5])
+        assert rows.tobytes() == np.array(want).diagonal().tobytes()
+        assert type(fam.distance_from_pairings(a[0], b[0])) is float
+        assert type(fam.distance_from_pairings(list(a[0]), list(b[0]))) is float
+
+    def test_trend_steps_are_scalar_calls_bit_for_bit(self, fam):
+        traj = sample_trajectory(periodic(), O1, geometric_schedule(1e2, 1e8, 40), fam)
+        kept = traj[4:]
+        want = [fam.distance_from_pairings(x.pairings, y.pairings)
+                for x, y in zip(kept[:-1], kept[1:])]
+        steps = convergence_trend(traj, fam).steps
+        assert np.array(steps).tobytes() == np.array(want).tobytes()
 
     def test_sparse_two_clusters_with_zero(self, fam):
         traj = sample_trajectory(sparse(), O1, sparse_schedule(), fam)
@@ -381,3 +407,57 @@ class TestSigmaEnvelope:
         nu_hat = abs_m.scaled(O1, t)
         for (a, b) in ((0.7, 1.6), (0.02, 0.2)):
             assert abs(nu.mass(a, b)) <= nu_hat.mass(a, b).real + 1e-12
+
+
+def _union_find(dist, eps):
+    """Single linkage by union-find over the upper triangle of ``dist``:
+    the reference for ``_single_linkage``."""
+    n = dist.shape[0]
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist[i, j] <= eps:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: min(g))
+
+
+_EPS = 1e-3
+# entries at and next to eps, far ones, NaN and inf
+_ENTRIES = st.sampled_from([0.0, 0.5 * _EPS, _EPS, math.nextafter(_EPS, 1.0), 0.5,
+                            2.0, math.inf, math.nan, math.nan])
+
+
+@given(n=st.integers(1, 16), data=st.data())
+def test_single_linkage_is_union_find(n, data):
+    upper = np.array(data.draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n)))
+    upper = np.triu(upper.reshape(n, n), 1)
+    dist = upper + upper.T
+    np.fill_diagonal(dist, data.draw(st.sampled_from([0.0, math.nan])))
+    got = _single_linkage(dist, _EPS)
+    assert got == _union_find(dist, _EPS)
+    assert all(type(i) is int for group in got for i in group)
+
+
+def test_single_linkage_of_a_long_chain():
+    # a path through the indices in a scrambled order: one component,
+    # reached only link by link
+    n = 60
+    order = np.random.default_rng(7).permutation(n)
+    dist = np.full((n, n), 1.0)
+    dist[order[:-1], order[1:]] = dist[order[1:], order[:-1]] = _EPS
+    assert _single_linkage(dist, _EPS) == [list(range(n))]
+    dist[order[29], order[30]] = dist[order[30], order[29]] = math.nan
+    assert _single_linkage(dist, _EPS) == _union_find(dist, _EPS)
+    assert len(_single_linkage(dist, _EPS)) == 2

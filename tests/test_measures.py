@@ -466,6 +466,22 @@ def test_tabulated_dilation_integrals_match_scipy(data):
     _assert_matches_oracle(data.draw(dilation_cases(False, False, tables=True)), False)
 
 
+def test_dilation_integrals_next_to_a_kernel_singularity():
+    # the graded panels at ln u = 0 narrow to ~5e-17, below the float
+    # spacing of u, so GK nodes landed on u == 1.0, where ln|1 - 1/u| is
+    # -inf, and the pairing was NaN
+    measure = RadonMeasure(pieces=(
+        DensityPiece(0.4375, 3.4375, 1.75 - 0.5j,
+                     complex(0.1422679230488736, 2.7782266273985243)),
+        DensityPiece(0.5625, 3.5625, -1.5 + 1.125j,
+                     complex(0.9041403151242323, -0.4950895466129275))))
+    case = (measure, "log_singular", LogSingularKernel(), [0.25, 2.0], [0.5], [1.0])
+    _assert_matches_oracle(case, False)
+    got = measure.dilation_integrals(LogSingularKernel(), [0.5], [1.0], [(0.25, 2.0)])
+    oracle = 0.6672759076328754 + 0.8680010343942202j   # scipy quad
+    assert abs(got[0][0] - oracle) <= DEFAULT_QUAD.tol * abs(oracle) + DEFAULT_QUAD.abs_tol
+
+
 def _edge_measures():
     """Self-similar measures with T = 2 and T = 1.25, base_lo 1 and scaled."""
     two = RadonMeasure(atoms=[(1.0, 1.0), (1.5, 2.0 - 1.0j)],

@@ -471,16 +471,17 @@ class RadonMeasure:
         the masses share segments as pairings do.  Returns a complex array,
         or with ``absolute`` the real array of |mu|((a r, b r]).
         """
-        lo, hi = a * min(rs), b * max(rs)
+        lo, hi = a * min(rs, default=1.0), b * max(rs, default=1.0)
         if not (0.0 < a < b and 0.0 < lo and hi < math.inf):
             raise ValueError("mass requires compact (a r, b r] in (0, oo)")
         return self._masses([(a, b)], rs, quad, absolute)[0]
 
     def _masses(self, windows, rs, quad, absolute):
         """The masses of each window (a, b] at each r: an (m, len(rs)) array."""
-        self._check_window(min(windows)[0] * min(rs), max(b for _, b in windows) * max(rs))
+        if len(rs):
+            self._check_window(min(windows)[0] * min(rs), max(b for _, b in windows) * max(rs))
         out = np.array(self.dilation_integrals(_ONE, rs, [1.0] * len(rs), windows,
-                                               quad, absolute))
+                                               quad, absolute), dtype=complex)
         return out.real if absolute else out
 
     def cumulative_masses(self, c, ts, quad=DEFAULT_QUAD):
@@ -494,7 +495,9 @@ class RadonMeasure:
         window masses from there.
         """
         ts = np.asarray(ts, dtype=float)
-        if c == 0.0 and ts.size and ts.min() > 0.0:
+        if c == 0.0 and not ts.size:
+            return np.zeros(ts.shape, dtype=complex)
+        if c == 0.0 and ts.min() > 0.0:
             c = float(ts.min())
             rest = self.cumulative_masses(c, ts, quad)
             return self.improper_mass(0.0, c, quad) + rest
@@ -563,7 +566,7 @@ class RadonMeasure:
         (pairs that need not touch) against mu(s u)/n, or |mu|(s u)/n: one
         row per window, one value per scale s of ``scales`` and norm n of
         ``norms``, the lists of one array that adds the atoms, the tables
-        and then the rest of the density.
+        and then the rest of the density (empty rows for no scales).
 
         The atoms x with x/s in (a, b] add g(x/s) w/n; they are found by one
         ``atoms_in`` per scale over the hull of the windows and binned by window.
@@ -573,10 +576,9 @@ class RadonMeasure:
         the same measure breakpoints in u shares one vector ``log_quad`` over
         all windows: the run's scales share each window's segments, so no
         column is split at another's breakpoints, and each window keeps its
-        own, so none is refined for another; a run of one scale integrates
-        a scalar.  Pairings, flow pairings, kernel transform windows and
-        masses are all this integral.  With ``absolute`` the atoms weigh |w|
-        and the density is |density|.
+        own, so none is refined for another.  Pairings, flow pairings, kernel
+        transform windows and masses are all this integral.  With
+        ``absolute`` the atoms weigh |w| and the density is |density|.
 
         A ``piecewise_linear`` g (a continuous ``TableKernel`` such as a
         trapezoid, or g = 1 behind ``masses``) pairs the ``TabulatedPiece``s
@@ -590,6 +592,8 @@ class RadonMeasure:
         """
         lo, hi = min(windows)[0], max(b for _, b in windows)
         out = np.zeros((len(windows), len(scales)), dtype=complex)
+        if not len(scales):
+            return out.tolist()
         if self.atom_x.size:
             for i, (s, n) in enumerate(zip(scales, norms)):
                 xs, ws = self.atoms_in(s * lo, s * hi)
@@ -624,24 +628,14 @@ class RadonMeasure:
         runs = (_split_runs([[b / s for b in bps if s * lo < b < s * hi] for s in scales])
                 if bps else [(slice(0, len(scales)), [])])
         for cols, splits in runs:
-            n = cols.stop - cols.start
-            if n == 1:
-                s = scales[cols.start]
-                gain = s / norms[cols.start]
+            s = np.asarray(scales[cols], dtype=float)
+            gain = s / np.asarray(norms[cols], dtype=float)
 
-                def integrand(u):
-                    return density(u * s) * (g(u) * gain)
-            else:
-                s = np.asarray(scales[cols], dtype=float)
-                gain = s / np.asarray(norms[cols], dtype=float)
+            def integrand(u):
+                return density(np.multiply.outer(u, s)) * (g(u)[:, None] * gain)
 
-                def integrand(u):
-                    return (density(np.multiply.outer(u, s))
-                            * (g(u)[:, None] * gain))
-
-            parts = log_quad(integrand, windows, quad,
-                             split_points=g_splits + splits, singular_points=sing)
-            out[:, cols] += parts.reshape(len(windows), n)
+            out[:, cols] += log_quad(integrand, windows, quad,
+                                     split_points=g_splits + splits, singular_points=sing)
         return out.tolist()
 
     # -- Azarin transform ----------------------------------------------------------

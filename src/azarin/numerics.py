@@ -22,16 +22,18 @@ rest of a block is discarded.
 accepts vector integrands returning an (n, k) array for n nodes: the k
 integrals of an interval share its segments and each keeps its own budget
 ``tol * |I_j| + abs_tol``.  Every interval keeps its own segments, as in
-QUADPACK's ``qag``; the intervals only share each pass's batch of nodes.
-``log_quad`` integrates over each of a list of windows (a, b) in ln t, each
-window one interval, so a step of Cauchy rings is one ``adaptive_quad``
-call and a window's value depends on the other windows of the call only
-in rounding.  An interval's refinement stops as soon as each of its
-integrals' error estimates, summed over its segments, is within its budget
-(QUADPACK's global test).  Until then a segment is split while any of its
-integrals' estimate on it is over the segment's length share of that
-budget: into graded panels toward a singular point it ends on, and into
-halves otherwise.
+QUADPACK's ``qag``; the intervals only share each pass's batch of nodes,
+and ``_gk_eval`` sums each segment of a batch on its own, so an interval's
+value is bit for bit that of its one-interval call, and a scalar
+integrand's that of its one-column vector form.  ``log_quad`` integrates
+over each of a list of windows (a, b) in ln t, each window one interval,
+so a step of Cauchy rings is one ``adaptive_quad`` call and a window's
+value does not depend on the other windows of the call.  An interval's
+refinement stops as soon as each of its integrals' error estimates, summed
+over its segments, is within its budget (QUADPACK's global test).  Until
+then a segment is split while any of its integrals' estimate on it is over
+the segment's length share of that budget: into graded panels toward a
+singular point it ends on, and into halves otherwise.
 
 ``CubicTable`` is the not-a-knot cubic spline (and its antiderivative) that
 tabulated densities and cumulative integrals interpolate with.
@@ -118,12 +120,12 @@ _WGK = np.array([
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 ])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-_G_IDX = np.arange(1, 15, 2)
+# One (2, 15) matrix contracts a segment's 15 values to I15 (row 0, the
+# weights above) and I7 (row 1, the Gauss weights at nodes 1, 3, ..., 13).
+_WGK_WG = np.stack([_WGK, np.zeros(15)])
+_WGK_WG[1, 1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
+                    0.417959183673469, 0.381830050505119, 0.279705391489277,
+                    0.129484966168870]
 
 
 def _sorted_unique(x):
@@ -136,21 +138,24 @@ def _sorted_unique(x):
 
 
 def _gk_eval(f, lo, hi):
-    """Gauss-Kronrod 7/15 on a batch of segments; returns (I15, err)."""
+    """Gauss-Kronrod 7/15 on a batch of segments; returns (I15, err).
+
+    The values, a complex one as its two float parts, are contracted by one
+    stacked product with ``_WGK_WG`` that takes each segment on its own, so
+    a segment's sums do not depend on the rest of the batch, and a scalar
+    integrand's are those of its one-column vector form."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
     vals = np.asarray(f(nodes.ravel()))
-    if vals.ndim == 2:  # vector integrand: (segment, column, node)
-        vals = vals.reshape(nodes.shape + vals.shape[1:]).swapaxes(1, 2)
-        half = half[:, None]
-    else:
-        vals = vals.reshape(nodes.shape)
-    i15 = half * (vals @ _WGK)
-    i7 = half * (vals[..., _G_IDX] @ _WG)
-    return i15, np.abs(i15 - i7)
+    kind = complex if vals.dtype.kind == "c" else float
+    blocks = np.ascontiguousarray(vals, dtype=kind).view(float).reshape(len(lo), 15, -1)
+    sums = _WGK_WG @ blocks
+    sums *= half[:, None, None]
+    sums = sums.view(kind).reshape((len(lo), 2) + vals.shape[1:])
+    return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
 
 
 def adaptive_quad(f, a, b, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
@@ -295,9 +300,9 @@ def log_quad(f, windows, ctrl=DEFAULT_QUAD, split_points=(), singular_points=())
 
     One ``adaptive_quad`` over the windows in ln t, each window its own
     interval with the split and singular points that lie in it, so a
-    window's segments, and its value up to rounding, do not depend on the
-    other windows.  Improper ends belong to the Cauchy window rule
-    (``_cauchy_windows``); a window outside (0, oo) raises ``ValueError``.
+    window's segments and value do not depend on the other windows.
+    Improper ends belong to the Cauchy window rule (``_cauchy_windows``); a
+    window outside (0, oo) raises ``ValueError``.
     Graded panels at a singular point p narrow below the float spacing of
     t, so a node x != ln p can give t = e^x == p, where f may be infinite;
     such a node is evaluated one float to its own side of p.

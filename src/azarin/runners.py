@@ -386,14 +386,20 @@ def run_sparse_flow(order, measure, quad,
     mids = [math.sqrt(float(xs[n - 1]) * float(xs[n])) for n in indices if n < len(xs)]
     gap_pairings = np.abs(fam.flow_pairings(measure, order, mids, quad))
     gaps = zip(mids, gap_pairings.max(axis=1, initial=0.0).tolist())
+    # the probe against each mu_r at r = r_n as one dilation integral, each
+    # norm V(r_n) and window check those of ``measure.scaled(order, r_n)``
+    r_ns = [float(xs[n - 1]) for n in indices]
+    lo, hi = probe.support
+    for r_n in r_ns:
+        if lo < measure.window[0] / r_n or hi > measure.window[1] / r_n:
+            measure.scaled(order, r_n)._check_window(lo, hi)
+    pairs = measure.dilation_integrals(probe, r_ns, [float(order.scale(r)) for r in r_ns],
+                                       [probe.support], quad)[0]
+    expected = complex(probe(np.array([1.0]))[0])
     rows = []
     worst_delta = 0.0
     worst_null = 0.0
-    for n in indices:
-        r_n = float(xs[n - 1])
-        at = measure.scaled(order, r_n)
-        got = at.pair(probe, quad)
-        expected = complex(probe(np.array([1.0]))[0])
+    for n, r_n, got in zip(indices, r_ns, pairs):
         worst_delta = max(worst_delta, abs(got - expected))
         rows.append([r_n, "atom", got.real, got.imag])
         if n < len(xs):

@@ -786,6 +786,40 @@ class TestRunErrors:
         assert "config error: params.indices[1]: expected an atom index in 1..1" \
             in capsys.readouterr().err
 
+    def test_sparse_flow_probe_outside_the_window(self, tmp_path, capsys):
+        # at r = 100 the window (5, 150] is (0.05, 1.5] in u, and the probe
+        # (0.5, 2] leaves it: the error names the window of mu_r
+        cfg = {"operation": "sparse_flow_check", "order": {"rho": 1.0},
+               "measure": {"atoms": [[10.0, 1.0], [100.0, 1.0]], "window": [5.0, 150.0]},
+               "params": {"indices": [2]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "run error: query (0.5, 2] exceeds the representable window (0.05, 1.5]\n")
+
+    def test_sparse_flow_deltas_are_one_dilation_integral(self, tmp_path, dilation_calls,
+                                                          scaled_calls):
+        assert run_cli(["run", "sparse_atoms", "--out-dir", tmp_path]) == 0
+        r_ns = [math.exp(n * n) for n in range(5, 10)]
+        assert [list(call[2]) for call in dilation_calls].count(r_ns) == 1
+        assert scaled_calls == []
+
+    def test_sparse_flow_with_no_gap(self, tmp_path, capsys):
+        # the last atom has no gap after it, so no gap is paired, beside a density
+        cfg = {"operation": "sparse_flow_check", "order": {"rho": 0.0},
+               "measure": {"atoms": [[2.0, 1.0], [50.0, 1.0]],
+                           "densities": [{"kind": "power", "interval": [1000.0, 2000.0],
+                                          "s": -1}]},
+               "params": {"indices": [2]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 0
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        assert report["max_gap_pairing"] == 0.0 and report["max_delta_error"] == 0.0
+        rows = (tmp_path / "sparse_flow.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows[1:]] == [["5.00000000000000000e+01", "atom"]]
+
     @pytest.mark.parametrize("operation, params, path", [
         ("transform_table", {"r_grid": {"start": 1.0, "stop": 10.0, "points": 2.7}},
          "params.r_grid.points"),

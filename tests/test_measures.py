@@ -179,6 +179,21 @@ class TestCumulativeMasses:
             RadonMeasure.power_density(0.0).cumulative_masses(c, ts)
 
 
+def test_no_scales_give_empty_arrays(fam):
+    # a density's breakpoints are sought over the scales' range, which an
+    # empty list does not have; the window (a, b] is still checked
+    m = RadonMeasure.power_density(-0.5)
+    assert fam.flow_pairings(m, ProximateOrder(0.5), []).shape == (0, fam.n_members)
+    got = m.masses(1.0, 2.0, [])
+    assert got.shape == (0,) and got.dtype == complex
+    assert m.masses(1.0, 2.0, [], absolute=True).shape == (0,)
+    with pytest.raises(ValueError):
+        m.masses(0.0, 2.0, [])
+    assert m.cumulative_masses(0.0, []).shape == (0,)
+    assert m.dilation_integrals(trapezoid_kernel(0.5, 2.0), [], [],
+                                [(0.5, 1.0), (1.0, 2.0)]) == [[], []]
+
+
 @st.composite
 def mass_cases(draw):
     """A signed or complex measure, a window (a, b] and scales r.

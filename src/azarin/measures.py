@@ -389,13 +389,16 @@ class RadonMeasure:
 
     # -- window bookkeeping -----------------------------------------------------
 
-    def _check_window(self, lo, hi):
+    def _check_window(self, lo, hi, t=1.0):
+        """A WindowError unless (lo, hi] lies in the window of mu_t, the
+        window divided by t (a self-similar measure has no window)."""
         if self.tail is not None:
             return
-        if lo < self.window[0] or hi > self.window[1]:
+        w_lo, w_hi = self.window[0] / t, self.window[1] / t
+        if lo < w_lo or hi > w_hi:
             raise WindowError(
                 "query (%g, %g] exceeds the representable window (%g, %g]"
-                % (lo, hi, self.window[0], self.window[1]))
+                % (lo, hi, w_lo, w_hi))
 
     # -- pointwise data ---------------------------------------------------------
 
@@ -764,8 +767,8 @@ class MetricFamily:
         memory by its runs of scales; the products are one over all scales,
         since BLAS rounds a row by its place in the batch.  The window
         check is one test over all samples and members; the first failing
-        pair in sample-major order raises through the ``_check_window`` of
-        its mu_t, as pairing sample by sample would.
+        pair in sample-major order raises through ``_check_window`` at its
+        scale t, as pairing sample by sample would.
         """
         ts = np.asarray(ts, dtype=float)
         norms = np.asarray(order.scale(ts), dtype=float)
@@ -775,7 +778,7 @@ class MetricFamily:
             bad = (lo < window[:, :1]) | (hi > window[:, 1:])
             if bad.any():
                 i, n = divmod(int(np.argmax(bad)), self.n_members)
-                measure.scaled(order, ts[i])._check_window(*self.members[n].support)
+                measure._check_window(*self.members[n].support, ts[i])
         tables, rest = measure._split_tables()
         out = np.zeros((ts.size, self.n_members), dtype=complex)
         for n in sorted(set(self._first)) if not rest.is_trivial() else ():

@@ -270,7 +270,16 @@ def _trajectory_table(samples):
     return ("trajectory.csv", ["t", "n", "re_pairing", "im_pairing"], rows)
 
 
-@operation("limit_set_estimate")
+def _flow_schedule(schedule, **_):
+    # sample_trajectory takes an increasing schedule from t >= 1, and
+    # estimate_limit_set needs 10 trajectory samples
+    if len(schedule) < 10:
+        raise ConfigError("params.schedule: expected at least 10 samples")
+    if schedule[0] < 1.0 or np.any(np.diff(schedule) <= 0.0):
+        raise ConfigError("params.schedule: expected increasing samples, the first >= 1")
+
+
+@operation("limit_set_estimate", check=_flow_schedule)
 def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
                   eps_cluster=1e-3,
                   target=Obj({"exponent": Maybe(float), "oscillation": 0.0,
@@ -303,7 +312,7 @@ def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
     return RunResult(verdict, report, [_trajectory_table(samples)])
 
 
-@operation("oscillating_family_check")
+@operation("oscillating_family_check", check=_flow_schedule)
 def run_oscillating_family(order, measure, oscillation, quad,
                            schedule=Grid(1e3, 1e6, 48), eps_cluster=1e-3,
                            tol_d=2e-3):
@@ -325,15 +334,21 @@ def run_oscillating_family(order, measure, oscillation, quad,
                      [("family_match.csv", ["t", "distance"], rows)])
 
 
-def _period_given(measure, period, **_):
+def _periodic_schedule(measure, period, tau_points, base_power, **_):
     if not measure.tail and period is None:
         raise ConfigError("params.period: missing required field")
     if measure.tail and period is not None:
         raise ConfigError("params.period: the measure's self-similar tail sets "
                           "the period; give none")
+    # the schedule tau T^k, k = base_power .. base_power + 2, for tau_points
+    # taus in [1, T): 3 tau_points samples, the first T^base_power
+    if tau_points < 4:
+        raise ConfigError("params.tau_points: expected an integer >= 4")
+    if base_power < 0:
+        raise ConfigError("params.base_power: expected an integer >= 0")
 
 
-@operation("periodic_family_check", check=_period_given)
+@operation("periodic_family_check", check=_periodic_schedule)
 def run_periodic_family(order, measure, quad,
                         period=Maybe(Range(1.0, math.inf, "a number > 1")),
                         tau_points=Count(16), base_power=36, eps_cluster=1e-3,
@@ -387,12 +402,10 @@ def run_sparse_flow(order, measure, quad,
     gap_pairings = np.abs(fam.flow_pairings(measure, order, mids, quad))
     gaps = zip(mids, gap_pairings.max(axis=1, initial=0.0).tolist())
     # the probe against each mu_r at r = r_n as one dilation integral, each
-    # norm V(r_n) and window check those of ``measure.scaled(order, r_n)``
+    # norm V(r_n) and window that of ``measure.scaled(order, r_n)``
     r_ns = [float(xs[n - 1]) for n in indices]
-    lo, hi = probe.support
     for r_n in r_ns:
-        if lo < measure.window[0] / r_n or hi > measure.window[1] / r_n:
-            measure.scaled(order, r_n)._check_window(lo, hi)
+        measure._check_window(*probe.support, r_n)
     pairs = measure.dilation_integrals(probe, r_ns, [float(order.scale(r)) for r in r_ns],
                                        [probe.support], quad)[0]
     expected = complex(probe(np.array([1.0]))[0])
@@ -482,10 +495,10 @@ def run_kernel_limit_values(order, measure, kernel, quad,
         period = measure.tail.period
         taus = [period ** (k / tau_points) for k in range(tau_points)]
     if taus is not None:
-        # the transform of mu_tau at 1
-        direct = tr.integrals(taus, order.scale(taus)).tolist()
-        worst = max(max(min(abs(v - c) for c in clusters) for v in direct),
-                    max(min(abs(v - c) for v in direct) for c in clusters))
+        # the transform of mu_tau at 1 (rows) against each cluster value
+        diff = np.subtract.outer(tr.integrals(taus, order.scale(taus)), clusters)
+        dist = np.hypot(diff.real, diff.imag)
+        worst = max(dist.min(axis=1).max(), dist.min(axis=0).max()).item()
     report = {"cluster_values": [ _jsonable(c) for c in clusters],
               "match_error": worst}
     verdict = None if worst is None else worst <= tol
@@ -516,12 +529,7 @@ def run_integrability(order, kernel, quad, expect_converged=Maybe(bool)):
     return RunResult(_expected(rep.l1_converged, expect_converged), report)
 
 
-def _ten_samples(schedule, **_):
-    if len(schedule) < 10:   # estimate_limit_set needs 10 trajectory samples
-        raise ConfigError("params.schedule: expected at least 10 samples")
-
-
-@operation("averaged_limit_check", check=_ten_samples)
+@operation("averaged_limit_check", check=_flow_schedule)
 def run_averaged_limit(order, measure, kernel, quad,
                        schedule=Grid(1e2, 1e6, 32, item=positive),
                        eps_cluster=1e-3, density_tol=0.01,
@@ -688,7 +696,7 @@ def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
     return RunResult(_expected(rep.passed, expect_pass, rep.passed), report)
 
 
-@operation("tauberian_roundtrip")
+@operation("tauberian_roundtrip", check=_flow_schedule)
 def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
                   ratio_tol=0.02,
                   expect_failed_stage=Choice("", *ROUNDTRIP_STAGES)):

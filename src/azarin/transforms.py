@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import _single_linkage
 from .kernels import SmoothBumpKernel
 from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece
 from .numerics import (CubicTable, DivergenceError, _cauchy_windows, converges,
@@ -115,31 +116,19 @@ class KernelTransform:
         return self._cache[r]
 
 
-def _cluster_complex(values, eps):
-    values = list(values)
-    used = [False] * len(values)
-    clusters = []
-    for i, v in enumerate(values):
-        if used[i]:
-            continue
-        group = [v]
-        used[i] = True
-        for j in range(i + 1, len(values)):
-            if not used[j] and abs(values[j] - v) <= eps:
-                group.append(values[j])
-                used[j] = True
-        clusters.append(sum(group) / len(group))
-    return clusters
-
-
 def normalized_limit_values(transform, schedule, eps=1e-4):
-    """Cluster values of the normalized transform along a schedule."""
+    """The limit values of J(r) = value(r)/V(r) along a schedule past its
+    first ``TRANSIENT_FRACTION``: the cluster means of single linkage at
+    ``eps`` on |J(r_i) - J(r_j)|, the limit set's rule, whose clusters do not
+    depend on the schedule's order.  Clusters and sums go in index order."""
     if transform.order is None:
         raise ValueError("normalized values need an order")
     schedule = np.asarray(schedule, dtype=float)
     rs = schedule[int(math.ceil(TRANSIENT_FRACTION * schedule.size)):]
     vals = transform.values(rs) / np.asarray(transform.order.scale(rs), dtype=float)
-    return _cluster_complex(vals.tolist(), eps)
+    diff = vals[:, None] - vals
+    return [sum(vals[group].tolist()) / len(group)
+            for group in _single_linkage(np.hypot(diff.real, diff.imag), eps)]
 
 
 class NeutralizationReport(NamedTuple):
@@ -236,9 +225,7 @@ def integrability_report(kernel, order, quad=DEFAULT_QUAD):
                 continue
             if any(a < s <= b for s in kernel.singular_points):
                 return IntegrabilityReport(l1, l1_ok, math.inf, False, False)
-            ts = np.geomspace(max(a, k_lo) * (1 + 1e-12),
-                              min(b, k_hi if not math.isinf(k_hi) else b),
-                              48)
+            ts = np.geomspace(max(a, k_lo) * (1 + 1e-12), min(b, k_hi), 48)
             kn = float(np.max(np.abs(kernel(ts))))
             increment += math.exp(m * rho) * gamma_at(math.exp(m)) * kn
         total += increment
@@ -263,9 +250,8 @@ def averaged_measure(transform, window):
         raise ValueError("window must be an interval in (0, oo)")
     n = max(8, int(32 * math.log10(hi / lo)) + 1)
     nodes = np.geomspace(lo, hi, n)
-    vals = transform.values(nodes)
     piece = TabulatedPiece(lo=lo, hi=hi, log_nodes=tuple(np.log(nodes)),
-                           values=tuple(vals))
+                           values=tuple(transform.values(nodes)))
     return RadonMeasure(pieces=(piece,), window=(lo, hi))
 
 
@@ -530,26 +516,20 @@ def order_diagnostic(transform, r_grid):
     with m = min over [1,2] of K(u/2) - K(u).
     """
     r_grid = np.asarray(r_grid, dtype=float)
-    slopes = []
-    for r in r_grid:
-        up = transform.value(r * math.exp(_LOG_STEP))
-        dn = transform.value(r * math.exp(-_LOG_STEP))
-        mid = transform.value(r)
-        slopes.append(abs((up - dn) / (2.0 * _LOG_STEP)) / max(abs(mid), 1e-300))
-    slopes = np.array(slopes)
-    top = slopes[r_grid >= r_grid.max() / 10.0]
-    head = slopes[r_grid <= r_grid.min() * 10.0]
-    final = float(np.max(top))
-    vanishes = final <= max(0.05, 0.6 * float(np.max(head)))
+    # one batch in the order of a loop over r, whose first divergence it
+    # raises: r e^h, r e^-h and r for each r, then every 2r
+    steps = r_grid[:, None] * np.array([math.exp(_LOG_STEP), math.exp(-_LOG_STEP), 1.0])
+    vals = transform.values(np.concatenate([steps.ravel(), 2.0 * r_grid]))
+    (up, dn, mid), twice = vals[:steps.size].reshape(-1, 3).T, vals[steps.size:]
+    slope = np.array([(up - dn).real, (up - dn).imag]) / (2.0 * _LOG_STEP)
+    slopes = np.hypot(*slope) / np.maximum(np.hypot(mid.real, mid.imag), 1e-300)
+    final = float(np.max(slopes[r_grid >= r_grid.max() / 10.0]))
+    vanishes = final <= max(0.05, 0.6 * float(np.max(slopes[r_grid <= r_grid.min() * 10.0])))
     us = np.linspace(1.0, 2.0, 64)
     m_const = float(np.min(transform.kernel(us / 2.0) - transform.kernel(us)))
-    gap_ok = True
     lowers = m_const * transform.measure.masses(1.0, 2.0, r_grid, transform.quad).real
-    for r, lower in zip(r_grid, lowers):
-        gap = (transform.value(2.0 * r) - transform.value(r)).real
-        if gap < lower * (1.0 - 1e-9) - 1e-9 * (1.0 + abs(gap)):
-            gap_ok = False
-            break
+    gaps = (twice - mid).real
+    gap_ok = not np.any(gaps < lowers * (1.0 - 1e-9) - 1e-9 * (1.0 + np.abs(gaps)))
     return OrderDiagnosticReport(log_slopes=tuple(slopes), final_slope=final,
                                  slope_vanishes=vanishes, gap_bound_ok=gap_ok,
                                  passed=vanishes and gap_ok)

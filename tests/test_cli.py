@@ -248,6 +248,32 @@ class TestRunErrors:
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, params, path, message", [
+        # convergence_trend of one sample: numpy's empty reduction
+        ("roundtrip_regular", {"schedule": [100]}, "params.schedule",
+         "expected at least 10 samples"),
+        ("regular_density", {"schedule": {"start": 1e3, "stop": 1e6, "points": 5}},
+         "params.schedule", "expected at least 10 samples"),
+        ("exp_average_flow", {"schedule": {"start": 0.5, "stop": 1e6, "points": 32}},
+         "params.schedule", "expected increasing samples, the first >= 1"),
+        ("oscillating_density", {"schedule": [1e3] * 12}, "params.schedule",
+         "expected increasing samples, the first >= 1"),
+        # the schedule of 3 tau_points samples from T^base_power
+        ("periodic_atoms", {"tau_points": 3}, "params.tau_points",
+         "expected an integer >= 4"),
+        ("periodic_atoms", {"base_power": -3}, "params.base_power",
+         "expected an integer >= 0"),
+    ])
+    def test_flow_schedule_is_a_config_error(self, name, params, path, message,
+                                             tmp_path, capsys):
+        # each ended in a run error from a bare ValueError of the trajectory
+        cfg = builtin_config(name)
+        cfg["params"].update(params)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == "config error: %s: %s\n" % (path, message)
+
     def test_one_point_jump_window(self, tmp_path, capsys):
         # lo == hi scans the one point lo; only lo > hi is rejected
         cfg = {"operation": "carleman_suite",

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 import tracemalloc
 
@@ -965,6 +966,22 @@ class TestFlowPairings:
             fam.flow_pairings(m, O1, ts)
         assert str(got.value) == str(want.value)
         assert "(1e-05, 5]" in str(got.value)
+
+    @pytest.mark.parametrize("t", [1.0, 7.0, 100.0, 1e5])
+    def test_window_check_at_a_scale_is_that_of_mu_t(self, t):
+        # the check at scale t takes the window of mu_t, no mu_t built; a
+        # self-similar measure has no window at any scale
+        m = RadonMeasure(pieces=RadonMeasure.power_density(-0.5).pieces,
+                         window=(1e-3, 500.0))
+        for lo, hi in [(1e-4, 1.0), (0.5, 2.0), (0.01, 30.0)]:
+            try:
+                m.scaled(O1, t)._check_window(lo, hi)
+            except WindowError as err:
+                with pytest.raises(WindowError, match=re.escape(str(err))):
+                    m._check_window(lo, hi, t)
+            else:
+                m._check_window(lo, hi, t)
+        periodic()._check_window(1e-300, 1e300, t)
 
 
 class TestMetric:

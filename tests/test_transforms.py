@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from azarin import numerics
+from azarin import numerics, transforms
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
 from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                             PowerCutKernel, SmoothBumpKernel, TableKernel,
@@ -610,6 +610,39 @@ class TestNormalizedLimits:
         clusters = normalized_limit_values(tr, np.geomspace(10, 1e3, 10))
         assert clusters == [0.0]
 
+    def test_a_slow_drift_is_one_cluster(self):
+        # after the transient each value lies 0.6 eps past the one before:
+        # single linkage chains them into one cluster, where grouping each
+        # value with those within eps of a first one cut the chain into pieces
+        eps = 1e-4
+        tr = _StubTransform([5.0] * 4 + [0.6 * eps * k for k in range(16)])
+        clusters = normalized_limit_values(tr, np.geomspace(10, 1e4, 20), eps=eps)
+        assert len(clusters) == 1
+        assert clusters[0] == pytest.approx(4.5 * eps, rel=1e-12)
+
+    @pytest.mark.parametrize("values", [[0.0, 0.9, 1.8], [0.9, 0.0, 1.8]],
+                             ids=["in-order", "first-two-swapped"])
+    def test_clusters_do_not_depend_on_the_order(self, values):
+        # in the given order the greedy rule made [0, 0.9 eps] and [1.8 eps],
+        # swapped one cluster of all three; single linkage makes one either way
+        eps = 1e-4
+        tr = _StubTransform([5.0] + [v * eps for v in values])
+        clusters = normalized_limit_values(tr, np.geomspace(10, 1e3, 4), eps=eps)
+        assert clusters == [sum(v * eps for v in values) / 3]
+
+
+class _StubTransform:
+    """A transform whose value at the k-th r it is asked for is ``values[k]``,
+    at scale 1."""
+
+    def __init__(self, values):
+        self.order = ProximateOrder(0.0)
+        self._values = values
+
+    def values(self, rs):
+        start = len(self._values) - len(rs)
+        return np.array(self._values[start:], dtype=complex)
+
 
 class TestNeutralization:
     def test_finite_kernel_passes(self):
@@ -946,3 +979,45 @@ class TestOrderDiagnostic:
         rep = order_diagnostic(tr, np.geomspace(1e2, 1e6, 6))
         assert not rep.slope_vanishes
         assert rep.final_slope == pytest.approx(1.0, rel=1e-6)
+
+    def test_slopes_equal_the_value_at_a_time_form(self):
+        # the central difference of the (cached) values at r e^{+-h} over
+        # |value(r)|, bit for bit
+        r_grid = np.geomspace(1e2, 1e6, 6)
+        tr = KernelTransform(ExpKernel(), LEB, O1)
+        rep = order_diagnostic(tr, r_grid)
+        h = transforms._LOG_STEP
+        want = [abs((tr.value(r * math.exp(h)) - tr.value(r * math.exp(-h)))
+                    / (2.0 * h)) / max(abs(tr.value(r)), 1e-300) for r in r_grid]
+        assert rep.log_slopes == tuple(want)
+
+    def test_the_whole_grid_is_one_integral(self, monkeypatch):
+        calls = []
+        integrals = KernelTransform.integrals
+
+        def counted(self, rs, *args):
+            calls.append(list(rs))
+            return integrals(self, rs, *args)
+
+        monkeypatch.setattr(KernelTransform, "integrals", counted)
+        r_grid = np.geomspace(1e2, 1e6, 6)
+        order_diagnostic(KernelTransform(ExpKernel(), LEB, O1), r_grid)
+        h = transforms._LOG_STEP
+        # r-major: r e^h, r e^-h and r for each r, then every 2r
+        assert calls == [[float(x) for r in r_grid
+                          for x in (r * math.exp(h), r * math.exp(-h), r)]
+                         + [float(2.0 * r) for r in r_grid]]
+
+    def test_divergence_is_the_first_one_the_loop_meets(self):
+        # every value diverges at zero: the error is that of value(r e^h)
+        # at the first r, message, side and partials
+        r_grid = np.geomspace(1e2, 1e4, 3)
+        with pytest.raises(DivergenceError) as got:
+            order_diagnostic(KernelTransform(PowerCutKernel(-1.0), LEB, O1), r_grid)
+        with pytest.raises(DivergenceError) as want:
+            KernelTransform(PowerCutKernel(-1.0), LEB, O1).value(
+                r_grid[0] * math.exp(transforms._LOG_STEP))
+        assert str(got.value) == str(want.value) == \
+            "transform integral failed the Cauchy criterion at zero"
+        assert len(got.value.partials) == len(want.value.partials) > 1
+        assert np.allclose(got.value.partials, want.value.partials, rtol=1e-12)

@@ -287,24 +287,21 @@ def _tabulated_supremum(zero_part, tau):
     return float(best)
 
 
-def _log_potter_factor(order, t):
-    """ln potter_factor(order, t), finite even where the factor overflows."""
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError("potter_factor requires t > 0")
-    return log_potter_factor(order, math.log(t))
-
-
 def log_potter_factor(order, tau):
-    """ln potter_factor(order, e**tau), finite where e**tau or the factor is not."""
-    tau = float(tau)
-    if tau == 0.0 or isinstance(order.zero_part, FlatZero):
-        return 0.0
-    if order.zero_part.concave_log_scale:
-        return float(order.zero_part.log_scale(tau))
-    if isinstance(order.zero_part, TabulatedZero):
-        return _tabulated_supremum(order.zero_part, tau)
-    return float(_grid_supremum(order.zero_part, tau))
+    """ln potter_factor(order, e**tau) at a number or an array of tau, in its
+    shape, finite where e**tau or the factor is not.  A closed form (flat or
+    concave) takes the whole array; a search runs once per distinct tau."""
+    tau = np.asarray(tau, dtype=float)
+    zero_part = order.zero_part
+    if zero_part.concave_log_scale:
+        out = zero_part.log_scale(tau)
+    else:
+        search = (_tabulated_supremum if isinstance(zero_part, TabulatedZero)
+                  else _grid_supremum)
+        taus = tau.ravel().tolist()
+        sup = {x: float(search(zero_part, x)) if x else 0.0 for x in dict.fromkeys(taus)}
+        out = np.reshape([sup[x] for x in taus], tau.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def potter_factor(order, t):
@@ -319,9 +316,13 @@ def potter_factor(order, t):
     grid search (``_grid_supremum``) with golden-section refinement around
     the grid argmax.  The supremum is found in log form and exponentiated,
     so a factor beyond the float range raises OverflowError; the Potter
-    report and the decay scan use the log and do not.
+    report, the decay scan and the gamma suite use the log and do not.
+    Scalar on purpose: for many t, call ``log_potter_factor`` on their logs.
     """
-    return math.exp(_log_potter_factor(order, t))
+    t = float(t)
+    if t <= 0.0:
+        raise ValueError("potter_factor requires t > 0")
+    return math.exp(log_potter_factor(order, math.log(t)))
 
 
 def potter_factor_lower(order, t):
@@ -343,20 +344,19 @@ def potter_bound_report(order, samples, tolerance=1e-6):
     """Check scale(rt) <= t**rho * potter_factor(t) * scale(r) on samples.
 
     Violations are measured relatively, in log space to dodge overflow.  A
-    pair whose product r t is 0 or not finite (out of the float range) has
-    no finite excess and raises ValueError.
+    pair with t <= 0, or whose product r t is 0 or not finite (out of the
+    float range), has no finite excess and raises ValueError.
     """
     r, t = np.asarray(samples, dtype=float).reshape(-1, 2).T
     with np.errstate(over="ignore", under="ignore"):
         rt = r * t
-    bad = np.flatnonzero(~np.isfinite(rt) | (rt == 0.0))
+    bad = np.flatnonzero(~np.isfinite(rt) | (rt == 0.0) | (t <= 0.0))
     if bad.size:
         raise ValueError("Potter bound excess is not finite at pair (r, t) = (%r, %r)"
                          % (float(r[bad[0]]), float(t[bad[0]])))
-    ts = t.tolist()
-    log_bound = {x: order.rho * math.log(x) + _log_potter_factor(order, x)
-                 for x in dict.fromkeys(ts)}
-    excess = order.log_scale(rt) - (np.array([log_bound[x] for x in ts]) + order.log_scale(r))
+    taus = [math.log(x) for x in t.tolist()]
+    log_bound = order.rho * np.array(taus) + log_potter_factor(order, taus)
+    excess = order.log_scale(rt) - (log_bound + order.log_scale(r))
     worst, worst_pair = 0.0, None
     if excess.size and excess.max() > 0.0:
         k = int(np.argmax(excess))
@@ -372,16 +372,12 @@ def potter_decay_scan(order, t_grid):
     Both rows tend to zero as t grows; for the concave families the forward
     column is exactly ln W(t)/ln t.
     """
-    rows = []
-    for t in t_grid:
-        t = float(t)
-        if t <= math.e:
-            raise ValueError("decay scan requires t > e")
-        lt = math.log(t)
-        fwd = _log_potter_factor(order, t) / lt
-        bwd = _log_potter_factor(order, 1.0 / t) / lt
-        rows.append((t, fwd, bwd))
-    return rows
+    ts = [float(t) for t in t_grid]
+    if any(t <= math.e for t in ts):
+        raise ValueError("decay scan requires t > e")
+    lts = [math.log(t) for t in ts]
+    fwd, bwd = log_potter_factor(order, [lts, [math.log(1.0 / t) for t in ts]]) / lts
+    return list(zip(ts, fwd.tolist(), bwd.tolist()))
 
 
 def poisson_smoothed_scale(order, r, quad=DEFAULT_QUAD):

@@ -30,8 +30,7 @@ from .measures import (MetricFamily, RadonMeasure, class_membership,
                        lower_density, upper_density)
 from .numerics import DEFAULT_QUAD
 from .orders import (log_potter_factor, poisson_smoothed_scale,
-                     potter_bound_report, potter_decay_scan, potter_factor,
-                     potter_factor_lower)
+                     potter_bound_report, potter_decay_scan, potter_factor)
 from .special import lanczos_gamma
 from .tauberian import (ROUNDTRIP_STAGES, mellin_symbol_table,
                         tauberian_roundtrip, verify_exponential_solution,
@@ -167,20 +166,17 @@ def run_gamma_suite(order, tol=1e-6, pairs=Count(100), ln_range=10.0,
                         "e**x is a float > e" % _MAX_LN)),
                     expected_decay=List(None), decay_tol=1e-3):
     at_one = potter_factor(order, 1.0)
-    submult_worst = 0.0
-    for l1, l2 in _lattice_logs(pairs, ln_range):
-        # gamma(t1 t2) / (gamma(t1) gamma(t2)) - 1 in log form: no overflow
-        excess = math.expm1(log_potter_factor(order, l1 + l2)
-                            - log_potter_factor(order, l1) - log_potter_factor(order, l2))
-        submult_worst = max(submult_worst, excess)
-    ts = np.geomspace(1e-6, 1e6, dominance_points)
-    upper = [potter_factor(order, t) for t in ts]
-    dominance_worst = 0.0
-    for t, factor in zip(ts, upper):
-        dominance_worst = max(dominance_worst, float(order.zero_scale(t)) - factor)
-    every = max(1, ts.size // 10)
-    lower_ok = all(potter_factor_lower(order, t) <= factor * (1.0 + 1e-12)
-                   for t, factor in zip(ts[::every], upper[::every]))
+    l1, l2 = np.array(_lattice_logs(pairs, ln_range)).T
+    # gamma(t1 t2) / (gamma(t1) gamma(t2)) - 1, W(t) / gamma(t) - 1 and the
+    # lower factor against gamma, all in log form: no overflow
+    g12, g1, g2 = log_potter_factor(order, [l1 + l2, l1, l2])
+    submult_worst = np.expm1(g12 - g1 - g2).max(initial=0.0).item()
+    taus = np.log(np.geomspace(1e-6, 1e6, dominance_points))
+    upper = log_potter_factor(order, taus)
+    dominance_worst = np.expm1(order.zero_part.log_scale(taus) - upper).max(initial=0.0).item()
+    every = max(1, taus.size // 10)
+    lower = -log_potter_factor(order, -taus[::every])
+    lower_ok = bool(np.all(lower <= upper[::every] + 1e-12))
     scan = potter_decay_scan(order, [math.exp(e) for e in decay_exponents])
     decays = [row[1] for row in scan]
     strictly_decreasing = all(b < a for a, b in zip(decays, decays[1:]))
@@ -235,12 +231,19 @@ def run_potter_check(order, pairs=List(None, item=List(length=2, item=Unchecked(
     return RunResult(rep.passed, report)
 
 
-@operation("poisson_smoothing_check")
+def _zero_order(order, **_):
+    if order.rho != 0.0:
+        raise ConfigError("order.rho: expected 0, poisson smoothing is defined "
+                          "for zero orders")
+
+
+@operation("poisson_smoothing_check", check=_zero_order)
 def run_poisson_smoothing(order, quad,
                           checks=List([{"r": 1e4, "bound": 0.05}],
-                                      item=Obj({"r": float, "bound": float},
+                                      item=Obj({"r": positive, "bound": positive},
                                                lambda r, bound: (r, bound))),
-                          symmetry_r=37.5, symmetry_tol=1e-8):
+                          symmetry_r=Range(0.0, math.inf, "a finite number > 0", 37.5),
+                          symmetry_tol=1e-8):
     rows = []
     verdict = True
     for r, bound in checks:
@@ -282,8 +285,9 @@ def _flow_schedule(schedule, **_):
 @operation("limit_set_estimate", check=_flow_schedule)
 def run_limit_set(order, measure, quad, schedule=Grid(1e3, 1e6, 48),
                   eps_cluster=1e-3,
-                  target=Obj({"exponent": Maybe(float), "oscillation": 0.0,
-                              "coef": 1.0, "tol_d": 1e-3}, default=None)):
+                  target=Obj({"exponent": Maybe(float), "oscillation": 0.0, "coef": 1.0,
+                              "tol_d": Range(0.0, math.inf, "a finite number > 0", 1e-3)},
+                             default=None)):
     fam = MetricFamily()
     samples = sample_trajectory(measure, order, schedule, fam, quad)
     est = estimate_limit_set(samples, fam, eps_cluster=eps_cluster)
@@ -428,7 +432,7 @@ def run_sparse_flow(order, measure, quad,
 
 @operation("class_membership")
 def run_class_membership(order, measure, quad, which=Choice("tail", "global"),
-                         r_grid=Grid(), expect_bounded=Maybe(bool)):
+                         r_grid=Grid(item=positive), expect_bounded=Maybe(bool)):
     rep = class_membership(measure, order, which=which or "tail", r_grid=r_grid,
                            quad=quad)
     report = {"sup_ratio": rep.sup_ratio, "bounded": rep.bounded,
@@ -437,7 +441,7 @@ def run_class_membership(order, measure, quad, which=Choice("tail", "global"),
 
 
 @operation("positive_regularity")
-def run_positive_regularity(order, measure, quad, r_grid=Grid(1e2, 1e7, 40),
+def run_positive_regularity(order, measure, quad, r_grid=Grid(1e2, 1e7, 40, item=positive),
                             expect_regular=Maybe(bool)):
     rep = positive_regularity_criterion(measure, order, r_grid, quad=quad)
     report = {"branch": rep.branch, "limit": rep.limit_estimate,
@@ -446,7 +450,7 @@ def run_positive_regularity(order, measure, quad, r_grid=Grid(1e2, 1e7, 40),
 
 
 @operation("density_estimate")
-def run_density_estimate(order, measure, quad, r_grid=Grid(1e2, 1e7, 48),
+def run_density_estimate(order, measure, quad, r_grid=Grid(1e2, 1e7, 48, item=positive),
                          alpha=Range(-1.0, math.inf, "a number > -1", 1.0)):
     up = upper_density(measure, order, alpha, r_grid, quad)
     lo = lower_density(measure, order, alpha, r_grid, quad)
@@ -602,7 +606,7 @@ def _tail_free(measure, **_):
 
 
 @operation("stable_order_check", check=_tail_free)
-def run_stable_order(order, measure, quad, r_grid=Grid(1e1, 1e6, 40),
+def run_stable_order(order, measure, quad, r_grid=Grid(1e1, 1e6, 40, item=positive),
                      expect_stable=Maybe(bool)):
     f = PiecewiseFunction(lambda t: measure.density(t),
                           measure.breakpoints_in(0.0, math.inf))
@@ -685,7 +689,7 @@ def _coefficient_per_lambda(lambdas, coefficients, **_):
 @operation("exponential_solution_check", check=_coefficient_per_lambda)
 def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
                              coefficients=List(None, item=complex),
-                             r_samples=List([1.0, math.e, math.e ** 2]),
+                             r_samples=List([1.0, math.e, math.e ** 2], item=positive),
                              tol=1e-6, expect_pass=Maybe(bool)):
     if coefficients is None:
         coefficients = [complex(1.0)] * len(lambdas)

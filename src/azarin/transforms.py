@@ -20,7 +20,7 @@ from .kernels import SmoothBumpKernel
 from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece
 from .numerics import (CubicTable, DivergenceError, _cauchy_windows, converges,
                        improper_quad, log_quad)
-from .orders import potter_factor
+from .orders import log_potter_factor
 
 __all__ = [
     "KernelTransform", "normalized_limit_values", "neutralization_report",
@@ -186,21 +186,16 @@ class IntegrabilityReport(NamedTuple):
 def integrability_report(kernel, order, quad=DEFAULT_QUAD):
     """L1 norm of t**(rho-1) * gamma(t) * |K(t)| plus the amalgam series.
 
-    The amalgam series sums e**(n rho) * gamma(e**n) * K_n where K_n is the
-    sup of |K| on (e**n, e**(n+1)]; sups are taken on a log grid and become
-    inf when the cell contains a declared singular point of the kernel.
+    The amalgam series sums e**(m rho) * gamma(e**m) * K_m over the cells
+    (e**m, e**(m+1)], m = 0, 1, -1, 2, -2, ..., with K_m the sup of |K| on a
+    log grid of the cell; it is inf at the first cell it reaches that holds
+    a declared singular point of the kernel.  gamma comes from one
+    ``log_potter_factor`` call per GK batch and one for all the cells.
     """
     rho = order.rho
-    gamma_cache = {}
-
-    def gamma_at(t):
-        key = round(math.log(t), 9)
-        if key not in gamma_cache:
-            gamma_cache[key] = potter_factor(order, t)
-        return gamma_cache[key]
 
     def integrand(t):
-        g = np.array([gamma_at(x) for x in np.atleast_1d(t)])
+        g = np.exp(log_potter_factor(order, np.log(t)))
         return np.abs(kernel(t)) * np.exp((rho - 1.0) * np.log(t)) * g
 
     try:
@@ -212,22 +207,24 @@ def integrability_report(kernel, order, quad=DEFAULT_QUAD):
         l1 = abs(exc.partials[-1]) if exc.partials else math.inf
         l1_ok = False
 
-    total = 0.0
-    converged = False
-    prev_increment = math.inf
+    ms = np.array([0] + [m for n in range(1, 40) for m in (n, -n)])
+    a, b = np.array([[math.exp(m), math.exp(m + 1)] for m in ms.tolist()]).T
     k_lo, k_hi = kernel.support
-    for n in range(0, 40):
-        increment = 0.0
-        for sign in ((1,) if n == 0 else (1, -1)):
-            m = sign * n
-            a, b = math.exp(m), math.exp(m + 1)
-            if b <= k_lo or (not math.isinf(k_hi) and a >= k_hi):
-                continue
-            if any(a < s <= b for s in kernel.singular_points):
-                return IntegrabilityReport(l1, l1_ok, math.inf, False, False)
-            ts = np.geomspace(max(a, k_lo) * (1 + 1e-12), min(b, k_hi), 48)
-            kn = float(np.max(np.abs(kernel(ts))))
-            increment += math.exp(m * rho) * gamma_at(math.exp(m)) * kn
+    inside = (b > k_lo) & (a < k_hi)
+    singular = inside & np.any([(a < s) & (s <= b) for s in kernel.singular_points], axis=0)
+    cells = inside & ~singular
+    ts = np.geomspace(np.maximum(a[cells], k_lo) * (1 + 1e-12), np.minimum(b[cells], k_hi), 48)
+    # (ln gamma, K_m) per cell, exponentiated only in a cell the loop reaches:
+    # e**(m rho) gamma may overflow in a cell past the stop
+    factors = dict(zip(ms[cells].tolist(), zip(log_potter_factor(order, ms[cells]).tolist(),
+                                               np.abs(kernel(ts)).max(axis=0).tolist())))
+    total, converged, prev_increment = 0.0, False, math.inf
+    for n in range(40):
+        cell = slice(max(2 * n - 1, 0), 2 * n + 1)   # m = n and m = -n
+        if singular[cell].any():
+            return IntegrabilityReport(l1, l1_ok, math.inf, False, False)
+        increment = sum([math.exp(m * rho) * math.exp(g) * k
+                         for m, (g, k) in factors.items() if m in (n, -n)], 0.0)
         total += increment
         if n > 2 and increment <= quad.tol * (1.0 + total) and \
                 prev_increment <= quad.tol * (1.0 + total):

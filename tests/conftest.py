@@ -62,6 +62,15 @@ def quad_calls(monkeypatch):
 
 
 @pytest.fixture
+def potter_calls(monkeypatch):
+    """A list that gains one entry ``tau`` per ``log_potter_factor`` call
+    that ``transforms`` makes."""
+    from azarin import transforms
+    return _counted(monkeypatch, transforms, "log_potter_factor",
+                    lambda order, tau: tau)
+
+
+@pytest.fixture
 def gk_batches(monkeypatch):
     """A list that gains one entry ``(f, lo, hi)`` per ``numerics._gk_eval``
     call: one GK batch of ``len(lo)`` segments."""

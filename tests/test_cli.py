@@ -237,6 +237,26 @@ class TestRunErrors:
         # a tolerance with no expectation to apply it to was ignored
         ("wiener_zero_scan", {"abscissa_tol": 1e-3}, "params.abscissa_tol",
          "needs params.expected_zeros"),
+        # a scale <= 0 ended in a run error from a bare ValueError
+        ("class_membership", {"r_grid": [-1, 10, 100]}, "params.r_grid[0]",
+         "expected a finite number > 0"),
+        ("density_estimate", {"r_grid": [0, 10, 100]}, "params.r_grid[0]",
+         "expected a finite number > 0"),
+        ("positive_regularity", {"r_grid": [-1, 10, 100]}, "params.r_grid[0]",
+         "expected a finite number > 0"),
+        ("stable_order_check", {"r_grid": [-1, 10, 100]}, "params.r_grid[0]",
+         "expected a finite number > 0"),
+        ("exponential_solution_check", {"r_samples": [-1]}, "params.r_samples[0]",
+         "expected a finite number > 0"),
+        ("poisson_smoothing_check", {"checks": [{"r": -1, "bound": 0.1}]},
+         "params.checks[0].r", "expected a finite number > 0"),
+        ("poisson_smoothing_check", {"checks": [{"r": 10, "bound": 0}]},
+         "params.checks[0].bound", "expected a finite number > 0"),
+        ("poisson_smoothing_check", {"symmetry_r": 0}, "params.symmetry_r",
+         "expected a finite number > 0"),
+        # a nested tolerance escaped the top-level *tol rule: FAIL, exit 2
+        ("limit_set_estimate", {"target": {"tol_d": -1}}, "params.target.tol_d",
+         "expected a finite number > 0"),
     ])
     def test_wrong_shape_param_diagnostic(self, operation, params, path, message,
                                           tmp_path, capsys):
@@ -247,6 +267,30 @@ class TestRunErrors:
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
+
+    def test_poisson_smoothing_needs_a_zero_order(self, tmp_path, capsys):
+        # ended in a run error naming no field
+        cfg = {"operation": "poisson_smoothing_check", "order": {"rho": 0.5}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == ("config error: order.rho: expected 0, "
+                                           "poisson smoothing is defined for zero orders\n")
+
+    def test_gamma_suite_with_a_steep_order(self, tmp_path, capsys):
+        # ln gamma(1e6) ~ 1381 on the dominance grid: the factor itself
+        # overflowed math.exp and the run ended in a traceback
+        cfg = {"operation": "gamma_suite",
+               "order": {"rho": 0, "zero_part": {"kind": "tabulated_eta",
+                                                 "points": [[0, 100], [1, 100]]}},
+               "params": {"decay_exponents": [16]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) in (0, 2)
+        report = json.loads((tmp_path / "cfg_report.json").read_text())["report"]
+        assert report["dominance_defect"] <= 1e-9
+        assert report["lower_factor_consistent"]
+        assert report["decay_rows"] == [[math.exp(16.0), 100.0, 100.0]]
 
     @pytest.mark.parametrize("name, params, path, message", [
         # convergence_trend of one sample: numpy's empty reduction
@@ -742,6 +786,35 @@ class TestRunErrors:
         assert 0.0 <= report["submultiplicativity_excess"] <= 1e-12
         assert all(math.isfinite(x) for row in report["decay_rows"] for x in row)
 
+    @pytest.mark.parametrize("zero_part, verdict, decay, rtol", [
+        # a flat order's forward column is 0 throughout: not decreasing
+        ({"kind": "zero"}, "FAIL", [0.0, 0.0, 0.0], 0.0),
+        ({"kind": "log_power", "A": 1.0, "alpha": 0.5}, "PASS",
+         [0.25, 0.16666666666666666, 0.1], 1e-15),
+        ({"kind": "log_of_log_power", "alpha": 2.0}, "PASS",
+         [0.3470590350904647, 0.19912720288118488, 0.0921054034198285], 0.0),
+        ({"kind": "tabulated_eta", "points": [[0, 0.3], [1, 0.2], [3, 0.05]]}, "PASS",
+         [0.071875, 0.05972222222222223, 0.053500000000000006], 0.0),
+    ], ids=["flat", "log-power", "log-log", "tabulated"])
+    def test_gamma_suite_is_pinned(self, zero_part, verdict, decay, rtol, tmp_path):
+        # reports of the Potter factor taken one t at a time, as the reference
+        cfg = {"operation": "gamma_suite", "order": {"rho": 0.0, "zero_part": zero_part},
+               "params": {"pairs": 20, "dominance_points": 20}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run_cli(["run", cfg_path, "--out-dir", tmp_path])
+        out = json.loads((tmp_path / "cfg_report.json").read_text())
+        assert out["verdict"] == verdict
+        report = out["report"]
+        rows = report.pop("decay_rows")
+        assert report == {"gamma_at_one": 1.0, "submultiplicativity_excess": 0.0,
+                          "dominance_defect": 0.0, "lower_factor_consistent": True,
+                          "decay_strictly_decreasing": verdict == "PASS"}
+        assert [row[0] for row in rows] == [math.exp(e) for e in (16.0, 36.0, 100.0)]
+        assert [row[1] for row in rows] == [row[2] for row in rows]
+        got = [row[1] for row in rows]
+        assert got == (decay if rtol == 0.0 else pytest.approx(decay, rel=rtol, abs=0.0))
+
     @pytest.mark.parametrize("order", [
         {"rho": 0.5},
         {"rho": 0.0, "zero_part": {"kind": "tabulated_eta",
@@ -978,7 +1051,8 @@ class TestRunPathImports:
         assert dataclass_records == []
 
     def test_runs_load_no_scipy(self, tmp_path):
-        # scipy is a test dependency only; a run must not import it
+        # scipy is a test dependency only; a run must not import it, and
+        # the round trip must not pay numpy.ma's import (np.unique's first call)
         cfg = {"operation": "stable_order_check", "order": {"rho": 0.5},
                "measure": {"densities": [{"kind": "power", "s": 0.5}]},
                "params": {"expect_stable": True}}
@@ -986,12 +1060,14 @@ class TestRunPathImports:
         cfg_path.write_text(json.dumps(cfg))
         script = ("import json, sys\n"
                   "from azarin.cli import main\n"
-                  "codes = [main(['run', name, '--out-dir', sys.argv[1]])\n"
-                  "         for name in ('roundtrip_regular', sys.argv[2])]\n"
-                  "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-                  "                                if m.split('.')[0] == 'scipy')]))\n")
-        codes, scipy_modules = _python(script, tmp_path / "out", cfg_path)
+                  "codes = [main(['run', 'roundtrip_regular', '--out-dir', sys.argv[1]])]\n"
+                  "masked = 'numpy.ma' in sys.modules\n"
+                  "codes.append(main(['run', sys.argv[2], '--out-dir', sys.argv[1]]))\n"
+                  "print(json.dumps([codes, masked, sorted(m for m in sys.modules\n"
+                  "                                        if m.split('.')[0] == 'scipy')]))\n")
+        codes, masked, scipy_modules = _python(script, tmp_path / "out", cfg_path)
         assert codes == [0, 0]
+        assert not masked
         assert scipy_modules == []
 
 

@@ -124,6 +124,31 @@ class TestPotterFactor:
         assert log_potter_factor(LP, math.log(t)) == want
         assert potter_factor(LP, t) == math.exp(want)
 
+    @pytest.mark.parametrize("order", FAMILIES, ids=["flat", "log-power", "log-log",
+                                                    "tabulated"])
+    def test_array_of_tau_is_one_call_per_tau(self, order):
+        taus = np.array([[-3.0, 0.0, 2.5], [2.5, 40.0, -0.1]])
+        got = log_potter_factor(order, taus)
+        assert got.shape == taus.shape
+        want = [log_potter_factor(order, x) for x in taus.ravel().tolist()]
+        # a concave order's batched power may differ from the scalar one by rounding
+        rtol = 1e-15 if order is LP else 0.0
+        assert got.ravel().tolist() == (want if rtol == 0.0
+                                        else pytest.approx(want, rel=rtol, abs=0.0))
+        assert type(log_potter_factor(order, 2.5)) is float
+
+    def test_search_runs_once_per_distinct_tau(self, monkeypatch):
+        searched = []
+        inner = orders._grid_supremum
+
+        def counted(zero_part, tau):
+            searched.append(tau)
+            return inner(zero_part, tau)
+
+        monkeypatch.setattr(orders, "_grid_supremum", counted)
+        log_potter_factor(LL, [1.0, -2.0, 1.0, 0.0, -2.0])
+        assert searched == [1.0, -2.0]
+
     def test_lower_factor_through_reciprocal(self):
         t = math.exp(9.0)
         assert potter_factor_lower(LP, t) == pytest.approx(math.exp(-3.0), rel=1e-6)
@@ -359,6 +384,8 @@ class TestPotterBound:
                 potter_bound_report(order, [(2.0, 3.0), (1e300, 1e300)])
             with pytest.raises(ValueError, match="not finite"):
                 potter_bound_report(order, [(1e-200, 1e-200)])
+            with pytest.raises(ValueError, match=r"\(-1\.0, -2\.0\)"):
+                potter_bound_report(order, [(-1.0, -2.0)])
 
     def test_report_families(self, rng):
         pairs = np.exp(rng.uniform(-20, 20, size=(1000, 2)))
@@ -389,6 +416,50 @@ class TestDecayScan:
     def test_requires_t_above_e(self):
         with pytest.raises(ValueError):
             potter_decay_scan(LP, [2.0])
+
+
+# a flat, a concave, a log-log and a tabulated order, as configs write them
+PINNED = {
+    "flat": ProximateOrder(0.5),
+    "log-power": LP,
+    "log-log": LL,
+    "tabulated": ProximateOrder(0.0, TabulatedZero(xs=(0.0, 1.0, 3.0),
+                                                   etas=(0.3, 0.2, 0.05))),
+}
+
+
+class TestPotterPins:
+    """Reports of the Potter factor taken one t at a time, as the reference."""
+
+    @pytest.mark.parametrize("name, want", [
+        ("flat", (8.881784197001256e-16, (3.0, 1e6), True, 1e-6)),
+        ("log-power", (0.0, None, True, 1e-6)),
+        ("log-log", (0.0, None, True, 1e-6)),
+        ("tabulated", (0.0, None, True, 1e-6)),
+    ])
+    def test_bound_report(self, name, want):
+        # repeated t values, t = 1 among them
+        pairs = [(r, t) for r in (0.01, 3.0, 2e5) for t in (1e-4, 0.5, 1.0, 7.0, 1e6)]
+        assert potter_bound_report(PINNED[name], pairs) == want
+
+    @pytest.mark.parametrize("name, want, rtol", [
+        ("flat", [(0.0, 0.0)] * 3, 0.0),
+        ("log-power", [(0.9540645820000014, 0.9540645820000014),
+                       (0.38047973310162525, 0.38047973310162525),
+                       (0.16666666666666666, 0.16666666666666666)], 1e-15),
+        ("log-log", [(0.9555188795292584, 0.9555188795292591),
+                     (0.56544327750472, 0.5654432775047199),
+                     (0.19912720288118488, 0.19912720288118488)], 0.0),
+        ("tabulated", [(0.24518002950778137, 0.24518002950778137),
+                       (0.10066768955537939, 0.10066768955537939),
+                       (0.05972222222222223, 0.05972222222222223)], 0.0),
+    ])
+    def test_decay_scan(self, name, want, rtol):
+        ts = [3.0, 1e3, math.exp(36.0)]
+        rows = potter_decay_scan(PINNED[name], ts)
+        assert [row[0] for row in rows] == ts
+        got = [row[1:] for row in rows]
+        assert got == (want if rtol == 0.0 else pytest.approx(want, rel=rtol, abs=0.0))
 
 
 class TestPolynomialEnvelope:

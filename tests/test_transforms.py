@@ -6,13 +6,13 @@ import pytest
 from azarin import numerics, transforms
 from azarin.dynamics import estimate_limit_set, geometric_schedule, sample_trajectory
 from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
-                            PowerCutKernel, SmoothBumpKernel, TableKernel,
-                            trapezoid_kernel)
+                            PowerCutKernel, SmoothBumpKernel, StepKernel,
+                            TableKernel, trapezoid_kernel)
 from azarin.measures import (DensityPiece, LogPerturbFactor, RadonMeasure,
                              SelfSimilarTail, TabulatedPiece, ZeroScaleFactor,
                              class_membership)
 from azarin.numerics import DivergenceError, _cauchy_windows
-from azarin.orders import LogLogZero, ProximateOrder
+from azarin.orders import LogLogZero, LogPowerZero, ProximateOrder, TabulatedZero
 from azarin.special import lanczos_gamma
 from azarin.transforms import (KernelTransform, PiecewiseFunction,
                                antiderivative_chain, averaged_measure,
@@ -714,6 +714,52 @@ class TestIntegrability:
         rep = integrability_report(PowerCutKernel(-1.0), O1)
         assert not rep.l1_converged
         assert not rep.passed
+
+    @pytest.mark.parametrize("kernel, order", [
+        (ExpKernel(), O1), (ExpKernel(), ProximateOrder(0.7, LogLogZero(2.0))),
+        (LogSingularKernel(), ProximateOrder(0.7))], ids=["flat", "log-log", "singular"])
+    def test_one_potter_call_per_gk_batch(self, kernel, order, gk_batches, potter_calls):
+        integrability_report(kernel, order)
+        assert len(potter_calls) == len(gk_batches) + 1
+        assert [np.size(tau) for tau in potter_calls[:-1]] == \
+            [15 * len(lo) for _, lo, _ in gk_batches]
+
+    # (kernel, order, report, rtol): pinned values; a concave order's power,
+    # numpy's exp of a searched factor (an ulp off math.exp at some
+    # arguments) and the divergent amalgam total may move by rounding
+    @pytest.mark.parametrize("kernel, order, want, rtol", [
+        (ExpKernel(), ProximateOrder(0.7),
+         (1.2980553326059772, True, 1.2983414745414934, True, True), 0.0),
+        (ExpKernel(), O1, (0.999999999985445, True, 1.0006303403201013, True, True), 0.0),
+        (IndicatorKernel(0.0, 1.0), ProximateOrder(0.5),
+         (1.9999999998835791, True, 1.5414940772983885, False, True), 0.0),
+        (PowerCutKernel(-1.0), O1,
+         (134.47055302862913, False, 38.999999999960984, False, False), 1e-15),
+        (ExpKernel(), ProximateOrder(0.7, LogPowerZero(1.0, 0.5)),
+         (4.558282629329263, True, 4.368263149968528, False, True), 1e-15),
+        (ExpKernel(), ProximateOrder(0.7, LogLogZero(2.0)),
+         (7.667280375540365, True, 7.606082739209998, False, True), 1e-15),
+        # the cell (1/e, 1] holds the singular point: the series stops there
+        (LogSingularKernel(), ProximateOrder(0.7),
+         (6.5531678965661, True, math.inf, False, False), 0.0),
+        (StepKernel(steps=((1.0, 0.0, 1.0), (-2.0, 0.0, 0.5))), O1,
+         (0.9999999999854452, True, 0.5819767068473559, True, True), 0.0),
+        (SmoothBumpKernel(1.0, 2.0), ProximateOrder(0.5),
+         (0.49605285456121745, True, 0.9995271151533365, True, True), 0.0),
+        (IndicatorKernel(2.0, 30.0),
+         ProximateOrder(0.5, TabulatedZero(xs=(0.0, 1.0, 3.0), etas=(0.3, 0.2, 0.05))),
+         (12.54465342347923, True, 14.612264218658536, True, True), 0.0),
+        # the series stops near n = 6; e**(39 rho) gamma(e**39) overflows
+        (ExpKernel(), ProximateOrder(20.0),
+         (1.2164510040883163e+17, True, 2.1623377603028157e+17, True, True), 0.0),
+        (ExpKernel(), ProximateOrder(25.0, TabulatedZero(xs=(0.0, 1.0), etas=(20.0, 20.0))),
+         (2.6582715747884444e+54, True, 2.8929676122048203e+54, True, True), 0.0),
+    ], ids=["exp-0.7", "exp-1", "indicator", "power-cut", "exp-log-power",
+            "exp-log-log", "log-singular", "lattice", "bump", "indicator-tabulated",
+            "exp-rho-20", "exp-steep-tabulated"])
+    def test_report_is_pinned(self, kernel, order, want, rtol):
+        got = integrability_report(kernel, order)
+        assert got == (want if rtol == 0.0 else pytest.approx(want, rel=rtol, abs=0.0))
 
 
 class TestAveragedMeasure:

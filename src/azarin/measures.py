@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import Kernel, trapezoid_kernel
 from .numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, WindowError,
-                       _cauchy_windows, _horner, _sorted_unique, log_quad)
+                       _cauchy_windows, _gk_eval, _horner, _sorted_unique, log_quad)
 
 __all__ = [
     "UnitFactor", "LogFactor", "LogPerturbFactor", "ZeroScaleFactor",
@@ -28,6 +28,7 @@ __all__ = [
 
 _GROWTH_SLACK = 1.10
 _UNION_ENTRIES = 1536     # the most entries that one linear_integrals run forms
+_UNION_CELLS = 16384      # the most (node, scale) cells of one block of the union GK pass
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +580,9 @@ class RadonMeasure:
         the same measure breakpoints in u shares one vector ``log_quad`` over
         all windows: the run's scales share each window's segments, so no
         column is split at another's breakpoints, and each window keeps its
-        own, so none is refined for another.  Pairings, flow pairings, kernel
-        transform windows and masses are all this integral.  With
+        own, so none is refined for another.  Pairings, the flow pairings
+        not taken on the union knots, kernel transform windows and masses
+        are all this integral.  With
         ``absolute`` the atoms weigh |w| and the density is |density|.
 
         A ``piecewise_linear`` g (a continuous ``TableKernel`` such as a
@@ -757,18 +759,25 @@ class MetricFamily:
         """Pairings of mu_t = mu(t .)/V(t) at each t in ``ts``, no mu_t built.
 
         Returns the ``(len(ts), n_members)`` array, equal to pairing each
-        mu_t in turn.  Member f's column is the dilation integral of f
-        against the unscaled measure at scales ``ts`` and norms V(ts), so
-        consecutive samples with the same breakpoints in f's support share
-        one vector integral; a member equal to an earlier one copies its
-        column.  Tables of a measure with no tail pair all members at once:
-        ``(G @ C0 + B @ C1).T``, G and B the members' values and slopes on the
-        union knots, C0 and C1 one ``linear_integrals`` there, bounded in
-        memory by its runs of scales; the products are one over all scales,
-        since BLAS rounds a row by its place in the batch.  The window
-        check is one test over all samples and members; the first failing
-        pair in sample-major order raises through ``_check_window`` at its
-        scale t, as pairing sample by sample would.
+        mu_t in turn, against the unscaled measure at scales ``ts`` and
+        norms V(ts).  Every member is G + B (u - u_a) on union knot interval
+        a, G and B its values and slopes there, so the tables and the
+        density pair all members at once as ``(G @ C0 + B @ C1).T``, C0 and
+        C1 the integrals of 1 and u - u_a on each interval against
+        mu(s u) s/V(s).  Tables of a measure with no tail take C0 and C1
+        from one ``linear_integrals``, bounded in memory by its runs of
+        scales.  The density takes them from ``_union_density``'s fixed GK15
+        pass, when the measure without its tables has no atoms, no tail and
+        no breakpoint in ``(min(ts) u_0, max(ts) u_72)``; a member that
+        pass leaves over budget, and every member of any other measure,
+        takes the dilation integral of f at scales ``ts`` instead: samples
+        with the same breakpoints in f's support share one vector
+        integral, and a member equal to an earlier one copies its column.
+        The products are one over all scales, since BLAS rounds a row by
+        its place in the batch.  The window check is one test over all
+        samples and members; the first failing pair in sample-major order
+        raises through ``_check_window`` at its scale t, as pairing sample
+        by sample would.
         """
         ts = np.asarray(ts, dtype=float)
         norms = np.asarray(order.scale(ts), dtype=float)
@@ -781,12 +790,51 @@ class MetricFamily:
                 measure._check_window(*self.members[n].support, ts[i])
         tables, rest = measure._split_tables()
         out = np.zeros((ts.size, self.n_members), dtype=complex)
-        for n in sorted(set(self._first)) if not rest.is_trivial() else ():
+        loop = sorted(set(self._first)) if not rest.is_trivial() else []
+        u = self._knots
+        if (loop and ts.size and rest.tail is None and not rest.atom_x.size
+                and not rest.breakpoints_in(ts.min() * u[0], ts.max() * u[-1])):
+            values, ok = self._union_density(rest, ts, norms, quad)
+            out[:, ok] = values[:, ok]
+            loop = [n for n in loop if not ok[n]]
+        for n in loop:
             f = self.members[n]
             out[:, n] = rest.dilation_integrals(f, ts, norms, [f.support], quad)[0]
-        for c0, c1 in (p.linear_integrals(self._knots, ts, norms) for p in tables):
+        for c0, c1 in (p.linear_integrals(u, ts, norms) for p in tables):
             out += (self._g @ c0 + self._b @ c1).T
         return out[:, self._first]
+
+    def _union_density(self, rest, ts, norms, quad):
+        """The density of ``rest`` paired with every member at once: the
+        ``(len(ts), n_members)`` values and the mask of the members within
+        budget at every scale.
+
+        One fixed GK15 pass in u over the union knot intervals gives C0 and
+        C1 on each interval a and scale s, and E0 and E1, their GK15 - GK7
+        differences.  Member n is accepted where its bound
+        ``|G| @ E0 + |B| @ E1`` is at most ``tol * |value| + abs_tol``: by the
+        triangle inequality at least as strict as ``adaptive_quad``'s summed
+        estimate on the same segments.  The pass runs in blocks of scales
+        of at most ``_UNION_CELLS`` (node, scale) cells, which bounds its
+        temporaries.
+        """
+        lo, hi = self._knots[:-1], self._knots[1:]
+        left = np.repeat(lo, 15)   # the left knot of each GK15 node
+        step = max(1, _UNION_CELLS // left.size)
+        blocks = []
+        for start in range(0, ts.size, step):
+            s = ts[start:start + step]
+            gain = s / norms[start:start + step]
+
+            def integrand(x):
+                d = rest.density(np.multiply.outer(x, s)) * gain
+                return np.stack([d, (x - left)[:, None] * d], axis=1)
+
+            blocks.append(_gk_eval(integrand, lo, hi))
+        c, e = (np.concatenate(v, axis=-1) for v in zip(*blocks))
+        values = self._g @ c[:, 0] + self._b @ c[:, 1]
+        bound = np.abs(self._g) @ e[:, 0] + np.abs(self._b) @ e[:, 1]
+        return values.T, (bound <= quad.tol * np.abs(values) + quad.abs_tol).all(axis=1)
 
     def distance_from_pairings(self, p1, p2):
         """The metric between pairing vectors along the last axis, broadcast

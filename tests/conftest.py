@@ -20,9 +20,10 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def _counted(monkeypatch, owner, name, record=lambda *args: args):
-    """A list that gains one entry ``record(*args)`` per call of ``owner.<name>``."""
-    calls = []
+def _counted(monkeypatch, owner, name, record=lambda *args: args, calls=None):
+    """A list (``calls`` or a new one) that gains one entry ``record(*args)``
+    per call of ``owner.<name>``."""
+    calls = [] if calls is None else calls
     inner = getattr(owner, name)
 
     def counted(*args, **kw):
@@ -76,6 +77,18 @@ def gk_batches(monkeypatch):
     call: one GK batch of ``len(lo)`` segments."""
     from azarin import numerics
     return _counted(monkeypatch, numerics, "_gk_eval")
+
+
+@pytest.fixture
+def gk_batches_everywhere(monkeypatch):
+    """A list that gains one entry ``len(lo)`` per GK batch at either binding
+    of ``_gk_eval``: ``numerics``' (the adaptive quadrature) and
+    ``measures``' (the union pass of ``MetricFamily.flow_pairings``)."""
+    from azarin import measures, numerics
+    batches = []
+    for owner in (numerics, measures):
+        _counted(monkeypatch, owner, "_gk_eval", lambda f, lo, hi: np.size(lo), batches)
+    return batches
 
 
 @pytest.fixture

@@ -535,7 +535,7 @@ class RadonMeasure:
         def ring(windows, live):
             return self._masses(windows, [1.0], quad, absolute)
 
-        totals, partials, failed, _ = _cauchy_windows(ring, lo, hi, (1.0,), quad)
+        totals, partials, failed, _, _ = _cauchy_windows(ring, lo, hi, (1.0,), quad)
         if failed:
             raise DivergenceError(
                 "improper integral failed Cauchy criterion at %s" % failed[0],

@@ -11,12 +11,14 @@ when two rings in a row are calm, or when the next edge would leave the
 float range after at least one calm ring; it is rejected after
 ``_MAX_EXPANSIONS`` rings.  The rule runs on a batch of columns that share
 the rings, each with its own total and calm count.  For one column both
-ends advance together, one call per step, each fetching a block of
-``_RING_BLOCK`` rings; a batch of columns fetches doubling blocks, 1, 2,
-4, ... rings, each of at most ``_RING_CELLS`` (ring, column) cells or one
-ring.  The rings are consumed one at a time, zero end first, so the totals
-and partial sums are those of one ring at a time, whatever the blocks; the
-rest of a block is discarded.
+ends advance together, one call per step, each fetching a first block of
+the rings its caller asks for (``_RING_BLOCK`` unless it knows how many
+a similar column took), then blocks doubling up to ``_RING_BLOCK``; a
+batch of columns fetches doubling blocks, 1, 2, 4, ... rings, each of at
+most ``_RING_CELLS`` (ring, column) cells or one ring.  The rings are
+consumed one at a time, zero end first, so the totals and partial sums are
+those of one ring at a time, whatever the blocks; the rest of a block is
+discarded.
 
 ``adaptive_quad`` integrates over an array of intervals at once, and
 accepts vector integrands returning an (n, k) array for n nodes: the k
@@ -335,12 +337,15 @@ class _End:
     holds the parts fetched for column j and not yet judged (with ``replay``,
     for a base that may move, all of them), ``state[j]`` its base (the total
     its first ring adds to), partial sums, calm rings in a row and verdict:
-    True (accepted), False (rejected) or None (it needs the next ring)."""
+    True (accepted), False (rejected) or None (it needs the next ring).  The
+    first block of a single column holds ``first`` rings (one when ``block``
+    is 1), that of a batch one ring."""
 
-    def __init__(self, edge, step, out, scales, ctrl, block, replay=False):
+    def __init__(self, edge, step, out, scales, ctrl, block, first, replay=False):
         self.edges, self.step, self.out, self.ctrl = [edge, step(edge)], step, out, ctrl
         self.scales, self.open, self.block = scales, list(range(len(scales))), block
-        self.size, self.replay = (block if len(scales) == 1 else 1), replay
+        self.size = first if len(scales) == 1 and block > 1 else 1
+        self.replay = replay
         self.parts = [[] for _ in scales]
         self.state = [(None, [], 0, None)] * len(scales)
 
@@ -378,8 +383,8 @@ class _End:
 
     def plan(self):
         """The next block's rings (a, b), outward, and the open columns not
-        beyond its first edge to fetch them for: ``block`` rings for one
-        column, 1, 2, 4, ... up to ``block`` for a batch, and no more than
+        beyond its first edge to fetch them for: blocks doubling from the
+        first one up to ``block`` rings, and no more than
         ``_RING_CELLS`` cells of those columns or one ring, that never reach
         an edge beyond one of those columns nor take the end past
         ``_MAX_EXPANSIONS`` rings."""
@@ -398,7 +403,8 @@ class _End:
         return rings, live
 
 
-def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
+def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK,
+                    first=(_RING_BLOCK, _RING_BLOCK)):
     """Columns of an integral over (lo, hi) in (0, oo) by the Cauchy window rule.
 
     ``lo == 0`` and ``hi == inf`` are improper ends (``_End``); column j's
@@ -408,8 +414,12 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
     ``ring(windows, live)`` returns for each window (a, b) of ``windows``,
     which need not touch, a row of the parts of the columns listed in
     ``live``.  For one column both ends advance together: each step is one
-    call on the core (first step) and the next ``block`` rings of each end
-    that needs them.  The infinity end adds to the total after the zero
+    call on the core (first step) and the next block of rings of each end
+    that needs them, ``first`` = (zero end, infinity end) rings in the first
+    step and blocks doubling up to ``block`` after it.  A caller that knows
+    how many rings a similar column took asks for one more in ``first``, so
+    that the column takes one step; blocks change only the rings fetched,
+    never the result.  The infinity end adds to the total after the zero
     end, so while the zero end is undecided the infinity rows are judged on
     the total so far, and replayed once it is decided.  A wider batch, whose
     every fetched ring costs one column per scale, takes one call per block
@@ -419,11 +429,12 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
     inside the float range, and one call over the union of both ends' live
     columns would take rings beyond the float range for some of them.  A
     ring callback with no adaptive integral to batch passes ``block=1``, so
-    that it fetches no ring it discards.  Returns the totals, each column's
-    partial sums (core first, then the rings at zero, then those at
-    infinity), a dict mapping each rejected column to the end, "zero" or
-    "infinity", that failed first, and each column's window (a, b): the
-    core and the rings it took.
+    that it fetches no ring it discards, whatever ``first``.  Returns the
+    totals, each column's partial sums (core first, then the rings at zero,
+    then those at infinity), a dict mapping each rejected column to the end,
+    "zero" or "infinity", that failed first, each column's window (a, b):
+    the core and the rings it took, and each column's ring counts (zero
+    end, infinity end), 0 at a finite end.
     """
     improper_lo = (lo == 0.0)
     improper_hi = math.isinf(hi)
@@ -436,12 +447,12 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
             core_hi = core_lo * _EXPANSION
         else:
             return ([0.0 + 0.0j] * len(scales), [[] for _ in scales], {},
-                    [(lo, hi)] * len(scales))
+                    [(lo, hi)] * len(scales), [(0, 0)] * len(scales))
     n = len(scales)
     zero = improper_lo and _End(core_lo, lambda t: t / _EXPANSION,
-                                lambda x: x < 1e-300, scales, ctrl, block)
+                                lambda x: x < 1e-300, scales, ctrl, block, first[0])
     inf = improper_hi and _End(core_hi, lambda t: t * _EXPANSION,
-                               lambda x: x > 1e300, scales, ctrl, block,
+                               lambda x: x > 1e300, scales, ctrl, block, first[1],
                                replay=n == 1 and improper_lo)
 
     def settled(j):
@@ -476,19 +487,21 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK):
                 wanting.append(end)
         windows, blocks = [], []
 
-    partials, failed, reach = [], {}, []
+    partials, failed, reach, counts = [], {}, [], []
     for j in range(n):
-        sums, window = [core[j]], [core_lo, core_hi]
+        sums, window, taken = [core[j]], [core_lo, core_hi], [0, 0]
         for side, end, name in ((0, zero, "zero"), (1, inf, "infinity")):
             if end:
-                _, taken, _, verdict = end.state[j]
-                sums += taken
-                window[side] = end.edges[len(taken)]
+                _, ring_sums, _, verdict = end.state[j]
+                sums += ring_sums
+                taken[side] = len(ring_sums)
+                window[side] = end.edges[len(ring_sums)]
                 if not verdict:
                     failed.setdefault(j, name)
         partials.append(sums)
         reach.append(tuple(window))
-    return [sums[-1] for sums in partials], partials, failed, reach
+        counts.append(tuple(taken))
+    return [sums[-1] for sums in partials], partials, failed, reach, counts
 
 
 def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):
@@ -502,8 +515,8 @@ def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points
         return [(v,) for v in log_quad(f, windows, ctrl, split_points, singular_points).tolist()]
 
     hi = math.inf if hi is None else float(hi)
-    totals, partials, failed, _ = _cauchy_windows(window_values, float(lo), hi,
-                                                  (1.0,), ctrl)
+    totals, partials, failed, _, _ = _cauchy_windows(window_values, float(lo), hi,
+                                                     (1.0,), ctrl)
     if failed:
         raise DivergenceError(
             "improper integral failed Cauchy criterion at %s" % failed[0],

@@ -108,7 +108,7 @@ class _SymbolQuadrature:
                 rows.append((float(np.sum(ws * np.abs(g))),))
             return rows
 
-        _, partials, failed, windows = _cauchy_windows(
+        _, partials, failed, windows, _ = _cauchy_windows(
             ring, max(k_lo, 0.0), k_hi, (1.0,), quad, block=1)
         if failed:
             raise DivergenceError("Mellin symbol integral diverges at %s"

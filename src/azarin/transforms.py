@@ -18,8 +18,8 @@ import numpy as np
 from .dynamics import _single_linkage
 from .kernels import SmoothBumpKernel
 from .measures import DEFAULT_QUAD, RadonMeasure, TabulatedPiece
-from .numerics import (CubicTable, DivergenceError, _cauchy_windows, converges,
-                       improper_quad, log_quad)
+from .numerics import (_RING_BLOCK, CubicTable, DivergenceError, _cauchy_windows,
+                       converges, improper_quad, log_quad)
 from .orders import log_potter_factor
 
 __all__ = [
@@ -46,9 +46,13 @@ class KernelTransform:
     dilation integral of K at scales r and norms n over its windows
     (``RadonMeasure.dilation_integrals``), whose columns are the (ring, r)
     pairs.  Each r keeps its own Cauchy test and stops taking rings once it
-    is decided.  ``values(rs)`` is the norm-1 case over (0, oo), cached per
-    r in a plain dict (deterministic values, so concurrent double
-    computation is benign); ``value(r)`` is ``values`` at one r.
+    is decided.  A group of one r fetches in its first step one ring more
+    at each improper end than that end took in the last accepted one-r
+    group (16 rings before one), so a table of ``value`` calls takes about
+    one step per r.  ``values(rs)`` is the norm-1 case over (0, oo), cached
+    per r in a plain dict; ``value(r)`` is ``values`` at one r.  The values
+    are deterministic and the remembered ring counts change only the rings
+    fetched, so concurrent double computation is benign.
     """
 
     def __init__(self, kernel, measure, order=None, quad=DEFAULT_QUAD):
@@ -57,6 +61,7 @@ class KernelTransform:
         self.order = order
         self.quad = quad
         self._cache = {}
+        self._first = (_RING_BLOCK, _RING_BLOCK)   # a one-column value's first blocks
 
     def _window_term(self, rs, windows, norms):
         """The dilation integral of the kernel at scales ``rs`` and norms
@@ -72,8 +77,8 @@ class KernelTransform:
         """
         rs = [float(r) for r in np.ravel(rs)]
         norms = np.broadcast_to(np.asarray(norms, dtype=float), (len(rs),)).tolist()
-        if any(r <= 0.0 for r in rs):
-            raise ValueError("transform requires r > 0")
+        if not all(0.0 < r < math.inf for r in rs):
+            raise ValueError("transform requires a finite r > 0")
         k_lo, k_hi = self.kernel.support
         m_lo, m_hi = self.measure.hull()
         # widen the hull clip at an end atom, to keep it in the half-open windows
@@ -92,8 +97,13 @@ class KernelTransform:
                 return self._window_term([rs[i] for i in cols], windows,
                                          [norms[i] for i in cols])
 
-            totals, partials, failed, _ = _cauchy_windows(
-                ring, u_lo, u_hi, [rs[i] for i in group], self.quad)
+            totals, partials, failed, _, taken = _cauchy_windows(
+                ring, u_lo, u_hi, [rs[i] for i in group], self.quad, first=self._first)
+            if len(group) == 1 and not failed:
+                # the next one-column value fetches one ring more than each
+                # improper end of this one took; a finite end took none
+                self._first = tuple(k + 1 if k else old
+                                    for k, old in zip(taken[0], self._first))
             out[group] = totals
             failures.extend((group[j], side, partials[j]) for j, side in failed.items())
         if failures:

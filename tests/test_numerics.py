@@ -8,9 +8,12 @@ from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
 from azarin import numerics
+from azarin.kernels import ExpKernel, LogSingularKernel
+from azarin.measures import RadonMeasure
 from azarin.numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, QuadControl,
                              QuadratureError, _cauchy_windows, adaptive_quad,
                              golden_section_min, improper_quad, log_quad)
+from azarin.transforms import KernelTransform
 
 
 @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20).flatmap(
@@ -322,6 +325,13 @@ def test_improper_both_ends():
     assert abs(val - math.sqrt(math.pi)) < 1e-8
 
 
+def test_improper_empty_range():
+    # finite ends with hi <= lo: no core and no rings
+    assert improper_quad(np.exp, 2.0, 1.0) == 0.0
+    assert _cauchy_windows(None, 2.0, 1.0, [1.0, 3.0], DEFAULT_QUAD) == (
+        [0.0, 0.0], [[], []], {}, [(2.0, 1.0)] * 2, [(0, 0)] * 2)
+
+
 # Column 0's zero end takes a large ring (16) in its first block, so its
 # infinity rings are judged on the final total (1.2) from the first step.
 # Column 1's infinity end takes 44 rings.  Column 2's zero end takes its
@@ -383,7 +393,7 @@ def _one_ring_at_a_time(part, ctrl=DEFAULT_QUAD):
     return total, partials, failed
 
 
-def _synthetic_windows(columns, scales=None, block=None):
+def _synthetic_windows(columns, scales=None, block=None, first=None):
     """``_cauchy_windows`` over (0, oo) of the synthetic ``columns``, each a
     function of the window; returns its result and the windows and live
     columns of each call."""
@@ -393,7 +403,8 @@ def _synthetic_windows(columns, scales=None, block=None):
         calls.append((windows, live))
         return [[columns[j](w) for j in live] for w in windows]
 
-    extra = {} if block is None else {"block": block}
+    extra = {key: value for key, value in (("block", block), ("first", first))
+             if value is not None}
     out = _cauchy_windows(ring, 0.0, math.inf, scales or [1.0] * len(columns),
                           DEFAULT_QUAD, **extra)
     return out, calls
@@ -406,7 +417,7 @@ def _at_infinity(calls):
 @pytest.mark.parametrize("columns", [[0], [0, 1]], ids=["alone", "with-a-long-end"])
 def test_cauchy_windows_replay_the_infinity_end(columns):
     parts = [lambda w, c=c: _synthetic_part(c, w) for c in columns]
-    (totals, partials, failed, _), calls = _synthetic_windows(parts)
+    (totals, partials, failed, _, _), calls = _synthetic_windows(parts)
     for j, c in enumerate(columns):
         total, want, end = _one_ring_at_a_time(parts[j])
         assert (totals[j], partials[j], failed.get(j)) == (total, want, end)
@@ -420,7 +431,7 @@ def test_cauchy_windows_refetch_the_replayed_infinity_end():
     def part(window):
         return _synthetic_part(2, window)
 
-    (totals, partials, failed, _), calls = _synthetic_windows([part])
+    (totals, partials, failed, _, _), calls = _synthetic_windows([part])
     total, want, end = _one_ring_at_a_time(part)
     assert (totals[0], partials[0], failed.get(0)) == (total, want, end)
     assert len(partials[0]) == 1 + 22 + 20
@@ -480,6 +491,36 @@ def test_cauchy_windows_blocks_agree(columns):
     scales = [scale for _, scale in columns]
     runs = [_synthetic_windows(parts, scales, block)[0] for block in (1, 2, 16)]
     assert runs[0] == runs[1] == runs[2]
+
+
+_FIRST = st.tuples(st.integers(1, 120), st.integers(1, 120))
+
+
+@given(st.tuples(st.floats(-3.0, 3.0), st.tuples(_END_LAW, _END_LAW)),
+       st.sampled_from([1.0, 1e-280, 1e280]), _FIRST)
+def test_cauchy_windows_first_blocks_agree(law, scale, first):
+    # one column's first blocks of any size, past _MAX_EXPANSIONS too, give
+    # the totals, partial sums, failed ends, windows and ring counts of the
+    # default call; a block=1 caller fetches the same rings whatever first
+    parts, scales = [_law_part(law)], [scale]
+    assert _synthetic_windows(parts, scales, first=first)[0] == \
+        _synthetic_windows(parts, scales)[0]
+    assert _synthetic_windows(parts, scales, block=1, first=first) == \
+        _synthetic_windows(parts, scales, block=1)
+
+
+@pytest.mark.parametrize("kernel, r", [(ExpKernel(), 1e-294), (LogSingularKernel(), 1e299)],
+                         ids=["float-range", "float-range-at-one-end"])
+@given(first=_FIRST)
+def test_transform_first_blocks_agree(kernel, r, first):
+    # the float-range inputs of the transform ring tests, one r at a time
+    tr = KernelTransform(kernel, RadonMeasure.power_density(-0.3))
+
+    def ring(windows, live):
+        return tr._window_term([r], windows, [1.0])
+
+    args = ring, 0.0, math.inf, [r], tr.quad
+    assert _cauchy_windows(*args, first=first) == _cauchy_windows(*args)
 
 
 @pytest.mark.parametrize("cells", [1, 3])

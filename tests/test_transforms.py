@@ -221,8 +221,9 @@ class TestTransformValues:
         got = tr.values([2.0, 3.0, 2.0])
         assert list(got) == [tr.value(2.0), tr.value(3.0), tr.value(2.0)]
         assert set(tr._cache) == {2.0, 3.0}
-        with pytest.raises(ValueError):
-            tr.values([1.0, 0.0])
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite r > 0"):
+                tr.values([1.0, bad])
 
     def test_divergence_is_the_first_failing_r(self):
         # every column diverges at zero; the error is the first r's, as
@@ -332,8 +333,8 @@ class TestRingBlocks:
         (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8]),
         (LogSingularKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8]),
         (ExpKernel(), ATOMS_AND_BREAKPOINTS, [0.1, 1.0, 1e4]),
-        # the first column leaves the float range at zero inside a block: it
-        # is cut there and the column is rejected, the second one goes on
+        # the parts of the first column are tiny: it is accepted after two
+        # calm rings, long before its zero end would leave the float range
         (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-294, 1.0]),
         # the first column leaves the float range at the first ring at
         # infinity but takes 29 rings at zero, while the second takes 56 at
@@ -343,7 +344,7 @@ class TestRingBlocks:
             "float-range-at-one-end"])
     def test_blocks_match_one_ring_at_a_time(self, kernel, measure, rs):
         tr = KernelTransform(kernel, measure)
-        totals, partials, failed, _ = self._blocks(tr, rs)
+        totals, partials, failed, _, _ = self._blocks(tr, rs)
         for j, r in enumerate(rs):
             total, want, end = _one_ring_at_a_time(tr, r)
             assert failed.get(j) == end
@@ -368,7 +369,7 @@ class TestRingBlocks:
         # one ring at a time, r = 1e-3 takes 24 rings at zero (block 5) and
         # 14 at infinity (block 4), r = 1e6 takes 35 (block 6) and 7 (block 3)
         tr = KernelTransform(LogSingularKernel(), TWO_POWERS)
-        totals, partials, failed, _ = self._blocks(tr, rs)
+        totals, partials, failed, _, _ = self._blocks(tr, rs)
         assert failed == {}
         for j, r in enumerate(rs):
             total, want, end = _one_ring_at_a_time(tr, r)
@@ -400,13 +401,73 @@ class TestRingBlocks:
         assert len(err.value.partials) == len(want) == 1 + 2 * numerics._MAX_EXPANSIONS
         assert np.allclose(err.value.partials, want, rtol=1e-13, atol=0.0)
 
+    @staticmethod
+    def _window_calls(tr):
+        """A list that gains the windows of each ``_window_term`` call of ``tr``."""
+        calls, term = [], tr._window_term
+
+        def spy(rs, windows, norms):
+            calls.append(list(windows))
+            return term(rs, windows, norms)
+
+        tr._window_term = spy
+        return calls
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("kernel, measure", [
+        (ExpKernel(), RadonMeasure.power_density(-0.3)),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.3)),
+        (ExpKernel(), ATOMS_AND_BREAKPOINTS),
+        (LogSingularKernel(), TWO_POWERS),
+        # finite support: the infinity end is finite and takes no rings
+        (IndicatorKernel(0.0, 1.0), RadonMeasure.power_density(-0.3)),
+    ], ids=["exp", "log-singular", "atoms-and-breakpoints", "two-powers", "indicator"])
+    def test_table_is_fresh_values(self, kernel, measure, order):
+        # a value's first blocks come from the one before, and only the
+        # rings fetched change: the table is bit for bit each r alone
+        grid = [10.0 ** (-2.0 + 0.8 * k) for k in range(13)]
+        rs = {"ascending": grid, "descending": grid[::-1],
+              "shuffled": [grid[k] for k in (6, 0, 12, 3, 9, 1, 11, 5, 2, 8, 4, 10, 7)]}[order]
+        tr = KernelTransform(kernel, measure)
+        assert [tr.value(r) for r in rs] == [KernelTransform(kernel, measure).value(r)
+                                             for r in rs]
+
+    def test_rejected_value_leaves_the_first_blocks(self):
+        # r = 1e299 takes 29 rings at zero and leaves the float range at the
+        # first ring at infinity, where it is rejected: it raises what it
+        # raises alone, and the next value fetches the rings it would have
+        # fetched without it (r = 1 took 28 rings at zero)
+        kernel, measure = LogSingularKernel(), RadonMeasure.power_density(-0.3)
+        tr, ref = KernelTransform(kernel, measure), KernelTransform(kernel, measure)
+        assert tr.value(1.0) == ref.value(1.0)
+        with pytest.raises(DivergenceError) as got:
+            tr.value(1e299)
+        with pytest.raises(DivergenceError) as want:
+            KernelTransform(kernel, measure).value(1e299)
+        assert str(got.value) == str(want.value) and "at infinity" in str(got.value)
+        assert got.value.partials == want.value.partials
+        calls, ref_calls = self._window_calls(tr), self._window_calls(ref)
+        assert tr.value(1e3) == ref.value(1e3)
+        assert calls[0] == ref_calls[0]
+
+    def test_second_exp_value_is_one_call(self):
+        # the exp zero end takes about 24 rings, more than a 16-ring block:
+        # the first value takes two steps, the next fetches them in one
+        tr = KernelTransform(ExpKernel(), RadonMeasure.power_density(-0.3))
+        calls = self._window_calls(tr)
+        tr.value(1e-2)
+        assert len(calls) == 2
+        tr.value(10.0 ** -1.75)
+        assert len(calls) == 3
+
     def test_log_table_work(self, quad_calls, gk_batches):
         # the seed-0 log-singular table of the benchmark: 2,073
         # adaptive_quad calls when each ring was its own integral, 325 when
         # the ends took their blocks one after the other, 200 (and 450 GK
         # batches) when one column's blocks grew 1, 2, 4, ... and its
         # singular cores were bisected, 125 (and 150) when a window with a
-        # singular point was integrated apart from the rings of its step
+        # singular point was integrated apart from the rings of its step, 29
+        # (and 54) when a value's first blocks came from the one before
         rho = 0.7
         tr = KernelTransform(LogSingularKernel(), RadonMeasure.power_density(rho - 1.0))
         grid = [10.0 ** (-2.0 + 0.4 * k) for k in range(25)]
@@ -414,32 +475,35 @@ class TestRingBlocks:
         want = (math.pi / rho) / math.tan(math.pi * rho)
         assert all(abs(v / r ** rho - want) <= 1e-8 * abs(want)
                    for r, v in zip(grid, got))
-        assert len(quad_calls) <= 100
-        assert len(gk_batches) <= 125
+        assert len(quad_calls) <= 30
+        assert len(gk_batches) <= 55
 
     def test_exp_table_work(self, quad_calls, gk_cells):
         # the seed-0 exp table of the benchmark: 360 adaptive_quad calls
         # when the ends took their blocks one after the other, 200 when one
         # column's blocks grew 1, 2, 4, ...; 89,790 node-columns when the
-        # rings of a step shared their segments
+        # rings of a step shared their segments, 33,570 when each ring had its
+        # own; 41 calls and 23,370 node-columns when a value's first blocks
+        # came from the one before
         rho = 0.7
         tr = KernelTransform(ExpKernel(), RadonMeasure.power_density(rho - 1.0))
         grid = [10.0 ** (-2.0 + 0.25 * k) for k in range(40)]
         got = [tr.value(r) for r in grid]
         assert all(abs(v / r ** rho - math.gamma(rho)) <= 1e-8 * math.gamma(rho)
                    for r, v in zip(grid, got))
-        assert len(quad_calls) <= 80
-        assert sum(gk_cells) <= 40_000
+        assert len(quad_calls) <= 42
+        assert sum(gk_cells) <= 25_000
 
     def test_laplace_builtin_work(self, quad_calls, gk_cells, tmp_path):
         # 163 adaptive_quad calls when the clip at the density end of the
         # hull (1, oo) was widened, so that the core held a sliver, 123 when
         # one column's blocks grew 1, 2, 4, ...; 76,305 node-columns when the
-        # rings of a step shared their segments
+        # rings of a step shared their segments, 16,785 when each ring had its
+        # own, 10,350 when a value's first blocks came from the one before
         from azarin.cli import main
         assert main(["run", "laplace_vs_counting", "--out-dir", str(tmp_path)]) == 0
         assert len(quad_calls) <= 45
-        assert sum(gk_cells) <= 20_000
+        assert sum(gk_cells) <= 11_000
 
 
 def _scaled_reference(kernel, measure, order, r, u_window):
@@ -458,7 +522,7 @@ def _scaled_reference(kernel, measure, order, r, u_window):
     def ring(windows, live):
         return ref._window_term([1.0], windows, [1.0])
 
-    totals, partials, failed, _ = _cauchy_windows(ring, lo, hi, [1.0], ref.quad)
+    totals, partials, failed, _, _ = _cauchy_windows(ring, lo, hi, [1.0], ref.quad)
     return totals[0], partials[0], failed.get(0)
 
 

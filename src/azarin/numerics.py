@@ -10,12 +10,15 @@ an end of the core window and takes no rings.  An improper end is accepted
 when two rings in a row are calm, or when the next edge would leave the
 float range after at least one calm ring; it is rejected after
 ``_MAX_EXPANSIONS`` rings.  The rule runs on a batch of columns that share
-the rings, each with its own total and calm count.  For one column both
-ends advance together, one call per step, each fetching a first block of
-the rings its caller asks for (``_RING_BLOCK`` unless it knows how many
-a similar column took), then blocks doubling up to ``_RING_BLOCK``; a
-batch of columns fetches doubling blocks, 1, 2, 4, ... rings, each of at
-most ``_RING_CELLS`` (ring, column) cells or one ring.  The rings are
+the rings, each with its own total and calm count, and steps the same way
+for one column and for many.  An end's first block holds the rings its
+caller asks for (``_RING_BLOCK`` unless it knows how many a similar column
+took) for one column and one ring for a batch; its later blocks double up
+to ``_RING_BLOCK`` rings, and each holds at most ``_RING_CELLS`` (ring,
+column) cells or one ring.  A step makes one call for the blocks that are
+for the same columns, the first step with the core and the first block of
+each end.  The infinity end is judged only once the zero end is decided
+for every column and holds its first block until then.  The rings are
 consumed one at a time, zero end first, so the totals and partial sums are
 those of one ring at a time, whatever the blocks; the rest of a block is
 discarded.
@@ -98,10 +101,10 @@ _WINDOW_HI = 4.0
 _EXPANSION = 4.0            # a Cauchy ring's outer edge over its inner edge
 _MAX_EXPANSIONS = 96        # slow geometric ring decay needs headroom
 
-# the Cauchy rings that each end of one column fetches per step, and the
-# most that the doubling blocks of a batch of columns reach; a block holds
-# at most _RING_CELLS (ring, column) cells or one ring, which bounds the
-# temporaries of a wide batch and leaves one column's blocks whole
+# the most Cauchy rings of a block, the first block of one column by
+# default; a block, and a ring call, holds at most _RING_CELLS (window,
+# column) cells or one window, which bounds the temporaries of a wide batch
+# and leaves one column's calls whole
 _RING_BLOCK = 16
 _RING_CELLS = 2048
 
@@ -334,52 +337,45 @@ class _End:
     Ring k runs from edge k-1 to edge k, each edge ``step`` of the one
     before; ``edges`` holds one edge past the rings fetched.  Column j has
     left the float range at edge t when ``out(t * scales[j])``.  ``parts[j]``
-    holds the parts fetched for column j and not yet judged (with ``replay``,
-    for a base that may move, all of them), ``state[j]`` its base (the total
-    its first ring adds to), partial sums, calm rings in a row and verdict:
-    True (accepted), False (rejected) or None (it needs the next ring).  The
-    first block of a single column holds ``first`` rings (one when ``block``
-    is 1), that of a batch one ring."""
+    holds the parts fetched for column j and not yet judged, ``state[j]``
+    its partial sums, calm rings in a row and verdict: True (accepted),
+    False (rejected) or None (it needs the next ring); ``open`` lists the
+    columns with no verdict.  The first block of a single column holds
+    ``first`` rings (one when ``block`` is 1), that of a batch one ring."""
 
-    def __init__(self, edge, step, out, scales, ctrl, block, first, replay=False):
+    def __init__(self, edge, step, out, scales, ctrl, block, first):
         self.edges, self.step, self.out, self.ctrl = [edge, step(edge)], step, out, ctrl
         self.scales, self.open, self.block = scales, list(range(len(scales))), block
         self.size = first if len(scales) == 1 and block > 1 else 1
-        self.replay = replay
         self.parts = [[] for _ in scales]
-        self.state = [(None, [], 0, None)] * len(scales)
+        self.state = [([], 0, None) for _ in scales]
 
-    def judge(self, base, settled):
-        """Consume each open column's new parts from ``base(j)`` (all again
-        when the base moved), one ring at a time, outward: two calm rings in
-        a row accept it; a next edge beyond the float range accepts it after
-        a calm ring and rejects it otherwise, as ``_MAX_EXPANSIONS`` rings
-        do.  A decided column closes once ``settled(j)``.  Returns whether a
-        column needs a ring."""
+    def judge(self, totals):
+        """Consume each open column's parts, one ring at a time, outward,
+        adding them to its running total in ``totals``: two calm rings in a
+        row accept it; a next edge beyond the float range accepts it after a
+        calm ring and rejects it otherwise, as ``_MAX_EXPANSIONS`` rings do.
+        The parts are dropped once judged.  Returns whether a column needs a
+        ring."""
         tol, abs_tol, most = self.ctrl.tol, self.ctrl.abs_tol, _MAX_EXPANSIONS
         edges, scales = self.edges, self.scales
         for j in self.open:
-            b = base(j)
-            start, sums, calm, verdict = self.state[j]
-            if start != b:
-                sums, calm, verdict = [], 0, None
-            total = sums[-1] if sums else b
-            parts = self.parts[j][len(sums):] if self.replay else self.parts[j]
-            if not self.replay:
-                self.parts[j] = []
-            for part in parts if verdict is None else ():
+            sums, calm, verdict = self.state[j]
+            total = totals[j]
+            for part in self.parts[j]:
                 total = total + part
                 sums.append(total)
                 calm = calm + 1 if abs(part) <= tol * (1.0 + abs(total)) + abs_tol else 0
                 if calm >= 2:
                     verdict = True
                     break
+            self.parts[j], totals[j] = [], total
             k = len(sums)
             if verdict is None and (k >= most or self.out(edges[k + 1] * scales[j])):
                 verdict = k < most and calm >= 1
-            self.state[j] = (b, sums, calm, verdict)
-        self.open = [j for j in self.open if self.state[j][3] is None or not settled(j)]
-        return any(self.state[j][3] is None for j in self.open)
+            self.state[j] = (sums, calm, verdict)
+        self.open = [j for j in self.open if self.state[j][2] is None]
+        return bool(self.open)
 
     def plan(self):
         """The next block's rings (a, b), outward, and the open columns not
@@ -413,28 +409,26 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK,
     finite end lies beyond it, the core is the one ring next to that end.
     ``ring(windows, live)`` returns for each window (a, b) of ``windows``,
     which need not touch, a row of the parts of the columns listed in
-    ``live``.  For one column both ends advance together: each step is one
-    call on the core (first step) and the next block of rings of each end
-    that needs them, ``first`` = (zero end, infinity end) rings in the first
-    step and blocks doubling up to ``block`` after it.  A caller that knows
-    how many rings a similar column took asks for one more in ``first``, so
-    that the column takes one step; blocks change only the rings fetched,
-    never the result.  The infinity end adds to the total after the zero
-    end, so while the zero end is undecided the infinity rows are judged on
-    the total so far, and replayed once it is decided.  A wider batch, whose
-    every fetched ring costs one column per scale, takes one call per block
-    of 1, 2, 4, ... up to ``block`` rings, and up to ``_RING_CELLS`` cells
-    of its live columns or one ring, and finishes the zero end first: each
-    end fetches for its own live columns, those whose edges are still
-    inside the float range, and one call over the union of both ends' live
-    columns would take rings beyond the float range for some of them.  A
-    ring callback with no adaptive integral to batch passes ``block=1``, so
-    that it fetches no ring it discards, whatever ``first``.  Returns the
-    totals, each column's partial sums (core first, then the rings at zero,
-    then those at infinity), a dict mapping each rejected column to the end,
-    "zero" or "infinity", that failed first, each column's window (a, b):
-    the core and the rings it took, and each column's ring counts (zero
-    end, infinity end), 0 at a finite end.
+    ``live``.  Each step fetches the next block of rings of each end that
+    needs them for its live columns, those whose next edge is still inside
+    the float range: first blocks of ``first`` = (zero end, infinity end)
+    rings for one column and of one ring for a batch, then blocks doubling
+    up to ``block``.  The core and the blocks of a step that are for the
+    same live columns share one call, cut into calls of at most
+    ``_RING_CELLS`` (window, column) cells or one window.  The infinity end
+    adds to the totals after the zero end, so it is judged only once the
+    zero end is decided for every column: it holds the parts of its first
+    block until then, and fetches no other block before.  A caller that
+    knows how many rings a similar column took asks for one more in
+    ``first``, so that the column takes one step; blocks change only the
+    rings fetched, never the result.  A ring callback with no adaptive
+    integral to batch passes ``block=1``, so that it fetches no ring it
+    discards, whatever ``first``.  Returns the totals, each column's
+    partial sums (core first, then the rings at zero, then those at
+    infinity), a dict mapping each rejected column to the end, "zero" or
+    "infinity", that failed first, each column's window (a, b): the core
+    and the rings it took, and each column's ring counts (zero end,
+    infinity end), 0 at a finite end.
     """
     improper_lo = (lo == 0.0)
     improper_hi = math.isinf(hi)
@@ -452,47 +446,39 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK,
     zero = improper_lo and _End(core_lo, lambda t: t / _EXPANSION,
                                 lambda x: x < 1e-300, scales, ctrl, block, first[0])
     inf = improper_hi and _End(core_hi, lambda t: t * _EXPANSION,
-                               lambda x: x > 1e300, scales, ctrl, block, first[1],
-                               replay=n == 1 and improper_lo)
-
-    def settled(j):
-        return not zero or zero.state[j][3] is not None
-
-    def after_zero(j):
-        return (zero.state[j][1] or [core[j]])[-1] if zero else core[j]
-
-    core, windows, blocks = None, [(core_lo, core_hi)], [(None, 0, 1, range(n))]
-    wanting = [end for end in (zero, inf) if end][:1 if n > 1 else 2]
+                               lambda x: x > 1e300, scales, ctrl, block, first[1])
+    calls = {tuple(range(n)): [(None, [(core_lo, core_hi)])]}   # live columns: blocks
+    wanting = [end for end in (zero, inf) if end]
     while True:
         for end in wanting:
             rings, cols = end.plan()
             if rings:
-                blocks.append((end, len(windows), len(rings), cols))
-                windows += rings
-        if not windows:
+                calls.setdefault(tuple(cols), []).append((end, rings))
+        if not calls:
             break
-        calls = [(windows, list(range(n)), blocks)] if n == 1 else [
-            (windows[at:at + count], list(cols), [(end, 0, count, cols)])
-            for end, at, count, cols in blocks]
-        for windows, live, step in calls:   # every block of a call is for all of live
-            rows = ring(windows, live)
-            for end, at, count, cols in step:
+        for live, step in calls.items():
+            windows = [w for _, rings in step for w in rings]
+            width = _RING_CELLS // len(live) or 1
+            rows = iter([row for at in range(0, len(windows), width)
+                         for row in ring(windows[at:at + width], list(live))])
+            for end, rings in step:
+                got = [next(rows) for _ in rings]
                 if end is None:
-                    core = list(rows[0])
-                for j, parts in zip(cols, zip(*rows[at:at + count])) if end else ():
+                    core = list(got[0])
+                    totals = list(core)
+                for j, parts in zip(live, zip(*got)) if end else ():
                     end.parts[j].extend(parts)
-        wanting = []
-        for end, base in ((zero, core.__getitem__), (inf, after_zero)):
-            if end and (n == 1 or not wanting) and end.judge(base, settled):
-                wanting.append(end)
-        windows, blocks = [], []
+        # the infinity end adds to the totals that the zero end leaves
+        wanting = ([zero] if zero and zero.judge(totals) else
+                   [inf] if inf and inf.judge(totals) else [])
+        calls = {}
 
     partials, failed, reach, counts = [], {}, [], []
     for j in range(n):
         sums, window, taken = [core[j]], [core_lo, core_hi], [0, 0]
         for side, end, name in ((0, zero, "zero"), (1, inf, "infinity")):
             if end:
-                _, ring_sums, _, verdict = end.state[j]
+                ring_sums, _, verdict = end.state[j]
                 sums += ring_sums
                 taken[side] = len(ring_sums)
                 window[side] = end.edges[len(ring_sums)]
@@ -501,7 +487,7 @@ def _cauchy_windows(ring, lo, hi, scales, ctrl, block=_RING_BLOCK,
         partials.append(sums)
         reach.append(tuple(window))
         counts.append(tuple(taken))
-    return [sums[-1] for sums in partials], partials, failed, reach, counts
+    return totals, partials, failed, reach, counts
 
 
 def improper_quad(f, lo, hi, ctrl=DEFAULT_QUAD, split_points=(), singular_points=()):

@@ -113,9 +113,9 @@ class _SymbolQuadrature:
         if failed:
             raise DivergenceError("Mellin symbol integral diverges at %s"
                                   % failed[0], partials=partials[0])
-        # the core, then the rings taken at zero and at infinity, outward; an
-        # infinity ring fetched while the zero end was open may lie past the
-        # accepted end and is not part of the integral
+        # the core, then the rings taken at zero and at infinity, outward;
+        # one ring per step fetches none past an accepted end, but blocks of
+        # several rings would, and such a ring is not part of the integral
         (lo, hi), (core, *rings) = windows[0], fetched
         parts = [fetched[core]]
         parts += [fetched[w] for w in sorted(rings, reverse=True)

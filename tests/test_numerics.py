@@ -332,13 +332,12 @@ def test_improper_empty_range():
         [0.0, 0.0], [[], []], {}, [(2.0, 1.0)] * 2, [(0, 0)] * 2)
 
 
-# Column 0's zero end takes a large ring (16) in its first block, so its
-# infinity rings are judged on the final total (1.2) from the first step.
+# Column 0's zero end takes its large ring (16) in its first block and its
+# two calm rings after it in its second; its infinity end takes 5 rings.
 # Column 1's infinity end takes 44 rings.  Column 2's zero end takes its
-# large ring (20) in its second block, so its infinity rings are calm on
-# every total before that (about 1.5) but not on the final one: its
-# infinity end stops after two calm rings, and once the zero end is
-# decided it takes 20 rings, more than its first block holds.
+# large ring (20) in its second block: its infinity rings are calm on every
+# total before that (about 1.5) but not on the final one, on which its
+# infinity end takes 20 rings, more than its first block holds.
 _LATE = DEFAULT_QUAD.tol * 2.35
 
 
@@ -369,28 +368,44 @@ def _synthetic_part(j, window):
     return -0.5 if k == 1 else -1e-9 if k < late else -0.3 if k == late else 0.0
 
 
-def _one_ring_at_a_time(part, ctrl=DEFAULT_QUAD):
-    """(total, partial sums, failed end or None) of the column whose part
-    on a window is ``part(window)``, each ring taken alone, the zero end
-    first."""
+def _one_ring_at_a_time(part, scale=1.0, ctrl=DEFAULT_QUAD):
+    """(total, partial sums, failed end or None, window, ring counts) of the
+    column whose part on a window is ``part(window)`` and whose edge t has
+    left the float range when ``t * scale`` has, each ring taken alone, the
+    zero end first."""
     total = part((_LO, _HI))
-    partials, failed = [total], None
-    for end, edge, step in (("zero", _LO, lambda t: t / _STEP),
-                            ("infinity", _HI, lambda t: t * _STEP)):
-        calm = 0
+    partials, failed, window, counts = [total], None, [], []
+    for end, edge, step, out in (("zero", _LO, lambda t: t / _STEP, lambda t: t < 1e-300),
+                                 ("infinity", _HI, lambda t: t * _STEP,
+                                  lambda t: t > 1e300)):
+        calm, accepted, taken = 0, False, 0
         for _ in range(numerics._MAX_EXPANSIONS):
             nxt = step(edge)
+            if out(nxt * scale):
+                accepted = calm >= 1
+                break
             part_k = part((min(edge, nxt), max(edge, nxt)))
             edge = nxt
             total += part_k
             partials.append(total)
+            taken += 1
             calm_ring = abs(part_k) <= ctrl.tol * (1.0 + abs(total)) + ctrl.abs_tol
             calm = calm + 1 if calm_ring else 0
             if calm >= 2:
+                accepted = True
                 break
-        else:
-            failed = failed or end
-    return total, partials, failed
+        failed = failed or (None if accepted else end)
+        window.append(edge)
+        counts.append(taken)
+    return total, partials, failed, tuple(window), tuple(counts)
+
+
+def _per_column(out):
+    """``_cauchy_windows``' result ``out`` as one tuple per column, in the
+    form of ``_one_ring_at_a_time``."""
+    totals, partials, failed, windows, counts = out
+    return [(total, sums, failed.get(j), window, taken) for j, (total, sums, window, taken)
+            in enumerate(zip(totals, partials, windows, counts))]
 
 
 def _synthetic_windows(columns, scales=None, block=None, first=None):
@@ -414,51 +429,63 @@ def _at_infinity(calls):
     return [any(a >= _HI for a, _ in w) for w, _ in calls]
 
 
+def _synthetic(columns):
+    return [lambda w, c=c: _synthetic_part(c, w) for c in columns]
+
+
 @pytest.mark.parametrize("columns", [[0], [0, 1]], ids=["alone", "with-a-long-end"])
-def test_cauchy_windows_replay_the_infinity_end(columns):
-    parts = [lambda w, c=c: _synthetic_part(c, w) for c in columns]
-    (totals, partials, failed, _, _), calls = _synthetic_windows(parts)
-    for j, c in enumerate(columns):
-        total, want, end = _one_ring_at_a_time(parts[j])
-        assert (totals[j], partials[j], failed.get(j)) == (total, want, end)
-    assert len(partials[0]) == 1 + 18 + 5
+def test_cauchy_windows_judge_the_infinity_end_on_the_final_total(columns):
+    parts = _synthetic(columns)
+    out, calls = _synthetic_windows(parts)
+    assert _per_column(out) == [_one_ring_at_a_time(part) for part in parts]
+    assert len(out[1][0]) == 1 + 18 + 5
     if columns == [0]:
         # steps with infinity windows: the first, whose 16 rings hold the end
         assert _at_infinity(calls) == [True, False]
 
 
-def test_cauchy_windows_refetch_the_replayed_infinity_end():
-    def part(window):
-        return _synthetic_part(2, window)
-
-    (totals, partials, failed, _, _), calls = _synthetic_windows([part])
-    total, want, end = _one_ring_at_a_time(part)
-    assert (totals[0], partials[0], failed.get(0)) == (total, want, end)
-    assert len(partials[0]) == 1 + 22 + 20
+def test_cauchy_windows_refetch_the_infinity_end():
+    parts = _synthetic([2])
+    out, calls = _synthetic_windows(parts)
+    assert _per_column(out) == [_one_ring_at_a_time(parts[0])]
+    assert len(out[1][0]) == 1 + 22 + 20
     # the infinity end's first block, none while the zero end takes its
-    # second, then the rings past 16 that the replay needs
+    # second, then the rings past 16 that the final total needs
     assert _at_infinity(calls) == [True, False, True]
 
 
-@pytest.mark.parametrize("columns", [[2], [0, 1]], ids=["alone", "batch"])
-def test_cauchy_windows_keep_only_parts_a_replay_needs(columns, monkeypatch):
-    # only a single column's infinity end is judged on a base that moves
-    ends = []
+def test_cauchy_windows_batch_fetches_the_infinity_end_after_the_zero_end():
+    # the first call holds the core and one ring of each end; the infinity
+    # end's later rings come in calls after every call with zero rings
+    parts = _synthetic([0, 1, 2])
+    out, calls = _synthetic_windows(parts)
+    assert calls[0] == ([(_LO, _HI), (_LO / _STEP, _LO), (_HI, _HI * _STEP)], [0, 1, 2])
+    at_zero = [any(b <= _LO for _, b in w) for w, _ in calls[1:]]
+    last = max(i for i, z in enumerate(at_zero) if z)
+    assert _at_infinity(calls[1:]) == [False] * (last + 1) + [True] * (len(at_zero) - last - 1)
+    assert _per_column(out) == [_one_ring_at_a_time(part) for part in parts]
 
-    def end(*args, **kw):
-        ends.append(inner(*args, **kw))
-        return ends[-1]
 
-    inner = numerics._End
-    monkeypatch.setattr(numerics, "_End", end)
-    parts = [lambda w, c=c: _synthetic_part(c, w) for c in columns]
-    _synthetic_windows(parts)
-    zero, inf = ends
-    assert zero.parts == [[]] * len(columns)
-    if columns == [2]:
-        assert len(inf.parts[0]) == len(inf.edges) - 2 >= 20
-    else:
-        assert inf.parts == [[]] * len(columns)
+@pytest.mark.parametrize("columns", [[2], [0, 1, 2]], ids=["alone", "batch"])
+def test_cauchy_windows_drop_each_part_once_judged(columns, monkeypatch):
+    # every end, alone and in a batch, keeps no part past the judge that
+    # adds it
+    ends, dropped = [], []
+
+    class End(numerics._End):
+        def __init__(self, *args):
+            super().__init__(*args)
+            ends.append(self)
+
+        def judge(self, totals):
+            wants = super().judge(totals)
+            dropped.append(self.parts == [[]] * len(columns))
+            return wants
+
+    monkeypatch.setattr(numerics, "_End", End)
+    _synthetic_windows(_synthetic(columns))
+    assert len(ends) == 2 and len(dropped) > 2 and all(dropped)
+    assert all(end.parts == [[]] * len(columns) for end in ends)
 
 
 def _law_part(law):
@@ -486,11 +513,13 @@ _END_LAW = st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 1.05),
 def test_cauchy_windows_blocks_agree(columns):
     # geometric (omega 0) and oscillating rings, some columns leaving the
     # float range at one end: one ring, two rings and full blocks per fetch
-    # give the same totals, partial sums, failed ends and windows
+    # give the totals, partial sums, failed ends, windows and ring counts of
+    # each column alone, one ring at a time
     parts = [_law_part(law) for law, _ in columns]
     scales = [scale for _, scale in columns]
-    runs = [_synthetic_windows(parts, scales, block)[0] for block in (1, 2, 16)]
-    assert runs[0] == runs[1] == runs[2]
+    want = [_one_ring_at_a_time(part, scale) for part, scale in zip(parts, scales)]
+    for block in (1, 2, 16):
+        assert _per_column(_synthetic_windows(parts, scales, block)[0]) == want
 
 
 _FIRST = st.tuples(st.integers(1, 120), st.integers(1, 120))
@@ -527,7 +556,7 @@ def test_transform_first_blocks_agree(kernel, r, first):
 @pytest.mark.parametrize("columns", [[2], [0, 1, 2]], ids=["alone", "batch"])
 def test_ring_cells_cap_a_batch_and_keep_its_sums(columns, cells, monkeypatch):
     # the rings are judged one at a time, so smaller blocks change nothing
-    parts = [lambda w, c=c: _synthetic_part(c, w) for c in columns]
+    parts = _synthetic(columns)
     want, wide = _synthetic_windows(parts)
     monkeypatch.setattr(numerics, "_RING_CELLS", cells)
     got, calls = _synthetic_windows(parts)

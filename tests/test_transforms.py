@@ -329,22 +329,35 @@ class TestRingBlocks:
 
         return _cauchy_windows(ring, 0.0, math.inf, rs, tr.quad)
 
-    @pytest.mark.parametrize("kernel, measure, rs", [
-        (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8]),
-        (LogSingularKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8]),
-        (ExpKernel(), ATOMS_AND_BREAKPOINTS, [0.1, 1.0, 1e4]),
+    @pytest.mark.parametrize("kernel, measure, rs, taken", [
+        (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8],
+         [(22, 4), (24, 4), (25, 4)]),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.3), [1e-2, 1.0, 1e8],
+         [(25, 49), (28, 54), (29, 54)]),
+        (ExpKernel(), ATOMS_AND_BREAKPOINTS, [0.1, 1.0, 1e4], [(22, 4), (23, 4), (26, 4)]),
         # the parts of the first column are tiny: it is accepted after two
         # calm rings, long before its zero end would leave the float range
-        (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-294, 1.0]),
+        (ExpKernel(), RadonMeasure.power_density(-0.3), [1e-294, 1.0], [(2, 2), (24, 4)]),
         # the first column leaves the float range at the first ring at
         # infinity but takes 29 rings at zero, while the second takes 56 at
         # infinity, which overflow at the first scale: no call holds both
-        (LogSingularKernel(), RadonMeasure.power_density(-0.3), [1e299, 1.0]),
+        (LogSingularKernel(), RadonMeasure.power_density(-0.3), [1e299, 1.0],
+         [(29, 0), (28, 54)]),
+        # both columns reach the float range at zero with no calm ring and
+        # are rejected there, after 8 and 15 rings
+        (ExpKernel(), RadonMeasure.power_density(-0.99), [1e-294, 1e-290], [(8, 3), (15, 3)]),
+        # each column's last ring at zero is its only calm one, and the next
+        # edge leaves the float range: accepted (at exponent -0.96612 the
+        # first column's last ring is not calm, and it is rejected there)
+        (ExpKernel(), RadonMeasure.power_density(-0.96606), [1e-294, 1e-296],
+         [(8, 2), (5, 2)]),
     ], ids=["exp", "log-singular", "atoms-and-breakpoints", "float-range",
-            "float-range-at-one-end"])
-    def test_blocks_match_one_ring_at_a_time(self, kernel, measure, rs):
+            "float-range-at-one-end", "float-range-rejected-at-zero",
+            "float-range-accepted-at-zero"])
+    def test_blocks_match_one_ring_at_a_time(self, kernel, measure, rs, taken):
         tr = KernelTransform(kernel, measure)
-        totals, partials, failed, _, _ = self._blocks(tr, rs)
+        totals, partials, failed, _, counts = self._blocks(tr, rs)
+        assert counts == taken
         for j, r in enumerate(rs):
             total, want, end = _one_ring_at_a_time(tr, r)
             assert failed.get(j) == end

@@ -650,7 +650,10 @@ def run_order_diagnostic(order, measure, kernel, quad,
 @operation("mellin_symbol_table")
 def run_symbol_table(kernel, quad, rho=1.0,
                      lambda_grid=Grid(-20.0, 20.0, 81, space=np.linspace)):
-    table = mellin_symbol_table(kernel, rho, lambda_grid, quad)
+    try:
+        table = mellin_symbol_table(kernel, rho, lambda_grid, quad)
+    except ValueError as exc:
+        raise ConfigError("params.lambda_grid: %s" % exc)
     rows = [[lam, v.real, v.imag, abs(v)]
             for lam, v in zip(table.lambda_grid, table.values)]
     return RunResult(None, {"rho": rho, "points": len(rows)},
@@ -662,8 +665,11 @@ def run_zero_scan(kernel, quad, rho=1.0, window=Window([-20.0, 20.0]),
                   step=Range(0.0, math.inf, "a number > 0", 0.01), tol=1e-6,
                   expected_zeros=List(None), abscissa_tol=Maybe(float),
                   expect_nonvanishing=Maybe(bool)):
-    rep = wiener_zero_scan(kernel, rho, window=window, step=step, tol=tol,
-                           quad=quad)
+    try:
+        rep = wiener_zero_scan(kernel, rho, window=window, step=step, tol=tol,
+                               quad=quad)
+    except ValueError as exc:
+        raise ConfigError("params.window: %s" % exc)
     rows = [[lam, val] for lam, val in rep.zeros]
     report = {"zeros": rows, "nonvanishing": rep.nonvanishing,
               "min_abs": rep.min_abs, "max_abs": rep.max_abs}

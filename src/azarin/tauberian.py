@@ -39,15 +39,29 @@ _SERIES_REACH = 2.0
 # the last panel leaves the error of the ln|1 - 1/t| symbol (2e-8 of its
 # table max after 18 halvings, 2e-10 after 30)
 _GRADED_LEVELS = 30
+# the symbol's panel width times (lam_max + 1), so a panel's half turns
+# e^{i lam x} by at most k = _PANEL_PHASE / 2.  GK15 integrates e^{i k y} on
+# [-1, 1] to its weights' rounding up to k = 5: the error is 4.9e-15 at
+# k = pi/3 (panels a third of a wavelength), 3.2e-15 at 4, 4.6e-15 at 5,
+# 7.8e-15 at 5.5, 3.3e-14 at 6 and 1.0e-12 at 7
+_PANEL_PHASE = 10.0
+# GK15 nodes that the symbol quadrature may take (96 MiB of node arrays),
+# checked before each window is built: the core comes first, so a lambda
+# range whose core alone is over it is rejected before any node is built
+_SYMBOL_NODES = 2 ** 21
 
 
 class _SymbolQuadrature:
     """Shared node set for K(t) t**(rho-1+i lam) over (0, oo), in x = ln t.
 
-    One GK15 panelization (width <= a third of the shortest oscillation
-    wavelength, graded near declared singular points) serves every lambda
-    up to ``lam_max``: the kernel part g(x) = K(e^x) e^{rho x} is evaluated
-    once and each symbol value is a weighted sum of g against e^{i lam x}.
+    One GK15 panelization (width min(0.5, ``_PANEL_PHASE`` / (lam_max + 1)):
+    the cap resolves the kernel part, the phase e^{i lam x}; graded near
+    declared singular points) serves every lambda up to ``lam_max``: the
+    kernel part g(x) = K(e^x) e^{rho x} is evaluated once and each symbol
+    value is a weighted sum of g against e^{i lam x}.  A non-finite
+    ``lam_max``, or one whose node set would pass ``_SYMBOL_NODES``, is a
+    ValueError raised before the window that would pass it is built, so
+    before any node when the core window (the first) would.
     The windows are the shared Cauchy windows over the kernel support, so a
     finite support end is the end of the core window; the rings are judged
     by absolute mass, so oscillation that cancels inside a ring cannot stop
@@ -67,12 +81,21 @@ class _SymbolQuadrature:
     """
 
     def __init__(self, kernel, rho, lam_max, quad=DEFAULT_QUAD):
-        width = min(0.5, 2.0 * math.pi / (abs(lam_max) + 1.0) / 3.0)
+        if not math.isfinite(lam_max):
+            raise ValueError("expected finite lambdas, got |lambda| up to %r"
+                             % (lam_max,))
+        width = min(0.5, _PANEL_PHASE / (abs(lam_max) + 1.0))
         k_lo, k_hi = kernel.support
         sing_x = [math.log(s) for s in kernel.singular_points]
         bp_x = sorted({math.log(b) for b in kernel.breakpoints() if b > 0.0})
 
         def panels(a, b):
+            nodes = (_XGK.size * (b - a) / width
+                     + sum(xs.size for xs, _, _ in fetched.values()))
+            if not nodes <= _SYMBOL_NODES:
+                raise ValueError("|lambda| up to %g needs more than %d nodes, "
+                                 "%.3g with ln t in (%g, %g)"
+                                 % (lam_max, _SYMBOL_NODES, nodes, a, b))
             edges = {a, b}
             edges.update(x for x in bp_x if a < x < b)
             for s in sing_x:
@@ -183,7 +206,11 @@ class _SymbolQuadrature:
 
 
 def mellin_symbol(kernel, rho, lam, quad=DEFAULT_QUAD):
-    """integral over (0, oo) of K(t) * t**(rho - 1 + i lam) dt."""
+    """integral over (0, oo) of K(t) * t**(rho - 1 + i lam) dt.
+
+    Raises ValueError for a non-finite ``lam`` and for one whose node set
+    would be over the symbol quadrature's budget.
+    """
     return _SymbolQuadrature(kernel, float(rho), abs(float(lam)), quad).value(lam)
 
 
@@ -237,7 +264,9 @@ def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
     exactly, so its spacing is ``(hi - lo) / (n - 1)``, not ``step``: step
     0.3 on (-1, 1) gives 8 points 0.2857 apart.  A step at least twice the
     window width gives the one point ``lo``.  Raises ValueError unless
-    ``step > 0`` and ``window`` is a finite ``(lo, hi)`` with lo <= hi.
+    ``step > 0`` and ``window`` is a finite ``(lo, hi)`` with lo <= hi, and
+    (before the grid is built) when the symbol's node set for |lambda| up
+    to max(|lo|, |hi|) is over its budget.
     """
     lo, hi = window
     if not step > 0:
@@ -245,10 +274,10 @@ def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ValueError("window must be finite with lo <= hi, got %r"
                          % (window,))
-    n = int(round((hi - lo) / step)) + 1
-    lams = np.linspace(lo, hi, n)
     sq = _SymbolQuadrature(kernel, float(rho), float(max(abs(lo), abs(hi))),
                            quad)
+    n = int(round((hi - lo) / step)) + 1
+    lams = np.linspace(lo, hi, n)
     vals = sq.values(lams, step=(hi - lo) / max(n - 1, 1))
     table = MellinSymbol(kernel=kernel, rho=float(rho),
                          lambda_grid=tuple(lams), values=tuple(vals))

@@ -268,6 +268,25 @@ class TestRunErrors:
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
         assert "config error: %s: %s" % (path, message) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operation, params, path, lam", [
+        ("mellin_symbol_table", {"lambda_grid": [0.0, 1e12]}, "params.lambda_grid",
+         "1e+12"),
+        ("mellin_symbol_table", {"lambda_grid": [0.0, 1e300]}, "params.lambda_grid",
+         "1e+300"),
+        ("wiener_zero_scan", {"window": [0.0, 1e12]}, "params.window", "1e+12"),
+    ])
+    def test_lambda_past_the_symbol_budget(self, operation, params, path, lam,
+                                           tmp_path, capsys):
+        # ended in numpy's _ArrayMemoryError (9.63 TiB at 1e12) or in a run
+        # error naming no field
+        cfg = {"operation": operation, "kernel": {"kind": "exp"}, "params": params}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: %s: |lambda| up to %s needs more than 2097152 nodes, "
+            % (path, lam))
+
     def test_poisson_smoothing_needs_a_zero_order(self, tmp_path, capsys):
         # ended in a run error naming no field
         cfg = {"operation": "poisson_smoothing_check", "order": {"rho": 0.5}}

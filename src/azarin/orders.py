@@ -121,11 +121,12 @@ class TabulatedZero(ZeroPart):
     """
     xs: tuple = ()
     etas: tuple = ()
-    # read-only arrays built once: xs, etas, the trapezoid integral of eta
-    # at each node, the K signed knots k_j = +-x_i, h and h' at each k_j on
-    # the piece right of it, and one row per signed piece [k_j, k_(j+1)),
-    # j = -1 .. K-1: |base|, cum, eta, h''/2 (0 beyond the last node), sign
-    # and k_(j+1) (inf for j = K-1)
+    # read-only arrays built once: xs, etas, the trapezoid integral of eta at each
+    # node, the K signed knots k_j = +-x_i, h and h' at each k_j on the piece right
+    # of it, one row per signed piece [k_j, k_(j+1)), j = -1 .. K-1: |base|, cum,
+    # eta, h''/2 (0 beyond the last node), sign and k_(j+1) (inf for j = K-1),
+    # (max H, -min H) on the pieces i .. i + 2^l - 1 between knots at [l, i], and
+    # max |H| and max |h'| on a piece's quadratic up to xs[-1] past it
     _cum: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -146,8 +147,17 @@ class TabulatedZero(ZeroPart):
         pieces = np.column_stack([xs[i], cum[i], etas[i], half_curv[i],
                                   np.repeat([-1.0, 1.0], xs.size),
                                   np.append(knots, np.inf)])
-        arrays = (xs.copy(), etas.copy(), cum, knots,
-                  *_on_pieces(knots, pieces[1:].T)[:2], pieces)
+        # H on a node piece is extreme at its ends or where eta crosses 0
+        cross = np.divide(etas[:-1] * np.diff(xs), etas[:-1] - etas[1:],
+                          out=np.zeros(xs.size - 1), where=etas[:-1] * etas[1:] < 0.0)
+        ends = np.stack([cum[:-1], cum[1:], cum[:-1] + 0.5 * etas[:-1] * cross])
+        ends = np.concatenate([ends[:, ::-1], ends], axis=1)   # on the signed pieces
+        ranges = [np.column_stack([ends.max(0), -ends.min(0)])]
+        for w in 2 ** np.arange((knots.size - 1).bit_length() - 1):
+            ranges.append(np.maximum(ranges[-1], np.roll(ranges[-1], -w, 0)))
+        slope = np.abs(etas).max() + 2.0 * xs[-1] * np.abs(half_curv).max()
+        arrays = (xs.copy(), etas.copy(), cum, knots, *_on_pieces(knots, pieces[1:].T)[:2],
+                  pieces, np.stack(ranges), np.array([np.abs(ends).max(), slope]))
         for a in arrays:
             a.flags.writeable = False
         object.__setattr__(self, "_cum", arrays)
@@ -210,6 +220,12 @@ class ProximateOrder:
 # the Potter grid search: _GRID_POINTS values of ln r in +-_GRID_HALF_WIDTH
 _GRID_HALF_WIDTH = 40.0
 _GRID_POINTS = 4001
+# the exact tabulated supremum: signed knots per bounded block, (tau, piece)
+# cells per chunk, and the bounds' rounding margin per unit of max |H| + max
+# |h'| (|tau| + xs[-1]), by which the rounding of x +- tau moves g < 1e-14
+_BLOCK = 32
+_POTTER_CELLS = 4096
+_ROUNDING = 1e-12
 
 
 def _grid_supremum(zero_part, tau):
@@ -243,17 +259,43 @@ def _on_pieces(x, rows):
     return cum + d * (eta + half_curv * d), sign * (eta + 2.0 * half_curv * d), half_curv
 
 
-def _right_of(knots, y):
-    """``np.searchsorted(knots, [y, knots - tau], side="right")`` for the
-    symmetric signed knots and y = knots + tau, with one search: knots - tau
-    is -y reversed, so its search is n less the left search of y, reversed
-    (where the right search r is 0, knots[r - 1] > y)."""
-    r = np.searchsorted(knots, y, side="right")
-    return np.concatenate([r, (knots.size - r + (knots[r - 1] == y))[::-1]])
+def _block_ranges(zero_part, edges):
+    """Outer bounds (max H(|x|), -min H(|x|)) for x in [edges[..., b], edges[..., b + 1]]:
+    the knot pieces between, and the linear tail beyond the last node by its far end."""
+    xs, etas, cum, knots = zero_part._cum[:4]
+    s = np.minimum(np.maximum(np.searchsorted(knots, edges) - 1, 0), knots.size - 2)
+    i, j = s[..., :-1], s[..., 1:]   # the knot piece of each edge
+    level = np.frexp(j - i + 1)[1] - 1
+    out = np.maximum(*zero_part._cum[7][level, [i, j + 1 - (1 << level)]])
+    far = np.maximum(np.abs(edges[..., :-1]), np.abs(edges[..., 1:]))
+    tail = (cum[-1] + etas[-1] * (far - xs[-1]))[..., None] * [1.0, -1.0]
+    return np.where((far > xs[-1])[..., None], np.maximum(out, tail), out)
 
 
-def _tabulated_supremum(zero_part, tau):
-    """sup_x h(x + tau) - h(x) for a TabulatedZero, exactly.
+def _merged_piece_peaks(zero_part, j, tau, m):
+    """max of g(x) = h(x + tau) - h(x) on the merged piece from x = k_j (the first
+    ``m`` cells) or x = k_j - tau (h(x + tau) on the piece right of k_j, at the
+    rounded x + tau); the search for the other term's piece also ends it."""
+    knots, h_knot, dh_knot, pieces = zero_part._cum[3:7]
+    k = knots[j]
+    shifted = k[m:] - tau[m:]
+    probe = np.concatenate([k[:m] + tau[:m], shifted])
+    rows = np.take(pieces, np.searchsorted(knots, probe, side="right"), axis=0).T
+    h, dh, c = _on_pieces(probe, rows)
+    own = np.take(pieces, j + 1, axis=0).T
+    h_own, dh_own = _on_pieces(shifted + tau[m:], own[:, m:])[:2]
+    g = np.concatenate([h[:m] - h_knot[j[:m]], h_own - h[m:]])
+    dg = np.concatenate([dh[:m] - dh_knot[j[:m]], dh_own - dh[m:]])
+    fall = 2.0 * np.concatenate([own[3, :m] - c[:m], c[m:] - own[3, m:]])   # -g''
+    width = np.concatenate([np.minimum(own[5, :m], rows[5, :m] - tau[:m]) - k[:m],
+                            np.minimum(rows[5, m:], own[5, m:] - tau[m:]) - shifted])
+    with np.errstate(all="ignore"):   # 0 * inf, and the cells without a vertex
+        vertex = (dg > 0.0) & (dg < fall * width)
+        return np.where(vertex, g + 0.5 * dg ** 2 / fall, g)
+
+
+def _tabulated_supremum(zero_part, taus):
+    """sup_x h(x + tau) - h(x) for a TabulatedZero at each finite nonzero tau, exactly.
 
     h(x) = H(|x|) with H quadratic between the nodes and linear beyond the
     last, so g(x) = h(x + tau) - h(x) is quadratic between the merged knots
@@ -261,46 +303,63 @@ def _tabulated_supremum(zero_part, tau):
     the last.  Its supremum is the largest of g at the knots and g at the
     vertex of each concave piece whose vertex lies inside the piece.
 
-    A merged piece starts at a signed knot k_j, where the knot tables give
-    h(x), or at k_j - tau, where h(x + tau) lies on the signed piece right
-    of k_j.  One search of the knots for every k_j +- tau finds the other
-    term's piece and the merged piece's end, so nothing is sorted.
+    A block of ``_BLOCK`` signed knots holds the merged pieces from its knots and
+    its knots' k_j - tau (the end blocks stretched to min(k_0, k_0 - tau) and max(k_end,
+    k_end - tau)), where g <= max H(|x + tau|) - min H(|x|).  A block whose bound is
+    below the best peak at the block starts (a candidate), less a rounding margin, is
+    dropped; the rest go through one pass in chunks of about ``_POTTER_CELLS``.
     """
-    knots, h_knot, dh_knot, pieces = zero_part._cum[3:]
-    n = knots.size
-    probe = np.concatenate([knots + tau, knots - tau])
-    rows = np.take(pieces, _right_of(knots, probe[:n]), axis=0).T
-    h, dh, c = _on_pieces(probe, rows)
-    shifted = probe[n:]
-    h_own, dh_own, c_own = _on_pieces(shifted + tau, pieces[1:].T)   # at the rounded x + tau
-    g = np.concatenate([h[:n] - h_knot, h_own - h[n:]])
-    dg = np.concatenate([dh[:n] - dh_knot, dh_own - dh[n:]])
-    fall = 2.0 * np.concatenate([c_own - c[:n], c[n:] - c_own])   # -g''
-    end = pieces[1:, 5]
-    width = np.concatenate([np.minimum(end, rows[5, :n] - tau) - knots,
-                            np.minimum(rows[5, n:], end - tau) - shifted])
-    with np.errstate(invalid="ignore"):   # the unbounded last piece: 0 * inf
-        vertex = (dg > 0.0) & (dg < fall * width)
-    best = g.max()
-    if vertex.any():
-        best = max(best, (g[vertex] + 0.5 * dg[vertex] ** 2 / fall[vertex]).max())
-    return float(best)
+    knots, sizes = zero_part._cum[3], zero_part._cum[8]
+    n, end = knots.size, knots[-1]
+    starts = np.arange(0, n, _BLOCK)
+    out = np.full(taus.size, -np.inf)
+    per = max(1, _POTTER_CELLS // starts.size)
+    for s in range(0, taus.size, per):
+        tau = taus[s:s + per, None]
+        edges = np.column_stack([np.minimum(knots[0], knots[0] - tau), np.tile(
+            knots[starts[1:]], (tau.size, 1)), np.maximum(end, end - tau)])
+        both = np.stack([edges + tau, edges])
+        up, down = _block_ranges(zero_part, both)
+        best = _merged_piece_peaks(zero_part, np.tile(starts, tau.size),
+                                   np.repeat(tau, starts.size), starts.size * tau.size)
+        keep = ~(up[..., 0] + down[..., 1] < best.reshape(tau.size, -1).max(1, keepdims=True)
+                 - _ROUNDING * (sizes[0] + sizes[1] * (end + np.abs(tau))))
+        keep_t, keep_b = np.nonzero(keep)
+        # ranges of j: kept blocks' knots, then their k_j - tau (cut[b] <= j < cut[b + 1])
+        cut = np.searchsorted(knots, both[0])
+        cut[:, 0], cut[:, -1] = 0, n
+        first = np.concatenate([starts[keep_b], cut[keep_t, keep_b]])
+        count = np.concatenate([np.append(starts, n)[keep_b + 1],
+                                cut[keep_t, keep_b + 1]]) - first
+        pos = np.cumsum(count) - count
+        chunks = np.flatnonzero(np.diff(pos // _POTTER_CELLS)) + 1
+        for r in np.split(np.arange(count.size), chunks):
+            at = np.repeat(r, count[r])   # the range of each cell
+            j = first[at] + np.arange(pos[r[0]], pos[r[0]] + at.size) - pos[at]
+            t = keep_t[at % keep_t.size]
+            np.maximum.at(out, s + t, _merged_piece_peaks(zero_part, j, tau[t, 0],
+                                                          np.count_nonzero(at < keep_t.size)))
+    return out
 
 
 def log_potter_factor(order, tau):
-    """ln potter_factor(order, e**tau) at a number or an array of tau, in its
-    shape, finite where e**tau or the factor is not.  A closed form (flat or
-    concave) takes the whole array; a search runs once per distinct tau."""
+    """ln potter_factor(order, e**tau) at a number or an array of finite tau (else a
+    ValueError before any search), in its shape.  Closed forms (flat, concave) take the
+    array, a table's exact search its distinct nonzero tau at once, a grid search each."""
     tau = np.asarray(tau, dtype=float)
+    bad = tau[~np.isfinite(tau)]
+    if bad.size:
+        raise ValueError("the Potter factor needs a finite ln t, got %r" % float(bad[0]))
     zero_part = order.zero_part
     if zero_part.concave_log_scale:
         out = zero_part.log_scale(tau)
     else:
-        search = (_tabulated_supremum if isinstance(zero_part, TabulatedZero)
-                  else _grid_supremum)
         taus = tau.ravel().tolist()
-        sup = {x: float(search(zero_part, x)) if x else 0.0 for x in dict.fromkeys(taus)}
-        out = np.reshape([sup[x] for x in taus], tau.shape)
+        distinct = [x for x in dict.fromkeys(taus) if x]
+        sup = dict(zip(distinct, _tabulated_supremum(zero_part, np.array(distinct)).tolist()
+                       if isinstance(zero_part, TabulatedZero)
+                       else [float(_grid_supremum(zero_part, x)) for x in distinct]))
+        out = np.reshape([sup.get(x, 0.0) for x in taus], tau.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -373,8 +432,9 @@ def potter_decay_scan(order, t_grid):
     column is exactly ln W(t)/ln t.
     """
     ts = [float(t) for t in t_grid]
-    if any(t <= math.e for t in ts):
-        raise ValueError("decay scan requires t > e")
+    bad = [t for t in ts if not math.e < t < math.inf]
+    if bad:
+        raise ValueError("decay scan requires finite t > e, got %r" % bad[0])
     lts = [math.log(t) for t in ts]
     fwd, bwd = log_potter_factor(order, [lts, [math.log(1.0 / t) for t in ts]]) / lts
     return list(zip(ts, fwd.tolist(), bwd.tolist()))

@@ -32,7 +32,7 @@ from .numerics import DEFAULT_QUAD
 from .orders import (log_potter_factor, poisson_smoothed_scale,
                      potter_bound_report, potter_decay_scan, potter_factor)
 from .special import lanczos_gamma
-from .tauberian import (ROUNDTRIP_STAGES, mellin_symbol_table,
+from .tauberian import (ROUNDTRIP_STAGES, ScanGridError, mellin_symbol_table,
                         tauberian_roundtrip, verify_exponential_solution,
                         wiener_zero_scan)
 from .transforms import (TRANSIENT_FRACTION, KernelTransform, PiecewiseFunction,
@@ -668,6 +668,8 @@ def run_zero_scan(kernel, quad, rho=1.0, window=Window([-20.0, 20.0]),
     try:
         rep = wiener_zero_scan(kernel, rho, window=window, step=step, tol=tol,
                                quad=quad)
+    except ScanGridError as exc:
+        raise ConfigError("params.step: %s" % exc)
     except ValueError as exc:
         raise ConfigError("params.window: %s" % exc)
     rows = [[lam, val] for lam, val in rep.zeros]

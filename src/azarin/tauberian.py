@@ -49,6 +49,14 @@ _PANEL_PHASE = 10.0
 # checked before each window is built: the core comes first, so a lambda
 # range whose core alone is over it is rejected before any node is built
 _SYMBOL_NODES = 2 ** 21
+# (lambda, node) cells of a zero scan's grid table, checked before the grid
+# is built: about 2 s of symbol sums (the exp kernel over (-60, 60) at step
+# 0.0028 on a 2-core machine), twice the largest scan of the test suite
+_SCAN_CELLS = 2 ** 27
+
+
+class ScanGridError(ValueError):
+    """A zero scan's lambda grid times the symbol's nodes is over ``_SCAN_CELLS``."""
 
 
 class _SymbolQuadrature:
@@ -266,7 +274,8 @@ def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
     window width gives the one point ``lo``.  Raises ValueError unless
     ``step > 0`` and ``window`` is a finite ``(lo, hi)`` with lo <= hi, and
     (before the grid is built) when the symbol's node set for |lambda| up
-    to max(|lo|, |hi|) is over its budget.
+    to max(|lo|, |hi|) is over its budget; a grid whose lambdas times those
+    nodes pass ``_SCAN_CELLS`` is a ``ScanGridError``, also before the grid.
     """
     lo, hi = window
     if not step > 0:
@@ -276,7 +285,11 @@ def wiener_zero_scan(kernel, rho, window=(-30.0, 30.0), step=0.01, tol=1e-6,
                          % (window,))
     sq = _SymbolQuadrature(kernel, float(rho), float(max(abs(lo), abs(hi))),
                            quad)
-    n = int(round((hi - lo) / step)) + 1
+    count = (hi - lo) / step   # inf for a step of 1e-320, never an OverflowError
+    if not (count + 1.0) * sq.xs.size <= _SCAN_CELLS:
+        raise ScanGridError("%.3g lambdas x %d symbol nodes is more than %d cells"
+                            % (count + 1.0, sq.xs.size, _SCAN_CELLS))
+    n = int(round(count)) + 1
     lams = np.linspace(lo, hi, n)
     vals = sq.values(lams, step=(hi - lo) / max(n - 1, 1))
     table = MellinSymbol(kernel=kernel, rho=float(rho),

@@ -287,6 +287,22 @@ class TestRunErrors:
             "config error: %s: |lambda| up to %s needs more than 2097152 nodes, "
             % (path, lam))
 
+    @pytest.mark.parametrize("window, step, count", [
+        ([0.0, 10.0], 1e-13, "1e+14"), ([0.0, 10.0], 1e-320, "inf"),
+        ([-60.0, 60.0], 0.0027, "4.44e+04")])
+    def test_zero_scan_grid_past_the_cell_budget(self, window, step, count, tmp_path,
+                                                 capsys):
+        # step 1e-13 ended in numpy's _ArrayMemoryError (728 TiB) and step
+        # 1e-320 in an OverflowError traceback, both from the lambda grid
+        cfg = {"operation": "wiener_zero_scan", "kernel": {"kind": "exp"},
+               "params": {"window": window, "step": step}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: params.step: %s lambdas x " % count)
+        assert err.endswith(" symbol nodes is more than 134217728 cells\n")
+
     def test_poisson_smoothing_needs_a_zero_order(self, tmp_path, capsys):
         # ended in a run error naming no field
         cfg = {"operation": "poisson_smoothing_check", "order": {"rho": 0.5}}

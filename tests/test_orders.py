@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,31 @@ class TestPotterFactor:
         log_potter_factor(LL, [1.0, -2.0, 1.0, 0.0, -2.0])
         assert searched == [1.0, -2.0]
 
+    @pytest.mark.parametrize("order", FAMILIES, ids=["flat", "log-power", "log-log",
+                                                    "tabulated"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tau_raises_before_any_search(self, order, bad, monkeypatch):
+        # the table gave nan with warnings, the log-log grid inf, nan gave nan
+        def no_search(*args):
+            raise AssertionError("searched at a non-finite tau")
+
+        monkeypatch.setattr(orders, "_grid_supremum", no_search)
+        monkeypatch.setattr(orders, "_tabulated_supremum", no_search)
+        for tau in (bad, [1.0, bad, 2.0], np.array([[0.5], [bad]])):
+            with pytest.raises(ValueError, match="finite ln t, got %r" % bad):
+                log_potter_factor(order, tau)
+        if bad > 0 or bad != bad:
+            with pytest.raises(ValueError, match="got %r" % bad):
+                potter_factor(order, bad)
+
+    @pytest.mark.parametrize("order", FAMILIES, ids=["flat", "log-power", "log-log",
+                                                    "tabulated"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_decay_scan_rejects_non_finite_t(self, order, bad):
+        # t = inf ended in "math domain error" from ln(1 / t)
+        with pytest.raises(ValueError, match=r"finite t > e, got %r" % bad):
+            potter_decay_scan(order, [math.exp(2.0), bad])
+
     def test_lower_factor_through_reciprocal(self):
         t = math.exp(9.0)
         assert potter_factor_lower(LP, t) == pytest.approx(math.exp(-3.0), rel=1e-6)
@@ -265,6 +291,43 @@ def signed_tables(draw):
                          etas=tuple(etas))
 
 
+def one_tau_supremum(zero_part, tau):
+    """sup_x h(x + tau) - h(x) for one tau from every merged piece: the
+    search that ``orders._tabulated_supremum`` prunes and batches."""
+    knots, h_knot, dh_knot, pieces = zero_part._cum[3:7]
+    n = knots.size
+    probe = np.concatenate([knots + tau, knots - tau])
+    rows = np.take(pieces, np.searchsorted(knots, probe, side="right"), axis=0).T
+    h, dh, c = orders._on_pieces(probe, rows)
+    shifted = probe[n:]
+    h_own, dh_own, c_own = orders._on_pieces(shifted + tau, pieces[1:].T)
+    g = np.concatenate([h[:n] - h_knot, h_own - h[n:]])
+    dg = np.concatenate([dh[:n] - dh_knot, dh_own - dh[n:]])
+    fall = 2.0 * np.concatenate([c_own - c[:n], c[n:] - c_own])
+    end = pieces[1:, 5]
+    width = np.concatenate([np.minimum(end, rows[5, :n] - tau) - knots,
+                            np.minimum(rows[5, n:], end - tau) - shifted])
+    with np.errstate(invalid="ignore"):
+        vertex = (dg > 0.0) & (dg < fall * width)
+    best = g.max()
+    if vertex.any():
+        best = max(best, (g[vertex] + 0.5 * dg[vertex] ** 2 / fall[vertex]).max())
+    return float(best)
+
+
+def chunked(zero_part, taus):
+    """log_potter_factor with a cap of one (tau, piece) cell per chunk: one tau
+    per block-bound pass and one candidate range per exact pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orders, "_POTTER_CELLS", 1)
+        return log_potter_factor(ProximateOrder(0.0, zero_part), taus)
+
+
+def scan_pairs():
+    # the benchmark's seed-0 Potter pairs (r, t)
+    return np.exp(np.random.default_rng(0).uniform(-20.0, 20.0, size=(120, 2)))
+
+
 class TestExactPotterSupremum:
     @pytest.mark.parametrize("zero_part", [KINKED, MID_SLOPE, RISING],
                              ids=["kinked", "mid_slope", "rising"])
@@ -283,8 +346,7 @@ class TestExactPotterSupremum:
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_matches_the_grid_search_on_the_scan_pairs(self):
-        # the 120 t of the benchmark's seed-0 Potter pairs
-        ts = np.exp(np.random.default_rng(0).uniform(-20.0, 20.0, size=(120, 2)))[:, 1]
+        ts = scan_pairs()[:, 1]
         order = tabulated_family()
         for t in ts:
             grid = _grid_supremum(order.zero_part, math.log(t))
@@ -341,7 +403,7 @@ class TestExactPotterSupremum:
 
     @pytest.mark.parametrize("zero_part", [tabulated_family().zero_part, KINKED, MIXED, REGULAR],
                              ids=["family", "kinked", "mixed", "regular"])
-    def test_one_search_finds_both_shifted_halves(self, zero_part):
+    def test_batch_matches_the_one_tau_search_at_ties(self, zero_part):
         # knot differences put knots + tau and knots - tau on knots (ties)
         knots = zero_part._cum[3]
         rng = np.random.default_rng(knots.size)
@@ -349,13 +411,82 @@ class TestExactPotterSupremum:
         end = knots[-1]
         taus = [0.0, -0.0, 1e-13, 3.0 * end, -3.0 * end,
                 *rng.uniform(-2.5 * end, 2.5 * end, 40), *(knots[i] - knots[j])]
-        ties = 0
-        for tau in taus:
-            probe = np.concatenate([knots + tau, knots - tau])
-            want = np.searchsorted(knots, probe, side="right")
-            assert np.array_equal(orders._right_of(knots, probe[:knots.size]), want)
-            ties += np.isin(probe[knots.size:], knots).any()
+        ties = sum(np.isin(knots - tau, knots).any() for tau in taus)
         assert ties >= 40
+        want = [one_tau_supremum(zero_part, tau) if tau else 0.0 for tau in taus]
+        assert log_potter_factor(ProximateOrder(0.0, zero_part), taus).tolist() == want
+        assert chunked(zero_part, taus).tolist() == want
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_batch_matches_the_one_tau_search(self, data):
+        zero_part = data.draw(signed_tables())
+        knots = zero_part._cum[3]
+        end = knots[-1]
+        tau = st.one_of(
+            st.sampled_from(knots).flatmap(lambda a: st.sampled_from(a - knots)),
+            st.sampled_from([1e-13, -1e-13, 1e300, -1e300]),
+            st.floats(2.0 * end, 3.0 * end).flatmap(lambda a: st.sampled_from([a, -a])),
+            st.floats(-50.0, 50.0))
+        taus = data.draw(st.lists(tau, min_size=1, max_size=12))
+        taus += taus[:3]   # repeated values
+        want = [one_tau_supremum(zero_part, x) if x else 0.0 for x in taus]
+        assert log_potter_factor(ProximateOrder(0.0, zero_part), taus).tolist() == want
+        assert chunked(zero_part, taus).tolist() == want
+
+    @pytest.mark.parametrize("tau", [3.1, -3.1])
+    def test_stretched_end_blocks_keep_their_shifted_end_knot(self, tau):
+        # (k_0 - tau) + tau rounds above k_0 and (k_end - tau) + tau below
+        # k_end: a search for the shifted knots of the end blocks lost the
+        # shifted end knot, whose g is the constant -eta_end |tau| past it
+        zero_part = TabulatedZero(xs=(0.0, 0.5, 1.5), etas=(-0.4, 0.4, -0.1))
+        assert (-1.5 - 3.1) + 3.1 > -1.5
+        assert chunked(zero_part, tau) == one_tau_supremum(zero_part, tau) == 0.31000000000000005
+
+    @pytest.mark.parametrize("xs, etas, tau, want", [
+        # H peaks at 0.225, inside its first piece: a bound from the piece
+        # ends alone dropped every block
+        ((0.0, 0.6, 1.6), (0.3, -0.5, 0.1), 2.0, 0.28),
+        # x = -0.6 puts x + tau at the peak of H (0.05) and x at its minimum:
+        # g there is the block bound itself, 1 ulp above it as evaluated
+        ((0.0, 0.1, 0.6), (0.3, -0.3, 0.0), 0.55, 0.0825),
+    ], ids=["vertex-inside-a-piece", "rounding-tie"])
+    def test_block_bounds_keep_the_maximum(self, xs, etas, tau, want):
+        zero_part = TabulatedZero(xs=xs, etas=etas)
+        assert chunked(zero_part, tau) == one_tau_supremum(zero_part, tau) == want
+
+    @settings(max_examples=40)
+    @given(signed_tables(), st.floats(2.0, 3.0), st.sampled_from([-1.0, 1.0]))
+    def test_taus_past_twice_the_table_end(self, zero_part, stretch, sign):
+        tau = sign * stretch * zero_part.xs[-1]
+        assert chunked(zero_part, [tau, -tau]).tolist() == [one_tau_supremum(zero_part, tau),
+                                                            one_tau_supremum(zero_part, -tau)]
+
+    def test_scan_pairs_evaluate_a_few_pieces_per_tau(self, monkeypatch):
+        # the one-tau search evaluates h at 3 x 1,601 points per tau
+        zero_part = tabulated_family().zero_part
+        taus = np.log(scan_pairs()[:, 1])
+        points = []
+        inner = orders._on_pieces
+
+        def counted(x, rows):
+            points.append(np.size(x))
+            return inner(x, rows)
+
+        monkeypatch.setattr(orders, "_on_pieces", counted)
+        log_potter_factor(ProximateOrder(0.0, zero_part), taus)
+        assert sum(points) <= 400 * taus.size
+
+    def test_scan_report_memory(self):
+        order, pairs = tabulated_family(), scan_pairs()
+        potter_bound_report(order, pairs)
+        tracemalloc.start()
+        try:
+            potter_bound_report(order, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     def test_tables_are_read_only(self):
         # the frozen dataclass shares these arrays with every copy of it

@@ -165,6 +165,21 @@ class TestSymbol:
             wiener_zero_scan(LATTICE, 1.0, window=(0.0, lam_max), step=0.01)
         assert built == []
 
+    def test_scan_grid_budget_raises_before_the_grid(self, monkeypatch):
+        # the lattice at |lambda| up to 20 has 825 nodes, the grid 4,001
+        # lambdas: a budget of exactly their cells admits the scan
+        def no_table(*args, **kw):
+            raise AssertionError("built the grid table")
+
+        monkeypatch.setattr(tauberian, "_SCAN_CELLS", 4001 * 825)
+        assert wiener_zero_scan(LATTICE, 1.0, window=(-20.0, 20.0), step=0.01).table
+        monkeypatch.setattr(tauberian, "_SCAN_CELLS", 4001 * 825 - 1)
+        monkeypatch.setattr(_SymbolQuadrature, "values", no_table)
+        with pytest.raises(tauberian.ScanGridError,
+                           match="^4e\\+03 lambdas x 825 symbol nodes is more than 3300824 cells$"):
+            wiener_zero_scan(LATTICE, 1.0, window=(-20.0, 20.0), step=0.01)
+        assert issubclass(tauberian.ScanGridError, ValueError)
+
     def test_node_budget_counts_the_rings(self, monkeypatch):
         # at |lambda| up to 20 the lattice's core (0.25, 1] takes 60 of its
         # 825 nodes: a budget of 300 is passed by a ring toward zero

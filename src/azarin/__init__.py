@@ -14,8 +14,8 @@ from .dynamics import (LimitSetEstimate, convergence_trend, estimate_limit_set,
 from .kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                       PowerCutKernel, SmoothBumpKernel, StepKernel,
                       TableKernel, trapezoid_kernel)
-from .measures import (MetricFamily, RadonMeasure, azarin_scale, class_membership,
-                       lower_density, upper_density)
+from .measures import (MetricFamily, RadonMeasure, class_membership, lower_density,
+                       upper_density)
 from .numerics import (DivergenceError, QuadControl, SingularPointError,
                        WindowError)
 from .orders import (FlatZero, LogLogZero, LogPowerZero, ProximateOrder,
@@ -39,7 +39,7 @@ __all__ = [
     "sample_trajectory", "verify_regular_limit_form",
     "ExpKernel", "IndicatorKernel", "LogSingularKernel", "PowerCutKernel",
     "SmoothBumpKernel", "StepKernel", "TableKernel", "trapezoid_kernel",
-    "MetricFamily", "RadonMeasure", "azarin_scale",
+    "MetricFamily", "RadonMeasure",
     "class_membership", "lower_density", "upper_density",
     "DivergenceError", "QuadControl", "SingularPointError", "WindowError",
     "FlatZero", "LogLogZero", "LogPowerZero", "ProximateOrder",

@@ -22,6 +22,9 @@ __all__ = [
 ]
 
 _JUMP_HEIGHTS = (0.16, 0.08, 0.04, 0.02, 0.01)
+_JUMP_STEP = 0.05
+# the most x of one jump scan, each of which takes 10 transform values
+_JUMP_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,16 @@ def spectrum_jump_scan(ct, x_window):
     For each x on the grid of step 0.05 the jump
     |G_plus(x+ih) - G_minus(x-ih)| is tracked down the heights
     ``_JUMP_HEIGHTS``; x is flagged when the jump fails to decay (grows
-    from the largest to the smallest height) and sits above 1e-6.
+    from the largest to the smallest height) and sits above 1e-6.  A
+    window of more than ``_JUMP_POINTS`` grid points is a ValueError,
+    raised before the grid is built.
     """
     lo, hi = x_window
-    n = int(round((hi - lo) / 0.05)) + 1
-    xs = np.linspace(lo, hi, n)
+    count = (hi - lo) / _JUMP_STEP   # inf past the float range, never an error
+    if not count + 1.0 <= _JUMP_POINTS:
+        raise ValueError("%.3g points at step %g is more than %d"
+                         % (count + 1.0, _JUMP_STEP, _JUMP_POINTS))
+    xs = np.linspace(lo, hi, int(round(count)) + 1)
     rows = []
     flagged = []
     for x in xs:

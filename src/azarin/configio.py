@@ -73,18 +73,24 @@ def parse_complex(value, path, part=number):
     return complex(part(x, path))
 
 
+# the most a Count may be: a grid of 2**20 points, or as many samples or
+# pairs, holds a few MiB per array
+_MAX_COUNT = 2 ** 20
+
+
 class Count(int):
-    """Declaration: an integer >= 1 (the class itself: a required one)."""
+    """Declaration: an integer in [1, ``_MAX_COUNT``] (the class itself: a
+    required one)."""
 
 
-def _integer(value, path, least=None):
+def _integer(value, path, count=False):
     try:
         x = float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if not x.is_integer() or (least is not None and x < least):
+    if not x.is_integer() or (count and not 1 <= x <= _MAX_COUNT):
         _fail(path, "expected an integer%s"
-              % ("" if least is None else " >= %d" % least))
+              % (" >= 1 and at most %d" % _MAX_COUNT if count else ""))
     return int(x)
 
 
@@ -92,12 +98,12 @@ def _read(decl, value, path):
     """``value`` read as the declaration ``decl`` says.
 
     A float, ``float`` or REQUIRED declares a finite number; a bool or
-    ``bool``, a JSON boolean; an int or ``int``, an integer (>= 1 for
-    ``Count``); a complex or ``complex``, a finite complex number; a str or
-    ``str``, a string; a marker (``Field``) or a function ``(value, path)``,
-    what it reads; None, the value as given.  A type or function is
-    required, a value is the default of an absent field, and a marker
-    declares its own default.
+    ``bool``, a JSON boolean; an int or ``int``, an integer (in [1,
+    ``_MAX_COUNT``] for ``Count``); a complex or ``complex``, a finite
+    complex number; a str or ``str``, a string; a marker (``Field``) or a
+    function ``(value, path)``, what it reads; None, the value as given.  A
+    type or function is required, a value is the default of an absent
+    field, and a marker declares its own default.
     """
     kind = decl if isinstance(decl, type) else type(decl)
     if decl is REQUIRED or kind is float:
@@ -107,7 +113,7 @@ def _read(decl, value, path):
             _fail(path, "expected true or false")
         return value
     if issubclass(kind, int):
-        return _integer(value, path, least=1 if issubclass(kind, Count) else None)
+        return _integer(value, path, issubclass(kind, Count))
     if kind is complex:
         return parse_complex(value, path)
     if kind is str:

@@ -19,9 +19,8 @@ from .measures import DEFAULT_QUAD, MetricFamily, RadonMeasure
 
 __all__ = [
     "TrajectorySample", "LimitSetEstimate", "sample_trajectory",
-    "estimate_limit_set", "convergence_trend", "check_flow_invariance",
-    "verify_regular_limit_form", "verify_density_envelope",
-    "positive_regularity_criterion", "sigma_envelope_bound", "geometric_schedule",
+    "estimate_limit_set", "convergence_trend", "verify_regular_limit_form",
+    "positive_regularity_criterion", "geometric_schedule",
 ]
 
 _TREND_FLOOR = 1e-7
@@ -98,7 +97,6 @@ class LimitSetEstimate(NamedTuple):
     limit_pairings: list
     zero_cluster: list
     regular: bool
-    eps_cluster: float
     distances: np.ndarray
     family: MetricFamily
 
@@ -166,8 +164,7 @@ def estimate_limit_set(samples, fam, eps_cluster=1e-3,
         samples=kept, clusters=clusters, representatives=reps,
         representative_ts=rep_ts, representative_pairings=rep_pairings,
         limit_pairings=limits, zero_cluster=zero_flags,
-        regular=(len(clusters) == 1), eps_cluster=eps_cluster,
-        distances=dist, family=fam,
+        regular=(len(clusters) == 1), distances=dist, family=fam,
     )
 
 
@@ -199,31 +196,6 @@ def convergence_trend(samples, fam):
                        floor=_TREND_FLOOR, steps=tuple(steps))
 
 
-class InvarianceReport(NamedTuple):
-    max_excess: float
-    passed: bool
-    details: tuple
-
-
-def check_flow_invariance(est, order, t_list, quad=DEFAULT_QUAD):
-    """Scaling any representative must land near the representative set.
-
-    Requires a constant order (the flow map of the limit set); for each
-    representative nu and t the distance min_j d(nu_t, rep_j) must stay
-    within 2 * eps_cluster (the zero measure is admitted as a target).
-    """
-    fam = est.family
-    details = []
-    targets = np.array([*est.representative_pairings, np.zeros(fam.n_members)])
-    for rep, t0 in zip(est.representatives, est.representative_ts):
-        flow = fam.flow_pairings(rep, order, t_list, quad)
-        dmin = fam.distance_from_pairings(flow[:, None], targets).min(axis=1)
-        details += [(t0, float(t), d) for t, d in zip(t_list, dmin.tolist())]
-    worst = max((d for *_, d in details), default=0.0)
-    return InvarianceReport(max_excess=worst, passed=worst <= 2.0 * est.eps_cluster,
-                            details=tuple(details))
-
-
 class RegularFormFit(NamedTuple):
     coefficient: complex
     residual: float
@@ -251,41 +223,6 @@ def verify_regular_limit_form(est, order, quad=DEFAULT_QUAD):
                           passed=residual <= 1e-3, target_pairings=tuple(g))
 
 
-class EnvelopeReport(NamedTuple):
-    max_upper_excess: float
-    min_lower_slack: float
-    passed: bool
-    rows: tuple
-
-
-def verify_density_envelope(est, order, upper, lower, intervals, tol,
-                            quad=DEFAULT_QUAD):
-    """Check a^rho * density bounds for every representative on intervals.
-
-    ``upper``/``lower`` are DensityEstimate values N(alpha), N_lower(alpha)
-    evaluated at alpha = b/a - 1; interval endpoints must avoid atoms.
-    """
-    rows = []
-    worst_up = 0.0
-    worst_lo = 0.0
-    for rep in est.representatives:
-        for (a, b) in intervals:
-            xs, _ = rep.atoms_in(a * (1 - 1e-6), a * (1 + 1e-6))
-            ys, _ = rep.atoms_in(b * (1 - 1e-6), b * (1 + 1e-6))
-            if xs.size or ys.size:
-                raise ValueError("interval endpoints must avoid atoms")
-            val = rep.mass(a, b, quad).real
-            alpha = b / a - 1.0
-            ub = a ** order.rho * upper(alpha)
-            lb = a ** order.rho * lower(alpha)
-            rows.append((a, b, val, lb, ub))
-            worst_up = max(worst_up, val - ub)
-            worst_lo = max(worst_lo, lb - val)
-    passed = worst_up <= tol and worst_lo <= tol
-    return EnvelopeReport(max_upper_excess=worst_up, min_lower_slack=worst_lo,
-                          passed=passed, rows=tuple(rows))
-
-
 class RegularityReport(NamedTuple):
     branch: str
     limit_estimate: float
@@ -304,7 +241,7 @@ def positive_regularity_criterion(measure, order, r_grid, quad=DEFAULT_QUAD):
     if not measure.is_positive():
         raise ValueError("criterion applies to positive measures only")
     r_grid = np.asarray(r_grid, dtype=float)
-    v = np.array([float(order.scale(r)) for r in r_grid])
+    v = order.scale(r_grid)
     if order.rho > 0:
         branch = "head"
         vals = measure.cumulative_masses(1.0, r_grid, quad).real / v
@@ -321,17 +258,3 @@ def positive_regularity_criterion(measure, order, r_grid, quad=DEFAULT_QUAD):
     osc = float(np.max(top) - np.min(top)) / (abs(mean) + 1e-300)
     return RegularityReport(branch=branch, limit_estimate=mean, oscillation=osc,
                             regular=osc <= 0.01, samples=tuple(vals))
-
-
-def sigma_envelope_bound(n1_of_alpha, rho, q_grid):
-    """inf over q > 1 of N1(q-1)/|q**rho - 1| (global envelope constant)."""
-    best = math.inf
-    for q in q_grid:
-        q = float(q)
-        if q <= 1.0:
-            continue
-        denom = abs(q ** rho - 1.0)
-        if denom <= 0:
-            continue
-        best = min(best, n1_of_alpha(q - 1.0) / denom)
-    return best

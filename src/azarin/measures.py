@@ -22,7 +22,7 @@ from .numerics import (DEFAULT_QUAD, CubicTable, DivergenceError, WindowError,
 __all__ = [
     "UnitFactor", "LogFactor", "LogPerturbFactor", "ZeroScaleFactor",
     "DensityPiece", "TabulatedPiece", "SelfSimilarTail", "RadonMeasure",
-    "MetricFamily", "azarin_scale", "upper_density",
+    "MetricFamily", "upper_density",
     "lower_density", "class_membership", "DensityEstimate",
 ]
 
@@ -682,10 +682,6 @@ class RadonMeasure:
             else not np.any(np.abs(np.imag(p.values)) > 1e-300) for p in self.pieces)
 
 
-def azarin_scale(measure, order, t):
-    return measure.scaled(order, t)
-
-
 # ---------------------------------------------------------------------------
 # the metric family of test functions
 
@@ -870,7 +866,7 @@ def _density_ratios(measure, order, alpha, r_grid, quad):
         m = np.zeros(r_grid.size)
     else:
         m = -measure.masses(1.0 + alpha, 1.0, r_grid, quad).real
-    return m / np.array([float(order.scale(r)) for r in r_grid])
+    return m / order.scale(r_grid)
 
 
 def _density_estimate(measure, order, alpha, r_grid, quad, pick):
@@ -939,7 +935,7 @@ def class_membership(measure, order, which="tail", r_grid=None, quad=DEFAULT_QUA
         r_grid = np.geomspace(lo, 1e8, 120)
     r_grid = np.asarray(r_grid, dtype=float)
     ratios = (measure.masses(1.0, math.e, r_grid, quad, absolute=True)
-              / np.array([float(order.scale(r)) for r in r_grid]))
+              / order.scale(r_grid))
     decade_ratio = _edge_growth(r_grid, ratios, "hi")
     bounded = decade_ratio <= _GROWTH_SLACK
     if which == "global":

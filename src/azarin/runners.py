@@ -360,6 +360,14 @@ def run_periodic_family(order, measure, quad,
     fam = MetricFamily()
     if measure.tail:
         period = measure.tail.period
+    # the top sample, below T**(base_power + 3), pairs the family up to its
+    # hull's top times itself, and a self-similar tail counts its images one
+    # power of T past that
+    top = fam.support_hull()[1]
+    if (base_power + 4) * math.log(period) + math.log(top) > _MAX_LN:
+        raise ConfigError("params.base_power: expected T**(base_power + 4) times the "
+                          "family's reach %g to be a float, with T = %r the period"
+                          % (top, period))
     taus = [period ** (k / tau_points) for k in range(tau_points)]
     ts = [tau * period ** base_power for tau in taus]
     exact_worst = float(fam.distance_from_pairings(
@@ -468,10 +476,10 @@ def run_transform_table(order, measure, kernel, quad,
                         r_grid=Grid(1.0, 1e6, 25, item=positive)):
     tr = KernelTransform(kernel, measure, order, quad)
     rows = []
-    for r, v in zip(r_grid, tr.values(r_grid).tolist()):
-        scale = float(order.scale(r))
+    for r, v, scale in zip(r_grid.tolist(), tr.values(r_grid).tolist(),
+                           order.scale(r_grid).tolist()):
         j = v / scale
-        rows.append([float(r), v.real, v.imag, scale, j.real, j.imag])
+        rows.append([r, v.real, v.imag, scale, j.real, j.imag])
     return RunResult(None, {"points": len(rows)},
                      [("transform.csv",
                        ["r", "re_value", "im_value", "scale", "re_norm", "im_norm"],
@@ -627,7 +635,7 @@ def run_order_diagnostic(order, measure, kernel, quad,
               "gap_bound_ok": rep.gap_bound_ok}
     verdict = rep.passed
     if hardy:
-        v = np.array([float(order.scale(r)) for r in r_grid])
+        v = order.scale(r_grid)
         ratios = (np.abs(tr.values(r_grid)) / v).tolist()
         counts = (measure.cumulative_masses(measure.hull()[0] * (1 - 1e-12), r_grid,
                                             quad).real / v).tolist()
@@ -756,7 +764,10 @@ def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
         report["bound_passed"] = br.passed
         verdict = verdict and _expected(br.passed, expect_bound_pass, br.passed)
     if jump_window is not None:
-        js = carl.spectrum_jump_scan(ct, jump_window)
+        try:
+            js = carl.spectrum_jump_scan(ct, jump_window)
+        except ValueError as exc:
+            raise ConfigError("params.jump_window: %s" % exc)
         report["flagged"] = list(js.flagged)
         if expected_flags is not None:
             flag_tol = 0.05 if flag_tol is None else flag_tol

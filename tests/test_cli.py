@@ -12,6 +12,7 @@ import azarin
 from azarin import configio
 from azarin.catalog import BUILTINS, builtin_config, builtin_names
 from azarin.cli import main
+from azarin.runners import REGISTRY
 
 
 def run_cli(args):
@@ -969,6 +970,11 @@ class TestRunErrors:
         ("potter_check", {"count": -1}, "params.count"),
         ("periodic_family_check", {"period": 2.0, "tau_points": 0},
          "params.tau_points"),
+        # 1e11 points ended in numpy's _ArrayMemoryError traceback (745 GiB)
+        ("transform_table", {"r_grid": {"start": 1, "stop": 10, "points": 1e11}},
+         "params.r_grid.points"),
+        ("gamma_suite", {"dominance_points": 1e11}, "params.dominance_points"),
+        ("potter_check", {"count": 2 ** 20 + 1}, "params.count"),
     ])
     def test_count_must_be_a_positive_integer(self, operation, params, path,
                                               tmp_path, capsys):
@@ -978,8 +984,40 @@ class TestRunErrors:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
-        assert "config error: %s: expected an integer >= 1" % path \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: %s: expected an integer >= 1 and at most 1048576\n" % path)
+
+    def test_count_bound_admits_its_largest_value(self):
+        assert configio._read(configio.Count, 2 ** 20, "p") == 2 ** 20
+        assert configio._read(int, 2 ** 40, "p") == 2 ** 40
+
+    @pytest.mark.parametrize("base_power", [2000, 1018])
+    def test_base_power_past_the_float_range(self, base_power, tmp_path, capsys):
+        # both ended in an OverflowError traceback: 2000 from T**base_power,
+        # 1018 from the top image of the self-similar tail (T = 2)
+        cfg = builtin_config("periodic_atoms")
+        cfg["params"].update(base_power=base_power, tau_points=4)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "config error: params.base_power: expected T**(base_power + 4) times "
+            "the family's reach 9 to be a float, with T = 2.0 the period\n")
+
+    @pytest.mark.parametrize("window, count", [
+        ([-1e9, 1e9], "4e+10"), ([-1e300, 1e300], "4e+301"), ([-1e308, 1e308], "inf"),
+        ([0.0, 0.05 * 2 ** 20], "1.05e+06")])
+    def test_jump_window_past_the_point_bound(self, window, count, tmp_path, capsys):
+        # [-1e9, 1e9] ended in numpy's _ArrayMemoryError traceback (298 GiB),
+        # [-1e300, 1e300] in a run error naming no field and [-1e308, 1e308]
+        # in an OverflowError traceback
+        cfg = {"operation": "carleman_suite", "params": {"jump_window": window}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "config error: params.jump_window: %s points at step 0.05 is more than "
+            "1048576\n" % count)
 
     def test_numeric_strings_are_numbers(self, tmp_path):
         # every number, complex scalars included, is read with float()
@@ -1037,6 +1075,131 @@ class TestBuiltinsRoundTrip:
         assert builtin_config("sparse_atoms")["params"]["indices"]
 
 
+def _builtin(name, **params):
+    cfg = builtin_config(name)
+    cfg["params"].update(params)
+    del cfg["operation"]
+    return cfg
+
+
+_LOG_POWER = {"rho": 0.0, "zero_part": {"kind": "log_power", "A": 1.0, "alpha": 0.5}}
+_POWER = {"densities": [{"kind": "power", "s": 0.0}]}
+_LATTICE = {"kind": "step_combo", "steps": [[1.0, 0.0, 1.0], [-2.0, 0.0, 0.5]]}
+_R_GRID = {"start": 1e2, "stop": 1e5, "points": 12}
+_SCHEDULE = {"start": 1e3, "stop": 1e6, "points": 12}
+
+# one small config per registered operation: the config without its
+# operation, the exit code, the report's keys and the CSV tables
+OPERATIONS = {
+    "gamma_suite": (
+        {"order": _LOG_POWER, "params": {"pairs": 20, "dominance_points": 10,
+                                         "expected_decay": [0.25, 1 / 6, 0.1]}}, 0,
+        "decay_rows decay_strictly_decreasing dominance_defect expected_decay "
+        "gamma_at_one lower_factor_consistent submultiplicativity_excess",
+        ["potter_decay.csv"]),
+    "potter_decay_scan": ({"order": _LOG_POWER}, 0, "rows", ["potter_decay.csv"]),
+    "potter_check": (
+        {"order": dict(_LOG_POWER, rho=0.5), "params": {"count": 50}}, 0,
+        "max_violation passed worst_pair", []),
+    "poisson_smoothing_check": (
+        {"order": _LOG_POWER}, 0, "rows symmetry_gap symmetry_tol",
+        ["poisson_smoothing.csv"]),
+    "limit_set_estimate": (
+        {"order": {"rho": 1.0}, "measure": _POWER,
+         "params": {"schedule": _SCHEDULE, "target": {"exponent": 0.0}}}, 0,
+        "cluster_members clusters regular representative_ts target_distance trend "
+        "zero_cluster", ["trajectory.csv"]),
+    "oscillating_family_check": (
+        _builtin("oscillating_density", schedule=_SCHEDULE), 0,
+        "clusters max_family_distance rows", ["family_match.csv"]),
+    "periodic_family_check": (
+        _builtin("periodic_atoms", tau_points=4, base_power=4), 0,
+        "cluster_count eps_cluster exact_invariance_worst family_match_worst",
+        ["trajectory.csv"]),
+    "sparse_flow_check": (
+        _builtin("sparse_atoms"), 0, "delta_tol max_delta_error max_gap_pairing null_tol",
+        ["sparse_flow.csv"]),
+    "class_membership": (
+        {"order": {"rho": 1.0}, "measure": _POWER,
+         "params": {"r_grid": _R_GRID, "expect_bounded": True}}, 0,
+        "bounded decade_ratio sup_ratio", []),
+    "positive_regularity": (
+        {"order": {"rho": 1.0}, "measure": _POWER,
+         "params": {"r_grid": _R_GRID, "expect_regular": True}}, 0,
+        "branch limit oscillation regular", []),
+    "density_estimate": (
+        {"order": {"rho": 1.0}, "measure": _POWER, "params": {"r_grid": _R_GRID}}, 0,
+        "alpha lower resolution upper", []),
+    "transform_table": (
+        {"order": {"rho": 1.0}, "measure": _POWER, "kernel": {"kind": "exp"},
+         "params": {"r_grid": _R_GRID}}, 0, "points", ["transform.csv"]),
+    "kernel_limit_values": (
+        _builtin("periodic_kernel_limits"), 0, "cluster_values match_error", []),
+    "neutralization_check": (
+        {"order": {"rho": 1.0}, "measure": _POWER, "kernel": {"kind": "exp"},
+         "params": {"eps_grid": [0.5, 0.25], "n_grid": [2.0, 4.0],
+                    "r_grid": {"start": 1e2, "stop": 1e3, "points": 3}}}, 0,
+        "head_sups passed tail_sups", []),
+    "integrability_check": (
+        {"order": {"rho": 0.5}, "kernel": {"kind": "exp"},
+         "params": {"expect_converged": True}}, 0,
+        "amalgam_converged amalgam_value l1_converged l1_value", []),
+    "averaged_limit_check": (
+        _builtin("exp_average_flow", schedule=_SCHEDULE), 0,
+        "averaged_bounded averaged_sup_ratio clusters coefficient_rel_error "
+        "density_match_error fitted_coefficient", []),
+    "antiderivative_identity": (
+        {"measure": {"densities": [{"kind": "power", "s": 0.0, "interval": [2, None]}]},
+         "kernel": {"kind": "smooth_bump", "interval": [1, 2]}}, 0,
+        "max_rel_error passed", ["identity.csv"]),
+    "stable_order_check": (
+        {"order": {"rho": 0.5}, "measure": {"densities": [{"kind": "power", "s": 0.5}]},
+         "params": {"r_grid": _R_GRID, "expect_stable": True}}, 0,
+        "branch stable tail_max", []),
+    "order_diagnostic": (
+        _builtin("laplace_vs_counting"), 0,
+        "both_directions_ok count_over_scale final_slope gap_bound_ok slope_vanishes "
+        "transform_over_scale", []),
+    "mellin_symbol_table": (
+        {"kernel": _LATTICE,
+         "params": {"lambda_grid": {"start": -2.0, "stop": 2.0, "points": 5}}}, 0,
+        "points rho", ["symbol.csv"]),
+    "wiener_zero_scan": (
+        {"kernel": {"kind": "exp"},
+         "params": {"rho": 0.5, "window": [-2.0, 2.0], "step": 0.1,
+                    "expect_nonvanishing": True}}, 0,
+        "max_abs min_abs nonvanishing zeros", ["zeros.csv"]),
+    # lambda 1 is no zero of the lattice symbol: the negative control fails
+    "exponential_solution_check": (
+        {"kernel": _LATTICE, "params": {"rho": 1.0, "lambdas": [1.0]}}, 2,
+        "max_residual residuals", []),
+    "tauberian_roundtrip": (
+        _builtin("roundtrip_regular", expect_failed_stage=""), 0,
+        "averaged_coefficient failed_stage measure_coefficient ratio_error stages "
+        "symbol_at_zero", []),
+    # Lebesgue measure on the line: G = i/z on both sides, its spectrum {0}
+    "carleman_suite": (
+        {"params": {"line_measure": {"pieces": [{}]}, "reference": "i_over_z",
+                    "bound_constant": 1.0, "jump_window": [-0.1, 0.1],
+                    "expected_flags": [0.0]}}, 0,
+        "bound_max_ratio bound_passed flagged flags_match reference_error", []),
+}
+
+
+class TestEveryOperation:
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_operation_runs(self, name, tmp_path, capsys):
+        # each reaches its runner's body, not only its config checks
+        assert name in OPERATIONS, "no config for the operation %r" % name
+        cfg, code, keys, tables = OPERATIONS[name]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(cfg, operation=name)))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path / "out"]) == code
+        report = json.loads((tmp_path / "out" / "cfg_report.json").read_text())["report"]
+        assert sorted(report) == keys.split()
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.csv")) == tables
+
+
 def _python(script, *args):
     """The last stdout line of ``script`` run by a fresh interpreter, as JSON."""
     path = [str(Path(azarin.__file__).resolve().parents[1]),
@@ -1053,8 +1216,7 @@ def _python(script, *args):
 RECORDS = {
     "carleman": ["CarlemanBoundReport", "JumpScanReport"],
     "dynamics": ["TrajectorySample", "LimitSetEstimate", "TrendReport",
-                 "InvarianceReport", "RegularFormFit", "EnvelopeReport",
-                 "RegularityReport"],
+                 "RegularFormFit", "RegularityReport"],
     "measures": ["DensityEstimate", "MembershipReport"],
     "orders": ["PotterReport"],
     "runners": ["RunResult"],

@@ -18,8 +18,7 @@ from azarin.kernels import (ExpKernel, IndicatorKernel, LogSingularKernel,
                             trapezoid_kernel)
 from azarin.measures import (DensityPiece, LogFactor, LogPerturbFactor,
                              RadonMeasure, SelfSimilarTail, TabulatedPiece,
-                             azarin_scale, class_membership, lower_density,
-                             upper_density)
+                             class_membership, lower_density, upper_density)
 from azarin.numerics import DEFAULT_QUAD, QuadControl, WindowError, log_quad
 from azarin.orders import LogPowerZero, ProximateOrder
 from azarin.transforms import KernelTransform, averaged_measure
@@ -1222,9 +1221,3 @@ class TestPositivityFlags:
     def test_is_real(self):
         assert RadonMeasure.power_density(-0.5, coef=-2.0).is_real()
         assert not RadonMeasure.power_density(complex(-0.5, 3.0)).is_real()
-
-
-def test_azarin_scale_alias():
-    m = RadonMeasure.power_density(0.0)
-    out = azarin_scale(m, O1, 10.0)
-    assert isinstance(out, RadonMeasure)

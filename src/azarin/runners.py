@@ -273,13 +273,32 @@ def _trajectory_table(samples):
     return ("trajectory.csv", ["t", "n", "re_pairing", "im_pairing"], rows)
 
 
-def _flow_schedule(schedule, **_):
+def _flow_schedule(schedule, measure, margin=1.0, **_):
     # sample_trajectory takes an increasing schedule from t >= 1, and
     # estimate_limit_set needs 10 trajectory samples
     if len(schedule) < 10:
         raise ConfigError("params.schedule: expected at least 10 samples")
     if schedule[0] < 1.0 or np.any(np.diff(schedule) <= 0.0):
         raise ConfigError("params.schedule: expected increasing samples, the first >= 1")
+    # the samples pair the family over its hull (widened by ``margin``), and a
+    # self-similar tail takes the images k of that range: T**k from
+    # lo / (T**2 base_lo) to T hi / base_lo, the locations x T**k (x < T base_lo)
+    # up to T**2 hi and the weights T**(k rho), each a float with one power of T
+    # to spare for the rounding of k
+    tail = measure.tail
+    if tail is None:
+        return
+    hull = MetricFamily().support_hull()
+    ln_lo = math.log(schedule[0]) + math.log(hull[0] / margin)
+    ln_hi = math.log(schedule[-1]) + math.log(hull[1] * margin)
+    lt, ln_base = math.log(tail.period), math.log(tail.base_lo)
+    if max(ln_hi + 3.0 * lt, max(1.0, abs(tail.rho)) * (ln_hi - ln_base + 2.0 * lt),
+           -tail.rho * (ln_base - ln_lo + 3.0 * lt)) > _MAX_LN:
+        raise ConfigError("params.schedule: expected the self-similar images over "
+                          "(%g, %g] to have float locations and weights, with "
+                          "T = %r, rho = %r and base_lo = %r"
+                          % (math.exp(ln_lo), math.exp(min(ln_hi, _MAX_LN)),
+                             tail.period, tail.rho, tail.base_lo))
 
 
 @operation("limit_set_estimate", check=_flow_schedule)
@@ -541,7 +560,8 @@ def run_integrability(order, kernel, quad, expect_converged=Maybe(bool)):
     return RunResult(_expected(rep.l1_converged, expect_converged), report)
 
 
-@operation("averaged_limit_check", check=_flow_schedule)
+# the averaged measure spans the pairing window widened 4 times each way
+@operation("averaged_limit_check", check=functools.partial(_flow_schedule, margin=4.0))
 def run_averaged_limit(order, measure, kernel, quad,
                        schedule=Grid(1e2, 1e6, 32, item=positive),
                        eps_cluster=1e-3, density_tol=0.01,
@@ -716,7 +736,7 @@ def run_exponential_solution(kernel, quad, rho=0.0, lambdas=List([]),
     return RunResult(_expected(rep.passed, expect_pass, rep.passed), report)
 
 
-@operation("tauberian_roundtrip", check=_flow_schedule)
+@operation("tauberian_roundtrip", check=functools.partial(_flow_schedule, margin=4.0))
 def run_roundtrip(order, measure, kernel, quad, schedule=Grid(1e2, 1e8, 176),
                   ratio_tol=0.02,
                   expect_failed_stage=Choice("", *ROUNDTRIP_STAGES)):
@@ -751,11 +771,10 @@ def run_carleman(line_measure=LINE_MEASURE, reference=Choice("i_over_z"),
     report = {}
     verdict = True
     if reference == "i_over_z":
-        zs = [complex(x, y)
-              for x in np.linspace(-5.0, 5.0, 10)
-              for y in (np.linspace(0.1, 5.0, 5).tolist()
-                        + (-np.linspace(0.1, 5.0, 5)).tolist())]
-        worst = max(abs(ct.value(z) - 1j / z) for z in zs)
+        ys = np.linspace(0.1, 5.0, 5)
+        zs = np.linspace(-5.0, 5.0, 10)[:, None] + 1j * np.concatenate([ys, -ys])
+        gap = ct.values(zs) - 1j / zs
+        worst = float(np.max(np.hypot(gap.real, gap.imag)))
         report["reference_error"] = worst
         verdict = verdict and worst <= reference_tol
     if bound_constant is not None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from azarin import carleman
 from azarin.carleman import (CarlemanTransform, RealMeasure,
                              carleman_bound_report, spectrum_jump_scan)
 
@@ -158,3 +159,146 @@ class TestJumpScan:
     def test_zero_measure_flags_nothing(self):
         rep = spectrum_jump_scan(CarlemanTransform(RealMeasure()), (-1.0, 1.0))
         assert rep.flagged == ()
+
+
+# --- the array path against the scalar one ----------------------------------
+
+MEASURES = {
+    "atom-at-origin": RealMeasure(atoms=((0.0, 1.0),)),
+    "atoms-both-sides": RealMeasure(atoms=((0.0, 0.5 - 0.25j), (1.5, -0.3),
+                                           (-2.25, 0.7j))),
+    "finite-piece": RealMeasure(pieces=((-3.0, 2.0, 0.8 - 0.3j, 1.7),)),
+    "right-of-origin": RealMeasure(pieces=((0.5, 4.0, 1.0, -1.3),)),
+    "half-infinite": RealMeasure(pieces=((1.0, None, -0.6, 2.5),
+                                         (None, -0.5, 0.4j, 2.0))),
+    "whole-line": LEBESGUE,
+    "oscillating": RealMeasure(pieces=((None, None, 1.0, -3.0),)),
+    "mixed": RealMeasure(atoms=((0.0, 1.0), (1.5, -0.3)),
+                         pieces=((None, None, 1.0, 0.0),
+                                 (-2.0, 3.0, 0.5 - 0.2j, 1.3))),
+}
+
+
+def _random_zs(seed, n=400):
+    rng = np.random.default_rng(seed)
+    heights = 10.0 ** rng.uniform(-3.0, 1.0, n)
+    return rng.uniform(-20.0, 20.0, n) + 1j * rng.choice([-1.0, 1.0], n) * heights
+
+
+def loop_bound_report(ct, bound_constant):
+    """The scalar-loop bound report that ``carleman_bound_report`` replaced."""
+    heights = np.geomspace(0.05, 10.0, 12)
+    ys = np.concatenate([heights, -heights])
+    worst = 0.0
+    worst_pt = complex(0.0, 1.0)
+    for x in np.linspace(-50.0, 50.0, 41):
+        for y in ys:
+            z = complex(float(x), float(y))
+            ratio = abs(ct.value(z)) / (bound_constant * (1.0 + 1.0 / abs(y)))
+            if ratio > worst:
+                worst = ratio
+                worst_pt = z
+    return worst, worst <= 1.0 + 1e-6, worst_pt
+
+
+def loop_jump_scan(ct, x_window):
+    """The scalar-loop jump scan that ``spectrum_jump_scan`` replaced."""
+    lo, hi = x_window
+    xs = np.linspace(lo, hi, int(round((hi - lo) / 0.05)) + 1)
+    rows, flagged = [], []
+    for x in xs:
+        jumps = [abs(ct.value(complex(x, h)) - ct.value(complex(x, -h)))
+                 for h in (0.16, 0.08, 0.04, 0.02, 0.01)]
+        rows.append((float(x), tuple(jumps)))
+        if jumps[-1] > max(1e-6, jumps[0]):
+            flagged.append(float(x))
+    return tuple(flagged), tuple(rows)
+
+
+class TestValues:
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_values_match_value(self, name, seed):
+        ct = CarlemanTransform(MEASURES[name])
+        zs = _random_zs(seed)
+        got = ct.values(zs)
+        want = np.array([ct.value(z) for z in zs])
+        assert got.dtype == complex and got.shape == zs.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_shape_is_kept(self):
+        ct = CarlemanTransform(MEASURES["mixed"])
+        zs = _random_zs(2, 12).reshape(3, 4)
+        got = ct.values(zs)
+        assert got.shape == (3, 4)
+        for z, g in zip(zs.ravel(), got.ravel()):
+            assert abs(g - ct.value(z)) <= 1e-15 * abs(ct.value(z))
+
+    def test_far_atoms_raise_no_floating_point_error(self):
+        # e^{-1e3 |Im z|} underflows to 0 on the side an atom reaches; on the
+        # other side it would be e^{+1e3 |Im z|} and overflow
+        ct = CarlemanTransform(RealMeasure(atoms=((1e3, 1.0), (-1e3, 2.0), (0.0, 1.0)),
+                                           pieces=((None, None, 1.0, 0.0),)))
+        zs = _random_zs(3)
+        with np.errstate(all="raise"):
+            got = ct.values(zs)
+        want = np.array([ct.value(z) for z in zs])
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    @pytest.mark.parametrize("zs", [[1.0 + 1.0j, 2.0], [0.0j], [[1j, 3.0 - 0.0j]]])
+    def test_real_axis_rejected(self, zs):
+        with pytest.raises(ValueError, match="off the real axis"):
+            CarlemanTransform(LEBESGUE).values(zs)
+
+
+class TestArrayChecks:
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("bound_constant", [0.3, 1.0, 3])
+    def test_bound_report_matches_the_loop(self, name, bound_constant):
+        ct = CarlemanTransform(MEASURES[name])
+        rep = carleman_bound_report(ct, bound_constant)
+        ratio, passed, worst_point = loop_bound_report(ct, bound_constant)
+        # numpy's complex product and quotient may round apart from Python's
+        assert rep.max_ratio == pytest.approx(ratio, rel=1e-15, abs=0.0)
+        assert (rep.passed, rep.worst_point) == (passed, worst_point)
+        assert type(rep.max_ratio) is float and type(rep.passed) is bool
+        assert type(rep.worst_point) is complex
+
+    def test_bound_ties_keep_the_first_maximum(self):
+        # |G| = 1/2 everywhere: the ratio peaks at |y| = 10 for every x, and
+        # the first of those in x-major order is (-50, 10)
+        ct = CarlemanTransform(RealMeasure(atoms=((0.0, 1.0),)))
+        rep = carleman_bound_report(ct, 1.0)
+        assert rep.worst_point == complex(-50.0, 10.0)
+        assert (rep.max_ratio, rep.passed, rep.worst_point) == loop_bound_report(ct, 1.0)
+
+    def test_bound_of_the_zero_measure(self):
+        rep = carleman_bound_report(CarlemanTransform(RealMeasure()), 1.0)
+        assert tuple(rep) == (0.0, True, 1j) == loop_bound_report(
+            CarlemanTransform(RealMeasure()), 1.0)
+        assert type(rep.max_ratio) is float
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    @pytest.mark.parametrize("window", [(-1.0, 1.0), (2.0, 4.0), (-3.0, 3.0),
+                                        (0.5, 0.5)])
+    def test_jump_scan_matches_the_loop(self, name, window):
+        ct = CarlemanTransform(MEASURES[name])
+        rep = spectrum_jump_scan(ct, window)
+        flagged, rows = loop_jump_scan(ct, window)
+        assert rep.flagged == flagged
+        assert [x for x, _ in rep.rows] == [x for x, _ in rows]
+        for (x, got), (_, want) in zip(rep.rows, rows):
+            assert all(type(g) is float for g in got)
+            # a jump is a difference: relative to the values it is taken from
+            scale = [abs(ct.value(complex(x, h))) + abs(ct.value(complex(x, -h)))
+                     for h in rep.heights]
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-15 * np.array(scale))
+
+    def test_jump_scan_blocks_change_nothing(self, monkeypatch):
+        ct = CarlemanTransform(MEASURES["mixed"])
+        whole = spectrum_jump_scan(ct, (-2.0, 2.0))
+        monkeypatch.setattr(carleman, "_JUMP_BLOCK", 3)
+        blocks = spectrum_jump_scan(ct, (-2.0, 2.0))
+        assert len(whole.rows) == 81
+        assert blocks == whole

@@ -1004,6 +1004,55 @@ class TestRunErrors:
             "config error: params.base_power: expected T**(base_power + 4) times "
             "the family's reach 9 to be a float, with T = 2.0 the period\n")
 
+    @pytest.mark.parametrize("operation, extra, tail, schedule, window", [
+        # the image locations T**k pass the float range
+        ("limit_set_estimate", {}, {"rho": 1}, (1e306, 1.7e307),
+         "(1.5625e+304, 1.53e+308]"),
+        ("oscillating_family_check", {"params": {"oscillation": 0.5}}, {"rho": 1},
+         (1e306, 1.7e307), "(1.5625e+304, 1.53e+308]"),
+        # the image weights T**(3 k) pass it, the locations do not
+        ("limit_set_estimate", {"order": {"rho": 3.0}}, {"rho": 3}, (1e120, 1e130),
+         "(1.5625e+118, 9e+130]"),
+        # the averaged measure widens the pairing window 4 times each way
+        ("averaged_limit_check", {"kernel": {"kind": "exp"}}, {"rho": 1},
+         (1e300, 1e306), "(3.90625e+297, 3.6e+307]"),
+        ("tauberian_roundtrip", {"kernel": {"kind": "exp"}}, {"rho": 1},
+         (1e300, 1e306), "(3.90625e+297, 3.6e+307]"),
+        # the weights T**(k rho) of the images far below base_lo
+        ("limit_set_estimate", {}, {"rho": -3, "base_lo": 1e300}, None,
+         "(15.625, 9e+06]"),
+    ], ids=["locations", "oscillating", "weights", "averaged", "roundtrip", "below"])
+    def test_self_similar_images_past_the_float_range(self, operation, extra, tail,
+                                                      schedule, window, tmp_path,
+                                                      capsys):
+        # each ended in an OverflowError traceback from SelfSimilarTail.powers
+        base_lo = tail.get("base_lo", 1.0)
+        cfg = {"operation": operation, "order": {"rho": 1.0},
+               "measure": {"atoms": [[1.2 * base_lo, 1.0]],
+                           "tail": dict({"kind": "self_similar", "T": 2}, **tail)},
+               "params": {}}
+        if schedule is not None:
+            cfg["params"]["schedule"] = {"start": schedule[0], "stop": schedule[1],
+                                         "points": 12}
+        for key, value in extra.items():
+            cfg[key] = dict(cfg.get(key, {}), **value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "config error: params.schedule: expected the self-similar images over "
+            "%s to have float locations and weights, with T = 2.0, rho = %r and "
+            "base_lo = %r\n" % (window, float(tail["rho"]), base_lo))
+
+    def test_self_similar_schedule_below_the_float_range_runs(self, tmp_path):
+        cfg = {"operation": "limit_set_estimate", "order": {"rho": 1.0},
+               "measure": {"atoms": [[1.0, 1.0]],
+                           "tail": {"kind": "self_similar", "T": 2, "rho": 1}},
+               "params": {"schedule": {"start": 1e300, "stop": 1e305, "points": 12}}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["run", cfg_path, "--out-dir", tmp_path]) == 0
+
     @pytest.mark.parametrize("window, count", [
         ([-1e9, 1e9], "4e+10"), ([-1e300, 1e300], "4e+301"), ([-1e308, 1e308], "inf"),
         ([0.0, 0.05 * 2 ** 20], "1.05e+06")])
